@@ -225,43 +225,32 @@ type Stats struct {
 }
 
 // GatewayStats are the per-cause client-gateway counters of one node.
-type GatewayStats struct {
-	// Accepted counts accepted gateway submissions.
-	Accepted int64
-	// RejectedDuplicate counts duplicate submissions (already pending or
-	// already committed) — the idempotent-retry path, not an error.
-	RejectedDuplicate int64
-	// RejectedOverCapacity counts submissions rejected because the
-	// mempool byte budget was exhausted (clients got retry-after hints).
-	RejectedOverCapacity int64
-	// RejectedOversize and RejectedInvalid count per-transaction cap and
-	// malformed-submission rejections.
-	RejectedOversize int64
-	RejectedInvalid  int64
-	// RejectedRateLimited counts submissions refused by the per-client
-	// admission token bucket (Config.ClientRateLimit).
-	RejectedRateLimited int64
-	// Commits counts committed transactions indexed for proofs;
-	// CommitsStreamed those delivered to subscriptions, CommitsDropped
-	// those lost to a full subscriber buffer (recoverable by
-	// resubmission).
-	Commits         int64
-	CommitsStreamed int64
-	CommitsDropped  int64
-}
+type GatewayStats = gateway.Counters
 
-func gatewayStats(c gateway.Counters) GatewayStats {
-	return GatewayStats{
-		Accepted:             c.Accepted,
-		RejectedDuplicate:    c.RejectedDuplicate,
-		RejectedOverCapacity: c.RejectedOverCapacity,
-		RejectedOversize:     c.RejectedOversize,
-		RejectedInvalid:      c.RejectedInvalid,
-		RejectedRateLimited:  c.RejectedRateLimited,
-		Commits:              c.Commits,
-		CommitsStreamed:      c.CommitsStreamed,
-		CommitsDropped:       c.CommitsDropped,
+// nodeStats assembles the public counters of one node from its replica
+// (on whose loop it runs), its delivery-drop counter and its gateway
+// hub (nil without one).
+func nodeStats(r *replica.Replica, dropped *int64, hub *gateway.Hub) Stats {
+	ss := r.Engine().SyncStats()
+	out := Stats{
+		Submitted:           r.Stats.Submitted,
+		DeliveredTxs:        r.Stats.DeliveredTxs,
+		DeliveredPayload:    r.Stats.DeliveredPayload,
+		EpochsDelivered:     r.Stats.EpochsDelivered,
+		LinkedBlocks:        r.Stats.LinkedBlocks,
+		DroppedDeliveries:   atomic.LoadInt64(dropped),
+		StoreErrors:         r.Stats.StoreErrors,
+		RejectedSubmissions: r.Stats.RejectedSubmissions,
+		MempoolBytes:        int64(r.PendingBytes()),
+		StateSyncs:          r.Stats.StateSyncs,
+		StateSyncBytes:      ss.BytesFetched,
+		StateSyncServed:     ss.PagesServed,
+		StateSyncChunks:     ss.ChunksImported,
 	}
+	if hub != nil {
+		out.Gateway = hub.Counters()
+	}
+	return out
 }
 
 // Cluster is an in-process DispersedLedger deployment.
@@ -360,14 +349,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.mem = mem
 	c.stores = stores
 	// Re-seed gateway proofs from each node's recovered log, so clients
-	// resubmitting pre-restart transactions get verifiable receipts, and
-	// point each hub at its replica's journey collector.
+	// resubmitting pre-restart transactions get verifiable receipts.
 	for i, hub := range c.hubs {
 		var recovered []replica.RecoveredBlock
-		c.mem.Inspect(i, func(r *replica.Replica) {
-			recovered = r.RecoveredBlocks()
-			hub.SetJourneys(r.Journeys())
-		})
+		c.mem.Inspect(i, func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
 		hub.Seed(recovered)
 	}
 	return c, nil
@@ -427,28 +412,12 @@ func (c *Cluster) Stats(i int) (Stats, error) {
 	if i < 0 || i >= c.mem.N() {
 		return Stats{}, ErrBadNode
 	}
-	var out Stats
-	c.mem.Inspect(i, func(r *replica.Replica) {
-		ss := r.Engine().SyncStats()
-		out = Stats{
-			Submitted:           r.Stats.Submitted,
-			DeliveredTxs:        r.Stats.DeliveredTxs,
-			DeliveredPayload:    r.Stats.DeliveredPayload,
-			EpochsDelivered:     r.Stats.EpochsDelivered,
-			LinkedBlocks:        r.Stats.LinkedBlocks,
-			StoreErrors:         r.Stats.StoreErrors,
-			RejectedSubmissions: r.Stats.RejectedSubmissions,
-			MempoolBytes:        int64(r.PendingBytes()),
-			StateSyncs:          r.Stats.StateSyncs,
-			StateSyncBytes:      ss.BytesFetched,
-			StateSyncServed:     ss.PagesServed,
-			StateSyncChunks:     ss.ChunksImported,
-		}
-	})
-	out.DroppedDeliveries = atomic.LoadInt64(&c.dropped[i])
+	var hub *gateway.Hub
 	if c.hubs != nil {
-		out.Gateway = gatewayStats(c.hubs[i].Counters())
+		hub = c.hubs[i]
 	}
+	var out Stats
+	c.mem.Inspect(i, func(r *replica.Replica) { out = nodeStats(r, &c.dropped[i], hub) })
 	return out, nil
 }
 
@@ -617,13 +586,9 @@ func NewTCPNode(opts NodeOptions) (*Node, error) {
 	n.st = st
 	if n.hub != nil {
 		// Re-seed gateway proofs from the recovered log so pre-restart
-		// commitments stay provable to resubmitting clients, and point
-		// the hub at the replica's journey collector.
+		// commitments stay provable to resubmitting clients.
 		var recovered []replica.RecoveredBlock
-		tcp.Inspect(func(r *replica.Replica) {
-			recovered = r.RecoveredBlocks()
-			n.hub.SetJourneys(r.Journeys())
-		})
+		tcp.Inspect(func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
 		n.hub.Seed(recovered)
 	}
 	if opts.ClientAddr != "" {
@@ -687,7 +652,7 @@ func (n *Node) adminStatus() map[string]any {
 		out["store"] = map[string]any{"errors": r.Stats.StoreErrors}
 	})
 	if n.hub != nil {
-		out["gateway"] = gatewayStats(n.hub.Counters())
+		out["gateway"] = n.hub.Counters()
 	}
 	return out
 }
@@ -726,27 +691,7 @@ func (n *Node) ClientAddr() string {
 // Stats snapshots the node's counters.
 func (n *Node) Stats() Stats {
 	var out Stats
-	n.tcp.Inspect(func(r *replica.Replica) {
-		ss := r.Engine().SyncStats()
-		out = Stats{
-			Submitted:           r.Stats.Submitted,
-			DeliveredTxs:        r.Stats.DeliveredTxs,
-			DeliveredPayload:    r.Stats.DeliveredPayload,
-			EpochsDelivered:     r.Stats.EpochsDelivered,
-			LinkedBlocks:        r.Stats.LinkedBlocks,
-			StoreErrors:         r.Stats.StoreErrors,
-			RejectedSubmissions: r.Stats.RejectedSubmissions,
-			MempoolBytes:        int64(r.PendingBytes()),
-			StateSyncs:          r.Stats.StateSyncs,
-			StateSyncBytes:      ss.BytesFetched,
-			StateSyncServed:     ss.PagesServed,
-			StateSyncChunks:     ss.ChunksImported,
-		}
-	})
-	out.DroppedDeliveries = atomic.LoadInt64(&n.dropped)
-	if n.hub != nil {
-		out.Gateway = gatewayStats(n.hub.Counters())
-	}
+	n.tcp.Inspect(func(r *replica.Replica) { out = nodeStats(r, &n.dropped, n.hub) })
 	return out
 }
 

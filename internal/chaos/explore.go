@@ -500,7 +500,7 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 	for _, i := range res.Honest {
 		if wholeRun[i] {
 			res.Violations = append(res.Violations,
-				harness.CheckTraceCompleteness(i, c.Tels[i], c.Replicas[i].Journeys(), res.Logs[i])...)
+				harness.CheckTraceCompleteness(i, c.Tels[i], res.Logs[i])...)
 		}
 	}
 	// Vote consistency: no honest node — across crash-restart

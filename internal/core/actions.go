@@ -163,41 +163,44 @@ type SyncInstallAction struct {
 }
 
 // LifecycleStage names the epoch-lifecycle boundary a StageAction
-// marks. Values mirror telemetry.Stage; core defines its own enum so
-// the engine stays free of telemetry imports.
+// marks. core defines its own enum so the engine stays free of
+// telemetry imports; the values are those of the matching
+// telemetry.Kind constants, so the replica maps a stage by conversion
+// (a replica test pins the correspondence).
 type LifecycleStage uint8
 
 // Epoch-lifecycle boundaries reported via StageAction. Only boundaries
 // without an existing dedicated action get one: BA decide and delivery
-// are already observable via EpochDecidedAction/EpochDeliveredAction.
+// are already observable via EpochDecidedAction/EpochDeliveredAction,
+// which is why their two values are skipped.
 const (
 	// StageDisperseStart: the node began dispersing its own block.
-	StageDisperseStart LifecycleStage = iota
+	StageDisperseStart LifecycleStage = 0
 	// StageDisperseDone: the node's own dispersal completed.
-	StageDisperseDone
+	StageDisperseDone LifecycleStage = 1
 	// StageBAInput: a first value entered one of the epoch's BAs.
-	StageBAInput
+	StageBAInput LifecycleStage = 2
 	// StageRetrieveStart: the first network retrieval request went out
 	// for a block dispersed in this epoch.
-	StageRetrieveStart
+	StageRetrieveStart LifecycleStage = 4
 
 	// Per-peer boundaries: sub-spans attributing an epoch's latency to a
 	// specific peer. StageAction.Peer is meaningful only for these.
 
 	// StagePeerChunkSent: this node (as proposer) queued Peer's dispersal
 	// chunk for sending.
-	StagePeerChunkSent
+	StagePeerChunkSent LifecycleStage = 6
 	// StagePeerEcho: Peer's got-chunk vote on this node's own dispersal
 	// arrived.
-	StagePeerEcho
+	StagePeerEcho LifecycleStage = 7
 	// StagePeerVote: the first BA vote from Peer arrived in the epoch.
-	StagePeerVote
+	StagePeerVote LifecycleStage = 8
 	// StagePeerRetrieveReq: a retrieval chunk request went out to Peer
 	// (emitted per send, so re-asks are visible to the flight recorder;
 	// the tracer keeps the first).
-	StagePeerRetrieveReq
+	StagePeerRetrieveReq LifecycleStage = 9
 	// StagePeerRetrieveResp: Peer returned a retrieval chunk.
-	StagePeerRetrieveResp
+	StagePeerRetrieveResp LifecycleStage = 10
 )
 
 // StageAction reports that an epoch crossed a lifecycle boundary. It is

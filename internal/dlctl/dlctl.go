@@ -28,7 +28,6 @@ import (
 
 	"dledger/internal/telemetry"
 	"dledger/internal/telemetry/criticalpath"
-	"dledger/internal/telemetry/txtrace"
 )
 
 // Status is one node's parsed /statusz payload.
@@ -326,8 +325,8 @@ func LatencyReport(w io.Writer, sts []*Status, errs []error, topK int) {
 	var sum50, sum95 float64
 	var total uint64
 	seen := 0
-	for p := txtrace.Phase(0); p < txtrace.NumPhases; p++ {
-		series := txtrace.MetricName + `{phase="` + p.String() + `"}`
+	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
+		series := telemetry.PhaseMetric + `{phase="` + p.String() + `"}`
 		var s50, s95 float64
 		var count uint64
 		nodes := 0

@@ -8,7 +8,6 @@ import (
 	"dledger/internal/merkle"
 	"dledger/internal/replica"
 	"dledger/internal/telemetry"
-	"dledger/internal/telemetry/txtrace"
 )
 
 // Status classifies a submission receipt.
@@ -79,14 +78,24 @@ type Receipt struct {
 	RetryAfter time.Duration
 }
 
-// Counters are the hub's per-cause statistics.
+// Counters are the hub's per-cause statistics (the public API re-exports
+// them as dispersedledger.GatewayStats).
 type Counters struct {
-	Accepted             int64
-	RejectedDuplicate    int64 // pending + committed duplicates
+	// Accepted counts accepted gateway submissions.
+	Accepted int64
+	// RejectedDuplicate counts duplicate submissions (already pending or
+	// already committed) — the idempotent-retry path, not an error.
+	RejectedDuplicate int64
+	// RejectedOverCapacity counts submissions rejected because the
+	// mempool byte budget was exhausted (clients got retry-after hints).
 	RejectedOverCapacity int64
-	RejectedOversize     int64
-	RejectedInvalid      int64
-	RejectedRateLimited  int64
+	// RejectedOversize and RejectedInvalid count per-transaction cap and
+	// malformed-submission rejections.
+	RejectedOversize int64
+	RejectedInvalid  int64
+	// RejectedRateLimited counts submissions refused by the per-client
+	// admission token bucket (Options.RatePerClient).
+	RejectedRateLimited int64
 	// Commits counts committed transactions indexed by the hub;
 	// CommitsStreamed those pushed to a live subscription, and
 	// CommitsDropped those lost to a full subscriber buffer (the client
@@ -134,8 +143,8 @@ type Options struct {
 	// RateBurst is the token bucket's capacity in bytes (default 4
 	// seconds of RatePerClient).
 	RateBurst int
-	// Telemetry, when set, mirrors the hub's admission counters and
-	// queue-depth gauges into the node's metrics registry.
+	// Telemetry, when set, exposes the hub's admission counters and
+	// queue-depth gauges in the node's metrics registry.
 	Telemetry *telemetry.Metrics
 	// Now is the clock the rate limiter meters against; the emulated
 	// harness injects simulated time. Defaults to wall time.
@@ -199,64 +208,28 @@ type Hub struct {
 	interest map[mempool.Hash][]uint64
 	subs     map[uint64][]*Sub
 	buckets  map[uint64]*bucket
-	counters Counters
-	tel      hubMetrics
-	// jour is the replica's transaction-journey collector; the hub
-	// contributes the two phases only it can see (admission wait,
-	// proof-stream ingest) as self-measured durations — the hub clock
-	// and the replica's Context clock are different domains, so the hub
-	// never contributes timestamps.
-	jour *txtrace.Journeys
+	// counts holds the counted gateway kinds (GatewayAccepted through
+	// GatewayDropped), indexed from the first.
+	counts [telemetry.GatewayDropped - telemetry.GatewayAccepted + 1]int64
 }
 
-// SetJourneys attaches the replica's transaction-journey collector so
-// admission and proof-ingest durations land on sampled journeys. Call
-// it at wiring time (and again after a restart mints a fresh replica).
-func (h *Hub) SetJourneys(j *txtrace.Journeys) {
-	h.mu.Lock()
-	h.jour = j
-	h.mu.Unlock()
+// note counts n occurrences of a gateway fact: in the hub's own
+// Counters, which work without telemetry, and as one telemetry event.
+// Callers hold h.mu.
+func (h *Hub) note(k telemetry.Kind, n int) {
+	h.counts[k-telemetry.GatewayAccepted] += int64(n)
+	h.opts.Telemetry.Emit(telemetry.Event{Kind: k, Arg: int64(n)})
 }
 
-func (h *Hub) journeys() *txtrace.Journeys {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.jour
-}
-
-// hubMetrics is the gateway's telemetry handle set (inert when
-// Options.Telemetry is nil).
-type hubMetrics struct {
-	accepted        *telemetry.Counter
-	rejDuplicate    *telemetry.Counter
-	rejOverCapacity *telemetry.Counter
-	rejOversize     *telemetry.Counter
-	rejInvalid      *telemetry.Counter
-	rejRateLimited  *telemetry.Counter
-	commits         *telemetry.Counter
-	commitsStreamed *telemetry.Counter
-	commitsDropped  *telemetry.Counter
-	subscriptions   *telemetry.Gauge
-	proofBlocks     *telemetry.Gauge
-}
-
-func newHubMetrics(m *telemetry.Metrics) hubMetrics {
-	reg := m.Registry()
-	const adm = "dl_gateway_admissions_total"
-	const admHelp = "Client submissions by admission outcome."
-	return hubMetrics{
-		accepted:        reg.Counter(adm, `outcome="accepted"`, admHelp),
-		rejDuplicate:    reg.Counter(adm, `outcome="duplicate"`, admHelp),
-		rejOverCapacity: reg.Counter(adm, `outcome="over-capacity"`, admHelp),
-		rejOversize:     reg.Counter(adm, `outcome="oversize"`, admHelp),
-		rejInvalid:      reg.Counter(adm, `outcome="invalid"`, admHelp),
-		rejRateLimited:  reg.Counter(adm, `outcome="rate-limited"`, admHelp),
-		commits:         reg.Counter("dl_gateway_commits_total", "", "Committed transactions indexed for proof service."),
-		commitsStreamed: reg.Counter("dl_gateway_commits_streamed_total", "", "Commits pushed to live subscriptions."),
-		commitsDropped:  reg.Counter("dl_gateway_commits_dropped_total", "", "Commits lost to full subscriber buffers."),
-		subscriptions:   reg.Gauge("dl_gateway_subscriptions", "", "Open commit subscriptions."),
-		proofBlocks:     reg.Gauge("dl_gateway_proof_blocks", "", "Blocks with resident commit-proof state."),
-	}
+// admissionKind maps a receipt status to the gateway fact it counts as.
+var admissionKind = [...]telemetry.Kind{
+	StatusAccepted:           telemetry.GatewayAccepted,
+	StatusDuplicatePending:   telemetry.GatewayDuplicate,
+	StatusDuplicateCommitted: telemetry.GatewayDuplicate,
+	StatusOverCapacity:       telemetry.GatewayOverCapacity,
+	StatusOversize:           telemetry.GatewayOversize,
+	StatusInvalid:            telemetry.GatewayInvalid,
+	StatusRateLimited:        telemetry.GatewayRateLimited,
 }
 
 // bucket is one client's admission token bucket.
@@ -289,11 +262,11 @@ func NewHub(node Node, opts Options) *Hub {
 		start := time.Now()
 		now = func() time.Duration { return time.Since(start) }
 	}
+	opts.Telemetry.EnableGateway()
 	return &Hub{
 		node:     node,
 		opts:     opts,
 		now:      now,
-		tel:      newHubMetrics(opts.Telemetry),
 		blocks:   map[blockID]*proofBlock{},
 		index:    map[mempool.Hash]txRef{},
 		interest: map[mempool.Hash][]uint64{},
@@ -370,7 +343,18 @@ func (h *Hub) MaxTxBytes() int { return h.opts.maxTx() }
 func (h *Hub) Counters() Counters {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.counters
+	n := func(k telemetry.Kind) int64 { return h.counts[k-telemetry.GatewayAccepted] }
+	return Counters{
+		Accepted:             n(telemetry.GatewayAccepted),
+		RejectedDuplicate:    n(telemetry.GatewayDuplicate),
+		RejectedOverCapacity: n(telemetry.GatewayOverCapacity),
+		RejectedOversize:     n(telemetry.GatewayOversize),
+		RejectedInvalid:      n(telemetry.GatewayInvalid),
+		RejectedRateLimited:  n(telemetry.GatewayRateLimited),
+		Commits:              n(telemetry.GatewayCommits),
+		CommitsStreamed:      n(telemetry.GatewayStreamed),
+		CommitsDropped:       n(telemetry.GatewayDropped),
+	}
 }
 
 // Subscribe opens a commit subscription for a client. Commits of the
@@ -385,7 +369,7 @@ func (h *Hub) Subscribe(client uint64, buffer int) *Sub {
 	h.mu.Lock()
 	h.subs[client] = append(h.subs[client], s)
 	h.mu.Unlock()
-	h.tel.subscriptions.Add(1)
+	h.opts.Telemetry.Emit(telemetry.Event{Kind: telemetry.GatewaySubscriptions, Arg: 1})
 	return s
 }
 
@@ -409,7 +393,7 @@ func (h *Hub) Unsubscribe(s *Sub) {
 	} else {
 		h.subs[s.Client] = kept
 	}
-	h.tel.subscriptions.Add(-1)
+	h.opts.Telemetry.Emit(telemetry.Event{Kind: telemetry.GatewaySubscriptions, Arg: -1})
 	close(s.C)
 }
 
@@ -419,11 +403,9 @@ func (h *Hub) push(client uint64, c Commit) {
 	for _, s := range h.subs[client] {
 		select {
 		case s.C <- c:
-			h.counters.CommitsStreamed++
-			h.tel.commitsStreamed.Inc()
+			h.note(telemetry.GatewayStreamed, 1)
 		default:
-			h.counters.CommitsDropped++
-			h.tel.commitsDropped.Inc()
+			h.note(telemetry.GatewayDropped, 1)
 		}
 	}
 }
@@ -474,8 +456,7 @@ func (h *Hub) Submit(client uint64, reqID uint64, tx []byte) Receipt {
 	h.mu.Lock()
 	if ref, ok := h.index[hash]; ok {
 		rc.Status = StatusDuplicateCommitted
-		h.counters.RejectedDuplicate++
-		h.tel.rejDuplicate.Inc()
+		h.note(telemetry.GatewayDuplicate, 1)
 		if c, ok := h.commitLocked(ref); ok {
 			h.push(client, c)
 		}
@@ -503,17 +484,25 @@ func (h *Hub) Submit(client uint64, reqID uint64, tx []byte) Receipt {
 	h.interest[hash] = addClient(h.interest[hash], client)
 	h.mu.Unlock()
 
-	var err error
+	// One captured variable: each is a heap allocation per submission.
+	var res struct {
+		err error
+		tel *telemetry.Metrics
+	}
 	h.node.Exec(func(r *replica.Replica) {
-		err = r.SubmitFrom(client, tx)
+		res.err, res.tel = r.SubmitFrom(client, tx), r.Telemetry()
 	})
 
-	switch err {
+	switch res.err {
 	case nil:
 		rc.Status = StatusAccepted
 		// The journey exists now (SubmitFrom ran synchronously via
-		// Exec); attach the hub-measured admission duration.
-		h.journeys().AdmitObserved(hash, h.now()-t0)
+		// Exec); attach the hub-measured admission duration. It goes to
+		// the bundle of the replica incarnation that took the
+		// transaction (a hub can outlive one), and as a duration, never
+		// a timestamp: the hub clock and the replica's Context clock are
+		// different domains.
+		res.tel.Emit(telemetry.Event{Kind: telemetry.TxAdmitted, Arg: int64(h.now() - t0)}, hash[:])
 	case mempool.ErrDuplicatePending:
 		// Keep the interest registration: the original submission's
 		// commit satisfies this client too (it may be the same client
@@ -551,26 +540,7 @@ func (h *Hub) Submit(client uint64, reqID uint64, tx []byte) Receipt {
 func (h *Hub) count(s Status) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch s {
-	case StatusAccepted:
-		h.counters.Accepted++
-		h.tel.accepted.Inc()
-	case StatusDuplicatePending, StatusDuplicateCommitted:
-		h.counters.RejectedDuplicate++
-		h.tel.rejDuplicate.Inc()
-	case StatusOverCapacity:
-		h.counters.RejectedOverCapacity++
-		h.tel.rejOverCapacity.Inc()
-	case StatusOversize:
-		h.counters.RejectedOversize++
-		h.tel.rejOversize.Inc()
-	case StatusInvalid:
-		h.counters.RejectedInvalid++
-		h.tel.rejInvalid.Inc()
-	case StatusRateLimited:
-		h.counters.RejectedRateLimited++
-		h.tel.rejRateLimited.Inc()
-	}
+	h.note(admissionKind[s], 1)
 }
 
 func addClient(list []uint64, client uint64) []uint64 {
@@ -614,23 +584,12 @@ func (h *Hub) OnDeliver(d replica.Delivery) {
 			hashes[i] = mempool.HashTx(tx)
 		}
 	}
-	j := h.journeys()
-	var t0 time.Duration
-	if j != nil {
-		t0 = h.now()
-	}
+	// Proof-stream ingest duration for the block's sampled journeys;
+	// lands before the epoch finalizes them (the replica calls OnDeliver
+	// before its EpochDeliveredAction).
+	t0 := h.now()
 	h.ingest(d.Epoch, d.Proposer, hashes)
-	if j != nil {
-		// Proof-stream ingest duration for the block's sampled
-		// journeys; lands before the epoch finalizes them (the replica
-		// calls OnDeliver before its EpochDeliveredAction).
-		dur := h.now() - t0
-		for _, hash := range hashes {
-			if j.Sampled(hash) {
-				j.Proof(hash, dur)
-			}
-		}
-	}
+	d.Telemetry.Emit(telemetry.Event{Kind: telemetry.TxProofIngested, Epoch: d.Epoch, Peer: int32(d.Proposer), Arg: int64(h.now() - t0)})
 }
 
 // Seed installs blocks recovered from the WAL (replica.RecoveredBlocks)
@@ -654,10 +613,9 @@ func (h *Hub) ingest(epoch uint64, proposer int, hashes []mempool.Hash) {
 	}
 	h.blocks[id] = &proofBlock{hashes: hashes}
 	h.order = append(h.order, id)
+	h.note(telemetry.GatewayCommits, len(hashes))
 	for i, hash := range hashes {
 		h.index[hash] = txRef{id: id, index: i}
-		h.counters.Commits++
-		h.tel.commits.Inc()
 		if clients := h.interest[hash]; len(clients) != 0 {
 			c, ok := h.commitLocked(txRef{id: id, index: i})
 			if ok {
@@ -680,7 +638,7 @@ func (h *Hub) ingest(epoch uint64, proposer int, hashes []mempool.Hash) {
 		}
 		delete(h.blocks, old)
 	}
-	h.tel.proofBlocks.Set(int64(len(h.blocks)))
+	h.opts.Telemetry.Emit(telemetry.Event{Kind: telemetry.GatewayProofBlocks, Arg: int64(len(h.blocks))})
 }
 
 // commitLocked builds the Commit for an indexed transaction. Callers

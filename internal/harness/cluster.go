@@ -227,13 +227,9 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 }
 
 // installDispatch wires a node's replica.OnDeliver to the gateway hub
-// (when present) followed by the user hook, and points the hub at the
-// incarnation's journey collector. Looked up dynamically so
+// (when present) followed by the user hook. Looked up dynamically so
 // SetDeliverHook and Restart compose.
 func (c *Cluster) installDispatch(i int) {
-	if c.Hubs != nil {
-		c.Hubs[i].SetJourneys(c.Replicas[i].Journeys())
-	}
 	c.Replicas[i].OnDeliver = func(d replica.Delivery) {
 		if c.Hubs != nil {
 			c.Hubs[i].OnDeliver(d)

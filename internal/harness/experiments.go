@@ -6,7 +6,7 @@ import (
 	"dledger/internal/core"
 	"dledger/internal/replica"
 	"dledger/internal/stats"
-	"dledger/internal/telemetry/txtrace"
+	"dledger/internal/telemetry"
 	"dledger/internal/trace"
 )
 
@@ -99,8 +99,6 @@ func ScaledReplicaParams(scale float64) replica.Params {
 	}
 }
 
-func scaledReplica(scale float64) replica.Params { return ScaledReplicaParams(scale) }
-
 // GeoResult is a per-node throughput profile in paper-equivalent MB/s.
 type GeoResult struct {
 	Mode       core.Mode
@@ -117,7 +115,7 @@ func RunGeo(p GeoParams) (*GeoResult, error) {
 	samples := int(p.Duration/time.Second) + 2
 	c, err := NewCluster(ClusterOptions{
 		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, StagedRetrieval: p.StagedRetrieval, MaxEpochLag: p.MaxEpochLag},
-		Replica:         scaledReplica(p.Scale),
+		Replica:         ScaledReplicaParams(p.Scale),
 		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
 		Delay:           geoDelay(n, p.Seed),
 		TxSize:          256,
@@ -158,7 +156,7 @@ func RunProgress(p GeoParams) (*ProgressResult, error) {
 	samples := int(p.Duration/time.Second) + 2
 	c, err := NewCluster(ClusterOptions{
 		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},
-		Replica:         scaledReplica(p.Scale),
+		Replica:         ScaledReplicaParams(p.Scale),
 		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
 		Delay:           geoDelay(n, p.Seed),
 		TxSize:          256,
@@ -221,7 +219,7 @@ func RunLagGuard(maxLag uint64, duration time.Duration, seed int64) (*LagGuardRe
 	for i := range traces {
 		traces[i] = trace.Constant(10 * trace.MB * scale)
 	}
-	rp := scaledReplica(scale)
+	rp := ScaledReplicaParams(scale)
 	rp.FixedBlockBytes = int(float64(500<<10) * scale)
 	c, err := NewCluster(ClusterOptions{
 		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: core.ModeDL, MaxEpochLag: maxLag},
@@ -273,9 +271,9 @@ type StageLatency struct {
 
 // LatencyResult reports per-node latency percentiles for one load point.
 type LatencyResult struct {
-	Mode        core.Mode
-	LoadPerNode float64 // paper-equivalent bytes/s
-	Names       []string
+	Mode              core.Mode
+	LoadPerNode       float64 // paper-equivalent bytes/s
+	Names             []string
 	P5, P50, P95, P99 []time.Duration // local-transaction latency per node
 	AllP50, AllP95    []time.Duration // all-transaction latency (Fig 14)
 	DeliveredPayload  []int64
@@ -313,7 +311,7 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 	}
 	n := len(p.Cities)
 	samples := int(p.Duration/time.Second) + 2
-	rp := scaledReplica(p.Scale)
+	rp := ScaledReplicaParams(p.Scale)
 	if p.batchDelay != 0 {
 		rp.BatchDelay = p.batchDelay
 	}
@@ -354,17 +352,19 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 	return res, nil
 }
 
-// stagePanel aggregates every node's dl_epoch_stage_seconds histograms
-// into the per-segment latency panel: quantiles averaged across the
-// nodes that observed the segment, counts summed.
-func stagePanel(c *Cluster) map[string]StageLatency {
+// latencyPanel aggregates one histogram family across the cluster,
+// one entry per label value (the family's label set is label="value"):
+// quantiles averaged across the nodes that observed the series, counts
+// summed. Series no node observed (admit_wait/proof without a gateway)
+// are omitted.
+func latencyPanel(c *Cluster, family, label string, values []string) map[string]StageLatency {
 	out := map[string]StageLatency{}
-	for _, seg := range []string{"disperse", "ba", "retrieve", "e2e"} {
+	for _, v := range values {
 		var sl StageLatency
 		var sum50, sum95 float64
 		nodes := 0
 		for i := range c.Replicas {
-			h := c.Tels[i].Registry().FindHistogram("dl_epoch_stage_seconds", `stage="`+seg+`"`)
+			h := c.Tels[i].Registry().FindHistogram(family, label+`="`+v+`"`)
 			if h.Count() == 0 {
 				continue
 			}
@@ -376,40 +376,26 @@ func stagePanel(c *Cluster) map[string]StageLatency {
 		if nodes > 0 {
 			sl.P50Ms = sum50 / float64(nodes)
 			sl.P95Ms = sum95 / float64(nodes)
-			out[seg] = sl
+			out[v] = sl
 		}
 	}
 	return out
 }
 
-// phasePanel aggregates every node's dl_tx_phase_seconds histograms —
-// the sampled transaction-journey decomposition — the same way
-// stagePanel aggregates the epoch lifecycle: quantiles averaged across
-// the nodes that observed the phase, counts summed. Phases no node
-// observed (admit_wait/proof without a gateway) are omitted.
+// stagePanel is the per-segment epoch-lifecycle latency panel
+// (dl_epoch_stage_seconds).
+func stagePanel(c *Cluster) map[string]StageLatency {
+	return latencyPanel(c, "dl_epoch_stage_seconds", "stage", []string{"disperse", "ba", "retrieve", "e2e"})
+}
+
+// phasePanel is the sampled transaction-journey decomposition
+// (dl_tx_phase_seconds).
 func phasePanel(c *Cluster) map[string]StageLatency {
-	out := map[string]StageLatency{}
-	for p := txtrace.Phase(0); p < txtrace.NumPhases; p++ {
-		var sl StageLatency
-		var sum50, sum95 float64
-		nodes := 0
-		for i := range c.Replicas {
-			h := c.Tels[i].Registry().FindHistogram(txtrace.MetricName, `phase="`+p.String()+`"`)
-			if h.Count() == 0 {
-				continue
-			}
-			sl.Count += h.Count()
-			sum50 += float64(h.Quantile(0.50)) / float64(time.Millisecond)
-			sum95 += float64(h.Quantile(0.95)) / float64(time.Millisecond)
-			nodes++
-		}
-		if nodes > 0 {
-			sl.P50Ms = sum50 / float64(nodes)
-			sl.P95Ms = sum95 / float64(nodes)
-			out[p.String()] = sl
-		}
+	phases := make([]string, telemetry.NumPhases)
+	for p := range phases {
+		phases[p] = telemetry.Phase(p).String()
 	}
-	return out
+	return latencyPanel(c, telemetry.PhaseMetric, "phase", phases)
 }
 
 // ControlledParams configures the controlled experiments of §6.3
@@ -478,7 +464,7 @@ func RunControlled(p ControlledParams) (*ControlledResult, error) {
 	}
 	c, err := NewCluster(ClusterOptions{
 		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: p.Mode},
-		Replica:         scaledReplica(p.Scale),
+		Replica:         ScaledReplicaParams(p.Scale),
 		Egress:          traces,
 		TxSize:          256,
 		InfiniteBacklog: true,
@@ -546,7 +532,7 @@ func RunScalability(p ScaleParams) (*ScaleResult, error) {
 	for i := range traces {
 		traces[i] = trace.Constant(10 * trace.MB * p.Scale)
 	}
-	rp := scaledReplica(p.Scale)
+	rp := ScaledReplicaParams(p.Scale)
 	rp.FixedBlockBytes = int(float64(p.BlockBytes) * p.Scale)
 	c, err := NewCluster(ClusterOptions{
 		// The sweep enables the §4.5 lag guard (P = 8): with fixed-size

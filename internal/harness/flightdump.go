@@ -57,7 +57,7 @@ func FlightDump(tels []*telemetry.Metrics, epochs []uint64) string {
 			continue
 		}
 		evs := fr.Events()
-		var kept []telemetry.FlightEvent
+		var kept []telemetry.Event
 		for _, ev := range evs {
 			if len(want) == 0 || want[ev.Epoch] || ev.Epoch == 0 {
 				kept = append(kept, ev)

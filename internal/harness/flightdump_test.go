@@ -33,10 +33,9 @@ func TestFlightDumpFiltersAndCaps(t *testing.T) {
 		telemetry.New(telemetry.Options{FlightRing: 64}),
 		nil, // a node without telemetry renders as absent, not a panic
 	}
-	fr := tels[0].Flight()
-	fr.Record(time.Millisecond, telemetry.FlightDecide, 5, -1, 0)
-	fr.Record(2*time.Millisecond, telemetry.FlightDeliver, 6, -1, 0)
-	fr.Record(3*time.Millisecond, telemetry.FlightFsync, 0, -1, 1000)
+	tels[0].Emit(telemetry.Event{At: time.Millisecond, Kind: telemetry.StageBADecide, Epoch: 5})
+	tels[0].Emit(telemetry.Event{At: 2 * time.Millisecond, Kind: telemetry.StageDeliver, Epoch: 6})
+	tels[0].Emit(telemetry.Event{At: 3 * time.Millisecond, Kind: telemetry.Fsync, Arg: 1000})
 
 	dump := FlightDump(tels, []uint64{5})
 	if !strings.Contains(dump, "epoch=5") {

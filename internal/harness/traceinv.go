@@ -13,12 +13,11 @@ import (
 	"fmt"
 
 	"dledger/internal/telemetry"
-	"dledger/internal/telemetry/txtrace"
 )
 
 // traceStageOrder lists the pairwise orderings a delivered timeline must
 // respect when both endpoints were observed.
-var traceStageOrder = [][2]telemetry.Stage{
+var traceStageOrder = [][2]telemetry.Kind{
 	{telemetry.StageDisperseStart, telemetry.StageDisperseDone},
 	{telemetry.StageDisperseStart, telemetry.StageDeliver},
 	{telemetry.StageBAInput, telemetry.StageBADecide},
@@ -31,14 +30,13 @@ var traceStageOrder = [][2]telemetry.Stage{
 // observed the whole run (never crashed, joined, or synced): every
 // distinct epoch in the log must have a delivered timeline whose stage
 // timestamps are present and ordered, and the delivered-epoch, block
-// and transaction counters must equal the log's totals. When jour is
-// non-nil the sampled transaction journeys are held to the same
-// standard: every finalized journey must be well-formed (checkpoint
+// and transaction counters must equal the log's totals. The sampled
+// transaction journeys are held to the same standard: every finalized journey must be well-formed (checkpoint
 // order, non-negative phases) and belong to an epoch this node's log
 // shows it proposing in, and no sampled transaction may remain live in
 // an epoch the log already covers (a stuck journey under faults is a
 // telemetry bug, not a dashboard curiosity).
-func CheckTraceCompleteness(node int, tel *telemetry.Metrics, jour *txtrace.Journeys, log []LogEntry) []string {
+func CheckTraceCompleteness(node int, tel *telemetry.Metrics, log []LogEntry) []string {
 	var out []string
 	if tel == nil {
 		return []string{fmt.Sprintf("trace: node %d has no telemetry bundle", node)}
@@ -83,7 +81,7 @@ func CheckTraceCompleteness(node int, tel *telemetry.Metrics, jour *txtrace.Jour
 		// An epoch cannot deliver without deciding, and a decided epoch
 		// had at least one BA instance fed: those two stages (plus the
 		// deliver stamp that completed the timeline) are unconditional.
-		for _, s := range []telemetry.Stage{telemetry.StageBAInput, telemetry.StageBADecide, telemetry.StageDeliver} {
+		for _, s := range []telemetry.Kind{telemetry.StageBAInput, telemetry.StageBADecide, telemetry.StageDeliver} {
 			if !tl.Has(s) {
 				out = append(out, fmt.Sprintf("trace: node %d epoch %d delivered without a %s span", node, e, s))
 			}
@@ -121,7 +119,7 @@ func CheckTraceCompleteness(node int, tel *telemetry.Metrics, jour *txtrace.Jour
 		out = append(out, fmt.Sprintf("trace: node %d counted %d delivered txs, log has %d",
 			node, got, txs))
 	}
-	out = append(out, checkJourneys(node, jour, epochs, maxEpoch, log)...)
+	out = append(out, checkJourneys(node, tel.Journeys(), epochs, maxEpoch, log)...)
 	return out
 }
 
@@ -129,10 +127,7 @@ func CheckTraceCompleteness(node int, tel *telemetry.Metrics, jour *txtrace.Jour
 // delivery log: finalized journeys are well-formed and reconcile with
 // the epochs this node proposed in; live journeys are not stuck in an
 // epoch the log already delivered.
-func checkJourneys(node int, jour *txtrace.Journeys, epochs map[uint64]bool, maxEpoch uint64, log []LogEntry) []string {
-	if jour == nil {
-		return nil
-	}
+func checkJourneys(node int, jour *telemetry.Journeys, epochs map[uint64]bool, maxEpoch uint64, log []LogEntry) []string {
 	var out []string
 	// The journeys layer only tracks transactions this node submitted
 	// and proposed itself, so a finalized journey's epoch must appear
@@ -147,7 +142,7 @@ func checkJourneys(node int, jour *txtrace.Journeys, epochs map[uint64]bool, max
 		if !j.Complete {
 			out = append(out, fmt.Sprintf("trace: node %d journey %x finalized without Complete", node, j.Hash[:4]))
 		}
-		for p := txtrace.Phase(0); p < txtrace.NumPhases; p++ {
+		for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
 			if j.Phases[p] < 0 {
 				out = append(out, fmt.Sprintf("trace: node %d journey %x has negative %s phase %s",
 					node, j.Hash[:4], p, j.Phases[p]))

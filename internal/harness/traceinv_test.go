@@ -8,7 +8,6 @@ import (
 	"dledger/internal/core"
 	"dledger/internal/replica"
 	"dledger/internal/telemetry"
-	"dledger/internal/telemetry/txtrace"
 	"dledger/internal/trace"
 )
 
@@ -44,7 +43,7 @@ func TestTraceCompletenessCleanRun(t *testing.T) {
 		if got := len(c.Tels[i].Trace().Delivered()); got == 0 {
 			t.Fatalf("node %d has no delivered timelines", i)
 		}
-		if v := CheckTraceCompleteness(i, c.Tels[i], c.Replicas[i].Journeys(), lr.Log(i)); len(v) != 0 {
+		if v := CheckTraceCompleteness(i, c.Tels[i], lr.Log(i)); len(v) != 0 {
 			t.Fatalf("node %d trace violations: %v", i, v)
 		}
 	}
@@ -59,7 +58,7 @@ func TestTraceCompletenessCleanRun(t *testing.T) {
 	// carry the decomposition.
 	finished := 0
 	for i := 0; i < n; i++ {
-		finished += len(c.Replicas[i].Journeys().Completed())
+		finished += len(c.Tels[i].Journeys().Completed())
 	}
 	if finished == 0 {
 		t.Fatal("no sampled transaction journeys completed")
@@ -75,7 +74,7 @@ func TestTraceCompletenessCleanRun(t *testing.T) {
 // TestTraceCompletenessDetects feeds the checker a log the telemetry
 // never saw and expects violations, including the nil-bundle case.
 func TestTraceCompletenessDetects(t *testing.T) {
-	if v := CheckTraceCompleteness(0, nil, nil, nil); len(v) != 1 || !strings.Contains(v[0], "no telemetry bundle") {
+	if v := CheckTraceCompleteness(0, nil, nil); len(v) != 1 || !strings.Contains(v[0], "no telemetry bundle") {
 		t.Fatalf("nil bundle not flagged: %v", v)
 	}
 	const n = 4
@@ -101,7 +100,7 @@ func TestTraceCompletenessDetects(t *testing.T) {
 		{Epoch: 1, Proposer: 0, TxCount: 3},
 		{Epoch: 2, Proposer: 1, TxCount: 2},
 	}
-	v := CheckTraceCompleteness(0, c.Tels[0], c.Replicas[0].Journeys(), log)
+	v := CheckTraceCompleteness(0, c.Tels[0], log)
 	joined := strings.Join(v, "\n")
 	if !strings.Contains(joined, "epoch 1 with no timeline") {
 		t.Fatalf("missing-timeline violation not raised:\n%s", joined)
@@ -119,16 +118,16 @@ func TestTraceCompletenessDetects(t *testing.T) {
 // never shows the node proposing, and a live journey stuck in an epoch
 // the log already delivered.
 func TestJourneyViolationsDetect(t *testing.T) {
-	m := telemetry.New(telemetry.Options{})
-	jour := txtrace.New(m, txtrace.Options{SampleEvery: 1})
+	m := telemetry.New(telemetry.Options{SampleEvery: 1})
+	jour := m.Journeys()
 	tx := []byte("phantom")
-	jour.Submitted(tx, time.Second)
-	jour.ProposedBatch([][]byte{tx}, 9, 2*time.Second)
-	jour.EpochDelivered(9, 3*time.Second) // finalized in epoch 9
+	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, tx)
+	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 9}, tx)
+	m.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: 3 * time.Second, Epoch: 9}) // finalized in epoch 9
 
 	stuck := []byte("stuck")
-	jour.Submitted(stuck, time.Second)
-	jour.ProposedBatch([][]byte{stuck}, 4, 2*time.Second) // never finalized
+	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, stuck)
+	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 4}, stuck) // never finalized
 
 	log := []LogEntry{
 		{Epoch: 4, Proposer: 1, TxCount: 1}, // delivered, but proposer != 0

@@ -24,7 +24,6 @@ import (
 	"dledger/internal/stats"
 	"dledger/internal/store"
 	"dledger/internal/telemetry"
-	"dledger/internal/telemetry/txtrace"
 	"dledger/internal/wire"
 	"dledger/internal/workload"
 )
@@ -64,11 +63,11 @@ type Params struct {
 	// returns mempool.ErrOverCapacity) instead of queued unboundedly.
 	// Zero keeps the unbounded seed behaviour.
 	MempoolBytes int
-	// Telemetry, when set, is the node's metrics/tracing bundle: the
-	// replica registers its counters, the WAL fsync histogram and the
-	// confirmation-latency histograms there, and forwards the engine's
-	// StageActions to the epoch tracer stamped with the Context clock.
-	// Nil disables telemetry at near-zero cost (nil-handle no-ops).
+	// Telemetry, when set, is the node's telemetry bundle: the replica
+	// reports every protocol fact to it as one event stamped with the
+	// Context clock, and registers its backlog gauges and the
+	// confirmation-latency histograms there. Nil disables telemetry at
+	// near-zero cost (nil-handle no-ops).
 	Telemetry *telemetry.Metrics
 	// ClientDedup enables the gateway's content-hash machinery: the
 	// mempool deduplicates submissions, every delivered block's
@@ -114,6 +113,11 @@ type Delivery struct {
 	// populated only with Params.ClientDedup (the gateway builds commit
 	// proofs and matches client subscriptions from them).
 	TxHashes []mempool.Hash
+	// Telemetry is the delivering incarnation's bundle (nil when
+	// telemetry is off), for observers that time their own share of the
+	// delivery path — the gateway's proof-stream ingest — and must
+	// report it to the incarnation whose journeys it belongs to.
+	Telemetry *telemetry.Metrics
 }
 
 // Stats aggregates the measurements the evaluation needs. Across a
@@ -188,40 +192,25 @@ type Replica struct {
 	// rebuild its commit-proof index after a restart.
 	recoveredBlocks []RecoveredBlock
 
-	// tel holds the telemetry handles; all nil (and inert) when
-	// Params.Telemetry is unset.
+	// tel holds the telemetry bundle and handles; all nil (and inert)
+	// when Params.Telemetry is unset.
 	tel repMetrics
-
-	// jour collects sampled transaction journeys (nil — and inert —
-	// when Params.Telemetry is unset).
-	jour *txtrace.Journeys
 
 	Stats Stats
 }
 
-// repMetrics is the replica's set of telemetry handles. Handles are
-// nil-safe, so a zero repMetrics (telemetry disabled) no-ops.
+// repMetrics is the replica's telemetry: the bundle every fact is
+// emitted to, plus handles for the measurements that are not events —
+// per-transaction latency observations and sampled state. Everything
+// is nil-safe, so a zero repMetrics (telemetry disabled) no-ops.
 type repMetrics struct {
-	trace            *telemetry.Tracer
-	flight           *telemetry.FlightRecorder
-	fsync            *telemetry.Histogram
-	latAll           *telemetry.Histogram
-	latLocal         *telemetry.Histogram
-	txsSubmitted     *telemetry.Counter
-	txsDelivered     *telemetry.Counter
-	payloadDelivered *telemetry.Counter
-	epochsDecided    *telemetry.Counter
-	epochsDelivered  *telemetry.Counter
-	linkedBlocks     *telemetry.Counter
-	baDeliveries     *telemetry.Counter
-	rejected         *telemetry.Counter
-	storeErrors      *telemetry.Counter
-	stateSyncs       *telemetry.Counter
-	mempoolBytes     *telemetry.Gauge
-	syncBytes        *telemetry.Gauge
-	syncChunks       *telemetry.Gauge
-	syncPages        *telemetry.Gauge
-	syncLastEpoch    *telemetry.Gauge
+	*telemetry.Metrics
+	latAll        *telemetry.Histogram
+	latLocal      *telemetry.Histogram
+	mempoolBytes  *telemetry.Gauge
+	syncBytes     *telemetry.Gauge
+	syncChunks    *telemetry.Gauge
+	syncLastEpoch *telemetry.Gauge
 
 	// Queueing/backpressure gauges (dl_queue_*), sampled at proposal
 	// cadence — the "where is the backlog" family.
@@ -233,9 +222,6 @@ type repMetrics struct {
 	qBA           *telemetry.Gauge
 }
 
-// fsyncBounds: 50µs .. ~1.6s, log-scale.
-var fsyncBounds = telemetry.ExpBuckets(int64(50*time.Microsecond), 2, 16)
-
 // confirmBounds: 1ms .. ~131s, log-scale (matches the stage histograms).
 var confirmBounds = telemetry.ExpBuckets(int64(time.Millisecond), 2, 18)
 
@@ -244,32 +230,19 @@ func newRepMetrics(m *telemetry.Metrics) repMetrics {
 	const lat = "dl_tx_confirm_seconds"
 	const latHelp = "Transaction confirmation latency (submit to deliver)."
 	return repMetrics{
-		trace:            m.Trace(),
-		flight:           m.Flight(),
-		fsync:            reg.Histogram("dl_wal_fsync_seconds", "", "WAL group-commit fsync latency.", fsyncBounds, 1e-9),
-		latAll:           reg.Histogram(lat, `scope="all"`, latHelp, confirmBounds, 1e-9),
-		latLocal:         reg.Histogram(lat, `scope="local"`, latHelp, confirmBounds, 1e-9),
-		txsSubmitted:     reg.Counter("dl_txs_submitted_total", "", "Transactions accepted into the mempool."),
-		txsDelivered:     reg.Counter("dl_txs_delivered_total", "", "Transactions delivered in the total order (this incarnation)."),
-		payloadDelivered: reg.Counter("dl_delivered_payload_bytes_total", "", "Delivered transaction payload bytes (this incarnation)."),
-		epochsDecided:    reg.Counter("dl_epochs_decided_total", "", "Epochs whose BA vector decided (this incarnation)."),
-		epochsDelivered:  reg.Counter("dl_epochs_delivered_total", "", "Epochs delivered to the application (this incarnation)."),
-		linkedBlocks:     reg.Counter("dl_blocks_delivered_total", `kind="linked"`, "Blocks delivered, split by commit path."),
-		baDeliveries:     reg.Counter("dl_blocks_delivered_total", `kind="ba"`, "Blocks delivered, split by commit path."),
-		rejected:         reg.Counter("dl_submissions_rejected_total", "", "Submissions the mempool refused (duplicate or over budget)."),
-		storeErrors:      reg.Counter("dl_store_errors_total", "", "Failed durable writes (first one stops persistence)."),
-		stateSyncs:       reg.Counter("dl_state_syncs_total", "", "Completed bootstrap-from-checkpoint installs."),
-		mempoolBytes:     reg.Gauge("dl_mempool_bytes", "", "Transaction bytes queued in the mempool."),
-		syncBytes:        reg.Gauge("dl_statesync_fetched_bytes", "", "State-sync page payload bytes fetched from donors."),
-		syncChunks:       reg.Gauge("dl_statesync_imported_chunks", "", "Verified chunk records adopted from donors."),
-		syncPages:        reg.Gauge("dl_statesync_served_pages", "", "State-sync pages served to joiners."),
-		syncLastEpoch:    reg.Gauge("dl_statesync_last_epoch", "", "Checkpoint position of the most recent bootstrap install."),
-		qFront:           reg.Gauge("dl_queue_mempool_txs", `shard="front"`, "Mempool depth by shard: re-proposal front vs client queues."),
-		qClients:         reg.Gauge("dl_queue_mempool_txs", `shard="clients"`, "Mempool depth by shard: re-proposal front vs client queues."),
-		qOldestAgeMs:     reg.Gauge("dl_queue_mempool_oldest_age_ms", "", "Age of the oldest queued transaction (ms)."),
-		qProposalFill:    reg.Gauge("dl_queue_proposal_fill_pct", "", "Last proposal's payload as a percentage of the batch-bytes target."),
-		qRetrieval:       reg.Gauge("dl_queue_retrieval_inflight", "", "Block retrievals started but not completed."),
-		qBA:              reg.Gauge("dl_queue_ba_inflight", "", "Binary-agreement instances without an output, across undecided epochs."),
+		Metrics:       m,
+		latAll:        reg.Histogram(lat, `scope="all"`, latHelp, confirmBounds, 1e-9),
+		latLocal:      reg.Histogram(lat, `scope="local"`, latHelp, confirmBounds, 1e-9),
+		mempoolBytes:  reg.Gauge("dl_mempool_bytes", "", "Transaction bytes queued in the mempool."),
+		syncBytes:     reg.Gauge("dl_statesync_fetched_bytes", "", "State-sync page payload bytes fetched from donors."),
+		syncChunks:    reg.Gauge("dl_statesync_imported_chunks", "", "Verified chunk records adopted from donors."),
+		syncLastEpoch: reg.Gauge("dl_statesync_last_epoch", "", "Checkpoint position of the most recent bootstrap install."),
+		qFront:        reg.Gauge("dl_queue_mempool_txs", `shard="front"`, "Mempool depth by shard: re-proposal front vs client queues."),
+		qClients:      reg.Gauge("dl_queue_mempool_txs", `shard="clients"`, "Mempool depth by shard: re-proposal front vs client queues."),
+		qOldestAgeMs:  reg.Gauge("dl_queue_mempool_oldest_age_ms", "", "Age of the oldest queued transaction (ms)."),
+		qProposalFill: reg.Gauge("dl_queue_proposal_fill_pct", "", "Last proposal's payload as a percentage of the batch-bytes target."),
+		qRetrieval:    reg.Gauge("dl_queue_retrieval_inflight", "", "Block retrievals started but not completed."),
+		qBA:           reg.Gauge("dl_queue_ba_inflight", "", "Binary-agreement instances without an output, across undecided epochs."),
 	}
 }
 
@@ -312,7 +285,6 @@ func NewWithStore(cfg core.Config, self int, params Params, st store.Store, ctx 
 		st:      st,
 		durable: st.Durable(),
 		tel:     newRepMetrics(params.Telemetry),
-		jour:    txtrace.New(params.Telemetry, txtrace.Options{}),
 	}
 	var recs []store.Record
 	cp, err := st.Recover(func(lsn uint64, rec store.Record) error {
@@ -485,11 +457,6 @@ func (r *Replica) Engine() *core.Engine { return r.engine }
 // Telemetry returns the node's telemetry bundle (nil when disabled).
 func (r *Replica) Telemetry() *telemetry.Metrics { return r.params.Telemetry }
 
-// Journeys returns the node's sampled transaction-journey collector
-// (nil — and inert — when telemetry is disabled). The gateway hub uses
-// it to attach admission and proof-stream durations.
-func (r *Replica) Journeys() *txtrace.Journeys { return r.jour }
-
 // SyncTracker exposes the node's state-sync checkpoint tracker (nil
 // without core.Config.StateSync). Access it only on the replica's loop.
 func (r *Replica) SyncTracker() *statesync.Tracker { return r.tracker }
@@ -520,14 +487,13 @@ func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
 	now := r.ctx.Now()
 	if err := r.pool.PushFromAt(client, tx, now); err != nil {
 		r.Stats.RejectedSubmissions++
-		r.tel.rejected.Inc()
+		r.tel.Emit(telemetry.Event{Kind: telemetry.TxRejected, At: now})
 		return err
 	}
 	r.Stats.Submitted++
 	r.Stats.SubmittedBytes += int64(len(tx))
-	r.tel.txsSubmitted.Inc()
-	r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes()))
-	r.jour.Submitted(tx, now)
+	r.tel.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: now}, tx)
+	r.mempoolChanged()
 	r.tryPropose()
 	return nil
 }
@@ -539,6 +505,9 @@ func (r *Replica) OnEnvelope(env wire.Envelope) {
 
 // PendingBytes returns the mempool backlog.
 func (r *Replica) PendingBytes() int { return r.pool.PendingBytes() }
+
+// mempoolChanged publishes the backlog after a push or a pop.
+func (r *Replica) mempoolChanged() { r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes())) }
 
 // apply interprets one engine step's actions. Durable records are
 // written (and group-committed with a single Sync) before any effect of
@@ -578,7 +547,7 @@ func (r *Replica) apply(actions []core.Action) {
 			r.tryPropose()
 		case core.ResubmitAction:
 			r.pool.PushFrontAt(act.Txs, r.ctx.Now())
-			r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes()))
+			r.mempoolChanged()
 		case core.TimerAction:
 			token := act.Token
 			r.ctx.After(act.After, func() {
@@ -590,34 +559,23 @@ func (r *Replica) apply(actions []core.Action) {
 			}
 		case core.EpochDecidedAction:
 			r.Stats.EpochsDecided++
-			r.tel.epochsDecided.Inc()
-			if r.tel.trace != nil {
-				r.tel.trace.Observe(act.Epoch, telemetry.StageBADecide, r.ctx.Now())
-			}
-			r.tel.flight.Record(r.ctx.Now(), telemetry.FlightDecide, act.Epoch, -1, int64(len(act.S)))
+			r.tel.Emit(telemetry.Event{Kind: telemetry.StageBADecide, At: r.ctx.Now(), Epoch: act.Epoch, Arg: int64(len(act.S))})
 		case core.EpochDeliveredAction:
 			r.Stats.EpochsDelivered++
 			r.sinceCkpt++
-			r.tel.epochsDelivered.Inc()
-			// Finalize the epoch's sampled journeys BEFORE the tracer's
-			// StageDeliver observation retires the inflight timeline the
-			// journeys join their epoch segment against.
-			r.jour.EpochDelivered(act.Epoch, r.ctx.Now())
-			if r.tel.trace != nil {
-				r.tel.trace.Observe(act.Epoch, telemetry.StageDeliver, r.ctx.Now())
-			}
-			r.tel.flight.Record(r.ctx.Now(), telemetry.FlightDeliver, act.Epoch, -1, 0)
+			r.tel.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: r.ctx.Now(), Epoch: act.Epoch})
 		case core.StageAction:
-			r.onStage(act)
+			// The engine's stage values are the telemetry kinds' (pinned
+			// by TestStageKindsMatch); only per-peer stages use Peer.
+			r.tel.Emit(telemetry.Event{Kind: telemetry.Kind(act.Stage), At: r.ctx.Now(), Epoch: act.Epoch, Peer: int32(act.Peer)})
 		case core.VoteCastAction:
 			// Journal the vote in the flight recorder (durability is
-			// persistStep's job): arg packs kind<<33 | round<<1 | value,
-			// peer is the BA instance's proposer.
+			// persistStep's job).
 			arg := int64(act.Vote.Kind)<<33 | int64(act.Vote.Round)<<1
 			if act.Vote.Value {
 				arg |= 1
 			}
-			r.tel.flight.Record(r.ctx.Now(), telemetry.FlightVoteCast, act.Epoch, act.Proposer, arg)
+			r.tel.Emit(telemetry.Event{Kind: telemetry.VoteCast, At: r.ctx.Now(), Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: arg})
 		case core.CatchupDoneAction:
 			r.tryPropose()
 		case core.SyncPointAction:
@@ -630,15 +588,15 @@ func (r *Replica) apply(actions []core.Action) {
 		r.checkpoint()
 	}
 	// Mirror the engine-owned state-sync transfer counters (read only
-	// on this loop) into scrape-safe gauges.
-	if r.tel.syncBytes != nil && r.tracker != nil {
+	// on this loop) into scrape-safe gauges; pages served since the last
+	// step are an event, which also feeds the served-pages gauge.
+	if r.tracker != nil {
 		s := r.engine.SyncStats()
 		r.tel.syncBytes.Set(s.BytesFetched)
 		r.tel.syncChunks.Set(s.ChunksImported)
-		r.tel.syncPages.Set(s.PagesServed)
 		r.tel.syncLastEpoch.Set(int64(s.LastSyncEpoch))
 		if s.PagesServed > r.lastSyncPages {
-			r.tel.flight.Record(r.ctx.Now(), telemetry.FlightSyncPage, 0, -1, s.PagesServed-r.lastSyncPages)
+			r.tel.Emit(telemetry.Event{Kind: telemetry.SyncPages, At: r.ctx.Now(), Arg: s.PagesServed - r.lastSyncPages})
 			r.lastSyncPages = s.PagesServed
 		}
 	}
@@ -732,74 +690,16 @@ func (r *Replica) putChunk(act core.ChunkStoredAction) {
 	}
 }
 
-// lifecycleStage maps the engine's stage enum onto the tracer's.
-func lifecycleStage(s core.LifecycleStage) telemetry.Stage {
-	switch s {
-	case core.StageDisperseStart:
-		return telemetry.StageDisperseStart
-	case core.StageDisperseDone:
-		return telemetry.StageDisperseDone
-	case core.StageBAInput:
-		return telemetry.StageBAInput
-	case core.StageRetrieveStart:
-		return telemetry.StageRetrieveStart
-	}
-	return telemetry.NumStages // dropped by the tracer
-}
-
-// peerEvent maps the engine's per-peer stages onto the tracer's sub-span
-// kinds and the flight recorder's event kinds; ok is false for the
-// epoch-level stages.
-func peerEvent(s core.LifecycleStage) (telemetry.PeerEvent, telemetry.FlightKind, bool) {
-	switch s {
-	case core.StagePeerChunkSent:
-		return telemetry.PeerChunkSent, telemetry.FlightChunkSent, true
-	case core.StagePeerEcho:
-		return telemetry.PeerEcho, telemetry.FlightEcho, true
-	case core.StagePeerVote:
-		return telemetry.PeerVote, telemetry.FlightPeerVote, true
-	case core.StagePeerRetrieveReq:
-		return telemetry.PeerRetrieveReq, telemetry.FlightRetrieveReq, true
-	case core.StagePeerRetrieveResp:
-		return telemetry.PeerRetrieveResp, telemetry.FlightRetrieveResp, true
-	}
-	return 0, 0, false
-}
-
-// onStage stamps one engine lifecycle boundary with the Context clock
-// and routes it: epoch-level stages feed the tracer's timeline, per-peer
-// stages feed both the timeline's sub-spans (first observation wins) and
-// the flight recorder (every occurrence, so re-ask rounds stay visible).
-func (r *Replica) onStage(act core.StageAction) {
-	now := r.ctx.Now()
-	if ev, fk, ok := peerEvent(act.Stage); ok {
-		if r.tel.trace != nil {
-			r.tel.trace.ObservePeer(act.Epoch, ev, act.Peer, now)
-		}
-		r.tel.flight.Record(now, fk, act.Epoch, act.Peer, 0)
-		return
-	}
-	if r.tel.trace != nil {
-		r.tel.trace.Observe(act.Epoch, lifecycleStage(act.Stage), now)
-	}
-}
-
 func (r *Replica) syncStore() {
 	if r.storeBroken {
 		return
 	}
-	var t0 time.Duration
-	if r.tel.fsync != nil {
-		t0 = r.ctx.Now()
-	}
+	t0 := r.ctx.Now()
 	err := r.st.Sync()
-	if r.tel.fsync != nil {
-		now := r.ctx.Now()
-		r.tel.fsync.Observe(int64(now - t0))
-		// Journal the group commit (arg = latency ns): WAL stalls show up
-		// in post-mortem timelines next to the protocol events they gated.
-		r.tel.flight.Record(now, telemetry.FlightFsync, 0, -1, int64(now-t0))
-	}
+	// Journaled as well as measured: WAL stalls show up in post-mortem
+	// timelines next to the protocol events they gated.
+	now := r.ctx.Now()
+	r.tel.Emit(telemetry.Event{Kind: telemetry.Fsync, At: now, Arg: int64(now - t0)})
 	if err != nil {
 		r.storeFail()
 	}
@@ -820,7 +720,7 @@ func (r *Replica) storeFail() {
 	first := !r.storeBroken
 	r.storeBroken = true
 	r.Stats.StoreErrors++
-	r.tel.storeErrors.Inc()
+	r.tel.Emit(telemetry.Event{Kind: telemetry.StoreError})
 	if first {
 		if m, ok := r.st.(store.UnsafeRestartMarker); ok {
 			_ = m.MarkUnsafeRestart()
@@ -860,7 +760,7 @@ func (r *Replica) recordSyncPoint(act core.SyncPointAction) {
 // a crash after this point recovers from it instead of re-syncing.
 func (r *Replica) installSync(act core.SyncInstallAction) {
 	r.Stats.StateSyncs++
-	r.tel.stateSyncs.Inc()
+	r.tel.Emit(telemetry.Event{Kind: telemetry.SyncInstalled, Epoch: act.Epoch})
 	for _, h := range act.Committed {
 		r.pool.Committed(mempool.Hash(h))
 	}
@@ -904,27 +804,16 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 	for _, h := range hashes {
 		r.pool.Committed(h)
 	}
-	// A tx only ever rides its origin node's own proposal, so only our
-	// own blocks can carry sampled journeys — foreign blocks need no
-	// hashing.
-	if act.Proposer == r.self && r.jour != nil {
-		if hashes != nil {
-			r.jour.DeliveredHashes(hashes, now)
-		} else {
-			r.jour.DeliveredTxs(act.Txs, now)
-		}
-	}
 	r.Stats.DeliveredTxs += int64(len(act.Txs))
 	r.Stats.DeliveredPayload += int64(act.Payload)
-	r.tel.txsDelivered.Add(uint64(len(act.Txs)))
-	r.tel.payloadDelivered.Add(uint64(act.Payload))
+	kind := telemetry.BlockDelivered
 	if act.Linked {
 		r.Stats.LinkedBlocks++
-		r.tel.linkedBlocks.Inc()
+		kind = telemetry.BlockDeliveredLinked
 	} else {
 		r.Stats.BADeliveries++
-		r.tel.baDeliveries.Inc()
 	}
+	r.tel.Emit(telemetry.Event{Kind: kind, At: now, Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: int64(act.Payload)}, act.Txs...)
 	r.Stats.Progress.Add(now, float64(r.Stats.DeliveredPayload))
 	for _, tx := range act.Txs {
 		meta, err := workload.Parse(tx)
@@ -946,7 +835,7 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 		r.OnDeliver(Delivery{
 			At: now, Epoch: act.Epoch, Proposer: act.Proposer,
 			Txs: act.Txs, Payload: act.Payload, Linked: act.Linked,
-			TxHashes: hashes,
+			TxHashes: hashes, Telemetry: r.params.Telemetry,
 		})
 	}
 }
@@ -998,7 +887,7 @@ func (r *Replica) propose(txs [][]byte) {
 	r.pendingProposal = false
 	r.proposalEmpty = false
 	r.lastProposal = r.ctx.Now()
-	r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes()))
+	r.mempoolChanged()
 	// apply persists (and syncs) the resulting ProposalMadeAction before
 	// any chunk reaches the wire: a node that crashes mid-dispersal
 	// re-disperses the identical block instead of equivocating.
@@ -1008,10 +897,10 @@ func (r *Replica) propose(txs [][]byte) {
 		// indicates a bug; surface it loudly in tests via panic.
 		panic("replica: " + err.Error())
 	}
-	if r.jour != nil && len(txs) > 0 {
+	if len(txs) > 0 {
 		for _, a := range actions {
 			if act, ok := a.(core.ProposalMadeAction); ok {
-				r.jour.ProposedBatch(txs, act.Epoch, r.lastProposal)
+				r.tel.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: r.lastProposal, Epoch: act.Epoch, Peer: int32(r.self)}, txs...)
 				break
 			}
 		}
@@ -1024,7 +913,7 @@ func (r *Replica) propose(txs [][]byte) {
 // cadence (~10 Hz under load) keeps the O(clients + epochs held) scans
 // off the per-submission path.
 func (r *Replica) updateQueueGauges(proposal [][]byte) {
-	if r.tel.qFront == nil {
+	if r.params.Telemetry == nil {
 		return
 	}
 	front := r.pool.FrontLen()

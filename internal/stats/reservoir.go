@@ -56,6 +56,3 @@ func (r *Reservoir) Count() uint64 { return r.n }
 func (r *Reservoir) Percentile(p float64) time.Duration {
 	return DurationPercentile(r.samples, p)
 }
-
-// Samples returns the retained sample (not a copy; do not mutate).
-func (r *Reservoir) Samples() []time.Duration { return r.samples }

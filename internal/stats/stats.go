@@ -43,31 +43,6 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 	return time.Duration(Percentile(xs, p))
 }
 
-// Mean returns the arithmetic mean, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Welford accumulates running mean and variance without storing samples.
 type Welford struct {
 	n    int

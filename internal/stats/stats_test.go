@@ -38,16 +38,32 @@ func TestDurationPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+// batchMean and batchStdDev are the two-pass reference Welford is
+// checked against.
+func batchMean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+func batchStdDev(xs []float64) float64 {
+	m := batchMean(xs)
+	s := 0.0
+	for _, x := range xs {
+		s += (x - m) * (x - m)
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
+func TestBatchReference(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
+	if got := batchMean(xs); got != 5 {
 		t.Fatalf("mean = %v", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-9 {
+	if got := batchStdDev(xs); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("stddev = %v, want 2", got)
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Fatal("single-sample stddev should be 0")
 	}
 }
 
@@ -60,11 +76,11 @@ func TestWelfordMatchesBatch(t *testing.T) {
 		w.Add(x)
 		xs = append(xs, x)
 	}
-	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-		t.Fatalf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
+	if math.Abs(w.Mean()-batchMean(xs)) > 1e-9 {
+		t.Fatalf("Welford mean %v vs batch %v", w.Mean(), batchMean(xs))
 	}
-	if math.Abs(w.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Fatalf("Welford stddev %v vs batch %v", w.StdDev(), StdDev(xs))
+	if math.Abs(w.StdDev()-batchStdDev(xs)) > 1e-9 {
+		t.Fatalf("Welford stddev %v vs batch %v", w.StdDev(), batchStdDev(xs))
 	}
 	if w.N() != 10_000 {
 		t.Fatalf("N = %d", w.N())

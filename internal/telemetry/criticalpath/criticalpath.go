@@ -100,25 +100,6 @@ func gateName(stage string) string {
 	return "peer"
 }
 
-// segment describes how one pipeline stage's duration and gating peer
-// are read off a timeline.
-type segment struct {
-	name       string
-	start, end telemetry.Stage
-	gate       telemetry.PeerEvent
-}
-
-// segments lists the pipeline stages in order. The disperse segment is
-// measured on the proposer (each node times only its own dispersal);
-// its gate is the echo — the (n−2f)-th got-chunk vote — that completed
-// it. BA is gated by the latest vote arrival before decide, retrieval
-// by the latest chunk return before delivery.
-var segments = []segment{
-	{name: "disperse", start: telemetry.StageDisperseStart, end: telemetry.StageDisperseDone, gate: telemetry.PeerEcho},
-	{name: "ba", start: telemetry.StageBAInput, end: telemetry.StageBADecide, gate: telemetry.PeerVote},
-	{name: "retrieve", start: telemetry.StageRetrieveStart, end: telemetry.StageDeliver, gate: telemetry.PeerRetrieveResp},
-}
-
 // Join merges the nodes' timelines per epoch into critical paths,
 // sorted by epoch. Epochs carried by at least one timeline appear; an
 // edge appears when at least one node observed both of its endpoints.
@@ -157,17 +138,17 @@ func joinEpoch(epoch uint64, m map[int]*telemetry.Timeline) Path {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	for _, seg := range segments {
-		edge := Edge{Stage: seg.name, Node: -1, Peer: -1}
+	for _, seg := range telemetry.Segments {
+		edge := Edge{Stage: seg.Name, Node: -1, Peer: -1}
 		for _, id := range ids {
 			tl := m[id]
-			if !tl.Has(seg.start) || !tl.Has(seg.end) {
+			if !tl.Has(seg.Start) || !tl.Has(seg.End) {
 				continue
 			}
-			d := tl.At(seg.end) - tl.At(seg.start)
+			d := tl.At(seg.End) - tl.At(seg.Start)
 			if edge.Node < 0 || d > edge.Dur {
 				edge.Node, edge.Dur = id, d
-				edge.Peer = gatingPeer(tl, seg.gate, tl.At(seg.end))
+				edge.Peer = gatingPeer(tl, seg.Gate, tl.At(seg.End))
 			}
 		}
 		if edge.Node >= 0 {
@@ -190,7 +171,7 @@ func joinEpoch(epoch uint64, m map[int]*telemetry.Timeline) Path {
 // on. Falls back to the last arrival overall (a span stamped in the
 // same step as completion can read equal or later), or -1 when the
 // timeline has no such sub-spans.
-func gatingPeer(tl *telemetry.Timeline, ev telemetry.PeerEvent, end time.Duration) int {
+func gatingPeer(tl *telemetry.Timeline, ev telemetry.Kind, end time.Duration) int {
 	peer, at := -1, time.Duration(-1)
 	lastPeer, lastAt := -1, time.Duration(-1)
 	for _, s := range tl.PeerSpans(ev) {

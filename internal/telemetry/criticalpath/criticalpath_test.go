@@ -9,7 +9,7 @@ import (
 )
 
 // tl builds one node-local timeline from stage -> timestamp pairs.
-func tl(epoch uint64, stages map[telemetry.Stage]time.Duration, peers []telemetry.PeerSpan) telemetry.Timeline {
+func tl(epoch uint64, stages map[telemetry.Kind]time.Duration, peers []telemetry.PeerSpan) telemetry.Timeline {
 	out := telemetry.Timeline{Epoch: epoch, Peers: peers}
 	for s, at := range stages {
 		out.T[s] = at
@@ -22,7 +22,7 @@ func TestJoinNamesSlowestEdgeAndPeer(t *testing.T) {
 	ms := time.Millisecond
 	// Node 0 (started long ago, big clock offsets): proposer view. Its
 	// dispersal took 80ms, gated by peer 3's echo.
-	n0 := tl(17, map[telemetry.Stage]time.Duration{
+	n0 := tl(17, map[telemetry.Kind]time.Duration{
 		telemetry.StageDisperseStart: 1000 * ms,
 		telemetry.StageDisperseDone:  1080 * ms,
 		telemetry.StageBAInput:       1010 * ms,
@@ -36,7 +36,7 @@ func TestJoinNamesSlowestEdgeAndPeer(t *testing.T) {
 	// Node 2 (clock counts from ~0: NOT comparable with node 0's stamps):
 	// slowest BA (400ms, gated by peer 1's vote) and slowest retrieval
 	// (700ms, gated by peer 3's chunk) — and the slowest e2e.
-	n2 := tl(17, map[telemetry.Stage]time.Duration{
+	n2 := tl(17, map[telemetry.Kind]time.Duration{
 		telemetry.StageDisperseStart: 10 * ms,
 		telemetry.StageDisperseDone:  40 * ms,
 		telemetry.StageBAInput:       20 * ms,
@@ -97,13 +97,13 @@ func TestJoinPartialTimelinesAndDuplicates(t *testing.T) {
 	ms := time.Millisecond
 	// Only BA endpoints observed; disperse and retrieve edges must be
 	// absent, not zero-length.
-	partial := tl(4, map[telemetry.Stage]time.Duration{
+	partial := tl(4, map[telemetry.Kind]time.Duration{
 		telemetry.StageBAInput:  10 * ms,
 		telemetry.StageBADecide: 60 * ms,
 		telemetry.StageDeliver:  90 * ms,
 	}, nil)
 	// The same node contributed twice (scraped twice): first wins.
-	other := tl(4, map[telemetry.Stage]time.Duration{
+	other := tl(4, map[telemetry.Kind]time.Duration{
 		telemetry.StageBAInput:  0,
 		telemetry.StageBADecide: 500 * ms,
 	}, nil)

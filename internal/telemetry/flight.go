@@ -4,162 +4,74 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
-// FlightKind classifies one flight-recorder event.
-type FlightKind uint8
-
-// Flight-recorder event kinds. Each is a structured protocol event the
-// replica (or transport) records on its hot path; the ring journal of
-// recent events is the node's "black box" for post-mortem analysis of
-// invariant failures and slow epochs.
-const (
-	// FlightVoteCast: this node appended a BA vote to its journal
-	// (peer = the instance's proposer; arg packs kind/round/value).
-	FlightVoteCast FlightKind = iota
-	// FlightPeerVote: the first BA vote from peer arrived in the epoch.
-	FlightPeerVote
-	// FlightChunkSent: a dispersal chunk was queued to peer.
-	FlightChunkSent
-	// FlightEcho: peer's got-chunk vote on our own dispersal arrived.
-	FlightEcho
-	// FlightRetrieveReq: a retrieval chunk request went out to peer
-	// (repeats for the same (epoch, peer) are re-asks).
-	FlightRetrieveReq
-	// FlightRetrieveResp: peer returned a retrieval chunk.
-	FlightRetrieveResp
-	// FlightFsync: a WAL group-commit fsync finished (arg = latency ns).
-	FlightFsync
-	// FlightSyncPage: state-sync pages were served to joiners since the
-	// previous sample (arg = page count delta).
-	FlightSyncPage
-	// FlightDecide: the epoch's BA vector decided.
-	FlightDecide
-	// FlightDeliver: the epoch delivered to the application.
-	FlightDeliver
-	// FlightTxPhase: a sampled transaction journey passed a checkpoint
-	// (arg packs the first four hash bytes <<8 | a TxCheckpoint code;
-	// epoch is 0 until the tx lands in a proposal).
-	FlightTxPhase
-	// NumFlightKinds is the number of event kinds.
-	NumFlightKinds
-)
-
-// Transaction-journey checkpoint codes carried in FlightTxPhase's arg
-// low byte. They mark where along submit → commit a sampled tx was
-// last seen, so an invariant-failure dump shows the phase a stuck tx
-// stalled in.
-const (
-	// TxCheckpointEnqueued: accepted into the origin node's mempool.
-	TxCheckpointEnqueued int64 = iota
-	// TxCheckpointProposed: popped into this node's epoch proposal.
-	TxCheckpointProposed
-	// TxCheckpointDelivered: the containing block delivered locally.
-	TxCheckpointDelivered
-	// TxCheckpointCommitted: the whole epoch delivered; journey done.
-	TxCheckpointCommitted
-)
-
-// txCheckpointNames indexes TxCheckpoint codes -> label for exposition.
-var txCheckpointNames = [...]string{"enqueued", "proposed", "block_delivered", "committed"}
-
-// flightKindNames indexes FlightKind -> label for exposition.
-var flightKindNames = [NumFlightKinds]string{
-	"vote_cast", "peer_vote", "chunk_sent", "echo",
-	"retrieve_req", "retrieve_resp", "fsync", "sync_page",
-	"decide", "deliver", "tx_phase",
+// ring is a fixed-capacity overwrite-oldest buffer. Callers lock.
+type ring[T any] struct {
+	buf  []T
+	next int
+	full bool
 }
 
-// String returns the kind's exposition label.
-func (k FlightKind) String() string {
-	if k < NumFlightKinds {
-		return flightKindNames[k]
+// newRing allocates a ring of the given size, or def when size <= 0.
+func newRing[T any](size, def int) ring[T] {
+	if size <= 0 {
+		size = def
 	}
-	return "unknown"
+	return ring[T]{buf: make([]T, size)}
 }
 
-// FlightEvent is one recorded protocol event. At is the node's Context
-// clock (time since node start); Peer is -1 when no peer is involved;
-// Arg's meaning depends on Kind.
-type FlightEvent struct {
-	At    time.Duration `json:"at"`
-	Epoch uint64        `json:"epoch"`
-	Arg   int64         `json:"arg,omitempty"`
-	Kind  FlightKind    `json:"kind"`
-	Peer  int32         `json:"peer"`
+func (r *ring[T]) push(v T) {
+	r.buf[r.next] = v
+	r.next++
+	if r.next == len(r.buf) {
+		r.next, r.full = 0, true
+	}
 }
 
-// String renders the event as one human-readable line (no newline).
-func (e FlightEvent) String() string {
-	s := fmt.Sprintf("%12s %-13s epoch=%d", e.At, e.Kind, e.Epoch)
-	if e.Peer >= 0 {
-		s += fmt.Sprintf(" peer=%d", e.Peer)
+// snapshot copies the retained values out, oldest first.
+func (r *ring[T]) snapshot() []T {
+	var out []T
+	if r.full {
+		out = append(out, r.buf[r.next:]...)
 	}
-	if e.Kind == FlightTxPhase {
-		cp := "unknown"
-		if c := e.Arg & 0xff; c >= 0 && int(c) < len(txCheckpointNames) {
-			cp = txCheckpointNames[c]
-		}
-		return s + fmt.Sprintf(" tx=%08x at=%s", uint32(e.Arg>>8), cp)
-	}
-	if e.Arg != 0 {
-		s += fmt.Sprintf(" arg=%d", e.Arg)
-	}
-	return s
+	return append(out, r.buf[:r.next]...)
 }
 
-// FlightRecorder is a bounded ring journal of protocol events: fixed
-// capacity, overwrite-oldest, no allocation per event after
-// construction. A nil *FlightRecorder no-ops, so instrumented code
-// needs no enabled/disabled branches.
+// FlightRecorder is the node's "black box": a bounded ring journal of
+// the protocol events the replica reports on its hot path (see the
+// kinds table for which), kept for post-mortem analysis of invariant
+// failures and slow epochs. Fixed capacity, overwrite-oldest, no
+// allocation per event after construction. A nil *FlightRecorder reads
+// empty.
 type FlightRecorder struct {
 	mu    sync.Mutex
-	ring  []FlightEvent
-	next  int
-	full  bool
+	ring  ring[Event]
 	total uint64
 }
 
-// NewFlightRecorder builds a recorder retaining the last size events
+// newFlightRecorder builds a recorder retaining the last size events
 // (0 picks the default of 4096).
-func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = 4096
-	}
-	return &FlightRecorder{ring: make([]FlightEvent, size)}
+func newFlightRecorder(size int) *FlightRecorder {
+	return &FlightRecorder{ring: newRing[Event](size, 4096)}
 }
 
-// Record journals one event. Safe from any goroutine; allocation-free.
-func (f *FlightRecorder) Record(at time.Duration, kind FlightKind, epoch uint64, peer int, arg int64) {
-	if f == nil {
-		return
-	}
+// record journals one event. Safe from any goroutine; allocation-free.
+func (f *FlightRecorder) record(ev Event) {
 	f.mu.Lock()
-	f.ring[f.next] = FlightEvent{At: at, Kind: kind, Epoch: epoch, Peer: int32(peer), Arg: arg}
-	f.next++
-	if f.next == len(f.ring) {
-		f.next, f.full = 0, true
-	}
+	f.ring.push(ev)
 	f.total++
 	f.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first.
-func (f *FlightRecorder) Events() []FlightEvent {
+func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []FlightEvent
-	if f.full {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-	} else {
-		out = append(out, f.ring[:f.next]...)
-	}
-	return out
+	return f.ring.snapshot()
 }
 
 // Total returns the number of events ever recorded (retained or

@@ -55,8 +55,8 @@ func TestSlowestEpochsOrderingTies(t *testing.T) {
 	tr := m.Trace()
 	deliver := func(epoch uint64, e2e time.Duration) {
 		base := time.Duration(epoch) * time.Second
-		tr.Observe(epoch, StageDisperseStart, base)
-		tr.Observe(epoch, StageDeliver, base+e2e)
+		observe(m, epoch, StageDisperseStart, base)
+		observe(m, epoch, StageDeliver, base+e2e)
 	}
 	// Epochs 3 and 7 tie at 50ms; epoch 5 is slower; epoch 9 faster.
 	deliver(7, 50*time.Millisecond)
@@ -92,12 +92,12 @@ func epochsOf(tls []Timeline) []uint64 {
 func TestObservePeerFirstWinsAndBounds(t *testing.T) {
 	m := New(Options{TraceRing: 4})
 	tr := m.Trace()
-	tr.ObservePeer(1, PeerEcho, 2, 10*time.Millisecond)
-	tr.ObservePeer(1, PeerEcho, 2, 99*time.Millisecond) // duplicate: first wins
-	tr.ObservePeer(1, PeerVote, 2, 20*time.Millisecond) // same peer, other event
-	tr.ObservePeer(1, PeerEcho, -1, time.Millisecond)   // invalid peer: dropped
-	tr.Observe(1, StageDisperseStart, 0)
-	tr.Observe(1, StageDeliver, 50*time.Millisecond)
+	observePeer(m, 1, PeerEcho, 2, 10*time.Millisecond)
+	observePeer(m, 1, PeerEcho, 2, 99*time.Millisecond) // duplicate: first wins
+	observePeer(m, 1, PeerVote, 2, 20*time.Millisecond) // same peer, other event
+	observePeer(m, 1, PeerEcho, -1, time.Millisecond)   // invalid peer: dropped
+	observe(m, 1, StageDisperseStart, 0)
+	observe(m, 1, StageDeliver, 50*time.Millisecond)
 
 	got := tr.Delivered()
 	if len(got) != 1 {
@@ -116,9 +116,9 @@ func TestObservePeerFirstWinsAndBounds(t *testing.T) {
 
 	// The span list is bounded even under a flood of distinct peers.
 	for p := 0; p < 3*maxPeerSpans; p++ {
-		tr.ObservePeer(2, PeerRetrieveResp, p, time.Duration(p))
+		observePeer(m, 2, PeerRetrieveResp, p, time.Duration(p))
 	}
-	tr.Observe(2, StageDeliver, time.Hour)
+	observe(m, 2, StageDeliver, time.Hour)
 	all := tr.Delivered()
 	flooded := all[len(all)-1]
 	if len(flooded.Peers) != maxPeerSpans {
@@ -127,15 +127,16 @@ func TestObservePeerFirstWinsAndBounds(t *testing.T) {
 }
 
 func TestFlightRecorderRingAndNil(t *testing.T) {
-	var nilFR *FlightRecorder
-	nilFR.Record(0, FlightDecide, 1, -1, 0) // must not panic
-	if nilFR.Events() != nil || nilFR.Total() != 0 {
+	var nilM *Metrics
+	nilM.Emit(Event{Kind: StageBADecide, Epoch: 1}) // must not panic
+	if nilFR := nilM.Flight(); nilFR.Events() != nil || nilFR.Total() != 0 {
 		t.Fatal("nil recorder must read empty")
 	}
 
-	fr := NewFlightRecorder(4)
+	m := New(Options{FlightRing: 4})
+	fr := m.Flight()
 	for i := 0; i < 10; i++ {
-		fr.Record(time.Duration(i)*time.Millisecond, FlightDeliver, uint64(i), -1, 0)
+		m.Emit(Event{At: time.Duration(i) * time.Millisecond, Kind: StageDeliver, Epoch: uint64(i)})
 	}
 	if fr.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", fr.Total())
@@ -158,7 +159,7 @@ func TestFlightRecorderRingAndNil(t *testing.T) {
 		t.Fatalf("WriteText header missing counts:\n%s", b.String())
 	}
 
-	ev := FlightEvent{At: time.Second, Kind: FlightVoteCast, Epoch: 7, Peer: 3, Arg: 5}
+	ev := Event{At: time.Second, Kind: VoteCast, Epoch: 7, Peer: 3, Arg: 5}
 	s := ev.String()
 	for _, want := range []string{"vote_cast", "epoch=7", "peer=3", "arg=5"} {
 		if !strings.Contains(s, want) {
@@ -204,7 +205,7 @@ func TestAdminServerLifecycle(t *testing.T) {
 
 func TestStatusSchemaAndFlightEndpoint(t *testing.T) {
 	m := New(Options{FlightRing: 8})
-	m.Flight().Record(time.Millisecond, FlightDecide, 3, -1, 2)
+	m.Emit(Event{At: time.Millisecond, Kind: StageBADecide, Epoch: 3, Arg: 2})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +258,9 @@ func TestStatusSchemaAndFlightEndpoint(t *testing.T) {
 	}
 	defer resp3.Body.Close()
 	var fj struct {
-		SchemaVersion int           `json:"schema_version"`
-		Total         uint64        `json:"total"`
-		Events        []FlightEvent `json:"events"`
+		SchemaVersion int     `json:"schema_version"`
+		Total         uint64  `json:"total"`
+		Events        []Event `json:"events"`
 	}
 	if err := json.NewDecoder(resp3.Body).Decode(&fj); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package telemetry is the node's instrument panel: a metrics registry
-// (atomic counters, gauges, and fixed-bucket log-scale histograms),
-// epoch-lifecycle tracing aggregated into per-stage latency histograms,
-// and an HTTP admin server exposing Prometheus text, JSON status, and
-// pprof.
+// (atomic counters, gauges, and fixed-bucket log-scale histograms), one
+// stream of typed protocol events (Event, Metrics.Emit) folded into
+// registry series, epoch timelines, a flight-recorder journal and
+// sampled transaction journeys, and an HTTP admin server exposing
+// Prometheus text, JSON status, and pprof.
 //
-// Design constraints (DESIGN.md "Telemetry"):
+// Design constraints (DESIGN.md "Observability"):
 //
 //   - Allocation-free hot path. Counter.Add, Gauge.Set and
 //     Histogram.Observe are single atomic operations (Observe adds a
@@ -13,14 +14,13 @@
 //     metric handles accepts a nil receiver and no-ops, so call sites
 //     hold unconditional handles and a node with telemetry disabled
 //     pays only a predictable nil check.
-//   - Deterministic under the emulated clock. All durations fed into
-//     histograms come from replica.Context.Now(), which is the
+//   - Deterministic under the emulated clock. All event times and
+//     durations come from replica.Context.Now(), which is the
 //     simulated clock under the emulator, so two runs of the same
 //     seed produce byte-identical snapshots.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -213,7 +213,10 @@ func NewRegistry() *Registry {
 	return &Registry{entries: map[string]*entry{}}
 }
 
-func (r *Registry) register(name, labels, help string, kind metricKind) *entry {
+// register returns the entry under name+labels, creating it — handle
+// included — under the lock, so concurrent registrations of one series
+// all get the same handle.
+func (r *Registry) register(name, labels, help string, kind metricKind, bounds []int64, scale float64) *entry {
 	key := name + "|" + labels
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -221,6 +224,18 @@ func (r *Registry) register(name, labels, help string, kind metricKind) *entry {
 		return e
 	}
 	e := &entry{name: name, labels: labels, help: help, kind: kind}
+	switch kind {
+	case kindCounter:
+		e.c = &Counter{}
+	case kindGauge:
+		e.g = &Gauge{}
+	case kindHistogram:
+		e.h = &Histogram{
+			bounds:  append([]int64(nil), bounds...),
+			scale:   scale,
+			buckets: make([]atomic.Uint64, len(bounds)+1),
+		}
+	}
 	r.entries[key] = e
 	r.order = append(r.order, key)
 	return e
@@ -232,11 +247,7 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, labels, help, kindCounter)
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
+	return r.register(name, labels, help, kindCounter, nil, 0).c
 }
 
 // Gauge registers (or returns the existing) gauge under name.
@@ -244,11 +255,7 @@ func (r *Registry) Gauge(name, labels, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, labels, help, kindGauge)
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
+	return r.register(name, labels, help, kindGauge, nil, 0).g
 }
 
 // Histogram registers (or returns the existing) histogram under name.
@@ -259,15 +266,7 @@ func (r *Registry) Histogram(name, labels, help string, bounds []int64, scale fl
 	if r == nil {
 		return nil
 	}
-	e := r.register(name, labels, help, kindHistogram)
-	if e.h == nil {
-		e.h = &Histogram{
-			bounds:  append([]int64(nil), bounds...),
-			scale:   scale,
-			buckets: make([]atomic.Uint64, len(bounds)+1),
-		}
-	}
-	return e.h
+	return r.register(name, labels, help, kindHistogram, bounds, scale).h
 }
 
 // FindHistogram returns the histogram already registered under
@@ -406,10 +405,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// MarshalJSON renders the snapshot, making a *Registry directly
-// embeddable in JSON responses.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Snapshot())
 }

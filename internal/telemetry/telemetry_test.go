@@ -5,9 +5,20 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// observe reports a stage boundary the way the replica does.
+func observe(m *Metrics, epoch uint64, k Kind, at time.Duration) {
+	m.Emit(Event{Kind: k, Epoch: epoch, At: at})
+}
+
+// observePeer reports a per-peer sub-span the way the replica does.
+func observePeer(m *Metrics, epoch uint64, k Kind, peer int, at time.Duration) {
+	m.Emit(Event{Kind: k, Epoch: epoch, Peer: int32(peer), At: at})
+}
 
 func TestNilHandlesNoop(t *testing.T) {
 	var reg *Registry
@@ -26,7 +37,7 @@ func TestNilHandlesNoop(t *testing.T) {
 	if m.Registry() != nil || m.Trace() != nil {
 		t.Fatal("nil Metrics accessors must return nil")
 	}
-	m.Trace().Observe(1, StageDeliver, time.Second)
+	observe(m, 1, StageDeliver, time.Second)
 	if got := m.Trace().SlowestEpochs(10); got != nil {
 		t.Fatalf("nil tracer returned %v", got)
 	}
@@ -55,6 +66,34 @@ func TestCounterGauge(t *testing.T) {
 	g.Add(-2)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
+	}
+}
+
+// TestConcurrentRegistrationSharesHandle: goroutines registering the
+// same series at once must all get the one handle that exposition
+// reads, or some of their updates vanish. Run under -race.
+func TestConcurrentRegistrationSharesHandle(t *testing.T) {
+	reg := NewRegistry()
+	const workers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.Counter("dl_x_total", "", "").Inc()
+			reg.Gauge("dl_x", "", "").Add(1)
+			reg.Histogram("dl_x_seconds", "", "", ExpBuckets(1, 2, 4), 0).Observe(1)
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter("dl_x_total", "", "").Value(); got != workers {
+		t.Errorf("counter = %d after %d concurrent registrations, want %d", got, workers, workers)
+	}
+	if got := reg.Gauge("dl_x", "", "").Value(); got != workers {
+		t.Errorf("gauge = %d, want %d", got, workers)
+	}
+	if got := reg.FindHistogram("dl_x_seconds", "").Count(); got != workers {
+		t.Errorf("histogram count = %d, want %d", got, workers)
 	}
 }
 
@@ -124,14 +163,14 @@ func TestTracerTimelinesAndSlowest(t *testing.T) {
 	tr := m.Trace()
 	// Epoch 1: full pipeline, 40ms e2e. Epoch 2: slower (100ms).
 	feed := func(epoch uint64, base, scale time.Duration) {
-		tr.Observe(epoch, StageDisperseStart, base)
-		tr.Observe(epoch, StageBAInput, base+scale)
-		tr.Observe(epoch, StageDisperseDone, base+2*scale)
-		tr.Observe(epoch, StageBADecide, base+3*scale)
-		tr.Observe(epoch, StageRetrieveStart, base+3*scale)
+		observe(m, epoch, StageDisperseStart, base)
+		observe(m, epoch, StageBAInput, base+scale)
+		observe(m, epoch, StageDisperseDone, base+2*scale)
+		observe(m, epoch, StageBADecide, base+3*scale)
+		observe(m, epoch, StageRetrieveStart, base+3*scale)
 		// Duplicate observation must not overwrite the first.
-		tr.Observe(epoch, StageRetrieveStart, base+100*scale)
-		tr.Observe(epoch, StageDeliver, base+4*scale)
+		observe(m, epoch, StageRetrieveStart, base+100*scale)
+		observe(m, epoch, StageDeliver, base+4*scale)
 	}
 	feed(1, 0, 10*time.Millisecond)
 	feed(2, time.Second, 25*time.Millisecond)
@@ -155,7 +194,7 @@ func TestTracerTimelinesAndSlowest(t *testing.T) {
 	}
 	// Ring wraps: 10 more deliveries on an 8-slot ring keep the last 8.
 	for e := uint64(3); e <= 12; e++ {
-		tr.Observe(e, StageDeliver, time.Duration(e)*time.Second)
+		observe(m, e, StageDeliver, time.Duration(e)*time.Second)
 	}
 	all := tr.Delivered()
 	if len(all) != 8 || all[0].Epoch != 5 || all[7].Epoch != 12 {
@@ -166,8 +205,8 @@ func TestTracerTimelinesAndSlowest(t *testing.T) {
 func TestAdminEndpoints(t *testing.T) {
 	m := New(Options{})
 	m.Registry().Counter("dl_epochs_delivered_total", "", "epochs").Add(9)
-	m.Trace().Observe(4, StageDisperseStart, 0)
-	m.Trace().Observe(4, StageDeliver, 30*time.Millisecond)
+	observe(m, 4, StageDisperseStart, 0)
+	observe(m, 4, StageDeliver, 30*time.Millisecond)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +238,9 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "dl_epochs_delivered_total 9") {
-		t.Fatalf("/metrics = %d %q", code, body)
+	// Nine added by hand plus the one delivery emitted above.
+	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "dl_epochs_delivered_total 10") {
+		t.Fatalf("/metrics = %d %.2000q", code, body)
 	}
 	code, body := get("/statusz")
 	if code != 200 {

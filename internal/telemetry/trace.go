@@ -1,97 +1,40 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Stage identifies one boundary in an epoch's lifecycle, in pipeline
-// order. The engine emits a core.StageAction at each boundary; the
-// replica stamps it with its Context clock and feeds it to the Tracer.
-type Stage uint8
-
-// Epoch-lifecycle stage boundaries, in pipeline order.
-const (
-	// StageDisperseStart marks the node proposing its own block (VID
-	// dispersal begins).
-	StageDisperseStart Stage = iota
-	// StageDisperseDone marks the node's own dispersal completing
-	// (2f+1 votes on its VID instance).
-	StageDisperseDone
-	// StageBAInput marks the first binary-agreement input of the epoch.
-	StageBAInput
-	// StageBADecide marks all N BA instances decided (epoch ordered).
-	StageBADecide
-	// StageRetrieveStart marks the first retrieval request sent for a
-	// block committed in the epoch.
-	StageRetrieveStart
-	// StageDeliver marks the epoch's payload delivered to the
-	// application.
-	StageDeliver
-	// NumStages is the number of stage boundaries.
-	NumStages
-)
-
-// stageNames indexes Stage -> label for exposition.
-var stageNames = [NumStages]string{
-	"disperse_start", "disperse_done", "ba_input", "ba_decide", "retrieve_start", "deliver",
-}
-
-// String returns the stage's exposition label.
-func (s Stage) String() string {
-	if s < NumStages {
-		return stageNames[s]
-	}
-	return "unknown"
-}
-
-// PeerEvent identifies one per-peer sub-span inside an epoch's
-// lifecycle: the cross-node interactions whose timing attributes a slow
-// delivery to a specific peer (see internal/telemetry/criticalpath).
-type PeerEvent uint8
-
-// Per-peer sub-span kinds, recorded first-observation-wins per
-// (event, peer) within a timeline.
-const (
-	// PeerChunkSent: this node (as proposer) queued peer's dispersal
-	// chunk for sending.
-	PeerChunkSent PeerEvent = iota
-	// PeerEcho: peer's got-chunk vote on this node's own dispersal
-	// arrived (the echoes whose (n−2f)-th arrival completes dispersal).
-	PeerEcho
-	// PeerVote: the first binary-agreement vote from peer arrived in
-	// this epoch.
-	PeerVote
-	// PeerRetrieveReq: a retrieval chunk request went out to peer.
-	PeerRetrieveReq
-	// PeerRetrieveResp: peer returned a retrieval chunk.
-	PeerRetrieveResp
-	// NumPeerEvents is the number of per-peer sub-span kinds.
-	NumPeerEvents
-)
-
-// peerEventNames indexes PeerEvent -> label for exposition.
-var peerEventNames = [NumPeerEvents]string{
-	"chunk_sent", "echo", "vote", "retrieve_req", "retrieve_resp",
-}
-
-// String returns the event's exposition label.
-func (p PeerEvent) String() string {
-	if p < NumPeerEvents {
-		return peerEventNames[p]
-	}
-	return "unknown"
-}
-
 // PeerSpan is one recorded per-peer sub-span observation.
 type PeerSpan struct {
 	// Peer is the peer's node id.
 	Peer int `json:"peer"`
-	// Event is the sub-span kind.
-	Event PeerEvent `json:"event"`
+	// Event is the sub-span kind (PeerChunkSent..PeerRetrieveResp).
+	Event Kind `json:"event"`
 	// At is the Context-clock observation time.
 	At time.Duration `json:"at"`
+}
+
+// peerSpanWire is PeerSpan without its JSON methods. /statusz numbers
+// the sub-span kinds from zero (chunk_sent = 0), and aggregators of the
+// same schema version parse that form.
+type peerSpanWire PeerSpan
+
+// MarshalJSON writes the /statusz form of the span.
+func (s PeerSpan) MarshalJSON() ([]byte, error) {
+	s.Event -= PeerChunkSent
+	return json.Marshal(peerSpanWire(s))
+}
+
+// UnmarshalJSON reads the /statusz form of the span.
+func (s *PeerSpan) UnmarshalJSON(b []byte) error {
+	if err := json.Unmarshal(b, (*peerSpanWire)(s)); err != nil {
+		return err
+	}
+	s.Event += PeerChunkSent
+	return nil
 }
 
 // maxPeerSpans bounds one timeline's per-peer observation list. Honest
@@ -106,10 +49,10 @@ const maxPeerSpans = 1024
 type Timeline struct {
 	// Epoch is the epoch number.
 	Epoch uint64 `json:"epoch"`
-	// T holds the first-observed timestamp per stage; valid only where
-	// the Have bit is set.
+	// T holds the first-observed timestamp per stage kind; valid only
+	// where the Have bit is set.
 	T [NumStages]time.Duration `json:"t"`
-	// Have is a bitmask of observed stages (bit i = Stage(i)).
+	// Have is a bitmask of observed stages (bit i = Kind(i)).
 	Have uint8 `json:"have"`
 	// Peers holds the per-peer sub-span observations, in arrival order,
 	// first observation per (event, peer), bounded by maxPeerSpans.
@@ -117,10 +60,10 @@ type Timeline struct {
 }
 
 // Has reports whether stage s was observed.
-func (tl *Timeline) Has(s Stage) bool { return tl.Have&(1<<s) != 0 }
+func (tl *Timeline) Has(s Kind) bool { return tl.Have&(1<<s) != 0 }
 
 // At returns the timestamp of stage s (0 if unobserved).
-func (tl *Timeline) At(s Stage) time.Duration {
+func (tl *Timeline) At(s Kind) time.Duration {
 	if !tl.Has(s) {
 		return 0
 	}
@@ -142,19 +85,9 @@ func (tl *Timeline) E2E() time.Duration {
 	return 0
 }
 
-// HasPeer reports whether the (event, peer) sub-span was observed.
-func (tl *Timeline) HasPeer(ev PeerEvent, peer int) bool {
-	for i := range tl.Peers {
-		if tl.Peers[i].Event == ev && tl.Peers[i].Peer == peer {
-			return true
-		}
-	}
-	return false
-}
-
 // PeerAt returns the observation time of the (event, peer) sub-span and
 // whether it was observed.
-func (tl *Timeline) PeerAt(ev PeerEvent, peer int) (time.Duration, bool) {
+func (tl *Timeline) PeerAt(ev Kind, peer int) (time.Duration, bool) {
 	for i := range tl.Peers {
 		if tl.Peers[i].Event == ev && tl.Peers[i].Peer == peer {
 			return tl.Peers[i].At, true
@@ -165,7 +98,7 @@ func (tl *Timeline) PeerAt(ev PeerEvent, peer int) (time.Duration, bool) {
 
 // PeerSpans returns the timeline's observations of one event kind, in
 // arrival order (a fresh slice; safe to retain).
-func (tl *Timeline) PeerSpans(ev PeerEvent) []PeerSpan {
+func (tl *Timeline) PeerSpans(ev Kind) []PeerSpan {
 	var out []PeerSpan
 	for i := range tl.Peers {
 		if tl.Peers[i].Event == ev {
@@ -175,19 +108,36 @@ func (tl *Timeline) PeerSpans(ev PeerEvent) []PeerSpan {
 	return out
 }
 
+// Segment is one pipeline segment of an epoch: the span between two
+// stage boundaries, and the per-peer sub-span whose latest arrival
+// before End names the peer that gated it.
+type Segment struct {
+	Name       string
+	Start, End Kind
+	Gate       Kind
+}
+
+// Segments lists the pipeline segments in order; Name is also the
+// dl_epoch_stage_seconds label the segment feeds. The disperse segment
+// is measured on the proposer (each node times only its own
+// dispersal); its gate is the echo — the (n−2f)-th got-chunk vote —
+// that completed it. BA is gated by the latest vote arrival before
+// decide, retrieval by the latest chunk return before delivery.
+var Segments = [...]Segment{
+	{"disperse", StageDisperseStart, StageDisperseDone, PeerEcho},
+	{"ba", StageBAInput, StageBADecide, PeerVote},
+	{"retrieve", StageRetrieveStart, StageDeliver, PeerRetrieveResp},
+}
+
 // StageBreakdown returns the per-segment durations of a delivered
 // timeline keyed by segment name (disperse, ba, retrieve, e2e);
 // segments with missing endpoints are omitted.
 func (tl *Timeline) StageBreakdown() map[string]time.Duration {
 	out := map[string]time.Duration{}
-	if tl.Has(StageDisperseStart) && tl.Has(StageDisperseDone) {
-		out["disperse"] = tl.T[StageDisperseDone] - tl.T[StageDisperseStart]
-	}
-	if tl.Has(StageBAInput) && tl.Has(StageBADecide) {
-		out["ba"] = tl.T[StageBADecide] - tl.T[StageBAInput]
-	}
-	if tl.Has(StageRetrieveStart) && tl.Has(StageDeliver) {
-		out["retrieve"] = tl.T[StageDeliver] - tl.T[StageRetrieveStart]
+	for _, seg := range Segments {
+		if tl.Has(seg.Start) && tl.Has(seg.End) {
+			out[seg.Name] = tl.T[seg.End] - tl.T[seg.Start]
+		}
 	}
 	if e := tl.E2E(); e > 0 {
 		out["e2e"] = e
@@ -200,86 +150,81 @@ func (tl *Timeline) StageBreakdown() map[string]time.Duration {
 // spanned by a state-sync install, must not leak).
 const maxInflight = 4096
 
-// Tracer collects epoch-lifecycle timelines: first-observation-wins
-// stage timestamps per epoch, a ring buffer of delivered timelines for
-// the "slowest recent epochs" query, and per-segment latency
-// histograms registered under dl_epoch_stage_seconds. A nil *Tracer
-// no-ops.
+// Tracer folds the epoch-lifecycle kinds into timelines:
+// first-observation-wins stage timestamps per epoch, a ring buffer of
+// delivered timelines for the "slowest recent epochs" query, and
+// per-segment latency histograms registered under
+// dl_epoch_stage_seconds. A nil *Tracer reads empty.
 type Tracer struct {
-	mu       sync.Mutex
-	inflight map[uint64]*Timeline
-	ring     []Timeline
-	next     int
-	full     bool
+	mu        sync.Mutex
+	inflight  map[uint64]*Timeline
+	delivered ring[Timeline]
 
-	disperse *Histogram
-	ba       *Histogram
-	retrieve *Histogram
-	e2e      *Histogram
+	// hist holds one histogram per segment, then e2e.
+	hist [len(Segments) + 1]*Histogram
 }
 
 // stageSecondsBounds: 1ms .. ~131s, factor 2 (log-scale, 18 buckets).
 var stageSecondsBounds = ExpBuckets(int64(time.Millisecond), 2, 18)
 
-// NewTracer builds a tracer keeping the last ringSize delivered epoch
+// newTracer builds a tracer keeping the last ringSize delivered epoch
 // timelines (0 picks the default of 512) and registers its per-segment
-// histograms in reg (which may be nil).
-func NewTracer(reg *Registry, ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = 512
-	}
+// histograms in reg.
+func newTracer(reg *Registry, ringSize int) *Tracer {
 	t := &Tracer{
-		inflight: map[uint64]*Timeline{},
-		ring:     make([]Timeline, ringSize),
+		inflight:  map[uint64]*Timeline{},
+		delivered: newRing[Timeline](ringSize, 512),
 	}
-	const name = "dl_epoch_stage_seconds"
-	const help = "Per-epoch stage segment durations."
-	t.disperse = reg.Histogram(name, `stage="disperse"`, help, stageSecondsBounds, 1e-9)
-	t.ba = reg.Histogram(name, `stage="ba"`, help, stageSecondsBounds, 1e-9)
-	t.retrieve = reg.Histogram(name, `stage="retrieve"`, help, stageSecondsBounds, 1e-9)
-	t.e2e = reg.Histogram(name, `stage="e2e"`, help, stageSecondsBounds, 1e-9)
+	const name, help = "dl_epoch_stage_seconds", "Per-epoch stage segment durations."
+	for i, seg := range Segments {
+		t.hist[i] = reg.Histogram(name, `stage="`+seg.Name+`"`, help, stageSecondsBounds, 1e-9)
+	}
+	t.hist[len(Segments)] = reg.Histogram(name, `stage="e2e"`, help, stageSecondsBounds, 1e-9)
 	return t
 }
 
-// Observe records stage s of epoch at Context-clock time now. The
-// first observation of a stage wins (the engine may emit a boundary
-// once per block, e.g. retrieval start). Observing StageDeliver
-// completes the timeline: segment histograms are updated and the
-// timeline moves to the delivered ring.
-func (t *Tracer) Observe(epoch uint64, s Stage, now time.Duration) {
-	if t == nil || s >= NumStages {
+// observe records a stage boundary or a per-peer sub-span of ev.Epoch
+// at ev.At. The first observation of a stage, and of a (kind, peer)
+// sub-span, wins: the engine may emit a boundary once per block (e.g.
+// retrieval start), and re-asks and duplicate arrivals are expected;
+// the span list is bounded by maxPeerSpans. StageDeliver completes the
+// timeline: segment histograms are updated and the timeline moves to
+// the delivered ring, so sub-spans observed after delivery are dropped
+// with the rest of the epoch's late observations.
+func (t *Tracer) observe(ev Event) {
+	peerSpan := ev.Kind >= PeerChunkSent
+	if peerSpan && ev.Peer < 0 {
 		return
 	}
 	t.mu.Lock()
-	tl := t.timeline(epoch)
-	if !tl.Has(s) {
-		tl.T[s] = now
-		tl.Have |= 1 << s
+	tl := t.timeline(ev.Epoch)
+	switch {
+	case peerSpan:
+		if len(tl.Peers) < maxPeerSpans {
+			if _, seen := tl.PeerAt(ev.Kind, int(ev.Peer)); !seen {
+				tl.Peers = append(tl.Peers, PeerSpan{Peer: int(ev.Peer), Event: ev.Kind, At: ev.At})
+			}
+		}
+	case !tl.Has(ev.Kind):
+		tl.T[ev.Kind] = ev.At
+		tl.Have |= 1 << ev.Kind
 	}
-	if s == StageDeliver {
-		delete(t.inflight, epoch)
-		t.ring[t.next] = *tl
-		t.next++
-		if t.next == len(t.ring) {
-			t.next, t.full = 0, true
-		}
+	if ev.Kind != StageDeliver {
 		t.mu.Unlock()
-		// Histograms are atomic; update outside the tracer lock.
-		if tl.Has(StageDisperseStart) && tl.Has(StageDisperseDone) {
-			t.disperse.Observe(int64(tl.T[StageDisperseDone] - tl.T[StageDisperseStart]))
-		}
-		if tl.Has(StageBAInput) && tl.Has(StageBADecide) {
-			t.ba.Observe(int64(tl.T[StageBADecide] - tl.T[StageBAInput]))
-		}
-		if tl.Has(StageRetrieveStart) {
-			t.retrieve.Observe(int64(tl.T[StageDeliver] - tl.T[StageRetrieveStart]))
-		}
-		if e := tl.E2E(); e > 0 {
-			t.e2e.Observe(int64(e))
-		}
 		return
 	}
+	delete(t.inflight, ev.Epoch)
+	t.delivered.push(*tl)
 	t.mu.Unlock()
+	// Histograms are atomic; update outside the tracer lock.
+	for i, seg := range Segments {
+		if tl.Has(seg.Start) && tl.Has(seg.End) {
+			t.hist[i].Observe(int64(tl.T[seg.End] - tl.T[seg.Start]))
+		}
+	}
+	if e := tl.E2E(); e > 0 {
+		t.hist[len(Segments)].Observe(int64(e))
+	}
 }
 
 // timeline returns (creating if needed) the inflight timeline for
@@ -303,39 +248,17 @@ func (t *Tracer) timeline(epoch uint64) *Timeline {
 	return tl
 }
 
-// ObservePeer records the (event, peer) sub-span of epoch at
-// Context-clock time now. The first observation per (event, peer) wins
-// (re-asks and duplicate arrivals are expected); the span list is
-// bounded by maxPeerSpans. Peer sub-spans observed after the epoch's
-// delivery are dropped with the rest of its late observations.
-func (t *Tracer) ObservePeer(epoch uint64, ev PeerEvent, peer int, now time.Duration) {
-	if t == nil || ev >= NumPeerEvents || peer < 0 {
-		return
-	}
-	t.mu.Lock()
-	tl := t.timeline(epoch)
-	if len(tl.Peers) < maxPeerSpans && !tl.HasPeer(ev, peer) {
-		tl.Peers = append(tl.Peers, PeerSpan{Peer: peer, Event: ev, At: now})
-	}
-	t.mu.Unlock()
-}
-
-// Inflight returns a copy of epoch's not-yet-delivered timeline and
-// whether one exists. The transaction-journey layer joins its epoch
-// segment through this accessor at delivery time — before the
-// StageDeliver observation completes the timeline and moves it to the
-// delivered ring.
-func (t *Tracer) Inflight(epoch uint64) (Timeline, bool) {
-	if t == nil {
-		return Timeline{}, false
-	}
+// inflightCopy returns a copy of epoch's not-yet-delivered timeline
+// (the zero Timeline when there is none). The journeys fold joins its
+// epoch segment through it at delivery time, before the StageDeliver
+// observation retires the timeline.
+func (t *Tracer) inflightCopy(epoch uint64) Timeline {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tl := t.inflight[epoch]
-	if tl == nil {
-		return Timeline{}, false
+	if tl := t.inflight[epoch]; tl != nil {
+		return *tl
 	}
-	return *tl, true
+	return Timeline{}
 }
 
 // Delivered returns the retained delivered timelines, oldest first.
@@ -345,14 +268,7 @@ func (t *Tracer) Delivered() []Timeline {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Timeline
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring[:t.next]...)
-	}
-	return out
+	return t.delivered.snapshot()
 }
 
 // SlowestEpochs returns up to n delivered timelines ordered by
