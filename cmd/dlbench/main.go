@@ -8,6 +8,7 @@
 //	dlbench                 # quick pass (scaled durations, minutes of CPU)
 //	dlbench -full           # longer runs, larger cluster sweep
 //	dlbench -exp fig8,fig10 # a subset of experiments
+//	dlbench -exp abl-batch  # one of the four design ablations (abl-*)
 //	dlbench -telemetry      # instrument nodes; fig10 adds the stage panel
 //	dlbench -json           # also write machine-readable BENCH_<stamp>.json
 package main
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -62,7 +64,7 @@ func durationMeanMs(ds []time.Duration) float64 {
 
 func main() {
 	full := flag.Bool("full", false, "run the full-size sweeps (slower)")
-	exp := flag.String("exp", "", "comma-separated experiment ids to run (fig2, fig8, fig9, fig10, fig11a, fig11b, fig12, fig13, fig14, fig15, fig16); empty = all")
+	exp := flag.String("exp", "", "comma-separated experiment ids to run (fig2, fig8, fig9, fig10, fig11a, fig11b, fig12, fig13, fig14, fig15, fig16, abl-priority, abl-batch, abl-lag, abl-retrieval); empty = all")
 	telem := flag.Bool("telemetry", false, "instrument every emulated node (metrics registry + lifecycle tracing); fig10 then also records the per-stage latency panel")
 	seed := flag.Int64("seed", 1, "base random seed")
 	jsonOut := flag.Bool("json", false, "write a machine-readable BENCH_<stamp>.json next to the printed tables")
@@ -410,6 +412,111 @@ func main() {
 		fmt.Println("Fig 16 — example Gauss-Markov bandwidth trace (MB/s, one sample per 10 s)")
 		for i := 0; i < len(tr.Rates); i += 10 {
 			fmt.Printf("  t=%3ds  %6.2f\n", i, tr.Rates[i]/trace.MB)
+		}
+		return nil
+	})
+
+	// The abl-* experiments are not paper figures: each sweeps one design
+	// parameter the paper fixes (DL only) and records both sides of its
+	// tradeoff, so a policy change shows up as a diff of records. point
+	// prints one row, metrics under their record names, and records it.
+	point := func(id, label string, params, metrics map[string]float64) {
+		names := make([]string, 0, len(metrics))
+		for name := range metrics {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Printf("  %-16s", label)
+		for _, name := range names {
+			fmt.Printf("  %s %.3f", name, metrics[name])
+		}
+		fmt.Println()
+		record(benchRecord{Experiment: id, Mode: core.ModeDL.String(), Params: params, Metrics: metrics})
+	}
+
+	run("abl-priority", func() error {
+		// The dispersal:retrieval priority weight T (§5 uses 30). High T
+		// protects the dispersal pipeline's epoch rate — what lets every
+		// node keep voting while retrieval is backlogged; low T hands that
+		// bandwidth to retrieval, raising confirmed throughput at the cost
+		// of consensus progress.
+		fmt.Println("Ablation — priority weight T on Gauss-Markov links")
+		for _, T := range []float64{1, 3, 30, 300} {
+			r, err := harness.RunControlled(harness.ControlledParams{
+				Mode: core.ModeDL, Temporal: true, Duration: d, Seed: *seed, PriorityWeight: T,
+			})
+			if err != nil {
+				return err
+			}
+			point("abl-priority", fmt.Sprintf("T=%g", T), map[string]float64{"priority_weight": T},
+				map[string]float64{"mean_throughput_mbps": r.Mean, "epoch_rate": r.EpochRate})
+		}
+		return nil
+	})
+
+	run("abl-batch", func() error {
+		// The batching tradeoff behind §5's rate control. With the paper's
+		// 100 ms delay gate, proposals ride the epoch cadence and batch
+		// size adapts to load (the first row). Pinning the delay gate high
+		// and forcing byte thresholds (paper-equivalent 150 KB / 600 KB)
+		// trades confirmation latency for fewer, larger blocks.
+		fmt.Println("Ablation — proposal batching at 4 MB/s system load, fastest node's local p50")
+		for _, tc := range []struct {
+			name  string
+			delay time.Duration
+			bytes int
+		}{
+			{"adaptive-100ms", 100 * time.Millisecond, 0},
+			{"batch=150KB", time.Hour, 150 << 10},
+			{"batch=600KB", time.Hour, 600 << 10},
+		} {
+			r, err := harness.RunLatency(harness.LatencyParams{
+				Mode: core.ModeDL, Duration: d, Seed: *seed,
+				LoadPerNode: 4.0 / 16 * trace.MB,
+				BatchDelay:  tc.delay, BatchBytes: tc.bytes,
+			})
+			if err != nil {
+				return err
+			}
+			point("abl-batch", tc.name,
+				map[string]float64{"batch_delay_ms": float64(tc.delay / time.Millisecond), "batch_kb": float64(tc.bytes >> 10)},
+				map[string]float64{"fast_p50_ms": float64(r.P50[0]) / float64(time.Millisecond)})
+		}
+		return nil
+	})
+
+	run("abl-lag", func() error {
+		// The §4.5 bound P ("stop proposing when more than P epochs
+		// behind") on a saturated fixed-block cluster: P=0 (pure DL) lets
+		// dispersal run arbitrarily ahead of retrieval — the lag grows
+		// with the run — and a small P throttles the pipeline to the
+		// retrieval drain rate.
+		fmt.Println("Ablation — §4.5 lag guard P, n=16, 500 KB blocks, infinite backlog")
+		for _, P := range []uint64{0, 2, 8, 32} {
+			r, err := harness.RunLagGuard(P, d, *seed)
+			if err != nil {
+				return err
+			}
+			point("abl-lag", fmt.Sprintf("P=%d", P), map[string]float64{"max_epoch_lag": float64(P)},
+				map[string]float64{"mean_throughput_mbps": r.Throughput, "final_lag_epochs": r.FinalLag})
+		}
+		return nil
+	})
+
+	run("abl-retrieval", func() error {
+		// The paper's request-all retrieval against the staged-wave
+		// extension (core.Config.StagedRetrieval): staged retrieval trades
+		// confirmation latency for a lower ingress tax on slow nodes.
+		fmt.Println("Ablation — retrieval policy on the 16-city geo profile")
+		for _, staged := range []bool{false, true} {
+			r, err := harness.RunGeo(harness.GeoParams{
+				Mode: core.ModeDL, Duration: d, Seed: *seed, StagedRetrieval: staged,
+			})
+			if err != nil {
+				return err
+			}
+			point("abl-retrieval", fmt.Sprintf("staged=%v", staged), map[string]float64{"staged": b2f(staged)},
+				map[string]float64{"mean_throughput_mbps": r.Mean, "slowest_throughput_mbps": r.Throughput[len(r.Throughput)-1]})
 		}
 		return nil
 	})

@@ -85,7 +85,6 @@ func main() {
 	id := flag.Int("id", -1, "this node's index into -peers")
 	peers := flag.String("peers", "", "comma-separated list of all node addresses, in id order")
 	secret := flag.String("secret", "", "shared coin secret (same on every node)")
-	modeStr := flag.String("mode", "DL", "protocol: DL, DL-Coupled, HB, HB-Link")
 	f := flag.Int("f", 0, "fault tolerance (0 = floor((n-1)/3))")
 	gen := flag.Float64("gen", 0, "generate synthetic load at this many MB/s")
 	txSize := flag.Int("txsize", 256, "synthetic transaction size in bytes")
@@ -126,21 +125,6 @@ func main() {
 	if faults == 0 {
 		faults = (n - 1) / 3
 	}
-	var mode dl.Mode
-	switch *modeStr {
-	case "DL":
-		mode = dl.ModeDL
-	case "DL-Coupled":
-		mode = dl.ModeDLCoupled
-	case "HB":
-		mode = dl.ModeHB
-	case "HB-Link":
-		mode = dl.ModeHBLink
-	default:
-		fmt.Fprintln(os.Stderr, "dlnode: unknown -mode")
-		os.Exit(2)
-	}
-
 	var keys *dl.Keyring
 	if *keydir != "" {
 		var err error
@@ -153,7 +137,7 @@ func main() {
 
 	node, err := dl.NewTCPNode(dl.NodeOptions{
 		Config: dl.Config{
-			N: n, F: faults, Mode: mode,
+			N: n, F: faults,
 			CoinSecret:      []byte(*secret),
 			RetainEpochs:    *retain,
 			DataDir:         *datadir,
@@ -174,7 +158,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer node.Close()
-	fmt.Printf("dlnode %d/%d listening on %s (mode %s, f=%d)\n", *id, n, node.Addr(), mode, faults)
+	fmt.Printf("dlnode %d/%d listening on %s (mode DL, f=%d)\n", *id, n, node.Addr(), faults)
 	if ca := node.ClientAddr(); ca != "" {
 		fmt.Printf("dlnode %d client gateway on %s\n", *id, ca)
 	}

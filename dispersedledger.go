@@ -4,11 +4,13 @@
 // variable-bandwidth networks by agreeing on verifiably-dispersed blocks
 // and downloading their contents lazily.
 //
-// The package offers two entry points:
+// The package offers two entry points onto one node assembly, both
+// running DispersedLedger proper (the paper's baselines live only in
+// the emulated experiment harness):
 //
-//   - NewCluster runs an N-node cluster inside one process, connected by
-//     channels. It is the quickest way to use the protocol as a library
-//     (embedded replicated log) and what the quickstart example uses.
+//   - NewCluster runs N nodes inside one process, connected by channels.
+//     It is the quickest way to use the protocol as a library (embedded
+//     replicated log) and what the quickstart example uses.
 //   - NewTCPNode runs one node of a distributed deployment over TCP;
 //     cmd/dlnode wraps it in a binary.
 //
@@ -34,43 +36,22 @@ import (
 	"dledger/internal/transport"
 )
 
-// Mode selects the protocol variant.
-type Mode = core.Mode
-
-// Protocol variants (§6 of the paper). ModeDL is DispersedLedger proper
-// and the default; the others are the paper's baselines and the
-// spam-resistant variant.
-const (
-	ModeDL        = core.ModeDL
-	ModeDLCoupled = core.ModeDLCoupled
-	ModeHB        = core.ModeHB
-	ModeHBLink    = core.ModeHBLink
-)
-
 // Config configures a cluster or node.
 type Config struct {
 	// N is the cluster size; F the fault tolerance. N >= 3F+1. If both
 	// are zero, N=4, F=1 is used.
 	N, F int
-	// Mode is the protocol variant (default ModeDL).
-	Mode Mode
 	// CoinSecret keys the common coin; every node of a cluster must use
 	// the same value. In-process clusters may leave it nil.
 	CoinSecret []byte
-	// BatchDelay and BatchBytes tune proposal batching (defaults: the
-	// paper's 100 ms / 150 KB).
+	// BatchDelay is the proposal batching delay (default: the paper's
+	// 100 ms); a proposal also goes out once 150 KB are pending.
 	BatchDelay time.Duration
-	BatchBytes int
 	// RetainEpochs, when positive, garbage-collects protocol state for
 	// epochs more than this far behind delivery. See the engine
 	// documentation for the availability tradeoff; zero keeps all state
 	// (the paper-prototype behaviour).
 	RetainEpochs uint64
-	// StagedRetrieval requests block chunks in escalating waves instead
-	// of from all servers at once — less redundant download for slow
-	// nodes, slightly higher confirmation latency. Off by default (the
-	// paper's policy).
-	StagedRetrieval bool
 	// DataDir, when set, makes the node durable: its write-ahead log,
 	// stored AVID chunks and periodic checkpoints live in this directory
 	// (one subdirectory per node for in-process clusters), and a node
@@ -147,27 +128,9 @@ func (c Config) coreConfig() core.Config {
 		n, f = 4, 1
 	}
 	return core.Config{
-		N: n, F: f, Mode: c.Mode, CoinSecret: c.CoinSecret,
-		RetainEpochs: c.RetainEpochs, StagedRetrieval: c.StagedRetrieval,
-		StateSync: c.StateSync,
+		N: n, F: f, CoinSecret: c.CoinSecret,
+		RetainEpochs: c.RetainEpochs, StateSync: c.StateSync,
 	}
-}
-
-func (c Config) replicaParams() replica.Params {
-	return replica.Params{
-		BatchDelay:   c.BatchDelay,
-		BatchBytes:   c.BatchBytes,
-		MempoolBytes: c.MempoolBytes,
-		ClientDedup:  c.ClientGateway,
-	}
-}
-
-// newTelemetry builds one node's telemetry bundle (nil when disabled).
-func (c Config) newTelemetry() *telemetry.Metrics {
-	if !c.Telemetry {
-		return nil
-	}
-	return telemetry.New(telemetry.Options{})
 }
 
 // Delivery is one committed block, as observed by one node. Deliveries
@@ -227,135 +190,42 @@ type Stats struct {
 // GatewayStats are the per-cause client-gateway counters of one node.
 type GatewayStats = gateway.Counters
 
-// nodeStats assembles the public counters of one node from its replica
-// (on whose loop it runs), its delivery-drop counter and its gateway
-// hub (nil without one).
-func nodeStats(r *replica.Replica, dropped *int64, hub *gateway.Hub) Stats {
-	ss := r.Engine().SyncStats()
-	out := Stats{
-		Submitted:           r.Stats.Submitted,
-		DeliveredTxs:        r.Stats.DeliveredTxs,
-		DeliveredPayload:    r.Stats.DeliveredPayload,
-		EpochsDelivered:     r.Stats.EpochsDelivered,
-		LinkedBlocks:        r.Stats.LinkedBlocks,
-		DroppedDeliveries:   atomic.LoadInt64(dropped),
-		StoreErrors:         r.Stats.StoreErrors,
-		RejectedSubmissions: r.Stats.RejectedSubmissions,
-		MempoolBytes:        int64(r.PendingBytes()),
-		StateSyncs:          r.Stats.StateSyncs,
-		StateSyncBytes:      ss.BytesFetched,
-		StateSyncServed:     ss.PagesServed,
-		StateSyncChunks:     ss.ChunksImported,
-	}
-	if hub != nil {
-		out.Gateway = hub.Counters()
-	}
-	return out
-}
-
-// Cluster is an in-process DispersedLedger deployment.
+// Cluster is an in-process DispersedLedger deployment: N Nodes joined by
+// channels instead of sockets.
 type Cluster struct {
-	mem    *transport.MemoryCluster
-	stores []store.Store
-	hubs   []*gateway.Hub       // per node, nil without Config.ClientGateway
-	tels   []*telemetry.Metrics // per node, nil without Config.Telemetry
-
-	mu      sync.Mutex
-	subs    []chan Delivery
-	dropped []int64 // per node, updated atomically on the consensus loops
-	servers []*gateway.Server
+	nodes []*Node
 }
-
-// clusterExec adapts one node of a MemoryCluster to gateway.Node.
-type clusterExec struct {
-	c *Cluster
-	i int
-}
-
-func (e clusterExec) Exec(fn func(r *replica.Replica)) { e.c.mem.Inspect(e.i, fn) }
 
 // NewCluster starts an N-node in-process cluster. With Config.DataDir
 // set, each node persists to DataDir/node-<i> and a cluster re-created
 // over the same directory recovers every node's state.
 func NewCluster(cfg Config) (*Cluster, error) {
+	n := cfg.coreConfig().N
+	net := transport.NewMemoryNet(n, 0)
 	c := &Cluster{}
-	cc := cfg.coreConfig()
-	c.subs = make([]chan Delivery, cc.N)
-	c.dropped = make([]int64, cc.N)
-	for i := range c.subs {
-		c.subs[i] = make(chan Delivery, 1024)
-	}
-	var stores []store.Store
-	if cfg.DataDir != "" {
-		for i := 0; i < cc.N; i++ {
-			st, err := store.OpenFile(store.FileOptions{
-				Dir:          filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i)),
-				ForceRestart: cfg.ForceRestart,
-			})
-			if err != nil {
-				closeStores(stores)
-				return nil, err
-			}
-			stores = append(stores, st)
+	for i := 0; i < n; i++ {
+		opts := NodeOptions{Config: cfg, Self: i}
+		if cfg.DataDir != "" {
+			opts.Config.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))
 		}
-	}
-	if cfg.Telemetry {
-		c.tels = make([]*telemetry.Metrics, cc.N)
-		for i := range c.tels {
-			c.tels[i] = cfg.newTelemetry()
+		node, err := newNode(opts, net)
+		if err != nil {
+			c.Close()
+			return nil, err
 		}
-	}
-	if cfg.ClientGateway {
-		c.hubs = make([]*gateway.Hub, cc.N)
-		for i := range c.hubs {
-			var tel *telemetry.Metrics
-			if c.tels != nil {
-				tel = c.tels[i]
-			}
-			c.hubs[i] = gateway.NewHub(clusterExec{c, i}, gateway.Options{
-				N: cc.N, F: cc.F, RatePerClient: cfg.ClientRateLimit,
-				Telemetry: tel,
-			})
-		}
-	}
-	mem, err := transport.NewMemoryCluster(transport.MemoryOptions{
-		Core:      cc,
-		Replica:   cfg.replicaParams(),
-		Telemetry: c.tels,
-		Stores:    stores,
-		OnDeliver: func(node int, d replica.Delivery) {
-			if c.hubs != nil {
-				c.hubs[node].OnDeliver(d)
-			}
-			c.mu.Lock()
-			ch := c.subs[node]
-			c.mu.Unlock()
-			select {
-			case ch <- Delivery{
-				Time: d.At, Epoch: d.Epoch, Proposer: d.Proposer,
-				Txs: d.Txs, Linked: d.Linked,
-			}:
-			default:
-				// Slow consumers drop deliveries rather than deadlocking
-				// the consensus loop; Stats count the drops.
-				atomic.AddInt64(&c.dropped[node], 1)
-			}
-		},
-	})
-	if err != nil {
-		closeStores(stores)
-		return nil, err
-	}
-	c.mem = mem
-	c.stores = stores
-	// Re-seed gateway proofs from each node's recovered log, so clients
-	// resubmitting pre-restart transactions get verifiable receipts.
-	for i, hub := range c.hubs {
-		var recovered []replica.RecoveredBlock
-		c.mem.Inspect(i, func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
-		hub.Seed(recovered)
+		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
+}
+
+// ErrBadNode is returned for out-of-range node indices.
+var ErrBadNode = errors.New("dispersedledger: node index out of range")
+
+func (c *Cluster) node(i int) (*Node, error) {
+	if i < 0 || i >= len(c.nodes) {
+		return nil, ErrBadNode
+	}
+	return c.nodes[i], nil
 }
 
 // ServeClients starts the client-gateway TCP listener for node i on
@@ -363,112 +233,98 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // requires Config.ClientGateway; connect with package dlclient. The
 // listener is closed with the cluster.
 func (c *Cluster) ServeClients(i int, addr string) (string, error) {
-	if i < 0 || i >= c.mem.N() {
-		return "", ErrBadNode
-	}
-	if c.hubs == nil {
-		return "", errors.New("dispersedledger: ServeClients requires Config.ClientGateway")
-	}
-	srv, err := gateway.Serve(c.hubs[i], addr)
+	n, err := c.node(i)
 	if err != nil {
 		return "", err
 	}
-	c.mu.Lock()
-	c.servers = append(c.servers, srv)
-	c.mu.Unlock()
-	return srv.Addr(), nil
+	return n.serveClients(addr)
 }
-
-func closeStores(stores []store.Store) {
-	for _, st := range stores {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
-
-// ErrBadNode is returned for out-of-range node indices.
-var ErrBadNode = errors.New("dispersedledger: node index out of range")
 
 // Submit hands a transaction to node i.
 func (c *Cluster) Submit(i int, tx []byte) error {
-	return c.mem.Submit(i, tx)
+	n, err := c.node(i)
+	if err != nil {
+		return err
+	}
+	n.Submit(tx)
+	return nil
 }
 
 // Deliveries returns node i's delivery channel. Each delivered block is
 // sent once; a consumer that falls more than 1024 blocks behind misses
 // the overflow.
 func (c *Cluster) Deliveries(i int) (<-chan Delivery, error) {
-	if i < 0 || i >= c.mem.N() {
-		return nil, ErrBadNode
+	n, err := c.node(i)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.subs[i], nil
+	return n.Deliveries(), nil
 }
 
 // Stats snapshots node i's counters.
 func (c *Cluster) Stats(i int) (Stats, error) {
-	if i < 0 || i >= c.mem.N() {
-		return Stats{}, ErrBadNode
+	n, err := c.node(i)
+	if err != nil {
+		return Stats{}, err
 	}
-	var hub *gateway.Hub
-	if c.hubs != nil {
-		hub = c.hubs[i]
-	}
-	var out Stats
-	c.mem.Inspect(i, func(r *replica.Replica) { out = nodeStats(r, &c.dropped[i], hub) })
-	return out, nil
+	return n.Stats(), nil
 }
 
 // Telemetry returns node i's telemetry bundle (nil without
 // Config.Telemetry): its Registry serves Prometheus/JSON snapshots and
 // its Trace answers slowest-epoch queries.
 func (c *Cluster) Telemetry(i int) (*telemetry.Metrics, error) {
-	if i < 0 || i >= c.mem.N() {
-		return nil, ErrBadNode
+	n, err := c.node(i)
+	if err != nil {
+		return nil, err
 	}
-	if c.tels == nil {
-		return nil, nil
-	}
-	return c.tels[i], nil
+	return n.Telemetry(), nil
 }
 
 // N returns the cluster size.
-func (c *Cluster) N() int { return c.mem.N() }
+func (c *Cluster) N() int { return len(c.nodes) }
 
-// Close stops the cluster, its client-gateway listeners, and flushes
+// Close stops every node with its client-gateway listeners and flushes
 // any durable stores.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	servers := c.servers
-	c.servers = nil
-	c.mu.Unlock()
-	for _, s := range servers {
-		s.Close()
+	for _, n := range c.nodes {
+		n.Close()
 	}
-	c.mem.Close()
-	closeStores(c.stores)
 }
 
-// Node is one member of a distributed TCP deployment.
+// runtime is the part of a transport backend a Node drives: the event
+// loop its replica runs on. transport.TCPNode and transport.MemoryNode
+// provide it.
+type runtime interface {
+	Submit(tx []byte)
+	Inspect(fn func(r *replica.Replica))
+	Close()
+}
+
+// Node is one DispersedLedger node: a member of a distributed TCP
+// deployment (NewTCPNode) or of an in-process Cluster.
 type Node struct {
 	self    int
 	cc      core.Config // resolved core config, for /statusz reporting
-	tcp     *transport.TCPNode
-	st      store.Store
+	rt      runtime
+	addr    string                 // TCP listen address ("" in-process)
+	st      store.Store            // nil without Config.DataDir
 	hub     *gateway.Hub           // nil without a client gateway
-	gw      *gateway.Server        // nil without NodeOptions.ClientAddr
 	tel     *telemetry.Metrics     // nil without Config.Telemetry
 	admin   *telemetry.AdminServer // nil without NodeOptions.AdminAddr
 	sub     chan Delivery
-	dropped int64 // updated atomically on the consensus loop
+	dropped atomic.Int64 // blocks the full sub channel missed
+
+	mu  sync.Mutex
+	gws []*gateway.Server // client-gateway listeners, closed with the node
 }
 
-// nodeExec adapts a TCPNode to gateway.Node.
+// nodeExec adapts a Node's runtime to gateway.Node. It resolves the
+// runtime per call because the hub is built first: deliveries reach the
+// hub as soon as the runtime exists.
 type nodeExec struct{ n *Node }
 
-func (e nodeExec) Exec(fn func(r *replica.Replica)) { e.n.tcp.Inspect(fn) }
+func (e nodeExec) Exec(fn func(r *replica.Replica)) { e.n.rt.Inspect(fn) }
 
 // Keyring re-exports the transport identity keyring: generate one set
 // per cluster with GenerateKeyring and give each node its own entry.
@@ -519,85 +375,78 @@ type NodeOptions struct {
 // set (all nodes must share it). With Config.DataDir set, the node is
 // durable: restarting it over the same directory recovers its chunk
 // store and log position and rejoins the cluster where it left off.
-func NewTCPNode(opts NodeOptions) (*Node, error) {
-	n := &Node{sub: make(chan Delivery, 1024)}
-	if opts.ClientAddr != "" {
-		opts.Config.ClientGateway = true
-	}
-	if opts.AdminAddr != "" {
-		opts.Config.Telemetry = true
-	}
-	n.tel = opts.Config.newTelemetry()
-	cc := opts.Config.coreConfig()
+func NewTCPNode(opts NodeOptions) (*Node, error) { return newNode(opts, nil) }
+
+// newNode is the node assembly: telemetry bundle, gateway hub, durable
+// store, then the replica on its transport runtime — a slot of mem for
+// an in-process cluster's node, a TCP mesh node otherwise — and last
+// the listeners that let the outside in.
+func newNode(opts NodeOptions, mem *transport.MemoryNet) (*Node, error) {
+	cfg := opts.Config
+	cfg.ClientGateway = cfg.ClientGateway || opts.ClientAddr != ""
+	cfg.Telemetry = cfg.Telemetry || opts.AdminAddr != ""
+	cc := cfg.coreConfig()
 	if opts.Join {
-		cc.StateSync = true
-		cc.JoinSync = true
+		cc.StateSync, cc.JoinSync = true, true
 	}
-	n.self = opts.Self
-	n.cc = cc
-	if opts.Config.ClientGateway {
+	// 1024 blocks of slack for the consumer (see Cluster.Deliveries).
+	n := &Node{self: opts.Self, cc: cc, sub: make(chan Delivery, 1024)}
+	if cfg.Telemetry {
+		n.tel = telemetry.New(telemetry.Options{})
+	}
+	if cfg.ClientGateway {
 		n.hub = gateway.NewHub(nodeExec{n}, gateway.Options{
-			N: cc.N, F: cc.F, RatePerClient: opts.Config.ClientRateLimit,
+			N: cc.N, F: cc.F, RatePerClient: cfg.ClientRateLimit,
 			Telemetry: n.tel,
 		})
 	}
-	var st store.Store
-	if opts.Config.DataDir != "" {
-		var err error
-		st, err = store.OpenFile(store.FileOptions{
-			Dir:          opts.Config.DataDir,
-			ForceRestart: opts.Config.ForceRestart,
-		})
+	if cfg.DataDir != "" {
+		st, err := store.OpenFile(store.FileOptions{Dir: cfg.DataDir, ForceRestart: cfg.ForceRestart})
 		if err != nil {
 			return nil, err
 		}
+		n.st = st
 	}
-	params := opts.Config.replicaParams()
-	params.Telemetry = n.tel
-	tcp, err := transport.NewTCPNode(transport.TCPOptions{
-		Core:     cc,
-		Replica:  params,
-		Self:     opts.Self,
-		Addrs:    opts.Addrs,
-		Listener: opts.Listener,
-		Keys:     opts.Keys,
-		Store:    st,
-		OnDeliver: func(d replica.Delivery) {
-			if n.hub != nil {
-				n.hub.OnDeliver(d)
-			}
-			select {
-			case n.sub <- Delivery{
-				Time: d.At, Epoch: d.Epoch, Proposer: d.Proposer,
-				Txs: d.Txs, Linked: d.Linked,
-			}:
-			default:
-				atomic.AddInt64(&n.dropped, 1)
-			}
-		},
-	})
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return nil, err
+	params := replica.Params{
+		BatchDelay:   cfg.BatchDelay,
+		MempoolBytes: cfg.MempoolBytes,
+		ClientDedup:  cfg.ClientGateway,
+		Telemetry:    n.tel,
 	}
-	n.tcp = tcp
-	n.st = st
-	if n.hub != nil {
-		// Re-seed gateway proofs from the recovered log so pre-restart
-		// commitments stay provable to resubmitting clients.
-		var recovered []replica.RecoveredBlock
-		tcp.Inspect(func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
-		n.hub.Seed(recovered)
-	}
-	if opts.ClientAddr != "" {
-		gw, err := gateway.Serve(n.hub, opts.ClientAddr)
+	if mem != nil {
+		rt, err := transport.NewMemoryNode(transport.MemoryOptions{
+			Core: cc, Replica: params, Self: opts.Self, Net: mem,
+			Store: n.st, OnDeliver: n.onDeliver,
+		})
 		if err != nil {
 			n.Close()
 			return nil, err
 		}
-		n.gw = gw
+		n.rt = rt
+	} else {
+		rt, err := transport.NewTCPNode(transport.TCPOptions{
+			Core: cc, Replica: params, Self: opts.Self,
+			Addrs: opts.Addrs, Listener: opts.Listener, Keys: opts.Keys,
+			Store: n.st, OnDeliver: n.onDeliver,
+		})
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		n.rt, n.addr = rt, rt.Addr()
+	}
+	if n.hub != nil {
+		// Re-seed gateway proofs from the recovered log so pre-restart
+		// commitments stay provable to resubmitting clients.
+		var recovered []replica.RecoveredBlock
+		n.rt.Inspect(func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
+		n.hub.Seed(recovered)
+	}
+	if opts.ClientAddr != "" {
+		if _, err := n.serveClients(opts.ClientAddr); err != nil {
+			n.Close()
+			return nil, err
+		}
 	}
 	if opts.AdminAddr != "" {
 		ln, err := net.Listen("tcp", opts.AdminAddr)
@@ -608,6 +457,38 @@ func NewTCPNode(opts NodeOptions) (*Node, error) {
 		n.admin = telemetry.ServeAdmin(ln, n.tel, n.adminStatus)
 	}
 	return n, nil
+}
+
+// onDeliver runs on the consensus loop for every delivered block: the
+// gateway hub indexes it, then it goes to the delivery channel.
+func (n *Node) onDeliver(d replica.Delivery) {
+	if n.hub != nil {
+		n.hub.OnDeliver(d)
+	}
+	select {
+	case n.sub <- Delivery{
+		Time: d.At, Epoch: d.Epoch, Proposer: d.Proposer,
+		Txs: d.Txs, Linked: d.Linked,
+	}:
+	default:
+		// Slow consumers drop deliveries rather than deadlocking the
+		// consensus loop; Stats count the drops.
+		n.dropped.Add(1)
+	}
+}
+
+func (n *Node) serveClients(addr string) (string, error) {
+	if n.hub == nil {
+		return "", errors.New("dispersedledger: ServeClients requires Config.ClientGateway")
+	}
+	gw, err := gateway.Serve(n.hub, addr)
+	if err != nil {
+		return "", err
+	}
+	n.mu.Lock()
+	n.gws = append(n.gws, gw)
+	n.mu.Unlock()
+	return gw.Addr(), nil
 }
 
 // adminStatus gathers the node-specific half of /statusz on the
@@ -624,7 +505,7 @@ func (n *Node) adminStatus() map[string]any {
 			"state_sync":    n.cc.StateSync,
 		},
 	}
-	n.tcp.Inspect(func(r *replica.Replica) {
+	n.rt.Inspect(func(r *replica.Replica) {
 		eng := r.Engine()
 		ss := eng.SyncStats()
 		out["position"] = map[string]any{
@@ -671,40 +552,68 @@ func (n *Node) AdminAddr() string {
 }
 
 // Submit hands a transaction to this node.
-func (n *Node) Submit(tx []byte) { n.tcp.Submit(tx) }
+func (n *Node) Submit(tx []byte) { n.rt.Submit(tx) }
 
 // Deliveries returns this node's delivery channel.
 func (n *Node) Deliveries() <-chan Delivery { return n.sub }
 
 // Addr returns the node's listen address.
-func (n *Node) Addr() string { return n.tcp.Addr() }
+func (n *Node) Addr() string { return n.addr }
 
 // ClientAddr returns the client-gateway listen address ("" when no
 // gateway is served).
 func (n *Node) ClientAddr() string {
-	if n.gw == nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.gws) == 0 {
 		return ""
 	}
-	return n.gw.Addr()
+	return n.gws[0].Addr()
 }
 
-// Stats snapshots the node's counters.
+// Stats snapshots the node's counters on its consensus loop.
 func (n *Node) Stats() Stats {
 	var out Stats
-	n.tcp.Inspect(func(r *replica.Replica) { out = nodeStats(r, &n.dropped, n.hub) })
+	n.rt.Inspect(func(r *replica.Replica) {
+		ss := r.Engine().SyncStats()
+		out = Stats{
+			Submitted:           r.Stats.Submitted,
+			DeliveredTxs:        r.Stats.DeliveredTxs,
+			DeliveredPayload:    r.Stats.DeliveredPayload,
+			EpochsDelivered:     r.Stats.EpochsDelivered,
+			LinkedBlocks:        r.Stats.LinkedBlocks,
+			DroppedDeliveries:   n.dropped.Load(),
+			StoreErrors:         r.Stats.StoreErrors,
+			RejectedSubmissions: r.Stats.RejectedSubmissions,
+			MempoolBytes:        int64(r.PendingBytes()),
+			StateSyncs:          r.Stats.StateSyncs,
+			StateSyncBytes:      ss.BytesFetched,
+			StateSyncServed:     ss.PagesServed,
+			StateSyncChunks:     ss.ChunksImported,
+		}
+	})
+	if n.hub != nil {
+		out.Gateway = n.hub.Counters()
+	}
 	return out
 }
 
-// Close stops the node (client gateway first) and flushes its durable
-// store.
+// Close stops the node (admin endpoint and client gateway first) and
+// flushes its durable store.
 func (n *Node) Close() {
 	if n.admin != nil {
 		n.admin.Close()
 	}
-	if n.gw != nil {
-		n.gw.Close()
+	n.mu.Lock()
+	gws := n.gws
+	n.gws = nil
+	n.mu.Unlock()
+	for _, gw := range gws {
+		gw.Close()
 	}
-	n.tcp.Close()
+	if n.rt != nil {
+		n.rt.Close()
+	}
 	if n.st != nil {
 		n.st.Close()
 	}

@@ -1,47 +1,6 @@
 package dispersedledger
 
-import (
-	"bytes"
-	"net"
-	"testing"
-	"time"
-)
-
-func TestClusterQuickstartFlow(t *testing.T) {
-	c, err := NewCluster(Config{N: 4, F: 1, BatchDelay: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
-	}
-	ch, err := c.Deliveries(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte("hello dispersed world")
-	if err := c.Submit(0, want); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.After(15 * time.Second)
-	for {
-		select {
-		case d := <-ch:
-			for _, tx := range d.Txs {
-				if bytes.Equal(tx, want) {
-					if d.Proposer != 0 {
-						t.Fatalf("tx delivered from proposer %d", d.Proposer)
-					}
-					return
-				}
-			}
-		case <-deadline:
-			t.Fatal("transaction not delivered within 15s")
-		}
-	}
-}
+import "testing"
 
 func TestClusterDefaults(t *testing.T) {
 	c, err := NewCluster(Config{}) // zero config: N=4, F=1, DL
@@ -68,77 +27,5 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if err := c.Submit(99, []byte("x")); err == nil {
 		t.Fatal("Submit(99) accepted")
-	}
-}
-
-func TestClusterStats(t *testing.T) {
-	c, err := NewCluster(Config{N: 4, F: 1, BatchDelay: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Submit(1, []byte("stat me"))
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		s, err := c.Stats(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.DeliveredTxs >= 1 && s.DeliveredPayload > 0 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("stats never reflected the delivery")
-}
-
-func TestTCPNodesPublicAPI(t *testing.T) {
-	const n = 4
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		node, err := NewTCPNode(NodeOptions{
-			Config: Config{
-				N: n, F: 1,
-				CoinSecret: []byte("public api tcp secret"),
-				BatchDelay: 20 * time.Millisecond,
-			},
-			Self:     i,
-			Addrs:    addrs,
-			Listener: listeners[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		defer node.Close()
-	}
-	want := []byte("over tcp")
-	nodes[3].Submit(want)
-
-	deadline := time.After(20 * time.Second)
-	for {
-		select {
-		case d := <-nodes[0].Deliveries():
-			for _, tx := range d.Txs {
-				if bytes.Equal(tx, want) {
-					if s := nodes[0].Stats(); s.DeliveredTxs < 1 {
-						t.Fatal("stats lag delivery")
-					}
-					return
-				}
-			}
-		case <-deadline:
-			t.Fatal("tx not delivered over TCP")
-		}
 	}
 }

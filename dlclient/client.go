@@ -62,31 +62,15 @@ type Options struct {
 	NoSubscribe bool
 	// CommitBuffer sizes the Commits channel (default 1024).
 	CommitBuffer int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// ReceiptTimeout bounds how long Submit waits for its receipt,
-	// across reconnects (default 10s).
-	ReceiptTimeout time.Duration
-	// NoResubmit disables automatic resubmission of uncommitted
-	// transactions after a reconnect.
-	NoResubmit bool
-	// Dial overrides the dialer (tests inject faulty connections).
-	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout == 0 {
-		return 2 * time.Second
-	}
-	return o.DialTimeout
-}
-
-func (o Options) receiptTimeout() time.Duration {
-	if o.ReceiptTimeout == 0 {
-		return 10 * time.Second
-	}
-	return o.ReceiptTimeout
-}
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// receiptTimeout bounds how long Submit waits for its receipt,
+	// across reconnects.
+	receiptTimeout = 10 * time.Second
+)
 
 func (o Options) commitBuffer() int {
 	if o.CommitBuffer == 0 {
@@ -216,17 +200,10 @@ func (c *Client) Close() {
 	close(c.commits)
 }
 
-func (c *Client) dial() (net.Conn, error) {
-	if c.opts.Dial != nil {
-		return c.opts.Dial(c.addr, c.opts.dialTimeout())
-	}
-	return net.DialTimeout("tcp", c.addr, c.opts.dialTimeout())
-}
-
 // connect establishes one connection and performs the handshake. Called
 // with no lock held; installs the connection under the lock.
 func (c *Client) connect() error {
-	conn, err := c.dial()
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -270,7 +247,7 @@ func (c *Client) connect() error {
 }
 
 // Submit sends one transaction and waits for its receipt (across
-// reconnects, up to ReceiptTimeout).
+// reconnects, up to 10 s).
 func (c *Client) Submit(tx []byte) (Receipt, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -297,7 +274,7 @@ func (c *Client) Submit(tx []byte) (Receipt, error) {
 			return Receipt{}, ErrClosed
 		}
 		return rc, nil
-	case <-time.After(c.opts.receiptTimeout()):
+	case <-time.After(receiptTimeout):
 		c.mu.Lock()
 		delete(c.waiters, id)
 		c.mu.Unlock()
@@ -479,8 +456,8 @@ func (c *Client) onCommit(cm Commit) {
 }
 
 // reconnect re-establishes the connection with backoff and resubmits
-// in-flight requests plus (unless NoResubmit) every accepted-but-
-// uncommitted transaction. Returns false when the client closed.
+// in-flight requests plus every accepted-but-uncommitted transaction.
+// Returns false when the client closed.
 func (c *Client) reconnect() bool {
 	backoff := 50 * time.Millisecond
 	for {
@@ -507,11 +484,9 @@ func (c *Client) reconnect() bool {
 		for id, w := range c.waiters {
 			frames = append(frames, resend{id, w.tx})
 		}
-		if !c.opts.NoResubmit {
-			for _, tx := range c.outstanding {
-				c.reqSeq++
-				frames = append(frames, resend{c.reqSeq, tx})
-			}
+		for _, tx := range c.outstanding {
+			c.reqSeq++
+			frames = append(frames, resend{c.reqSeq, tx})
 		}
 		var err error
 		for _, f := range frames {

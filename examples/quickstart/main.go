@@ -16,7 +16,6 @@ import (
 func main() {
 	cluster, err := dl.NewCluster(dl.Config{
 		N: 4, F: 1,
-		Mode:       dl.ModeDL,
 		BatchDelay: 50 * time.Millisecond,
 		// This cluster keeps all state in memory: nothing survives the
 		// process and no filesystem I/O happens. Set DataDir to make the

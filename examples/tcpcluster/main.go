@@ -34,7 +34,6 @@ func main() {
 		node, err := dl.NewTCPNode(dl.NodeOptions{
 			Config: dl.Config{
 				N: n, F: 1,
-				Mode:       dl.ModeDL,
 				CoinSecret: []byte("tcpcluster example secret"),
 				BatchDelay: 50 * time.Millisecond,
 			},

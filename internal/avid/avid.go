@@ -24,7 +24,6 @@ package avid
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -469,17 +468,6 @@ func (r *Retriever) finish(block []byte, bad bool) {
 		r.result = block
 	}
 	r.chunks = nil
-}
-
-// ErrNotDone is returned by MustBlock before retrieval completes.
-var ErrNotDone = errors.New("avid: retrieval not complete")
-
-// MustBlock returns the result or ErrNotDone.
-func (r *Retriever) MustBlock() ([]byte, bool, error) {
-	if !r.done {
-		return nil, false, ErrNotDone
-	}
-	return r.result, r.bad, nil
 }
 
 // IsBadUploader reports whether a retrieved payload is the BAD_UPLOADER

@@ -7,11 +7,11 @@ import (
 )
 
 // TestDLCoupledProposesEmptyWhenLagging exercises §4.5's spam filter:
-// when retrieval lags more than LagLimit epochs behind dispersal, a
+// when retrieval lags more than lagLimit (1) epochs behind dispersal, a
 // DL-Coupled node's ProposalNeededAction carries Empty=true, and the
 // node recovers (proposes transactions again) once retrieval catches up.
 func TestDLCoupledProposesEmptyWhenLagging(t *testing.T) {
-	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDLCoupled, LagLimit: 1}, 1, 6)
+	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDLCoupled}, 1, 6)
 	// Delay every ReturnChunk so no retrieval (except of one's own
 	// blocks, which are local) can finish; dispersal and agreement are
 	// unaffected, so epochs keep deciding and the lag grows.

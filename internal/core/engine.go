@@ -73,16 +73,26 @@ func (m Mode) resubmits() bool         { return m == ModeHB }
 // N−f BA outputs), so the honest spread is tiny compared to this bound.
 const maxEpochAhead = 10_000
 
+const (
+	// lagLimit is P from §4.5: in DL-Coupled mode a node proposes empty
+	// blocks while its retrieval lags more than this many epochs behind
+	// its dispersal.
+	lagLimit = 1
+	// retrievalStageDelay is the escalation timeout of staged retrieval.
+	retrievalStageDelay = time.Second
+	// catchupRetry is the re-request interval of the recovery status
+	// protocol: a restarted node re-broadcasts its StatusRequest this
+	// often until it has caught up with the cluster's decisions. The
+	// state-sync bootstrap ticks at the same cadence.
+	catchupRetry = time.Second
+)
+
 // Config parameterizes a cluster.
 type Config struct {
 	N, F int
 	Mode Mode
 	// CoinSecret keys the common coin; all nodes must share it.
 	CoinSecret []byte
-	// LagLimit is P from §4.5: in DL-Coupled mode a node proposes empty
-	// blocks while its retrieval lags more than LagLimit epochs behind
-	// its dispersal. Zero means the default of 1.
-	LagLimit uint64
 	// MaxEpochLag, when positive, is the second mitigation of §4.5: a
 	// node stops proposing (delaying the epoch pipeline, not emptying
 	// its blocks) while its delivery lags more than this many epochs
@@ -97,19 +107,11 @@ type Config struct {
 	// servers and broadcasts a cancel once the block decodes — lowest
 	// latency, but a retriever's ingress carries up to N/K times the
 	// block size. Staged retrieval (true) asks exactly K = N−2F servers
-	// first, escalating to K+F and then all N on RetrievalStageDelay
+	// first, escalating to K+F and then all N on retrievalStageDelay
 	// timeouts — near-zero redundant download in the fault-free case, at
 	// the cost of added latency whenever a chosen server is slow. The
 	// abl-retrieval benchmark quantifies the tradeoff.
 	StagedRetrieval bool
-	// RetrievalStageDelay is the escalation timeout of staged retrieval.
-	// Zero means the default of 1 second.
-	RetrievalStageDelay time.Duration
-	// CatchupRetry is the re-request interval of the recovery status
-	// protocol: a restarted node re-broadcasts its StatusRequest this
-	// often until it has caught up with the cluster's decisions. Zero
-	// means the default of 1 second.
-	CatchupRetry time.Duration
 	// RetainEpochs, when positive, garbage-collects per-epoch state
 	// (VID chunk stores, agreement instances, retrieval records) once an
 	// epoch is more than RetainEpochs behind this node's delivery
@@ -141,27 +143,6 @@ type Config struct {
 	// (default statesync.DefaultPointEvery). Only meaningful with
 	// StateSync.
 	SyncPointEvery uint64
-}
-
-func (c Config) stageDelay() time.Duration {
-	if c.RetrievalStageDelay == 0 {
-		return time.Second
-	}
-	return c.RetrievalStageDelay
-}
-
-func (c Config) catchupRetry() time.Duration {
-	if c.CatchupRetry == 0 {
-		return time.Second
-	}
-	return c.CatchupRetry
-}
-
-func (c Config) lagLimit() uint64 {
-	if c.LagLimit == 0 {
-		return 1
-	}
-	return c.LagLimit
 }
 
 func (c Config) syncPointEvery() uint64 {
@@ -427,6 +408,13 @@ func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
 		Txs:      txs,
 	}
 	e.myBlocks[epoch] = blk
+	if e.cfg.Mode.resubmits() && len(txs) > 0 && e.isDecided(epoch) {
+		// The epoch decided while the batch was being gathered: we had
+		// dispersed nothing, so our BA output 0 and onEpochDecided found no
+		// block to resubmit. Without linking this block can never commit;
+		// its transactions go back to the mempool now.
+		e.actions = append(e.actions, ResubmitAction{Txs: txs})
+	}
 	enc := blk.Encode()
 	chunks, _, err := avid.Disperse(e.params, enc)
 	if err != nil {
@@ -857,7 +845,7 @@ func (e *Engine) maybeSolicitProposal() {
 		return
 	}
 	empty := false
-	if e.cfg.Mode == ModeDLCoupled && next-1 > e.deliveredEpoch+e.cfg.lagLimit() {
+	if e.cfg.Mode == ModeDLCoupled && next-1 > e.deliveredEpoch+lagLimit {
 		empty = true
 	}
 	if next <= e.decidedThrough {
@@ -976,7 +964,7 @@ func (e *Engine) requestChunks(key blockKey, rs *retrState, count int) {
 func (e *Engine) armRetrievalTimer(key blockKey) {
 	e.timerSeq++
 	e.timers[e.timerSeq] = key
-	e.actions = append(e.actions, TimerAction{After: e.cfg.stageDelay(), Token: e.timerSeq})
+	e.actions = append(e.actions, TimerAction{After: retrievalStageDelay, Token: e.timerSeq})
 }
 
 // HandleTimer processes a TimerAction callback: retrieval escalation

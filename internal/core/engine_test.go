@@ -397,6 +397,31 @@ func TestHBResubmitsDroppedBlocks(t *testing.T) {
 	}
 }
 
+// TestHBResubmitsProposalIntoDecidedEpoch pins the late-proposal case:
+// the epoch decides (self ∉ S, our BA at 0) while the replica is still
+// batching, so the answer to the pending solicitation targets a dead
+// slot. HB has no linking, so the transactions must come straight back.
+func TestHBResubmitsProposalIntoDecidedEpoch(t *testing.T) {
+	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeHB}, 1, 1)
+	c.start()
+	c.propose = []int{0, 1, 2} // node 3 sits on its solicitation
+	c.run()
+	S, ok := c.decided[3][1]
+	if !ok || len(S) != 3 {
+		t.Fatalf("node 3: epoch 1 decided=%v S=%v, want S={0,1,2}", ok, S)
+	}
+	txs := [][]byte{[]byte("late-a"), []byte("late-b")}
+	acts, err := c.engines[3].Propose(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.apply(3, acts)
+	if len(c.resubmits[3]) != 1 || len(c.resubmits[3][0]) != 2 ||
+		!bytes.Equal(c.resubmits[3][0][0], txs[0]) || !bytes.Equal(c.resubmits[3][0][1], txs[1]) {
+		t.Fatalf("transactions proposed into a decided HB epoch were not resubmitted: %q", c.resubmits[3])
+	}
+}
+
 func TestDLNeverResubmits(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDL}, seed, 3)

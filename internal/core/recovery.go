@@ -758,7 +758,7 @@ func (e *Engine) requestStatus() {
 	}
 	e.timerSeq++
 	e.catchupToken = e.timerSeq
-	e.actions = append(e.actions, TimerAction{After: e.cfg.catchupRetry(), Token: e.timerSeq})
+	e.actions = append(e.actions, TimerAction{After: catchupRetry, Token: e.timerSeq})
 }
 
 func (e *Engine) finishCatchup() {

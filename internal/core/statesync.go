@@ -86,7 +86,7 @@ func (e *Engine) startStateSync() {
 func (e *Engine) armSyncTimer() {
 	e.timerSeq++
 	e.syncToken = e.timerSeq
-	e.actions = append(e.actions, TimerAction{After: e.cfg.catchupRetry(), Token: e.timerSeq})
+	e.actions = append(e.actions, TimerAction{After: catchupRetry, Token: e.timerSeq})
 }
 
 // syncTick drives the syncer's retry logic (donor rotation, re-pulls,

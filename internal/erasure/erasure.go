@@ -21,7 +21,6 @@ var (
 	ErrTooFewShards   = errors.New("erasure: not enough shards to reconstruct")
 	ErrShardSize      = errors.New("erasure: shards have inconsistent or zero size")
 	ErrInvalidParams  = errors.New("erasure: invalid code parameters")
-	ErrShortData      = errors.New("erasure: data does not fit the declared length")
 	ErrInvalidPadding = errors.New("erasure: corrupt length prefix in decoded data")
 )
 
@@ -52,12 +51,6 @@ func New(k, n int) (*Coder, error) {
 	}
 	return &Coder{k: k, n: n, matrix: vm.Mul(topInv)}, nil
 }
-
-// DataShards returns k, the number of shards needed to reconstruct.
-func (c *Coder) DataShards() int { return c.k }
-
-// TotalShards returns n, the total number of shards produced by Split.
-func (c *Coder) TotalShards() int { return c.n }
 
 // ShardSize returns the size of each shard produced for a block of
 // dataLen bytes. The block is prefixed with its length (4 bytes) and padded

@@ -1,7 +1,7 @@
 // Package harness assembles full DispersedLedger clusters on the network
 // emulator and runs the paper's experiments. Every figure and table of
-// the evaluation (§6 and appendix A) has a runner here; cmd/dlbench and
-// bench_test.go print their outputs in the paper's shape.
+// the evaluation (§6 and appendix A) has a runner here; cmd/dlbench
+// prints their outputs in the paper's shape.
 package harness
 
 import (
@@ -99,7 +99,9 @@ type Cluster struct {
 	// dispatches to the gateway hub first, then to it. It survives
 	// Crash/Restart re-wiring.
 	userHook []func(replica.Delivery)
-	opts     ClusterOptions
+	// running is set by Start: from then on boot starts what it builds.
+	running bool
+	opts    ClusterOptions
 }
 
 // hubExec runs gateway submissions against a node's CURRENT replica
@@ -145,16 +147,49 @@ const harnessTraceRing = 8192
 // activity, not the whole run.
 const harnessFlightRing = 16384
 
-// nodeParams returns the replica parameters for (re)building node i,
-// minting a fresh telemetry bundle for the new incarnation when
-// telemetry is on.
-func (c *Cluster) nodeParams(i int) replica.Params {
+// boot builds node i's next incarnation over st and wires it in: a
+// fresh telemetry bundle, a fresh alive flag (the dead incarnation's
+// leftover timers keep the old one), delivery dispatch to the gateway
+// hub — looked up per delivery, so hubs built later and SetDeliverHook
+// compose — and then to hook, and the network handler. On a running
+// cluster the node starts at once (hook already in place: recovery can
+// deliver blocks synchronously during Start) and its gateway clients
+// resubmit their uncommitted transactions, as dlclient does on
+// reconnect.
+func (c *Cluster) boot(i int, cfg core.Config, st store.Store, hook func(replica.Delivery)) error {
 	params := c.opts.Replica
 	if c.opts.Telemetry {
 		c.Tels[i] = telemetry.New(telemetry.Options{TraceRing: harnessTraceRing, FlightRing: harnessFlightRing})
 		params.Telemetry = c.Tels[i]
 	}
-	return params
+	alive := new(bool)
+	*alive = true
+	r, err := replica.NewWithStore(cfg, i, params, st,
+		&simCtx{sim: c.Sim, net: c.Net, self: i, alive: alive})
+	if err != nil {
+		return err
+	}
+	c.userHook[i] = hook
+	c.Replicas[i] = r
+	c.alive[i] = alive
+	r.OnDeliver = func(d replica.Delivery) {
+		if c.Hubs != nil {
+			c.Hubs[i].OnDeliver(d)
+		}
+		if fn := c.userHook[i]; fn != nil {
+			fn(d)
+		}
+	}
+	c.Net.SetHandler(i, func(env wire.Envelope) { r.OnEnvelope(env) })
+	if c.running {
+		r.Start()
+		for _, cl := range c.clients {
+			if cl.node == i {
+				cl.resubmit()
+			}
+		}
+	}
+	return nil
 }
 
 // NewCluster builds the emulated cluster (not yet started).
@@ -181,36 +216,32 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Ingress:        opts.Ingress,
 		PriorityWeight: opts.PriorityWeight,
 	})
-	c := &Cluster{Sim: sim, Net: net, opts: opts}
-	if opts.Telemetry {
-		c.Tels = make([]*telemetry.Metrics, opts.Core.N)
+	n := opts.Core.N
+	c := &Cluster{
+		Sim: sim, Net: net, opts: opts,
+		Replicas: make([]*replica.Replica, n),
+		Stores:   make([]*store.MemStore, n),
+		alive:    make([]*bool, n),
+		userHook: make([]func(replica.Delivery), n),
 	}
-	for i := 0; i < opts.Core.N; i++ {
+	if opts.Telemetry {
+		c.Tels = make([]*telemetry.Metrics, n)
+	}
+	for i := 0; i < n; i++ {
 		var st store.Store = store.NewNoop()
-		var mem *store.MemStore
 		if opts.Durable {
-			mem = store.NewMem()
-			st = mem
+			c.Stores[i] = store.NewMem()
+			st = c.Stores[i]
 		}
-		alive := new(bool)
-		*alive = true
-		r, err := replica.NewWithStore(opts.Core, i, c.nodeParams(i), st,
-			&simCtx{sim: sim, net: net, self: i, alive: alive})
-		if err != nil {
+		if err := c.boot(i, opts.Core, st, nil); err != nil {
 			return nil, err
 		}
-		i := i
-		net.SetHandler(i, func(env wire.Envelope) { r.OnEnvelope(env) })
-		c.Replicas = append(c.Replicas, r)
-		c.Stores = append(c.Stores, mem)
-		c.alive = append(c.alive, alive)
 	}
-	c.userHook = make([]func(replica.Delivery), opts.Core.N)
 	if opts.Clients > 0 {
-		c.Hubs = make([]*gateway.Hub, opts.Core.N)
+		c.Hubs = make([]*gateway.Hub, n)
 		for i := range c.Hubs {
 			c.Hubs[i] = gateway.NewHub(hubExec{c, i}, gateway.Options{
-				N: opts.Core.N, F: opts.Core.F,
+				N: n, F: opts.Core.F,
 				// In simulated time a real 250 ms hint would stall the
 				// clients pointlessly; one batch delay is the natural
 				// backoff quantum.
@@ -220,24 +251,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 			})
 		}
 	}
-	for i := 0; i < opts.Core.N; i++ {
-		c.installDispatch(i)
-	}
 	return c, nil
-}
-
-// installDispatch wires a node's replica.OnDeliver to the gateway hub
-// (when present) followed by the user hook. Looked up dynamically so
-// SetDeliverHook and Restart compose.
-func (c *Cluster) installDispatch(i int) {
-	c.Replicas[i].OnDeliver = func(d replica.Delivery) {
-		if c.Hubs != nil {
-			c.Hubs[i].OnDeliver(d)
-		}
-		if fn := c.userHook[i]; fn != nil {
-			fn(d)
-		}
-	}
 }
 
 // SetDeliverHook installs (or replaces) node i's delivery observer. The
@@ -265,35 +279,13 @@ func (c *Cluster) Crash(i int) {
 // Restart boots a fresh node i from its surviving store. Reopening
 // fences the dead incarnation's handle, so its leftover timer callbacks
 // cannot corrupt the state the successor recovered. onDeliver (may be
-// nil) is installed before Start, because recovery can deliver blocks
-// synchronously during Start — a hook installed afterward would miss
-// them.
+// nil) is the new incarnation's delivery observer.
 func (c *Cluster) Restart(i int, onDeliver func(replica.Delivery)) error {
 	if c.Stores[i] == nil {
 		return fmt.Errorf("harness: Restart(%d) requires ClusterOptions.Durable", i)
 	}
 	c.Stores[i] = c.Stores[i].Reopen()
-	alive := new(bool)
-	*alive = true
-	r, err := replica.NewWithStore(c.opts.Core, i, c.nodeParams(i), c.Stores[i],
-		&simCtx{sim: c.Sim, net: c.Net, self: i, alive: alive})
-	if err != nil {
-		return err
-	}
-	c.userHook[i] = onDeliver
-	c.Replicas[i] = r
-	c.alive[i] = alive
-	c.installDispatch(i)
-	c.Net.SetHandler(i, func(env wire.Envelope) { r.OnEnvelope(env) })
-	r.Start()
-	// Gateway clients of a restarted node resubmit their uncommitted
-	// transactions, exactly as dlclient does on reconnect.
-	for _, cl := range c.clients {
-		if cl.node == i {
-			cl.resubmit()
-		}
-	}
-	return nil
+	return c.boot(i, c.opts.Core, c.Stores[i], onDeliver)
 }
 
 // Hold excludes node i from the initial boot: it neither starts nor
@@ -333,29 +325,12 @@ func (c *Cluster) AddNode(i int, onDeliver func(replica.Delivery)) error {
 		c.Stores[i] = store.NewMem()
 		st = c.Stores[i]
 	}
-	alive := new(bool)
-	*alive = true
-	r, err := replica.NewWithStore(cfg, i, c.nodeParams(i), st,
-		&simCtx{sim: c.Sim, net: c.Net, self: i, alive: alive})
-	if err != nil {
-		return err
-	}
-	c.userHook[i] = onDeliver
-	c.Replicas[i] = r
-	c.alive[i] = alive
-	c.installDispatch(i)
-	c.Net.SetHandler(i, func(env wire.Envelope) { r.OnEnvelope(env) })
-	r.Start()
-	for _, cl := range c.clients {
-		if cl.node == i {
-			cl.resubmit()
-		}
-	}
-	return nil
+	return c.boot(i, cfg, st, onDeliver)
 }
 
 // Start boots all replicas and installs the workload.
 func (c *Cluster) Start() {
+	c.running = true
 	for i, r := range c.Replicas {
 		if c.held[i] {
 			continue

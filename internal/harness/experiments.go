@@ -198,8 +198,11 @@ type LatencyParams struct {
 	// carries the per-segment lifecycle latency panel.
 	Telemetry bool
 
-	batchDelay time.Duration // optional override (abl-batch)
-	batchBytes int           // optional override, paper-equivalent (abl-batch)
+	// BatchDelay and BatchBytes, when set, override the Nagle thresholds
+	// (the abl-batch sweep). BatchBytes is paper-equivalent: it is scaled
+	// alongside bandwidth.
+	BatchDelay time.Duration
+	BatchBytes int
 }
 
 // LagGuardResult reports the abl-lag ablation: throughput and the final
@@ -243,22 +246,6 @@ func RunLagGuard(maxLag uint64, duration time.Duration, seed int64) (*LagGuardRe
 	}
 	res.Throughput, res.FinalLag = th.Mean(), lag.Mean()
 	return res, nil
-}
-
-// RunGeoStaged is RunGeo with the retrieval policy made explicit, used by
-// the abl-retrieval benchmark.
-func RunGeoStaged(p GeoParams, staged bool) (*GeoResult, error) {
-	p.StagedRetrieval = staged
-	return RunGeo(p)
-}
-
-// RunLatencyWithBatch is RunLatency with overridden Nagle thresholds,
-// used by the abl-batch benchmark. batchBytes is paper-equivalent (it is
-// scaled internally alongside bandwidth); zero keeps the default.
-func RunLatencyWithBatch(p LatencyParams, batchDelay time.Duration, batchBytes int) (*LatencyResult, error) {
-	p.batchDelay = batchDelay
-	p.batchBytes = batchBytes
-	return RunLatency(p)
 }
 
 // StageLatency summarizes one epoch-lifecycle segment's telemetry
@@ -312,11 +299,11 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 	n := len(p.Cities)
 	samples := int(p.Duration/time.Second) + 2
 	rp := ScaledReplicaParams(p.Scale)
-	if p.batchDelay != 0 {
-		rp.BatchDelay = p.batchDelay
+	if p.BatchDelay != 0 {
+		rp.BatchDelay = p.BatchDelay
 	}
-	if p.batchBytes != 0 {
-		rp.BatchBytes = int(float64(p.batchBytes) * p.Scale)
+	if p.BatchBytes != 0 {
+		rp.BatchBytes = int(float64(p.BatchBytes) * p.Scale)
 	}
 	c, err := NewCluster(ClusterOptions{
 		Core:        core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},

@@ -9,7 +9,7 @@ import (
 )
 
 // Short, scaled-down runs: the full paper-shaped sweeps live in the
-// benchmark harness (bench_test.go, cmd/dlbench); these tests verify the
+// benchmark harness (cmd/dlbench); these tests verify the
 // runners work and the headline qualitative claims hold.
 
 func TestFig2ShapeAVIDMBeatsAVIDFP(t *testing.T) {

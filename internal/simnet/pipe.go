@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sort"
 	"time"
 
 	"dledger/internal/trace"
@@ -170,14 +169,4 @@ func (p *pipe) unsend(match func(*packet) bool) int64 {
 		}
 	}
 	return dropped
-}
-
-// streamBacklog reports queued low-priority streams, for testing.
-func (p *pipe) streamBacklog() []uint64 {
-	var out []uint64
-	for s := range p.low {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

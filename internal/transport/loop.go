@@ -1,6 +1,7 @@
 // Package transport runs DispersedLedger replicas over real networks.
 //
-// Two backends share one node model:
+// Two backends share one node model (options in, a replica on its own
+// event loop out, reached through Submit, Inspect and Close):
 //
 //   - Memory: an in-process backend connecting nodes with channels, used
 //     by the public API's NewCluster and the quickstart example.
@@ -22,7 +23,32 @@ package transport
 import (
 	"sync"
 	"time"
+
+	"dledger/internal/replica"
 )
+
+// node is what both backends embed: one replica, which is a
+// single-threaded state machine, and the event loop it runs on.
+type node struct {
+	loop *eventLoop
+	rep  *replica.Replica
+}
+
+// Submit hands a transaction to the node's mempool.
+func (n *node) Submit(tx []byte) {
+	n.loop.post(func() { n.rep.Submit(tx) })
+}
+
+// Inspect runs fn on the node's event loop and waits for it, giving safe
+// access to the replica (e.g. its Stats).
+func (n *node) Inspect(fn func(r *replica.Replica)) {
+	done := make(chan struct{})
+	n.loop.post(func() {
+		fn(n.rep)
+		close(done)
+	})
+	<-done
+}
 
 // eventLoop serializes all work of one node onto one goroutine.
 type eventLoop struct {

@@ -2,142 +2,124 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dledger/internal/core"
 	"dledger/internal/replica"
 	"dledger/internal/store"
-	"dledger/internal/telemetry"
 	"dledger/internal/wire"
 )
 
-// MemoryCluster runs a full cluster in one process, connecting nodes with
-// channels. Unlike the simnet emulator it runs in real time with real
-// concurrency — it is the backend of the public API and the quickstart
+// MemoryNet connects the nodes of one in-process cluster with channels.
+// Unlike the simnet emulator it runs in real time with real concurrency
+// — it is the backend of the public API's NewCluster and the quickstart
 // example, and doubles as a stress test of the replica's event-loop
-// threading model.
-type MemoryCluster struct {
-	nodes []*memNode
-}
-
-type memNode struct {
-	self    int
-	loop    *eventLoop
-	cluster *MemoryCluster
-	replica *replica.Replica
+// threading model. It plays the part of the TCP mesh: nodes are built
+// one at a time with NewMemoryNode, and the replicas start once every
+// slot is taken (a TCP node dials until its peers listen; a channel has
+// nobody to redial, so nothing is sent before the net is complete).
+type MemoryNet struct {
 	// delay is an optional artificial one-way latency between nodes.
 	delay time.Duration
+
+	mu     sync.Mutex
+	nodes  []*MemoryNode
+	joined int
 }
 
-// memCtx implements replica.Context on the node's event loop.
-func (n *memNode) Now() time.Duration { return n.loop.now() }
+// NewMemoryNet makes the net of an n-node in-process cluster; delay is
+// an artificial one-way message latency (0 = none).
+func NewMemoryNet(n int, delay time.Duration) *MemoryNet {
+	return &MemoryNet{delay: delay, nodes: make([]*MemoryNode, n)}
+}
 
-func (n *memNode) Send(to int, env wire.Envelope, prio wire.Priority, stream uint64) {
-	peer := n.cluster.nodes[to]
-	deliver := func() { peer.loop.post(func() { peer.replica.OnEnvelope(env) }) }
-	if n.delay > 0 {
-		time.AfterFunc(n.delay, deliver)
+// MemoryOptions configures one node of a MemoryNet: TCPOptions without
+// the sockets.
+type MemoryOptions struct {
+	Core    core.Config
+	Replica replica.Params
+	Self    int
+	// Net is the cluster's net; Core.N must be its size.
+	Net *MemoryNet
+	// Store, when set, is the node's durable store, with TCPOptions.Store's
+	// contract: recovered before the node starts, owned and closed by the
+	// caller. Nil means no durability.
+	Store store.Store
+	// OnDeliver observes delivered blocks (called on the node's loop).
+	OnDeliver func(replica.Delivery)
+}
+
+// MemoryNode is one DispersedLedger node on a MemoryNet.
+type MemoryNode struct {
+	node
+	net *MemoryNet
+}
+
+// NewMemoryNode builds node opts.Self and takes its slot of opts.Net.
+// Its loop runs at once (Submit queues into the mempool, Inspect sees
+// the recovered state); its replica starts when the net's last slot is
+// taken.
+func NewMemoryNode(opts MemoryOptions) (*MemoryNode, error) {
+	m := opts.Net
+	if opts.Self < 0 || opts.Self >= len(m.nodes) || len(m.nodes) != opts.Core.N {
+		return nil, fmt.Errorf("transport: bad Self/Net for N=%d", opts.Core.N)
+	}
+	if opts.Core.CoinSecret == nil {
+		opts.Core.CoinSecret = []byte("memory cluster coin secret")
+	}
+	st := opts.Store
+	if st == nil {
+		st = store.NewNoop()
+	}
+	n := &MemoryNode{node: node{loop: newEventLoop()}, net: m}
+	rep, err := replica.NewWithStore(opts.Core, opts.Self, opts.Replica, st, (*memCtx)(n))
+	if err != nil {
+		n.loop.close()
+		return nil, err
+	}
+	if opts.OnDeliver != nil {
+		rep.OnDeliver = opts.OnDeliver
+	}
+	n.rep = rep
+
+	m.mu.Lock()
+	if m.nodes[opts.Self] != nil {
+		m.mu.Unlock()
+		n.loop.close()
+		return nil, fmt.Errorf("transport: memory node %d already exists", opts.Self)
+	}
+	m.nodes[opts.Self] = n
+	m.joined++
+	complete := m.joined == len(m.nodes)
+	m.mu.Unlock()
+	if complete {
+		// From here on the slots are read-only, so Send reads them
+		// without the lock: every loop learns of them through this post.
+		for _, peer := range m.nodes {
+			peer.loop.post(peer.rep.Start)
+		}
+	}
+	return n, nil
+}
+
+// memCtx adapts MemoryNode to replica.Context.
+type memCtx MemoryNode
+
+func (c *memCtx) Now() time.Duration { return c.loop.now() }
+
+func (c *memCtx) Send(to int, env wire.Envelope, prio wire.Priority, stream uint64) {
+	peer := c.net.nodes[to]
+	deliver := func() { peer.loop.post(func() { peer.rep.OnEnvelope(env) }) }
+	if c.net.delay > 0 {
+		time.AfterFunc(c.net.delay, deliver)
 	} else {
 		deliver()
 	}
 }
 
-func (n *memNode) After(d time.Duration, fn func()) { n.loop.after(d, fn) }
+func (c *memCtx) After(d time.Duration, fn func()) { c.loop.after(d, fn) }
 
-// MemoryOptions configures an in-process cluster.
-type MemoryOptions struct {
-	Core    core.Config
-	Replica replica.Params
-	// Delay is an artificial one-way message latency (0 = none).
-	Delay time.Duration
-	// Stores, when set, provides each node's durable store (len must be
-	// N); nodes recover whatever state the stores hold. Nil runs every
-	// node without durability (zero persistence overhead). The caller
-	// retains ownership (and closing) of provided stores.
-	Stores []store.Store
-	// OnDeliver, when set, is installed on every replica (called on the
-	// node's event loop).
-	OnDeliver func(node int, d replica.Delivery)
-	// Telemetry, when set, provides each node's telemetry bundle (len
-	// must be N; entries may be nil). It overrides Replica.Telemetry,
-	// which — being shared across nodes — must stay nil.
-	Telemetry []*telemetry.Metrics
-}
-
-// NewMemoryCluster builds and starts an in-process cluster.
-func NewMemoryCluster(opts MemoryOptions) (*MemoryCluster, error) {
-	if opts.Core.CoinSecret == nil {
-		opts.Core.CoinSecret = []byte("memory cluster coin secret")
-	}
-	if opts.Stores != nil && len(opts.Stores) != opts.Core.N {
-		return nil, fmt.Errorf("transport: %d stores for N=%d", len(opts.Stores), opts.Core.N)
-	}
-	if opts.Telemetry != nil && len(opts.Telemetry) != opts.Core.N {
-		return nil, fmt.Errorf("transport: %d telemetry bundles for N=%d", len(opts.Telemetry), opts.Core.N)
-	}
-	c := &MemoryCluster{}
-	for i := 0; i < opts.Core.N; i++ {
-		n := &memNode{self: i, loop: newEventLoop(), cluster: c, delay: opts.Delay}
-		st := store.Store(nil)
-		if opts.Stores != nil {
-			st = opts.Stores[i]
-		}
-		if st == nil {
-			st = store.NewNoop()
-		}
-		params := opts.Replica
-		if opts.Telemetry != nil {
-			params.Telemetry = opts.Telemetry[i]
-		}
-		r, err := replica.NewWithStore(opts.Core, i, params, st, n)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if opts.OnDeliver != nil {
-			i := i
-			r.OnDeliver = func(d replica.Delivery) { opts.OnDeliver(i, d) }
-		}
-		n.replica = r
-		c.nodes = append(c.nodes, n)
-	}
-	for _, n := range c.nodes {
-		n := n
-		n.loop.post(func() { n.replica.Start() })
-	}
-	return c, nil
-}
-
-// Submit hands a transaction to node i's mempool.
-func (c *MemoryCluster) Submit(i int, tx []byte) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("transport: node %d out of range", i)
-	}
-	n := c.nodes[i]
-	n.loop.post(func() { n.replica.Submit(tx) })
-	return nil
-}
-
-// Inspect runs fn on node i's event loop and waits for it, giving safe
-// access to the replica (e.g. its Stats).
-func (c *MemoryCluster) Inspect(i int, fn func(r *replica.Replica)) {
-	done := make(chan struct{})
-	n := c.nodes[i]
-	n.loop.post(func() {
-		fn(n.replica)
-		close(done)
-	})
-	<-done
-}
-
-// N returns the cluster size.
-func (c *MemoryCluster) N() int { return len(c.nodes) }
-
-// Close stops all event loops.
-func (c *MemoryCluster) Close() {
-	for _, n := range c.nodes {
-		if n != nil {
-			n.loop.close()
-		}
-	}
-}
+// Close stops the node's event loop; traffic sent to it afterwards is
+// dropped.
+func (n *MemoryNode) Close() { n.loop.close() }

@@ -72,9 +72,8 @@ type TCPOptions struct {
 
 // TCPNode is one DispersedLedger node on a TCP mesh.
 type TCPNode struct {
+	node
 	self  int
-	loop  *eventLoop
-	rep   *replica.Replica
 	ln    net.Listener
 	keys  *Keyring
 	wrap  func(net.Conn) net.Conn
@@ -193,7 +192,8 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 		}
 	}
 	n := &TCPNode{
-		self: opts.Self, loop: newEventLoop(), keys: opts.Keys, wrap: opts.Wrap,
+		node: node{loop: newEventLoop()},
+		self: opts.Self, keys: opts.Keys, wrap: opts.Wrap,
 		recv: map[[2]int]*recvState{},
 		tel:  newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
 	}
@@ -265,21 +265,6 @@ func (c *tcpCtx) Unsend(to int, epoch uint64, proposer int) {
 
 // Addr returns the node's actual listen address.
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
-
-// Submit hands a transaction to the node's mempool.
-func (n *TCPNode) Submit(tx []byte) {
-	n.loop.post(func() { n.rep.Submit(tx) })
-}
-
-// Inspect runs fn on the node's event loop and waits for it.
-func (n *TCPNode) Inspect(fn func(r *replica.Replica)) {
-	done := make(chan struct{})
-	n.loop.post(func() {
-		fn(n.rep)
-		close(done)
-	})
-	<-done
-}
 
 // Close shuts the node down.
 func (n *TCPNode) Close() {

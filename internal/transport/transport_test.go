@@ -25,28 +25,57 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 	t.Fatal("timeout: " + msg)
 }
 
+// memCluster is every node of one MemoryNet — the in-process twin of
+// the slice newTCPCluster returns.
+type memCluster []*MemoryNode
+
+// newMemCluster builds all Core.N nodes from one option template; stores
+// and onDeliver (either may be nil) are handed out per node.
+func newMemCluster(t *testing.T, tmpl MemoryOptions, delay time.Duration, stores []store.Store, onDeliver func(node int, d replica.Delivery)) memCluster {
+	t.Helper()
+	tmpl.Net = NewMemoryNet(tmpl.Core.N, delay)
+	var c memCluster
+	for i := 0; i < tmpl.Core.N; i++ {
+		i, opts := i, tmpl
+		opts.Self = i
+		if stores != nil {
+			opts.Store = stores[i]
+		}
+		if onDeliver != nil {
+			opts.OnDeliver = func(d replica.Delivery) { onDeliver(i, d) }
+		}
+		n, err := NewMemoryNode(opts)
+		if err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		c = append(c, n)
+	}
+	return c
+}
+
+func (c memCluster) Close() {
+	for _, n := range c {
+		n.Close()
+	}
+}
+
 func TestMemoryClusterDelivers(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{} // node -> delivered tx count
-	c, err := NewMemoryCluster(MemoryOptions{
+	c := newMemCluster(t, MemoryOptions{
 		Core: core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{
 			BatchDelay: 20 * time.Millisecond,
 		},
-		OnDeliver: func(node int, d replica.Delivery) {
-			mu.Lock()
-			seen[node] += len(d.Txs)
-			mu.Unlock()
-		},
+	}, 0, nil, func(node int, d replica.Delivery) {
+		mu.Lock()
+		seen[node] += len(d.Txs)
+		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 	for i := 0; i < 4; i++ {
-		if err := c.Submit(i, workload.Make(i, 1, 0, 64)); err != nil {
-			t.Fatal(err)
-		}
+		c[i].Submit(workload.Make(i, 1, 0, 64))
 	}
 	waitFor(t, 10*time.Second, func() bool {
 		mu.Lock()
@@ -63,26 +92,21 @@ func TestMemoryClusterDelivers(t *testing.T) {
 func TestMemoryClusterIdenticalLogs(t *testing.T) {
 	var mu sync.Mutex
 	logs := make([][]string, 4)
-	c, err := NewMemoryCluster(MemoryOptions{
+	c := newMemCluster(t, MemoryOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond},
-		Delay:   2 * time.Millisecond,
-		OnDeliver: func(node int, d replica.Delivery) {
-			mu.Lock()
-			for _, tx := range d.Txs {
-				logs[node] = append(logs[node], fmt.Sprintf("%d-%d:%x", d.Epoch, d.Proposer, tx[:8]))
-			}
-			mu.Unlock()
-		},
+	}, 2*time.Millisecond, nil, func(node int, d replica.Delivery) {
+		mu.Lock()
+		for _, tx := range d.Txs {
+			logs[node] = append(logs[node], fmt.Sprintf("%d-%d:%x", d.Epoch, d.Proposer, tx[:8]))
+		}
+		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 	const perNode = 25
 	for i := 0; i < 4; i++ {
 		for k := 0; k < perNode; k++ {
-			c.Submit(i, workload.Make(i, uint32(k), 0, 128))
+			c[i].Submit(workload.Make(i, uint32(k), 0, 128))
 		}
 	}
 	waitFor(t, 20*time.Second, func() bool {
@@ -110,35 +134,40 @@ func TestMemoryClusterIdenticalLogs(t *testing.T) {
 	}
 }
 
-func TestMemoryClusterSubmitOutOfRange(t *testing.T) {
-	c, err := NewMemoryCluster(MemoryOptions{
-		Core: core.Config{N: 4, F: 1, Mode: core.ModeDL},
-	})
+// TestMemoryNodeValidation is TestTCPNodeValidation's twin: a node must
+// name a free slot of a net of its cluster's size.
+func TestMemoryNodeValidation(t *testing.T) {
+	opts := MemoryOptions{Core: core.Config{N: 4, F: 1, Mode: core.ModeDL}, Net: NewMemoryNet(4, 0)}
+	opts.Self = 7
+	if _, err := NewMemoryNode(opts); err == nil {
+		t.Fatal("out-of-range Self accepted")
+	}
+	opts.Self = 0
+	opts.Core.N = 7
+	if _, err := NewMemoryNode(opts); err == nil {
+		t.Fatal("net size != Core.N accepted")
+	}
+	opts.Core.N = 4
+	n, err := NewMemoryNode(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Submit(7, []byte("x")); err == nil {
-		t.Fatal("out-of-range submit accepted")
-	}
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
+	defer n.Close()
+	if _, err := NewMemoryNode(opts); err == nil {
+		t.Fatal("taken slot accepted")
 	}
 }
 
 func TestMemoryClusterInspect(t *testing.T) {
-	c, err := NewMemoryCluster(MemoryOptions{
+	c := newMemCluster(t, MemoryOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 0, nil, nil)
 	defer c.Close()
-	c.Submit(0, workload.Make(0, 1, 0, 64))
+	c[0].Submit(workload.Make(0, 1, 0, 64))
 	waitFor(t, 10*time.Second, func() bool {
 		var done bool
-		c.Inspect(0, func(r *replica.Replica) { done = r.Stats.DeliveredTxs >= 1 })
+		c[0].Inspect(func(r *replica.Replica) { done = r.Stats.DeliveredTxs >= 1 })
 		return done
 	}, "node 0 delivers its tx")
 }
@@ -262,38 +291,30 @@ func TestMemoryClusterRestartFromStores(t *testing.T) {
 	opts := MemoryOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond, CheckpointEvery: 2},
-		Stores:  stores,
 	}
-	c, err := NewMemoryCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newMemCluster(t, opts, 0, stores, nil)
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 10; k++ {
-			c.Submit(i, workload.Make(i, uint32(k), 0, 100))
+			c[i].Submit(workload.Make(i, uint32(k), 0, 100))
 		}
 	}
 	var before int64
 	waitFor(t, 20*time.Second, func() bool {
-		c.Inspect(0, func(r *replica.Replica) { before = r.Stats.EpochsDelivered })
+		c[0].Inspect(func(r *replica.Replica) { before = r.Stats.EpochsDelivered })
 		return before >= 4
 	}, "first incarnation delivers epochs")
 	var txsBefore int64
-	c.Inspect(0, func(r *replica.Replica) { txsBefore = r.Stats.DeliveredTxs })
+	c[0].Inspect(func(r *replica.Replica) { txsBefore = r.Stats.DeliveredTxs })
 	c.Close()
 
 	for i := range stores {
 		mems[i] = mems[i].Reopen()
 		stores[i] = mems[i]
 	}
-	opts.Stores = stores
-	c2, err := NewMemoryCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := newMemCluster(t, opts, 0, stores, nil)
 	defer c2.Close()
 	var recovered, recoveredTxs int64
-	c2.Inspect(0, func(r *replica.Replica) {
+	c2[0].Inspect(func(r *replica.Replica) {
 		recovered = r.Stats.EpochsDelivered
 		recoveredTxs = r.Stats.DeliveredTxs
 	})
@@ -302,12 +323,12 @@ func TestMemoryClusterRestartFromStores(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 10; k++ {
-			c2.Submit(i, workload.Make(i, uint32(100+k), 0, 100))
+			c2[i].Submit(workload.Make(i, uint32(100+k), 0, 100))
 		}
 	}
 	waitFor(t, 20*time.Second, func() bool {
 		var now int64
-		c2.Inspect(0, func(r *replica.Replica) { now = r.Stats.EpochsDelivered })
+		c2[0].Inspect(func(r *replica.Replica) { now = r.Stats.EpochsDelivered })
 		return now > recovered
 	}, "restarted cluster keeps delivering")
 }
@@ -327,16 +348,12 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 	opts := MemoryOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 5 * time.Millisecond, CheckpointEvery: 2},
-		Stores:  stores,
 	}
 	for round := 0; round < 3; round++ {
-		c, err := NewMemoryCluster(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newMemCluster(t, opts, 0, stores, nil)
 		for i := 0; i < 4; i++ {
 			for k := 0; k < 20; k++ {
-				c.Submit(i, workload.Make(i, uint32(round*100+k), 0, 100))
+				c[i].Submit(workload.Make(i, uint32(round*100+k), 0, 100))
 			}
 		}
 		// 60 s: generous for a correctness (not timing) assertion — under
@@ -344,12 +361,12 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 		// cluster can be starved well past the usual 20 s.
 		waitFor(t, 60*time.Second, func() bool {
 			var done bool
-			c.Inspect(0, func(r *replica.Replica) {
+			c[0].Inspect(func(r *replica.Replica) {
 				done = r.Stats.EpochsDelivered >= int64(20*(round+1))
 			})
 			return done
 		}, "cluster delivers this round's epochs")
-		c.Inspect(0, func(r *replica.Replica) {
+		c[0].Inspect(func(r *replica.Replica) {
 			if r.Stats.EpochsDelivered != int64(r.Engine().DeliveredEpoch()) {
 				t.Errorf("round %d: EpochsDelivered=%d but engine at %d",
 					round, r.Stats.EpochsDelivered, r.Engine().DeliveredEpoch())
@@ -360,6 +377,5 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 			mems[i] = mems[i].Reopen()
 			stores[i] = mems[i]
 		}
-		opts.Stores = stores
 	}
 }
