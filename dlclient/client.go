@@ -19,7 +19,6 @@ package dlclient
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -212,7 +211,7 @@ func (c *Client) connect() error {
 		Name:      []byte(c.opts.Name),
 		Subscribe: !c.opts.NoSubscribe,
 	})
-	if err := writeFrame(bw, hello); err != nil {
+	if err := gateway.WriteFrame(bw, hello); err != nil {
 		conn.Close()
 		return err
 	}
@@ -261,7 +260,7 @@ func (c *Client) Submit(tx []byte) (Receipt, error) {
 	bw := c.bw
 	var err error
 	if bw != nil {
-		err = writeFrame(bw, gateway.EncodeSubmit(gateway.Submit{ReqID: id, Tx: tx}))
+		err = gateway.WriteFrame(bw, gateway.EncodeSubmit(gateway.Submit{ReqID: id, Tx: tx}))
 	}
 	if err != nil && c.conn != nil {
 		c.conn.Close() // the read loop reconnects and resubmits
@@ -316,21 +315,6 @@ func (c *Client) SubmitAndWait(tx []byte, timeout time.Duration) (Commit, error)
 	case <-c.genDone:
 		return Commit{}, ErrClosed
 	}
-}
-
-func writeFrame(bw *bufio.Writer, body []byte) error {
-	var lenBuf [4]byte
-	if len(body) > gateway.MaxFrame {
-		return gateway.ErrFrameTooBig
-	}
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := bw.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // readLoop consumes server frames, dispatching receipts and commits,
@@ -490,7 +474,7 @@ func (c *Client) reconnect() bool {
 		}
 		var err error
 		for _, f := range frames {
-			if err = writeFrame(bw, gateway.EncodeSubmit(gateway.Submit{ReqID: f.id, Tx: f.tx})); err != nil {
+			if err = gateway.WriteFrame(bw, gateway.EncodeSubmit(gateway.Submit{ReqID: f.id, Tx: f.tx})); err != nil {
 				break
 			}
 		}

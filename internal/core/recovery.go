@@ -60,7 +60,7 @@ type Snapshot struct {
 	// Blocks lists delivered blocks with their observation arrays
 	// (needed so later epochs' linking computations still have the
 	// observations, and so nothing is delivered twice).
-	Blocks []SnapBlock
+	Blocks []store.ManifestBlock
 	// MyBlocks carries this node's still-resident proposals (encoded),
 	// so a restarted node can re-disperse an in-flight block and serve
 	// its own undelivered blocks locally even after the WAL records that
@@ -81,14 +81,6 @@ type Snapshot struct {
 type SnapEpoch struct {
 	Epoch uint64
 	S     []int
-}
-
-// SnapBlock is one delivered block in a Snapshot.
-type SnapBlock struct {
-	Epoch    uint64
-	Proposer int
-	Bad      bool
-	V        []uint64 // nil when Bad or the observation was never kept
 }
 
 // SnapMyBlock is one resident own-proposal in a Snapshot.
@@ -125,14 +117,7 @@ func (e *Engine) Snapshot() *Snapshot {
 			s.Decided = append(s.Decided, SnapEpoch{Epoch: epoch, S: append([]int(nil), es.S...)})
 		}
 	}
-	for key := range e.delivered {
-		b := SnapBlock{Epoch: key.epoch, Proposer: key.proposer, Bad: true}
-		if rs := e.retr[key]; rs != nil && !rs.bad && rs.V != nil {
-			b.Bad = false
-			b.V = append([]uint64(nil), rs.V...)
-		}
-		s.Blocks = append(s.Blocks, b)
-	}
+	s.Blocks = e.deliveredBlocks(nil)
 	for epoch, blk := range e.myBlocks {
 		s.MyBlocks = append(s.MyBlocks, SnapMyBlock{Epoch: epoch, Block: blk.Encode()})
 	}
@@ -158,14 +143,29 @@ func (e *Engine) Snapshot() *Snapshot {
 		return s.Votes[a].Proposer < s.Votes[b].Proposer
 	})
 	sort.Slice(s.Decided, func(a, b int) bool { return s.Decided[a].Epoch < s.Decided[b].Epoch })
-	sort.Slice(s.Blocks, func(a, b int) bool {
-		if s.Blocks[a].Epoch != s.Blocks[b].Epoch {
-			return s.Blocks[a].Epoch < s.Blocks[b].Epoch
-		}
-		return s.Blocks[a].Proposer < s.Blocks[b].Proposer
-	})
 	sort.Slice(s.MyBlocks, func(a, b int) bool { return s.MyBlocks[a].Epoch < s.MyBlocks[b].Epoch })
 	return s
+}
+
+// deliveredBlocks lists the delivered blocks that keep passes (nil: all
+// of them), each with its observation array when one was kept, sorted by
+// (epoch, proposer) — the entries of a snapshot and of a state-sync
+// manifest.
+func (e *Engine) deliveredBlocks(keep func(blockKey) bool) []store.ManifestBlock {
+	var out []store.ManifestBlock
+	for key := range e.delivered {
+		if keep != nil && !keep(key) {
+			continue
+		}
+		b := store.ManifestBlock{Epoch: key.epoch, Proposer: key.proposer, Bad: true}
+		if rs := e.retr[key]; rs != nil && !rs.bad && rs.V != nil {
+			b.Bad = false
+			b.V = append([]uint64(nil), rs.V...)
+		}
+		out = append(out, b)
+	}
+	store.SortManifestBlocks(out)
+	return out
 }
 
 // ----- Snapshot codec (deterministic binary, like package wire) -----
@@ -177,10 +177,8 @@ func (s *Snapshot) Encode() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, s.DecidedThrough)
 	buf = binary.BigEndian.AppendUint64(buf, s.DeliveredEpoch)
 	buf = binary.BigEndian.AppendUint64(buf, s.PrunedThrough)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Watermark)))
-	for _, v := range s.Watermark {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
+	// One count for both per-node arrays.
+	buf = wire.AppendU64s(buf, s.Watermark)
 	for _, v := range s.LinkedFloor {
 		buf = binary.BigEndian.AppendUint64(buf, v)
 	}
@@ -194,28 +192,12 @@ func (s *Snapshot) Encode() []byte {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Blocks)))
 	for _, b := range s.Blocks {
-		buf = binary.BigEndian.AppendUint64(buf, b.Epoch)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(b.Proposer))
-		flags := byte(0)
-		if b.Bad {
-			flags |= 1
-		}
-		if b.V != nil {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		if b.V != nil {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(b.V)))
-			for _, v := range b.V {
-				buf = binary.BigEndian.AppendUint64(buf, v)
-			}
-		}
+		buf = b.AppendTo(buf)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.MyBlocks)))
 	for _, m := range s.MyBlocks {
 		buf = binary.BigEndian.AppendUint64(buf, m.Epoch)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Block)))
-		buf = append(buf, m.Block...)
+		buf = wire.AppendBytes(buf, m.Block)
 	}
 	// Vote section (appended last: snapshots from before vote persistence
 	// simply end here and decode with no votes).
@@ -223,20 +205,12 @@ func (s *Snapshot) Encode() []byte {
 	for _, v := range s.Votes {
 		buf = binary.BigEndian.AppendUint64(buf, v.Epoch)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(v.Proposer))
-		flags := byte(0)
-		if v.Halted {
-			flags |= 1
-		}
-		buf = append(buf, flags)
+		buf = wire.AppendBool(buf, v.Halted)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Votes)))
 		for _, vt := range v.Votes {
 			buf = append(buf, byte(vt.Kind))
 			buf = binary.BigEndian.AppendUint32(buf, vt.Round)
-			if vt.Value {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = wire.AppendBool(buf, vt.Value)
 		}
 	}
 	return buf
@@ -246,134 +220,28 @@ var errBadSnapshot = errors.New("core: malformed snapshot")
 
 // DecodeSnapshot parses Encode output.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	s := &Snapshot{}
-	if len(data) < 34 {
-		return nil, errBadSnapshot
+	r := wire.NewReader(data)
+	s := &Snapshot{LastProposed: r.U64(), DecidedThrough: r.U64(), DeliveredEpoch: r.U64(), PrunedThrough: r.U64()}
+	n := r.Count(int(r.U16()), 16)
+	s.Watermark, s.LinkedFloor = r.U64s(n), r.U64s(n)
+	for nd := r.Count(int(r.U32()), 10); nd > 0 && r.Err() == nil; nd-- {
+		s.Decided = append(s.Decided, SnapEpoch{Epoch: r.U64(), S: r.NodeIDs(int(r.U16()))})
 	}
-	s.LastProposed = binary.BigEndian.Uint64(data[0:8])
-	s.DecidedThrough = binary.BigEndian.Uint64(data[8:16])
-	s.DeliveredEpoch = binary.BigEndian.Uint64(data[16:24])
-	s.PrunedThrough = binary.BigEndian.Uint64(data[24:32])
-	n := int(binary.BigEndian.Uint16(data[32:34]))
-	data = data[34:]
-	if len(data) < 16*n+4 {
-		return nil, errBadSnapshot
+	s.Blocks = store.ReadManifestBlocks(r)
+	for nm := r.Count(int(r.U32()), 12); nm > 0 && r.Err() == nil; nm-- {
+		s.MyBlocks = append(s.MyBlocks, SnapMyBlock{Epoch: r.U64(), Block: r.Bytes32()})
 	}
-	s.Watermark = make([]uint64, n)
-	s.LinkedFloor = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		s.Watermark[i] = binary.BigEndian.Uint64(data[8*i:])
-	}
-	data = data[8*n:]
-	for i := 0; i < n; i++ {
-		s.LinkedFloor[i] = binary.BigEndian.Uint64(data[8*i:])
-	}
-	data = data[8*n:]
-	nd := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < nd; i++ {
-		if len(data) < 10 {
-			return nil, errBadSnapshot
-		}
-		d := SnapEpoch{Epoch: binary.BigEndian.Uint64(data[0:8])}
-		ns := int(binary.BigEndian.Uint16(data[8:10]))
-		data = data[10:]
-		if len(data) < 2*ns {
-			return nil, errBadSnapshot
-		}
-		d.S = make([]int, ns)
-		for k := 0; k < ns; k++ {
-			d.S[k] = int(binary.BigEndian.Uint16(data[2*k:]))
-		}
-		data = data[2*ns:]
-		s.Decided = append(s.Decided, d)
-	}
-	if len(data) < 4 {
-		return nil, errBadSnapshot
-	}
-	nb := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < nb; i++ {
-		if len(data) < 11 {
-			return nil, errBadSnapshot
-		}
-		b := SnapBlock{
-			Epoch:    binary.BigEndian.Uint64(data[0:8]),
-			Proposer: int(binary.BigEndian.Uint16(data[8:10])),
-		}
-		flags := data[10]
-		b.Bad = flags&1 != 0
-		data = data[11:]
-		if flags&2 != 0 {
-			if len(data) < 2 {
-				return nil, errBadSnapshot
+	// A pre-vote-persistence snapshot ends here: no vote section.
+	if r.Len() > 0 {
+		for nv := r.Count(int(r.U32()), 15); nv > 0 && r.Err() == nil; nv-- {
+			v := SnapVotes{Epoch: r.U64(), Proposer: int(r.U16()), Halted: r.U8()&1 != 0}
+			for cnt := r.Count(int(r.U32()), 6); cnt > 0; cnt-- {
+				v.Votes = append(v.Votes, ba.Vote{Kind: ba.VoteKind(r.U8()), Round: r.U32(), Value: r.Bool()})
 			}
-			nv := int(binary.BigEndian.Uint16(data))
-			data = data[2:]
-			if len(data) < 8*nv {
-				return nil, errBadSnapshot
-			}
-			b.V = make([]uint64, nv)
-			for k := 0; k < nv; k++ {
-				b.V[k] = binary.BigEndian.Uint64(data[8*k:])
-			}
-			data = data[8*nv:]
+			s.Votes = append(s.Votes, v)
 		}
-		s.Blocks = append(s.Blocks, b)
 	}
-	if len(data) < 4 {
-		return nil, errBadSnapshot
-	}
-	nm := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < nm; i++ {
-		if len(data) < 12 {
-			return nil, errBadSnapshot
-		}
-		m := SnapMyBlock{Epoch: binary.BigEndian.Uint64(data[0:8])}
-		bl := int(binary.BigEndian.Uint32(data[8:12]))
-		data = data[12:]
-		if len(data) < bl {
-			return nil, errBadSnapshot
-		}
-		m.Block = append([]byte(nil), data[:bl]...)
-		data = data[bl:]
-		s.MyBlocks = append(s.MyBlocks, m)
-	}
-	if len(data) == 0 {
-		// Pre-vote-persistence snapshot: no vote section.
-		return s, nil
-	}
-	if len(data) < 4 {
-		return nil, errBadSnapshot
-	}
-	nv := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < nv; i++ {
-		if len(data) < 15 {
-			return nil, errBadSnapshot
-		}
-		v := SnapVotes{
-			Epoch:    binary.BigEndian.Uint64(data[0:8]),
-			Proposer: int(binary.BigEndian.Uint16(data[8:10])),
-			Halted:   data[10]&1 != 0,
-		}
-		cnt := int(binary.BigEndian.Uint32(data[11:15]))
-		data = data[15:]
-		if len(data) < 6*cnt {
-			return nil, errBadSnapshot
-		}
-		for k := 0; k < cnt; k++ {
-			v.Votes = append(v.Votes, ba.Vote{
-				Kind:  ba.VoteKind(data[6*k]),
-				Round: binary.BigEndian.Uint32(data[6*k+1:]),
-				Value: data[6*k+5] != 0,
-			})
-		}
-		data = data[6*cnt:]
-		s.Votes = append(s.Votes, v)
-	}
-	if len(data) != 0 {
+	if r.Done() != nil {
 		return nil, errBadSnapshot
 	}
 	return s, nil

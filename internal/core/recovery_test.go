@@ -101,7 +101,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			{Epoch: 10, S: []int{0, 1, 3}},
 			{Epoch: 11, S: []int{1, 2, 3}},
 		},
-		Blocks: []SnapBlock{
+		Blocks: []store.ManifestBlock{
 			{Epoch: 9, Proposer: 2, V: []uint64{8, 8, 8, 8}},
 			{Epoch: 10, Proposer: 0, Bad: true},
 		},

@@ -18,7 +18,6 @@ package core
 //     recovers instead of sticking at the join point forever.
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"dledger/internal/avid"
@@ -214,17 +213,12 @@ func (e *Engine) chunkInventoryPage(target uint64, page uint32) (data []byte, la
 				return buf, false // records beyond this page remain
 			}
 			if off >= start {
-				buf = appendU32Bytes(buf, store.EncodeChunkRecord(rec))
+				buf = wire.AppendBytes(buf, store.EncodeChunkRecord(rec))
 			}
 			off += store.ChunkRecordSize(rec) + 4
 		}
 	}
 	return buf, true
-}
-
-func appendU32Bytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
 }
 
 // ----- Joiner side -----
@@ -351,25 +345,10 @@ func (e *Engine) installManifest(m *store.Manifest) bool {
 // make synced nodes attest manifest hashes no full node ever matches.
 // Sorted, so the action stream stays replayable byte-for-byte.
 func (e *Engine) frontierBlocks(u uint64) []store.ManifestBlock {
-	var out []store.ManifestBlock
-	for key := range e.delivered {
-		if key.epoch <= e.linkedFloor[key.proposer] || key.epoch <= e.horizonFloor(u) {
-			continue
-		}
-		b := store.ManifestBlock{Epoch: key.epoch, Proposer: key.proposer, Bad: true}
-		if rs := e.retr[key]; rs != nil && !rs.bad && rs.V != nil {
-			b.Bad = false
-			b.V = append([]uint64(nil), rs.V...)
-		}
-		out = append(out, b)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Epoch != out[b].Epoch {
-			return out[a].Epoch < out[b].Epoch
-		}
-		return out[a].Proposer < out[b].Proposer
+	horizon := e.horizonFloor(u)
+	return e.deliveredBlocks(func(key blockKey) bool {
+		return key.epoch > e.linkedFloor[key.proposer] && key.epoch > horizon
 	})
-	return out
 }
 
 // ----- Imported chunks -----

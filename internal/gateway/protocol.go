@@ -24,6 +24,7 @@ import (
 
 	"dledger/internal/mempool"
 	"dledger/internal/merkle"
+	"dledger/internal/wire"
 )
 
 // Protocol constants.
@@ -82,23 +83,20 @@ func EncodeHello(h Hello) []byte {
 	return append(buf, h.Name...)
 }
 
-func decodeHello(body []byte) (Hello, error) {
-	if len(body) < 7 {
+func decodeHello(r *wire.Reader) (Hello, error) {
+	magic, version, flags := r.U32(), r.U8(), r.U8()
+	n := int(r.U8())
+	switch {
+	case r.Err() != nil:
 		return Hello{}, ErrShort
-	}
-	if binary.BigEndian.Uint32(body[0:4]) != HelloMagic {
+	case magic != HelloMagic:
 		return Hello{}, ErrBadMagic
-	}
-	if body[4] != ProtocolVersion {
+	case version != ProtocolVersion:
 		return Hello{}, ErrBadVersion
-	}
-	h := Hello{Subscribe: body[5]&1 != 0}
-	n := int(body[6])
-	if n > MaxNameLen || len(body) != 7+n {
+	case n > MaxNameLen:
 		return Hello{}, ErrShort
 	}
-	h.Name = append([]byte(nil), body[7:]...)
-	return h, nil
+	return Hello{Name: r.Bytes(n), Subscribe: flags&1 != 0}, nil
 }
 
 // Welcome answers Hello.
@@ -118,18 +116,6 @@ func EncodeWelcome(w Welcome) []byte {
 	return binary.BigEndian.AppendUint32(buf, uint32(w.MaxTxBytes))
 }
 
-func decodeWelcome(body []byte) (Welcome, error) {
-	if len(body) != 16 {
-		return Welcome{}, ErrShort
-	}
-	return Welcome{
-		ClientID:   binary.BigEndian.Uint64(body[0:8]),
-		N:          int(binary.BigEndian.Uint16(body[8:10])),
-		F:          int(binary.BigEndian.Uint16(body[10:12])),
-		MaxTxBytes: int(binary.BigEndian.Uint32(body[12:16])),
-	}, nil
-}
-
 // Submit carries one transaction.
 type Submit struct {
 	ReqID uint64
@@ -141,21 +127,7 @@ func EncodeSubmit(s Submit) []byte {
 	buf := make([]byte, 0, 1+8+4+len(s.Tx))
 	buf = append(buf, MTSubmit)
 	buf = binary.BigEndian.AppendUint64(buf, s.ReqID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Tx)))
-	return append(buf, s.Tx...)
-}
-
-func decodeSubmit(body []byte) (Submit, error) {
-	if len(body) < 12 {
-		return Submit{}, ErrShort
-	}
-	s := Submit{ReqID: binary.BigEndian.Uint64(body[0:8])}
-	n := int(binary.BigEndian.Uint32(body[8:12]))
-	if len(body) != 12+n {
-		return Submit{}, ErrShort
-	}
-	s.Tx = append([]byte(nil), body[12:]...)
-	return s, nil
+	return wire.AppendBytes(buf, s.Tx)
 }
 
 // EncodeReceipt serializes a Receipt frame body.
@@ -166,19 +138,6 @@ func EncodeReceipt(r Receipt) []byte {
 	buf = append(buf, byte(r.Status))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.RetryAfter.Milliseconds()))
 	return append(buf, r.TxHash[:]...)
-}
-
-func decodeReceipt(body []byte) (Receipt, error) {
-	if len(body) != 8+1+4+32 {
-		return Receipt{}, ErrShort
-	}
-	r := Receipt{
-		ReqID:  binary.BigEndian.Uint64(body[0:8]),
-		Status: Status(body[8]),
-	}
-	r.RetryAfter = time.Duration(binary.BigEndian.Uint32(body[9:13])) * time.Millisecond
-	copy(r.TxHash[:], body[13:])
-	return r, nil
 }
 
 // EncodeCommit serializes a Commit frame body.
@@ -198,30 +157,6 @@ func EncodeCommit(c Commit) []byte {
 	return buf
 }
 
-func decodeCommit(body []byte) (Commit, error) {
-	const fixed = 32 + 8 + 2 + 4 + 4 + 32 + 1
-	if len(body) < fixed {
-		return Commit{}, ErrShort
-	}
-	var c Commit
-	copy(c.TxHash[:], body[0:32])
-	c.Epoch = binary.BigEndian.Uint64(body[32:40])
-	c.Proposer = int(binary.BigEndian.Uint16(body[40:42]))
-	c.Index = int(binary.BigEndian.Uint32(body[42:46]))
-	c.Count = int(binary.BigEndian.Uint32(body[46:50]))
-	copy(c.Root[:], body[50:82])
-	n := int(body[82])
-	body = body[fixed:]
-	if len(body) != n*merkle.RootSize {
-		return Commit{}, ErrShort
-	}
-	c.Path = make([]merkle.Root, n)
-	for i := range c.Path {
-		copy(c.Path[i][:], body[i*merkle.RootSize:])
-	}
-	return c, nil
-}
-
 // Ping/Pong carry an opaque nonce.
 type Ping struct{ Nonce uint64 }
 
@@ -239,13 +174,6 @@ func EncodePong(p Ping) []byte {
 	return binary.BigEndian.AppendUint64(buf, p.Nonce)
 }
 
-func decodeNonce(body []byte) (Ping, error) {
-	if len(body) != 8 {
-		return Ping{}, ErrShort
-	}
-	return Ping{Nonce: binary.BigEndian.Uint64(body)}, nil
-}
-
 // Message is the decoded form of one frame: exactly one of the fields is
 // non-nil, matching Type.
 type Message struct {
@@ -258,44 +186,39 @@ type Message struct {
 	Ping    *Ping // Ping and Pong both land here
 }
 
-// DecodeMessage parses one frame body (type byte + message body).
+// DecodeMessage parses one frame body (type byte + message body). A
+// body that is too short or too long for its type is ErrShort.
 func DecodeMessage(data []byte) (Message, error) {
-	if len(data) < 1 {
+	r := wire.NewReader(data)
+	m := Message{Type: r.U8()}
+	if r.Err() != nil {
 		return Message{}, ErrShort
 	}
-	m := Message{Type: data[0]}
-	body := data[1:]
-	var err error
 	switch m.Type {
 	case MTHello:
-		var v Hello
-		v, err = decodeHello(body)
+		v, err := decodeHello(r)
+		if err != nil {
+			return Message{}, err
+		}
 		m.Hello = &v
 	case MTWelcome:
-		var v Welcome
-		v, err = decodeWelcome(body)
-		m.Welcome = &v
+		m.Welcome = &Welcome{ClientID: r.U64(), N: int(r.U16()), F: int(r.U16()), MaxTxBytes: int(r.U32())}
 	case MTSubmit:
-		var v Submit
-		v, err = decodeSubmit(body)
-		m.Submit = &v
+		m.Submit = &Submit{ReqID: r.U64(), Tx: r.Bytes32()}
 	case MTReceipt:
-		var v Receipt
-		v, err = decodeReceipt(body)
-		m.Receipt = &v
+		m.Receipt = &Receipt{ReqID: r.U64(), Status: Status(r.U8()),
+			RetryAfter: time.Duration(r.U32()) * time.Millisecond, TxHash: r.Hash()}
 	case MTCommit:
-		var v Commit
-		v, err = decodeCommit(body)
-		m.Commit = &v
+		m.Commit = &Commit{TxHash: r.Hash(), Epoch: r.U64(), Proposer: int(r.U16()),
+			Index: int(r.U32()), Count: int(r.U32()), Root: r.Hash(),
+			Path: wire.Hashes[merkle.Root](r, int(r.U8()))}
 	case MTPing, MTPong:
-		var v Ping
-		v, err = decodeNonce(body)
-		m.Ping = &v
+		m.Ping = &Ping{Nonce: r.U64()}
 	default:
 		return Message{}, fmt.Errorf("%w: %d", ErrUnknownType, m.Type)
 	}
-	if err != nil {
-		return Message{}, err
+	if r.Done() != nil {
+		return Message{}, ErrShort
 	}
 	return m, nil
 }

@@ -102,18 +102,28 @@ type clientConn struct {
 	c  net.Conn
 }
 
-func (cc *clientConn) writeFrame(body []byte) error {
+func (cc *clientConn) send(body []byte) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	return WriteFrame(cc.bw, body)
+}
+
+// WriteFrame writes one length-prefixed frame body to bw and flushes,
+// refusing a body the peer's ReadFrame would reject. Shared with package
+// dlclient.
+func WriteFrame(bw *bufio.Writer, body []byte) error {
+	if len(body) > MaxFrame {
+		return ErrFrameTooBig
+	}
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := cc.bw.Write(lenBuf[:]); err != nil {
+	if _, err := bw.Write(lenBuf[:]); err != nil {
 		return err
 	}
-	if _, err := cc.bw.Write(body); err != nil {
+	if _, err := bw.Write(body); err != nil {
 		return err
 	}
-	return cc.bw.Flush()
+	return bw.Flush()
 }
 
 // ReadFrame reads one length-prefixed frame body from r, enforcing the
@@ -152,7 +162,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	id := ClientID(msg.Hello.Name)
-	if cc.writeFrame(EncodeWelcome(Welcome{
+	if cc.send(EncodeWelcome(Welcome{
 		ClientID: id, N: s.hub.N(), F: s.hub.F(), MaxTxBytes: s.hub.MaxTxBytes(),
 	})) != nil {
 		return
@@ -168,7 +178,7 @@ func (s *Server) handle(conn net.Conn) {
 		go func() {
 			defer close(pumpDone)
 			for c := range sub.C {
-				if cc.writeFrame(EncodeCommit(c)) != nil {
+				if cc.send(EncodeCommit(c)) != nil {
 					conn.Close() // surface the write error to the reader
 					return
 				}
@@ -192,11 +202,11 @@ func (s *Server) handle(conn net.Conn) {
 		switch msg.Type {
 		case MTSubmit:
 			rc := s.hub.Submit(id, msg.Submit.ReqID, msg.Submit.Tx)
-			if cc.writeFrame(EncodeReceipt(rc)) != nil {
+			if cc.send(EncodeReceipt(rc)) != nil {
 				return
 			}
 		case MTPing:
-			if cc.writeFrame(EncodePong(*msg.Ping)) != nil {
+			if cc.send(EncodePong(*msg.Ping)) != nil {
 				return
 			}
 		default:

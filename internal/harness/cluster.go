@@ -12,6 +12,7 @@ import (
 	"dledger/internal/gateway"
 	"dledger/internal/replica"
 	"dledger/internal/simnet"
+	"dledger/internal/stats"
 	"dledger/internal/store"
 	"dledger/internal/telemetry"
 	"dledger/internal/trace"
@@ -90,10 +91,14 @@ type Cluster struct {
 	// Tels are the per-node telemetry bundles (nil without
 	// opts.Telemetry). A restarted or joined node gets a fresh bundle,
 	// so each entry describes the node's current incarnation only.
-	Tels    []*telemetry.Metrics
-	clients []*SimClient
-	alive   []*bool
-	held    map[int]bool
+	Tels []*telemetry.Metrics
+	// progress is each node's cumulative confirmed payload bytes over
+	// time (Fig 9; Throughput is its slope), one point per delivered
+	// block of the current incarnation.
+	progress []stats.TimeSeries
+	clients  []*SimClient
+	alive    []*bool
+	held     map[int]bool
 	// userHook is the externally-installed delivery observer of each
 	// node (LogRecorder, experiment collectors); the replica's OnDeliver
 	// dispatches to the gateway hub first, then to it. It survives
@@ -172,7 +177,11 @@ func (c *Cluster) boot(i int, cfg core.Config, st store.Store, hook func(replica
 	c.userHook[i] = hook
 	c.Replicas[i] = r
 	c.alive[i] = alive
+	c.progress[i] = stats.TimeSeries{}
 	r.OnDeliver = func(d replica.Delivery) {
+		if c.Replicas[i] == r { // not a crashed incarnation's leftover timer
+			c.progress[i].Add(d.At, float64(r.Stats.DeliveredPayload))
+		}
 		if c.Hubs != nil {
 			c.Hubs[i].OnDeliver(d)
 		}
@@ -223,6 +232,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Stores:   make([]*store.MemStore, n),
 		alive:    make([]*bool, n),
 		userHook: make([]func(replica.Delivery), n),
+		progress: make([]stats.TimeSeries, n),
 	}
 	if opts.Telemetry {
 		c.Tels = make([]*telemetry.Metrics, n)
@@ -408,7 +418,7 @@ func (c *Cluster) Run(horizon time.Duration) {
 // Throughput returns node i's confirmed-payload rate (bytes/second)
 // between warmup and end, the paper's per-server throughput metric.
 func (c *Cluster) Throughput(i int, warmup, end time.Duration) float64 {
-	return c.Replicas[i].Stats.Progress.Rate(warmup, end)
+	return c.progress[i].Rate(warmup, end)
 }
 
 // DispersalFraction returns the ratio of dispersal-class bytes to total

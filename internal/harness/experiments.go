@@ -166,15 +166,15 @@ func RunProgress(p GeoParams) (*ProgressResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range c.Replicas {
-		c.Replicas[i].Stats.Progress.MinGap = 100 * time.Millisecond
+	for i := range c.progress {
+		c.progress[i].MinGap = 100 * time.Millisecond
 	}
 	c.Start()
 	c.Run(p.Duration)
 	res := &ProgressResult{Mode: p.Mode, Names: trace.Names(p.Cities)}
 	for i := range c.Replicas {
 		ts := &stats.TimeSeries{}
-		src := &c.Replicas[i].Stats.Progress
+		src := &c.progress[i]
 		for k := range src.Times {
 			ts.Force(src.Times[k], src.Values[k]/p.Scale)
 		}

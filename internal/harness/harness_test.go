@@ -118,6 +118,12 @@ func TestProgressSeriesShape(t *testing.T) {
 		if ts.Values[len(ts.Values)-1] <= 0 {
 			t.Fatalf("node %d confirmed nothing", i)
 		}
+		// Cumulative confirmed bytes never go down.
+		for k := 1; k < len(ts.Values); k++ {
+			if ts.Values[k] < ts.Values[k-1] {
+				t.Fatalf("node %d: progress series not monotone at point %d", i, k)
+			}
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ type Delivery struct {
 
 // Stats aggregates the measurements the evaluation needs. Across a
 // restart, the delivery and epoch counters are recovered from the WAL;
-// the submission counters and the latency/progress series are node-local
+// the submission counters and the latency reservoirs are node-local
 // measurements that restart from zero.
 type Stats struct {
 	Submitted        int64
@@ -144,8 +144,6 @@ type Stats struct {
 	// StateSyncs counts completed bootstrap-from-checkpoint installs
 	// (engine-level transfer counters live in Engine().SyncStats()).
 	StateSyncs int64
-	// Progress is cumulative confirmed payload bytes over time (Fig 9).
-	Progress stats.TimeSeries
 	// LatAll / LatLocal are confirmation latencies of all transactions
 	// and of locally-submitted ones (§6.2's metric and Fig 14's),
 	// downsampled into bounded reservoirs so a long-running node's
@@ -386,13 +384,9 @@ func (r *Replica) encodeCheckpoint(snap *core.Snapshot) []byte {
 	eng := snap.Encode()
 	hashes := r.pool.CommittedSnapshot()
 	buf := make([]byte, 0, 4+len(eng)+48+4+32*len(hashes))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(eng)))
-	buf = append(buf, eng...)
-	for _, v := range []int64{
-		r.Stats.DeliveredTxs, r.Stats.DeliveredPayload, r.Stats.LinkedBlocks,
-		r.Stats.BADeliveries, r.Stats.EpochsDecided, r.Stats.EpochsDelivered,
-	} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
+	buf = wire.AppendBytes(buf, eng)
+	for _, v := range r.recoveredCounters() {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(*v))
 	}
 	if r.params.ClientDedup {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(hashes)))
@@ -403,47 +397,44 @@ func (r *Replica) encodeCheckpoint(snap *core.Snapshot) []byte {
 	return buf
 }
 
-func (r *Replica) decodeCheckpoint(blob []byte) (*core.Snapshot, error) {
-	if len(blob) < 4 {
-		return nil, errors.New("replica: short checkpoint")
+// recoveredCounters lists the Stats counters a checkpoint carries, in
+// blob order.
+func (r *Replica) recoveredCounters() [6]*int64 {
+	return [6]*int64{
+		&r.Stats.DeliveredTxs, &r.Stats.DeliveredPayload, &r.Stats.LinkedBlocks,
+		&r.Stats.BADeliveries, &r.Stats.EpochsDecided, &r.Stats.EpochsDelivered,
 	}
-	n := int(binary.BigEndian.Uint32(blob))
-	blob = blob[4:]
-	if len(blob) < n+48 {
+}
+
+// decodeCheckpoint parses a checkpoint blob: the counters are added to
+// Stats and the hashes replayed into the mempool's committed memory once
+// the whole blob has parsed.
+func (r *Replica) decodeCheckpoint(blob []byte) (*core.Snapshot, error) {
+	rd := wire.NewReader(blob)
+	eng := rd.View(int(rd.U32()))
+	var ctrs [6]uint64
+	for i := range ctrs {
+		ctrs[i] = rd.U64()
+	}
+	if rd.Err() != nil {
 		return nil, errors.New("replica: malformed checkpoint")
 	}
-	snap, err := core.DecodeSnapshot(blob[:n])
+	snap, err := core.DecodeSnapshot(eng)
 	if err != nil {
 		return nil, err
 	}
-	ctrs := make([]int64, 6)
-	for i := range ctrs {
-		ctrs[i] = int64(binary.BigEndian.Uint64(blob[n+8*i:]))
+	var hashes []mempool.Hash
+	if rd.Len() > 0 {
+		hashes = wire.Hashes[mempool.Hash](rd, int(rd.U32()))
 	}
-	r.Stats.DeliveredTxs += ctrs[0]
-	r.Stats.DeliveredPayload += ctrs[1]
-	r.Stats.LinkedBlocks += ctrs[2]
-	r.Stats.BADeliveries += ctrs[3]
-	r.Stats.EpochsDecided += ctrs[4]
-	r.Stats.EpochsDelivered += ctrs[5]
-	rest := blob[n+48:]
-	if len(rest) == 0 {
-		return snap, nil
-	}
-	if len(rest) < 4 {
+	if rd.Done() != nil {
 		return nil, errors.New("replica: malformed checkpoint hash section")
 	}
-	hn := int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	if len(rest) != 32*hn {
-		return nil, errors.New("replica: malformed checkpoint hash section")
+	for i, v := range r.recoveredCounters() {
+		*v += int64(ctrs[i])
 	}
-	if r.params.ClientDedup {
-		for i := 0; i < hn; i++ {
-			var h mempool.Hash
-			copy(h[:], rest[32*i:])
-			r.pool.Committed(h)
-		}
+	for _, h := range hashes {
+		r.pool.Committed(h)
 	}
 	return snap, nil
 }
@@ -814,7 +805,6 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 		r.Stats.BADeliveries++
 	}
 	r.tel.Emit(telemetry.Event{Kind: kind, At: now, Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: int64(act.Payload)}, act.Txs...)
-	r.Stats.Progress.Add(now, float64(r.Stats.DeliveredPayload))
 	for _, tx := range act.Txs {
 		meta, err := workload.Parse(tx)
 		if err != nil {

@@ -2,7 +2,6 @@ package statesync
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sort"
 
 	"dledger/internal/store"
@@ -335,18 +334,13 @@ func (s *Syncer) maybeFinishChunks() {
 // else.
 func (s *Syncer) parseChunkPage(from int, data []byte) []ImportedChunk {
 	var out []ImportedChunk
-	for len(data) >= 4 {
-		n := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < n {
-			break
+	for r := wire.NewReader(data); r.Len() > 0; {
+		entry := r.View(int(r.U32()))
+		if r.Err() != nil {
+			break // a cut-off entry ends the page
 		}
-		rec, err := store.DecodeChunkRecord(data[:n])
-		data = data[n:]
-		if err != nil {
-			continue
-		}
-		if rec.Epoch <= s.target.Epoch || !VerifyChunkRecord(from, rec) {
+		rec, err := store.DecodeChunkRecord(entry)
+		if err != nil || rec.Epoch <= s.target.Epoch || !VerifyChunkRecord(from, rec) {
 			continue
 		}
 		s.Stats.ChunksImported++

@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+
+	"dledger/internal/wire"
 )
 
 // Manifest section ids (fixed order on the wire).
@@ -43,13 +45,53 @@ const (
 	sectionHashes   uint8 = 3
 )
 
-// ManifestBlock is one delivered block in a manifest: the slot, whether
-// it retrieved as BAD_UPLOADER, and its observation array (nil iff Bad).
+// ManifestBlock is one delivered block, in a manifest and in an engine
+// snapshot (core.Snapshot): the slot, whether it retrieved as
+// BAD_UPLOADER, and its observation array (nil when Bad or when the
+// observation was never kept).
 type ManifestBlock struct {
 	Epoch    uint64
 	Proposer int
 	Bad      bool
 	V        []uint64
+}
+
+// AppendTo appends the entry: epoch(8) proposer(2) flags(1), then the
+// u16-counted V array when flag bit 1 says it is present (bit 0: Bad).
+func (b ManifestBlock) AppendTo(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, b.Epoch)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(b.Proposer))
+	flags := byte(0)
+	if b.Bad {
+		flags |= 1
+	}
+	if b.V != nil {
+		flags |= 2
+	}
+	buf = append(buf, flags)
+	if b.V != nil {
+		buf = wire.AppendU64s(buf, b.V)
+	}
+	return buf
+}
+
+// manifestBlockMin is the smallest encoded entry (no V array).
+const manifestBlockMin = 8 + 2 + 1
+
+// ReadManifestBlocks reads a u32 count and that many entries
+// (AppendTo's inverse); nil when the count is 0.
+func ReadManifestBlocks(r *wire.Reader) []ManifestBlock {
+	var blocks []ManifestBlock
+	for n := r.Count(int(r.U32()), manifestBlockMin); n > 0 && r.Err() == nil; n-- {
+		b := ManifestBlock{Epoch: r.U64(), Proposer: int(r.U16())}
+		flags := r.U8()
+		b.Bad = flags&1 != 0
+		if flags&2 != 0 {
+			b.V = r.U64s(int(r.U16()))
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks
 }
 
 // Manifest is the state-sync checkpoint at one delivered position.
@@ -73,14 +115,14 @@ type Manifest struct {
 // a section CRC.
 var ErrBadManifest = errors.New("store: malformed state-sync manifest")
 
-// Normalize sorts the block list into the canonical order. EncodeManifest
-// calls it; exposed for builders that want a stable in-memory form.
-func (m *Manifest) Normalize() {
-	sort.Slice(m.Blocks, func(a, b int) bool {
-		if m.Blocks[a].Epoch != m.Blocks[b].Epoch {
-			return m.Blocks[a].Epoch < m.Blocks[b].Epoch
+// SortManifestBlocks puts entries into the canonical (epoch, proposer)
+// order of a manifest and of a snapshot.
+func SortManifestBlocks(blocks []ManifestBlock) {
+	sort.Slice(blocks, func(a, b int) bool {
+		if blocks[a].Epoch != blocks[b].Epoch {
+			return blocks[a].Epoch < blocks[b].Epoch
 		}
-		return m.Blocks[a].Proposer < m.Blocks[b].Proposer
+		return blocks[a].Proposer < blocks[b].Proposer
 	})
 }
 
@@ -98,7 +140,7 @@ func appendSection(buf []byte, id uint8, payload []byte) []byte {
 // EncodeManifest serializes the manifest in its canonical byte form (the
 // form ManifestHash attests).
 func EncodeManifest(m *Manifest) []byte {
-	m.Normalize()
+	SortManifestBlocks(m.Blocks)
 
 	pos := make([]byte, 0, 8+8*len(m.LinkedFloor))
 	pos = binary.BigEndian.AppendUint64(pos, m.Epoch)
@@ -109,22 +151,7 @@ func EncodeManifest(m *Manifest) []byte {
 	blocks := make([]byte, 0, 4+16*len(m.Blocks))
 	blocks = binary.BigEndian.AppendUint32(blocks, uint32(len(m.Blocks)))
 	for _, b := range m.Blocks {
-		blocks = binary.BigEndian.AppendUint64(blocks, b.Epoch)
-		blocks = binary.BigEndian.AppendUint16(blocks, uint16(b.Proposer))
-		flags := byte(0)
-		if b.Bad {
-			flags |= 1
-		}
-		if b.V != nil {
-			flags |= 2
-		}
-		blocks = append(blocks, flags)
-		if b.V != nil {
-			blocks = binary.BigEndian.AppendUint16(blocks, uint16(len(b.V)))
-			for _, v := range b.V {
-				blocks = binary.BigEndian.AppendUint64(blocks, v)
-			}
-		}
+		blocks = b.AppendTo(blocks)
 	}
 
 	hashes := make([]byte, 0, 4+32*len(m.Committed))
@@ -147,115 +174,73 @@ func EncodeManifest(m *Manifest) []byte {
 // encoding.
 func ManifestHash(encoded []byte) [32]byte { return sha256.Sum256(encoded) }
 
-// readSection consumes one framed section, checking its CRC.
-func readSection(data []byte, wantID uint8) (payload, rest []byte, err error) {
-	if len(data) < 9 {
-		return nil, nil, fmt.Errorf("%w: truncated section %d", ErrBadManifest, wantID)
+// readSection consumes one framed section, checking its id and CRC, and
+// returns a reader over its payload.
+func readSection(r *wire.Reader, wantID uint8) (*wire.Reader, error) {
+	header := r.View(5) // id, length: the CRC covers them too
+	h := wire.NewReader(header)
+	id, n := h.U8(), h.U32()
+	payload := r.View(int(n))
+	crc := r.U32()
+	if r.Err() != nil {
+		return nil, fmt.Errorf("%w: truncated section %d", ErrBadManifest, wantID)
 	}
-	if data[0] != wantID {
-		return nil, nil, fmt.Errorf("%w: expected section %d, found %d", ErrBadManifest, wantID, data[0])
+	if id != wantID {
+		return nil, fmt.Errorf("%w: expected section %d, found %d", ErrBadManifest, wantID, id)
 	}
-	n := int(binary.BigEndian.Uint32(data[1:5]))
-	if len(data) < 5+n+4 {
-		return nil, nil, fmt.Errorf("%w: truncated section %d", ErrBadManifest, wantID)
+	if crc32.Update(crc32.ChecksumIEEE(header), crc32.IEEETable, payload) != crc {
+		return nil, fmt.Errorf("%w: section %d CRC mismatch", ErrBadManifest, wantID)
 	}
-	crc := binary.BigEndian.Uint32(data[5+n:])
-	if crc32.ChecksumIEEE(data[:5+n]) != crc {
-		return nil, nil, fmt.Errorf("%w: section %d CRC mismatch", ErrBadManifest, wantID)
-	}
-	return data[5 : 5+n], data[5+n+4:], nil
+	return wire.NewReader(payload), nil
 }
 
 // DecodeManifest parses EncodeManifest output, verifying every section
 // CRC and all structural invariants.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 7 {
+	r := wire.NewReader(data)
+	magic, version := r.U32(), r.U8()
+	m := &Manifest{N: int(r.U16())}
+	switch {
+	case r.Err() != nil:
 		return nil, ErrBadManifest
-	}
-	if binary.BigEndian.Uint32(data[0:4]) != manifestMagic {
+	case magic != manifestMagic:
 		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
+	case version != manifestVersion:
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, version)
 	}
-	if data[4] != manifestVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, data[4])
-	}
-	m := &Manifest{N: int(binary.BigEndian.Uint16(data[5:7]))}
-	data = data[7:]
 
-	pos, data, err := readSection(data, sectionPosition)
+	pos, err := readSection(r, sectionPosition)
 	if err != nil {
 		return nil, err
 	}
-	if len(pos) != 8+8*m.N {
+	m.Epoch, m.LinkedFloor = pos.U64(), pos.U64s(m.N)
+	if pos.Done() != nil {
 		return nil, fmt.Errorf("%w: position section size", ErrBadManifest)
 	}
-	m.Epoch = binary.BigEndian.Uint64(pos[0:8])
-	m.LinkedFloor = make([]uint64, m.N)
-	for i := range m.LinkedFloor {
-		m.LinkedFloor[i] = binary.BigEndian.Uint64(pos[8+8*i:])
-	}
 
-	blocks, data, err := readSection(data, sectionBlocks)
+	blocks, err := readSection(r, sectionBlocks)
 	if err != nil {
 		return nil, err
 	}
-	if len(blocks) < 4 {
-		return nil, fmt.Errorf("%w: blocks section size", ErrBadManifest)
+	m.Blocks = ReadManifestBlocks(blocks)
+	if err := blocks.Done(); err != nil {
+		return nil, fmt.Errorf("%w: blocks section: %v", ErrBadManifest, err)
 	}
-	nb := int(binary.BigEndian.Uint32(blocks))
-	blocks = blocks[4:]
-	for i := 0; i < nb; i++ {
-		if len(blocks) < 11 {
-			return nil, fmt.Errorf("%w: truncated block entry", ErrBadManifest)
-		}
-		b := ManifestBlock{
-			Epoch:    binary.BigEndian.Uint64(blocks[0:8]),
-			Proposer: int(binary.BigEndian.Uint16(blocks[8:10])),
-		}
-		flags := blocks[10]
-		b.Bad = flags&1 != 0
-		blocks = blocks[11:]
-		if flags&2 != 0 {
-			if len(blocks) < 2 {
-				return nil, fmt.Errorf("%w: truncated block entry", ErrBadManifest)
-			}
-			nv := int(binary.BigEndian.Uint16(blocks))
-			blocks = blocks[2:]
-			if len(blocks) < 8*nv {
-				return nil, fmt.Errorf("%w: truncated block entry", ErrBadManifest)
-			}
-			b.V = make([]uint64, nv)
-			for k := range b.V {
-				b.V[k] = binary.BigEndian.Uint64(blocks[8*k:])
-			}
-			blocks = blocks[8*nv:]
-		}
-		if b.Epoch == 0 || b.Proposer < 0 || b.Proposer >= m.N {
+	for _, b := range m.Blocks {
+		if b.Epoch == 0 || b.Proposer >= m.N {
 			return nil, fmt.Errorf("%w: block entry out of range", ErrBadManifest)
 		}
-		m.Blocks = append(m.Blocks, b)
-	}
-	if len(blocks) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in blocks section", ErrBadManifest)
 	}
 
-	hashes, data, err := readSection(data, sectionHashes)
+	hashes, err := readSection(r, sectionHashes)
 	if err != nil {
 		return nil, err
 	}
-	if len(hashes) < 4 {
+	m.Committed = wire.Hashes[[32]byte](hashes, int(hashes.U32()))
+	if hashes.Done() != nil {
 		return nil, fmt.Errorf("%w: hashes section size", ErrBadManifest)
 	}
-	nh := int(binary.BigEndian.Uint32(hashes))
-	hashes = hashes[4:]
-	if len(hashes) != 32*nh {
-		return nil, fmt.Errorf("%w: hashes section size", ErrBadManifest)
-	}
-	for i := 0; i < nh; i++ {
-		var h [32]byte
-		copy(h[:], hashes[32*i:])
-		m.Committed = append(m.Committed, h)
-	}
-	if len(data) != 0 {
+	if r.Done() != nil {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadManifest)
 	}
 	return m, nil

@@ -38,6 +38,7 @@ import (
 	"fmt"
 
 	"dledger/internal/merkle"
+	"dledger/internal/wire"
 )
 
 // RecordType distinguishes WAL record variants.
@@ -196,35 +197,9 @@ type UnsafeRestartMarker interface {
 
 // ----- Record encoding -----
 //
-// Records use the same hand-rolled deterministic binary style as package
-// wire: type(1) epoch(8) then variant fields. Slices carry u16 counts;
-// node ids are u16 (the wire format's cluster-size cap).
-
-func appendU64s(buf []byte, vs []uint64) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(vs)))
-	for _, v := range vs {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
-	return buf
-}
-
-func decodeU64s(data []byte) ([]uint64, []byte, error) {
-	if len(data) < 2 {
-		return nil, nil, errShortRecord
-	}
-	n := int(binary.BigEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < 8*n {
-		return nil, nil, errShortRecord
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = binary.BigEndian.Uint64(data[8*i:])
-	}
-	return vs, data[8*n:], nil
-}
-
-var errShortRecord = errors.New("store: truncated record")
+// Records use the same deterministic binary style as package wire and
+// decode through its Reader: type(1) epoch(8) then variant fields. Slices
+// carry u16 counts; node ids are u16 (the wire format's cluster-size cap).
 
 // EncodeRecord serializes a WAL record.
 func EncodeRecord(r Record) []byte {
@@ -239,8 +214,7 @@ func AppendRecord(buf []byte, r Record) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.Epoch)
 	switch r.Type {
 	case RecProposed:
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Block)))
-		buf = append(buf, r.Block...)
+		buf = wire.AppendBytes(buf, r.Block)
 	case RecDecided:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.S)))
 		for _, j := range r.S {
@@ -248,10 +222,10 @@ func AppendRecord(buf []byte, r Record) []byte {
 		}
 	case RecBlock:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(r.Proposer))
-		buf = append(buf, boolByte(r.Linked))
+		buf = wire.AppendBool(buf, r.Linked)
 		buf = binary.BigEndian.AppendUint32(buf, r.TxCount)
 		buf = binary.BigEndian.AppendUint32(buf, r.Payload)
-		buf = appendU64s(buf, r.V)
+		buf = wire.AppendU64s(buf, r.V)
 		// The hash section is appended only when present, keeping the
 		// encoding of hash-free records byte-identical to the seed format.
 		if len(r.TxHashes) > 0 {
@@ -261,106 +235,50 @@ func AppendRecord(buf []byte, r Record) []byte {
 			}
 		}
 	case RecEpochDone:
-		buf = appendU64s(buf, r.Floor)
+		buf = wire.AppendU64s(buf, r.Floor)
 	case RecVote:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(r.Proposer))
 		buf = append(buf, r.VoteKind)
 		buf = binary.BigEndian.AppendUint32(buf, r.Round)
-		buf = append(buf, boolByte(r.Value))
+		buf = wire.AppendBool(buf, r.Value)
 	}
 	return buf
 }
 
 // DecodeRecord parses EncodeRecord output.
 func DecodeRecord(data []byte) (Record, error) {
-	if len(data) < 9 {
-		return Record{}, errShortRecord
-	}
-	r := Record{Type: RecordType(data[0]), Epoch: binary.BigEndian.Uint64(data[1:9])}
-	data = data[9:]
-	var err error
-	switch r.Type {
+	r := wire.NewReader(data)
+	rec := Record{Type: RecordType(r.U8()), Epoch: r.U64()}
+	switch rec.Type {
 	case RecProposed:
-		if len(data) < 4 {
-			return Record{}, errShortRecord
-		}
-		n := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < n {
-			return Record{}, errShortRecord
-		}
-		if n > 0 {
-			r.Block = append([]byte(nil), data[:n]...)
-		}
-		data = data[n:]
+		rec.Block = r.Bytes32()
 	case RecDecided:
-		if len(data) < 2 {
-			return Record{}, errShortRecord
-		}
-		n := int(binary.BigEndian.Uint16(data))
-		data = data[2:]
-		if len(data) < 2*n {
-			return Record{}, errShortRecord
-		}
-		r.S = make([]int, n)
-		for i := range r.S {
-			r.S[i] = int(binary.BigEndian.Uint16(data[2*i:]))
-		}
-		data = data[2*n:]
+		rec.S = r.NodeIDs(int(r.U16()))
 	case RecBlock:
-		if len(data) < 11 {
-			return Record{}, errShortRecord
-		}
-		r.Proposer = int(binary.BigEndian.Uint16(data[0:2]))
-		r.Linked = data[2] != 0
-		r.TxCount = binary.BigEndian.Uint32(data[3:7])
-		r.Payload = binary.BigEndian.Uint32(data[7:11])
-		r.V, data, err = decodeU64s(data[11:])
-		if err != nil {
-			return Record{}, err
-		}
-		if len(data) > 0 {
-			if len(data) < 4 {
-				return Record{}, errShortRecord
-			}
-			n := int(binary.BigEndian.Uint32(data))
-			data = data[4:]
-			if len(data) < 32*n {
-				return Record{}, errShortRecord
-			}
-			r.TxHashes = make([][32]byte, n)
-			for i := range r.TxHashes {
-				copy(r.TxHashes[i][:], data[32*i:])
-			}
-			data = data[32*n:]
+		rec.Proposer, rec.Linked = int(r.U16()), r.Bool()
+		rec.TxCount, rec.Payload = r.U32(), r.U32()
+		rec.V = r.U64s(int(r.U16()))
+		if r.Len() > 0 {
+			rec.TxHashes = wire.Hashes[[32]byte](r, int(r.U32()))
 		}
 	case RecEpochDone:
-		r.Floor, data, err = decodeU64s(data)
-		if err != nil {
-			return Record{}, err
-		}
+		rec.Floor = r.U64s(int(r.U16()))
 	case RecVote:
-		if len(data) < 8 {
-			return Record{}, errShortRecord
-		}
-		r.Proposer = int(binary.BigEndian.Uint16(data[0:2]))
-		r.VoteKind = data[2]
-		r.Round = binary.BigEndian.Uint32(data[3:7])
-		r.Value = data[7] != 0
-		data = data[8:]
+		rec.Proposer, rec.VoteKind = int(r.U16()), r.U8()
+		rec.Round, rec.Value = r.U32(), r.Bool()
 	default:
-		return Record{}, fmt.Errorf("store: unknown record type %d", r.Type)
+		return Record{}, fmt.Errorf("store: unknown record type %d", rec.Type)
 	}
-	if len(data) != 0 {
-		return Record{}, errors.New("store: trailing bytes in record")
+	if err := r.Done(); err != nil {
+		return Record{}, fmt.Errorf("store: bad record: %w", err)
 	}
-	return r, nil
+	return rec, nil
 }
 
 // ChunkRecordSize returns EncodeChunkRecord's exact output size without
 // encoding (pagination over large inventories skips by size).
 func ChunkRecordSize(c ChunkRecord) int {
-	return 8 + 2 + 1 + merkle.RootSize + 4 + len(c.Data) + 5 + len(c.Proof.Path)*merkle.RootSize
+	return 8 + 2 + 1 + merkle.RootSize + 4 + len(c.Data) + wire.ProofSize(c.Proof)
 }
 
 // EncodeChunkRecord serializes a chunk record.
@@ -368,57 +286,19 @@ func EncodeChunkRecord(c ChunkRecord) []byte {
 	buf := make([]byte, 0, ChunkRecordSize(c))
 	buf = binary.BigEndian.AppendUint64(buf, c.Epoch)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Proposer))
-	buf = append(buf, boolByte(c.HasChunk))
+	buf = wire.AppendBool(buf, c.HasChunk)
 	buf = append(buf, c.Root[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Data)))
-	buf = append(buf, c.Data...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Proof.Index))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Proof.Leaves))
-	buf = append(buf, byte(len(c.Proof.Path)))
-	for _, h := range c.Proof.Path {
-		buf = append(buf, h[:]...)
-	}
-	return buf
+	buf = wire.AppendBytes(buf, c.Data)
+	return wire.AppendProof(buf, c.Proof)
 }
 
 // DecodeChunkRecord parses EncodeChunkRecord output.
 func DecodeChunkRecord(data []byte) (ChunkRecord, error) {
-	var c ChunkRecord
-	if len(data) < 8+2+1+merkle.RootSize+4 {
-		return c, errShortRecord
-	}
-	c.Epoch = binary.BigEndian.Uint64(data[0:8])
-	c.Proposer = int(binary.BigEndian.Uint16(data[8:10]))
-	c.HasChunk = data[10] != 0
-	copy(c.Root[:], data[11:])
-	data = data[11+merkle.RootSize:]
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) < n {
-		return c, errShortRecord
-	}
-	c.Data = append([]byte(nil), data[:n]...)
-	data = data[n:]
-	if len(data) < 5 {
-		return c, errShortRecord
-	}
-	c.Proof.Index = int(binary.BigEndian.Uint16(data[0:2]))
-	c.Proof.Leaves = int(binary.BigEndian.Uint16(data[2:4]))
-	pn := int(data[4])
-	data = data[5:]
-	if len(data) != pn*merkle.RootSize {
-		return c, errShortRecord
-	}
-	c.Proof.Path = make([]merkle.Root, pn)
-	for i := range c.Proof.Path {
-		copy(c.Proof.Path[i][:], data[i*merkle.RootSize:])
+	r := wire.NewReader(data)
+	c := ChunkRecord{Epoch: r.U64(), Proposer: int(r.U16()), HasChunk: r.Bool(),
+		Root: r.Hash(), Data: r.Bytes32(), Proof: r.Proof()}
+	if err := r.Done(); err != nil {
+		return ChunkRecord{}, fmt.Errorf("store: bad chunk record: %w", err)
 	}
 	return c, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -49,58 +49,27 @@ func (b *Block) Encode() []byte {
 	buf := make([]byte, 0, b.EncodedSize())
 	buf = binary.BigEndian.AppendUint16(buf, uint16(b.Proposer))
 	buf = binary.BigEndian.AppendUint64(buf, b.Epoch)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(b.V)))
-	for _, v := range b.V {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
+	buf = AppendU64s(buf, b.V)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Txs)))
 	for _, tx := range b.Txs {
-		buf = appendBytes(buf, tx)
+		buf = AppendBytes(buf, tx)
 	}
 	return buf
 }
 
 // DecodeBlock parses a block. Any structural problem yields ErrBadBlock.
 func DecodeBlock(data []byte) (*Block, error) {
-	if len(data) < 2+8+2 {
-		return nil, ErrBadBlock
+	r := NewReader(data)
+	b := &Block{Proposer: int(r.U16()), Epoch: r.U64(), V: r.U64s(int(r.U16()))}
+	// Every transaction costs at least its length prefix, so a forged
+	// count cannot size the slice beyond the input.
+	n := r.Count(int(r.U32()), 4)
+	b.Txs = make([][]byte, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		b.Txs = append(b.Txs, r.Bytes32())
 	}
-	b := &Block{}
-	b.Proposer = int(binary.BigEndian.Uint16(data[0:2]))
-	b.Epoch = binary.BigEndian.Uint64(data[2:10])
-	nv := int(binary.BigEndian.Uint16(data[10:12]))
-	data = data[12:]
-	if len(data) < 8*nv {
-		return nil, ErrBadBlock
-	}
-	b.V = make([]uint64, nv)
-	for i := 0; i < nv; i++ {
-		b.V[i] = binary.BigEndian.Uint64(data[8*i:])
-	}
-	data = data[8*nv:]
-	if len(data) < 4 {
-		return nil, ErrBadBlock
-	}
-	nTx := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	b.Txs = make([][]byte, 0, min(nTx, 1<<16))
-	for i := 0; i < nTx; i++ {
-		tx, rest, err := decodeBytes(data)
-		if err != nil {
-			return nil, ErrBadBlock
-		}
-		b.Txs = append(b.Txs, tx)
-		data = rest
-	}
-	if len(data) != 0 {
+	if r.Done() != nil {
 		return nil, ErrBadBlock
 	}
 	return b, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

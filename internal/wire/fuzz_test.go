@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dledger/internal/merkle"
@@ -17,6 +18,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Envelope{From: 1, Epoch: 2, Proposer: 3, Payload: RequestChunk{}}.Encode())
 	f.Add(Envelope{From: 0, Epoch: 1, Proposer: 0, Payload: BVal{Round: 1, Value: true}}.Encode())
+	for _, seed := range goldenSeeds(f, "env-") {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Decode(data)
 		if err != nil {
@@ -35,6 +39,9 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(env2.Encode(), re) {
 			t.Fatal("encoding not canonical across a round trip")
 		}
+		if !reflect.DeepEqual(env, env2) {
+			t.Fatalf("decode is not stable:\n%+v\n%+v", env, env2)
+		}
 	})
 }
 
@@ -43,6 +50,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Block{Proposer: 1, Epoch: 2, V: []uint64{1, InfEpoch}, Txs: [][]byte{[]byte("tx")}}).Encode())
+	f.Add(golden(f, "block", nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blk, err := DecodeBlock(data)
 		if err != nil {
@@ -55,6 +63,9 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if !bytes.Equal(blk2.Encode(), re) {
 			t.Fatal("block encoding not canonical across a round trip")
+		}
+		if !reflect.DeepEqual(blk, blk2) {
+			t.Fatalf("decode is not stable:\n%+v\n%+v", blk, blk2)
 		}
 	})
 }

@@ -113,116 +113,56 @@ var (
 
 // Decode parses an envelope produced by Encode.
 func Decode(data []byte) (Envelope, error) {
-	if len(data) < envelopeHeader {
+	r := NewReader(data)
+	t := r.U8()
+	e := Envelope{From: int(r.U16()), Epoch: r.U64(), Proposer: int(r.U16())}
+	if r.Err() != nil {
 		return Envelope{}, ErrShort
 	}
-	var e Envelope
-	t := data[0]
-	e.From = int(binary.BigEndian.Uint16(data[1:3]))
-	e.Epoch = binary.BigEndian.Uint64(data[3:11])
-	e.Proposer = int(binary.BigEndian.Uint16(data[11:13]))
-	body := data[envelopeHeader:]
-
-	var (
-		msg  Msg
-		rest []byte
-		err  error
-	)
 	switch t {
 	case TChunk:
-		msg, rest, err = decodeChunk(body)
+		e.Payload = Chunk{Root: r.Hash(), Data: r.Bytes32(), Proof: r.Proof()}
 	case TGotChunk:
-		msg, rest, err = decodeGotChunk(body)
+		e.Payload = GotChunk{Root: r.Hash()}
 	case TReady:
-		msg, rest, err = decodeReady(body)
+		e.Payload = Ready{Root: r.Hash()}
 	case TRequestChunk:
-		msg, rest = RequestChunk{}, body
+		e.Payload = RequestChunk{}
 	case TReturnChunk:
-		msg, rest, err = decodeReturnChunk(body)
+		e.Payload = ReturnChunk{Root: r.Hash(), Data: r.Bytes32(), Proof: r.Proof()}
 	case TCancelRequest:
-		msg, rest = CancelRequest{}, body
+		e.Payload = CancelRequest{}
 	case TBVal:
-		msg, rest, err = decodeBVal(body)
+		e.Payload = BVal{Round: r.U32(), Value: r.Bool()}
 	case TAux:
-		msg, rest, err = decodeAux(body)
+		e.Payload = Aux{Round: r.U32(), Value: r.Bool()}
 	case TTerm:
-		msg, rest, err = decodeTerm(body)
+		e.Payload = Term{Value: r.Bool()}
 	case TRequestChunkAgain:
-		msg, rest = RequestChunkAgain{}, body
+		e.Payload = RequestChunkAgain{}
 	case TStatusRequest:
-		msg, rest = StatusRequest{}, body
+		e.Payload = StatusRequest{}
 	case TStatusReply:
-		msg, rest, err = decodeStatusReply(body)
+		e.Payload = StatusReply{Decided: r.Bool(), Through: r.U64(), S: r.Bytes(int(r.U16()))}
 	case TSyncHello:
-		msg, rest = SyncHello{}, body
+		e.Payload = SyncHello{}
 	case TSyncOffer:
-		msg, rest, err = decodeSyncOffer(body)
+		m := SyncOffer{}
+		for n := r.Count(int(r.U8()), 40); n > 0; n-- {
+			m.Points = append(m.Points, SyncPoint{Epoch: r.U64(), Hash: r.Hash()})
+		}
+		e.Payload = m
 	case TSyncPull:
-		msg, rest, err = decodeSyncPull(body)
+		e.Payload = SyncPull{Section: r.U8(), Page: r.U32()}
 	case TSyncPage:
-		msg, rest, err = decodeSyncPage(body)
+		e.Payload = SyncPage{Section: r.U8(), Page: r.U32(), Last: r.Bool(), Data: r.Bytes32()}
 	default:
 		return Envelope{}, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return Envelope{}, err
 	}
-	if len(rest) != 0 {
-		return Envelope{}, ErrTrailing
-	}
-	e.Payload = msg
 	return e, nil
-}
-
-// ----- Merkle proof wire helpers -----
-
-// proofSize = index(2) + leaves(2) + pathLen(1) + path entries.
-func proofSize(p merkle.Proof) int { return 5 + len(p.Path)*merkle.RootSize }
-
-func appendProof(buf []byte, p merkle.Proof) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(p.Index))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(p.Leaves))
-	buf = append(buf, byte(len(p.Path)))
-	for _, h := range p.Path {
-		buf = append(buf, h[:]...)
-	}
-	return buf
-}
-
-func decodeProof(data []byte) (merkle.Proof, []byte, error) {
-	if len(data) < 5 {
-		return merkle.Proof{}, nil, ErrShort
-	}
-	var p merkle.Proof
-	p.Index = int(binary.BigEndian.Uint16(data[0:2]))
-	p.Leaves = int(binary.BigEndian.Uint16(data[2:4]))
-	n := int(data[4])
-	data = data[5:]
-	if len(data) < n*merkle.RootSize {
-		return merkle.Proof{}, nil, ErrShort
-	}
-	p.Path = make([]merkle.Root, n)
-	for i := 0; i < n; i++ {
-		copy(p.Path[i][:], data[i*merkle.RootSize:])
-	}
-	return p, data[n*merkle.RootSize:], nil
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func decodeBytes(data []byte) ([]byte, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, ErrShort
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) < n {
-		return nil, nil, ErrShort
-	}
-	return append([]byte(nil), data[:n]...), data[n:], nil
 }
 
 // ----- AVID dispersal messages (Fig 3 of the paper) -----
@@ -237,28 +177,12 @@ type Chunk struct {
 
 func (Chunk) Type() byte { return TChunk }
 func (m Chunk) BodySize() int {
-	return merkle.RootSize + 4 + len(m.Data) + proofSize(m.Proof)
+	return merkle.RootSize + 4 + len(m.Data) + ProofSize(m.Proof)
 }
 func (m Chunk) AppendTo(buf []byte) []byte {
 	buf = append(buf, m.Root[:]...)
-	buf = appendBytes(buf, m.Data)
-	return appendProof(buf, m.Proof)
-}
-
-func decodeChunk(data []byte) (Msg, []byte, error) {
-	var m Chunk
-	if len(data) < merkle.RootSize {
-		return nil, nil, ErrShort
-	}
-	copy(m.Root[:], data)
-	data = data[merkle.RootSize:]
-	var err error
-	m.Data, data, err = decodeBytes(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.Proof, data, err = decodeProof(data)
-	return m, data, err
+	buf = AppendBytes(buf, m.Data)
+	return AppendProof(buf, m.Proof)
 }
 
 // GotChunk announces that the sender holds a valid chunk under Root.
@@ -270,15 +194,6 @@ func (m GotChunk) AppendTo(buf []byte) []byte {
 	return append(buf, m.Root[:]...)
 }
 
-func decodeGotChunk(data []byte) (Msg, []byte, error) {
-	var m GotChunk
-	if len(data) < merkle.RootSize {
-		return nil, nil, ErrShort
-	}
-	copy(m.Root[:], data)
-	return m, data[merkle.RootSize:], nil
-}
-
 // Ready votes to complete the dispersal under Root.
 type Ready struct{ Root merkle.Root }
 
@@ -286,15 +201,6 @@ func (Ready) Type() byte    { return TReady }
 func (Ready) BodySize() int { return merkle.RootSize }
 func (m Ready) AppendTo(buf []byte) []byte {
 	return append(buf, m.Root[:]...)
-}
-
-func decodeReady(data []byte) (Msg, []byte, error) {
-	var m Ready
-	if len(data) < merkle.RootSize {
-		return nil, nil, ErrShort
-	}
-	copy(m.Root[:], data)
-	return m, data[merkle.RootSize:], nil
 }
 
 // ----- AVID retrieval messages (Fig 4 of the paper) -----
@@ -315,28 +221,12 @@ type ReturnChunk struct {
 
 func (ReturnChunk) Type() byte { return TReturnChunk }
 func (m ReturnChunk) BodySize() int {
-	return merkle.RootSize + 4 + len(m.Data) + proofSize(m.Proof)
+	return merkle.RootSize + 4 + len(m.Data) + ProofSize(m.Proof)
 }
 func (m ReturnChunk) AppendTo(buf []byte) []byte {
 	buf = append(buf, m.Root[:]...)
-	buf = appendBytes(buf, m.Data)
-	return appendProof(buf, m.Proof)
-}
-
-func decodeReturnChunk(data []byte) (Msg, []byte, error) {
-	var m ReturnChunk
-	if len(data) < merkle.RootSize {
-		return nil, nil, ErrShort
-	}
-	copy(m.Root[:], data)
-	data = data[merkle.RootSize:]
-	var err error
-	m.Data, data, err = decodeBytes(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.Proof, data, err = decodeProof(data)
-	return m, data, err
+	buf = AppendBytes(buf, m.Data)
+	return AppendProof(buf, m.Proof)
 }
 
 // CancelRequest tells a server the retriever has decoded the block and
@@ -359,14 +249,7 @@ func (BVal) Type() byte    { return TBVal }
 func (BVal) BodySize() int { return 5 }
 func (m BVal) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, m.Round)
-	return append(buf, boolByte(m.Value))
-}
-
-func decodeBVal(data []byte) (Msg, []byte, error) {
-	if len(data) < 5 {
-		return nil, nil, ErrShort
-	}
-	return BVal{Round: binary.BigEndian.Uint32(data), Value: data[4] != 0}, data[5:], nil
+	return AppendBool(buf, m.Value)
 }
 
 // Aux is the second-stage vote of a BA round, carrying a value from the
@@ -380,14 +263,7 @@ func (Aux) Type() byte    { return TAux }
 func (Aux) BodySize() int { return 5 }
 func (m Aux) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, m.Round)
-	return append(buf, boolByte(m.Value))
-}
-
-func decodeAux(data []byte) (Msg, []byte, error) {
-	if len(data) < 5 {
-		return nil, nil, ErrShort
-	}
-	return Aux{Round: binary.BigEndian.Uint32(data), Value: data[4] != 0}, data[5:], nil
+	return AppendBool(buf, m.Value)
 }
 
 // Term is the Bracha-style termination gadget: broadcast on decision so
@@ -397,21 +273,7 @@ type Term struct{ Value bool }
 func (Term) Type() byte    { return TTerm }
 func (Term) BodySize() int { return 1 }
 func (m Term) AppendTo(buf []byte) []byte {
-	return append(buf, boolByte(m.Value))
-}
-
-func decodeTerm(data []byte) (Msg, []byte, error) {
-	if len(data) < 1 {
-		return nil, nil, ErrShort
-	}
-	return Term{Value: data[0] != 0}, data[1:], nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return AppendBool(buf, m.Value)
 }
 
 // ----- Crash-recovery messages (internal/store's recovery path) -----
@@ -452,26 +314,10 @@ type StatusReply struct {
 func (StatusReply) Type() byte      { return TStatusReply }
 func (m StatusReply) BodySize() int { return 1 + 8 + 2 + len(m.S) }
 func (m StatusReply) AppendTo(buf []byte) []byte {
-	buf = append(buf, boolByte(m.Decided))
+	buf = AppendBool(buf, m.Decided)
 	buf = binary.BigEndian.AppendUint64(buf, m.Through)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.S)))
 	return append(buf, m.S...)
-}
-
-func decodeStatusReply(data []byte) (Msg, []byte, error) {
-	if len(data) < 11 {
-		return nil, nil, ErrShort
-	}
-	m := StatusReply{Decided: data[0] != 0, Through: binary.BigEndian.Uint64(data[1:9])}
-	n := int(binary.BigEndian.Uint16(data[9:11]))
-	data = data[11:]
-	if len(data) < n {
-		return nil, nil, ErrShort
-	}
-	if n > 0 {
-		m.S = append([]byte(nil), data[:n]...)
-	}
-	return m, data[n:], nil
 }
 
 // SetBitmap encodes a sorted index set as a bitmap of nBits bits.
@@ -553,25 +399,6 @@ func (m SyncOffer) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-func decodeSyncOffer(data []byte) (Msg, []byte, error) {
-	if len(data) < 1 {
-		return nil, nil, ErrShort
-	}
-	n := int(data[0])
-	data = data[1:]
-	if len(data) < 40*n {
-		return nil, nil, ErrShort
-	}
-	m := SyncOffer{}
-	for i := 0; i < n; i++ {
-		var p SyncPoint
-		p.Epoch = binary.BigEndian.Uint64(data[40*i:])
-		copy(p.Hash[:], data[40*i+8:])
-		m.Points = append(m.Points, p)
-	}
-	return m, data[40*n:], nil
-}
-
 // Sync stream sections.
 const (
 	// SyncSectionManifest streams the canonical checkpoint manifest for
@@ -599,13 +426,6 @@ func (m SyncPull) AppendTo(buf []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, m.Page)
 }
 
-func decodeSyncPull(data []byte) (Msg, []byte, error) {
-	if len(data) < 5 {
-		return nil, nil, ErrShort
-	}
-	return SyncPull{Section: data[0], Page: binary.BigEndian.Uint32(data[1:5])}, data[5:], nil
-}
-
 // SyncPage answers SyncPull with one page of section bytes. Last marks
 // the section's final page; a page with Last and no Data means the donor
 // no longer holds the requested point (evicted from its ring) and the
@@ -622,22 +442,6 @@ func (m SyncPage) BodySize() int { return 1 + 4 + 1 + 4 + len(m.Data) }
 func (m SyncPage) AppendTo(buf []byte) []byte {
 	buf = append(buf, m.Section)
 	buf = binary.BigEndian.AppendUint32(buf, m.Page)
-	buf = append(buf, boolByte(m.Last))
-	return appendBytes(buf, m.Data)
-}
-
-func decodeSyncPage(data []byte) (Msg, []byte, error) {
-	if len(data) < 6 {
-		return nil, nil, ErrShort
-	}
-	m := SyncPage{Section: data[0], Page: binary.BigEndian.Uint32(data[1:5]), Last: data[5] != 0}
-	var err error
-	m.Data, data, err = decodeBytes(data[6:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(m.Data) == 0 {
-		m.Data = nil
-	}
-	return m, data, nil
+	buf = AppendBool(buf, m.Last)
+	return AppendBytes(buf, m.Data)
 }
