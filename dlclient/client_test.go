@@ -29,7 +29,7 @@ func (s stubNode) Exec(fn func(*replica.Replica)) { fn(s.r) }
 
 func newHub(t *testing.T, params replica.Params) *gateway.Hub {
 	t.Helper()
-	r, err := replica.New(core.Config{N: 4, F: 1}, 0, params, stubCtx{})
+	r, err := replica.New(core.Config{N: 4, F: 1}, 0, params, nil, stubCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@
 package avid
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -469,7 +468,3 @@ func (r *Retriever) finish(block []byte, bad bool) {
 	}
 	r.chunks = nil
 }
-
-// IsBadUploader reports whether a retrieved payload is the BAD_UPLOADER
-// error value.
-func IsBadUploader(b []byte) bool { return bytes.Equal(b, BadUploader) }

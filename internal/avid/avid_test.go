@@ -300,7 +300,7 @@ func TestBadUploaderDetectedConsistently(t *testing.T) {
 		if !bad1 || !bad2 {
 			t.Fatalf("seed %d: inconsistent encoding not flagged (bad1=%v bad2=%v)", seed, bad1, bad2)
 		}
-		if !bytes.Equal(b1, b2) || !IsBadUploader(b1) {
+		if !bytes.Equal(b1, b2) || !bytes.Equal(b1, BadUploader) {
 			t.Fatal("BAD_UPLOADER values differ between clients")
 		}
 	}

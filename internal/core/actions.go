@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dledger/internal/ba"
-	"dledger/internal/merkle"
 	"dledger/internal/store"
 	"dledger/internal/wire"
 )
@@ -110,17 +109,13 @@ type EpochDeliveredAction struct {
 // its transactions would be lost) and resumes them on this action.
 type CatchupDoneAction struct{}
 
-// ChunkStoredAction reports that a VID instance Completed locally: the
-// replica persists the agreed root (and, when HasChunk, the chunk and its
-// proof) so a restarted node keeps its availability promise — it can
-// still serve retrieval requests for every dispersal it acknowledged.
+// ChunkStoredAction reports that a VID instance Completed locally (or
+// that its chunk arrived after completion): the replica persists Rec —
+// the agreed root and, when HasChunk, the chunk and its proof — so a
+// restarted node keeps its availability promise: it can still serve
+// retrieval requests for every dispersal it acknowledged.
 type ChunkStoredAction struct {
-	Epoch    uint64
-	Proposer wire.NodeID
-	Root     merkle.Root
-	HasChunk bool
-	Data     []byte
-	Proof    merkle.Proof
+	Rec store.ChunkRecord
 }
 
 // VoteCastAction reports that the BA instance (Epoch, Proposer) appended

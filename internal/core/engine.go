@@ -32,6 +32,7 @@ import (
 	"dledger/internal/ba"
 	"dledger/internal/coin"
 	"dledger/internal/statesync"
+	"dledger/internal/store"
 	"dledger/internal/wire"
 )
 
@@ -654,14 +655,21 @@ func (e *Engine) toVID(env wire.Envelope, msg wire.Msg) {
 		// proposer): refresh the durable record, which was written with
 		// HasChunk=false at completion time, or a future restart would
 		// forget a chunk this node is known to serve.
-		root, data, proof, ok := v.StoredChunk()
-		if ok {
-			e.actions = append(e.actions, ChunkStoredAction{
-				Epoch: env.Epoch, Proposer: env.Proposer,
-				Root: root, HasChunk: true, Data: data, Proof: proof,
-			})
-		}
+		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(env.Epoch, env.Proposer, v)})
 	}
+}
+
+// storedChunk is the durable record of a completed VID instance: the
+// agreed root and, when the server holds a chunk matching it, the chunk
+// and its proof. It is what the store persists, what a restart restores
+// from, and what state sync ships to a joiner.
+func storedChunk(epoch uint64, proposer int, v *avid.Server) store.ChunkRecord {
+	root, data, proof, ok := v.StoredChunk()
+	rec := store.ChunkRecord{Epoch: epoch, Proposer: proposer, Root: root, HasChunk: ok}
+	if ok {
+		rec.Data, rec.Proof = data, proof
+	}
+	return rec
 }
 
 func (e *Engine) toBA(env wire.Envelope, msg wire.Msg) {
@@ -733,12 +741,7 @@ func (e *Engine) onVIDComplete(epoch uint64, proposer int) {
 	// Hand the completed instance's durable state (agreed root, stored
 	// chunk) to the replica for persistence.
 	if v := e.epochs[epoch].vids[proposer]; v != nil {
-		root, data, proof, ok := v.StoredChunk()
-		act := ChunkStoredAction{Epoch: epoch, Proposer: proposer, Root: root, HasChunk: ok}
-		if ok {
-			act.Data, act.Proof = data, proof
-		}
-		e.actions = append(e.actions, act)
+		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(epoch, proposer, v)})
 	}
 
 	// Track the completion watermark that feeds our V arrays.

@@ -45,7 +45,7 @@ func TestRestoredEngineServesRetrievals(t *testing.T) {
 	if stored == nil {
 		t.Fatal("no ChunkStoredAction after VID completion")
 	}
-	if !stored.HasChunk || !bytes.Equal(stored.Data, chunks[1].Data) {
+	if !stored.Rec.HasChunk || !bytes.Equal(stored.Rec.Data, chunks[1].Data) {
 		t.Fatalf("stored chunk mismatch: %+v", stored)
 	}
 
@@ -54,10 +54,7 @@ func TestRestoredEngineServesRetrievals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(nil, nil, []store.ChunkRecord{{
-		Epoch: stored.Epoch, Proposer: stored.Proposer, Root: stored.Root,
-		HasChunk: stored.HasChunk, Data: stored.Data, Proof: stored.Proof,
-	}}); err != nil {
+	if err := eng2.Restore(nil, nil, []store.ChunkRecord{stored.Rec}); err != nil {
 		t.Fatal(err)
 	}
 	eng2.Start()

@@ -194,21 +194,10 @@ func (e *Engine) chunkInventoryPage(target uint64, page uint32) (data []byte, la
 	for _, epoch := range epochs {
 		es := e.epochs[epoch]
 		for j, v := range es.vids {
-			if v == nil {
+			if v == nil || !v.HasChunk() { // HasChunk implies completion
 				continue
 			}
-			done, _ := v.Completed()
-			if !done || !v.HasChunk() {
-				continue
-			}
-			root, chunk, proof, ok := v.StoredChunk()
-			if !ok {
-				continue
-			}
-			rec := store.ChunkRecord{
-				Epoch: epoch, Proposer: j, Root: root,
-				HasChunk: true, Data: chunk, Proof: proof,
-			}
+			rec := storedChunk(epoch, j, v)
 			if off >= end {
 				return buf, false // records beyond this page remain
 			}
@@ -456,6 +445,13 @@ func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
 	if key.epoch <= e.prunedThrough {
 		return
 	}
+	// The steady state for the foreign blocks of every epoch: this node's
+	// server completed live and holds its chunk. Adopting the completion
+	// again would change nothing, so skip recomputing the chunk — a full
+	// Reed–Solomon encode plus an N-leaf Merkle tree per retrieved block.
+	if es := e.epochs[key.epoch]; es != nil && es.vids[key.proposer] != nil && es.vids[key.proposer].HasChunk() {
+		return
+	}
 	root, data, proof, err := avid.OwnChunk(e.params, e.self, raw)
 	if err != nil {
 		return
@@ -472,13 +468,7 @@ func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
 		return
 	}
 	if !hadChunk && v.HasChunk() {
-		r, d, p, ok := v.StoredChunk()
-		if ok {
-			e.actions = append(e.actions, ChunkStoredAction{
-				Epoch: key.epoch, Proposer: key.proposer,
-				Root: r, HasChunk: true, Data: d, Proof: p,
-			})
-		}
+		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(key.epoch, key.proposer, v)})
 	}
 	if !wasDone {
 		e.advanceWatermark(key.proposer, key.epoch)

@@ -60,10 +60,7 @@ func (w *walCollector) observe(a Action) {
 	case EpochDeliveredAction:
 		w.recs = append(w.recs, store.Record{Type: store.RecEpochDone, Epoch: act.Epoch, Floor: act.Floor})
 	case ChunkStoredAction:
-		w.chunks[blockKey{act.Epoch, act.Proposer}] = store.ChunkRecord{
-			Epoch: act.Epoch, Proposer: act.Proposer, Root: act.Root,
-			HasChunk: act.HasChunk, Data: act.Data, Proof: act.Proof,
-		}
+		w.chunks[blockKey{act.Rec.Epoch, act.Rec.Proposer}] = act.Rec
 	}
 }
 

@@ -26,7 +26,7 @@ func (s stubNode) Exec(fn func(*replica.Replica)) { fn(s.r) }
 
 func newStub(t *testing.T, params replica.Params) stubNode {
 	t.Helper()
-	r, err := replica.New(core.Config{N: 4, F: 1}, 0, params, stubCtx{})
+	r, err := replica.New(core.Config{N: 4, F: 1}, 0, params, nil, stubCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func (c *Cluster) boot(i int, cfg core.Config, st store.Store, hook func(replica
 	}
 	alive := new(bool)
 	*alive = true
-	r, err := replica.NewWithStore(cfg, i, params, st,
+	r, err := replica.New(cfg, i, params, st,
 		&simCtx{sim: c.Sim, net: c.Net, self: i, alive: alive})
 	if err != nil {
 		return err
@@ -199,6 +199,16 @@ func (c *Cluster) boot(i int, cfg core.Config, st store.Store, hook func(replica
 		}
 	}
 	return nil
+}
+
+// freshStore gives node i an empty MemStore under Durable and no store
+// otherwise: a nil interface, never a nil *MemStore inside one.
+func (c *Cluster) freshStore(i int) store.Store {
+	if !c.opts.Durable {
+		return nil
+	}
+	c.Stores[i] = store.NewMem()
+	return c.Stores[i]
 }
 
 // NewCluster builds the emulated cluster (not yet started).
@@ -238,12 +248,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		c.Tels = make([]*telemetry.Metrics, n)
 	}
 	for i := 0; i < n; i++ {
-		var st store.Store = store.NewNoop()
-		if opts.Durable {
-			c.Stores[i] = store.NewMem()
-			st = c.Stores[i]
-		}
-		if err := c.boot(i, opts.Core, st, nil); err != nil {
+		if err := c.boot(i, opts.Core, c.freshStore(i), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -330,12 +335,7 @@ func (c *Cluster) AddNode(i int, onDeliver func(replica.Delivery)) error {
 	delete(c.held, i)
 	cfg := c.opts.Core
 	cfg.JoinSync = true
-	var st store.Store = store.NewNoop()
-	if c.opts.Durable {
-		c.Stores[i] = store.NewMem()
-		st = c.Stores[i]
-	}
-	return c.boot(i, cfg, st, onDeliver)
+	return c.boot(i, cfg, c.freshStore(i), onDeliver)
 }
 
 // Start boots all replicas and installs the workload.

@@ -21,7 +21,7 @@ func newDurableDedupCluster(t *testing.T, params Params) (*fakeNet, []*store.Mem
 	stores := make([]*store.MemStore, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		stores[i] = store.NewMem()
-		r, err := NewWithStore(cfg, i, params, stores[i], &fakeCtx{net: net, self: i})
+		r, err := New(cfg, i, params, stores[i], &fakeCtx{net: net, self: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 
 	// Restart node 0 from its surviving store.
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	r2, err := NewWithStore(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDedupSurvivesCheckpointCompaction(t *testing.T) {
 	}
 
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	r2, err := NewWithStore(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestInFlightProposalMarkedPending(t *testing.T) {
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
 	st := store.NewMem()
 	net := &fakeNet{}
-	r, err := NewWithStore(cfg, 0, params, st, &soloCtx{net: net})
+	r, err := New(cfg, 0, params, st, &soloCtx{net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestInFlightProposalMarkedPending(t *testing.T) {
 	r.Start()
 	net.run(time.Second)
 
-	r2, err := NewWithStore(cfg, 0, params, st.Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, st.Reopen(), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

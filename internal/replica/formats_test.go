@@ -125,7 +125,7 @@ type checkpointState struct {
 func checkpointReplica(t testing.TB, dedup bool) *Replica {
 	t.Helper()
 	r, err := New(core.Config{N: 4, F: 1, CoinSecret: []byte("replica test")}, 0,
-		Params{ClientDedup: dedup}, &fakeCtx{net: &fakeNet{}})
+		Params{ClientDedup: dedup}, nil, &fakeCtx{net: &fakeNet{}})
 	if err != nil {
 		t.Fatal(err)
 	}

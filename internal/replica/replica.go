@@ -160,8 +160,9 @@ type Replica struct {
 	pool   *mempool.Pool
 	params Params
 
+	// st is nil on a node that persists nothing. After the first failed
+	// write nothing more is persisted either (see storeFail).
 	st          store.Store
-	durable     bool
 	lastLSN     uint64
 	storeBroken bool
 	sinceCkpt   int
@@ -252,21 +253,15 @@ type RecoveredBlock struct {
 	TxHashes []mempool.Hash
 }
 
-// New builds a replica for node self with no durability: nothing is
-// persisted and nothing can be recovered, which is the right default for
-// tests, benchmarks and throwaway in-process clusters. Use NewWithStore
-// for a restartable node.
-func New(cfg core.Config, self int, params Params, ctx Context) (*Replica, error) {
-	return NewWithStore(cfg, self, params, store.NewNoop(), ctx)
-}
-
-// NewWithStore builds a replica backed by st, recovering whatever state
-// the store holds: the checkpoint snapshot is applied, the WAL after it
-// is replayed (restoring the engine's log position and the delivery
-// counters), and the chunk store is loaded so the node can serve
-// retrievals for pre-crash epochs. A corrupt store fails construction
-// rather than silently rejoining with partial state.
-func NewWithStore(cfg core.Config, self int, params Params, st store.Store, ctx Context) (*Replica, error) {
+// New builds a replica for node self. A nil st means no durability:
+// nothing is persisted and nothing can be recovered, which is right for
+// tests, benchmarks and throwaway in-process clusters. Otherwise the
+// replica recovers whatever state st holds: the checkpoint snapshot is
+// applied, the WAL after it is replayed (restoring the engine's log
+// position and the delivery counters), and the chunk store is loaded so
+// the node can serve retrievals for pre-crash epochs. A corrupt store
+// fails construction rather than silently rejoining with partial state.
+func New(cfg core.Config, self int, params Params, st store.Store, ctx Context) (*Replica, error) {
 	eng, err := core.NewEngine(cfg, self)
 	if err != nil {
 		return nil, err
@@ -279,39 +274,12 @@ func NewWithStore(cfg core.Config, self int, params Params, st store.Store, ctx 
 			MaxBytes: params.MempoolBytes,
 			Dedup:    params.ClientDedup,
 		}),
-		params:  params,
-		st:      st,
-		durable: st.Durable(),
-		tel:     newRepMetrics(params.Telemetry),
+		params: params,
+		st:     st,
+		tel:    newRepMetrics(params.Telemetry),
 	}
-	var recs []store.Record
-	cp, err := st.Recover(func(lsn uint64, rec store.Record) error {
-		recs = append(recs, rec)
-		r.replayStats(rec)
-		if lsn > r.lastLSN {
-			r.lastLSN = lsn
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var snap *core.Snapshot
-	if cp != nil {
-		snap, err = r.decodeCheckpoint(cp.State)
-		if err != nil {
-			return nil, err
-		}
-		if cp.LSN > r.lastLSN {
-			r.lastLSN = cp.LSN
-		}
-	}
-	var chunks []store.ChunkRecord
-	if err := st.Chunks(func(c store.ChunkRecord) error { chunks = append(chunks, c); return nil }); err != nil {
-		return nil, err
-	}
-	if snap != nil || len(recs) > 0 || len(chunks) > 0 {
-		if err := eng.Restore(snap, recs, chunks); err != nil {
+	if st != nil {
+		if err := r.restore(); err != nil {
 			return nil, err
 		}
 	}
@@ -320,6 +288,41 @@ func NewWithStore(cfg core.Config, self int, params Params, st store.Store, ctx 
 		eng.SetSyncSource(trackerSource{r.tracker})
 	}
 	return r, nil
+}
+
+// restore rebuilds the engine, the delivery counters and the dedup
+// memory from the store.
+func (r *Replica) restore() error {
+	var recs []store.Record
+	cp, err := r.st.Recover(func(lsn uint64, rec store.Record) error {
+		recs = append(recs, rec)
+		r.replayStats(rec)
+		if lsn > r.lastLSN {
+			r.lastLSN = lsn
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	var snap *core.Snapshot
+	if cp != nil {
+		snap, err = r.decodeCheckpoint(cp.State)
+		if err != nil {
+			return err
+		}
+		if cp.LSN > r.lastLSN {
+			r.lastLSN = cp.LSN
+		}
+	}
+	var chunks []store.ChunkRecord
+	if err := r.st.Chunks(func(c store.ChunkRecord) error { chunks = append(chunks, c); return nil }); err != nil {
+		return err
+	}
+	if snap != nil || len(recs) > 0 || len(chunks) > 0 {
+		return r.engine.Restore(snap, recs, chunks)
+	}
+	return nil
 }
 
 // trackerSource adapts the tracker to the engine's donor interface.
@@ -523,7 +526,7 @@ func (r *Replica) apply(actions []core.Action) {
 			}
 		}
 	}
-	if r.durable {
+	if r.st != nil {
 		r.persistStep(actions, hashes)
 	}
 	for idx, a := range actions {
@@ -575,7 +578,7 @@ func (r *Replica) apply(actions []core.Action) {
 			r.installSync(act)
 		}
 	}
-	if n := r.params.checkpointEvery(); r.durable && n > 0 && r.sinceCkpt >= n {
+	if n := r.params.checkpointEvery(); r.st != nil && n > 0 && r.sinceCkpt >= n {
 		r.checkpoint()
 	}
 	// Mirror the engine-owned state-sync transfer counters (read only
@@ -636,12 +639,17 @@ func (r *Replica) persistStep(actions []core.Action, hashes map[int][]mempool.Ha
 			// Chunk records sync with the step too: the same step's Ready
 			// broadcast tells peers this node stores the chunk, and the
 			// availability count of the decided block depends on it.
-			r.putChunk(act)
-			wrote = true
+			wrote = r.persist(func() error { return r.st.PutChunk(act.Rec) }) || wrote
 		}
 	}
 	if len(recs) > 0 {
-		wrote = r.persistBatch(recs) || wrote
+		wrote = r.persist(func() error {
+			lsn, err := r.st.AppendBatch(recs)
+			if err == nil {
+				r.lastLSN = lsn
+			}
+			return err
+		}) || wrote
 	}
 	// Drop the batch's references to block/hash payloads before reuse so
 	// the buffer doesn't pin a step's blocks until the next write burst.
@@ -650,50 +658,32 @@ func (r *Replica) persistStep(actions []core.Action, hashes map[int][]mempool.Ha
 	}
 	r.recBatch = recs[:0]
 	if wrote {
-		r.syncStore()
+		r.persist(r.syncStore)
 	}
 }
 
-// persistBatch appends the step's WAL records as one batch; reports
-// whether a sync is owed.
-func (r *Replica) persistBatch(recs []store.Record) bool {
+// persist runs one durable write — unless an earlier one failed — and
+// reports whether it succeeded; a failure ends persistence (storeFail).
+func (r *Replica) persist(write func() error) bool {
 	if r.storeBroken {
 		return false
 	}
-	lsn, err := r.st.AppendBatch(recs)
-	if err != nil {
+	if err := write(); err != nil {
 		r.storeFail()
 		return false
 	}
-	r.lastLSN = lsn
 	return true
 }
 
-func (r *Replica) putChunk(act core.ChunkStoredAction) {
-	if r.storeBroken {
-		return
-	}
-	if err := r.st.PutChunk(store.ChunkRecord{
-		Epoch: act.Epoch, Proposer: act.Proposer, Root: act.Root,
-		HasChunk: act.HasChunk, Data: act.Data, Proof: act.Proof,
-	}); err != nil {
-		r.storeFail()
-	}
-}
-
-func (r *Replica) syncStore() {
-	if r.storeBroken {
-		return
-	}
+// syncStore group-commits the step, timing the fsync.
+func (r *Replica) syncStore() error {
 	t0 := r.ctx.Now()
 	err := r.st.Sync()
 	// Journaled as well as measured: WAL stalls show up in post-mortem
 	// timelines next to the protocol events they gated.
 	now := r.ctx.Now()
 	r.tel.Emit(telemetry.Event{Kind: telemetry.Fsync, At: now, Arg: int64(now - t0)})
-	if err != nil {
-		r.storeFail()
-	}
+	return err
 }
 
 // storeFail records a durable-write failure and stops persisting: the
@@ -708,14 +698,11 @@ func (r *Replica) syncStore() {
 // failure — so the warning dlnode prints on StoreErrors stays
 // load-bearing as the fallback signal.
 func (r *Replica) storeFail() {
-	first := !r.storeBroken
 	r.storeBroken = true
 	r.Stats.StoreErrors++
 	r.tel.Emit(telemetry.Event{Kind: telemetry.StoreError})
-	if first {
-		if m, ok := r.st.(store.UnsafeRestartMarker); ok {
-			_ = m.MarkUnsafeRestart()
-		}
+	if m, ok := r.st.(store.UnsafeRestartMarker); ok {
+		_ = m.MarkUnsafeRestart() // best effort, see above
 	}
 }
 
@@ -763,31 +750,20 @@ func (r *Replica) installSync(act core.SyncInstallAction) {
 		// catch-up — one spurious empty block is proposed.
 		r.proposalEmpty = true
 	}
-	if r.durable {
+	if r.st != nil {
 		r.checkpoint()
 	}
 }
 
-// checkpoint snapshots the engine at the current WAL position, then
-// compacts the WAL the snapshot subsumes and the chunks the engine's
-// retention horizon has garbage-collected.
+// checkpoint snapshots the engine at the current WAL position; the store
+// then compacts the WAL the snapshot subsumes and the chunks the
+// engine's retention horizon has garbage-collected.
 func (r *Replica) checkpoint() {
 	r.sinceCkpt = 0
-	if r.storeBroken {
-		return
-	}
-	blob := r.encodeCheckpoint(r.engine.Snapshot())
-	if err := r.st.SaveCheckpoint(store.Checkpoint{LSN: r.lastLSN, State: blob}); err != nil {
-		r.storeFail()
-		return
-	}
-	if err := r.st.CompactWAL(r.lastLSN); err != nil {
-		r.storeFail()
-		return
-	}
-	if err := r.st.CompactChunks(r.engine.PrunedThrough()); err != nil {
-		r.storeFail()
-	}
+	r.persist(func() error {
+		blob := r.encodeCheckpoint(r.engine.Snapshot())
+		return r.st.Checkpoint(store.Checkpoint{LSN: r.lastLSN, State: blob}, r.engine.PrunedThrough())
+	})
 }
 
 func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {

@@ -82,7 +82,7 @@ func newFakeCluster(t *testing.T, cfg core.Config, params Params) *fakeNet {
 	}
 	net := &fakeNet{}
 	for i := 0; i < cfg.N; i++ {
-		r, err := New(cfg, i, params, &fakeCtx{net: net, self: i})
+		r, err := New(cfg, i, params, nil, &fakeCtx{net: net, self: i})
 		if err != nil {
 			t.Fatal(err)
 		}

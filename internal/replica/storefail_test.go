@@ -11,7 +11,7 @@ import (
 )
 
 // failingStore wraps a MemStore and starts failing every write after
-// `failAfter` successful Appends — a disk that fills up mid-run.
+// `failAfter` successfully appended records — a disk that fills up mid-run.
 type failingStore struct {
 	*store.MemStore
 	appends   int
@@ -21,24 +21,14 @@ type failingStore struct {
 
 var errDiskFull = errors.New("storefail_test: injected write failure")
 
-func (f *failingStore) Append(rec store.Record) (uint64, error) {
-	f.appends++
-	if f.appends > f.failAfter {
-		return 0, errDiskFull
-	}
-	return f.MemStore.Append(rec)
-}
-
 func (f *failingStore) AppendBatch(recs []store.Record) (uint64, error) {
-	var last uint64
-	for _, rec := range recs {
-		lsn, err := f.Append(rec)
-		if err != nil {
-			return 0, err
+	for i := range recs {
+		if f.appends++; f.appends > f.failAfter {
+			f.MemStore.AppendBatch(recs[:i]) // the records before the failure landed
+			return 0, errDiskFull
 		}
-		last = lsn
 	}
-	return last, nil
+	return f.MemStore.AppendBatch(recs)
 }
 
 func (f *failingStore) MarkUnsafeRestart() error {
@@ -74,7 +64,7 @@ func TestStoreErrorsCountedAndNodeStaysAvailable(t *testing.T) {
 		if i == 0 {
 			st = &failingStore{MemStore: store.NewMem(), failAfter: 10}
 		}
-		r, err := NewWithStore(cfg, i, Params{BatchDelay: 50 * time.Millisecond}, st, &fakeCtx{net: net, self: i})
+		r, err := New(cfg, i, Params{BatchDelay: 50 * time.Millisecond}, st, &fakeCtx{net: net, self: i})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
+
+	"dledger/internal/wire"
 )
 
 // FileOptions configures a FileStore.
@@ -43,48 +44,20 @@ func (o FileOptions) segmentBytes() int {
 	return o.SegmentBytes
 }
 
-// FileStore is the durable filesystem backend. Appends are buffered and
+// FileStore is the durable filesystem backend: two segmented logs (the
+// WAL and the chunk log) and a checkpoint file. Appends are buffered and
 // made durable in batches by Sync (group commit): the replica syncs once
-// per event-loop step that produced durable records, so one fsync covers
-// every record of the step.
+// per event-loop step that produced durable records, so one fsync per
+// log covers every record of the step.
 type FileStore struct {
-	opts     FileOptions
-	walDir   string
-	chunkDir string
+	opts FileOptions
 
-	nextLSN  uint64
-	walSegs  []walSeg
-	wal      *segWriter
-	chunkSeq uint64
-	chkSegs  []chunkSeg
-	chunks   *segWriter
+	nextLSN uint64
+	wal     *segLog // a frame's mark is its LSN; a segment is named after its first
+	chunks  *segLog // a frame's mark is its epoch; segments are numbered
 
 	lock   *os.File
 	closed bool
-
-	// enc is the reusable WAL frame scratch: Append/AppendBatch encode
-	// every record through it, so steady-state appends allocate nothing.
-	enc []byte
-}
-
-type walSeg struct {
-	path     string
-	first    uint64
-	last     uint64
-	complete bool // closed for appends; removable by CompactWAL
-}
-
-type chunkSeg struct {
-	path     string
-	maxEpoch uint64
-	complete bool
-}
-
-type segWriter struct {
-	f     *os.File
-	bw    *bufio.Writer
-	size  int
-	dirty bool
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -92,22 +65,31 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frame layout: len(4) crc(4) payload(len).
 const frameHeader = 8
 
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+// sealFrame back-fills the header over the frameHeader bytes reserved at
+// the front of buf; everything behind them is the payload.
+func sealFrame(buf []byte) {
+	payload := buf[frameHeader:]
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+}
+
+// readFrame reads one frame; the payload aliases the reader's input. It
+// is the only code that interprets a frame header: a length running past
+// the input — or negative, as 0xFFFFFFF0 is in a 32-bit int — fails in
+// the reader, and ok is false for that and for a checksum mismatch.
+func readFrame(r *wire.Reader) (payload []byte, ok bool) {
+	n, crc := r.U32(), r.U32()
+	payload = r.View(int(n))
+	return payload, r.Err() == nil && crc32.Checksum(payload, crcTable) == crc
 }
 
 // OpenFile opens (or initializes) a FileStore at opts.Dir, scanning
 // existing segments to validate their frames and truncate any torn tail
 // left by a crash.
 func OpenFile(opts FileOptions) (*FileStore, error) {
-	s := &FileStore{
-		opts:     opts,
-		walDir:   filepath.Join(opts.Dir, "wal"),
-		chunkDir: filepath.Join(opts.Dir, "chunks"),
-	}
-	for _, d := range []string{opts.Dir, s.walDir, s.chunkDir} {
+	s := &FileStore{opts: opts}
+	walDir, chunkDir := filepath.Join(opts.Dir, "wal"), filepath.Join(opts.Dir, "chunks")
+	for _, d := range []string{opts.Dir, walDir, chunkDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, err
 		}
@@ -136,19 +118,25 @@ func OpenFile(opts FileOptions) (*FileStore, error) {
 			return nil, err
 		}
 	}
-	if err := s.scanWAL(); err != nil {
+	s.wal, err = openLog(walDir, opts, func(payload []byte) (uint64, error) {
+		r := wire.NewReader(payload)
+		return r.U64(), r.Err()
+	})
+	if err == nil {
+		s.chunks, err = openLog(chunkDir, opts, func(payload []byte) (uint64, error) {
+			c, err := DecodeChunkRecord(payload)
+			return c.Epoch, err
+		})
+	}
+	if err != nil {
 		s.unlock()
 		return nil, err
 	}
-	if err := s.scanChunks(); err != nil {
-		s.unlock()
-		return nil, err
+	for _, seg := range s.wal.segs {
+		s.nextLSN = max(s.nextLSN, seg.mark)
 	}
 	return s, nil
 }
-
-// Durable implements Store.
-func (s *FileStore) Durable() bool { return true }
 
 // unsafeMarkerName flags a data directory whose log stopped short of the
 // node's live state: a durable write failed mid-run and the node kept
@@ -173,14 +161,9 @@ func (s *FileStore) MarkUnsafeRestart() error {
 	if werr != nil {
 		return werr
 	}
-	// The marker's durability needs its directory entry synced too.
-	d, err := os.Open(s.opts.Dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	d.Close()
-	return serr
+	// The marker's durability needs its directory entry synced too —
+	// whatever NoSync says about the logs.
+	return syncDir(s.opts.Dir, false)
 }
 
 func (s *FileStore) unlock() {
@@ -191,147 +174,8 @@ func (s *FileStore) unlock() {
 	}
 }
 
-func listSegs(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".seg" {
-			names = append(names, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(names) // zero-padded names sort numerically
-	return names, nil
-}
-
-// scanSegment walks one segment's frames, calling fn with each payload.
-// Damage at the tail of the final segment is truncated away (the torn
-// write a crash can leave); damage anywhere else is ErrCorrupt.
-func scanSegment(path string, last bool, fn func(payload []byte) error) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		bad := false
-		var payload []byte
-		if len(rest) < frameHeader {
-			bad = true
-		} else {
-			n := int(binary.BigEndian.Uint32(rest))
-			crc := binary.BigEndian.Uint32(rest[4:])
-			if len(rest) < frameHeader+n {
-				bad = true
-			} else {
-				payload = rest[frameHeader : frameHeader+n]
-				if crc32.Checksum(payload, crcTable) != crc {
-					bad = true
-				}
-			}
-		}
-		if bad {
-			if !last {
-				return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, path, off)
-			}
-			return os.Truncate(path, int64(off))
-		}
-		if err := fn(payload); err != nil {
-			return err
-		}
-		off += frameHeader + len(payload)
-	}
-	return nil
-}
-
-func (s *FileStore) scanWAL() error {
-	names, err := listSegs(s.walDir)
-	if err != nil {
-		return err
-	}
-	for i, path := range names {
-		seg := walSeg{path: path, complete: true}
-		err := scanSegment(path, i == len(names)-1, func(payload []byte) error {
-			if len(payload) < 8 {
-				return fmt.Errorf("%w: %s: short wal payload", ErrCorrupt, path)
-			}
-			lsn := binary.BigEndian.Uint64(payload)
-			if seg.first == 0 {
-				seg.first = lsn
-			}
-			seg.last = lsn
-			if lsn > s.nextLSN {
-				s.nextLSN = lsn
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if seg.first != 0 { // skip fully-torn empty segments
-			s.walSegs = append(s.walSegs, seg)
-		} else {
-			os.Remove(path)
-		}
-	}
-	return nil
-}
-
-func (s *FileStore) scanChunks() error {
-	names, err := listSegs(s.chunkDir)
-	if err != nil {
-		return err
-	}
-	for i, path := range names {
-		seg := chunkSeg{path: path, complete: true}
-		any := false
-		err := scanSegment(path, i == len(names)-1, func(payload []byte) error {
-			c, err := DecodeChunkRecord(payload)
-			if err != nil {
-				return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-			}
-			any = true
-			if c.Epoch > seg.maxEpoch {
-				seg.maxEpoch = c.Epoch
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if any {
-			s.chkSegs = append(s.chkSegs, seg)
-		} else {
-			os.Remove(path)
-		}
-		// Resume numbering after the highest surviving segment, not the
-		// count of survivors — compaction leaves holes, and reusing a
-		// taken name would fail the exclusive create forever after.
-		name := strings.TrimSuffix(filepath.Base(path), ".seg")
-		if seq, err := strconv.ParseUint(name, 10, 64); err == nil && seq > s.chunkSeq {
-			s.chunkSeq = seq
-		}
-	}
-	return nil
-}
-
-func (s *FileStore) newSeg(dir, name string) (*segWriter, error) {
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &segWriter{f: f, bw: bufio.NewWriterSize(f, 64<<10)}, nil
-}
-
-func (s *FileStore) syncDir(dir string) error {
-	if s.opts.NoSync {
+func syncDir(dir string, noSync bool) error {
+	if noSync {
 		return nil
 	}
 	d, err := os.Open(dir)
@@ -342,106 +186,226 @@ func (s *FileStore) syncDir(dir string) error {
 	return d.Sync()
 }
 
-func (w *segWriter) write(frame []byte) error {
-	if _, err := w.bw.Write(frame); err != nil {
+// scanSegment walks one segment's frames, calling fn with each payload.
+// Damage at the tail of the final segment is truncated away (the torn
+// write a crash can leave); damage anywhere else is ErrCorrupt.
+func scanSegment(path string, last bool, fn func(payload []byte) error) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return err
 	}
-	w.size += len(frame)
-	w.dirty = true
+	for r := wire.NewReader(data); r.Len() > 0; {
+		off := len(data) - r.Len()
+		payload, ok := readFrame(r)
+		if !ok {
+			if last {
+				return os.Truncate(path, int64(off))
+			}
+			return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, path, off)
+		}
+		if err := fn(payload); err != nil {
+			return fmt.Errorf("%s at offset %d: %w", path, off, err)
+		}
+	}
 	return nil
 }
 
-func (w *segWriter) sync(noSync bool) error {
-	if !w.dirty {
-		return nil
+// segLog is an append-only log kept as a directory of segment files of
+// CRC-checked frames; the WAL and the chunk log are one each. All it
+// knows of a frame's payload is the mark its writer gives it — the WAL's
+// LSN, the chunk log's epoch. A segment remembers the highest mark it
+// holds, which is what lets scan skip, and compact unlink, whole
+// segments that a checkpoint has made redundant.
+type segLog struct {
+	dir      string
+	segBytes int
+	noSync   bool
+
+	segs []segment
+	// seq is the highest segment number the directory has held since
+	// open; the chunk log names its next segment seq+1.
+	seq uint64
+
+	// The open segment is segs[len(segs)-1]. f is nil until the first
+	// append after open: a segment recovered from disk is never reopened
+	// for writing.
+	f     *os.File
+	bw    *bufio.Writer
+	size  int
+	dirty bool
+
+	// enc is the reused frame scratch: every frame is built in it, so
+	// steady-state appends allocate nothing.
+	enc []byte
+}
+
+type segment struct {
+	path   string
+	mark   uint64
+	closed bool // closed for appends; removable by compact
+}
+
+// openLog scans dir's segments in name order, checking every frame and
+// cutting off the torn tail a crash can leave on the last segment.
+// markOf extracts a frame's mark from its payload, or rejects it.
+func openLog(dir string, opts FileOptions, markOf func(payload []byte) (uint64, error)) (*segLog, error) {
+	l := &segLog{dir: dir, segBytes: opts.segmentBytes(), noSync: opts.NoSync, enc: make([]byte, 0, 256)}
+	ents, err := os.ReadDir(dir) // sorted by name, and zero-padded names sort numerically
+	if err != nil {
+		return nil, err
 	}
-	if err := w.bw.Flush(); err != nil {
-		return err
+	var names []string
+	for _, e := range ents {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".seg" {
+			names = append(names, e.Name())
+		}
 	}
-	if !noSync {
-		if err := w.f.Sync(); err != nil {
+	for i, name := range names {
+		seg := segment{path: filepath.Join(dir, name), closed: true}
+		frames := 0
+		err := scanSegment(seg.path, i == len(names)-1, func(payload []byte) error {
+			mark, err := markOf(payload)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			frames++
+			seg.mark = max(seg.mark, mark)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if frames > 0 {
+			l.segs = append(l.segs, seg)
+		} else {
+			os.Remove(seg.path) // wholly torn
+		}
+		// Resume numbering after the highest name seen, not the count of
+		// survivors — compaction leaves holes, and reusing a taken name
+		// would fail the exclusive create forever after.
+		if seq, err := strconv.ParseUint(strings.TrimSuffix(name, ".seg"), 10, 64); err == nil {
+			l.seq = max(l.seq, seq)
+		}
+	}
+	return l, nil
+}
+
+// append writes one frame whose payload build appends to the scratch it
+// is handed. A full open segment is closed first, and when no segment is
+// open one is created as <name>.seg: the only place segments rotate.
+func (l *segLog) append(mark, name uint64, build func(buf []byte) []byte) error {
+	if l.f != nil && l.size >= l.segBytes {
+		if err := l.close(); err != nil {
 			return err
 		}
 	}
-	w.dirty = false
+	if l.f == nil {
+		path := filepath.Join(l.dir, fmt.Sprintf("%020d.seg", name))
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+		if err != nil {
+			return err
+		}
+		if err := syncDir(l.dir, l.noSync); err != nil {
+			f.Close()
+			return err
+		}
+		l.f, l.bw, l.size, l.seq = f, bufio.NewWriterSize(f, 64<<10), 0, name
+		l.segs = append(l.segs, segment{path: path})
+	}
+	// Build the frame in place: reserve the header, let the caller append
+	// the payload behind it, then back-fill the header.
+	buf := build(l.enc[:frameHeader])
+	sealFrame(buf)
+	l.enc = buf[:0]
+	if _, err := l.bw.Write(buf); err != nil {
+		return err
+	}
+	l.size += len(buf)
+	l.dirty = true
+	seg := &l.segs[len(l.segs)-1]
+	seg.mark = max(seg.mark, mark)
 	return nil
 }
 
-func (w *segWriter) close(noSync bool) error {
-	if w == nil {
+// sync flushes and fsyncs the open segment if it has unsynced frames.
+func (l *segLog) sync() error {
+	if !l.dirty {
 		return nil
 	}
-	if err := w.sync(noSync); err != nil {
-		w.f.Close()
+	if err := l.bw.Flush(); err != nil {
 		return err
 	}
-	return w.f.Close()
-}
-
-// Append implements Store.
-func (s *FileStore) Append(rec Record) (uint64, error) {
-	if s.closed {
-		return 0, ErrFenced
+	if !l.noSync {
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
 	}
-	return s.appendOne(rec)
+	l.dirty = false
+	return nil
 }
 
-// AppendBatch implements Store: the whole batch is encoded through the
-// shared scratch buffer and lands in the segment writer's buffer as one
-// contiguous run of frames, made durable together by the step's Sync.
+// close syncs and closes the open segment, if there is one.
+func (l *segLog) close() error {
+	if l.f == nil {
+		return nil
+	}
+	err := l.sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	l.f, l.bw, l.dirty = nil, nil, false
+	l.segs[len(l.segs)-1].closed = true
+	return err
+}
+
+// scan replays, in order, the frames of every segment that holds a mark
+// of at least from.
+func (l *segLog) scan(from uint64, fn func(payload []byte) error) error {
+	for i, seg := range l.segs {
+		if seg.mark < from {
+			continue
+		}
+		if err := scanSegment(seg.path, i == len(l.segs)-1, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compact unlinks the closed segments whose every mark is at or below
+// bound (best effort: a segment is the unit of removal, and the open one
+// always stays).
+func (l *segLog) compact(bound uint64) {
+	kept := l.segs[:0]
+	for _, seg := range l.segs {
+		if seg.closed && seg.mark <= bound {
+			os.Remove(seg.path)
+			continue
+		}
+		kept = append(kept, seg)
+	}
+	l.segs = kept
+}
+
+// AppendBatch implements Store: every record is framed in the WAL's
+// reused scratch and lands in the segment writer's buffer, made durable
+// together by the step's Sync.
 func (s *FileStore) AppendBatch(recs []Record) (uint64, error) {
 	if s.closed {
 		return 0, ErrFenced
 	}
 	var last uint64
-	for _, rec := range recs {
-		lsn, err := s.appendOne(rec)
+	for i := range recs {
+		lsn := s.nextLSN + 1
+		err := s.wal.append(lsn, lsn, func(buf []byte) []byte {
+			return AppendRecord(binary.BigEndian.AppendUint64(buf, lsn), recs[i])
+		})
 		if err != nil {
 			return 0, err
 		}
-		last = lsn
+		s.nextLSN, last = lsn, lsn
 	}
 	return last, nil
-}
-
-func (s *FileStore) appendOne(rec Record) (uint64, error) {
-	lsn := s.nextLSN + 1
-	if s.wal != nil && s.wal.size >= s.opts.segmentBytes() {
-		if err := s.wal.close(s.opts.NoSync); err != nil {
-			return 0, err
-		}
-		s.walSegs[len(s.walSegs)-1].complete = true
-		s.wal = nil
-	}
-	if s.wal == nil {
-		w, err := s.newSeg(s.walDir, fmt.Sprintf("%020d.seg", lsn))
-		if err != nil {
-			return 0, err
-		}
-		s.wal = w
-		s.walSegs = append(s.walSegs, walSeg{
-			path: filepath.Join(s.walDir, fmt.Sprintf("%020d.seg", lsn)), first: lsn,
-		})
-	}
-	// Build the frame in place in the reused scratch: reserve the
-	// len+crc header, append the payload (lsn + record) behind it, then
-	// back-fill the header over the reserved bytes.
-	if cap(s.enc) < frameHeader {
-		s.enc = make([]byte, 0, 256)
-	}
-	buf := s.enc[:frameHeader]
-	buf = binary.BigEndian.AppendUint64(buf, lsn)
-	buf = AppendRecord(buf, rec)
-	payload := buf[frameHeader:]
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	s.enc = buf[:0]
-	if err := s.wal.write(buf); err != nil {
-		return 0, err
-	}
-	s.nextLSN = lsn
-	s.walSegs[len(s.walSegs)-1].last = lsn
-	return lsn, nil
 }
 
 // PutChunk implements Store.
@@ -449,31 +413,9 @@ func (s *FileStore) PutChunk(c ChunkRecord) error {
 	if s.closed {
 		return ErrFenced
 	}
-	if s.chunks != nil && s.chunks.size >= s.opts.segmentBytes() {
-		if err := s.chunks.close(s.opts.NoSync); err != nil {
-			return err
-		}
-		s.chkSegs[len(s.chkSegs)-1].complete = true
-		s.chunks = nil
-	}
-	if s.chunks == nil {
-		s.chunkSeq++
-		name := fmt.Sprintf("%020d.seg", s.chunkSeq)
-		w, err := s.newSeg(s.chunkDir, name)
-		if err != nil {
-			return err
-		}
-		s.chunks = w
-		s.chkSegs = append(s.chkSegs, chunkSeg{path: filepath.Join(s.chunkDir, name)})
-	}
-	if err := s.chunks.write(appendFrame(nil, EncodeChunkRecord(c))); err != nil {
-		return err
-	}
-	cur := &s.chkSegs[len(s.chkSegs)-1]
-	if c.Epoch > cur.maxEpoch {
-		cur.maxEpoch = c.Epoch
-	}
-	return nil
+	return s.chunks.append(c.Epoch, s.chunks.seq+1, func(buf []byte) []byte {
+		return AppendChunkRecord(buf, c)
+	})
 }
 
 // Sync implements Store: one flush+fsync per dirty log.
@@ -481,33 +423,27 @@ func (s *FileStore) Sync() error {
 	if s.closed {
 		return ErrFenced
 	}
-	if s.wal != nil {
-		if err := s.wal.sync(s.opts.NoSync); err != nil {
-			return err
-		}
+	if err := s.wal.sync(); err != nil {
+		return err
 	}
-	if s.chunks != nil {
-		if err := s.chunks.sync(s.opts.NoSync); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.chunks.sync()
 }
 
-// SaveCheckpoint implements Store: write-temp, fsync, rename, fsync dir.
-func (s *FileStore) SaveCheckpoint(cp Checkpoint) error {
+// Checkpoint implements Store: write-temp, fsync, rename, fsync dir, and
+// only with the new checkpoint durable unlink the segments it subsumes.
+func (s *FileStore) Checkpoint(cp Checkpoint, prunedThrough uint64) error {
 	if s.closed {
 		return ErrFenced
 	}
-	payload := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(cp.State)), cp.LSN)
-	payload = append(payload, cp.State...)
-	frame := appendFrame(nil, payload)
+	buf := make([]byte, frameHeader, frameHeader+8+len(cp.State))
+	buf = append(binary.BigEndian.AppendUint64(buf, cp.LSN), cp.State...)
+	sealFrame(buf)
 	tmp := filepath.Join(s.opts.Dir, "CHECKPOINT.tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return err
 	}
@@ -523,7 +459,12 @@ func (s *FileStore) SaveCheckpoint(cp Checkpoint) error {
 	if err := os.Rename(tmp, filepath.Join(s.opts.Dir, "CHECKPOINT")); err != nil {
 		return err
 	}
-	return s.syncDir(s.opts.Dir)
+	if err := syncDir(s.opts.Dir, s.opts.NoSync); err != nil {
+		return err
+	}
+	s.wal.compact(cp.LSN)
+	s.chunks.compact(prunedThrough)
+	return nil
 }
 
 func (s *FileStore) readCheckpoint() (*Checkpoint, error) {
@@ -534,22 +475,14 @@ func (s *FileStore) readCheckpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < frameHeader+8 {
-		return nil, fmt.Errorf("%w: checkpoint too short", ErrCorrupt)
+	payload, ok := readFrame(wire.NewReader(data))
+	r := wire.NewReader(payload)
+	cp := &Checkpoint{LSN: r.U64()}
+	if !ok || r.Err() != nil {
+		return nil, fmt.Errorf("%w: checkpoint truncated or crc mismatch", ErrCorrupt)
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	crc := binary.BigEndian.Uint32(data[4:])
-	if len(data) < frameHeader+n || n < 8 {
-		return nil, fmt.Errorf("%w: checkpoint truncated", ErrCorrupt)
-	}
-	payload := data[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("%w: checkpoint crc mismatch", ErrCorrupt)
-	}
-	return &Checkpoint{
-		LSN:   binary.BigEndian.Uint64(payload),
-		State: append([]byte(nil), payload[8:]...),
-	}, nil
+	cp.State = r.Bytes(r.Len())
+	return cp, nil
 }
 
 // Recover implements Store.
@@ -562,44 +495,34 @@ func (s *FileStore) Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint,
 	if cp != nil {
 		after = cp.LSN
 	}
-	for i, seg := range s.walSegs {
-		if seg.last <= after {
-			continue
+	return cp, s.wal.scan(after+1, func(payload []byte) error {
+		r := wire.NewReader(payload)
+		lsn := r.U64()
+		if lsn <= after {
+			return nil
 		}
-		err := scanSegment(seg.path, i == len(s.walSegs)-1, func(payload []byte) error {
-			lsn := binary.BigEndian.Uint64(payload)
-			if lsn <= after {
-				return nil
-			}
-			rec, err := DecodeRecord(payload[8:])
-			if err != nil {
-				return fmt.Errorf("%w: %s: %v", ErrCorrupt, seg.path, err)
-			}
-			return fn(lsn, rec)
-		})
+		rec, err := DecodeRecord(r.View(r.Len()))
 		if err != nil {
-			return cp, err
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-	}
-	return cp, nil
+		return fn(lsn, rec)
+	})
 }
 
 // Chunks implements Store. Later records for the same instance supersede
 // earlier ones (duplicates only arise from pre-compaction overlap).
 func (s *FileStore) Chunks(fn func(ChunkRecord) error) error {
 	seen := map[chunkKey]ChunkRecord{}
-	for i, seg := range s.chkSegs {
-		err := scanSegment(seg.path, i == len(s.chkSegs)-1, func(payload []byte) error {
-			c, err := DecodeChunkRecord(payload)
-			if err != nil {
-				return fmt.Errorf("%w: %s: %v", ErrCorrupt, seg.path, err)
-			}
-			seen[chunkKey{c.Epoch, c.Proposer}] = c
-			return nil
-		})
+	err := s.chunks.scan(0, func(payload []byte) error {
+		c, err := DecodeChunkRecord(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+		seen[chunkKey{c.Epoch, c.Proposer}] = c
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, c := range seen {
 		if err := fn(c); err != nil {
@@ -609,47 +532,16 @@ func (s *FileStore) Chunks(fn func(ChunkRecord) error) error {
 	return nil
 }
 
-// CompactWAL implements Store: whole closed segments at or below lsn are
-// unlinked. The active segment is never removed.
-func (s *FileStore) CompactWAL(lsn uint64) error {
-	kept := s.walSegs[:0]
-	for _, seg := range s.walSegs {
-		if seg.complete && seg.last <= lsn {
-			os.Remove(seg.path)
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	s.walSegs = kept
-	return nil
-}
-
-// CompactChunks implements Store: closed chunk segments whose newest
-// record is at or below the retention horizon are unlinked.
-func (s *FileStore) CompactChunks(epoch uint64) error {
-	kept := s.chkSegs[:0]
-	for _, seg := range s.chkSegs {
-		if seg.complete && seg.maxEpoch <= epoch {
-			os.Remove(seg.path)
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	s.chkSegs = kept
-	return nil
-}
-
 // Close implements Store.
 func (s *FileStore) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	err := s.wal.close(s.opts.NoSync)
-	if err2 := s.chunks.close(s.opts.NoSync); err == nil {
+	err := s.wal.close()
+	if err2 := s.chunks.close(); err == nil {
 		err = err2
 	}
-	s.wal, s.chunks = nil, nil
 	s.unlock()
 	return err
 }

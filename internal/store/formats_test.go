@@ -135,7 +135,7 @@ func goldenRecords() map[string]Record {
 func TestGoldenRecords(t *testing.T) {
 	types := map[RecordType]bool{}
 	for name, rec := range goldenRecords() {
-		got, err := DecodeRecord(golden(t, name, EncodeRecord(rec)))
+		got, err := DecodeRecord(golden(t, name, AppendRecord(nil, rec)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -185,7 +185,7 @@ func TestRecordHostileLengths(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			rejectHostileLengths(t, EncodeRecord(goldenRecords()[name]), decode, fields)
+			rejectHostileLengths(t, AppendRecord(nil, goldenRecords()[name]), decode, fields)
 		})
 	}
 }
@@ -245,7 +245,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := EncodeRecord(rec)
+		enc := AppendRecord(nil, rec)
 		rec2, err := DecodeRecord(enc)
 		if err != nil {
 			t.Fatalf("re-decode of an accepted record failed: %v", err)
@@ -253,7 +253,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("decode is not stable:\n%+v\n%+v", rec, rec2)
 		}
-		if !bytes.Equal(EncodeRecord(rec2), enc) {
+		if !bytes.Equal(AppendRecord(nil, rec2), enc) {
 			t.Fatal("encoding is not canonical across a round trip")
 		}
 	})

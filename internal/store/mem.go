@@ -53,22 +53,6 @@ func (s *MemStore) Reopen() *MemStore {
 
 func (s *MemStore) fenced() bool { return s.gen != s.data.gen }
 
-// Durable implements Store: MemStore state survives the node (within the
-// process), so an in-process restart can recover from it.
-func (s *MemStore) Durable() bool { return true }
-
-// Append implements Store.
-func (s *MemStore) Append(rec Record) (uint64, error) {
-	s.data.mu.Lock()
-	defer s.data.mu.Unlock()
-	if s.fenced() {
-		return 0, ErrFenced
-	}
-	s.data.nextLSN++
-	s.data.records = append(s.data.records, memRecord{lsn: s.data.nextLSN, rec: rec})
-	return s.data.nextLSN, nil
-}
-
 // AppendBatch implements Store.
 func (s *MemStore) AppendBatch(recs []Record) (uint64, error) {
 	s.data.mu.Lock()
@@ -106,15 +90,26 @@ func (s *MemStore) Sync() error {
 	return nil
 }
 
-// SaveCheckpoint implements Store.
-func (s *MemStore) SaveCheckpoint(cp Checkpoint) error {
+// Checkpoint implements Store.
+func (s *MemStore) Checkpoint(cp Checkpoint, prunedThrough uint64) error {
 	s.data.mu.Lock()
 	defer s.data.mu.Unlock()
 	if s.fenced() {
 		return ErrFenced
 	}
-	state := append([]byte(nil), cp.State...)
-	s.data.cp = &Checkpoint{LSN: cp.LSN, State: state}
+	s.data.cp = &Checkpoint{LSN: cp.LSN, State: append([]byte(nil), cp.State...)}
+	kept := s.data.records[:0]
+	for _, m := range s.data.records {
+		if m.lsn > cp.LSN {
+			kept = append(kept, m)
+		}
+	}
+	s.data.records = kept
+	for k := range s.data.chunks {
+		if k.epoch <= prunedThrough {
+			delete(s.data.chunks, k)
+		}
+	}
 	return nil
 }
 
@@ -150,38 +145,6 @@ func (s *MemStore) Chunks(fn func(ChunkRecord) error) error {
 	for _, c := range cs {
 		if err := fn(c); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// CompactWAL implements Store.
-func (s *MemStore) CompactWAL(lsn uint64) error {
-	s.data.mu.Lock()
-	defer s.data.mu.Unlock()
-	if s.fenced() {
-		return ErrFenced
-	}
-	kept := s.data.records[:0]
-	for _, m := range s.data.records {
-		if m.lsn > lsn {
-			kept = append(kept, m)
-		}
-	}
-	s.data.records = kept
-	return nil
-}
-
-// CompactChunks implements Store.
-func (s *MemStore) CompactChunks(epoch uint64) error {
-	s.data.mu.Lock()
-	defer s.data.mu.Unlock()
-	if s.fenced() {
-		return ErrFenced
-	}
-	for k := range s.data.chunks {
-		if k.epoch <= epoch {
-			delete(s.data.chunks, k)
 		}
 	}
 	return nil

@@ -13,12 +13,13 @@
 //     state plus the WAL position it reflects, which bounds replay time
 //     and enables WAL compaction.
 //
-// Three backends implement the Store interface: Noop discards everything
-// (the default — memory-only nodes pay no persistence cost at all),
-// MemStore keeps state in process memory (an in-process "restart" hands
-// the same MemStore to a fresh node, which is how the harness crashes
-// and revives emulated nodes), and FileStore persists to a directory of
-// CRC-checked, fsync-batched log segments.
+// Two backends implement the Store interface: MemStore keeps state in
+// process memory (an in-process "restart" hands the same MemStore to a
+// fresh node, which is how the harness crashes and revives emulated
+// nodes), and FileStore persists to a directory of CRC-checked,
+// fsync-batched log segments. A node that wants no durability has no
+// store at all: a nil Store is how every layer above spells "none", and
+// such a node pays no persistence cost.
 //
 // Recovery model (also see DESIGN.md): the WAL records protocol
 // *outcomes* (decisions, deliveries) and, since vote persistence, every
@@ -121,42 +122,35 @@ type Checkpoint struct {
 	State []byte
 }
 
-// Store is the durability interface a replica writes through. All methods
-// are called from the node's single event loop; implementations need no
-// internal ordering guarantees beyond that, but must tolerate a fenced
-// stale handle (see ErrFenced) writing concurrently with a successor.
+// Store is the durability interface a replica writes through; a nil
+// Store means the node persists nothing. All methods are called from the
+// node's single event loop; implementations need no internal ordering
+// guarantees beyond that, but must tolerate a fenced stale handle (see
+// ErrFenced) writing concurrently with a successor.
 type Store interface {
-	// Durable reports whether writes actually persist. The replica skips
-	// all persistence work — including the periodic engine snapshot —
-	// for non-durable stores, so memory-only nodes pay nothing.
-	Durable() bool
-	// Append adds one WAL record and returns its LSN (1-based,
-	// monotonically increasing). Durability is deferred until Sync.
-	Append(rec Record) (uint64, error)
-	// AppendBatch appends several WAL records as one group, returning the
-	// LSN of the last (0 when recs is empty). Semantically identical to
-	// calling Append in order; the batch form lets a step's group commit
-	// hand the whole record set to the store in one call so file-backed
-	// implementations encode into one reused buffer instead of
-	// allocating per record.
+	// AppendBatch appends a step's WAL records as one group and returns
+	// the LSN of the last (LSNs are 1-based and increase by one per
+	// record; 0 when recs is empty). Durability is deferred until Sync.
 	AppendBatch(recs []Record) (uint64, error)
-	// PutChunk persists one chunk record (at most one per instance).
+	// PutChunk persists one chunk record; a later record for the same
+	// instance supersedes an earlier one. Durable at the next Sync.
 	PutChunk(c ChunkRecord) error
-	// Sync makes all prior Appends and PutChunks durable (group commit).
+	// Sync makes all prior AppendBatches and PutChunks durable (group
+	// commit).
 	Sync() error
-	// SaveCheckpoint durably (and atomically) replaces the checkpoint.
-	SaveCheckpoint(cp Checkpoint) error
+	// Checkpoint durably (and atomically) replaces the checkpoint, and
+	// then drops what it makes redundant: WAL records with LSN <= cp.LSN
+	// and chunk records for epochs <= prunedThrough (the engine's
+	// RetainEpochs garbage-collection horizon). Dropping is best effort,
+	// by segment. One call because the order is the contract: a WAL
+	// compacted before the checkpoint that subsumes it is durable loses
+	// the records to a crash in between.
+	Checkpoint(cp Checkpoint, prunedThrough uint64) error
 	// Recover returns the latest checkpoint (nil if none) and replays
 	// every WAL record with LSN > checkpoint.LSN, in LSN order.
 	Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint, error)
 	// Chunks iterates all resident chunk records (any order).
 	Chunks(fn func(ChunkRecord) error) error
-	// CompactWAL drops WAL segments consisting entirely of records with
-	// LSN <= lsn. Best effort: a segment is the unit of removal.
-	CompactWAL(lsn uint64) error
-	// CompactChunks drops chunk records for epochs <= epoch (the engine's
-	// RetainEpochs garbage-collection horizon). Best effort, by segment.
-	CompactChunks(epoch uint64) error
 	// Close flushes and releases the store. A MemStore survives Close so
 	// an in-process restart can reopen it.
 	Close() error
@@ -201,14 +195,8 @@ type UnsafeRestartMarker interface {
 // decode through its Reader: type(1) epoch(8) then variant fields. Slices
 // carry u16 counts; node ids are u16 (the wire format's cluster-size cap).
 
-// EncodeRecord serializes a WAL record.
-func EncodeRecord(r Record) []byte {
-	return AppendRecord(make([]byte, 0, 16), r)
-}
-
 // AppendRecord serializes a WAL record onto buf and returns the extended
-// slice — the allocation-free form of EncodeRecord for callers with a
-// reusable buffer.
+// slice.
 func AppendRecord(buf []byte, r Record) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.BigEndian.AppendUint64(buf, r.Epoch)
@@ -245,7 +233,7 @@ func AppendRecord(buf []byte, r Record) []byte {
 	return buf
 }
 
-// DecodeRecord parses EncodeRecord output.
+// DecodeRecord parses AppendRecord output.
 func DecodeRecord(data []byte) (Record, error) {
 	r := wire.NewReader(data)
 	rec := Record{Type: RecordType(r.U8()), Epoch: r.U64()}
@@ -283,7 +271,12 @@ func ChunkRecordSize(c ChunkRecord) int {
 
 // EncodeChunkRecord serializes a chunk record.
 func EncodeChunkRecord(c ChunkRecord) []byte {
-	buf := make([]byte, 0, ChunkRecordSize(c))
+	return AppendChunkRecord(make([]byte, 0, ChunkRecordSize(c)), c)
+}
+
+// AppendChunkRecord serializes a chunk record onto buf and returns the
+// extended slice.
+func AppendChunkRecord(buf []byte, c ChunkRecord) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.Epoch)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Proposer))
 	buf = wire.AppendBool(buf, c.HasChunk)

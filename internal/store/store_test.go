@@ -42,7 +42,7 @@ func testChunk(epoch uint64, proposer int) ChunkRecord {
 
 func TestRecordRoundTrip(t *testing.T) {
 	for _, r := range testRecords() {
-		got, err := DecodeRecord(EncodeRecord(r))
+		got, err := DecodeRecord(AppendRecord(nil, r))
 		if err != nil {
 			t.Fatalf("decode %v: %v", r.Type, err)
 		}
@@ -67,14 +67,14 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecordTxHashesOptional(t *testing.T) {
 	base := Record{Type: RecBlock, Epoch: 7, Proposer: 2, Linked: true,
 		TxCount: 3, Payload: 600, V: []uint64{1, 2, 3, 4}}
-	enc := EncodeRecord(base)
+	enc := AppendRecord(nil, base)
 	withHashes := base
 	withHashes.TxHashes = [][32]byte{{1, 2}, {3, 4}, {5, 6}}
-	enc2 := EncodeRecord(withHashes)
+	enc2 := AppendRecord(nil, withHashes)
 	if len(enc2) != len(enc)+4+3*32 {
 		t.Fatalf("hash section size wrong: %d vs %d", len(enc2), len(enc))
 	}
-	if !bytes.Equal(EncodeRecord(base), enc) {
+	if !bytes.Equal(AppendRecord(nil, base), enc) {
 		t.Fatal("hash-free encoding changed")
 	}
 	got, err := DecodeRecord(enc)
@@ -99,7 +99,7 @@ func TestVoteRecordRoundTrip(t *testing.T) {
 		{Type: RecVote, Epoch: 1 << 40, Proposer: 65535, VoteKind: 4, Round: 1 << 30, Value: true},
 		{Type: RecVote, Epoch: 9, Proposer: 3, VoteKind: 3, Round: 0, Value: true},
 	} {
-		enc := EncodeRecord(r)
+		enc := AppendRecord(nil, r)
 		// type(1) epoch(8) proposer(2) kind(1) round(4) value(1): compact
 		// enough that per-vote logging is byte-noise next to block records.
 		if len(enc) != 17 {
@@ -141,7 +141,7 @@ func TestFileTornVoteRecord(t *testing.T) {
 		{Type: RecVote, Epoch: 1, Proposer: 2, VoteKind: 2, Round: 1, Value: false},
 	}
 	for _, r := range want {
-		if _, err := s.Append(r); err != nil {
+		if _, err := appendOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestFileTornVoteRecord(t *testing.T) {
 			t.Fatalf("record %d mismatch after torn vote: %+v vs %+v", i, r, want[i])
 		}
 	}
-	lsn, err := s.Append(Record{Type: RecVote, Epoch: 1, Proposer: 2, VoteKind: 2, Round: 1, Value: false})
+	lsn, err := appendOne(s, Record{Type: RecVote, Epoch: 1, Proposer: 2, VoteKind: 2, Round: 1, Value: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +212,11 @@ func replayAll(t *testing.T, s Store) (*Checkpoint, []uint64, []Record) {
 	return cp, lsns, recs
 }
 
+// appendOne appends a single WAL record through the batch interface.
+func appendOne(s Store, rec Record) (uint64, error) {
+	return s.AppendBatch([]Record{rec})
+}
+
 func openFile(t *testing.T, dir string) *FileStore {
 	t.Helper()
 	s, err := OpenFile(FileOptions{Dir: dir, SegmentBytes: 256})
@@ -229,7 +234,7 @@ func TestFileReplayDeterminism(t *testing.T) {
 	s := openFile(t, dir)
 	want := testRecords()
 	for i, r := range want {
-		lsn, err := s.Append(r)
+		lsn, err := appendOne(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +294,7 @@ func TestFileTornWrite(t *testing.T) {
 	}
 	want := testRecords()
 	for _, r := range want {
-		if _, err := s.Append(r); err != nil {
+		if _, err := appendOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +322,7 @@ func TestFileTornWrite(t *testing.T) {
 	}
 	// The store must keep accepting appends, continuing the LSN sequence
 	// from the surviving prefix.
-	lsn, err := s.Append(Record{Type: RecProposed, Epoch: 3})
+	lsn, err := appendOne(s, Record{Type: RecProposed, Epoch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +345,7 @@ func TestFileCRCRejection(t *testing.T) {
 	dir := t.TempDir()
 	s := openFile(t, dir) // 256-byte segments force several files
 	for i := 0; i < 40; i++ {
-		if _, err := s.Append(Record{Type: RecEpochDone, Epoch: uint64(i + 1),
+		if _, err := appendOne(s, Record{Type: RecEpochDone, Epoch: uint64(i + 1),
 			Floor: []uint64{1, 2, 3, 4, 5, 6, 7, 8}}); err != nil {
 			t.Fatal(err)
 		}
@@ -367,13 +372,13 @@ func TestFileCRCRejection(t *testing.T) {
 }
 
 // TestCheckpointAndCompaction checks that a checkpoint bounds replay and
-// lets CompactWAL/CompactChunks drop covered segments.
+// lets the store drop covered segments.
 func TestCheckpointAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openFile(t, dir)
 	var lastLSN uint64
 	for i := 0; i < 30; i++ {
-		lsn, err := s.Append(Record{Type: RecEpochDone, Epoch: uint64(i + 1),
+		lsn, err := appendOne(s, Record{Type: RecEpochDone, Epoch: uint64(i + 1),
 			Floor: []uint64{9, 9, 9, 9, 9, 9}})
 		if err != nil {
 			t.Fatal(err)
@@ -383,13 +388,7 @@ func TestCheckpointAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SaveCheckpoint(Checkpoint{LSN: lastLSN - 5, State: []byte("snapshot")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompactWAL(lastLSN - 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompactChunks(20); err != nil {
+	if err := s.Checkpoint(Checkpoint{LSN: lastLSN - 5, State: []byte("snapshot")}, 20); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -433,7 +432,7 @@ func TestCheckpointAndCompaction(t *testing.T) {
 func TestMemStoreFencing(t *testing.T) {
 	s := NewMem()
 	for _, r := range testRecords() {
-		if _, err := s.Append(r); err != nil {
+		if _, err := appendOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +440,7 @@ func TestMemStoreFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := s.Reopen()
-	if _, err := s.Append(Record{Type: RecProposed, Epoch: 99}); err != ErrFenced {
+	if _, err := appendOne(s, Record{Type: RecProposed, Epoch: 99}); err != ErrFenced {
 		t.Fatalf("stale append err = %v, want ErrFenced", err)
 	}
 	if err := s.PutChunk(testChunk(99, 0)); err != ErrFenced {
@@ -454,8 +453,11 @@ func TestMemStoreFencing(t *testing.T) {
 	if lsns[len(lsns)-1] != uint64(len(recs)) {
 		t.Fatalf("lsns = %v", lsns)
 	}
-	if _, err := s2.Append(Record{Type: RecProposed, Epoch: 3}); err != nil {
+	if _, err := appendOne(s2, Record{Type: RecProposed, Epoch: 3}); err != nil {
 		t.Fatalf("new handle append: %v", err)
+	}
+	if lsn, err := s2.AppendBatch(nil); err != nil || lsn != 0 {
+		t.Fatalf("empty AppendBatch = (%d, %v), want (0, nil)", lsn, err)
 	}
 }
 
@@ -463,20 +465,14 @@ func TestMemStoreFencing(t *testing.T) {
 func TestMemStoreCompaction(t *testing.T) {
 	s := NewMem()
 	for i := 0; i < 10; i++ {
-		if _, err := s.Append(Record{Type: RecProposed, Epoch: uint64(i + 1)}); err != nil {
+		if _, err := appendOne(s, Record{Type: RecProposed, Epoch: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.PutChunk(testChunk(uint64(i+1), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SaveCheckpoint(Checkpoint{LSN: 6, State: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompactWAL(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompactChunks(4); err != nil {
+	if err := s.Checkpoint(Checkpoint{LSN: 6, State: []byte("x")}, 4); err != nil {
 		t.Fatal(err)
 	}
 	cp, lsns, _ := replayAll(t, s)
@@ -524,7 +520,7 @@ func TestFileLockExcludesSecondOpener(t *testing.T) {
 func TestUnsafeRestartMarkerRefusesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openFile(t, dir)
-	if _, err := s.Append(Record{Type: RecProposed, Epoch: 1}); err != nil {
+	if _, err := appendOne(s, Record{Type: RecProposed, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var m UnsafeRestartMarker = s // FileStore must implement the interface
@@ -572,7 +568,7 @@ func TestChunkSeqResumesPastCompactionHoles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.CompactChunks(15); err != nil {
+	if err := s.Checkpoint(Checkpoint{}, 15); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -599,95 +595,6 @@ func TestChunkSeqResumesPastCompactionHoles(t *testing.T) {
 	s.Close()
 }
 
-func TestAppendBatchEquivalentToAppends(t *testing.T) {
-	recs := []Record{
-		{Type: RecProposed, Epoch: 1, Block: []byte("block-1")},
-		{Type: RecVote, Epoch: 1, Proposer: 2, VoteKind: 1, Round: 0, Value: true},
-		{Type: RecVote, Epoch: 1, Proposer: 2, VoteKind: 2, Round: 0, Value: false},
-		{Type: RecDecided, Epoch: 1, S: []int{0, 2, 3}},
-	}
-	open := func(dir string) *FileStore {
-		s, err := OpenFile(FileOptions{Dir: dir, SegmentBytes: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	recover := func(s Store) []Record {
-		var got []Record
-		var lsns []uint64
-		if _, err := s.Recover(func(lsn uint64, rec Record) error {
-			got = append(got, rec)
-			lsns = append(lsns, lsn)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i, l := range lsns {
-			if l != uint64(i+1) {
-				t.Fatalf("lsn[%d] = %d, want %d", i, l, i+1)
-			}
-		}
-		return got
-	}
-
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, b := open(dirA), open(dirB)
-	for _, r := range recs {
-		if _, err := a.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	last, err := b.AppendBatch(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != uint64(len(recs)) {
-		t.Fatalf("AppendBatch returned lsn %d, want %d", last, len(recs))
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ra, rb := recover(open(dirA)), recover(open(dirB))
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("batch and sequential appends recover differently:\n%v\nvs\n%v", ra, rb)
-	}
-	if len(ra) != len(recs) {
-		t.Fatalf("recovered %d records, want %d", len(ra), len(recs))
-	}
-
-	// Empty batch: no-op, lsn 0.
-	if lsn, err := NewMem().AppendBatch(nil); err != nil || lsn != 0 {
-		t.Fatalf("empty AppendBatch = (%d, %v), want (0, nil)", lsn, err)
-	}
-}
-
-func TestMemAppendBatchMatchesAppend(t *testing.T) {
-	recs := []Record{
-		{Type: RecVote, Epoch: 3, Proposer: 1, VoteKind: 1, Value: true},
-		{Type: RecEpochDone, Epoch: 3, Floor: []uint64{4, 4, 5}},
-	}
-	a, b := NewMem(), NewMem()
-	for _, r := range recs {
-		if _, err := a.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.AppendBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	var ra, rb []Record
-	a.Recover(func(_ uint64, r Record) error { ra = append(ra, r); return nil })
-	b.Recover(func(_ uint64, r Record) error { rb = append(rb, r); return nil })
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("mem batch/sequential mismatch:\n%v\nvs\n%v", ra, rb)
-	}
-}
-
 // The WAL append path runs once per durable record per step; with the
 // store's reused encode scratch it must not allocate in steady state
 // (NoSync keeps fsyncs out of the measurement; bufio absorbs writes).
@@ -698,24 +605,29 @@ func TestFileAppendDoesNotAllocate(t *testing.T) {
 	}
 	defer s.Close()
 	rec := Record{Type: RecVote, Epoch: 9, Proposer: 3, VoteKind: 2, Round: 1, Value: true}
-	if _, err := s.Append(rec); err != nil { // warm the scratch
+	batch := []Record{rec, rec, rec}
+	if _, err := s.AppendBatch(batch); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(200, func() {
-		if _, err := s.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n != 0 {
-		t.Fatalf("warm Append allocates %v times per run, want 0", n)
-	}
-	batch := []Record{rec, rec, rec}
-	n = testing.AllocsPerRun(200, func() {
 		if _, err := s.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if n != 0 {
 		t.Fatalf("warm AppendBatch allocates %v times per run, want 0", n)
+	}
+	// Chunk frames are built in the chunk log's scratch the same way.
+	chunk := testChunk(9, 3)
+	if err := s.PutChunk(chunk); err != nil {
+		t.Fatal(err)
+	}
+	n = testing.AllocsPerRun(200, func() {
+		if err := s.PutChunk(chunk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("warm PutChunk allocates %v times per run, want 0", n)
 	}
 }

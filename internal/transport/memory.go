@@ -68,12 +68,8 @@ func NewMemoryNode(opts MemoryOptions) (*MemoryNode, error) {
 	if opts.Core.CoinSecret == nil {
 		opts.Core.CoinSecret = []byte("memory cluster coin secret")
 	}
-	st := opts.Store
-	if st == nil {
-		st = store.NewNoop()
-	}
 	n := &MemoryNode{node: node{loop: newEventLoop()}, net: m}
-	rep, err := replica.NewWithStore(opts.Core, opts.Self, opts.Replica, st, (*memCtx)(n))
+	rep, err := replica.New(opts.Core, opts.Self, opts.Replica, opts.Store, (*memCtx)(n))
 	if err != nil {
 		n.loop.close()
 		return nil, err

@@ -197,11 +197,7 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 		recv: map[[2]int]*recvState{},
 		tel:  newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
 	}
-	st := opts.Store
-	if st == nil {
-		st = store.NewNoop()
-	}
-	rep, err := replica.NewWithStore(opts.Core, opts.Self, opts.Replica, st, (*tcpCtx)(n))
+	rep, err := replica.New(opts.Core, opts.Self, opts.Replica, opts.Store, (*tcpCtx)(n))
 	if err != nil {
 		n.loop.close()
 		return nil, err
