@@ -64,7 +64,7 @@ func durationMeanMs(ds []time.Duration) float64 {
 
 func main() {
 	full := flag.Bool("full", false, "run the full-size sweeps (slower)")
-	exp := flag.String("exp", "", "comma-separated experiment ids to run (fig2, fig8, fig9, fig10, fig11a, fig11b, fig12, fig13, fig14, fig15, fig16, abl-priority, abl-batch, abl-lag, abl-retrieval); empty = all")
+	exp := flag.String("exp", "", "comma-separated experiment ids to run (fig2, fig8, fig9, fig10, fig11a, fig11b, fig12, fig13, fig14, fig15, fig16, abl-priority, abl-batch, abl-lag); empty = all")
 	telem := flag.Bool("telemetry", false, "instrument every emulated node (metrics registry + lifecycle tracing); fig10 then also records the per-stage latency panel")
 	seed := flag.Int64("seed", 1, "base random seed")
 	jsonOut := flag.Bool("json", false, "write a machine-readable BENCH_<stamp>.json next to the printed tables")
@@ -227,6 +227,10 @@ func main() {
 					"local_p99_ms": durationMeanMs(r.P99),
 					"all_p50_ms":   durationMeanMs(r.AllP50),
 					"all_p95_ms":   durationMeanMs(r.AllP95),
+					// A point whose backlog grows is not in steady state:
+					// its percentiles rise with the run length.
+					"retrieve_backlog_slope": r.BacklogSlope,
+					"steady_state":           b2f(r.Steady()),
 				}
 				// With -telemetry, the lifecycle panel rides along: per-
 				// stage p50/p95 from dl_epoch_stage_seconds. The _ms
@@ -499,24 +503,6 @@ func main() {
 			}
 			point("abl-lag", fmt.Sprintf("P=%d", P), map[string]float64{"max_epoch_lag": float64(P)},
 				map[string]float64{"mean_throughput_mbps": r.Throughput, "final_lag_epochs": r.FinalLag})
-		}
-		return nil
-	})
-
-	run("abl-retrieval", func() error {
-		// The paper's request-all retrieval against the staged-wave
-		// extension (core.Config.StagedRetrieval): staged retrieval trades
-		// confirmation latency for a lower ingress tax on slow nodes.
-		fmt.Println("Ablation — retrieval policy on the 16-city geo profile")
-		for _, staged := range []bool{false, true} {
-			r, err := harness.RunGeo(harness.GeoParams{
-				Mode: core.ModeDL, Duration: d, Seed: *seed, StagedRetrieval: staged,
-			})
-			if err != nil {
-				return err
-			}
-			point("abl-retrieval", fmt.Sprintf("staged=%v", staged), map[string]float64{"staged": b2f(staged)},
-				map[string]float64{"mean_throughput_mbps": r.Mean, "slowest_throughput_mbps": r.Throughput[len(r.Throughput)-1]})
 		}
 		return nil
 	})

@@ -79,7 +79,9 @@ const (
 	// blocks while its retrieval lags more than this many epochs behind
 	// its dispersal.
 	lagLimit = 1
-	// retrievalStageDelay is the escalation timeout of staged retrieval.
+	// retrievalStageDelay is the retrieval scheduler's tick (retrieval.go):
+	// how long an asked server may stay silent before another is asked in
+	// its place, and the re-ask cadence of recovery retrievals.
 	retrievalStageDelay = time.Second
 	// catchupRetry is the re-request interval of the recovery status
 	// protocol: a restarted node re-broadcasts its StatusRequest this
@@ -103,16 +105,6 @@ type Config struct {
 	// all bandwidth on dispersal. Zero disables the guard (the paper's
 	// pure-DL configuration).
 	MaxEpochLag uint64
-	// StagedRetrieval selects the chunk-request policy. The paper's
-	// implementation (false, the default) requests chunks from all N
-	// servers and broadcasts a cancel once the block decodes — lowest
-	// latency, but a retriever's ingress carries up to N/K times the
-	// block size. Staged retrieval (true) asks exactly K = N−2F servers
-	// first, escalating to K+F and then all N on retrievalStageDelay
-	// timeouts — near-zero redundant download in the fault-free case, at
-	// the cost of added latency whenever a chosen server is slow. The
-	// abl-retrieval benchmark quantifies the tradeoff.
-	StagedRetrieval bool
 	// RetainEpochs, when positive, garbage-collects per-epoch state
 	// (VID chunk stores, agreement instances, retrieval records) once an
 	// epoch is more than RetainEpochs behind this node's delivery
@@ -199,14 +191,15 @@ type retrState struct {
 	V       []uint64
 	txs     [][]byte // dropped after delivery
 	payload int      // transaction bytes (for stats)
-	// asked[i] marks servers we have requested a chunk from; nextServer
-	// walks the (key-dependent) request order.
-	asked      []bool
-	nextServer int
-	requested  int
+	// srv[i] is what this retrieval has asked of server i and age the
+	// scheduler ticks it has lived through (see retrieval.go; nil and
+	// zero for blocks that never touched the network).
+	srv []askState
+	age int
 	// resend marks a retrieval whose answers the node's previous (crashed)
-	// incarnation may already have consumed: requests use the
-	// duplicate-suppression-clearing variant and re-fire on a timer.
+	// incarnation may already have consumed: it asks every server from
+	// the start, with the duplicate-suppression-clearing request variant,
+	// and asks the silent ones again on every tick.
 	resend bool
 	// retries counts full re-ask rounds that produced nothing (progress
 	// marks how many servers had answered at the last round, so a slow
@@ -230,10 +223,13 @@ const (
 )
 
 type epochDelivery struct {
-	epoch  uint64
-	S      []int
-	stage  deliveryStage
-	linked []blockKey
+	epoch uint64
+	S     []int
+	// retrieving is set once the committed blocks' retrievals have been
+	// started, which waits for the epoch to enter the retrieval window.
+	retrieving bool
+	stage      deliveryStage
+	linked     []blockKey
 }
 
 // Engine is one node's consensus state machine.
@@ -262,10 +258,10 @@ type Engine struct {
 	// block never touches the network; myTxs supports HB re-proposal.
 	myBlocks map[uint64]*wire.Block
 
-	retr map[blockKey]*retrState
-	// retrieval escalation timers: token -> instance.
+	retr  map[blockKey]*retrState
+	sched retrSched
+	// timerSeq numbers every TimerAction (see armTimer).
 	timerSeq uint64
-	timers   map[uint64]blockKey
 	// prunedThrough: epochs <= this have been garbage-collected.
 	prunedThrough uint64
 
@@ -345,7 +341,7 @@ func NewEngine(cfg Config, self int) (*Engine, error) {
 		vidDone:     make([]map[uint64]bool, cfg.N),
 		myBlocks:    map[uint64]*wire.Block{},
 		retr:        map[blockKey]*retrState{},
-		timers:      map[uint64]blockKey{},
+		sched:       newRetrSched(cfg.N),
 		delivered:   map[blockKey]bool{},
 		linkedFloor: make([]uint64, cfg.N),
 		deliveries:  map[uint64]*epochDelivery{},
@@ -800,12 +796,11 @@ func (e *Engine) onEpochDecided(es *epochState) {
 	}
 	e.actions = append(e.actions, EpochDecidedAction{Epoch: es.epoch, S: append([]int(nil), es.S...)})
 
-	// Queue the delivery pipeline for this epoch and start retrieving the
-	// committed blocks (lazily, at retrieval priority, in DL modes).
+	// Queue the delivery pipeline for this epoch; its committed blocks are
+	// retrieved (lazily, at retrieval priority, in DL modes) once the epoch
+	// is inside the retrieval window.
 	e.deliveries[es.epoch] = &epochDelivery{epoch: es.epoch, S: es.S}
-	for _, j := range es.S {
-		e.startRetrieval(blockKey{es.epoch, j})
-	}
+	e.pumpRetrievals()
 
 	// HoneyBadger re-proposal: if our block was dropped, its transactions
 	// go back to the mempool.
@@ -872,243 +867,39 @@ func (e *Engine) isDecided(epoch uint64) bool {
 	return epoch <= e.decidedThrough || e.decidedSet[epoch]
 }
 
-// startRetrieval begins retrieving a block (idempotent). Our own blocks
-// come from local storage without touching the network. Chunk requests go
-// out in waves — K servers first, +F on timeout, then the rest — so the
-// fault-free case downloads exactly one block's worth of chunks instead
-// of N/K times that (this matters most for slow nodes, whose ingress
-// bandwidth is the paper's scarce resource).
-func (e *Engine) startRetrieval(key blockKey) {
-	if _, ok := e.retr[key]; ok {
-		return
-	}
-	rs := &retrState{}
-	e.retr[key] = rs
-
-	if key.proposer == e.self {
-		if blk, ok := e.myBlocks[key.epoch]; ok {
-			rs.done = true
-			rs.V = blk.V
-			rs.txs = blk.Txs
-			rs.payload = blk.PayloadBytes()
-			e.onRetrievalDone(key)
-			return
-		}
-	}
-	e.actions = append(e.actions, StageAction{Epoch: key.epoch, Stage: StageRetrieveStart})
-	rs.ret = avid.NewRetriever(e.params)
-	rs.asked = make([]bool, e.cfg.N)
-	// Stagger the request order by instance so retrieval load spreads
-	// across servers cluster-wide.
-	rs.nextServer = (int(key.epoch) + key.proposer) % e.cfg.N
-	// During recovery the previous incarnation may have consumed this
-	// retrieval's answers (servers dedup requests), and the reconnect
-	// window can eat frames; such retrievals use the resend request
-	// variant and keep a retry timer until the block is in hand.
-	rs.resend = e.recovered
-	// Chunks already transferred by state sync may satisfy the retrieval
-	// outright — bulk pages instead of per-instance round-trips. When
-	// they only partially satisfy it, mark their donors as already
-	// answered so the request wave skips them (asking an answered server
-	// would make it re-send a chunk the bulk transfer already paid for).
-	if e.drainStaged(key, rs) {
-		return
-	}
-	if rs.ret != nil {
-		for i := range rs.asked {
-			if rs.ret.Answered(i) {
-				rs.asked[i] = true
-				rs.requested++
-			}
-		}
-	}
-	if e.cfg.StagedRetrieval {
-		e.requestChunks(key, rs, e.params.K())
-		e.armRetrievalTimer(key)
-	} else {
-		e.requestChunks(key, rs, e.cfg.N)
-		// With state sync every retrieval keeps a retry timer: a live
-		// node can lag past the cluster's pruning horizon (hard pruning
-		// never stalls for it), and a silently-unretrievable block must
-		// escalate to a checkpoint bootstrap instead of wedging the
-		// delivery pipeline forever.
-		if rs.resend || e.cfg.StateSync {
-			e.armRetrievalTimer(key)
-		}
-	}
-}
-
-// requestChunks asks `count` more servers for their chunk.
-func (e *Engine) requestChunks(key blockKey, rs *retrState, count int) {
-	for sent := 0; sent < count && rs.requested < e.cfg.N; {
-		to := rs.nextServer
-		rs.nextServer = (rs.nextServer + 1) % e.cfg.N
-		if rs.asked[to] {
-			continue
-		}
-		rs.asked[to] = true
-		rs.requested++
-		sent++
-		var msg wire.Msg = wire.RequestChunk{}
-		if rs.resend {
-			msg = wire.RequestChunkAgain{}
-		}
-		if to != e.self {
-			// Per-peer retrieval-request sub-span, emitted per send (not
-			// first-wins) so the flight recorder sees re-ask rounds; the
-			// tracer keeps the first per (epoch, peer).
-			e.actions = append(e.actions, StageAction{Epoch: key.epoch, Stage: StagePeerRetrieveReq, Peer: to})
-		}
-		env := wire.Envelope{From: e.self, Epoch: key.epoch, Proposer: key.proposer, Payload: msg}
-		e.emit(to, env, e.priorityFor(msg), key.epoch)
-	}
-}
-
-func (e *Engine) armRetrievalTimer(key blockKey) {
+// armTimer asks the caller for a callback and returns the token that will
+// name it; the timer's owner keeps the token and ignores any other.
+func (e *Engine) armTimer(after time.Duration) uint64 {
 	e.timerSeq++
-	e.timers[e.timerSeq] = key
-	e.actions = append(e.actions, TimerAction{After: retrievalStageDelay, Token: e.timerSeq})
+	e.actions = append(e.actions, TimerAction{After: after, Token: e.timerSeq})
+	return e.timerSeq
 }
 
-// HandleTimer processes a TimerAction callback: retrieval escalation
-// timers ask another wave of servers; the catch-up timer re-broadcasts
-// the recovery StatusRequest while the node is still behind.
+// HandleTimer processes a TimerAction callback: the retrieval scheduler's
+// tick, the catch-up timer that re-broadcasts the recovery StatusRequest
+// while the node is still behind, or the state-sync retry tick.
 func (e *Engine) HandleTimer(token uint64) []Action {
+	if token == 0 {
+		return nil
+	}
 	e.actions = nil
-	if token != 0 && token == e.catchupToken {
+	switch token {
+	case e.catchupToken:
 		e.catchupToken = 0
 		if e.catchup != nil {
 			e.requestStatus()
 		}
-		e.drain()
-		return e.takeActions()
-	}
-	if token != 0 && token == e.syncToken {
+	case e.syncToken:
 		e.syncToken = 0
 		e.syncTick()
-		e.drain()
-		return e.takeActions()
-	}
-	key, ok := e.timers[token]
-	if !ok {
+	case e.sched.token:
+		e.sched.token = 0
+		e.retrievalTick()
+	default:
 		return nil
-	}
-	delete(e.timers, token)
-	rs := e.retr[key]
-	if rs == nil || rs.done {
-		return nil
-	}
-	if rs.requested >= e.cfg.N {
-		// Everyone has been asked. In a normal run nothing needs to
-		// escalate: requests are never dropped, only delayed. A resend
-		// retrieval cannot rely on that — the previous incarnation may
-		// have consumed the answers, and the crash/reconnect window can
-		// eat frames — so it re-asks the servers still silent (only
-		// those: re-asking an answered server would make it re-send its
-		// whole chunk) until the block is in hand. With state sync the
-		// same applies to every retrieval (the cluster prunes by
-		// horizon unconditionally, so a laggard's requests can be
-		// dropped for good), and a retrieval dry for several full
-		// rounds concludes the chunks are gone cluster-wide and
-		// bootstraps forward from a peer checkpoint instead.
-		if rs.resend || e.cfg.StateSync {
-			rs.resend = true
-			rs.requested = 0
-			for i := range rs.asked {
-				answered := rs.ret != nil && rs.ret.Answered(i)
-				rs.asked[i] = answered
-				if answered {
-					rs.requested++
-				}
-			}
-			if rs.requested > rs.progress {
-				// Chunks are trickling in — slow is not gone.
-				rs.progress = rs.requested
-				rs.retries = 0
-			} else {
-				rs.retries++
-				if e.cfg.StateSync && rs.retries >= syncRetrievalGiveUp {
-					rs.retries = 0
-					e.startStateSync()
-				}
-			}
-			e.requestChunks(key, rs, e.cfg.N)
-			e.armRetrievalTimer(key)
-		}
-		e.drain()
-		return e.takeActions()
-	}
-	wave := e.cfg.F
-	if rs.requested+wave > e.cfg.N || wave == 0 {
-		wave = e.cfg.N - rs.requested
-	}
-	e.requestChunks(key, rs, wave)
-	if rs.requested < e.cfg.N {
-		e.armRetrievalTimer(key)
 	}
 	e.drain()
 	return e.takeActions()
-}
-
-func (e *Engine) toRetriever(env wire.Envelope, msg wire.ReturnChunk) {
-	key := blockKey{env.Epoch, env.Proposer}
-	rs, ok := e.retr[key]
-	if !ok || rs.done || rs.ret == nil {
-		return
-	}
-	// Per-peer retrieval round-trip completion (pure telemetry).
-	if env.From != e.self && env.From >= 0 && env.From < e.cfg.N {
-		e.actions = append(e.actions, StageAction{Epoch: env.Epoch, Stage: StagePeerRetrieveResp, Peer: env.From})
-	}
-	e.ingestReturnChunk(key, rs, env.From, msg)
-}
-
-// ingestReturnChunk feeds one chunk (from the network or a state-sync
-// transfer) into an active retrieval; reports whether the retrieval
-// completed on this chunk.
-func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wire.ReturnChunk) bool {
-	// The retriever's own output would be a CancelRequest broadcast; the
-	// engine instead cancels exactly the servers it asked.
-	_, done := rs.ret.HandleReturnChunk(from, msg)
-	if !done {
-		return false
-	}
-	for to, asked := range rs.asked {
-		if asked && to != e.self {
-			out := wire.Envelope{From: e.self, Epoch: key.epoch, Proposer: key.proposer, Payload: wire.CancelRequest{}}
-			e.emit(to, out, e.priorityFor(wire.CancelRequest{}), key.epoch)
-		}
-	}
-	raw, bad := rs.ret.Block()
-	rs.done = true
-	rs.bad = bad
-	rs.ret = nil
-	if !bad {
-		if blk, err := wire.DecodeBlock(raw); err == nil &&
-			blk.Epoch == key.epoch && blk.Proposer == key.proposer && len(blk.V) == e.cfg.N {
-			rs.V = blk.V
-			rs.txs = blk.Txs
-			rs.payload = blk.PayloadBytes()
-			if e.cfg.StateSync && key.proposer != e.self {
-				e.backfillOwnChunk(key, raw)
-			}
-		} else {
-			rs.bad = true
-		}
-	}
-	e.onRetrievalDone(key)
-	return true
-}
-
-func (e *Engine) onRetrievalDone(key blockKey) {
-	if e.cfg.Mode.voteAfterRetrieve() {
-		// HoneyBadger votes after the download. A block that retrieves as
-		// BAD_UPLOADER or ill-formatted still gets a vote: the dispersal
-		// completed, and rejecting it here would stall the epoch. The
-		// garbage is discarded at delivery, as in the paper.
-		e.inputBA(key.epoch, key.proposer, true)
-	}
-	e.tryDeliver()
 }
 
 // observedV returns the V array carried by a retrieved block, or the
@@ -1176,7 +967,9 @@ func (e *Engine) tryDeliver() {
 		if e.recovered && e.catchup == nil && e.deliveredEpoch >= e.recoveredUntil {
 			e.recovered = false
 		}
-		// Delivery progress can unblock coupled-mode proposals.
+		// Delivery progress moves the retrieval window and can unblock
+		// coupled-mode proposals.
+		e.pumpRetrievals()
 		e.maybeSolicitProposal()
 		e.maybePrune()
 	}
@@ -1224,7 +1017,7 @@ func (e *Engine) maybePrune() {
 		delete(e.epochs, epoch)
 		for j := 0; j < e.cfg.N; j++ {
 			key := blockKey{epoch, j}
-			delete(e.retr, key)
+			e.dropRetrieval(key)
 			delete(e.delivered, key)
 			e.dropStaged(key)
 			// A completion recorded beyond a watermark gap can only be

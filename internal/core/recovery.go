@@ -534,10 +534,8 @@ func (e *Engine) resumeRecovered() {
 		if e.deliveries[epoch] == nil {
 			e.deliveries[epoch] = &epochDelivery{epoch: epoch, S: append([]int(nil), es.S...)}
 		}
-		for _, j := range es.S {
-			e.startRetrieval(blockKey{epoch, j})
-		}
 	}
+	e.pumpRetrievals()
 	// Re-send the recorded votes of every in-flight agreement instance.
 	// The journal is exactly what the previous incarnation put on the
 	// wire (plus any votes synced but never transmitted); receivers
@@ -624,9 +622,7 @@ func (e *Engine) requestStatus() {
 			e.emit(i, env, wire.PrioDispersal, 0)
 		}
 	}
-	e.timerSeq++
-	e.catchupToken = e.timerSeq
-	e.actions = append(e.actions, TimerAction{After: catchupRetry, Token: e.timerSeq})
+	e.catchupToken = e.armTimer(catchupRetry)
 }
 
 func (e *Engine) finishCatchup() {
@@ -772,9 +768,7 @@ func (e *Engine) adoptDecided(epoch uint64, S []int) {
 	// survive the crash, so there is nothing to resubmit).
 	e.actions = append(e.actions, EpochDecidedAction{Epoch: epoch, S: append([]int(nil), es.S...)})
 	e.deliveries[epoch] = &epochDelivery{epoch: epoch, S: append([]int(nil), es.S...)}
-	for _, j := range es.S {
-		e.startRetrieval(blockKey{epoch, j})
-	}
+	e.pumpRetrievals()
 	e.tryDeliver()
 	e.maybeSolicitProposal()
 }

@@ -83,9 +83,7 @@ func (e *Engine) startStateSync() {
 }
 
 func (e *Engine) armSyncTimer() {
-	e.timerSeq++
-	e.syncToken = e.timerSeq
-	e.actions = append(e.actions, TimerAction{After: catchupRetry, Token: e.timerSeq})
+	e.syncToken = e.armTimer(catchupRetry)
 }
 
 // syncTick drives the syncer's retry logic (donor rotation, re-pulls,
@@ -264,7 +262,7 @@ func (e *Engine) installManifest(m *store.Manifest) bool {
 	e.deliveries = map[uint64]*epochDelivery{}
 	e.myBlocks = map[uint64]*wire.Block{}
 	e.decidedSet = map[uint64]bool{}
-	e.timers = map[uint64]blockKey{}
+	e.sched = newRetrSched(e.cfg.N)
 	// Staged donor chunks from a previous sync reference pre-install
 	// epochs; left behind they would strand budget (only deliverBlock
 	// and maybePrune drop them, and neither visits synced-over keys).
@@ -449,7 +447,7 @@ func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
 	// server completed live and holds its chunk. Adopting the completion
 	// again would change nothing, so skip recomputing the chunk — a full
 	// Reed–Solomon encode plus an N-leaf Merkle tree per retrieved block.
-	if es := e.epochs[key.epoch]; es != nil && es.vids[key.proposer] != nil && es.vids[key.proposer].HasChunk() {
+	if e.holdsChunk(key) {
 		return
 	}
 	root, data, proof, err := avid.OwnChunk(e.params, e.self, raw)

@@ -26,9 +26,6 @@ type GeoParams struct {
 	Duration time.Duration
 	Warmup   time.Duration
 	Seed     int64
-	// StagedRetrieval enables the staged chunk-request extension (see
-	// core.Config.StagedRetrieval and the abl-retrieval benchmark).
-	StagedRetrieval bool
 	// Telemetry instruments every node (ClusterOptions.Telemetry), used
 	// to demonstrate the enabled-path overhead stays within noise.
 	Telemetry bool
@@ -114,7 +111,7 @@ func RunGeo(p GeoParams) (*GeoResult, error) {
 	n := len(p.Cities)
 	samples := int(p.Duration/time.Second) + 2
 	c, err := NewCluster(ClusterOptions{
-		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, StagedRetrieval: p.StagedRetrieval, MaxEpochLag: p.MaxEpochLag},
+		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, MaxEpochLag: p.MaxEpochLag},
 		Replica:         ScaledReplicaParams(p.Scale),
 		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
 		Delay:           geoDelay(n, p.Seed),
@@ -264,6 +261,11 @@ type LatencyResult struct {
 	P5, P50, P95, P99 []time.Duration // local-transaction latency per node
 	AllP50, AllP95    []time.Duration // all-transaction latency (Fig 14)
 	DeliveredPayload  []int64
+	// BacklogSlope is how fast the slowest node's backlog of decided but
+	// undelivered epochs grew after warm-up, in epochs per virtual second.
+	// A point whose backlog grows is not in steady state: its percentiles
+	// are censored by the horizon and rise with the run length.
+	BacklogSlope float64
 	// Stages is the lifecycle latency panel (disperse, ba, retrieve,
 	// e2e from dl_epoch_stage_seconds); nil without Params.Telemetry.
 	Stages map[string]StageLatency
@@ -275,6 +277,15 @@ type LatencyResult struct {
 	Phases map[string]StageLatency
 }
 
+// steadyBacklogSlope is the backlog growth, in epochs per second, above
+// which a latency point is not a steady-state measurement: the slowest
+// node falls another epoch behind its decisions every ten seconds.
+const steadyBacklogSlope = 0.1
+
+// Steady reports whether every node kept up with its decisions after
+// warm-up, so that the percentiles do not depend on the run length.
+func (r *LatencyResult) Steady() bool { return r.BacklogSlope <= steadyBacklogSlope }
+
 // LatencyScale is the default scale for latency experiments. Latency runs
 // are load-limited rather than bandwidth-limited, so they can afford a
 // larger scale; a larger scale keeps per-message fixed overheads (headers,
@@ -282,8 +293,9 @@ type LatencyResult struct {
 // the scaled bandwidth, as they are at paper scale.
 const LatencyScale = 1.0 / 8
 
-// RunLatency measures confirmation latency at one offered load.
-func RunLatency(p LatencyParams) (*LatencyResult, error) {
+// latencyCluster builds the open-loop cluster RunLatency measures (not
+// yet started), filling in p's defaults.
+func latencyCluster(p *LatencyParams) (*Cluster, error) {
 	if p.Cities == nil {
 		p.Cities = trace.AWSCities
 	}
@@ -305,7 +317,7 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 	if p.BatchBytes != 0 {
 		rp.BatchBytes = int(float64(p.BatchBytes) * p.Scale)
 	}
-	c, err := NewCluster(ClusterOptions{
+	return NewCluster(ClusterOptions{
 		Core:        core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},
 		Replica:     rp,
 		Egress:      trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
@@ -315,12 +327,35 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 		Telemetry:   p.Telemetry,
 		Seed:        p.Seed,
 	})
+}
+
+// retrievalLag is each node's decided-but-undelivered epoch count.
+func (c *Cluster) retrievalLag() []float64 {
+	out := make([]float64, len(c.Replicas))
+	for i, r := range c.Replicas {
+		out[i] = float64(r.Engine().DecidedThrough()) - float64(r.Engine().DeliveredEpoch())
+	}
+	return out
+}
+
+// RunLatency measures confirmation latency at one offered load.
+func RunLatency(p LatencyParams) (*LatencyResult, error) {
+	c, err := latencyCluster(&p)
 	if err != nil {
 		return nil, err
 	}
 	c.Start()
+	var lagAtWarmup []float64
+	c.Sim.At(p.Warmup, func() { lagAtWarmup = c.retrievalLag() })
 	c.Run(p.Duration)
 	res := &LatencyResult{Mode: p.Mode, LoadPerNode: p.LoadPerNode, Names: trace.Names(p.Cities)}
+	if lagAtWarmup != nil {
+		for i, lag := range c.retrievalLag() {
+			if s := (lag - lagAtWarmup[i]) / (p.Duration - p.Warmup).Seconds(); s > res.BacklogSlope {
+				res.BacklogSlope = s
+			}
+		}
+	}
 	for i := range c.Replicas {
 		local := &c.Replicas[i].Stats.LatLocal
 		all := &c.Replicas[i].Stats.LatAll
@@ -401,11 +436,20 @@ type ControlledParams struct {
 	Spatial  bool
 	// PriorityWeight overrides T (for the priority ablation); 0 = 30.
 	PriorityWeight float64
+	// Bandwidth is the base link rate b in paper-equivalent MB/s (default
+	// the paper's 10): links are b, b(1+0.05i) under Spatial, and
+	// Gauss-Markov around b with σ = b/2 under Temporal. A cluster
+	// smaller than the paper's 16 nodes offers less load per epoch and
+	// needs narrower links to stay bandwidth-bound.
+	Bandwidth float64
 }
 
 func (p *ControlledParams) defaults() {
 	if p.N == 0 {
 		p.N = 16
+	}
+	if p.Bandwidth == 0 {
+		p.Bandwidth = 10
 	}
 	if p.Scale == 0 {
 		p.Scale = Scale
@@ -434,14 +478,14 @@ func RunControlled(p ControlledParams) (*ControlledResult, error) {
 	traces := make([]trace.Trace, p.N)
 	samples := int(p.Duration/time.Second) + 2
 	for i := 0; i < p.N; i++ {
-		mean := 10.0 * trace.MB * p.Scale
+		mean := p.Bandwidth * trace.MB * p.Scale
 		if p.Spatial {
-			mean = (10.0 + 0.5*float64(i)) * trace.MB * p.Scale
+			mean *= 1 + 0.05*float64(i)
 		}
 		if p.Temporal {
 			traces[i] = trace.GaussMarkov(trace.GaussMarkovParams{
 				Mean:  mean,
-				Sigma: 5.0 * trace.MB * p.Scale,
+				Sigma: p.Bandwidth / 2 * trace.MB * p.Scale,
 				Alpha: 0.98,
 				Tick:  time.Second,
 			}, samples, p.Seed+int64(i)*131)

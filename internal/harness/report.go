@@ -75,6 +75,9 @@ func FormatLatency(results []*LatencyResult) string {
 	fmt.Fprintf(&b, "Fig 10 — confirmation latency of local transactions (median [p5 p95])\n")
 	for _, r := range results {
 		fmt.Fprintf(&b, "%s @ %.1f MB/s per node:\n", r.Mode, r.LoadPerNode/float64(1<<20))
+		if !r.Steady() {
+			fmt.Fprintf(&b, "  NOT STEADY STATE: the slowest node's retrieval backlog grows by %.2f epochs/s; these percentiles are censored by the horizon\n", r.BacklogSlope)
+		}
 		for i, name := range r.Names {
 			fmt.Fprintf(&b, "  %-12s %10s [%8s %8s]\n", name,
 				round(r.P50[i]), round(r.P5[i]), round(r.P95[i]))

@@ -64,6 +64,13 @@ func TestFormatLatency(t *testing.T) {
 			t.Fatalf("latency output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "NOT STEADY STATE") {
+		t.Fatalf("a point with a flat backlog is marked as not steady:\n%s", out)
+	}
+	r.BacklogSlope = 1.05
+	if out = FormatLatency([]*LatencyResult{r}); !strings.Contains(out, "NOT STEADY STATE") || !strings.Contains(out, "1.05 epochs/s") {
+		t.Fatalf("a point whose backlog grows is not marked:\n%s", out)
+	}
 }
 
 func TestFormatControlledAndScale(t *testing.T) {

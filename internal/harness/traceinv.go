@@ -119,7 +119,7 @@ func CheckTraceCompleteness(node int, tel *telemetry.Metrics, log []LogEntry) []
 		out = append(out, fmt.Sprintf("trace: node %d counted %d delivered txs, log has %d",
 			node, got, txs))
 	}
-	out = append(out, checkJourneys(node, tel.Journeys(), epochs, maxEpoch, log)...)
+	out = append(out, checkJourneys(node, tel.Journeys(), maxEpoch, log)...)
 	return out
 }
 
@@ -127,15 +127,23 @@ func CheckTraceCompleteness(node int, tel *telemetry.Metrics, log []LogEntry) []
 // delivery log: finalized journeys are well-formed and reconcile with
 // the epochs this node proposed in; live journeys are not stuck in an
 // epoch the log already delivered.
-func checkJourneys(node int, jour *telemetry.Journeys, epochs map[uint64]bool, maxEpoch uint64, log []LogEntry) []string {
+func checkJourneys(node int, jour *telemetry.Journeys, maxEpoch uint64, log []LogEntry) []string {
 	var out []string
 	// The journeys layer only tracks transactions this node submitted
 	// and proposed itself, so a finalized journey's epoch must appear
-	// in the log with this node as proposer.
-	selfEpochs := map[uint64]bool{}
+	// in the log with this node as proposer. selfEpochs maps each such
+	// epoch to the epoch whose delivery carried the block: its own, or
+	// for a block that lost its agreement instance the later one that
+	// linked it in (an epoch's BA-committed blocks precede its linked
+	// ones in the log).
+	selfEpochs := map[uint64]uint64{}
+	delivering := uint64(0)
 	for _, e := range log {
+		if !e.Linked {
+			delivering = e.Epoch
+		}
 		if e.Proposer == node {
-			selfEpochs[e.Epoch] = true
+			selfEpochs[e.Epoch] = delivering
 		}
 	}
 	for _, j := range jour.Completed() {
@@ -156,22 +164,24 @@ func checkJourneys(node int, jour *telemetry.Journeys, epochs map[uint64]bool, m
 			out = append(out, fmt.Sprintf("trace: node %d journey %x checkpoints out of order (enq %s, deliver %s, done %s)",
 				node, j.Hash[:4], j.Enqueued, j.Delivered, j.Done))
 		}
-		// The journey finalizes when its epoch delivers; an epoch this
+		// The journey finalizes when its block delivers; an epoch this
 		// node never proposed in (per its own log) cannot carry one of
 		// its transactions. An empty-block epoch leaves no log entry,
 		// but an empty block also carries no transactions, so every
 		// journey-bearing epoch must be logged.
-		if !selfEpochs[j.Epoch] {
+		if _, ok := selfEpochs[j.Epoch]; !ok {
 			out = append(out, fmt.Sprintf("trace: node %d journey %x finalized in epoch %d, which its log never shows it proposing",
 				node, j.Hash[:4], j.Epoch))
 		}
 	}
-	// Stuck detection: a live journey already assigned to an epoch the
-	// log covers (horizon cut aside) means EpochDelivered never
-	// finalized it — exactly the stall the flight-recorder checkpoints
-	// exist to expose.
+	// Stuck detection: a live journey whose block the log already
+	// delivered, in an epoch that went on to complete (horizon cut
+	// aside), means EpochDelivered never finalized it — exactly the
+	// stall the flight-recorder checkpoints exist to expose. A block
+	// that lost its agreement instance and still awaits linking keeps
+	// its journeys live, rightly.
 	for _, j := range jour.Live() {
-		if j.Proposals > 0 && epochs[j.Epoch] && j.Epoch != maxEpoch {
+		if in, ok := selfEpochs[j.Epoch]; ok && j.Proposals > 0 && in != maxEpoch {
 			out = append(out, fmt.Sprintf("trace: node %d journey %x stuck live in delivered epoch %d",
 				node, j.Hash[:4], j.Epoch))
 		}

@@ -115,7 +115,7 @@ func TestTraceCompletenessDetects(t *testing.T) {
 
 // TestJourneyViolationsDetect exercises the journey half of the checker
 // with hand-built bad states: a finalized journey in an epoch the log
-// never shows the node proposing, and a live journey stuck in an epoch
+// never shows the node proposing, and a live journey stuck in a block
 // the log already delivered.
 func TestJourneyViolationsDetect(t *testing.T) {
 	m := telemetry.New(telemetry.Options{SampleEvery: 1})
@@ -123,24 +123,33 @@ func TestJourneyViolationsDetect(t *testing.T) {
 	tx := []byte("phantom")
 	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, tx)
 	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 9}, tx)
+	m.Emit(telemetry.Event{Kind: telemetry.BlockDelivered, At: 3 * time.Second, Epoch: 9})
 	m.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: 3 * time.Second, Epoch: 9}) // finalized in epoch 9
 
 	stuck := []byte("stuck")
 	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, stuck)
 	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 4}, stuck) // never finalized
 
+	waiting := []byte("waiting")
+	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, waiting)
+	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 3}, waiting) // lost its BA, not linked yet
+
 	log := []LogEntry{
-		{Epoch: 4, Proposer: 1, TxCount: 1}, // delivered, but proposer != 0
-		{Epoch: 5, Proposer: 0, TxCount: 1},
+		{Epoch: 3, Proposer: 1, TxCount: 1}, // epoch 3 delivered without node 0's block
+		{Epoch: 4, Proposer: 0, TxCount: 1},
+		{Epoch: 5, Proposer: 1, TxCount: 1},
 	}
-	joined := strings.Join(checkJourneys(0, jour, map[uint64]bool{4: true, 5: true}, 5, log), "\n")
+	joined := strings.Join(checkJourneys(0, jour, 5, log), "\n")
 	if !strings.Contains(joined, "which its log never shows it proposing") {
 		t.Fatalf("phantom-epoch journey not flagged:\n%s", joined)
 	}
 	if !strings.Contains(joined, "stuck live in delivered epoch 4") {
 		t.Fatalf("stuck journey not flagged:\n%s", joined)
 	}
-	if v := checkJourneys(0, nil, nil, 0, nil); v != nil {
+	if strings.Contains(joined, "epoch 3") {
+		t.Fatalf("journey of a block still awaiting linking flagged:\n%s", joined)
+	}
+	if v := checkJourneys(0, nil, 0, nil); v != nil {
 		t.Fatalf("nil journeys must be silent, got %v", v)
 	}
 }

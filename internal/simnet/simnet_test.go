@@ -211,6 +211,50 @@ func TestRetrievalServedByEpochOrder(t *testing.T) {
 	}
 }
 
+// TestChunkRequestsOvertakeQueuedChunks: a node's requests for the blocks
+// it needs next, and its cancels, are a few bytes that gate a whole
+// retrieval. Sent in the class wire.PriorityOf gives them, they leave
+// ahead of the chunks the node still owes for older epochs — in the low
+// class they would leave last, the newest stream of eleven.
+func TestChunkRequestsOvertakeQueuedChunks(t *testing.T) {
+	sim := NewSim()
+	net := NewNetwork(sim, Config{
+		N:       2,
+		Delay:   func(int, int) time.Duration { return 0 },
+		Egress:  []trace.Trace{trace.Constant(1000), trace.Constant(1000)},
+		Ingress: []trace.Trace{trace.Constant(1e12), trace.Constant(1e12)},
+	})
+	var got []wire.Msg
+	net.SetHandler(1, func(e wire.Envelope) { got = append(got, e.Payload) })
+	send := func(epoch uint64, m wire.Msg) {
+		net.Send(0, 1, wire.Envelope{From: 0, Epoch: epoch, Proposer: 0, Payload: m}, wire.PriorityOf(m), epoch)
+	}
+	// The first chunk goes into service at once; ten more queue behind it.
+	for epoch := uint64(1); epoch <= 11; epoch++ {
+		send(epoch, wire.ReturnChunk{Data: make([]byte, 500)})
+	}
+	send(20, wire.RequestChunk{})
+	send(20, wire.CancelRequest{})
+	sim.Run(time.Minute)
+	if len(got) != 13 {
+		t.Fatalf("delivered %d packets, want 13", len(got))
+	}
+	at := func(want wire.Msg) int {
+		for i, m := range got {
+			if m == want {
+				return i
+			}
+		}
+		return -1
+	}
+	// The request leaves as soon as the chunk in service is out. The two
+	// classes share by weight rather than by strict priority, so the
+	// request's few bytes let one chunk through before the cancel.
+	if req, cancel := at(wire.RequestChunk{}), at(wire.CancelRequest{}); req != 1 || cancel <= req || cancel > 3 {
+		t.Fatalf("request left in position %d and cancel in %d of 13, want 1 and at most 3", req, cancel)
+	}
+}
+
 func TestIdleClassDoesNotHoardCredit(t *testing.T) {
 	// Serve only retrieval for a while, then inject dispersal; dispersal
 	// must not be locked out, and vice versa: the returning class resumes

@@ -119,9 +119,15 @@ const (
 
 // proposal is this node's proposal for one epoch: its log slot's
 // proposer and the sampled transactions riding it, in block order.
+// A block that loses its agreement instance is delivered through
+// linking, epochs after its own epoch's timeline retired: dispersed and
+// decided keep that timeline's dispersal-done and BA-decide stamps for
+// it.
 type proposal struct {
-	proposer int32
-	txs      []mempool.Hash
+	proposer           int32
+	txs                []mempool.Hash
+	dispersed, decided time.Duration
+	delivered          bool
 }
 
 // Journeys folds the transaction kinds into sampled journeys for one
@@ -134,7 +140,10 @@ type Journeys struct {
 	live    map[mempool.Hash]*Journey
 	order   []mempool.Hash // live insertion order, for eviction
 	byEpoch map[uint64]*proposal
-	done    ring[Journey]
+	// ready lists the proposal epochs whose block was delivered and
+	// whose journeys finalize when the delivering epoch completes.
+	ready []uint64
+	done  ring[Journey]
 
 	trace  *Tracer
 	flight *FlightRecorder
@@ -328,12 +337,20 @@ func (j *Journeys) slotLocked(ev Event) []mempool.Hash {
 }
 
 // blockDelivered records the local delivery of block (ev.Epoch,
-// ev.Peer) at ev.At.
+// ev.Peer) at ev.At — in its own epoch when it won its agreement
+// instance, in a later epoch's linked stage when it lost.
 func (j *Journeys) blockDelivered(ev Event) {
 	j.mu.Lock()
-	var marked []mempool.Hash
-	for _, h := range j.slotLocked(ev) {
-		if jr := j.live[h]; jr != nil && !jr.HasDelivered {
+	p := j.byEpoch[ev.Epoch]
+	if p == nil || p.proposer != ev.Peer || p.delivered {
+		j.mu.Unlock()
+		return
+	}
+	p.delivered = true
+	j.ready = append(j.ready, ev.Epoch)
+	marked := make([]mempool.Hash, 0, len(p.txs))
+	for _, h := range p.txs {
+		if jr := j.live[h]; jr != nil {
 			jr.Delivered, jr.HasDelivered = ev.At, true
 			marked = append(marked, h)
 		}
@@ -359,33 +376,50 @@ func (j *Journeys) proofIngested(ev Event) {
 	j.mu.Unlock()
 }
 
-// epochDelivered finalizes every journey proposed in epoch at now: the
-// epoch segment is joined against the tracer's still-inflight
-// timeline, phase durations are computed via clamped telescoping
-// checkpoints, histograms observed, and the journeys move to the
-// completed ring.
+// epochDelivered finalizes, at now, the journeys of every block
+// delivered since the last epoch completed: the epoch segment is joined
+// against the proposal epoch's timeline, phase durations are computed via
+// clamped telescoping checkpoints, histograms observed, and the journeys
+// move to the completed ring. A journey proposed in epoch whose block
+// this delivery did not include stays live: the block lost its agreement
+// instance and commits when a later epoch links it in (or, under HB,
+// when its transactions are proposed again).
 func (j *Journeys) epochDelivered(epoch uint64, now time.Duration) {
 	j.mu.Lock()
-	p := j.byEpoch[epoch]
-	if p == nil {
-		j.mu.Unlock()
-		return
+	if p := j.byEpoch[epoch]; p != nil && !p.delivered {
+		// The tracer retires the epoch's timeline on this very event.
+		tl := j.trace.inflightCopy(epoch)
+		p.dispersed, p.decided = tl.At(StageDisperseDone), tl.At(StageBADecide)
 	}
-	delete(j.byEpoch, epoch)
-	tl := j.trace.inflightCopy(epoch)
-	done := make([]Journey, 0, len(p.txs))
-	for _, h := range p.txs {
-		jr, ok := j.live[h]
-		if !ok {
+	var done []Journey
+	for _, pe := range j.ready {
+		p := j.byEpoch[pe]
+		if p == nil {
 			continue
 		}
-		delete(j.live, h)
-		finalize(jr, &tl, now)
-		j.done.push(*jr)
-		done = append(done, *jr)
+		delete(j.byEpoch, pe)
+		// Whichever of the two holds the stamps: the kept ones are zero
+		// while the timeline is inflight, and the timeline once retired.
+		tl := j.trace.inflightCopy(pe)
+		dispersed := max(p.dispersed, tl.At(StageDisperseDone))
+		decided := max(p.decided, tl.At(StageBADecide))
+		for _, h := range p.txs {
+			jr, ok := j.live[h]
+			if !ok {
+				continue
+			}
+			delete(j.live, h)
+			finalize(jr, dispersed, decided, now)
+			j.done.push(*jr)
+			done = append(done, *jr)
+		}
 	}
+	j.ready = j.ready[:0]
 	n := len(j.live)
 	j.mu.Unlock()
+	if done == nil {
+		return
+	}
 	j.liveGauge.Set(int64(n))
 	// Histograms are atomic; observe outside the lock.
 	for i := range done {
@@ -407,13 +441,13 @@ func (j *Journeys) epochDelivered(epoch uint64, now time.Duration) {
 // finalize computes jr's phase durations from clamped telescoping
 // checkpoints: each checkpoint is at least its predecessor, so every
 // phase is non-negative and the mempool→deliver phases sum exactly to
-// Done − Enqueued. tl is the epoch's timeline (zero when the tracer
-// holds none; At reads unobserved stages as 0, which the clamp
-// absorbs).
-func finalize(jr *Journey, tl *Timeline, now time.Duration) {
+// Done − Enqueued. dispersed and decided are the proposal epoch's
+// dispersal-done and BA-decide stamps (0 when the tracer observed none,
+// which the clamp absorbs).
+func finalize(jr *Journey, dispersed, decided, now time.Duration) {
 	c0 := max(jr.Proposed, jr.Enqueued)
-	c1 := max(c0, tl.At(StageDisperseDone))
-	c2 := max(c1, tl.At(StageBADecide))
+	c1 := max(c0, dispersed)
+	c2 := max(c1, decided)
 	c3 := c2
 	if jr.HasDelivered {
 		c3 = max(c2, jr.Delivered)

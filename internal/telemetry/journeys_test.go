@@ -150,6 +150,59 @@ func TestReProposal(t *testing.T) {
 	}
 }
 
+// TestLostBAThenLinked: a block that loses its agreement instance is not
+// part of its own epoch's delivery. Its transactions commit when a later
+// epoch links the block in, and only then do their journeys finalize,
+// with the wait for linking counted.
+func TestLostBAThenLinked(t *testing.T) {
+	m, j := newTestJourneys(t, Options{SampleEvery: 1})
+	tx := []byte("censored")
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	submitted(m, tx, sec(1))
+	proposed(m, [][]byte{tx}, 3, sec(2))
+	observe(m, 3, StageDisperseDone, sec(3))
+	observe(m, 3, StageBADecide, sec(4))
+	epochDelivered(m, 3, sec(5)) // S of epoch 3 does not hold our block
+
+	if n := len(j.Completed()); n != 0 {
+		t.Fatalf("epoch 3 finalized %d journeys of a block it did not deliver", n)
+	}
+	if live := j.Live(); len(live) != 1 || live[0].Epoch != 3 || live[0].HasDelivered {
+		t.Fatalf("live after the lost epoch = %+v, want the one undelivered journey", live)
+	}
+	epochDelivered(m, 4, sec(6)) // nor does epoch 4 link it
+	if n := len(j.Completed()); n != 0 {
+		t.Fatalf("epoch 4 finalized %d journeys", n)
+	}
+
+	// Epoch 5's linked stage delivers block (3, self).
+	m.Emit(Event{Kind: BlockDeliveredLinked, At: sec(8), Epoch: 3})
+	epochDelivered(m, 5, sec(8.5))
+	done := j.Completed()
+	if len(done) != 1 || len(j.Live()) != 0 {
+		t.Fatalf("completed = %+v, live = %d", done, len(j.Live()))
+	}
+	jr := done[0]
+	if jr.Epoch != 3 || !jr.HasDelivered || jr.Delivered != sec(8) || jr.Done != sec(8.5) {
+		t.Fatalf("journey = %+v", jr)
+	}
+	want := map[Phase]time.Duration{
+		PhaseMempoolWait: sec(1),
+		PhaseDisperse:    sec(1),
+		PhaseBA:          sec(1),
+		PhaseRetrieve:    sec(4), // decided at 4 s, linked in at 8 s
+		PhaseDeliver:     sec(0.5),
+	}
+	for p, d := range want {
+		if jr.Phases[p] != d {
+			t.Errorf("phase %s = %s, want %s", p, jr.Phases[p], d)
+		}
+	}
+	if hs := m.Registry().FindHistogram(PhaseMetric, `phase="retrieve"`); hs.Count() != 1 {
+		t.Errorf("retrieve count = %d, want 1", hs.Count())
+	}
+}
+
 func TestSamplingIsDeterministicByHash(t *testing.T) {
 	m, j := newTestJourneys(t, Options{})
 	for i := 0; i < 256; i++ {
@@ -171,13 +224,14 @@ func TestSamplingIsDeterministicByHash(t *testing.T) {
 }
 
 func TestUnsetPhasesClampNonNegative(t *testing.T) {
-	// A journey finalized with no proposal, no timeline and no delivery
-	// must still produce non-negative phases.
+	// A journey finalized with no timeline and out-of-order clocks must
+	// still produce non-negative phases.
 	m, j := newTestJourneys(t, Options{SampleEvery: 1})
 	tx := []byte("stuck")
 	submitted(m, tx, 5*time.Second)
 	proposed(m, [][]byte{tx}, 2, 6*time.Second)
-	epochDelivered(m, 2, 4*time.Second) // clock oddity: deliver "before" proposal
+	blockDelivered(m, 2, 3*time.Second) // clock oddity: deliver "before" proposal
+	epochDelivered(m, 2, 4*time.Second)
 	done := j.Completed()
 	if len(done) != 1 {
 		t.Fatalf("completed = %d", len(done))

@@ -167,6 +167,10 @@ type tcpPeer struct {
 	low    map[uint64][]lowFrame
 	lowN   int
 	closed bool
+	// conn is each class's current connection and lost whether it died
+	// since its writer last looked (see connLost).
+	conn [2]net.Conn
+	lost [2]bool
 }
 
 // lowFrame carries retrieval-class frames with enough metadata to purge
@@ -505,9 +509,25 @@ func (p *tcpPeer) purge(epoch uint64, proposer int) {
 	p.noteDepthLocked()
 }
 
+// connLost wakes the class's writer when its connection c dies under it.
+// Frames flushed to c and not yet acked may never have been processed, and
+// a writer waiting for the next frame would only find out when one failed
+// on c: on a link gone quiet, never. The protocol sends some messages once
+// — a chunk is returned to a node that will not ask again — so the tail
+// has to be re-sent without waiting for more traffic.
+func (p *tcpPeer) connLost(class int, c net.Conn) {
+	p.mu.Lock()
+	if p.conn[class] == c {
+		p.lost[class] = true
+	}
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
 // nextFrames drains up to max queued frames of the given class into
 // `into` under one lock acquisition, blocking until at least one frame
-// is available or the peer closes. Batching here is what turns the
+// is available, the class's connection is lost (it then returns no
+// frames) or the peer closes. Batching here is what turns the
 // per-step burst of n-1 small sends into one buffered write + flush on
 // the socket: the writer picks up the whole burst in a single pop
 // instead of paying a lock round-trip and a write call per frame.
@@ -563,6 +583,10 @@ func (p *tcpPeer) nextFrames(class int, into []*bufpool.Buf, max int) ([]*bufpoo
 				p.lowN -= take
 			}
 			p.noteDepthLocked()
+			return into, true
+		}
+		if p.lost[class] {
+			p.lost[class] = false
 			return into, true
 		}
 		p.cond.Wait()
@@ -777,7 +801,13 @@ func (p *tcpPeer) writer(class int) {
 			c.SetReadDeadline(time.Time{})
 			prune(binary.BigEndian.Uint64(rb[:]))
 			ctr := &atomic.Uint64{}
-			go ackReader(c, ctr, p.node.tel.acks, p.node.tel.peerAcks[p.id], probe, p.node.tel.peerRTT[p.id])
+			p.mu.Lock()
+			p.conn[class], p.lost[class] = c, false
+			p.mu.Unlock()
+			go func() {
+				ackReader(c, ctr, p.node.tel.acks, p.node.tel.peerAcks[p.id], probe, p.node.tel.peerRTT[p.id])
+				p.connLost(class, c)
+			}()
 			conn = c
 			bw = bufio.NewWriterSize(c, 256<<10)
 			acked = ctr
@@ -808,6 +838,17 @@ func (p *tcpPeer) writer(class int) {
 			}
 			releasePending()
 			return
+		}
+		if len(batch) == 0 {
+			// The connection died while the queue was empty: what it left
+			// unacked is re-sent on a new one (connLost).
+			if conn != nil {
+				conn.Close()
+				conn = nil
+			}
+			if len(pending) == 0 {
+				continue
+			}
 		}
 		pending = append(pending, batch...)
 		for {

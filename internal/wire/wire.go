@@ -344,14 +344,19 @@ func BitmapSet(b []byte, nBits int) []int {
 }
 
 // PriorityOf returns the transport priority class of a message: dispersal
-// and agreement traffic is high priority, retrieval traffic low (§4.5).
-// Recovery status traffic rides the high-priority class — it is tiny and
-// gates a node's rejoin. State-sync control messages (hello, offer, pull)
-// are tiny and high priority too; the bulk checkpoint pages ride the
-// retrieval class so a joining node's download never delays dispersal.
+// and agreement traffic is high priority, the bulk of retrieval low (§4.5).
+// Only the messages that carry a block's bytes ride the low class: the
+// returned chunks, and the checkpoint pages of state sync, so a joining
+// node's download never delays dispersal. Everything else is tiny and
+// gates something — recovery status traffic a node's rejoin, state-sync
+// hello, offer and pull a bootstrap, and the chunk requests and their
+// cancels a whole retrieval: queued in the low class (served oldest epoch
+// first, on 1/(T+1) of the link) a node's newest requests would leave
+// last, behind every chunk it owes. All three request messages share one
+// class so a cancel never overtakes the request it cancels.
 func PriorityOf(m Msg) Priority {
 	switch m.Type() {
-	case TRequestChunk, TReturnChunk, TCancelRequest, TRequestChunkAgain, TSyncPage:
+	case TReturnChunk, TSyncPage:
 		return PrioRetrieval
 	default:
 		return PrioDispersal
