@@ -33,7 +33,8 @@ func directionOf(name string) metricDirection {
 		strings.Contains(name, "confirmed"):
 		return higherBetter
 	case strings.HasSuffix(name, "_ms"),
-		strings.HasSuffix(name, "_frac"): // fig2 per-message overhead fractions
+		strings.HasSuffix(name, "_frac"),          // fig2 per-message overhead fractions
+		strings.HasSuffix(name, "_amplification"): // bytes downloaded per byte delivered
 		return lowerBetter
 	default:
 		return neutral

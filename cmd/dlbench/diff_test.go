@@ -43,6 +43,18 @@ func TestDiffDirectionPerMetric(t *testing.T) {
 	}
 }
 
+// Downloading more per byte delivered is a regression, less an improvement.
+func TestDiffAmplificationIsLowerBetter(t *testing.T) {
+	oldF := snap(rec("fig8", "DL", nil, map[string]float64{"retrieve_amplification": 1.0}))
+	newF := snap(rec("fig8", "DL", nil, map[string]float64{"retrieve_amplification": 1.3}))
+	if lines, _, _ := diffSnapshots(oldF, newF, 0.10); len(lines) != 1 || !lines[0].Regression {
+		t.Fatalf("30%% more download per delivered byte not flagged: %+v", lines)
+	}
+	if lines, _, _ := diffSnapshots(newF, oldF, 0.10); len(lines) != 1 || lines[0].Regression {
+		t.Fatalf("less download per delivered byte misclassified: %+v", lines)
+	}
+}
+
 func TestDiffNoiseThresholdAndKeys(t *testing.T) {
 	oldF := snap(
 		rec("fig8", "DL", nil, map[string]float64{"mean_throughput_mbps": 10}),

@@ -62,6 +62,16 @@ func durationMeanMs(ds []time.Duration) float64 {
 	return float64(sum) / float64(len(ds)) / float64(time.Millisecond)
 }
 
+// geoMetrics is the record of one fig8/fig15 run. The HoneyBadger modes
+// have no retrieval class and so no amplification to record.
+func geoMetrics(r *harness.GeoResult) map[string]float64 {
+	m := map[string]float64{"mean_throughput_mbps": r.Mean}
+	if r.RetrieveAmplification > 0 {
+		m["retrieve_amplification"] = r.RetrieveAmplification
+	}
+	return m
+}
+
 func main() {
 	full := flag.Bool("full", false, "run the full-size sweeps (slower)")
 	exp := flag.String("exp", "", "comma-separated experiment ids to run (fig2, fig8, fig9, fig10, fig11a, fig11b, fig12, fig13, fig14, fig15, fig16, abl-priority, abl-batch, abl-lag); empty = all")
@@ -143,10 +153,7 @@ func main() {
 			}
 			geo[i] = r
 			results = append(results, r)
-			record(benchRecord{
-				Experiment: "fig8", Mode: m.String(),
-				Metrics: map[string]float64{"mean_throughput_mbps": r.Mean},
-			})
+			record(benchRecord{Experiment: "fig8", Mode: m.String(), Metrics: geoMetrics(r)})
 		}
 		fmt.Print(harness.FormatGeo(results))
 		fmt.Print(harness.FormatHeadline(geo[0], geo[1], geo[2], geo[3]))
@@ -180,7 +187,7 @@ func main() {
 		record(benchRecord{
 			Experiment: "fig8", Mode: core.ModeDL.String(),
 			Params:  map[string]float64{"n": 64},
-			Metrics: map[string]float64{"mean_throughput_mbps": big.Mean},
+			Metrics: geoMetrics(big),
 		})
 		return nil
 	})
@@ -398,10 +405,7 @@ func main() {
 				return err
 			}
 			results = append(results, r)
-			record(benchRecord{
-				Experiment: "fig15", Mode: m.String(),
-				Metrics: map[string]float64{"mean_throughput_mbps": r.Mean},
-			})
+			record(benchRecord{Experiment: "fig15", Mode: m.String(), Metrics: geoMetrics(r)})
 		}
 		fmt.Print(harness.FormatGeo(results))
 		return nil

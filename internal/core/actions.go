@@ -196,6 +196,11 @@ const (
 	StagePeerRetrieveReq LifecycleStage = 9
 	// StagePeerRetrieveResp: Peer returned a retrieval chunk.
 	StagePeerRetrieveResp LifecycleStage = 10
+	// StagePeerRetrieveUnwanted: Peer returned a chunk of a block this
+	// node is not retrieving (any more): a request it hedged or cancelled
+	// too late was answered all the same, and the chunk's bytes were
+	// downloaded for nothing.
+	StagePeerRetrieveUnwanted LifecycleStage = 11
 )
 
 // StageAction reports that an epoch crossed a lifecycle boundary. It is

@@ -191,11 +191,14 @@ type retrState struct {
 	V       []uint64
 	txs     [][]byte // dropped after delivery
 	payload int      // transaction bytes (for stats)
-	// srv[i] is what this retrieval has asked of server i and age the
-	// scheduler ticks it has lived through (see retrieval.go; nil and
-	// zero for blocks that never touched the network).
+	// srv[i] is what this retrieval has asked of server i, age the
+	// scheduler ticks it has lived through and due the scheduler's count
+	// of accepted chunks by which its latest requests should have been
+	// answered (see retrieval.go; nil and zero for blocks that never
+	// touched the network).
 	srv []askState
 	age int
+	due uint64
 	// resend marks a retrieval whose answers the node's previous (crashed)
 	// incarnation may already have consumed: it asks every server from
 	// the start, with the duplicate-suppression-clearing request variant,
@@ -225,11 +228,11 @@ const (
 type epochDelivery struct {
 	epoch uint64
 	S     []int
-	// retrieving is set once the committed blocks' retrievals have been
-	// started, which waits for the epoch to enter the retrieval window.
-	retrieving bool
-	stage      deliveryStage
-	linked     []blockKey
+	// started counts the blocks of S whose retrievals pumpRetrievals has
+	// started; the rest wait for room under the scheduler's limit.
+	started int
+	stage   deliveryStage
+	linked  []blockKey
 }
 
 // Engine is one node's consensus state machine.
@@ -269,6 +272,7 @@ type Engine struct {
 	linkedFloor    []uint64 // per node: all epochs <= floor delivered
 	deliveredEpoch uint64   // epochs 1..deliveredEpoch fully delivered
 	deliveries     map[uint64]*epochDelivery
+	queuedThrough  uint64 // highest epoch ever entered into deliveries
 
 	// recovered marks an engine restored from a Store, and stays set
 	// until the node has both finished the status catch-up and delivered
@@ -341,7 +345,7 @@ func NewEngine(cfg Config, self int) (*Engine, error) {
 		vidDone:     make([]map[uint64]bool, cfg.N),
 		myBlocks:    map[uint64]*wire.Block{},
 		retr:        map[blockKey]*retrState{},
-		sched:       newRetrSched(cfg.N),
+		sched:       newRetrSched(cfg.N, params.K()),
 		delivered:   map[blockKey]bool{},
 		linkedFloor: make([]uint64, cfg.N),
 		deliveries:  map[uint64]*epochDelivery{},
@@ -797,9 +801,9 @@ func (e *Engine) onEpochDecided(es *epochState) {
 	e.actions = append(e.actions, EpochDecidedAction{Epoch: es.epoch, S: append([]int(nil), es.S...)})
 
 	// Queue the delivery pipeline for this epoch; its committed blocks are
-	// retrieved (lazily, at retrieval priority, in DL modes) once the epoch
-	// is inside the retrieval window.
-	e.deliveries[es.epoch] = &epochDelivery{epoch: es.epoch, S: es.S}
+	// retrieved (lazily, at retrieval priority, in DL modes) in delivery
+	// order, as the retrieval scheduler's limit admits them.
+	e.queueDelivery(es.epoch, es.S)
 	e.pumpRetrievals()
 
 	// HoneyBadger re-proposal: if our block was dropped, its transactions
@@ -967,8 +971,8 @@ func (e *Engine) tryDeliver() {
 		if e.recovered && e.catchup == nil && e.deliveredEpoch >= e.recoveredUntil {
 			e.recovered = false
 		}
-		// Delivery progress moves the retrieval window and can unblock
-		// coupled-mode proposals.
+		// Delivery progress moves the head of the retrieval order and can
+		// unblock coupled-mode proposals.
 		e.pumpRetrievals()
 		e.maybeSolicitProposal()
 		e.maybePrune()
@@ -1067,6 +1071,13 @@ func (e *Engine) RetrievalsInflight() int {
 	}
 	return n
 }
+
+// RetrievalHeldTicks reports how many retrieval scheduler ticks (one a
+// second while retrievals are in progress) found that the limit on
+// unanswered chunk requests had kept a block waiting: the seconds this
+// node spent retrieving as fast as its own link answers, since the last
+// restart or state-sync jump.
+func (e *Engine) RetrievalHeldTicks() uint64 { return e.sched.heldTicks }
 
 // BAInflight reports how many binary-agreement instances are running:
 // across resident undecided epochs, the instances without an output yet

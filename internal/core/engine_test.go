@@ -42,6 +42,9 @@ type testCluster struct {
 	// onAction, when set, observes every action each engine emits (the
 	// vote-persistence tests use it as a stand-in for the replica's WAL).
 	onAction func(node int, a Action)
+	// onDrain, when set, runs each time all traffic has drained and a
+	// timer is about to fire.
+	onDrain func()
 }
 
 type routed struct {
@@ -120,11 +123,18 @@ func (c *testCluster) apply(node int, actions []Action) {
 
 // run processes queued work in random order until quiescent. Timers fire
 // only when all message traffic has drained, which models "eventually"
-// without simulated time.
+// without simulated time. A timer that keeps re-arming itself while nothing
+// is in flight is a livelock, not a wait, and fails the test.
 func (c *testCluster) run() {
-	steps := 0
+	steps, idleTimers := 0, 0
 	for len(c.queue) > 0 || len(c.propose) > 0 || len(c.timers) > 0 {
 		if len(c.queue) == 0 && len(c.propose) == 0 {
+			if idleTimers++; idleTimers > 1000 {
+				c.t.Fatal("timers fired 1000 times in a row without causing a message: the cluster never quiesces")
+			}
+			if c.onDrain != nil {
+				c.onDrain()
+			}
 			t := c.timers[0]
 			c.timers = c.timers[1:]
 			if !c.crashed[t.node] {
@@ -132,6 +142,7 @@ func (c *testCluster) run() {
 			}
 			continue
 		}
+		idleTimers = 0
 		steps++
 		if steps > 5_000_000 {
 			c.t.Fatal("cluster did not quiesce within 5M steps")

@@ -532,7 +532,7 @@ func (e *Engine) resumeRecovered() {
 			continue
 		}
 		if e.deliveries[epoch] == nil {
-			e.deliveries[epoch] = &epochDelivery{epoch: epoch, S: append([]int(nil), es.S...)}
+			e.queueDelivery(epoch, append([]int(nil), es.S...))
 		}
 	}
 	e.pumpRetrievals()
@@ -767,7 +767,7 @@ func (e *Engine) adoptDecided(epoch uint64, S []int) {
 	// path would have run (minus HB re-proposal: myBlocks did not
 	// survive the crash, so there is nothing to resubmit).
 	e.actions = append(e.actions, EpochDecidedAction{Epoch: epoch, S: append([]int(nil), es.S...)})
-	e.deliveries[epoch] = &epochDelivery{epoch: epoch, S: append([]int(nil), es.S...)}
+	e.queueDelivery(epoch, append([]int(nil), es.S...))
 	e.pumpRetrievals()
 	e.tryDeliver()
 	e.maybeSolicitProposal()

@@ -7,9 +7,12 @@ package core
 // message that an idle egress sends at once, so those cancels never land
 // in time and every block is downloaded N/(N−2F) times over. The scheduler
 // here asks exactly K = N−2F servers, spreads the requests over the peers
-// that are answering fastest, hedges against the silent ones on a tick, and
-// fetches blocks in the order delivery needs them. Which chunks decode a
-// block, and every check on them, stays inside avid.Retriever.
+// that are answering fastest, hedges against the silent ones on a tick,
+// fetches blocks in the order delivery needs them, and keeps no more
+// requests unanswered than its own link answers in about two ticks; while
+// that limit binds, how long a request has waited is told in chunks
+// accepted, not in ticks. Which chunks decode a block, and every check on
+// them, stays inside avid.Retriever.
 
 import (
 	"math"
@@ -19,21 +22,41 @@ import (
 )
 
 const (
-	// retrievalWindow is how many epochs past the delivery watermark have
-	// their committed blocks retrieved at once. Delivery is serial, so a
-	// chunk of a later epoch only takes ingress from the block delivery is
-	// waiting for. An epoch's dispersal and agreement span at least five
-	// one-way delays and a retrieval two plus the transfer, so two epochs
-	// in flight keep the ingress busy.
-	retrievalWindow = 2
 	// hedgePatience is how many ticks an asked server that is answering
 	// other retrievals may leave this one unanswered before it is
 	// replaced regardless: f servers silent on one block only must not
-	// hold that block.
+	// hold that block. (On a full link of this node's own, overdueQueues
+	// says when a retrieval is looked at at all.)
 	hedgePatience = 3
 	// maxPenalty is where a server's penalty stops doubling: far above
 	// any load, and twenty answers from forgiven.
 	maxPenalty = 1 << 20
+
+	// The limit on unanswered requests (retrSched.limit) is limitTicks
+	// times the most chunks accepted in one of the last two ticks. One
+	// tick's worth would leave the link idle for a round trip whenever a
+	// burst of answers drains the queue; with many more, every request is
+	// so far from its answer that a tick takes healthy servers for silent
+	// ones, which is how a slow link came to download each block twice.
+	limitTicks = 2
+	// The limit never falls below limitFloorBlocks blocks' worth of
+	// requests (K each), one block arriving and one asked for, so a link
+	// that delivered nothing for two ticks is not left idle when it
+	// recovers. It starts at one epoch's worth, N blocks: a node that has
+	// received nothing knows nothing of its link, and the first epoch is
+	// what it cannot deliver anything without, so holding part of that
+	// back would only add a round trip to every boot.
+	limitFloorBlocks = 2
+	// While the limit binds, a retrieval is overdue, and only then hedged,
+	// once the link has brought overdueQueues times the requests that were
+	// unanswered when it last asked, its own among them (retrState.due).
+	// Answers come roughly in the order of the requests, so one queue's
+	// worth would have answered it had its servers been as prompt as
+	// everyone else's; the second is room for servers that differ by a round
+	// trip and an egress queue. Ticks cannot say this: a link whose rate
+	// falls tenfold between two of them leaves every request ten ticks from
+	// its answer and no server to blame.
+	overdueQueues = 2
 )
 
 // askState is what one retrieval has asked of one server.
@@ -64,23 +87,62 @@ type retrSched struct {
 	// something for; token is the armed tick timer (zero = none).
 	active []blockKey
 	token  uint64
+
+	// expecting counts the requests to other nodes that still expect an
+	// answer (state asked, no chunk yet), over all retrievals: the chunks
+	// this node has queued up for its own ingress. pumpRetrievals starts
+	// no block while it is at limit (see limitTicks). accepted counts the
+	// chunks accepted from other nodes, ever: the clock a full link's
+	// requests are timed by (see overdueQueues); ticked is its value at
+	// the last tick and at the one before. held records that the limit
+	// kept a block waiting since the last tick; only then does the limit
+	// shrink, because a node that asked for little has learned nothing
+	// about its link. heldTicks counts the ticks that found it set.
+	expecting int
+	limit     int
+	accepted  uint64
+	ticked    [2]uint64
+	held      bool
+	heldTicks uint64
 }
 
-func newRetrSched(n int) retrSched {
-	return retrSched{load: make([]int, n), penalty: make([]int, n), heard: make([]bool, n)}
+func newRetrSched(n, k int) retrSched {
+	return retrSched{load: make([]int, n), penalty: make([]int, n), heard: make([]bool, n), limit: n * k}
 }
 
-// pumpRetrievals starts the retrievals of the committed blocks of every
-// decided epoch inside the retrieval window, in delivery order.
+// queueDelivery enters a decided epoch into the delivery pipeline; its
+// committed blocks are retrieved when pumpRetrievals reaches them.
+func (e *Engine) queueDelivery(epoch uint64, S []int) {
+	e.deliveries[epoch] = &epochDelivery{epoch: epoch, S: S}
+	e.queuedThrough = max(e.queuedThrough, epoch)
+}
+
+// pumpRetrievals starts the retrievals of committed blocks in delivery
+// order while fewer requests are outstanding than the node's own link
+// answers in about two ticks (retrSched.limit). It runs when an epoch is
+// decided or delivered and whenever a chunk is accepted, so under load the
+// answers clock the requests out. HoneyBadger modes, which download a block
+// in order to vote on it, are not held; neither are linked blocks, which
+// deliverBAStage starts because they gate the epoch at the head of the
+// pipeline. Recovery's resend retrievals are: they ask all N servers, and
+// a node that restarts far behind would otherwise ask for every epoch it
+// missed at once.
 func (e *Engine) pumpRetrievals() {
-	for epoch := e.deliveredEpoch + 1; epoch <= e.deliveredEpoch+retrievalWindow; epoch++ {
+	for epoch := e.deliveredEpoch + 1; epoch <= e.queuedThrough; epoch++ {
 		d := e.deliveries[epoch]
-		if d == nil || d.retrieving {
+		if d == nil {
 			continue
 		}
-		d.retrieving = true
-		for _, j := range d.S {
-			e.startRetrieval(blockKey{epoch, j})
+		// A block served from local storage completes inside
+		// startRetrieval and can re-enter here through tryDeliver, so the
+		// cursor moves first and every condition is read afresh.
+		for d.started < len(d.S) {
+			if e.sched.expecting >= e.sched.limit && !e.cfg.Mode.voteAfterRetrieve() {
+				e.sched.held = true
+				return
+			}
+			d.started++
+			e.startRetrieval(blockKey{epoch, d.S[d.started-1]})
 		}
 	}
 }
@@ -171,7 +233,7 @@ func (e *Engine) holdsChunk(key blockKey) bool {
 // when it holds its chunk (the answer costs no bandwidth) and last when it
 // does not (it can only answer once its dispersal completes), the others
 // by requests of ours still unanswered plus penalty. Ties fall to the
-// rotation order.
+// rotation order. It also notes when these requests will be overdue.
 func (e *Engine) askMore(key blockKey, rs *retrState, want int) {
 	selfCost := math.MaxInt
 	if e.holdsChunk(key) {
@@ -196,6 +258,7 @@ func (e *Engine) askMore(key blockKey, rs *retrState, want int) {
 			return
 		}
 		e.ask(key, rs, best, wire.RequestChunk{})
+		rs.due = e.sched.accepted + overdueQueues*uint64(e.sched.expecting)
 	}
 }
 
@@ -217,6 +280,9 @@ func (e *Engine) ask(key blockKey, rs *retrState, to int, msg wire.Msg) {
 	if rs.srv[to] == notAsked {
 		rs.srv[to] = asked
 		e.sched.load[to]++
+		if to != e.self {
+			e.sched.expecting++
+		}
 	}
 	if to != e.self {
 		// Per-peer retrieval-request sub-span, emitted per send (not
@@ -236,6 +302,9 @@ func (e *Engine) closeRequests(key blockKey, rs *retrState, cancel bool) {
 			continue
 		}
 		e.sched.load[p]--
+		if st == asked && p != e.self {
+			e.sched.expecting--
+		}
 		if cancel && p != e.self {
 			out := wire.Envelope{From: e.self, Epoch: key.epoch, Proposer: key.proposer, Payload: wire.CancelRequest{}}
 			e.emit(p, out, e.priorityFor(wire.CancelRequest{}), key.epoch)
@@ -265,6 +334,21 @@ func (e *Engine) dropRetrieval(key blockKey) {
 // pipeline forever.
 func (e *Engine) retrievalTick() {
 	s := &e.sched
+	// The limit held a block back and chunks are arriving: the queue of
+	// requests is as long as this node's own link can answer, how many
+	// ticks one has waited says nothing against its server, and a
+	// replacement would be one more chunk for the same full link. Time is
+	// then told in chunks accepted, and only a retrieval the link's answers
+	// have overtaken (see overdueQueues) is hedged, so a dead server holds
+	// a block for two queues' worth of arrivals and no longer. Once nothing
+	// has arrived for two ticks (the limit's own memory; a link that brings
+	// a chunk or two a tick has empty ticks) every retrieval hedges by the
+	// tick again, which is what termination rests on.
+	now, before := int(s.accepted-s.ticked[0]), int(s.ticked[0]-s.ticked[1])
+	ownLink := s.held && now+before > 0
+	if s.held {
+		s.heldTicks++
+	}
 	keep := s.active[:0]
 	for _, key := range s.active {
 		rs := e.retr[key]
@@ -274,7 +358,7 @@ func (e *Engine) retrievalTick() {
 		if rs.age++; rs.age > 1 {
 			if rs.resend {
 				e.reask(key, rs)
-			} else {
+			} else if !ownLink || s.accepted >= rs.due {
 				e.hedge(key, rs)
 			}
 		}
@@ -289,9 +373,14 @@ func (e *Engine) retrievalTick() {
 	for p := range s.heard {
 		s.heard[p] = false
 	}
+	if limit := max(limitTicks*max(now, before), limitFloorBlocks*e.params.K()); limit > s.limit || s.held {
+		s.limit = limit
+	}
+	s.ticked[1], s.ticked[0], s.held = s.ticked[0], s.accepted, false
 	if len(keep) > 0 {
 		s.token = e.armTimer(retrievalStageDelay)
 	}
+	e.pumpRetrievals()
 }
 
 // hedge replaces the asked servers this retrieval should stop waiting
@@ -301,6 +390,8 @@ func (e *Engine) retrievalTick() {
 // one of their senders lied about the root, and everyone is asked, as the
 // paper does. Hedging therefore reaches all N servers, N−2F of which are
 // correct and hold their chunk, which is the paper's termination argument.
+// The tick calls it for every retrieval, except that while this node's own
+// link is full it skips those not yet overdue.
 func (e *Engine) hedge(key blockKey, rs *retrState) {
 	have, expected := 0, 0
 	for p, st := range rs.srv {
@@ -312,6 +403,9 @@ func (e *Engine) hedge(key blockKey, rs *retrState) {
 			expected++
 		default:
 			rs.srv[p] = hedged
+			if p != e.self {
+				e.sched.expecting--
+			}
 			if e.sched.penalty[p] < maxPenalty {
 				e.sched.penalty[p] = 2*e.sched.penalty[p] + 1
 			}
@@ -346,14 +440,21 @@ func (e *Engine) reask(key blockKey, rs *retrState) {
 func (e *Engine) toRetriever(env wire.Envelope, msg wire.ReturnChunk) {
 	key := blockKey{env.Epoch, env.Proposer}
 	rs, ok := e.retr[key]
-	if !ok || rs.done || rs.ret == nil {
+	wanted := ok && !rs.done && rs.ret != nil
+	// Per-peer retrieval round-trip completion, or a chunk that crossed
+	// the link for a block already in hand (pure telemetry).
+	if env.From != e.self && env.From >= 0 && env.From < e.cfg.N {
+		stage := StagePeerRetrieveResp
+		if !wanted {
+			stage = StagePeerRetrieveUnwanted
+		}
+		e.actions = append(e.actions, StageAction{Epoch: env.Epoch, Stage: stage, Peer: env.From})
+	}
+	if !wanted {
 		return
 	}
-	// Per-peer retrieval round-trip completion (pure telemetry).
-	if env.From != e.self && env.From >= 0 && env.From < e.cfg.N {
-		e.actions = append(e.actions, StageAction{Epoch: env.Epoch, Stage: StagePeerRetrieveResp, Peer: env.From})
-	}
 	e.ingestReturnChunk(key, rs, env.From, msg)
+	e.pumpRetrievals()
 }
 
 // ingestReturnChunk feeds one chunk (from the network or a state-sync
@@ -371,9 +472,15 @@ func (e *Engine) ingestReturnChunk(key blockKey, rs *retrState, from int, msg wi
 			rs.srv[from] = asked
 		} else {
 			e.sched.load[from]--
+			if rs.srv[from] == asked && from != e.self {
+				e.sched.expecting--
+			}
 		}
 		e.sched.penalty[from] /= 2
 		e.sched.heard[from] = true
+		if from != e.self {
+			e.sched.accepted++
+		}
 	}
 	if !done {
 		return false

@@ -29,6 +29,9 @@ func checkSchedulerIdle(t *testing.T, c *testCluster) {
 				t.Errorf("node %d counts %d unanswered requests to server %d with no retrieval in flight", i, l, p)
 			}
 		}
+		if got := eng.sched.expecting; got != 0 {
+			t.Errorf("node %d expects %d answers with no retrieval in flight", i, got)
+		}
 	}
 }
 
@@ -102,11 +105,18 @@ type servedBlock struct {
 
 func disperseFor(t *testing.T, cfg Config, key blockKey) servedBlock {
 	t.Helper()
+	return disperseWithV(t, cfg, key, make([]uint64, cfg.N))
+}
+
+// disperseWithV is disperseFor for a block that carries the observation
+// array V.
+func disperseWithV(t *testing.T, cfg Config, key blockKey, V []uint64) servedBlock {
+	t.Helper()
 	params, err := avid.NewParams(cfg.N, cfg.F)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := &wire.Block{Proposer: key.proposer, Epoch: key.epoch, V: make([]uint64, cfg.N),
+	blk := &wire.Block{Proposer: key.proposer, Epoch: key.epoch, V: V,
 		Txs: [][]byte{[]byte(fmt.Sprintf("tx-%d-%d", key.epoch, key.proposer))}}
 	chunks, _, err := avid.Disperse(params, blk.Encode())
 	if err != nil {
@@ -285,49 +295,312 @@ func TestSelectivelySilentServersCannotHoldABlock(t *testing.T) {
 	}
 }
 
-// TestRetrievalWindowFollowsDelivery: only the two epochs next in
-// delivery order have their blocks fetched; later decided epochs wait.
+// TestRetrievalWindowFollowsDelivery: blocks are asked for in delivery
+// order only while fewer requests are unanswered than the limit, whatever
+// order the decisions arrived in; each accepted chunk admits the next block,
+// and a tick moves the limit to twice what the last two ticks brought.
 func TestRetrievalWindowFollowsDelivery(t *testing.T) {
 	cfg := Config{N: 4, F: 1}
+	k := cfg.N - 2*cfg.F
 	S := []int{1, 2, 3}
 	s := newScriptedRetriever(t, cfg)
-	// Decisions arrive newest first.
-	for epoch := uint64(4); epoch >= 1; epoch-- {
+	// Epoch 3 is decided first and may take what room there is; epochs 1,
+	// 2 and 4 find the limit reached and wait, in delivery order.
+	for _, epoch := range []uint64{3, 1, 2, 4} {
 		s.decide(epoch, S)
 	}
-	requested := func(epoch uint64) int {
-		n := 0
-		for _, j := range S {
-			if len(s.asked[blockKey{epoch, j}]) > 0 {
-				n++
+	requested := func() (keys []blockKey) {
+		for epoch := uint64(1); epoch <= 4; epoch++ {
+			for _, j := range S {
+				if key := (blockKey{epoch, j}); len(s.asked[key]) > 0 {
+					keys = append(keys, key)
+				}
 			}
 		}
-		return n
+		return keys
 	}
-	for epoch := uint64(1); epoch <= 4; epoch++ {
-		want := 0
-		if epoch <= retrievalWindow {
-			want = len(S)
+	expect := func(when string, want ...blockKey) {
+		t.Helper()
+		if got := requested(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: blocks requested %v, want %v", when, got, want)
 		}
-		if got := requested(epoch); got != want {
-			t.Fatalf("%d blocks of epoch %d requested with nothing delivered, want %d", got, epoch, want)
+		if got, most := s.eng.sched.expecting, s.eng.sched.limit+k-1; got > most {
+			t.Fatalf("%s: %d requests unanswered, limit %d admits at most %d", when, got, s.eng.sched.limit, most)
 		}
 	}
-	if got := s.eng.RetrievalsInflight(); got != retrievalWindow*len(S) {
-		t.Fatalf("%d retrievals in flight, want %d", got, retrievalWindow*len(S))
+	if got, want := s.eng.sched.limit, cfg.N*k; got != want {
+		t.Fatalf("limit starts at %d, want one epoch's requests, %d", got, want)
 	}
-	// Delivering epoch 1 slides the window over epoch 3.
-	for _, j := range S {
-		blk := disperseFor(t, cfg, blockKey{1, j})
-		for p := range s.asked[blk.key] {
+	// N·K = 8 requests at K = 2 a block: epoch 3's three blocks, then the
+	// first block in delivery order.
+	e3 := []blockKey{{3, 1}, {3, 2}, {3, 3}}
+	expect("nothing answered", append([]blockKey{{1, 1}}, e3...)...)
+	if !s.eng.sched.held {
+		t.Fatal("the limit kept blocks waiting and did not record it")
+	}
+
+	answer := func(key blockKey, chunks int) {
+		blk := disperseFor(t, cfg, key)
+		for p := range s.asked[key] {
+			if chunks == 0 {
+				break
+			}
+			if rs := s.eng.retr[key]; rs != nil && !rs.done && !rs.ret.Answered(p) {
+				s.apply(s.eng.Handle(blk.answer(p)))
+				chunks--
+			}
+		}
+	}
+	// One chunk of a later epoch makes room for the next block delivery
+	// needs, not for one of its own epoch's successors.
+	answer(blockKey{3, 2}, 1)
+	expect("one chunk accepted", append([]blockKey{{1, 1}, {1, 2}}, e3...)...)
+	// That block overshot the limit by one request: the next chunk
+	// accepted only takes the count back to it.
+	answer(blockKey{3, 2}, 1)
+	expect("two chunks accepted", append([]blockKey{{1, 1}, {1, 2}}, e3...)...)
+	answer(blockKey{1, 1}, 1)
+	expect("three chunks accepted", append([]blockKey{{1, 1}, {1, 2}, {1, 3}}, e3...)...)
+
+	// The tick found blocks held back and three chunks accepted: the limit
+	// follows the link down to twice that, and a second tick in which
+	// nothing arrives does not take it further, nor below two blocks' worth.
+	s.tick()
+	if got, want := s.eng.sched.limit, limitTicks*3; got != want {
+		t.Fatalf("limit %d after a held tick that accepted 3 chunks, want %d", got, want)
+	}
+	s.tick()
+	s.tick()
+	if got, want := s.eng.sched.limit, limitFloorBlocks*k; got != want {
+		t.Fatalf("limit %d after two ticks without a chunk, want the floor %d", got, want)
+	}
+}
+
+// slowLink answers a scripted retriever's requests the way a full link
+// does: so many chunks a tick, the oldest block's first, and nothing from
+// the servers that are gone.
+type slowLink struct {
+	s      *scriptedRetriever
+	cfg    Config
+	S      []int
+	dead   map[int]bool
+	blocks map[blockKey]servedBlock
+	sent   map[blockKey]map[int]bool
+}
+
+func newSlowLink(s *scriptedRetriever, cfg Config, S []int, dead ...int) *slowLink {
+	l := &slowLink{s: s, cfg: cfg, S: S, dead: map[int]bool{}, blocks: map[blockKey]servedBlock{}, sent: map[blockKey]map[int]bool{}}
+	for _, p := range dead {
+		l.dead[p] = true
+	}
+	return l
+}
+
+// deliver hands the engine up to n chunks it is still waiting for, from
+// the epochs after the last delivered through epoch last.
+func (l *slowLink) deliver(n int, last uint64) {
+	for epoch := l.s.eng.DeliveredEpoch() + 1; epoch <= last; epoch++ {
+		for _, j := range l.S {
+			key := blockKey{epoch, j}
+			for p := 1; p < l.cfg.N && n > 0; p++ {
+				if l.s.asked[key][p] == 0 || l.dead[p] || l.sent[key][p] {
+					continue
+				}
+				if l.sent[key] == nil {
+					l.sent[key] = map[int]bool{}
+					l.blocks[key] = disperseFor(l.s.t, l.cfg, key)
+				}
+				l.sent[key][p] = true
+				if rs := l.s.eng.retr[key]; !rs.done {
+					l.s.apply(l.s.eng.Handle(l.blocks[key].answer(p)))
+					n--
+				}
+			}
+		}
+	}
+}
+
+// toDead counts the requests to dead servers the scheduler still waits for.
+func (l *slowLink) toDead() int {
+	n := 0
+	for p := range l.dead {
+		n += l.s.eng.sched.load[p]
+	}
+	return n
+}
+
+// TestLimitAtFloorSurvivesCrashedServers: F servers are gone from the
+// first request on and the link brings two chunks a tick, so the limit sits
+// at its floor of two blocks' requests, a third of which the scheduler's
+// first choices hand to the dead. A request given up on frees its slot for
+// its replacement and a tick without arrivals hedges whatever the limit
+// says, so every retrieval completes.
+func TestLimitAtFloorSurvivesCrashedServers(t *testing.T) {
+	cfg := Config{N: 7, F: 2}
+	const epochs, perTick = 4, 2
+	floor := limitFloorBlocks * (cfg.N - 2*cfg.F)
+	S := []int{1, 2, 3, 4, 5}
+	s := newScriptedRetriever(t, cfg)
+	s.eng.sched.limit = floor
+	link := newSlowLink(s, cfg, S, 5, 6)
+	for epoch := uint64(1); epoch <= epochs; epoch++ {
+		s.decide(epoch, S)
+	}
+	toDead, heldWithDead := 0, false
+	for tick := 1; s.eng.DeliveredEpoch() < epochs; tick++ {
+		if tick > 40*epochs {
+			t.Fatalf("delivered through epoch %d of %d after %d ticks; %d requests unanswered at limit %d, tick armed: %v",
+				s.eng.DeliveredEpoch(), epochs, tick-1, s.eng.sched.expecting, s.eng.sched.limit, s.token != 0)
+		}
+		link.deliver(perTick, epochs)
+		toDead = max(toDead, link.toDead())
+		heldWithDead = heldWithDead || s.eng.sched.held && link.toDead() > 0
+		if s.token != 0 {
+			s.tick()
+		}
+		if got := s.eng.sched.limit; got != floor {
+			t.Fatalf("tick %d: limit %d with %d chunks a tick, want the floor %d", tick, got, perTick, floor)
+		}
+	}
+	if toDead == 0 || !heldWithDead {
+		t.Fatalf("the scenario never had the limit binding with requests to dead servers outstanding (most %d)", toDead)
+	}
+	if got := s.eng.RetrievalsInflight(); got != 0 {
+		t.Fatalf("%d retrievals still in flight", got)
+	}
+	if got := s.eng.sched.expecting; got != 0 {
+		t.Fatalf("%d requests still counted as unanswered with every block delivered", got)
+	}
+}
+
+// TestFullLinkOutlivesCrashedServers: F servers are gone, an epoch is
+// decided every tick and the link brings less than an epoch's chunks a tick,
+// every tick: the limit binds for good, chunks never stop arriving, and the
+// tick that hedges everything after two empty ones never comes. A block
+// whose first choices include a dead server must be hedged all the same,
+// once the link has answered what was asked before it twice over, or the
+// head of the delivery pipeline waits for ever behind later epochs' chunks.
+func TestFullLinkOutlivesCrashedServers(t *testing.T) {
+	cfg := Config{N: 7, F: 2}
+	const ticks, perTick = 80, 6 // an epoch is 5 blocks of K = 3 chunks
+	S := []int{1, 2, 3, 4, 5}
+	s := newScriptedRetriever(t, cfg)
+	link := newSlowLink(s, cfg, S, 5, 6)
+	s.decide(1, S)
+	sawDead, lastAdvance, worst := false, 0, 0
+	for tick := 1; tick <= ticks; tick++ {
+		before := s.eng.DeliveredEpoch()
+		link.deliver(perTick, uint64(tick))
+		sawDead = sawDead || link.toDead() > 0
+		if tick > 3 {
+			if !s.eng.sched.held || s.eng.sched.expecting < s.eng.sched.limit {
+				t.Fatalf("tick %d: %d requests unanswered under limit %d, held %v: the link is not this node's bottleneck and the scenario tests nothing",
+					tick, s.eng.sched.expecting, s.eng.sched.limit, s.eng.sched.held)
+			}
+		}
+		s.tick()
+		s.decide(uint64(tick+1), S)
+		if s.eng.DeliveredEpoch() > before {
+			lastAdvance = tick
+		}
+		worst = max(worst, tick-lastAdvance)
+		// Two queues' worth of arrivals is four ticks at this limit; a
+		// replacement then waits its turn behind one queue more.
+		if tick-lastAdvance > 4*overdueQueues*limitTicks {
+			t.Fatalf("tick %d: delivery has stood at epoch %d for %d ticks with %d chunks arriving on each; %d requests wait on dead servers",
+				tick, s.eng.DeliveredEpoch(), tick-lastAdvance, perTick, link.toDead())
+		}
+	}
+	if !sawDead {
+		t.Fatal("no request ever went to a dead server")
+	}
+	// The link carries perTick/15 of an epoch a tick; dead servers cost
+	// the first few blocks a hedge each and nothing once they are avoided.
+	if got, want := s.eng.DeliveredEpoch(), uint64(ticks*perTick/15*3/4); got < want {
+		t.Errorf("delivered through epoch %d in %d ticks of %d chunks, want at least %d (longest wait %d ticks)", got, ticks, perTick, want, worst)
+	}
+	t.Logf("delivered through epoch %d, longest wait %d ticks, limit %d", s.eng.DeliveredEpoch(), worst, s.eng.sched.limit)
+}
+
+// TestHeldRetrievalsQuiesce: nothing node 3 sends arrives, so its requests
+// soak up its whole limit and blocks are held back with nothing in flight
+// that could make room. The tick must hedge then, run out of servers and
+// stop: a scheduler that never hedges while the limit binds keeps re-arming
+// a timer that can do nothing, which testCluster.run fails.
+func TestHeldRetrievalsQuiesce(t *testing.T) {
+	const epochs = 4
+	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDL}, 3, epochs)
+	c.dropFn = func(from, to int) bool { return from == 3 && to != 3 }
+	cut := c.engines[3]
+	stuck := false
+	c.onDrain = func() {
+		stuck = stuck || cut.sched.held && cut.sched.expecting >= cut.sched.limit
+	}
+	c.start()
+	c.run()
+	if !stuck {
+		t.Fatal("node 3 was never held at its limit with the network drained: the scenario tests nothing")
+	}
+	if cut.sched.token != 0 || len(cut.sched.active) != 0 {
+		t.Fatalf("node 3 quiesced with its tick armed (token %d) for %d retrievals", cut.sched.token, len(cut.sched.active))
+	}
+	for i, eng := range c.engines[:3] {
+		if got := eng.DeliveredEpoch(); got < epochs-1 {
+			t.Fatalf("node %d delivered through epoch %d of %d", i, got, epochs)
+		}
+	}
+}
+
+// TestLinkedBlocksAreNotHeld: the blocks an epoch links in gate the head
+// of the delivery pipeline, so all of them are asked for the moment the
+// epoch's committed blocks are delivered, however many requests are
+// unanswered; only blocks further down the delivery order wait for room.
+func TestLinkedBlocksAreNotHeld(t *testing.T) {
+	cfg := Config{N: 4, F: 1}
+	k := cfg.N - 2*cfg.F
+	S := []int{1, 2, 3}
+	s := newScriptedRetriever(t, cfg)
+	// Epoch 4's blocks report node 0's dispersals complete through epoch
+	// 3; none of those blocks was committed, so delivering epoch 4 links
+	// all three in.
+	linked := []blockKey{{1, 0}, {2, 0}, {3, 0}}
+	serve := func(key blockKey) {
+		V := make([]uint64, cfg.N)
+		if key.epoch == 4 {
+			V[0] = 3
+		}
+		blk := disperseWithV(t, cfg, key, V)
+		for p := range s.asked[key] {
 			s.apply(s.eng.Handle(blk.answer(p)))
 		}
+		if rs := s.eng.retr[key]; rs == nil || !rs.done || rs.bad {
+			t.Fatalf("block %v did not retrieve from %v", key, s.asked[key])
+		}
 	}
-	if s.eng.DeliveredEpoch() != 1 {
-		t.Fatalf("delivered through %d, want 1", s.eng.DeliveredEpoch())
+	for epoch := uint64(1); epoch <= 8; epoch++ {
+		s.decide(epoch, S)
 	}
-	if requested(3) != len(S) || requested(4) != 0 {
-		t.Fatalf("after delivering epoch 1: %d blocks of epoch 3 and %d of epoch 4 requested, want %d and 0", requested(3), requested(4), len(S))
+	for epoch := uint64(1); epoch <= 4; epoch++ {
+		for _, j := range S {
+			serve(blockKey{epoch, j})
+		}
+	}
+	for _, key := range linked {
+		if len(s.asked[key]) != k {
+			t.Fatalf("linked block %v asked of %d servers with epoch 4's committed blocks delivered, want %d", key, len(s.asked[key]), k)
+		}
+	}
+	if got, most := s.eng.sched.expecting, s.eng.sched.limit+k-1; got <= most {
+		t.Fatalf("%d requests unanswered at limit %d: the linked blocks would have started under the limit anyway", got, s.eng.sched.limit)
+	}
+	if len(s.asked[blockKey{8, 3}]) != 0 {
+		t.Fatal("the last decided block was asked for with the limit exceeded")
+	}
+	for _, key := range linked {
+		serve(key)
+	}
+	if got := s.eng.DeliveredEpoch(); got != 4 {
+		t.Fatalf("delivered through epoch %d with the linked blocks in hand, want 4", got)
 	}
 }
 

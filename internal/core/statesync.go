@@ -262,7 +262,7 @@ func (e *Engine) installManifest(m *store.Manifest) bool {
 	e.deliveries = map[uint64]*epochDelivery{}
 	e.myBlocks = map[uint64]*wire.Block{}
 	e.decidedSet = map[uint64]bool{}
-	e.sched = newRetrSched(e.cfg.N)
+	e.sched = newRetrSched(e.cfg.N, e.params.K())
 	// Staged donor chunks from a previous sync reference pre-install
 	// epochs; left behind they would strand budget (only deliverBlock
 	// and maybePrune drop them, and neither visits synced-over keys).

@@ -421,6 +421,19 @@ func (c *Cluster) Throughput(i int, warmup, end time.Duration) float64 {
 	return c.progress[i].Rate(warmup, end)
 }
 
+// RetrieveAmplification returns node i's retrieval-class bytes received
+// per payload byte it delivered: a little under one when each block is
+// downloaded once (a node serves its own chunk to itself), N/(N−2F) when
+// every server's chunk is. Zero for a node that delivered nothing and in
+// the HoneyBadger modes, which have no retrieval class.
+func (c *Cluster) RetrieveAmplification(i int) float64 {
+	_, r := c.Net.BytesReceived(i)
+	if p := c.Replicas[i].Stats.DeliveredPayload; p > 0 {
+		return float64(r) / float64(p)
+	}
+	return 0
+}
+
 // DispersalFraction returns the ratio of dispersal-class bytes to total
 // bytes a node must move per epoch (Fig 13's metric). Both classes are
 // normalized per epoch — dispersal bytes per epoch whose dispersal phase

@@ -102,15 +102,18 @@ type GeoResult struct {
 	Names      []string
 	Throughput []float64 // per node, MB/s (already re-scaled)
 	Mean       float64
+	// RetrieveAmplification is the largest Cluster.RetrieveAmplification
+	// of any node: how many times over the worst-placed node downloaded
+	// what it delivered.
+	RetrieveAmplification float64
 }
 
-// RunGeo measures per-server throughput on a geo profile under infinite
-// backlog (Fig 8 / Fig 15 methodology).
-func RunGeo(p GeoParams) (*GeoResult, error) {
-	p.defaults()
+// geoCluster builds the infinite-backlog cluster RunGeo measures (not yet
+// started); p has its defaults filled in.
+func geoCluster(p GeoParams) (*Cluster, error) {
 	n := len(p.Cities)
 	samples := int(p.Duration/time.Second) + 2
-	c, err := NewCluster(ClusterOptions{
+	return NewCluster(ClusterOptions{
 		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, MaxEpochLag: p.MaxEpochLag},
 		Replica:         ScaledReplicaParams(p.Scale),
 		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
@@ -120,6 +123,13 @@ func RunGeo(p GeoParams) (*GeoResult, error) {
 		Telemetry:       p.Telemetry,
 		Seed:            p.Seed,
 	})
+}
+
+// RunGeo measures per-server throughput on a geo profile under infinite
+// backlog (Fig 8 / Fig 15 methodology).
+func RunGeo(p GeoParams) (*GeoResult, error) {
+	p.defaults()
+	c, err := geoCluster(p)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +141,9 @@ func RunGeo(p GeoParams) (*GeoResult, error) {
 		mbps := c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB
 		res.Throughput = append(res.Throughput, mbps)
 		sum += mbps
+		res.RetrieveAmplification = max(res.RetrieveAmplification, c.RetrieveAmplification(i))
 	}
-	res.Mean = sum / float64(n)
+	res.Mean = sum / float64(len(c.Replicas))
 	return res, nil
 }
 

@@ -46,6 +46,17 @@ func FormatGeo(results []*GeoResult) string {
 		fmt.Fprintf(&b, " %10.2f", r.Mean)
 	}
 	fmt.Fprintln(&b)
+	// Retrieval bytes received per payload byte delivered, at the node
+	// where that is largest; the HoneyBadger modes have no retrieval class.
+	fmt.Fprintf(&b, "%-12s", "MAX DL/PAYLD")
+	for _, r := range results {
+		if r.RetrieveAmplification == 0 {
+			fmt.Fprintf(&b, " %10s", "-")
+			continue
+		}
+		fmt.Fprintf(&b, " %10.2f", r.RetrieveAmplification)
+	}
+	fmt.Fprintln(&b)
 	return b.String()
 }
 

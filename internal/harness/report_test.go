@@ -26,9 +26,11 @@ func TestFormatGeo(t *testing.T) {
 		Names:      []string{"Ohio", "Mumbai"},
 		Throughput: []float64{5.5, 1.25},
 		Mean:       3.375,
+
+		RetrieveAmplification: 1.13,
 	}
-	out := FormatGeo([]*GeoResult{r})
-	for _, want := range []string{"Ohio", "Mumbai", "5.50", "1.25", "MEAN", "3.38", "DL"} {
+	out := FormatGeo([]*GeoResult{r, {Mode: core.ModeHB, Throughput: []float64{1, 1}}})
+	for _, want := range []string{"Ohio", "Mumbai", "5.50", "1.25", "MEAN", "3.38", "DL", "1.13          -\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("geo output missing %q:\n%s", want, out)
 		}

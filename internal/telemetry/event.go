@@ -58,6 +58,10 @@ const (
 	PeerRetrieveReq
 	// PeerRetrieveResp: the peer returned a retrieval chunk.
 	PeerRetrieveResp
+	// PeerRetrieveUnwanted: the peer returned a chunk of a block this
+	// node had finished retrieving, or never asked for: download spent on
+	// nothing. Counted, not traced.
+	PeerRetrieveUnwanted
 	// VoteCast: this node appended a BA vote to its journal (Peer = the
 	// instance's proposer; Arg packs kind<<33 | round<<1 | value).
 	VoteCast
@@ -168,12 +172,13 @@ var kinds = [numKinds]struct {
 	StageRetrieveStart: {"retrieve_start", -1},
 	StageDeliver:       {"deliver", 9},
 
-	PeerChunkSent:    {"chunk_sent", 2},
-	PeerEcho:         {"echo", 3},
-	PeerVote:         {"peer_vote", 1},
-	PeerRetrieveReq:  {"retrieve_req", 4},
-	PeerRetrieveResp: {"retrieve_resp", 5},
-	VoteCast:         {"vote_cast", 0},
+	PeerChunkSent:        {"chunk_sent", 2},
+	PeerEcho:             {"echo", 3},
+	PeerVote:             {"peer_vote", 1},
+	PeerRetrieveReq:      {"retrieve_req", 4},
+	PeerRetrieveResp:     {"retrieve_resp", 5},
+	PeerRetrieveUnwanted: {"retrieve_unwanted", -1},
+	VoteCast:             {"vote_cast", 0},
 
 	Fsync:         {"fsync", 6},
 	StoreError:    {"store_error", -1},
@@ -297,6 +302,7 @@ var nodeSeries = []seriesDef{
 	{[]Kind{StageDeliver}, countOne, "dl_epochs_delivered_total", "", "Epochs delivered to the application (this incarnation).", nil},
 	{[]Kind{BlockDeliveredLinked}, countOne, "dl_blocks_delivered_total", `kind="linked"`, "Blocks delivered, split by commit path.", nil},
 	{[]Kind{BlockDelivered}, countOne, "dl_blocks_delivered_total", `kind="ba"`, "Blocks delivered, split by commit path.", nil},
+	{[]Kind{PeerRetrieveUnwanted}, countOne, "dl_retrieval_unwanted_chunks_total", "", "Retrieval chunks received for blocks already in hand: answers to requests hedged or cancelled too late.", nil},
 	{[]Kind{TxRejected}, countOne, "dl_submissions_rejected_total", "", "Submissions the mempool refused (duplicate or over budget).", nil},
 	{[]Kind{StoreError}, countOne, "dl_store_errors_total", "", "Failed durable writes (first one stops persistence).", nil},
 	{[]Kind{SyncInstalled}, countOne, "dl_state_syncs_total", "", "Completed bootstrap-from-checkpoint installs.", nil},
