@@ -45,7 +45,11 @@ type Config struct {
 	// the same value. In-process clusters may leave it nil.
 	CoinSecret []byte
 	// BatchDelay is the proposal batching delay (default: the paper's
-	// 100 ms); a proposal also goes out once 150 KB are pending.
+	// 100 ms). A proposal goes out once 150 KB are pending, too, unless
+	// fewer than N−F of the last epoch's committed blocks carried
+	// transactions: then epochs wait for other nodes' delay timers
+	// anyway, and a full batch waits until another node's proposal has
+	// started the epoch, for at most BatchDelay.
 	BatchDelay time.Duration
 	// RetainEpochs, when positive, garbage-collects protocol state for
 	// epochs more than this far behind delivery. See the engine

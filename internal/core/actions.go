@@ -102,6 +102,17 @@ type EpochDeliveredAction struct {
 	Floor []uint64
 }
 
+// EpochOpenedAction reports that another proposer's dispersal traffic
+// arrived for Epoch, above the highest epoch this node proposed into:
+// the epoch is under way without this node. Emitted at most once per
+// epoch. It is a signal for the replica's rate control only: the engine
+// neither journals nor sends anything because of it, and a Byzantine
+// peer that opens epochs early can only make the replica propose as
+// soon as it would without the signal.
+type EpochOpenedAction struct {
+	Epoch uint64
+}
+
 // CatchupDoneAction reports that the recovery status protocol finished:
 // the node has adopted every decision it slept through and participates
 // normally again. The replica holds proposals back while catching up
@@ -228,6 +239,7 @@ func (UnsendAction) isAction()         {}
 func (EpochDecidedAction) isAction()   {}
 func (EpochDeliveredAction) isAction() {}
 func (ChunkStoredAction) isAction()    {}
+func (EpochOpenedAction) isAction()    {}
 func (CatchupDoneAction) isAction()    {}
 func (VoteCastAction) isAction()       {}
 func (SyncPointAction) isAction()      {}

@@ -247,6 +247,8 @@ type Engine struct {
 	// marks a pending ProposalNeededAction that Propose will answer.
 	lastProposed     uint64
 	awaitingProposal bool
+	// opened is the highest epoch an EpochOpenedAction announced.
+	opened uint64
 	// decidedThrough: epochs 1..decidedThrough all have every BA output.
 	decidedThrough uint64
 	decidedSet     map[uint64]bool
@@ -554,8 +556,12 @@ func (e *Engine) dispatch(env wire.Envelope) {
 		if env.From != env.Proposer {
 			return
 		}
+		e.noteOpened(env)
 		e.toVID(env, msg)
-	case wire.GotChunk, wire.Ready, wire.RequestChunk:
+	case wire.GotChunk, wire.Ready:
+		e.noteOpened(env)
+		e.toVID(env, msg)
+	case wire.RequestChunk:
 		e.toVID(env, msg)
 	case wire.CancelRequest:
 		// Mark the requester canceled in the VID server and ask the
@@ -632,6 +638,16 @@ func (e *Engine) notePeerEcho(epoch uint64, from int) {
 		es.echoSeen[from] = true
 		e.actions = append(e.actions, StageAction{Epoch: epoch, Stage: StagePeerEcho, Peer: from})
 	}
+}
+
+// noteOpened emits EpochOpenedAction the first time another proposer's
+// dispersal traffic shows an epoch above this node's last proposal.
+func (e *Engine) noteOpened(env wire.Envelope) {
+	if env.Proposer == e.self || env.Epoch <= e.lastProposed || env.Epoch <= e.opened {
+		return
+	}
+	e.opened = env.Epoch
+	e.actions = append(e.actions, EpochOpenedAction{Epoch: env.Epoch})
 }
 
 func (e *Engine) toVID(env wire.Envelope, msg wire.Msg) {

@@ -88,8 +88,13 @@ func Scrape(client *http.Client, addr string) (*Status, error) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		return nil, fmt.Errorf("dlctl: %s: unexpected Content-Type %q", addr, ct)
 	}
+	return decodeStatus(addr, resp.Body)
+}
+
+// decodeStatus parses the /statusz body scraped from addr.
+func decodeStatus(addr string, body io.Reader) (*Status, error) {
 	st := &Status{Addr: addr}
-	if err := json.NewDecoder(resp.Body).Decode(st); err != nil {
+	if err := json.NewDecoder(body).Decode(st); err != nil {
 		return nil, fmt.Errorf("dlctl: %s: %v", addr, err)
 	}
 	if st.SchemaVersion != telemetry.StatusSchemaVersion {

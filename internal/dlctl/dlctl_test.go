@@ -1,10 +1,13 @@
 package dlctl
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -154,17 +157,17 @@ func TestLatencyReport(t *testing.T) {
 		st := &Status{Addr: fmt.Sprintf("n%d:1", node), SchemaVersion: telemetry.StatusSchemaVersion, Node: node}
 		st.Config.N, st.Config.F, st.Config.Mode = 4, 1, "dl"
 		st.Metrics = map[string]json.RawMessage{
-			`dl_tx_phase_seconds{phase="mempool_wait"}`:  hist(10, 0.050, 0.200),
-			`dl_tx_phase_seconds{phase="ba"}`:            hist(10, p50BA, 2*p50BA),
-			`dl_tx_phase_seconds{phase="deliver"}`:       hist(10, 0.010, 0.020),
-			`dl_queue_mempool_txs{shard="front"}`:        raw(3),
-			`dl_queue_mempool_txs{shard="clients"}`:      raw(7),
-			"dl_queue_mempool_oldest_age_ms":             raw(150),
-			"dl_queue_proposal_fill_pct":                 raw(85),
-			"dl_queue_retrieval_inflight":                raw(2),
-			"dl_queue_ba_inflight":                       raw(4),
-			`dl_queue_transport_write{peer="2"}`:         raw(9),
-			`dl_queue_transport_write{peer="3"}`:         raw(1),
+			`dl_tx_phase_seconds{phase="mempool_wait"}`: hist(10, 0.050, 0.200),
+			`dl_tx_phase_seconds{phase="ba"}`:           hist(10, p50BA, 2*p50BA),
+			`dl_tx_phase_seconds{phase="deliver"}`:      hist(10, 0.010, 0.020),
+			`dl_queue_mempool_txs{shard="front"}`:       raw(3),
+			`dl_queue_mempool_txs{shard="clients"}`:     raw(7),
+			"dl_queue_mempool_oldest_age_ms":            raw(150),
+			"dl_queue_proposal_fill_pct":                raw(85),
+			"dl_queue_retrieval_inflight":               raw(2),
+			"dl_queue_ba_inflight":                      raw(4),
+			`dl_queue_transport_write{peer="2"}`:        raw(9),
+			`dl_queue_transport_write{peer="3"}`:        raw(1),
 		}
 		return st
 	}
@@ -200,4 +203,27 @@ func TestLatencyReport(t *testing.T) {
 	if !strings.Contains(b.String(), "no sampled journeys finalized yet") {
 		t.Errorf("empty-journeys fallback missing:\n%s", b.String())
 	}
+}
+
+// FuzzDecodeStatus: a /statusz body is whatever the scraped address
+// returns. One that decodes must render in both views without panicking,
+// however its fields and series disagree with each other.
+func FuzzDecodeStatus(f *testing.F) {
+	golden, err := os.ReadFile("../harness/testdata/observable/statusz.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeStatus("n0:1", bytes.NewReader(golden)); err != nil {
+		f.Fatalf("the golden body must reach the renderers: %v", err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"schema_version":2,"config":{"n":-1,"f":7},"metrics":{"dl_proposals_total{trigger=\"opened\"}":{}}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, err := decodeStatus("n0:1", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		Report(io.Discard, []*Status{st, st}, nil, 3)
+		LatencyReport(io.Discard, []*Status{st, st}, nil, 3)
+	})
 }

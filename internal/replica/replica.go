@@ -4,10 +4,16 @@
 // The replica owns the paper's rate control for block proposals (§5): a
 // node proposes its next block once (i) BatchDelay has passed since its
 // last proposal, or (ii) BatchBytes of transactions have accumulated —
-// Nagle's algorithm applied to batching. It also implements the
-// fixed-block-size mode used by the scalability experiments (Fig 12/13),
-// and records the per-node statistics every figure of the evaluation is
-// built from.
+// Nagle's algorithm applied to batching. One departure: when the last
+// delivered epoch that carried transactions had them in fewer than N−f
+// of the blocks agreement committed, the cluster is timer-paced (an
+// epoch decides only once timer-driven proposals are dispersed), and a
+// full batch the node was asked for before its own timer expired is
+// held until another proposer's dispersal opens the epoch, for at most
+// BatchDelay. That verdict is soft state: a restarted node starts
+// byte-paced. It also implements the fixed-block-size mode used by the
+// scalability experiments (Fig 12/13), which never holds, and records
+// the per-node statistics every figure of the evaluation is built from.
 //
 // A Replica is single-threaded: all methods must be called from one
 // goroutine (the emulator event loop, or a transport's reader loop).
@@ -180,8 +186,19 @@ type Replica struct {
 	pendingProposal bool
 	proposalEmpty   bool
 	lastProposal    time.Duration
+	solicitedAt     time.Duration
 	timerArmed      bool
 	started         bool
+
+	// Proposal pacing (see tryPropose), soft state a restart resets:
+	// epochTxBlocks counts the transaction-carrying blocks agreement
+	// committed in the epoch being delivered; timerPaced is set when the
+	// last delivered epoch that had any had fewer than quorum (N−f);
+	// opened is the highest epoch another proposer's dispersal opened.
+	quorum        int
+	epochTxBlocks int
+	timerPaced    bool
+	opened        uint64
 
 	// OnDeliver, when set, observes every delivered block.
 	OnDeliver func(Delivery)
@@ -277,6 +294,7 @@ func New(cfg core.Config, self int, params Params, st store.Store, ctx Context) 
 		params: params,
 		st:     st,
 		tel:    newRepMetrics(params.Telemetry),
+		quorum: cfg.N - cfg.F,
 	}
 	if st != nil {
 		if err := r.restore(); err != nil {
@@ -538,6 +556,7 @@ func (r *Replica) apply(actions []core.Action) {
 		case core.ProposalNeededAction:
 			r.pendingProposal = true
 			r.proposalEmpty = act.Empty
+			r.solicitedAt = r.ctx.Now()
 			r.tryPropose()
 		case core.ResubmitAction:
 			r.pool.PushFrontAt(act.Txs, r.ctx.Now())
@@ -557,7 +576,14 @@ func (r *Replica) apply(actions []core.Action) {
 		case core.EpochDeliveredAction:
 			r.Stats.EpochsDelivered++
 			r.sinceCkpt++
+			if r.epochTxBlocks > 0 {
+				r.timerPaced = r.epochTxBlocks < r.quorum
+				r.epochTxBlocks = 0
+			}
 			r.tel.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: r.ctx.Now(), Epoch: act.Epoch})
+		case core.EpochOpenedAction:
+			r.opened = act.Epoch
+			r.tryPropose()
 		case core.StageAction:
 			// The engine's stage values are the telemetry kinds' (pinned
 			// by TestStageKindsMatch); only per-peer stages use Peer.
@@ -779,6 +805,9 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 		kind = telemetry.BlockDeliveredLinked
 	} else {
 		r.Stats.BADeliveries++
+		if len(act.Txs) > 0 {
+			r.epochTxBlocks++
+		}
 	}
 	r.tel.Emit(telemetry.Event{Kind: kind, At: now, Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: int64(act.Payload)}, act.Txs...)
 	for _, tx := range act.Txs {
@@ -820,36 +849,56 @@ func (r *Replica) tryPropose() {
 		return
 	}
 	if r.proposalEmpty {
-		// DL-Coupled lag rule: the node must propose an empty block.
-		r.propose(nil)
+		// DL-Coupled lag rule or gap fill: the node must propose an empty
+		// block (which reports no trigger).
+		r.propose(nil, 0)
 		return
 	}
 	if r.params.FixedBlockBytes > 0 {
 		if r.pool.PendingBytes() >= r.params.FixedBlockBytes {
-			r.propose(r.pool.PopBatch(r.params.FixedBlockBytes))
+			r.propose(r.pool.PopBatch(r.params.FixedBlockBytes), telemetry.TriggerBytes)
 		}
 		return
 	}
 	now := r.ctx.Now()
+	due := r.lastProposal + r.params.batchDelay()
 	if r.pool.PendingBytes() >= r.params.batchBytes() {
-		r.propose(r.pool.PopBatch(0))
+		switch {
+		case !r.timerPaced || r.solicitedAt > due:
+			r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
+			return
+		case r.opened > r.engine.DispersalEpoch():
+			r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
+			return
+		}
+		// Timer-paced, and asked before its own timer expired: the epoch
+		// decides only once other nodes' timer-driven proposals are
+		// dispersed, so a full batch that went now would wait for them in
+		// agreement. Held, it keeps filling until the epoch opens, for at
+		// most BatchDelay from the solicitation: a node that proposed at
+		// its last solicitation is asked again just as its own timer
+		// fires, and a hold that timer ended would never begin. A node
+		// asked after its timer expired is in a cluster whose epochs
+		// outlast BatchDelay, where nobody waits for a timer.
+		due = r.solicitedAt + r.params.batchDelay()
+	}
+	if now >= due {
+		r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
 		return
 	}
-	if now-r.lastProposal >= r.params.batchDelay() {
-		r.propose(r.pool.PopBatch(0))
-		return
-	}
-	// Neither condition holds yet: arm the delay timer once.
+	// Not due yet: arm the delay timer once.
 	if !r.timerArmed {
 		r.timerArmed = true
-		r.ctx.After(r.lastProposal+r.params.batchDelay()-now, func() {
+		r.ctx.After(due-now, func() {
 			r.timerArmed = false
 			r.tryPropose()
 		})
 	}
 }
 
-func (r *Replica) propose(txs [][]byte) {
+// propose answers the engine's solicitation with txs; trigger, one of
+// telemetry's Trigger* values, says what released them.
+func (r *Replica) propose(txs [][]byte, trigger int64) {
 	r.pendingProposal = false
 	r.proposalEmpty = false
 	r.lastProposal = r.ctx.Now()
@@ -866,7 +915,7 @@ func (r *Replica) propose(txs [][]byte) {
 	if len(txs) > 0 {
 		for _, a := range actions {
 			if act, ok := a.(core.ProposalMadeAction); ok {
-				r.tel.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: r.lastProposal, Epoch: act.Epoch, Peer: int32(r.self)}, txs...)
+				r.tel.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: r.lastProposal, Epoch: act.Epoch, Peer: int32(r.self), Arg: trigger}, txs...)
 				break
 			}
 		}

@@ -90,7 +90,8 @@ const (
 	// as for the three kinds below, Arg = the first four hash bytes).
 	TxEnqueued
 	// TxProposed: the transactions the event carries were popped into
-	// this node's proposal for Epoch (Peer = this node).
+	// this node's proposal for Epoch (Peer = this node, Arg = the
+	// Trigger* value naming what released the proposal).
 	TxProposed
 	// TxBlockDelivered: journey checkpoint — the containing block was
 	// delivered locally.
@@ -146,6 +147,22 @@ const (
 
 	numKinds
 )
+
+// What released a proposal: TxProposed's Arg, and the trigger label of
+// dl_proposals_total.
+const (
+	// TriggerTimer: the batch delay had passed since the node's previous
+	// proposal, or a held batch had waited it out.
+	TriggerTimer int64 = iota
+	// TriggerBytes: a full batch was pending and went at once.
+	TriggerBytes
+	// TriggerOpened: a full batch went because another proposer's
+	// dispersal had opened the epoch.
+	TriggerOpened
+)
+
+// triggerNames are the trigger labels, indexed by Trigger* value.
+var triggerNames = [...]string{"timer", "bytes", "opened"}
 
 // NumStages is the number of epoch-lifecycle boundaries (the length of
 // Timeline.T).

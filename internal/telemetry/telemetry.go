@@ -31,6 +31,8 @@ type Metrics struct {
 	journeys *Journeys
 	// folds lists, per kind, the registry series its events feed.
 	folds [numKinds][]fold
+	// proposals counts TxProposed events by their trigger (Arg).
+	proposals [len(triggerNames)]*Counter
 }
 
 // New builds an enabled telemetry bundle and wires every consumer of
@@ -43,6 +45,10 @@ func New(opts Options) *Metrics {
 	m.trace = newTracer(m.registry, opts.TraceRing)
 	m.journeys = newJourneys(m.registry, m.trace, m.flight, opts.SampleEvery)
 	register(m.registry, &m.folds, nodeSeries)
+	for t, name := range triggerNames {
+		m.proposals[t] = m.registry.Counter("dl_proposals_total", `trigger="`+name+`"`,
+			"Transaction-carrying proposals by what released them.")
+	}
 	return m
 }
 
@@ -79,6 +85,7 @@ func (m *Metrics) emit(ev Event, txs [][]byte) {
 	case TxAdmitted:
 		m.journeys.admitted(txs, time.Duration(ev.Arg))
 	case TxProposed:
+		m.proposals[ev.Arg].Inc()
 		m.journeys.proposed(txs, ev)
 	case BlockDelivered, BlockDeliveredLinked:
 		m.journeys.blockDelivered(ev)
