@@ -15,8 +15,8 @@ import (
 // asserting Termination, Agreement, Availability and Correctness.
 func TestQuickDispersalRetrieval(t *testing.T) {
 	f := func(seed int64, fRaw, sizeRaw uint16, withholdRaw uint8) bool {
-		fv := int(fRaw%3) + 1    // f in 1..3
-		n := 3*fv + 1            // minimal cluster for f
+		fv := int(fRaw%3) + 1 // f in 1..3
+		n := 3*fv + 1         // minimal cluster for f
 		size := int(sizeRaw%4096) + 1
 		rng := rand.New(rand.NewSource(seed))
 

@@ -171,13 +171,3 @@ func (n *Network) deliver(pkt *packet) {
 		n.propagateAfter(pkt, dup)
 	}
 }
-
-// propagate schedules the packet through its propagation delay and into
-// the receiver's ingress pipe.
-func (n *Network) propagate(pkt *packet) { n.propagateAfter(pkt, 0) }
-
-func (n *Network) propagateAfter(pkt *packet, extra time.Duration) {
-	n.sim.After(n.cfg.Delay(pkt.from, pkt.to)+extra, func() {
-		n.ingress[pkt.to].enqueue(pkt)
-	})
-}

@@ -33,6 +33,8 @@ type Network struct {
 	egress  []*pipe
 	ingress []*pipe
 	handler []Handler
+	// links[from*N+to] carries the packets propagating from→to.
+	links []link
 
 	// faults is the chaos layer's link-impairment table (see faults.go);
 	// empty on ordinary runs, in which case deliver() is a passthrough.
@@ -60,6 +62,7 @@ func NewNetwork(sim *Sim, cfg Config) *Network {
 		cfg:     cfg,
 		handler: make([]Handler, cfg.N),
 		faults:  faultState{links: map[linkKey]*linkFaultState{}},
+		links:   make([]link, cfg.N*cfg.N),
 		recv:    make([][2]int64, cfg.N),
 		sent:    make([][2]int64, cfg.N),
 	}
@@ -76,6 +79,9 @@ func NewNetwork(sim *Sim, cfg Config) *Network {
 				h(pkt.env)
 			}
 		}))
+	}
+	for i := range n.links {
+		n.links[i].to = n.ingress[i%cfg.N]
 	}
 	return n
 }
@@ -99,6 +105,52 @@ func (n *Network) Send(from, to int, env wire.Envelope, prio wire.Priority, stre
 	pkt := &packet{from: from, to: to, env: env, size: env.WireSize(), prio: prio, stream: stream}
 	n.sent[from][prio] += int64(pkt.size)
 	n.egress[from].enqueue(pkt)
+}
+
+// link is the propagation leg of an ordered node pair: the packets
+// flying toward the receiver's ingress pipe, in (at, seq) order. Its head
+// is its one event in the simulator.
+type link struct {
+	to     *pipe // the receiver's ingress
+	flying queue[flight]
+}
+
+// flight is a packet stamped, as it left the egress pipe, with the time
+// and sequence number of its arrival event.
+type flight struct {
+	at  time.Duration
+	seq uint64
+	pkt *packet
+}
+
+func (l *link) fire() {
+	pkt := l.flying.pop().pkt
+	if l.flying.len() > 0 {
+		next := l.flying.peek()
+		l.to.sim.push(event{at: next.at, seq: next.seq, f: l})
+	}
+	l.to.enqueue(pkt)
+}
+
+// propagate schedules the packet through its propagation delay and into
+// the receiver's ingress pipe.
+func (n *Network) propagate(pkt *packet) { n.propagateAfter(pkt, 0) }
+
+// propagateAfter is propagate with extra delay on top of the link's.
+func (n *Network) propagateAfter(pkt *packet, extra time.Duration) {
+	at := max(n.sim.now+n.cfg.Delay(pkt.from, pkt.to)+extra, n.sim.now)
+	l := &n.links[pkt.from*n.cfg.N+pkt.to]
+	if q := &l.flying; q.len() > 0 && at < q.buf[len(q.buf)-1].at {
+		// It would overtake the link's last packet: fault delay or jitter
+		// makes the link's delay vary, and the FIFO would leave order.
+		n.sim.At(at, func() { l.to.enqueue(pkt) })
+		return
+	}
+	f := flight{at: at, seq: n.sim.stamp(), pkt: pkt}
+	l.flying.push(f)
+	if l.flying.len() == 1 { // the link was idle: f is its head
+		n.sim.push(event{at: f.at, seq: f.seq, f: l})
+	}
 }
 
 // Unsend drops queued-but-unsent ReturnChunk packets from `from`'s egress

@@ -19,19 +19,19 @@ type packet struct {
 // pipe is a rate-limited serializer with two weighted traffic classes.
 // The high class (dispersal) and low class (retrieval) share the pipe's
 // trace-driven bandwidth with byte-weighted fairness; within the low
-// class, lower streams (earlier epochs) go first.
+// class, lower streams (earlier epochs) go first. A busy pipe is its own
+// event in the simulator: it fires when its packet's last byte is out.
 type pipe struct {
 	sim    *Sim
 	tr     trace.Trace
 	weight float64 // high-class weight; low class has weight 1
 
-	high []*packet
-	low  map[uint64][]*packet // per-stream FIFOs
-	lowN int
+	high queue[*packet]
+	low  queue[*packet] // ordered by stream, FIFO within a stream
 
 	// virtual time per class: bytes served divided by weight.
 	vHigh, vLow float64
-	busy        bool
+	cur         *packet // in service; nil when the pipe is idle
 
 	onDone func(*packet)
 
@@ -40,82 +40,63 @@ type pipe struct {
 }
 
 func newPipe(sim *Sim, tr trace.Trace, weight float64, onDone func(*packet)) *pipe {
-	return &pipe{
-		sim: sim, tr: tr, weight: weight,
-		low:    map[uint64][]*packet{},
-		onDone: onDone,
-	}
+	return &pipe{sim: sim, tr: tr, weight: weight, onDone: onDone}
 }
 
 // enqueue admits a packet and starts service if the pipe is idle.
 func (p *pipe) enqueue(pkt *packet) {
 	if pkt.prio == wire.PrioDispersal {
-		if len(p.high) == 0 && p.vHigh < p.vLow {
+		if p.high.len() == 0 && p.vHigh < p.vLow {
 			// A class returning from idle must not burn accumulated
 			// credit; advance its virtual time to the active class's.
 			p.vHigh = p.vLow
 		}
-		p.high = append(p.high, pkt)
+		p.high.push(pkt)
 	} else {
-		if p.lowN == 0 && p.vLow < p.vHigh {
+		if p.low.len() == 0 && p.vLow < p.vHigh {
 			p.vLow = p.vHigh
 		}
-		p.low[pkt.stream] = append(p.low[pkt.stream], pkt)
-		p.lowN++
+		// Behind every queued packet of the same or an earlier stream.
+		p.low.push(pkt)
+		q, i := p.low.buf, len(p.low.buf)-1
+		for ; i > p.low.head && q[i-1].stream > pkt.stream; i-- {
+			q[i] = q[i-1]
+		}
+		q[i] = pkt
 	}
-	if !p.busy {
+	if p.cur == nil {
 		p.serveNext()
 	}
+}
+
+// fire ends the service of the packet on the wire and starts the next.
+func (p *pipe) fire() {
+	p.onDone(p.cur)
+	p.serveNext()
 }
 
 // serveNext picks the next packet by weighted virtual time and schedules
 // its completion after the trace-integrated transmission time.
 func (p *pipe) serveNext() {
-	pkt := p.pick()
-	if pkt == nil {
-		p.busy = false
-		return
+	p.cur = p.pick()
+	if p.cur != nil {
+		p.sim.schedule(transmitEnd(p.tr, p.sim.Now(), float64(p.cur.size)), p)
 	}
-	p.busy = true
-	end := transmitEnd(p.tr, p.sim.Now(), float64(pkt.size))
-	p.sim.At(end, func() {
-		p.onDone(pkt)
-		p.serveNext()
-	})
 }
 
 func (p *pipe) pick() *packet {
-	hasHigh := len(p.high) > 0
-	hasLow := p.lowN > 0
+	hasHigh := p.high.len() > 0
+	hasLow := p.low.len() > 0
 	switch {
 	case !hasHigh && !hasLow:
 		return nil
 	case hasHigh && (!hasLow || p.vHigh <= p.vLow):
-		pkt := p.high[0]
-		p.high = p.high[1:]
+		pkt := p.high.pop()
 		p.vHigh += float64(pkt.size) / p.weight
 		p.served[wire.PrioDispersal] += int64(pkt.size)
 		return pkt
 	default:
-		// Lowest stream (earliest epoch) first.
-		var best uint64
-		found := false
-		for s, q := range p.low {
-			if len(q) == 0 {
-				continue
-			}
-			if !found || s < best {
-				best, found = s, true
-			}
-		}
-		q := p.low[best]
-		pkt := q[0]
-		if len(q) == 1 {
-			delete(p.low, best)
-		} else {
-			p.low[best] = q[1:]
-		}
-		p.lowN--
+		pkt := p.low.pop() // lowest stream (earliest epoch) first
 		p.vLow += float64(pkt.size)
 		p.served[wire.PrioRetrieval] += int64(pkt.size)
 		return pkt
@@ -152,21 +133,61 @@ func transmitEnd(tr trace.Trace, start time.Duration, size float64) time.Duratio
 // It returns the number of bytes dropped.
 func (p *pipe) unsend(match func(*packet) bool) int64 {
 	var dropped int64
-	for s, q := range p.low {
-		kept := q[:0]
-		for _, pkt := range q {
-			if match(pkt) {
-				dropped += int64(pkt.size)
-				p.lowN--
-			} else {
-				kept = append(kept, pkt)
-			}
+	p.low.filter(func(pkt *packet) bool {
+		if match(pkt) {
+			dropped += int64(pkt.size)
+			return false
 		}
-		if len(kept) == 0 {
-			delete(p.low, s)
-		} else {
-			p.low[s] = kept
+		return true
+	})
+	return dropped
+}
+
+// queue is a FIFO over a reused array: a pop leaves the array in place,
+// an emptied queue starts again at its front, and a full one slides its
+// items forward rather than grow while at least half of it is spent. A
+// queue that drains now and then stops allocating at its peak length.
+type queue[T any] struct {
+	buf  []T // the items are buf[head:]
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *queue[T]) peek() T { return q.buf[q.head] }
+
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
+// filter drops the items keep rejects, preserving the order of the rest.
+func (q *queue[T]) filter(keep func(T) bool) {
+	live := q.buf[q.head:]
+	kept := live[:0]
+	for _, v := range live {
+		if keep(v) {
+			kept = append(kept, v)
 		}
 	}
-	return dropped
+	clear(live[len(kept):])
+	q.buf = q.buf[:q.head+len(kept)]
+	if len(kept) == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }

@@ -15,19 +15,47 @@
 // retrieval's 1, reproducing the MulTcp-style priority of §5 — and
 // serves the retrieval class in ascending epoch order, reproducing the
 // per-epoch QUIC stream priority.
+//
+// Events fire in one total order, (time, scheduling sequence number),
+// so a run is a function of its inputs. The scheduler is a binary heap
+// of events whose action is a value with a fire method: a pipe is its
+// own completion event and a link is its own arrival event, so moving a
+// message allocates nothing but the message. A packet leaving an egress
+// pipe is stamped with its arrival (time, sequence) and appended to its
+// link's propagation FIFO, of which only the head sits in the heap; a
+// link's delay is constant, so the FIFO is already in (time, sequence)
+// order and the fire order is the one a heap of every packet would give.
+// A packet that would arrive before the link's last one gets an event of
+// its own instead: only a fault does that, through jitter, a jittered
+// duplicate, or extra delay that has since been lifted.
 package simnet
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Sim is a discrete-event scheduler. Events with equal times fire in
 // scheduling order, which keeps runs fully deterministic.
 type Sim struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
+	events []event // binary min-heap on (at, seq)
+}
+
+// firer is a scheduled event's action.
+type firer interface{ fire() }
+
+// funcEvent adapts a timer callback to firer.
+type funcEvent func()
+
+func (f funcEvent) fire() { f() }
+
+type event struct {
+	at  time.Duration
+	seq uint64
+	f   firer
+}
+
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // NewSim returns an empty simulator at time zero.
@@ -37,29 +65,36 @@ func NewSim() *Sim { return &Sim{} }
 func (s *Sim) Now() time.Duration { return s.now }
 
 // At schedules fn at absolute time t (>= Now).
-func (s *Sim) At(t time.Duration, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
-}
+func (s *Sim) At(t time.Duration, fn func()) { s.schedule(t, funcEvent(fn)) }
 
 // After schedules fn after duration d.
 func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
+
+// schedule queues f at t, clamped to Now, behind everything already
+// scheduled for that instant.
+func (s *Sim) schedule(t time.Duration, f firer) {
+	if t < s.now {
+		t = s.now
+	}
+	s.push(event{at: t, seq: s.stamp(), f: f})
+}
+
+// stamp returns the next scheduling sequence number. An event queued
+// outside the heap (a link FIFO's tail) takes its number when it is
+// scheduled, not when it enters the heap.
+func (s *Sim) stamp() uint64 {
+	s.seq++
+	return s.seq
+}
 
 // Run processes events until the queue empties or simulated time would
 // exceed until. It returns the number of events processed.
 func (s *Sim) Run(until time.Duration) int {
 	n := 0
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if ev.at > until {
-			break
-		}
-		heap.Pop(&s.events)
+	for len(s.events) > 0 && s.events[0].at <= until {
+		ev := s.pop()
 		s.now = ev.at
-		ev.fn()
+		ev.f.fire()
 		n++
 	}
 	if s.now < until {
@@ -71,27 +106,46 @@ func (s *Sim) Run(until time.Duration) int {
 // Pending reports whether events remain scheduled.
 func (s *Sim) Pending() bool { return len(s.events) > 0 }
 
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (s *Sim) push(ev event) {
+	h := append(s.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
+	s.events = h
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+func (s *Sim) pop() event {
+	h := s.events
+	top := h[0]
+	last := len(h) - 1
+	ev := h[last]
+	h[last] = event{} // let the heap's array drop the action
+	h = h[:last]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&ev) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if last > 0 {
+		h[i] = ev
+	}
+	s.events = h
+	return top
 }

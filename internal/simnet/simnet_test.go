@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -208,6 +209,28 @@ func TestRetrievalServedByEpochOrder(t *testing.T) {
 		if epochs[i] != want[i] {
 			t.Fatalf("epoch order %v, want %v", epochs, want)
 		}
+	}
+}
+
+func TestRetrievalStreamIsFIFO(t *testing.T) {
+	// Within one epoch's stream, retrieval packets leave in send order.
+	sim := NewSim()
+	net := NewNetwork(sim, Config{
+		N:       2,
+		Delay:   func(int, int) time.Duration { return 0 },
+		Egress:  []trace.Trace{trace.Constant(1000), trace.Constant(1000)},
+		Ingress: []trace.Trace{trace.Constant(1e12), trace.Constant(1e12)},
+	})
+	var order []int
+	net.SetHandler(1, func(e wire.Envelope) { order = append(order, e.Proposer) })
+	// The first packet goes into service at once; the rest queue.
+	for i, epoch := range []uint64{3, 2, 1, 2, 1, 2} {
+		env := wire.Envelope{From: 0, Epoch: epoch, Proposer: i, Payload: wire.ReturnChunk{Data: make([]byte, 100)}}
+		net.Send(0, 1, env, wire.PrioRetrieval, epoch)
+	}
+	sim.Run(time.Minute)
+	if want := []int{0, 2, 4, 1, 3, 5}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("send order %v, want %v", order, want)
 	}
 }
 
