@@ -24,7 +24,6 @@ package avid
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dledger/internal/erasure"
@@ -128,33 +127,38 @@ type Server struct {
 	myRoot  merkle.Root
 	haveMy  bool
 
-	gotChunkFrom map[merkle.Root]map[int]bool
-	readyFrom    map[merkle.Root]map[int]bool
+	gotChunkFrom map[merkle.Root]peerSet
+	readyFrom    map[merkle.Root]peerSet
 	sentGot      bool
 	sentReady    bool
 
 	completed bool
 	chunkRoot merkle.Root
 
-	// Retrieval requests that arrived before completion (or before we had
-	// a matching chunk) are answered as soon as both hold.
-	pending map[int]bool
-	// answered tracks requesters we already served, so duplicate
-	// RequestChunk messages are ignored per the paper.
-	answered map[int]bool
-	canceled map[int]bool
+	// Retrieval state per requester, indexed by server id. Requests that
+	// arrived before completion (or before we had a matching chunk) are
+	// pending until both hold. answered tracks requesters we already
+	// served, so duplicate RequestChunk messages are ignored per the paper.
+	pending, answered, canceled []bool
+}
+
+// peerSet is a set of server ids in [0, N) and its size.
+type peerSet struct {
+	in []bool
+	n  int
 }
 
 // NewServer creates the server automaton for one VID instance.
 func NewServer(p Params, self int) *Server {
+	req := make([]bool, 3*p.N)
 	return &Server{
 		p:            p,
 		self:         self,
-		gotChunkFrom: map[merkle.Root]map[int]bool{},
-		readyFrom:    map[merkle.Root]map[int]bool{},
-		pending:      map[int]bool{},
-		answered:     map[int]bool{},
-		canceled:     map[int]bool{},
+		gotChunkFrom: map[merkle.Root]peerSet{},
+		readyFrom:    map[merkle.Root]peerSet{},
+		pending:      req[:p.N:p.N],
+		answered:     req[p.N : 2*p.N : 2*p.N],
+		canceled:     req[2*p.N:],
 	}
 }
 
@@ -224,19 +228,18 @@ func (s *Server) HasChunk() bool {
 // Handle processes one message. completed is true on the step where the
 // dispersal first Completes locally.
 func (s *Server) Handle(from int, msg wire.Msg) (outs []Send, completed bool) {
+	if m, ok := msg.(wire.Chunk); ok {
+		return s.onChunk(m), false
+	}
+	// Quorum messages only count from, and requests are only served to,
+	// actual servers.
+	if from < 0 || from >= s.p.N {
+		return nil, false
+	}
 	switch m := msg.(type) {
-	case wire.Chunk:
-		outs = s.onChunk(m)
 	case wire.GotChunk:
-		// Quorum messages only count from actual servers.
-		if from < 0 || from >= s.p.N {
-			return nil, false
-		}
 		outs = s.onGotChunk(from, m)
 	case wire.Ready:
-		if from < 0 || from >= s.p.N {
-			return nil, false
-		}
 		outs, completed = s.onReady(from, m)
 	case wire.RequestChunk:
 		outs = s.onRequest(from)
@@ -245,8 +248,8 @@ func (s *Server) Handle(from int, msg wire.Msg) (outs []Send, completed bool) {
 		// crash: clear the duplicate suppression and answer afresh. The
 		// amplification a Byzantine sender gains is one chunk per
 		// message — no worse than a first request.
-		delete(s.answered, from)
-		delete(s.canceled, from)
+		s.answered[from] = false
+		s.canceled[from] = false
 		outs = s.onRequest(from)
 	case wire.CancelRequest:
 		s.canceled[from] = true
@@ -273,17 +276,23 @@ func (s *Server) onChunk(m wire.Chunk) []Send {
 	return append(outs, s.flushPending()...)
 }
 
+// vote adds from to root's set in votes and returns the set's size, or
+// 0 when from was already in it.
+func (s *Server) vote(votes map[merkle.Root]peerSet, root merkle.Root, from int) int {
+	set := votes[root]
+	if set.in == nil {
+		set.in = make([]bool, s.p.N)
+	} else if set.in[from] {
+		return 0
+	}
+	set.in[from] = true
+	set.n++
+	votes[root] = set
+	return set.n
+}
+
 func (s *Server) onGotChunk(from int, m wire.GotChunk) []Send {
-	set := s.gotChunkFrom[m.Root]
-	if set == nil {
-		set = map[int]bool{}
-		s.gotChunkFrom[m.Root] = set
-	}
-	if set[from] {
-		return nil
-	}
-	set[from] = true
-	if len(set) >= s.p.N-s.p.F && !s.sentReady {
+	if s.vote(s.gotChunkFrom, m.Root, from) >= s.p.N-s.p.F && !s.sentReady {
 		s.sentReady = true
 		return []Send{{To: wire.Broadcast, Msg: wire.Ready{Root: m.Root}}}
 	}
@@ -291,20 +300,15 @@ func (s *Server) onGotChunk(from int, m wire.GotChunk) []Send {
 }
 
 func (s *Server) onReady(from int, m wire.Ready) (outs []Send, completed bool) {
-	set := s.readyFrom[m.Root]
-	if set == nil {
-		set = map[int]bool{}
-		s.readyFrom[m.Root] = set
-	}
-	if set[from] {
+	n := s.vote(s.readyFrom, m.Root, from)
+	if n == 0 {
 		return nil, false
 	}
-	set[from] = true
-	if len(set) >= s.p.F+1 && !s.sentReady {
+	if n >= s.p.F+1 && !s.sentReady {
 		s.sentReady = true
 		outs = append(outs, Send{To: wire.Broadcast, Msg: wire.Ready{Root: m.Root}})
 	}
-	if len(set) >= 2*s.p.F+1 && !s.completed {
+	if n >= 2*s.p.F+1 && !s.completed {
 		s.completed = true
 		s.chunkRoot = m.Root
 		completed = true
@@ -329,17 +333,14 @@ func (s *Server) flushPending() []Send {
 		return nil
 	}
 	// Answer in requester order: several requests can be pending when the
-	// dispersal completes, and the response order must not depend on map
-	// iteration — the emulator's whole-cluster runs replay byte-for-byte
-	// from a seed.
+	// dispersal completes, and the emulator's whole-cluster runs replay
+	// byte-for-byte from a seed.
 	var outs []Send
-	waiting := make([]int, 0, len(s.pending))
-	for from := range s.pending {
-		waiting = append(waiting, from)
-	}
-	sort.Ints(waiting)
-	for _, from := range waiting {
-		delete(s.pending, from)
+	for from, waiting := range s.pending {
+		if !waiting {
+			continue
+		}
+		s.pending[from] = false
 		if s.answered[from] || s.canceled[from] {
 			continue
 		}

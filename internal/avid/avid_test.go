@@ -16,9 +16,15 @@ type cluster struct {
 	queue   []qmsg
 	rng     *rand.Rand
 	// retrievers capture ReturnChunk messages addressed to client ids
-	// >= 1000 (so clients and servers do not collide).
+	// >= 1000 (so clients and servers do not collide). Client 1000+i runs
+	// at server i, as a node's retriever does: servers serve only their
+	// peers, so its requests reach them from i and their answers to i
+	// come back to it.
 	retrievers map[int]*Retriever
 }
+
+// clientBase is the id of the retrieval client at server 0.
+const clientBase = 1000
 
 type qmsg struct {
 	from, to int
@@ -44,6 +50,8 @@ func (c *cluster) enqueueSends(from int, sends []Send) {
 			for to := range c.servers {
 				c.queue = append(c.queue, qmsg{from, to, s.Msg})
 			}
+		} else if _, answer := s.Msg.(wire.ReturnChunk); answer {
+			c.queue = append(c.queue, qmsg{from, clientBase + s.To, s.Msg})
 		} else {
 			c.queue = append(c.queue, qmsg{from, s.To, s.Msg})
 		}
@@ -86,7 +94,7 @@ func (c *cluster) run(t *testing.T, drop func(from, to int) bool) {
 		if drop != nil && drop(m.from, m.to) {
 			continue
 		}
-		if m.to >= 1000 {
+		if m.to >= clientBase {
 			ret := c.retrievers[m.to]
 			if ret == nil {
 				continue
@@ -97,7 +105,11 @@ func (c *cluster) run(t *testing.T, drop func(from, to int) bool) {
 			}
 			continue
 		}
-		outs, _ := c.servers[m.to].Handle(m.from, m.msg)
+		from := m.from
+		if c.retrievers[from] != nil {
+			from -= clientBase
+		}
+		outs, _ := c.servers[m.to].Handle(from, m.msg)
 		c.enqueueSends(m.to, outs)
 	}
 }
@@ -400,10 +412,27 @@ func TestCancelRequestSuppressesResponse(t *testing.T) {
 	c.disperse(t, 2000, block, nil)
 	c.run(t, nil)
 	s := c.servers[0]
-	s.Handle(1000, wire.CancelRequest{})
-	outs, _ := s.Handle(1000, wire.RequestChunk{})
+	s.Handle(2, wire.CancelRequest{})
+	outs, _ := s.Handle(2, wire.RequestChunk{})
 	if len(outs) != 0 {
 		t.Fatal("server answered a canceled requester")
+	}
+	if outs, _ := s.Handle(3, wire.RequestChunk{}); len(outs) != 1 || outs[0].To != 3 {
+		t.Fatalf("server answered a live requester with %v", outs)
+	}
+}
+
+func TestRequestsFromNonServersIgnored(t *testing.T) {
+	c := newCluster(t, 4, 1, 0)
+	c.disperse(t, 2000, []byte("served to peers only"), nil)
+	c.run(t, nil)
+	s := c.servers[0]
+	for _, from := range []int{-1, 4, clientBase} {
+		for _, m := range []wire.Msg{wire.CancelRequest{}, wire.RequestChunk{}, wire.RequestChunkAgain{}} {
+			if outs, _ := s.Handle(from, m); len(outs) != 0 {
+				t.Fatalf("server answered %T from non-server %d", m, from)
+			}
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func installByzantine(eng *core.Engine, cfg core.Config, self int, b Behavior, h
 		eng.SetActionTap(badSharesTap())
 		return nil
 	case FlipVotes:
-		eng.SetActionTap(flipVotesTap())
+		eng.SetActionTap(flipVotesTap(cfg.N, self))
 		return nil
 	default:
 		return fmt.Errorf("chaos: unknown behavior %v", b)
@@ -187,8 +187,10 @@ func corrupt(data []byte) []byte {
 
 // flipVotesTap inverts BA votes sent to odd-numbered peers: different
 // peers observe contradictory votes from this node in the same round.
-func flipVotesTap() func([]core.Action) []core.Action {
+// Votes are broadcasts, so it first expands them into per-peer sends.
+func flipVotesTap(n, self int) func([]core.Action) []core.Action {
 	return func(actions []core.Action) []core.Action {
+		actions = core.Unicast(actions, n, self)
 		for k, a := range actions {
 			sa, ok := a.(core.SendAction)
 			if !ok || sa.To%2 == 0 {

@@ -16,11 +16,47 @@ type Action interface{ isAction() }
 
 // SendAction transmits an envelope to a peer. The engine never emits
 // self-addressed sends: broadcasts are looped back internally.
+//
+// To == wire.Broadcast means every node except the sender: the caller
+// sends Env to each node id 0..N−1 other than its own, in ascending
+// order. A broadcast is one action, not N−1, so a step that casts a vote
+// boxes one action; Unicast expands it for callers that look at each
+// recipient's copy.
 type SendAction struct {
 	To     wire.NodeID
 	Env    wire.Envelope
 	Prio   wire.Priority
 	Stream uint64 // retrieval epoch for per-epoch transport ordering
+}
+
+// Unicast returns actions with every broadcast SendAction replaced by
+// its per-recipient sends, in fan-out order, for an n-node cluster seen
+// from node self. Without a broadcast it returns actions itself;
+// otherwise a new slice, leaving actions unchanged.
+func Unicast(actions []Action, n, self int) []Action {
+	var out []Action
+	for k, a := range actions {
+		s, ok := a.(SendAction)
+		if !ok || s.To != wire.Broadcast {
+			if out != nil {
+				out = append(out, a)
+			}
+			continue
+		}
+		if out == nil {
+			out = append(make([]Action, 0, len(actions)+n), actions[:k]...)
+		}
+		for i := 0; i < n; i++ {
+			if i != self {
+				s.To = i
+				out = append(out, s)
+			}
+		}
+	}
+	if out == nil {
+		return actions
+	}
+	return out
 }
 
 // DeliverAction hands a committed block's transactions to the state

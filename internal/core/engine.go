@@ -463,29 +463,26 @@ func (e *Engine) takeActions() []Action {
 
 // drain processes the internal queue until empty. Self-addressed copies
 // of broadcasts, local chunk deliveries and cascade effects all run here,
-// so callers observe a single atomic step.
+// so callers observe a single atomic step. The queue is walked by index
+// and its array kept for the next step, emptied of payload references.
 func (e *Engine) drain() {
-	for len(e.queue) > 0 {
-		env := e.queue[0]
-		e.queue = e.queue[1:]
-		e.dispatch(env)
+	for i := 0; i < len(e.queue); i++ {
+		e.dispatch(e.queue[i])
 	}
+	clear(e.queue)
+	e.queue = e.queue[:0]
 }
 
-// emit routes an outgoing message: remote copies become SendActions,
-// self-copies loop back through the queue.
+// emit routes an outgoing message: remote copies become one SendAction
+// (a broadcast stays one, see SendAction), self-copies loop back through
+// the queue.
 func (e *Engine) emit(to int, env wire.Envelope, prio wire.Priority, stream uint64) {
-	if to == wire.Broadcast {
-		for i := 0; i < e.cfg.N; i++ {
-			e.emit(i, env, prio, stream)
-		}
-		return
-	}
-	if to == e.self {
+	if to == wire.Broadcast || to == e.self {
 		e.queue = append(e.queue, env)
-		return
 	}
-	e.actions = append(e.actions, SendAction{To: to, Env: env, Prio: prio, Stream: stream})
+	if to != e.self {
+		e.actions = append(e.actions, SendAction{To: to, Env: env, Prio: prio, Stream: stream})
+	}
 }
 
 // priorityFor classifies traffic. In HoneyBadger modes the block download

@@ -96,7 +96,7 @@ func (c *testCluster) start() {
 }
 
 func (c *testCluster) apply(node int, actions []Action) {
-	for _, a := range actions {
+	for _, a := range Unicast(actions, c.cfg.N, node) {
 		if c.onAction != nil {
 			c.onAction(node, a)
 		}

@@ -120,7 +120,7 @@ func TestRestartReVotesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		resent := map[blockKey][][]byte{}
-		for _, a := range eng.Start() {
+		for _, a := range Unicast(eng.Start(), cfg.N, 0) {
 			if s, ok := a.(SendAction); ok && s.To == 1 && isBAMsg(s.Env.Payload) {
 				key := blockKey{s.Env.Epoch, s.Env.Proposer}
 				resent[key] = append(resent[key], s.Env.Encode())

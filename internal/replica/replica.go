@@ -161,6 +161,7 @@ type Stats struct {
 // Replica is one node.
 type Replica struct {
 	self   int
+	n      int // cluster size, the fan-out of a broadcast SendAction
 	ctx    Context
 	engine *core.Engine
 	pool   *mempool.Pool
@@ -285,6 +286,7 @@ func New(cfg core.Config, self int, params Params, st store.Store, ctx Context) 
 	}
 	r := &Replica{
 		self:   self,
+		n:      cfg.N,
 		ctx:    ctx,
 		engine: eng,
 		pool: mempool.NewWithOptions(mempool.Options{
@@ -550,7 +552,15 @@ func (r *Replica) apply(actions []core.Action) {
 	for idx, a := range actions {
 		switch act := a.(type) {
 		case core.SendAction:
-			r.ctx.Send(act.To, act.Env, act.Prio, act.Stream)
+			if act.To != wire.Broadcast {
+				r.ctx.Send(act.To, act.Env, act.Prio, act.Stream)
+				continue
+			}
+			for to := 0; to < r.n; to++ {
+				if to != r.self {
+					r.ctx.Send(to, act.Env, act.Prio, act.Stream)
+				}
+			}
 		case core.DeliverAction:
 			r.onDeliver(act, hashes[idx])
 		case core.ProposalNeededAction:

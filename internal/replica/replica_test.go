@@ -2,6 +2,7 @@ package replica
 
 import (
 	"container/heap"
+	"reflect"
 	"testing"
 	"time"
 
@@ -235,6 +236,50 @@ func TestOnDeliverHook(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("OnDeliver hook never saw node 0's block")
+	}
+}
+
+// sendLog records every Send, in call order.
+type sendLog struct {
+	soloCtx
+	sends []loggedSend
+}
+
+type loggedSend struct {
+	to     int
+	env    wire.Envelope
+	prio   wire.Priority
+	stream uint64
+}
+
+func (c *sendLog) Send(to int, env wire.Envelope, prio wire.Priority, stream uint64) {
+	c.sends = append(c.sends, loggedSend{to, env, prio, stream})
+}
+
+// TestBroadcastFansOutToPeersInOrder: a broadcast SendAction reaches
+// ctx.Send once per other node, in ascending id order, never for the
+// node itself; a unicast goes to its one peer.
+func TestBroadcastFansOutToPeersInOrder(t *testing.T) {
+	ctx := &sendLog{soloCtx: soloCtx{net: &fakeNet{}}}
+	r, err := New(core.Config{N: 5, F: 1, Mode: core.ModeDL, CoinSecret: []byte("fan-out")}, 2, Params{}, nil, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcast := wire.Envelope{From: 2, Epoch: 3, Proposer: 4, Payload: wire.CancelRequest{}}
+	uni := wire.Envelope{From: 2, Epoch: 3, Proposer: 4, Payload: wire.RequestChunk{}}
+	r.apply([]core.Action{
+		core.SendAction{To: 4, Env: uni, Prio: wire.PrioDispersal, Stream: 3},
+		core.SendAction{To: wire.Broadcast, Env: bcast, Prio: wire.PrioRetrieval, Stream: 7},
+	})
+	want := []loggedSend{
+		{4, uni, wire.PrioDispersal, 3},
+		{0, bcast, wire.PrioRetrieval, 7},
+		{1, bcast, wire.PrioRetrieval, 7},
+		{3, bcast, wire.PrioRetrieval, 7},
+		{4, bcast, wire.PrioRetrieval, 7},
+	}
+	if !reflect.DeepEqual(ctx.sends, want) {
+		t.Fatalf("sends = %+v\nwant %+v", ctx.sends, want)
 	}
 }
 

@@ -164,10 +164,13 @@ func (n *Network) deliver(pkt *packet) {
 	}
 	n.propagateAfter(pkt, extra)
 	if f.Duplicate > 0 && rng.Float64() < f.Duplicate {
-		dup := f.Delay
+		delay := f.Delay
 		if f.Jitter > 0 {
-			dup += time.Duration(rng.Int63n(int64(f.Jitter)))
+			delay += time.Duration(rng.Int63n(int64(f.Jitter)))
 		}
-		n.propagateAfter(pkt, dup)
+		// A copy: each delivery frees its packet for reuse.
+		dup := n.newPacket()
+		*dup = *pkt
+		n.propagateAfter(dup, delay)
 	}
 }

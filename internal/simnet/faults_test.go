@@ -159,6 +159,49 @@ func TestJitterReordersAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestDuplicateSurvivesPacketReuse duplicates every packet on a jittered
+// link while the receiver's replies take delivered packets off the free
+// list: each message must arrive exactly twice with its own contents,
+// and no packet may be freed twice.
+func TestDuplicateSurvivesPacketReuse(t *testing.T) {
+	sim, net := twoNodeNet()
+	net.SetFaultSeed(5)
+	net.SetLinkFault(0, 1, LinkFault{Jitter: 30 * time.Millisecond, Duplicate: 1})
+	copies := map[uint64]int{}
+	net.SetHandler(0, func(wire.Envelope) {})
+	net.SetHandler(1, func(e wire.Envelope) {
+		c, ok := e.Payload.(wire.Chunk)
+		if !ok || e.From != 0 || len(c.Data) != int(e.Epoch%50)+1 || c.Data[0] != byte(e.Epoch) {
+			t.Fatalf("delivered a corrupted message: epoch %d payload %T", e.Epoch, e.Payload)
+		}
+		copies[e.Epoch]++
+		net.Send(1, 0, mkEnv(1, 10), wire.PrioDispersal, 0)
+	})
+	const msgs = 200
+	for e := uint64(1); e <= msgs; e++ {
+		data := make([]byte, e%50+1)
+		data[0] = byte(e)
+		net.Send(0, 1, wire.Envelope{From: 0, Epoch: e, Payload: wire.Chunk{Data: data}}, wire.PrioDispersal, 0)
+		sim.Run(sim.Now() + 2*time.Millisecond)
+	}
+	sim.Run(time.Hour)
+	for e := uint64(1); e <= msgs; e++ {
+		if copies[e] != 2 {
+			t.Fatalf("message %d arrived %d times, want 2 (original and duplicate)", e, copies[e])
+		}
+	}
+	freed := map[*packet]bool{}
+	for _, p := range net.free {
+		if freed[p] {
+			t.Fatal("a packet sits on the free list twice")
+		}
+		freed[p] = true
+	}
+	if len(freed) < 2*msgs/10 {
+		t.Fatalf("only %d packets were recycled; the test no longer exercises reuse", len(freed))
+	}
+}
+
 func TestExtraDelayShiftsDelivery(t *testing.T) {
 	sim, net := twoNodeNet()
 	var at time.Duration

@@ -44,6 +44,11 @@ type Network struct {
 	// feeding Fig 13's dispersal-fraction measurement.
 	recv [][2]int64
 	sent [][2]int64
+
+	// free holds delivered packets for reuse by Send. A packet is freed
+	// once, after its receiver's handler returns: by then no pipe, link or
+	// hold queue refers to it (a fault's duplicate is a copy of its own).
+	free []*packet
 }
 
 // NewNetwork builds the emulated network on top of sim.
@@ -78,6 +83,8 @@ func NewNetwork(sim *Sim, cfg Config) *Network {
 			if h := n.handler[pkt.to]; h != nil {
 				h(pkt.env)
 			}
+			*pkt = packet{} // drop the payload before the packet waits for reuse
+			n.free = append(n.free, pkt)
 		}))
 	}
 	for i := range n.links {
@@ -102,9 +109,21 @@ func (n *Network) Send(from, to int, env wire.Envelope, prio wire.Priority, stre
 		}
 		return
 	}
-	pkt := &packet{from: from, to: to, env: env, size: env.WireSize(), prio: prio, stream: stream}
+	pkt := n.newPacket()
+	*pkt = packet{from: from, to: to, env: env, size: env.WireSize(), prio: prio, stream: stream}
 	n.sent[from][prio] += int64(pkt.size)
 	n.egress[from].enqueue(pkt)
+}
+
+// newPacket takes a delivered packet off the free list, or allocates one.
+func (n *Network) newPacket() *packet {
+	if k := len(n.free) - 1; k >= 0 {
+		pkt := n.free[k]
+		n.free[k] = nil
+		n.free = n.free[:k]
+		return pkt
+	}
+	return new(packet)
 }
 
 // link is the propagation leg of an ordered node pair: the packets

@@ -256,7 +256,7 @@ func TestLinkFIFOMatchesPerPacketEvents(t *testing.T) {
 	}
 }
 
-func TestMessageAllocatesOnlyItsPacket(t *testing.T) {
+func TestMessageReusesADeliveredPacket(t *testing.T) {
 	for _, prio := range []wire.Priority{wire.PrioDispersal, wire.PrioRetrieval} {
 		sim, net := twoNodeNet()
 		delivered := 0
@@ -269,8 +269,8 @@ func TestMessageAllocatesOnlyItsPacket(t *testing.T) {
 		if delivered != 101 {
 			t.Fatalf("class %d: delivered %d of 101 messages", prio, delivered)
 		}
-		if allocs != 1 {
-			t.Fatalf("class %d: a message over an idle link made %v allocations, want 1 (its packet)", prio, allocs)
+		if allocs != 0 {
+			t.Fatalf("class %d: a message over an idle link made %v allocations, want 0 (its packet is the last one's)", prio, allocs)
 		}
 	}
 }

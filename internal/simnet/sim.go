@@ -20,9 +20,10 @@
 // so a run is a function of its inputs. The scheduler is a binary heap
 // of events whose action is a value with a fire method: a pipe is its
 // own completion event and a link is its own arrival event, so moving a
-// message allocates nothing but the message. A packet leaving an egress
-// pipe is stamped with its arrival (time, sequence) and appended to its
-// link's propagation FIFO, of which only the head sits in the heap; a
+// message allocates nothing but its packet, and Network reuses delivered
+// packets. A packet leaving an egress pipe is stamped with its arrival
+// (time, sequence) and appended to its link's propagation FIFO, of
+// which only the head sits in the heap; a
 // link's delay is constant, so the FIFO is already in (time, sequence)
 // order and the fire order is the one a heap of every packet would give.
 // A packet that would arrive before the link's last one gets an event of
