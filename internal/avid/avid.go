@@ -11,6 +11,17 @@
 // client deterministically returns the BAD_UPLOADER error value, which
 // preserves the Correctness property against a Byzantine disperser.
 //
+// The check re-encodes only what the client did not receive. The code is
+// MDS: the data decoded from K rows re-encodes to exactly those K rows,
+// whose leaf hashes the proof checks already computed. So the client
+// computes the N−K other rows, hashes them, and compares the root built
+// from all N leaves. A full re-encode also compared two things the K rows
+// do not show, and the client checks them outright: the shard size is
+// the one Split gives the decoded block's length, and every padding byte
+// after the block is zero. With both, the rows are the block's one
+// canonical encoding, and the outcome — block or BAD_UPLOADER — is the
+// full re-encode's for every set of K chunks.
+//
 // The package provides three pieces:
 //
 //   - Server: the per-instance server automaton (Fig 3 + the server side
@@ -362,15 +373,23 @@ type Retriever struct {
 	result  []byte
 	bad     bool
 
-	chunks map[merkle.Root]map[int]wire.ReturnChunk
+	chunks map[merkle.Root]map[int]accepted
 	from   map[int]bool // dedup: one ReturnChunk per server counts
+}
+
+// accepted is a chunk whose proof verified, with the leaf hash the check
+// computed: the re-encoding check reuses it instead of hashing the chunk
+// again.
+type accepted struct {
+	data []byte
+	leaf merkle.Root
 }
 
 // NewRetriever creates a retrieval client for one VID instance.
 func NewRetriever(p Params) *Retriever {
 	return &Retriever{
 		p:      p,
-		chunks: map[merkle.Root]map[int]wire.ReturnChunk{},
+		chunks: map[merkle.Root]map[int]accepted{},
 		from:   map[int]bool{},
 	}
 }
@@ -406,7 +425,11 @@ func (r *Retriever) HandleReturnChunk(from int, m wire.ReturnChunk) (outs []Send
 	// The chunk position is bound to the responding server: server i
 	// stores and returns the i-th chunk. A proof for a different index is
 	// invalid regardless of its Merkle path.
-	if m.Proof.Index != from || !merkle.Verify(m.Root, m.Data, m.Proof) {
+	if m.Proof.Index != from {
+		return nil, false
+	}
+	leaf := merkle.HashLeaf(m.Data)
+	if !merkle.VerifyLeaf(m.Root, leaf, m.Proof) {
 		return nil, false
 	}
 	if r.from[from] {
@@ -415,10 +438,10 @@ func (r *Retriever) HandleReturnChunk(from int, m wire.ReturnChunk) (outs []Send
 	r.from[from] = true
 	set := r.chunks[m.Root]
 	if set == nil {
-		set = map[int]wire.ReturnChunk{}
+		set = map[int]accepted{}
 		r.chunks[m.Root] = set
 	}
-	set[from] = m
+	set[from] = accepted{data: m.Data, leaf: leaf}
 
 	if len(set) < r.p.K() {
 		return nil, false
@@ -427,36 +450,57 @@ func (r *Retriever) HandleReturnChunk(from int, m wire.ReturnChunk) (outs []Send
 	return []Send{{To: wire.Broadcast, Msg: wire.CancelRequest{}}}, true
 }
 
-func (r *Retriever) decode(root merkle.Root, set map[int]wire.ReturnChunk) {
+// decode reconstructs the block from the K chunks accepted under root and
+// runs the re-encoding check (§3.3): the block must re-encode to the N
+// chunks root commits to. The K accepted chunks need no re-encoding — an
+// MDS decode from K rows re-encodes to exactly those rows — so only the
+// N−K rows nobody sent are computed and hashed, and the root is rebuilt
+// from all N leaf hashes. That shortcut holds for canonical encodings
+// only: Split sizes the shards for the block and pads with zeros, so both
+// are checked before the root.
+func (r *Retriever) decode(root merkle.Root, set map[int]accepted) {
 	shards := make([][]byte, r.p.N)
+	size := 0
 	for i, c := range set {
-		shards[i] = c.Data
+		shards[i] = c.data
+		size = len(c.data)
 	}
-	block, err := r.p.Coder.Reconstruct(shards)
-	if err != nil {
-		// Chunks that verified against the same root but cannot decode
-		// (e.g. inconsistent sizes) mean the uploader was Byzantine.
-		r.finish(nil, true)
-		return
-	}
-	// Re-encoding check: the decoded block must re-encode to the same
-	// Merkle root, otherwise different chunk subsets could decode to
-	// different blocks. The re-encoded shards are compared and dropped, so
-	// they live in pooled scratch.
 	sc := scratchPool.Get().(*erasure.Scratch)
-	reShards, err := r.p.Coder.SplitInto(block, sc)
+	defer scratchPool.Put(sc)
+	// Decoding fails (e.g. on inconsistent sizes) only for chunks a
+	// Byzantine uploader committed to.
+	rows, err := r.p.Coder.ReconstructShards(shards, sc)
 	if err != nil {
-		scratchPool.Put(sc)
 		r.finish(nil, true)
 		return
 	}
-	ok := merkle.RootOf(reShards) == root
-	scratchPool.Put(sc)
-	if !ok {
+	block, err := erasure.Unframe(rows)
+	if err != nil || r.p.Coder.ShardSize(len(block)) != size || !zero(rows[4+len(block):]) {
+		r.finish(nil, true)
+		return
+	}
+	leaves := make([]merkle.Root, r.p.N)
+	for i, s := range shards {
+		if c, ok := set[i]; ok {
+			leaves[i] = c.leaf
+		} else {
+			leaves[i] = merkle.HashLeaf(s)
+		}
+	}
+	if merkle.RootOfLeaves(leaves) != root {
 		r.finish(nil, true)
 		return
 	}
 	r.finish(block, false)
+}
+
+func zero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *Retriever) finish(block []byte, bad bool) {

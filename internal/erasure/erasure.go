@@ -60,14 +60,15 @@ func (c *Coder) ShardSize(dataLen int) int {
 	return (total + c.k - 1) / c.k
 }
 
-// Scratch holds reusable encode buffers for SplitInto. A zero Scratch is
-// ready to use; it grows to the largest encode it has served and is then
-// allocation-free. A Scratch is owned by one goroutine at a time, and the
-// shards returned by SplitInto alias its buffer — they are valid only
-// until the next call that uses the same Scratch.
+// Scratch holds reusable encode buffers for SplitInto and
+// ReconstructShards. A zero Scratch is ready to use; it grows to the
+// largest encode it has served and is then allocation-free. A Scratch is
+// owned by one goroutine at a time, and the shards those calls encode
+// into it are valid only until the next call that uses the same Scratch.
 type Scratch struct {
 	buf    []byte
 	shards [][]byte
+	rows   []int
 }
 
 // Split encodes data into n shards of equal size. Any k of the returned
@@ -88,7 +89,7 @@ func (c *Coder) SplitInto(data []byte, s *Scratch) ([][]byte, error) {
 }
 
 func (c *Coder) split(data []byte, s *Scratch) ([][]byte, error) {
-	if len(data) > 0xffffffff-4 {
+	if uint64(len(data)) > 0xffffffff-4 {
 		return nil, fmt.Errorf("%w: block too large", ErrInvalidParams)
 	}
 	shardSize := c.ShardSize(len(data))
@@ -139,20 +140,72 @@ func (c *Coder) split(data []byte, s *Scratch) ([][]byte, error) {
 // not produced by the same Split call yields garbage. AVID-M detects this
 // case by re-encoding and comparing Merkle roots (§3.3 of the paper).
 func (c *Coder) Reconstruct(shards [][]byte) ([]byte, error) {
-	if len(shards) != c.n {
-		return nil, fmt.Errorf("%w: got %d shard slots, want %d", ErrInvalidParams, len(shards), c.n)
+	data, _, err := c.decodeData(shards)
+	if err != nil {
+		return nil, err
 	}
-	shardSize := -1
-	var present []int
+	return Unframe(data)
+}
+
+// ReconstructShards recovers every missing shard from the first k present
+// ones, filling in the nil entries of shards in place; present entries are
+// left untouched. It returns the k data rows end to end in a fresh buffer
+// (what Unframe reads), and the nil data entries become views of it. The
+// missing parity rows are encoded into s's buffer: like SplitInto's
+// shards they are valid only until s's next use.
+func (c *Coder) ReconstructShards(shards [][]byte, s *Scratch) ([]byte, error) {
+	data, size, err := c.decodeData(shards)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < c.k; i++ {
+		if shards[i] == nil {
+			shards[i] = data[i*size : (i+1)*size : (i+1)*size]
+		}
+	}
+	missing := s.rows[:0]
+	for i := c.k; i < c.n; i++ {
+		if shards[i] == nil {
+			missing = append(missing, i)
+		}
+	}
+	s.rows = missing
+	need := len(missing) * size
+	if cap(s.buf) < need {
+		s.buf = make([]byte, need)
+	}
+	buf := s.buf[:need]
+	clear(buf) // parity rows accumulate from zero
+	for r, i := range missing {
+		shards[i] = buf[r*size : (r+1)*size : (r+1)*size]
+	}
+	forEachRow(len(missing), size, func(r int) {
+		i := missing[r]
+		gf256.MulAddRow(shards[i], c.matrix.Row(i), shards[:c.k])
+	})
+	return data, nil
+}
+
+// decodeData is the one decode routine under Reconstruct and
+// ReconstructShards. It takes the first k present entries of shards,
+// which must share one non-zero size, and returns the k data rows end to
+// end in a fresh buffer with that size: rows that are present are copied,
+// the missing ones decoded from the k taken rows.
+func (c *Coder) decodeData(shards [][]byte) (data []byte, size int, err error) {
+	if len(shards) != c.n {
+		return nil, 0, fmt.Errorf("%w: got %d shard slots, want %d", ErrInvalidParams, len(shards), c.n)
+	}
+	size = -1
+	present := make([]int, 0, c.k)
 	for i, s := range shards {
 		if s == nil {
 			continue
 		}
-		if shardSize == -1 {
-			shardSize = len(s)
+		if size == -1 {
+			size = len(s)
 		}
-		if len(s) != shardSize || shardSize == 0 {
-			return nil, ErrShardSize
+		if len(s) != size || size == 0 {
+			return nil, 0, ErrShardSize
 		}
 		present = append(present, i)
 		if len(present) == c.k {
@@ -160,37 +213,40 @@ func (c *Coder) Reconstruct(shards [][]byte) ([]byte, error) {
 		}
 	}
 	if len(present) < c.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.k)
+		return nil, 0, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.k)
 	}
+	// A data row i that is present is among the taken rows: at most i
+	// present rows come before it, fewer than k. So the data rows to
+	// decode are exactly the nil ones, and there are some exactly when a
+	// parity row was taken.
+	var dec *gf256.Matrix
+	var srcs [][]byte
+	if present[c.k-1] >= c.k {
+		if dec, err = c.matrix.SelectRows(present).Invert(); err != nil {
+			return nil, 0, err
+		}
+		srcs = make([][]byte, c.k)
+		for j, i := range present {
+			srcs[j] = shards[i]
+		}
+	}
+	data = make([]byte, size*c.k)
+	forEachRow(c.k, size, func(i int) {
+		row := data[i*size : (i+1)*size]
+		if shards[i] != nil {
+			copy(row, shards[i])
+		} else {
+			gf256.MulAddRow(row, dec.Row(i), srcs)
+		}
+	})
+	return data, size, nil
+}
 
-	data := make([]byte, shardSize*c.k)
-	allSystematic := true
-	for idx, row := range present {
-		if row != idx {
-			allSystematic = false
-			break
-		}
-	}
-	if allSystematic {
-		// Fast path: the first k shards are the data itself.
-		for i := 0; i < c.k; i++ {
-			copy(data[i*shardSize:], shards[i])
-		}
-	} else {
-		sub := c.matrix.SelectRows(present)
-		dec, err := sub.Invert()
-		if err != nil {
-			return nil, err
-		}
-		srcs := make([][]byte, c.k)
-		for j, src := range present {
-			srcs[j] = shards[src]
-		}
-		forEachRow(c.k, shardSize, func(i int) {
-			gf256.MulAddRow(data[i*shardSize:(i+1)*shardSize], dec.Row(i), srcs)
-		})
-	}
-
+// Unframe returns the block that data, an encoding's k data rows end to
+// end, carries behind its 4-byte big-endian length prefix. What follows
+// the block is padding. It fails with ErrInvalidPadding when the prefix
+// claims more bytes than data holds.
+func Unframe(data []byte) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, ErrInvalidPadding
 	}
@@ -199,86 +255,4 @@ func (c *Coder) Reconstruct(shards [][]byte) ([]byte, error) {
 		return nil, ErrInvalidPadding
 	}
 	return data[4 : 4+n], nil
-}
-
-// ReconstructShards recovers all n shards (data and parity) from any k
-// present shards, filling in the nil entries of shards in place. Present
-// entries are left untouched.
-func (c *Coder) ReconstructShards(shards [][]byte) error {
-	if len(shards) != c.n {
-		return fmt.Errorf("%w: got %d shard slots, want %d", ErrInvalidParams, len(shards), c.n)
-	}
-	shardSize := -1
-	var present []int
-	for i, s := range shards {
-		if s == nil {
-			continue
-		}
-		if shardSize == -1 {
-			shardSize = len(s)
-		}
-		if len(s) != shardSize || shardSize == 0 {
-			return ErrShardSize
-		}
-		present = append(present, i)
-	}
-	if len(present) < c.k {
-		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.k)
-	}
-	present = present[:c.k]
-
-	// Recover the k data shards first. Each missing row is an independent
-	// matrix-vector product over the same k present shards, so the rows
-	// fan out across the worker pool writing disjoint buffers.
-	sub := c.matrix.SelectRows(present)
-	dec, err := sub.Invert()
-	if err != nil {
-		return err
-	}
-	srcs := make([][]byte, c.k)
-	for j, src := range present {
-		srcs[j] = shards[src]
-	}
-	dataShards := make([][]byte, c.k)
-	var missing []int
-	for i := 0; i < c.k; i++ {
-		if shards[i] != nil && containsInt(present, i) {
-			dataShards[i] = shards[i]
-		} else {
-			dataShards[i] = make([]byte, shardSize)
-			missing = append(missing, i)
-		}
-	}
-	forEachRow(len(missing), shardSize, func(r int) {
-		i := missing[r]
-		gf256.MulAddRow(dataShards[i], dec.Row(i), srcs)
-	})
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			shards[i] = dataShards[i]
-		}
-	}
-	// Re-derive any missing parity shards (they depend on the data shards
-	// recovered above, hence the second, separate parallel pass).
-	missing = missing[:0]
-	for i := c.k; i < c.n; i++ {
-		if shards[i] == nil {
-			shards[i] = make([]byte, shardSize)
-			missing = append(missing, i)
-		}
-	}
-	forEachRow(len(missing), shardSize, func(r int) {
-		i := missing[r]
-		gf256.MulAddRow(shards[i], c.matrix.Row(i), dataShards)
-	})
-	return nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

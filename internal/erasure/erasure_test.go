@@ -158,19 +158,24 @@ func TestReconstructShards(t *testing.T) {
 	full, _ := c.Split(data)
 
 	rng := rand.New(rand.NewSource(78))
+	var scratch Scratch
 	for trial := 0; trial < 50; trial++ {
 		subset := rng.Perm(n)[:k]
 		shards := make([][]byte, n)
 		for _, i := range subset {
 			shards[i] = append([]byte(nil), full[i]...)
 		}
-		if err := c.ReconstructShards(shards); err != nil {
+		rows, err := c.ReconstructShards(shards, &scratch)
+		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range shards {
 			if !bytes.Equal(shards[i], full[i]) {
 				t.Fatalf("trial %d: shard %d differs after ReconstructShards", trial, i)
 			}
+		}
+		if got, err := Unframe(rows); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("trial %d: data rows frame a different block (err=%v)", trial, err)
 		}
 	}
 }
@@ -247,6 +252,28 @@ func BenchmarkReconstructParityPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Reconstruct(shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconstructShardsParityPath is the retrieval decode: K parity
+// shards in, the K data rows decoded and the N−2K parity rows nobody sent
+// re-encoded into a reused Scratch.
+func BenchmarkReconstructShardsParityPath(b *testing.B) {
+	c, _ := New(6, 16)
+	data := make([]byte, 500<<10)
+	rand.New(rand.NewSource(2)).Read(data)
+	full, _ := c.Split(data)
+	shards := make([][]byte, 16)
+	var scratch Scratch
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(shards)
+		copy(shards[10:], full[10:])
+		if _, err := c.ReconstructShards(shards, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

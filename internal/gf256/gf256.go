@@ -25,9 +25,9 @@ var (
 	// mulTable[c][x] = c*x. 64 KiB — small enough to stay cache-resident
 	// through an encode, and it turns the slice kernels' inner loop into a
 	// single branch-free lookup per byte (the log/exp form needs two
-	// dependent loads plus a zero test). This is the table-driven analogue
-	// of the SSSE3/AVX2 shuffle kernels used by vectorized Reed-Solomon
-	// coders, which pure Go cannot express directly.
+	// dependent loads plus a zero test). It is the portable kernel, the
+	// tail of the AVX2 one, and the oracle the AVX2 kernel is tested
+	// against.
 	mulTable [256][256]byte
 )
 
@@ -51,6 +51,7 @@ func init() {
 			row[x] = expTable[logC+int(logTable[x])]
 		}
 	}
+	initSIMD()
 }
 
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse, so
@@ -125,8 +126,10 @@ func MulSlice(c byte, dst, src []byte) {
 }
 
 // MulAddSlice sets dst[i] ^= c * src[i] for all i. It is the inner loop of
-// Reed-Solomon encoding; the multiplication table keeps it branch-free
-// (no per-byte zero test) with one load per input byte.
+// Reed-Solomon encoding. On amd64 with AVX2 a slice of simdMinLen bytes
+// or more runs the split-nibble shuffle kernel, 32 bytes per instruction;
+// the rest, and every slice elsewhere, runs the table kernel. Both
+// compute the same field products, so the output is bit-identical.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")
@@ -138,7 +141,13 @@ func MulAddSlice(c byte, dst, src []byte) {
 		XorSlice(dst, src)
 		return
 	}
-	mt := &mulTable[c]
+	n := mulAddSIMD(c, dst, src)
+	mulAddTable(&mulTable[c], dst[n:], src[n:])
+}
+
+// mulAddTable is MulAddSlice's table kernel: one branch-free lookup per
+// input byte, no per-byte zero test.
+func mulAddTable(mt *[256]byte, dst, src []byte) {
 	i := 0
 	for ; i+8 <= len(src); i += 8 {
 		s := src[i : i+8 : i+8]

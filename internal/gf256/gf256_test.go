@@ -1,6 +1,8 @@
 package gf256
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -268,16 +270,89 @@ func TestSliceKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkMulAddSlice(b *testing.B) {
-	dst := make([]byte, 64<<10)
-	src := make([]byte, 64<<10)
-	for i := range src {
-		src[i] = byte(i)
+// withTableKernel runs fn with the vector kernel switched off, so
+// MulAddSlice takes the portable path on every platform.
+func withTableKernel(fn func()) {
+	saved := useSIMD
+	useSIMD = false
+	defer func() { useSIMD = saved }()
+	fn()
+}
+
+// TestMulAddSliceMatchesTableKernel is the vector kernel's differential
+// test: every coefficient, every length from 0 to 300 and one of
+// 64 KiB + 7, with dst and src starting at offsets 0–31 of their backing
+// arrays, against the table kernel. Guard bytes around dst catch a
+// kernel that writes past either end.
+func TestMulAddSliceMatchesTableKernel(t *testing.T) {
+	if !useSIMD {
+		t.Skip("no vector kernel on this CPU or platform")
 	}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(7, dst, src)
+	const guard = 32
+	srcBuf := make([]byte, 64<<10+7+guard)
+	for i := range srcBuf {
+		srcBuf[i] = byte(i*131 + i>>8)
+	}
+	lengths := make([]int, 0, 302)
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 64<<10+7)
+	got := make([]byte, 64<<10+7+3*guard)
+	want := make([]byte, len(got))
+	for c := 0; c < 256; c++ {
+		for _, n := range lengths {
+			so, do := (n+c)%32, (n*7+c)%32 // both run through 0–31
+			src := srcBuf[so : so+n]
+			g, w := got[:n+3*guard], want[:n+3*guard]
+			for i := range g {
+				g[i] = byte(i*29 + c)
+			}
+			copy(w, g)
+			MulAddSlice(byte(c), g[guard+do:guard+do+n], src)
+			withTableKernel(func() { MulAddSlice(byte(c), w[guard+do:guard+do+n], src) })
+			if !bytes.Equal(g, w) {
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("c=%d n=%d src+%d dst+%d: byte %d of dst = %d, table kernel %d", c, n, so, do, i-guard-do, g[i], w[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTableKernelFallback runs the kernel tests on the table kernel too:
+// on amd64 with AVX2 they otherwise reach it only for short slices and
+// tails.
+func TestTableKernelFallback(t *testing.T) {
+	withTableKernel(func() {
+		TestSliceKernelsAllLengths(t)
+		TestMulAddRow(t)
+		TestSliceKernelsDoNotAllocate(t)
+	})
+}
+
+// BenchmarkMulAddSlice prices the kernel at the row lengths the code
+// meets, from the 32 B rows of a K=32 matrix inversion (the vector
+// kernel's shortest, simdMinLen) to a 64 KiB shard. Each length runs both
+// kernels, so the threshold stays measured.
+func BenchmarkMulAddSlice(b *testing.B) {
+	for _, n := range []int{32, 64, 96, 128, 256, 512, 64 << 10} {
+		dst := make([]byte, n)
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i)
+		}
+		run := func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulAddSlice(7, dst, src)
+			}
+		}
+		b.Run(fmt.Sprintf("%dB", n), run)
+		b.Run(fmt.Sprintf("%dB/table", n), func(b *testing.B) { withTableKernel(func() { run(b) }) })
 	}
 }
 

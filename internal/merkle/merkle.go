@@ -28,9 +28,10 @@ type Proof struct {
 	Path   []Root // sibling hashes from the leaf to the root
 }
 
-var (
-	leafPrefix     = []byte{0x00}
-	interiorPrefix = []byte{0x01}
+// Domain-separation prefixes of leaf and interior hashes.
+const (
+	leafPrefix     byte = 0x00
+	interiorPrefix byte = 0x01
 )
 
 // ErrBadProof is returned by Verify for structurally invalid proofs.
@@ -39,7 +40,7 @@ var ErrBadProof = errors.New("merkle: malformed proof")
 // HashLeaf returns the leaf hash of a chunk.
 func HashLeaf(chunk []byte) Root {
 	h := sha256.New()
-	h.Write(leafPrefix)
+	h.Write([]byte{leafPrefix})
 	h.Write(chunk)
 	var r Root
 	h.Sum(r[:0])
@@ -47,13 +48,11 @@ func HashLeaf(chunk []byte) Root {
 }
 
 func hashInterior(left, right Root) Root {
-	h := sha256.New()
-	h.Write(interiorPrefix)
-	h.Write(left[:])
-	h.Write(right[:])
-	var r Root
-	h.Sum(r[:0])
-	return r
+	var b [1 + 2*RootSize]byte
+	b[0] = interiorPrefix
+	copy(b[1:], left[:])
+	copy(b[1+RootSize:], right[:])
+	return sha256.Sum256(b[:])
 }
 
 // Tree is an in-memory Merkle tree. Build once, then read the Root and
@@ -138,20 +137,36 @@ func (t *Tree) Prove(i int) (Proof, error) {
 // Verify reports whether proof shows that chunk is the leaf at proof.Index
 // of a tree with proof.Leaves leaves whose root is root.
 func Verify(root Root, chunk []byte, proof Proof) bool {
+	return VerifyLeaf(root, HashLeaf(chunk), proof)
+}
+
+// VerifyLeaf is Verify for a chunk whose leaf hash (HashLeaf) the caller
+// already has, or wants to keep: AVID-M retrieval rebuilds the root from
+// the leaf hashes of the chunks it accepted.
+func VerifyLeaf(root, leaf Root, proof Proof) bool {
 	if proof.Index < 0 || proof.Leaves <= 0 || proof.Index >= proof.Leaves {
 		return false
 	}
-	if len(proof.Path) != pathLen(proof.Index, proof.Leaves) {
+	// Walk the RFC 6962 splits from the root down to the leaf, noting at
+	// each level whether the path goes right; then hash bottom-up. A tree
+	// of int-many leaves is less than 64 levels deep.
+	var right uint64
+	depth := 0
+	for start, size := 0, proof.Leaves; size > 1; depth++ {
+		k := splitPoint(size)
+		if proof.Index < start+k {
+			size = k
+		} else {
+			right |= 1 << depth
+			start, size = start+k, size-k
+		}
+	}
+	if len(proof.Path) != depth {
 		return false
 	}
-	h := HashLeaf(chunk)
-	idx, leaves := proof.Index, proof.Leaves
-	// Recompute bottom-up. At each level we need to know whether the
-	// current subtree is a left or right child, which depends on the RFC
-	// 6962 split structure; recompute it by walking the same splits.
-	dirs := directions(idx, leaves)
+	h := leaf
 	for i, sib := range proof.Path {
-		if dirs[i] { // current node is a right child
+		if right&(1<<(depth-1-i)) != 0 { // current node is a right child
 			h = hashInterior(sib, h)
 		} else {
 			h = hashInterior(h, sib)
@@ -160,45 +175,13 @@ func Verify(root Root, chunk []byte, proof Proof) bool {
 	return h == root
 }
 
-// directions returns, leaf-to-root, whether the node on the path is a right
-// child at each level.
-func directions(index, leaves int) []bool {
-	var topDown []bool
-	start, size := 0, leaves
-	for size > 1 {
-		k := splitPoint(size)
-		if index < start+k {
-			topDown = append(topDown, false)
-			size = k
-		} else {
-			topDown = append(topDown, true)
-			start, size = start+k, size-k
-		}
+// RootOfLeaves returns the root of the tree whose leaves hash to leaves,
+// in order: NewTree's root over the chunks they are the HashLeaf of,
+// without building the Tree. leaves must not be empty.
+func RootOfLeaves(leaves []Root) Root {
+	if len(leaves) == 1 {
+		return leaves[0]
 	}
-	// reverse to leaf-to-root order
-	for i, j := 0, len(topDown)-1; i < j; i, j = i+1, j-1 {
-		topDown[i], topDown[j] = topDown[j], topDown[i]
-	}
-	return topDown
-}
-
-func pathLen(index, leaves int) int {
-	n := 0
-	start, size := 0, leaves
-	for size > 1 {
-		k := splitPoint(size)
-		if index < start+k {
-			size = k
-		} else {
-			start, size = start+k, size-k
-		}
-		n++
-	}
-	return n
-}
-
-// RootOf is a convenience that builds a tree over chunks and returns only
-// the root. Retrieval clients use it for the re-encoding check.
-func RootOf(chunks [][]byte) Root {
-	return NewTree(chunks).Root()
+	k := splitPoint(len(leaves))
+	return hashInterior(RootOfLeaves(leaves[:k]), RootOfLeaves(leaves[k:]))
 }

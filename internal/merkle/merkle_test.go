@@ -113,21 +113,32 @@ func TestEmptyTreePanics(t *testing.T) {
 	NewTree(nil)
 }
 
+// rootOf is NewTree's root rebuilt from the chunks' leaf hashes.
+func rootOf(chunks [][]byte) Root {
+	leaves := make([]Root, len(chunks))
+	for i, c := range chunks {
+		leaves[i] = HashLeaf(c)
+	}
+	return RootOfLeaves(leaves)
+}
+
 func TestRootDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	chunks := randChunks(rng, 12, 48)
-	if NewTree(chunks).Root() != RootOf(chunks) {
-		t.Fatal("RootOf disagrees with NewTree().Root()")
+	for n := 1; n <= 40; n++ {
+		chunks := randChunks(rng, n, 48)
+		if NewTree(chunks).Root() != rootOf(chunks) {
+			t.Fatalf("n=%d: RootOfLeaves disagrees with NewTree().Root()", n)
+		}
 	}
 }
 
 func TestRootSensitiveToOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	chunks := randChunks(rng, 6, 16)
-	r1 := RootOf(chunks)
+	r1 := rootOf(chunks)
 	swapped := append([][]byte(nil), chunks...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if r1 == RootOf(swapped) {
+	if r1 == rootOf(swapped) {
 		t.Fatal("root must depend on leaf order")
 	}
 }
