@@ -141,27 +141,21 @@ func runChaos(mode core.Mode, n int, seed int64, count int, duration time.Durati
 	}
 }
 
-// runJoinDemo boots a 4-node emulated cluster, holds node 3 out, spawns
-// it mid-run with an empty store (`dlnode -join`'s emulated twin), and
-// reports how it caught up.
+// runJoinDemo runs the fixed join plan: node 0 of a 4-node emulated
+// cluster first boots at 22 s with an empty store (`dlnode -join`'s
+// emulated twin) and must state-sync in under every chaos invariant.
 func runJoinDemo(seed int64, duration time.Duration) {
-	p := harness.StateSyncParams{Seed: seed}
+	cfg := chaos.Config{N: 4, Horizon: 40 * time.Second, Rate: 2 * trace.MB,
+		LoadPerNode: 50 << 10, StateSync: true}
 	if duration > 0 {
-		p.Duration = duration
+		cfg.Horizon = duration
 	}
-	res, err := harness.RunJoin(p)
+	r, err := chaos.Run(&chaos.Plan{Seed: seed, Joins: []chaos.Join{{Node: 0, At: 22 * time.Second}}}, cfg)
 	fail(err)
-	fmt.Printf("join demo: fresh node state-synced to epoch %d (%d syncs), gap of %d log positions skipped\n",
-		res.SyncedTo, res.StateSyncs, res.GapSkipped)
-	fmt.Printf("  joiner delivered %d blocks, witness %d; proposed-after=%v caught-up=%v\n",
-		res.VictimBlocks, res.WitnessBlocks, res.ProposedAfter, res.CaughtUp)
-	if res.Failed() {
-		for _, v := range res.Violations {
-			fmt.Println("  VIOLATION: " + v)
-		}
+	fmt.Print(r.Report())
+	if r.Failed() {
 		os.Exit(1)
 	}
-	fmt.Println("  all join invariants held")
 }
 
 func fail(err error) {

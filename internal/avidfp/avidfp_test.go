@@ -138,3 +138,9 @@ func TestParamsValidation(t *testing.T) {
 		t.Fatal("NewParams(3,1) should fail")
 	}
 }
+
+func TestErrNotCompletedNamesServer(t *testing.T) {
+	if got, want := errNotCompleted(3).Error(), "avidfp: server 3 did not complete dispersal"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}

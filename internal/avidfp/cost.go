@@ -1,5 +1,7 @@
 package avidfp
 
+import "fmt"
+
 // DispersalCost runs one full AVID-FP dispersal in-process and returns the
 // number of bytes each server downloads (receives), which is the quantity
 // Fig 2 of the paper plots (normalized by block size). Self-addressed
@@ -52,5 +54,5 @@ func DispersalCost(p Params, block []byte) ([]int64, error) {
 type errNotCompleted int
 
 func (e errNotCompleted) Error() string {
-	return "avidfp: server did not complete dispersal"
+	return fmt.Sprintf("avidfp: server %d did not complete dispersal", int(e))
 }

@@ -407,6 +407,25 @@ func TestJoinRequiresStateSync(t *testing.T) {
 	}
 }
 
+// TestMalformedCrashRejected: a crash outside the cluster or a restart
+// not after its crash is refused before the run starts.
+func TestMalformedCrashRejected(t *testing.T) {
+	for _, tc := range []struct {
+		crash Crash
+		want  string
+	}{
+		{Crash{Node: 9, At: 5 * time.Second}, "crash node 9 out of range"},
+		{Crash{Node: -1, At: 5 * time.Second}, "crash node -1 out of range"},
+		{Crash{Node: 1, At: 5 * time.Second, RestartAt: 3 * time.Second}, "not after its crash"},
+		{Crash{Node: 1, At: 5 * time.Second, RestartAt: 5 * time.Second}, "not after its crash"},
+	} {
+		_, err := Run(&Plan{Seed: 1, Crashes: []Crash{tc.crash}}, Config{N: 4})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one containing %q", tc.crash, err, tc.want)
+		}
+	}
+}
+
 // TestVoteCrashSweep is the BA vote-persistence regression net: the
 // generated schedule pairs flip-votes Byzantine peers with an honest
 // node crashed and restarted MID-round, the exact window where a

@@ -131,6 +131,9 @@ type Result struct {
 	Logs [][]harness.LogEntry
 	// EpochsDelivered per node, at the horizon.
 	EpochsDelivered []int64
+	// StateSyncs per node: checkpoint bootstraps its final incarnation
+	// completed.
+	StateSyncs []int64
 	// Clients are the gateway-client reports (when Config.Clients > 0).
 	Clients []harness.ClientReport
 	// Violations is empty iff every checked invariant held.
@@ -161,6 +164,9 @@ func (r *Result) Report() string {
 		r.Seed, r.Cfg.N, r.Cfg.F, r.Cfg.Mode, r.Fingerprint)
 	s += r.Plan.String()
 	s += fmt.Sprintf("  epochs delivered per node: %v\n", r.EpochsDelivered)
+	if r.Cfg.StateSync {
+		s += fmt.Sprintf("  state syncs per node: %v\n", r.StateSyncs)
+	}
 	if len(r.Clients) > 0 {
 		var acc, commits, busy, dup, resub int
 		for _, rep := range r.Clients {
@@ -433,6 +439,7 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 	}
 	for i := 0; i < cfg.N; i++ {
 		res.EpochsDelivered = append(res.EpochsDelivered, c.Replicas[i].Stats.EpochsDelivered)
+		res.StateSyncs = append(res.StateSyncs, c.Replicas[i].Stats.StateSyncs)
 	}
 
 	// Safety invariants hold under every fault plan. With state sync any
@@ -447,7 +454,7 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 	// incarnation's counter knowing.
 	syncs := map[int]int{}
 	for _, i := range res.Honest {
-		syncs[i] = int(c.Replicas[i].Stats.StateSyncs)
+		syncs[i] = int(res.StateSyncs[i])
 	}
 	if cfg.StateSync {
 		for _, cr := range p.Crashes {
@@ -516,8 +523,8 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 	// locally, so the every-accepted-tx-committed check applies only to
 	// nodes that caught up with the cluster's delivery frontier by the
 	// horizon — a restarted node still draining its backlog streams the
-	// remaining commits after the cut (same tolerance as the liveness
-	// checks above and harness.RunCrashRestart's caught-up criterion).
+	// remaining commits after the cut ("caught up" means within two
+	// epochs of the frontier).
 	if cfg.Clients > 0 {
 		res.Clients = c.ClientReports()
 		for _, i := range res.Honest {

@@ -91,7 +91,8 @@ type LinkRule struct {
 }
 
 // Crash kills Node at At and restarts it from its durable store at
-// RestartAt (zero RestartAt means the node stays down).
+// RestartAt, which must be later than At (zero RestartAt means the node
+// stays down).
 type Crash struct {
 	Node          int
 	At, RestartAt time.Duration
@@ -347,6 +348,15 @@ func apply(c *harness.Cluster, cfg core.Config, lr *harness.LogRecorder, vr *har
 	}
 	crashed := map[int]bool{}
 	for _, cr := range p.Crashes {
+		if cr.Node < 0 || cr.Node >= cfg.N {
+			return nil, fmt.Errorf("chaos: crash node %d out of range", cr.Node)
+		}
+		if cr.RestartAt != 0 && cr.RestartAt <= cr.At {
+			// A restart before the crash would boot a second incarnation
+			// over a live node.
+			return nil, fmt.Errorf("chaos: node %d restarts at %v, not after its crash at %v",
+				cr.Node, cr.RestartAt, cr.At)
+		}
 		crashed[cr.Node] = true
 	}
 	joined := map[int]bool{}

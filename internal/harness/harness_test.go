@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -282,23 +283,49 @@ func TestDLCoupledStillBeatsHB(t *testing.T) {
 	}
 }
 
-// TestCrashRestartScenario kills node 0 on the emulator (where messages
-// to a down node are dropped, not buffered), restarts it from its store,
-// and checks the recovered node rejoins, catches up and delivers a log
-// that is a consistent continuation of the healthy nodes'.
-func TestCrashRestartScenario(t *testing.T) {
-	res, err := RunCrashRestart(CrashRestartParams{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+// TestClusterGuardErrors covers the refusals of the cluster's crash and
+// join entry points: each misuse must fail loudly instead of booting a
+// node that silently wedges.
+func TestClusterGuardErrors(t *testing.T) {
+	build := func(durable, stateSync bool) *Cluster {
+		t.Helper()
+		traces := make([]trace.Trace, 4)
+		for i := range traces {
+			traces[i] = trace.Constant(2 * trace.MB)
+		}
+		c, err := NewCluster(ClusterOptions{
+			Core: core.Config{N: 4, F: 1, Mode: core.ModeDL,
+				CoinSecret: []byte("guard test"), StateSync: stateSync},
+			Egress:  traces,
+			Durable: durable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if res.PreCrash == 0 {
-		t.Fatal("victim delivered nothing before the crash")
-	}
-	if !res.Continuation {
-		t.Fatalf("victim log diverges from witness at %d (pre-crash %d)", res.DivergeAt, res.PreCrash)
-	}
-	if !res.CaughtUp {
-		t.Fatalf("victim did not catch up: victim %d blocks vs witness %d (pre-crash %d)",
-			res.VictimBlocks, res.WitnessBlocks, res.PreCrash)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"AddNode without Hold", func() error {
+			return build(true, true).AddNode(3, nil)
+		}, "requires a prior Hold(3)"},
+		{"AddNode without StateSync", func() error {
+			c := build(true, false)
+			c.Hold(3)
+			return c.AddNode(3, nil)
+		}, "requires Core.StateSync"},
+		{"Restart without Durable", func() error {
+			c := build(false, false)
+			c.Crash(2)
+			return c.Restart(2, nil)
+		}, "requires ClusterOptions.Durable"},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
