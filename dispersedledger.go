@@ -8,9 +8,10 @@
 // running DispersedLedger proper (the paper's baselines live only in
 // the emulated experiment harness):
 //
-//   - NewCluster runs N nodes inside one process, connected by channels.
-//     It is the quickest way to use the protocol as a library (embedded
-//     replicated log) and what the quickstart example uses.
+//   - NewCluster runs N nodes inside one process, connected over
+//     loopback TCP exactly as a deployment's nodes are. It is the
+//     quickest way to use the protocol as a library (embedded replicated
+//     log) and what the quickstart example uses.
 //   - NewTCPNode runs one node of a distributed deployment over TCP;
 //     cmd/dlnode wraps it in a binary.
 //
@@ -42,7 +43,8 @@ type Config struct {
 	// are zero, N=4, F=1 is used.
 	N, F int
 	// CoinSecret keys the common coin; every node of a cluster must use
-	// the same value. In-process clusters may leave it nil.
+	// the same value. In-process clusters may leave it nil for a fixed
+	// default.
 	CoinSecret []byte
 	// BatchDelay is the proposal batching delay (default: the paper's
 	// 100 ms). A proposal goes out once 150 KB are pending, too, unless
@@ -194,26 +196,54 @@ type Stats struct {
 // GatewayStats are the per-cause client-gateway counters of one node.
 type GatewayStats = gateway.Counters
 
-// Cluster is an in-process DispersedLedger deployment: N Nodes joined by
-// channels instead of sockets.
+// Cluster is an in-process DispersedLedger deployment: N TCP Nodes in
+// one process, meshed over loopback with authenticated links.
 type Cluster struct {
 	nodes []*Node
 }
 
-// NewCluster starts an N-node in-process cluster. With Config.DataDir
+// NewCluster starts an N-node in-process cluster on 127.0.0.1 ports it
+// picks, with a fresh ed25519 keyring per call. With Config.DataDir
 // set, each node persists to DataDir/node-<i> and a cluster re-created
 // over the same directory recovers every node's state.
 func NewCluster(cfg Config) (*Cluster, error) {
 	n := cfg.coreConfig().N
-	net := transport.NewMemoryNet(n, 0)
+	if cfg.CoinSecret == nil {
+		cfg.CoinSecret = []byte("in-process cluster coin secret")
+	}
+	keys, err := GenerateKeyring(n)
+	if err != nil {
+		return nil, err
+	}
+	// Bind every listener first, so each node knows every real port
+	// before any of them dials. A node owns its listener from its
+	// constructor call on; the rest are closed here on failure.
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	closeFrom := func(i int) {
+		for _, ln := range lns[i:] {
+			if ln != nil {
+				ln.Close()
+			}
+		}
+	}
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			closeFrom(0)
+			return nil, err
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
 	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		opts := NodeOptions{Config: cfg, Self: i}
+	for i := range lns {
+		opts := NodeOptions{Config: cfg, Self: i, Addrs: addrs, Listener: lns[i], Keys: keys[i]}
 		if cfg.DataDir != "" {
 			opts.Config.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))
 		}
-		node, err := newNode(opts, net)
+		node, err := newNode(opts)
 		if err != nil {
+			closeFrom(i + 1)
 			c.Close()
 			return nil, err
 		}
@@ -296,22 +326,12 @@ func (c *Cluster) Close() {
 	}
 }
 
-// runtime is the part of a transport backend a Node drives: the event
-// loop its replica runs on. transport.TCPNode and transport.MemoryNode
-// provide it.
-type runtime interface {
-	Submit(tx []byte)
-	Inspect(fn func(r *replica.Replica))
-	Close()
-}
-
 // Node is one DispersedLedger node: a member of a distributed TCP
 // deployment (NewTCPNode) or of an in-process Cluster.
 type Node struct {
 	self    int
 	cc      core.Config // resolved core config, for /statusz reporting
-	rt      runtime
-	addr    string                 // TCP listen address ("" in-process)
+	rt      *transport.TCPNode
 	st      store.Store            // nil without Config.DataDir
 	hub     *gateway.Hub           // nil without a client gateway
 	tel     *telemetry.Metrics     // nil without Config.Telemetry
@@ -323,9 +343,9 @@ type Node struct {
 	gws []*gateway.Server // client-gateway listeners, closed with the node
 }
 
-// nodeExec adapts a Node's runtime to gateway.Node. It resolves the
-// runtime per call because the hub is built first: deliveries reach the
-// hub as soon as the runtime exists.
+// nodeExec adapts a Node's transport node to gateway.Node. It resolves
+// the transport node per call because the hub is built first:
+// deliveries reach the hub as soon as the transport node exists.
 type nodeExec struct{ n *Node }
 
 func (e nodeExec) Exec(fn func(r *replica.Replica)) { e.n.rt.Inspect(fn) }
@@ -348,6 +368,8 @@ type NodeOptions struct {
 	// Addrs lists every node's listen address, in node-id order.
 	Addrs []string
 	// Listener optionally provides a pre-bound listener for Addrs[Self].
+	// The node takes it over: it is closed with the node, or at once if
+	// NewTCPNode fails.
 	Listener net.Listener
 	// Keys enables ed25519 authentication of every connection. Without
 	// keys, peers are identified by their self-declared handshake id —
@@ -379,13 +401,12 @@ type NodeOptions struct {
 // set (all nodes must share it). With Config.DataDir set, the node is
 // durable: restarting it over the same directory recovers its chunk
 // store and log position and rejoins the cluster where it left off.
-func NewTCPNode(opts NodeOptions) (*Node, error) { return newNode(opts, nil) }
+func NewTCPNode(opts NodeOptions) (*Node, error) { return newNode(opts) }
 
 // newNode is the node assembly: telemetry bundle, gateway hub, durable
-// store, then the replica on its transport runtime — a slot of mem for
-// an in-process cluster's node, a TCP mesh node otherwise — and last
-// the listeners that let the outside in.
-func newNode(opts NodeOptions, mem *transport.MemoryNet) (*Node, error) {
+// store, then the replica on its TCP mesh node, and last the listeners
+// that let the outside in.
+func newNode(opts NodeOptions) (*Node, error) {
 	cfg := opts.Config
 	cfg.ClientGateway = cfg.ClientGateway || opts.ClientAddr != ""
 	cfg.Telemetry = cfg.Telemetry || opts.AdminAddr != ""
@@ -407,6 +428,9 @@ func newNode(opts NodeOptions, mem *transport.MemoryNet) (*Node, error) {
 	if cfg.DataDir != "" {
 		st, err := store.OpenFile(store.FileOptions{Dir: cfg.DataDir, ForceRestart: cfg.ForceRestart})
 		if err != nil {
+			if opts.Listener != nil {
+				opts.Listener.Close()
+			}
 			return nil, err
 		}
 		n.st = st
@@ -417,28 +441,16 @@ func newNode(opts NodeOptions, mem *transport.MemoryNet) (*Node, error) {
 		ClientDedup:  cfg.ClientGateway,
 		Telemetry:    n.tel,
 	}
-	if mem != nil {
-		rt, err := transport.NewMemoryNode(transport.MemoryOptions{
-			Core: cc, Replica: params, Self: opts.Self, Net: mem,
-			Store: n.st, OnDeliver: n.onDeliver,
-		})
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
-		n.rt = rt
-	} else {
-		rt, err := transport.NewTCPNode(transport.TCPOptions{
-			Core: cc, Replica: params, Self: opts.Self,
-			Addrs: opts.Addrs, Listener: opts.Listener, Keys: opts.Keys,
-			Store: n.st, OnDeliver: n.onDeliver,
-		})
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
-		n.rt, n.addr = rt, rt.Addr()
+	rt, err := transport.NewTCPNode(transport.TCPOptions{
+		Core: cc, Replica: params, Self: opts.Self,
+		Addrs: opts.Addrs, Listener: opts.Listener, Keys: opts.Keys,
+		Store: n.st, OnDeliver: n.onDeliver,
+	})
+	if err != nil {
+		n.Close()
+		return nil, err
 	}
+	n.rt = rt
 	if n.hub != nil {
 		// Re-seed gateway proofs from the recovered log so pre-restart
 		// commitments stay provable to resubmitting clients.
@@ -562,7 +574,7 @@ func (n *Node) Submit(tx []byte) { n.rt.Submit(tx) }
 func (n *Node) Deliveries() <-chan Delivery { return n.sub }
 
 // Addr returns the node's listen address.
-func (n *Node) Addr() string { return n.addr }
+func (n *Node) Addr() string { return n.rt.Addr() }
 
 // ClientAddr returns the client-gateway listen address ("" when no
 // gateway is served).

@@ -140,8 +140,7 @@ func populated(s Stats) []string {
 	return out
 }
 
-// families lists the dl_* metric families a node exposes, leaving out
-// the ones the TCP transport registers for its sockets.
+// families lists the dl_* metric families a node exposes.
 func families(t *testing.T, m *telemetry.Metrics) []string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -152,9 +151,6 @@ func families(t *testing.T, m *telemetry.Metrics) []string {
 	for _, line := range strings.Split(buf.String(), "\n") {
 		f := strings.Fields(line)
 		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
-			continue
-		}
-		if strings.HasPrefix(f[2], "dl_transport_") || strings.HasPrefix(f[2], "dl_queue_transport_") {
 			continue
 		}
 		out = append(out, f[2])

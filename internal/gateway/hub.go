@@ -113,8 +113,8 @@ func (c Counters) Rejected() int64 {
 
 // Node is the consensus node a hub fronts: Exec runs a function on the
 // node's event loop (where the replica may be touched) and waits for it.
-// transport.TCPNode.Inspect and transport.MemoryNode.Inspect satisfy
-// it; the emulated harness runs single-threaded and execs inline.
+// A live node adapts transport.TCPNode.Inspect to it; the emulated
+// harness runs single-threaded and execs inline.
 type Node interface {
 	Exec(fn func(*replica.Replica))
 }

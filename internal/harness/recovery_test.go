@@ -170,3 +170,27 @@ func TestJoinWithClients(t *testing.T) {
 		recoveryConfig(true, 40*time.Second, 1))
 	checkSyncedBack(t, r)
 }
+
+// TestWholeClusterRestart crashes every node, node 0 first and the rest
+// a second later with its traffic still in flight, and restarts all four
+// from their stores at once. Run's recovery invariant requires each to
+// deliver again, and prefix agreement requires each log to continue
+// where it stopped. The schedule guards the whole-cluster restart path;
+// it does not reproduce the stall the live-cluster restart tests of
+// package transport hit now and then: 84 of 84 variants of it (seeds
+// 1–7, first crash at 6, 8 or 10 s, nodes 1–3 down 0 or 1 s later,
+// restart 2 or 4 s after that) stayed live in the emulator.
+func TestWholeClusterRestart(t *testing.T) {
+	var crashes []chaos.Crash
+	for node := 0; node < 4; node++ {
+		at := 9 * time.Second
+		if node == 0 {
+			at = 8 * time.Second
+		}
+		crashes = append(crashes, chaos.Crash{Node: node, At: at, RestartAt: 12 * time.Second})
+	}
+	r := runPlan(t, &chaos.Plan{Seed: 11, Crashes: crashes}, recoveryConfig(false, 30*time.Second, 0))
+	checkCaughtUp(t, r)
+	t.Logf("blocks delivered per node: %d %d %d %d",
+		len(r.Logs[0]), len(r.Logs[1]), len(r.Logs[2]), len(r.Logs[3]))
+}

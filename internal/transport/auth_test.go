@@ -156,51 +156,18 @@ func TestAuthReplayFails(t *testing.T) {
 }
 
 func TestTCPClusterWithAuth(t *testing.T) {
-	const n = 4
-	keys, err := GenerateKeyring(n, &detRand{rand.New(rand.NewSource(6))})
+	keys, err := GenerateKeyring(4, &detRand{rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*TCPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewTCPNode(TCPOptions{
-			Core:     core.Config{N: n, F: 1, Mode: core.ModeDL, CoinSecret: []byte("auth tcp secret")},
-			Replica:  replica.Params{BatchDelay: 20 * time.Millisecond},
-			Self:     i,
-			Addrs:    addrs,
-			Listener: listeners[i],
-			Keys:     keys[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		defer node.Close()
-	}
-	for i, node := range nodes {
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("auth tcp secret")},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, func(i int, o *TCPOptions) { o.Keys = keys[i] })
+	for i, node := range c {
 		node.Submit(workload.Make(i, 1, 0, 100))
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		ok := true
-		for _, node := range nodes {
-			node.Inspect(func(r *replica.Replica) {
-				if r.Stats.DeliveredTxs < 4 {
-					ok = false
-				}
-			})
-		}
-		return ok
-	}, "authenticated TCP cluster delivers")
+	c.waitDelivered(t, 30*time.Second, 4, "authenticated TCP cluster delivers")
 }
 
 func TestTCPKeyringValidation(t *testing.T) {

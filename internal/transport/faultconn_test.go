@@ -55,64 +55,30 @@ func TestTCPClusterSurvivesFaultyConnections(t *testing.T) {
 	}
 	const n, waves, txPerWave = 4, 5, 6
 	const txPerNode = waves * txPerWave
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	injectors := make([]*FaultInjector, n)
-	nodes := make([]*TCPNode, n)
-	for i := 0; i < n; i++ {
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: n, F: 1, CoinSecret: []byte("faulty tcp secret")},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, func(i int, o *TCPOptions) {
 		injectors[i] = NewFaultInjector(int64(1000+i), FaultOptions{
 			KillAfterBytes: 4 << 10,
 			CutProbability: 0.01,
 			MaxDelay:       time.Millisecond,
 		})
-		node, err := NewTCPNode(TCPOptions{
-			Core:     core.Config{N: n, F: 1, CoinSecret: []byte("faulty tcp secret")},
-			Replica:  replica.Params{BatchDelay: 20 * time.Millisecond},
-			Self:     i,
-			Addrs:    addrs,
-			Listener: listeners[i],
-			Wrap:     injectors[i].Wrap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+		o.Wrap = injectors[i].Wrap
+	})
 
 	// Submit in waves so traffic keeps flowing while connections die and
 	// come back — reconnects must replay mid-stream, not just at start.
 	for w := 0; w < waves; w++ {
-		for i, node := range nodes {
+		for i, node := range c {
 			for k := 0; k < txPerWave; k++ {
 				node.Submit(workload.Make(i, uint32(w*txPerWave+k), 0, 200))
 			}
 		}
 		time.Sleep(150 * time.Millisecond)
 	}
-	waitFor(t, 60*time.Second, func() bool {
-		ok := true
-		for _, node := range nodes {
-			node.Inspect(func(r *replica.Replica) {
-				if r.Stats.DeliveredTxs < n*txPerNode {
-					ok = false
-				}
-			})
-		}
-		return ok
-	}, "all nodes deliver all txs despite dying connections")
+	c.waitDelivered(t, 60*time.Second, n*txPerNode, "all nodes deliver all txs despite dying connections")
 
 	cuts := 0
 	for _, fi := range injectors {

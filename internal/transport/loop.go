@@ -1,18 +1,15 @@
-// Package transport runs DispersedLedger replicas over real networks.
-//
-// Two backends share one node model (options in, a replica on its own
-// event loop out, reached through Submit, Inspect and Close):
-//
-//   - Memory: an in-process backend connecting nodes with channels, used
-//     by the public API's NewCluster and the quickstart example.
-//   - TCP: a real mesh over the operating system's TCP stack, with one
-//     high-priority and one low-priority connection per ordered node
-//     pair, sender-side strict prioritization of dispersal over
-//     retrieval traffic, and per-epoch ordering of retrieval traffic.
+// Package transport runs DispersedLedger replicas over TCP: a mesh over
+// the operating system's TCP stack, with one high-priority and one
+// low-priority connection per ordered node pair, sender-side strict
+// prioritization of dispersal over retrieval traffic, and per-epoch
+// ordering of retrieval traffic. A TCPNode takes options in and runs a
+// replica on its own event loop, reached through Submit, Inspect and
+// Close; the public API's NewCluster runs N of them in one process over
+// loopback.
 //
 // Fidelity note (DESIGN.md): the paper achieves its 30:1 bandwidth split
 // by tuning QUIC's congestion controller (MulTcp). Kernel TCP offers no
-// such knob, so the TCP backend prioritizes at the sender and leaves
+// such knob, so this transport prioritizes at the sender and leaves
 // bottleneck sharing to TCP; the emulator (package simnet) is where the
 // weighted-sharing behaviour is reproduced exactly.
 //
@@ -23,32 +20,7 @@ package transport
 import (
 	"sync"
 	"time"
-
-	"dledger/internal/replica"
 )
-
-// node is what both backends embed: one replica, which is a
-// single-threaded state machine, and the event loop it runs on.
-type node struct {
-	loop *eventLoop
-	rep  *replica.Replica
-}
-
-// Submit hands a transaction to the node's mempool.
-func (n *node) Submit(tx []byte) {
-	n.loop.post(func() { n.rep.Submit(tx) })
-}
-
-// Inspect runs fn on the node's event loop and waits for it, giving safe
-// access to the replica (e.g. its Stats).
-func (n *node) Inspect(fn func(r *replica.Replica)) {
-	done := make(chan struct{})
-	n.loop.post(func() {
-		fn(n.rep)
-		close(done)
-	})
-	<-done
-}
 
 // eventLoop serializes all work of one node onto one goroutine.
 type eventLoop struct {

@@ -49,7 +49,8 @@ type TCPOptions struct {
 	Addrs []string
 	// Listener, when set, is used instead of listening on Addrs[Self].
 	// Pre-binding listeners lets a launcher learn every node's real port
-	// before any node starts dialing.
+	// before any node starts dialing. NewTCPNode takes it over: it is
+	// closed with the node, or at once if NewTCPNode fails.
 	Listener net.Listener
 	// Keys, when set, enables ed25519 challenge-response authentication
 	// of every connection (see auth.go). Without keys, peers are
@@ -70,9 +71,11 @@ type TCPOptions struct {
 	OnDeliver func(replica.Delivery)
 }
 
-// TCPNode is one DispersedLedger node on a TCP mesh.
+// TCPNode is one DispersedLedger node on a TCP mesh: one replica, which
+// is a single-threaded state machine, on the event loop it runs on.
 type TCPNode struct {
-	node
+	loop  *eventLoop
+	rep   *replica.Replica
 	self  int
 	ln    net.Listener
 	keys  *Keyring
@@ -184,19 +187,25 @@ type lowFrame struct {
 
 // NewTCPNode starts the listener, the peer writers, and the replica.
 func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
+	fail := func(err error) (*TCPNode, error) {
+		if opts.Listener != nil {
+			opts.Listener.Close()
+		}
+		return nil, err
+	}
 	if opts.Self < 0 || opts.Self >= len(opts.Addrs) || len(opts.Addrs) != opts.Core.N {
-		return nil, fmt.Errorf("transport: bad Self/Addrs for N=%d", opts.Core.N)
+		return fail(fmt.Errorf("transport: bad Self/Addrs for N=%d", opts.Core.N))
 	}
 	if opts.Core.CoinSecret == nil {
-		return nil, errors.New("transport: TCP clusters must set an explicit CoinSecret")
+		return fail(errors.New("transport: TCP clusters must set an explicit CoinSecret"))
 	}
 	if opts.Keys != nil {
 		if opts.Keys.Self != opts.Self || len(opts.Keys.Publics) != opts.Core.N {
-			return nil, errors.New("transport: keyring does not match Self/N")
+			return fail(errors.New("transport: keyring does not match Self/N"))
 		}
 	}
 	n := &TCPNode{
-		node: node{loop: newEventLoop()},
+		loop: newEventLoop(),
 		self: opts.Self, keys: opts.Keys, wrap: opts.Wrap,
 		recv: map[[2]int]*recvState{},
 		tel:  newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
@@ -204,7 +213,7 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 	rep, err := replica.New(opts.Core, opts.Self, opts.Replica, opts.Store, (*tcpCtx)(n))
 	if err != nil {
 		n.loop.close()
-		return nil, err
+		return fail(err)
 	}
 	if opts.OnDeliver != nil {
 		rep.OnDeliver = opts.OnDeliver
@@ -261,6 +270,22 @@ func (c *tcpCtx) Unsend(to int, epoch uint64, proposer int) {
 		return
 	}
 	n.peers[to].purge(epoch, proposer)
+}
+
+// Submit hands a transaction to the node's mempool.
+func (n *TCPNode) Submit(tx []byte) {
+	n.loop.post(func() { n.rep.Submit(tx) })
+}
+
+// Inspect runs fn on the node's event loop and waits for it, giving safe
+// access to the replica (e.g. its Stats).
+func (n *TCPNode) Inspect(fn func(r *replica.Replica)) {
+	done := make(chan struct{})
+	n.loop.post(func() {
+		fn(n.rep)
+		close(done)
+	})
+	<-done
 }
 
 // Addr returns the node's actual listen address.

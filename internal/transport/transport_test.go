@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +14,68 @@ import (
 	"dledger/internal/workload"
 )
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
+// tcpCluster is every node of one loopback mesh.
+type tcpCluster []*TCPNode
+
+// newTCPCluster builds all tmpl.Core.N nodes from one option template on
+// pre-bound loopback listeners, so every real port is known before any
+// node dials. A template without a CoinSecret gets one. each, when set,
+// adjusts node i's options: its store, OnDeliver, keys or connection
+// wrapper. The cluster is closed when the test ends.
+func newTCPCluster(t *testing.T, tmpl TCPOptions, each func(i int, o *TCPOptions)) tcpCluster {
+	t.Helper()
+	if tmpl.Core.CoinSecret == nil {
+		tmpl.Core.CoinSecret = []byte("tcp test secret")
+	}
+	listeners := make([]net.Listener, tmpl.Core.N)
+	tmpl.Addrs = make([]string, tmpl.Core.N)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i], tmpl.Addrs[i] = ln, ln.Addr().String()
+	}
+	var c tcpCluster
+	t.Cleanup(func() { c.Close() })
+	for i, ln := range listeners {
+		opts := tmpl
+		opts.Self, opts.Listener = i, ln
+		if each != nil {
+			each(i, &opts)
+		}
+		n, err := NewTCPNode(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = append(c, n)
+	}
+	return c
+}
+
+func (c tcpCluster) Close() {
+	for _, n := range c {
+		n.Close()
+	}
+}
+
+// positions describes every node's place in the log: its delivered,
+// decided and dispersal epochs and whether it is catching up.
+func (c tcpCluster) positions() string {
+	var b strings.Builder
+	for i, n := range c {
+		n.Inspect(func(r *replica.Replica) {
+			e := r.Engine()
+			fmt.Fprintf(&b, "\nnode %d: delivered %d, decided through %d, dispersal %d, catching up %v",
+				i, e.DeliveredEpoch(), e.DecidedThrough(), e.DispersalEpoch(), e.CatchingUp())
+		})
+	}
+	return b.String()
+}
+
+// waitFor polls cond until it holds; on timeout it fails the test with
+// msg and every node's position.
+func (c tcpCluster) waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -22,103 +84,78 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("timeout: " + msg)
+	t.Fatal("timeout: " + msg + c.positions())
 }
 
-// memCluster is every node of one MemoryNet — the in-process twin of
-// the slice newTCPCluster returns.
-type memCluster []*MemoryNode
-
-// newMemCluster builds all Core.N nodes from one option template; stores
-// and onDeliver (either may be nil) are handed out per node.
-func newMemCluster(t *testing.T, tmpl MemoryOptions, delay time.Duration, stores []store.Store, onDeliver func(node int, d replica.Delivery)) memCluster {
+// waitDelivered waits until every node has delivered at least txs
+// transactions.
+func (c tcpCluster) waitDelivered(t *testing.T, timeout time.Duration, txs int64, msg string) {
 	t.Helper()
-	tmpl.Net = NewMemoryNet(tmpl.Core.N, delay)
-	var c memCluster
-	for i := 0; i < tmpl.Core.N; i++ {
-		i, opts := i, tmpl
-		opts.Self = i
-		if stores != nil {
-			opts.Store = stores[i]
+	c.waitFor(t, timeout, func() bool {
+		ok := true
+		for _, n := range c {
+			n.Inspect(func(r *replica.Replica) { ok = ok && r.Stats.DeliveredTxs >= txs })
 		}
-		if onDeliver != nil {
-			opts.OnDeliver = func(d replica.Delivery) { onDeliver(i, d) }
-		}
-		n, err := NewMemoryNode(opts)
-		if err != nil {
-			c.Close()
-			t.Fatal(err)
-		}
-		c = append(c, n)
-	}
-	return c
+		return ok
+	}, msg)
 }
 
-func (c memCluster) Close() {
-	for _, n := range c {
-		n.Close()
-	}
+// epochsDelivered reads node i's delivered-epoch counter.
+func (c tcpCluster) epochsDelivered(i int) (epochs int64) {
+	c[i].Inspect(func(r *replica.Replica) { epochs = r.Stats.EpochsDelivered })
+	return epochs
 }
 
-func TestMemoryClusterDelivers(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]int{} // node -> delivered tx count
-	c := newMemCluster(t, MemoryOptions{
-		Core: core.Config{N: 4, F: 1, Mode: core.ModeDL},
-		Replica: replica.Params{
-			BatchDelay: 20 * time.Millisecond,
-		},
-	}, 0, nil, func(node int, d replica.Delivery) {
-		mu.Lock()
-		seen[node] += len(d.Txs)
-		mu.Unlock()
-	})
-	defer c.Close()
-	for i := 0; i < 4; i++ {
-		c[i].Submit(workload.Make(i, 1, 0, 64))
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < 4; i++ {
-			if seen[i] < 4 {
-				return false
-			}
+func TestTCPClusterDelivers(t *testing.T) {
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, nil)
+	for i, n := range c {
+		for k := 0; k < 5; k++ {
+			n.Submit(workload.Make(i, uint32(k), 0, 200))
 		}
-		return true
-	}, "all nodes deliver all 4 txs")
+	}
+	c.waitDelivered(t, 30*time.Second, 20, "all TCP nodes deliver all 20 txs")
 }
 
-func TestMemoryClusterIdenticalLogs(t *testing.T) {
+func TestTCPClusterHB(t *testing.T) {
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: 4, F: 1, Mode: core.ModeHB},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, nil)
+	for i, n := range c {
+		n.Submit(workload.Make(i, 9, 0, 100))
+	}
+	c.waitDelivered(t, 30*time.Second, 4, "HB over TCP delivers")
+}
+
+// TestTCPClusterIdenticalLogs runs the cluster over links that stall
+// every read and write by up to 2 ms and requires every node to deliver
+// the same transactions in the same order.
+func TestTCPClusterIdenticalLogs(t *testing.T) {
 	var mu sync.Mutex
 	logs := make([][]string, 4)
-	c := newMemCluster(t, MemoryOptions{
+	c := newTCPCluster(t, TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond},
-	}, 2*time.Millisecond, nil, func(node int, d replica.Delivery) {
-		mu.Lock()
-		for _, tx := range d.Txs {
-			logs[node] = append(logs[node], fmt.Sprintf("%d-%d:%x", d.Epoch, d.Proposer, tx[:8]))
+	}, func(i int, o *TCPOptions) {
+		o.Wrap = NewFaultInjector(int64(i), FaultOptions{MaxDelay: 2 * time.Millisecond}).Wrap
+		o.OnDeliver = func(d replica.Delivery) {
+			mu.Lock()
+			for _, tx := range d.Txs {
+				logs[i] = append(logs[i], fmt.Sprintf("%d-%d:%x", d.Epoch, d.Proposer, tx[:8]))
+			}
+			mu.Unlock()
 		}
-		mu.Unlock()
 	})
-	defer c.Close()
 	const perNode = 25
-	for i := 0; i < 4; i++ {
+	for i, n := range c {
 		for k := 0; k < perNode; k++ {
-			c[i].Submit(workload.Make(i, uint32(k), 0, 128))
+			n.Submit(workload.Make(i, uint32(k), 0, 128))
 		}
 	}
-	waitFor(t, 20*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < 4; i++ {
-			if len(logs[i]) < 4*perNode {
-				return false
-			}
-		}
-		return true
-	}, "all nodes deliver 100 txs")
+	c.waitDelivered(t, 20*time.Second, 4*perNode, "all nodes deliver 100 txs")
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -134,123 +171,21 @@ func TestMemoryClusterIdenticalLogs(t *testing.T) {
 	}
 }
 
-// TestMemoryNodeValidation is TestTCPNodeValidation's twin: a node must
-// name a free slot of a net of its cluster's size.
-func TestMemoryNodeValidation(t *testing.T) {
-	opts := MemoryOptions{Core: core.Config{N: 4, F: 1, Mode: core.ModeDL}, Net: NewMemoryNet(4, 0)}
-	opts.Self = 7
-	if _, err := NewMemoryNode(opts); err == nil {
-		t.Fatal("out-of-range Self accepted")
-	}
-	opts.Self = 0
-	opts.Core.N = 7
-	if _, err := NewMemoryNode(opts); err == nil {
-		t.Fatal("net size != Core.N accepted")
-	}
-	opts.Core.N = 4
-	n, err := NewMemoryNode(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if _, err := NewMemoryNode(opts); err == nil {
-		t.Fatal("taken slot accepted")
-	}
-}
-
-func TestMemoryClusterInspect(t *testing.T) {
-	c := newMemCluster(t, MemoryOptions{
+func TestTCPClusterInspect(t *testing.T) {
+	c := newTCPCluster(t, TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond},
-	}, 0, nil, nil)
-	defer c.Close()
+	}, nil)
 	c[0].Submit(workload.Make(0, 1, 0, 64))
-	waitFor(t, 10*time.Second, func() bool {
+	c.waitFor(t, 10*time.Second, func() bool {
 		var done bool
 		c[0].Inspect(func(r *replica.Replica) { done = r.Stats.DeliveredTxs >= 1 })
 		return done
 	}, "node 0 delivers its tx")
 }
 
-func newTCPCluster(t *testing.T, n, f int, mode core.Mode) []*TCPNode {
-	t.Helper()
-	// Pre-bind every listener so all real ports are known before any node
-	// starts dialing.
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*TCPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewTCPNode(TCPOptions{
-			Core:     core.Config{N: n, F: f, Mode: mode, CoinSecret: []byte("tcp test secret")},
-			Replica:  replica.Params{BatchDelay: 20 * time.Millisecond},
-			Self:     i,
-			Addrs:    addrs,
-			Listener: listeners[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	return nodes
-}
-
-func TestTCPClusterDelivers(t *testing.T) {
-	nodes := newTCPCluster(t, 4, 1, core.ModeDL)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for i, n := range nodes {
-		for k := 0; k < 5; k++ {
-			n.Submit(workload.Make(i, uint32(k), 0, 200))
-		}
-	}
-	waitFor(t, 30*time.Second, func() bool {
-		ok := true
-		for _, n := range nodes {
-			n.Inspect(func(r *replica.Replica) {
-				if r.Stats.DeliveredTxs < 20 {
-					ok = false
-				}
-			})
-		}
-		return ok
-	}, "all TCP nodes deliver all 20 txs")
-}
-
-func TestTCPClusterHB(t *testing.T) {
-	nodes := newTCPCluster(t, 4, 1, core.ModeHB)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for i, n := range nodes {
-		n.Submit(workload.Make(i, 9, 0, 100))
-	}
-	waitFor(t, 30*time.Second, func() bool {
-		ok := true
-		for _, n := range nodes {
-			n.Inspect(func(r *replica.Replica) {
-				if r.Stats.DeliveredTxs < 4 {
-					ok = false
-				}
-			})
-		}
-		return ok
-	}, "HB over TCP delivers")
-}
-
+// TestTCPNodeValidation: bad options are refused, and a refused node
+// closes the listener it was handed.
 func TestTCPNodeValidation(t *testing.T) {
 	if _, err := NewTCPNode(TCPOptions{
 		Core:  core.Config{N: 4, F: 1, CoinSecret: []byte("s")},
@@ -266,53 +201,85 @@ func TestTCPNodeValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("missing coin secret accepted")
 	}
+	for _, cfg := range []core.Config{
+		{N: 4, F: 1},                          // refused by the transport
+		{N: 3, F: 1, CoinSecret: []byte("s")}, // refused by the replica
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := make([]string, cfg.N)
+		addrs[0] = ln.Addr().String()
+		if _, err := NewTCPNode(TCPOptions{Core: cfg, Addrs: addrs, Listener: ln}); err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+		if conn, err := net.Dial("tcp", addrs[0]); err == nil {
+			conn.Close()
+			t.Fatalf("refused node (%+v) left its listener open", cfg)
+		}
+	}
 }
 
 func TestTCPCloseIdempotent(t *testing.T) {
-	nodes := newTCPCluster(t, 4, 1, core.ModeDL)
-	for _, n := range nodes {
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, nil)
+	for _, n := range c {
 		n.Close()
 		n.Close() // second close must not panic or deadlock
 	}
 }
 
-// TestMemoryClusterRestartFromStores shuts a whole in-process cluster
-// down and rebuilds it over the same stores (with a small checkpoint
-// interval so recovery crosses a checkpoint, not just raw WAL replay):
-// the new cluster must resume from the recovered log position, not
-// re-deliver, and keep delivering.
-func TestMemoryClusterRestartFromStores(t *testing.T) {
-	stores := make([]store.Store, 4)
-	mems := make([]*store.MemStore, 4)
-	for i := range stores {
-		mems[i] = store.NewMem()
-		stores[i] = mems[i]
+// reopen reopens every store over what its previous incarnation wrote.
+func reopen(mems []*store.MemStore) {
+	for i := range mems {
+		mems[i] = mems[i].Reopen()
 	}
-	opts := MemoryOptions{
+}
+
+// withStores gives node i the store mems[i].
+func withStores(mems []*store.MemStore) func(int, *TCPOptions) {
+	return func(i int, o *TCPOptions) { o.Store = mems[i] }
+}
+
+func newMems(n int) []*store.MemStore {
+	mems := make([]*store.MemStore, n)
+	for i := range mems {
+		mems[i] = store.NewMem()
+	}
+	return mems
+}
+
+// TestTCPClusterRestartFromStores shuts a whole cluster down and
+// rebuilds it over the same stores (with a small checkpoint interval so
+// recovery crosses a checkpoint, not just raw WAL replay): the new
+// cluster must resume from the recovered log position, not re-deliver,
+// and keep delivering.
+func TestTCPClusterRestartFromStores(t *testing.T) {
+	mems := newMems(4)
+	opts := TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond, CheckpointEvery: 2},
 	}
-	c := newMemCluster(t, opts, 0, stores, nil)
-	for i := 0; i < 4; i++ {
+	c := newTCPCluster(t, opts, withStores(mems))
+	for i, n := range c {
 		for k := 0; k < 10; k++ {
-			c[i].Submit(workload.Make(i, uint32(k), 0, 100))
+			n.Submit(workload.Make(i, uint32(k), 0, 100))
 		}
 	}
 	var before int64
-	waitFor(t, 20*time.Second, func() bool {
-		c[0].Inspect(func(r *replica.Replica) { before = r.Stats.EpochsDelivered })
+	c.waitFor(t, 20*time.Second, func() bool {
+		before = c.epochsDelivered(0)
 		return before >= 4
 	}, "first incarnation delivers epochs")
 	var txsBefore int64
 	c[0].Inspect(func(r *replica.Replica) { txsBefore = r.Stats.DeliveredTxs })
 	c.Close()
 
-	for i := range stores {
-		mems[i] = mems[i].Reopen()
-		stores[i] = mems[i]
-	}
-	c2 := newMemCluster(t, opts, 0, stores, nil)
-	defer c2.Close()
+	reopen(mems)
+	c2 := newTCPCluster(t, opts, withStores(mems))
 	var recovered, recoveredTxs int64
 	c2[0].Inspect(func(r *replica.Replica) {
 		recovered = r.Stats.EpochsDelivered
@@ -321,16 +288,13 @@ func TestMemoryClusterRestartFromStores(t *testing.T) {
 	if recovered < before || recoveredTxs != txsBefore {
 		t.Fatalf("recovered epochs=%d txs=%d, want >=%d / ==%d", recovered, recoveredTxs, before, txsBefore)
 	}
-	for i := 0; i < 4; i++ {
+	for i, n := range c2 {
 		for k := 0; k < 10; k++ {
-			c2[i].Submit(workload.Make(i, uint32(100+k), 0, 100))
+			n.Submit(workload.Make(i, uint32(100+k), 0, 100))
 		}
 	}
-	waitFor(t, 20*time.Second, func() bool {
-		var now int64
-		c2[0].Inspect(func(r *replica.Replica) { now = r.Stats.EpochsDelivered })
-		return now > recovered
-	}, "restarted cluster keeps delivering")
+	c2.waitFor(t, 20*time.Second, func() bool { return c2.epochsDelivered(0) > recovered },
+		"restarted cluster keeps delivering")
 }
 
 // TestEpochCounterConsistentAcrossRestarts runs a cluster through three
@@ -339,33 +303,23 @@ func TestMemoryClusterRestartFromStores(t *testing.T) {
 // EpochsDelivered counter always equals the engine's delivered position
 // — the counter must be replayed, not re-counted or double-counted.
 func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
-	mems := make([]*store.MemStore, 4)
-	stores := make([]store.Store, 4)
-	for i := range mems {
-		mems[i] = store.NewMem()
-		stores[i] = mems[i]
-	}
-	opts := MemoryOptions{
+	mems := newMems(4)
+	opts := TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 5 * time.Millisecond, CheckpointEvery: 2},
 	}
 	for round := 0; round < 3; round++ {
-		c := newMemCluster(t, opts, 0, stores, nil)
-		for i := 0; i < 4; i++ {
+		c := newTCPCluster(t, opts, withStores(mems))
+		for i, n := range c {
 			for k := 0; k < 20; k++ {
-				c[i].Submit(workload.Make(i, uint32(round*100+k), 0, 100))
+				n.Submit(workload.Make(i, uint32(round*100+k), 0, 100))
 			}
 		}
 		// 60 s: generous for a correctness (not timing) assertion — under
 		// -race with other CPU-heavy packages in parallel, the real-time
 		// cluster can be starved well past the usual 20 s.
-		waitFor(t, 60*time.Second, func() bool {
-			var done bool
-			c[0].Inspect(func(r *replica.Replica) {
-				done = r.Stats.EpochsDelivered >= int64(20*(round+1))
-			})
-			return done
-		}, "cluster delivers this round's epochs")
+		c.waitFor(t, 60*time.Second, func() bool { return c.epochsDelivered(0) >= int64(20*(round+1)) },
+			fmt.Sprintf("round %d: cluster delivers this round's epochs", round))
 		c[0].Inspect(func(r *replica.Replica) {
 			if r.Stats.EpochsDelivered != int64(r.Engine().DeliveredEpoch()) {
 				t.Errorf("round %d: EpochsDelivered=%d but engine at %d",
@@ -373,9 +327,6 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 			}
 		})
 		c.Close()
-		for i := range mems {
-			mems[i] = mems[i].Reopen()
-			stores[i] = mems[i]
-		}
+		reopen(mems)
 	}
 }
