@@ -3,10 +3,11 @@ package main
 // dlbench -diff: compare two BENCH_*.json snapshots and flag
 // regressions beyond a noise threshold. This is the perf-trajectory
 // tool the snapshots exist for: CI runs the quick benchmark on every
-// PR, diffs it against the committed baseline, and the build surfaces
-// (without blocking on — emulated timings are seed-stable but
-// configuration changes legitimately move them) any metric that
-// regressed by more than the threshold.
+// PR, diffs it against the committed baseline, and fails the build on
+// any metric that regressed by more than the threshold, or that a
+// record present in both snapshots no longer reports. Emulated timings
+// are seed-stable, so a change that legitimately moves a number
+// refreshes the committed baseline in the same PR.
 
 import (
 	"encoding/json"
@@ -57,6 +58,9 @@ type diffLine struct {
 	Old, New    float64
 	Change      float64 // relative, signed
 	Regression  bool
+	// Missing marks a baseline metric the new record no longer reports;
+	// it fails the diff like a regression.
+	Missing bool
 }
 
 // diffSnapshots compares two parsed snapshots. noise is the relative
@@ -75,17 +79,18 @@ func diffSnapshots(oldF, newF *benchFile, noise float64) (lines []diffLine, miss
 			added++
 			continue
 		}
-		metrics := make([]string, 0, len(nr.Metrics))
-		for m := range nr.Metrics {
+		metrics := make([]string, 0, len(or.Metrics))
+		for m := range or.Metrics {
 			metrics = append(metrics, m)
 		}
 		sort.Strings(metrics)
 		for _, m := range metrics {
-			ov, ok := or.Metrics[m]
+			ov := or.Metrics[m]
+			nv, ok := nr.Metrics[m]
 			if !ok {
+				lines = append(lines, diffLine{Key: key, Metric: m, Old: ov, Missing: true})
 				continue
 			}
-			nv := nr.Metrics[m]
 			var change float64
 			switch {
 			case ov == nv:
@@ -156,8 +161,13 @@ func runDiff(oldPath, newPath string, noise float64) int {
 	if missing > 0 || added > 0 {
 		fmt.Printf("  %d baseline points missing from the new snapshot, %d new points\n", missing, added)
 	}
-	regressions := 0
+	regressions, absent := 0, 0
 	for _, l := range lines {
+		if l.Missing {
+			absent++
+			fmt.Printf("  %-10s %s %s: %.4g -> absent\n", "MISSING", l.Key, l.Metric, l.Old)
+			continue
+		}
 		tag := "moved"
 		if l.Regression {
 			tag = "REGRESSION"
@@ -166,8 +176,9 @@ func runDiff(oldPath, newPath string, noise float64) int {
 		fmt.Printf("  %-10s %s %s: %.4g -> %.4g (%+.1f%%)\n",
 			tag, l.Key, l.Metric, l.Old, l.New, l.Change*100)
 	}
-	if regressions > 0 {
-		fmt.Printf("%d regression(s) beyond the %.0f%% noise threshold\n", regressions, noise*100)
+	if regressions > 0 || absent > 0 {
+		fmt.Printf("%d regression(s) beyond the %.0f%% noise threshold, %d baseline metric(s) missing\n",
+			regressions, noise*100, absent)
 		return 1
 	}
 	if len(lines) == 0 {

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func snap(records ...benchRecord) *benchFile {
 	return &benchFile{Records: records}
@@ -81,5 +86,36 @@ func TestDiffNoiseThresholdAndKeys(t *testing.T) {
 	lines, _, _ = diffSnapshots(oldF, newF, 0.10)
 	if len(lines) != 1 || lines[0].Regression {
 		t.Fatalf("neutral metric misclassified: %+v", lines)
+	}
+}
+
+// A record present in both snapshots that drops a baseline metric fails
+// the diff; a whole record absent from a -exp subset is only counted.
+func TestDiffFlagsMissingMetric(t *testing.T) {
+	params := map[string]float64{"n": 16, "block_bytes": 102400}
+	oldF := snap(rec("fig2", "", params, map[string]float64{"avidm_frac": 0.18, "avidfp_frac": 0.35}))
+	newF := snap(rec("fig2", "", params, map[string]float64{"avidm_frac": 0.18}))
+	lines, _, _ := diffSnapshots(oldF, newF, 0.10)
+	if len(lines) != 1 || !lines[0].Missing || lines[0].Metric != "avidfp_frac" {
+		t.Fatalf("dropped baseline metric not flagged: %+v", lines)
+	}
+	dir := t.TempDir()
+	write := func(name string, f *benchFile) string {
+		path := filepath.Join(dir, name)
+		blob, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oldPath, newPath := write("old.json", oldF), write("new.json", newF)
+	if code := runDiff(oldPath, newPath, 0.10); code != 1 {
+		t.Fatalf("runDiff exit %d with a missing metric, want 1", code)
+	}
+	if code := runDiff(oldPath, write("none.json", snap()), 0.10); code != 0 {
+		t.Fatalf("runDiff exit %d with a whole record missing, want 0", code)
 	}
 }

@@ -195,7 +195,7 @@ func main() {
 	run("fig9", func() error {
 		for _, m := range []core.Mode{core.ModeDL, core.ModeHBLink} {
 			r, err := harness.RunProgress(harness.GeoParams{
-				Mode: m, Duration: d, Seed: *seed,
+				Mode: m, Duration: d, Seed: *seed, Telemetry: *telem,
 			})
 			if err != nil {
 				return err
@@ -340,8 +340,14 @@ func main() {
 		var pts []*harness.ScaleResult
 		for _, n := range nSweep {
 			for _, bs := range []int{500 << 10, 1 << 20} {
+				// The sweep enables the §4.5 lag guard (P = 8): with
+				// fixed-size blocks and infinite backlog, unbounded
+				// dispersal pipelining would otherwise starve retrieval
+				// entirely at large N, where the Θ(N²) per-epoch
+				// agreement traffic is a large fraction of each node's
+				// (scaled) bandwidth.
 				r, err := harness.RunScalability(harness.ScaleParams{
-					N: n, BlockBytes: bs, Duration: d, Seed: *seed,
+					N: n, BlockBytes: bs, Duration: d, Seed: *seed, MaxEpochLag: 8,
 				})
 				if err != nil {
 					return err
@@ -501,7 +507,9 @@ func main() {
 		// retrieval drain rate.
 		fmt.Println("Ablation — §4.5 lag guard P, n=16, 500 KB blocks, infinite backlog")
 		for _, P := range []uint64{0, 2, 8, 32} {
-			r, err := harness.RunLagGuard(P, d, *seed)
+			r, err := harness.RunScalability(harness.ScaleParams{
+				N: 16, BlockBytes: 500 << 10, Duration: d, Seed: *seed, MaxEpochLag: P,
+			})
 			if err != nil {
 				return err
 			}

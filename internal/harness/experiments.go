@@ -160,17 +160,7 @@ type ProgressResult struct {
 // profile (Fig 9 plots DL vs HB-Link on the same scale).
 func RunProgress(p GeoParams) (*ProgressResult, error) {
 	p.defaults()
-	n := len(p.Cities)
-	samples := int(p.Duration/time.Second) + 2
-	c, err := NewCluster(ClusterOptions{
-		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},
-		Replica:         ScaledReplicaParams(p.Scale),
-		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
-		Delay:           geoDelay(n, p.Seed),
-		TxSize:          256,
-		InfiniteBacklog: true,
-		Seed:            p.Seed,
-	})
+	c, err := geoCluster(p)
 	if err != nil {
 		return nil, err
 	}
@@ -211,49 +201,6 @@ type LatencyParams struct {
 	// alongside bandwidth.
 	BatchDelay time.Duration
 	BatchBytes int
-}
-
-// LagGuardResult reports the abl-lag ablation: throughput and the final
-// dispersal-vs-delivery gap under a given §4.5 P bound.
-type LagGuardResult struct {
-	MaxEpochLag uint64
-	Throughput  float64 // mean per-node, paper-equivalent MB/s
-	FinalLag    float64 // mean over nodes, epochs
-}
-
-// RunLagGuard measures the effect of the §4.5 "stop proposing when more
-// than P epochs behind" mitigation on a saturated fixed-block cluster.
-func RunLagGuard(maxLag uint64, duration time.Duration, seed int64) (*LagGuardResult, error) {
-	const n = 16
-	scale := ScalabilityScale
-	traces := make([]trace.Trace, n)
-	for i := range traces {
-		traces[i] = trace.Constant(10 * trace.MB * scale)
-	}
-	rp := ScaledReplicaParams(scale)
-	rp.FixedBlockBytes = int(float64(500<<10) * scale)
-	c, err := NewCluster(ClusterOptions{
-		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: core.ModeDL, MaxEpochLag: maxLag},
-		Replica:         rp,
-		Egress:          traces,
-		TxSize:          256,
-		InfiniteBacklog: true,
-		Seed:            seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.Run(duration)
-	res := &LagGuardResult{MaxEpochLag: maxLag}
-	var th, lag stats.Welford
-	for i := 0; i < n; i++ {
-		th.Add(c.Throughput(i, duration/5, duration) / scale / trace.MB)
-		eng := c.Replicas[i].Engine()
-		lag.Add(float64(eng.DispersalEpoch()) - float64(eng.DeliveredEpoch()))
-	}
-	res.Throughput, res.FinalLag = th.Mean(), lag.Mean()
-	return res, nil
 }
 
 // StageLatency summarizes one epoch-lifecycle segment's telemetry
@@ -539,6 +486,9 @@ type ScaleParams struct {
 	Duration   time.Duration
 	Warmup     time.Duration
 	Seed       int64
+	// MaxEpochLag is the §4.5 lag guard P (core.Config.MaxEpochLag);
+	// zero leaves dispersal pipelining unbounded.
+	MaxEpochLag uint64
 }
 
 // ScaleResult reports Fig 12's throughput and Fig 13's dispersal-traffic
@@ -549,6 +499,9 @@ type ScaleResult struct {
 	Throughput        float64 // mean per-node, paper-equivalent MB/s
 	ThroughputStd     float64
 	DispersalFraction float64 // mean across nodes
+	// FinalLag is the mean over nodes of the gap between the dispersal
+	// and the delivered epoch at the horizon, in epochs.
+	FinalLag float64
 }
 
 // ScalabilityScale is the default scale of the cluster-size sweeps.
@@ -577,12 +530,7 @@ func RunScalability(p ScaleParams) (*ScaleResult, error) {
 	rp := ScaledReplicaParams(p.Scale)
 	rp.FixedBlockBytes = int(float64(p.BlockBytes) * p.Scale)
 	c, err := NewCluster(ClusterOptions{
-		// The sweep enables the §4.5 lag guard (P = 8): with fixed-size
-		// blocks and infinite backlog, unbounded dispersal pipelining
-		// would otherwise starve retrieval entirely at large N, where
-		// the Θ(N²) per-epoch agreement traffic is a large fraction of
-		// each node's (scaled) bandwidth.
-		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: core.ModeDL, MaxEpochLag: 8},
+		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: core.ModeDL, MaxEpochLag: p.MaxEpochLag},
 		Replica:         rp,
 		Egress:          traces,
 		TxSize:          256,
@@ -595,13 +543,14 @@ func RunScalability(p ScaleParams) (*ScaleResult, error) {
 	c.Start()
 	c.Run(p.Duration)
 	res := &ScaleResult{N: p.N, BlockBytes: p.BlockBytes}
-	var w stats.Welford
-	var frac stats.Welford
+	var w, frac, lag stats.Welford
 	for i := 0; i < p.N; i++ {
 		w.Add(c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB)
 		frac.Add(c.DispersalFraction(i))
+		eng := c.Replicas[i].Engine()
+		lag.Add(float64(eng.DispersalEpoch()) - float64(eng.DeliveredEpoch()))
 	}
 	res.Throughput, res.ThroughputStd = w.Mean(), w.StdDev()
-	res.DispersalFraction = frac.Mean()
+	res.DispersalFraction, res.FinalLag = frac.Mean(), lag.Mean()
 	return res, nil
 }

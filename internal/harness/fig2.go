@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dledger/internal/avid"
-	"dledger/internal/avidfp"
 	"dledger/internal/wire"
 )
 
@@ -20,14 +19,14 @@ type Fig2Point struct {
 }
 
 // avidmDispersalCost runs one AVID-M dispersal in-process and returns the
-// bytes each server downloads, mirroring avidfp.DispersalCost so the
-// Fig 2 comparison measures both protocols identically.
-func avidmDispersalCost(p avid.Params, block []byte) ([]int64, error) {
+// bytes all servers download in total. Self-addressed broadcast copies
+// do not cross the network and are not counted.
+func avidmDispersalCost(p avid.Params, block []byte) (int64, error) {
 	servers := make([]*avid.Server, p.N)
 	for i := range servers {
 		servers[i] = avid.NewServer(p, i)
 	}
-	recv := make([]int64, p.N)
+	var total int64
 
 	type qmsg struct {
 		from, to int
@@ -36,10 +35,10 @@ func avidmDispersalCost(p avid.Params, block []byte) ([]int64, error) {
 	var queue []qmsg
 	chunks, _, err := avid.Disperse(p, block)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	// The dispersing client is external (the AVID model), so every server
-	// pays for its chunk download; this matches avidfp.DispersalCost.
+	// pays for its chunk download, as in avidfpDispersalCost.
 	const clientID = -2
 	for i, c := range chunks {
 		queue = append(queue, qmsg{clientID, i, c})
@@ -49,7 +48,7 @@ func avidmDispersalCost(p avid.Params, block []byte) ([]int64, error) {
 		queue = queue[1:]
 		if m.from != m.to {
 			env := wire.Envelope{From: m.from, Epoch: 1, Proposer: clientID, Payload: m.msg}
-			recv[m.to] += int64(env.WireSize())
+			total += int64(env.WireSize())
 		}
 		outs, _ := servers[m.to].Handle(m.from, m.msg)
 		for _, s := range outs {
@@ -64,15 +63,36 @@ func avidmDispersalCost(p avid.Params, block []byte) ([]int64, error) {
 	}
 	for i, s := range servers {
 		if done, _ := s.Completed(); !done {
-			return nil, fmt.Errorf("harness: server %d did not complete", i)
+			return 0, fmt.Errorf("harness: server %d did not complete", i)
 		}
 	}
-	return recv, nil
+	return total, nil
+}
+
+// avidfpDispersalCost is the bytes every server downloads in a fault-free
+// AVID-FP dispersal (Hendricks, Ganger, Reiter, PODC 2007). Its cost is
+// fixed by message sizes: each message carries the N-entry
+// cross-checksum, C = Nλ + (N−2f)γ bytes with λ = 32 (hash) and γ = 16
+// (fingerprint). A server downloads its fragment (13-byte envelope
+// header, 2-byte index, 4-byte length, shard, C) and an Echo and a Ready
+// (header + C) from each of the N−1 other servers.
+func avidfpDispersalCost(p avid.Params, blockLen int) int64 {
+	const header = 13
+	c := avidfpCrossChecksumSize(p)
+	return int64(header+2+4+p.Coder.ShardSize(blockLen)+c) + 2*int64(p.N-1)*int64(header+c)
+}
+
+// avidfpCrossChecksumSize is the AVID-FP cross-checksum length
+// Nλ + (N−2f)γ with λ = 32 and γ = 16.
+func avidfpCrossChecksumSize(p avid.Params) int {
+	return 32*p.N + 16*(p.N-2*p.F)
 }
 
 // RunFig2 measures per-node dispersal communication cost for AVID-M and
 // AVID-FP across cluster sizes and block sizes (Fig 2 of the paper).
-// Cluster sizes use N = 3f+1 with the largest f fitting N.
+// AVID-M is a real run of package avid's servers; AVID-FP is the
+// baseline's message-size arithmetic. Cluster sizes use N = 3f+1 with
+// the largest f fitting N.
 func RunFig2(clusterSizes []int, blockSizes []int) ([]Fig2Point, error) {
 	var out []Fig2Point
 	rng := rand.New(rand.NewSource(2))
@@ -81,38 +101,22 @@ func RunFig2(clusterSizes []int, blockSizes []int) ([]Fig2Point, error) {
 		rng.Read(block)
 		for _, n := range clusterSizes {
 			f := (n - 1) / 3
-			pm, err := avid.NewParams(n, f)
+			p, err := avid.NewParams(n, f)
 			if err != nil {
 				return nil, err
 			}
-			pf, err := avidfp.NewParams(n, f)
-			if err != nil {
-				return nil, err
-			}
-			mcost, err := avidmDispersalCost(pm, block)
-			if err != nil {
-				return nil, err
-			}
-			fcost, err := avidfp.DispersalCost(pf, block)
+			mcost, err := avidmDispersalCost(p, block)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, Fig2Point{
 				N:          n,
 				BlockSize:  bs,
-				AVIDM:      meanInt64(mcost) / float64(bs),
-				AVIDFP:     meanInt64(fcost) / float64(bs),
+				AVIDM:      float64(mcost) / float64(n) / float64(bs),
+				AVIDFP:     float64(avidfpDispersalCost(p, bs)) / float64(bs),
 				LowerBound: 1 / float64(n-2*f),
 			})
 		}
 	}
 	return out, nil
-}
-
-func meanInt64(xs []int64) float64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return float64(s) / float64(len(xs))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dledger/internal/avid"
 	"dledger/internal/core"
 	"dledger/internal/trace"
 )
@@ -35,6 +36,79 @@ func TestFig2ShapeAVIDMBeatsAVIDFP(t *testing.T) {
 	gap31 := pts[2].AVIDFP / pts[2].AVIDM
 	if gap31 <= gap16 {
 		t.Fatalf("AVID-FP/AVID-M cost ratio should grow with N: %.2f at 16, %.2f at 31", gap16, gap31)
+	}
+}
+
+// TestFig2MatchesBaseline pins every quick-sweep Fig 2 point to the
+// committed BENCH_20261004.json record bit for bit: the AVID-M side is a
+// deterministic run of package avid's servers and the AVID-FP side is
+// closed-form, so any drift is a change to dispersal message sizes.
+func TestFig2MatchesBaseline(t *testing.T) {
+	want := []Fig2Point{
+		{4, 102400, 0.50380859375, 0.511904296875, 0.5},
+		{16, 102400, 0.181640625, 0.354736328125, 0.16666666666666666},
+		{40, 102400, 0.10799023437500001, 1.2418359375, 0.07142857142857142},
+		{64, 102400, 0.103232421875, 3.038203125, 0.045454545454545456},
+		{4, 1048576, 0.5003719329833984, 0.5011625289916992, 0.5},
+		{16, 1048576, 0.16812896728515625, 0.18503284454345703, 0.16666666666666666},
+		{40, 1048576, 0.07499904632568359, 0.18572616577148438, 0.07142857142857142},
+		{64, 1048576, 0.05109691619873047, 0.33771514892578125, 0.045454545454545456},
+	}
+	got, err := RunFig2([]int{4, 16, 40, 64}, []int{100 << 10, 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("point %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func avidfpParams(t *testing.T, n, f int) avid.Params {
+	t.Helper()
+	p, err := avid.NewParams(n, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestAVIDFPCrossChecksumSize(t *testing.T) {
+	// §2.2: the cross-checksum is Nλ + (N−2f)γ bytes.
+	p := avidfpParams(t, 16, 5)
+	if got, want := avidfpCrossChecksumSize(p), 16*32+6*16; got != want {
+		t.Fatalf("CCS size %d, want %d", got, want)
+	}
+	// Every one of a server's 2N−1 downloads carries one checksum.
+	grow := avidfpDispersalCost(p, 1000) - int64(p.Coder.ShardSize(1000))
+	if min := int64(2*p.N-1) * int64(avidfpCrossChecksumSize(p)); grow < min {
+		t.Fatalf("per-node cost %d carries less than 2N-1 checksums (%d bytes)", grow, min)
+	}
+}
+
+func TestAVIDFPPerNodeOverheadQuadratic(t *testing.T) {
+	// The per-node dispersal cost of AVID-FP grows ~quadratically with N
+	// at fixed block size: each of Θ(N) received messages carries a Θ(N)
+	// checksum. Verify cost(N=32) is much more than 2x cost(N=16).
+	const block = 100 << 10
+	c16 := avidfpDispersalCost(avidfpParams(t, 16, 5), block)
+	c32 := avidfpDispersalCost(avidfpParams(t, 32, 10), block)
+	if c32 < c16*2 {
+		t.Fatalf("expected superlinear per-node cost growth: N=16 %d, N=32 %d", c16, c32)
+	}
+}
+
+func TestAVIDFPExceedsBlockAtN127(t *testing.T) {
+	// At N=127, |B|=100 KB, AVID-FP per-node dispersal download must
+	// exceed the full block size (the paper's headline: >1x at N>40 for
+	// 100 KB blocks).
+	const block = 100 << 10
+	if perNode := avidfpDispersalCost(avidfpParams(t, 127, 42), block); perNode < block {
+		t.Fatalf("AVID-FP per-node cost %d should exceed block size %d at N=127", perNode, block)
 	}
 }
 

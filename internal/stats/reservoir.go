@@ -2,21 +2,18 @@ package stats
 
 import "time"
 
-// reservoirDefaultCap bounds a zero-value Reservoir.
-const reservoirDefaultCap = 8192
+// reservoirCap is the number of samples a Reservoir retains.
+const reservoirCap = 8192
 
 // Reservoir is a bounded uniform sample of durations (Vitter's
-// algorithm R): the first Cap observations are kept verbatim, later
-// ones replace a uniformly-chosen slot with probability Cap/n. It
-// replaces the unbounded latency slices the evaluation harness used to
-// accumulate, keeping percentile queries accurate at any run length in
-// O(Cap) memory. The replacement randomness is a deterministic
-// splitmix64 stream, so emulator runs stay reproducible. The zero
-// value is ready to use with the default capacity.
+// algorithm R): the first reservoirCap observations are kept verbatim,
+// later ones replace a uniformly-chosen slot with probability
+// reservoirCap/n. It replaces the unbounded latency slices the
+// evaluation harness used to accumulate, keeping percentile queries
+// accurate at any run length in bounded memory. The replacement
+// randomness is a deterministic splitmix64 stream, so emulator runs stay
+// reproducible. The zero value is ready to use.
 type Reservoir struct {
-	// Cap is the maximum number of retained samples (0 = 8192). Set it
-	// before the first Add; it is ignored afterwards.
-	Cap     int
 	n       uint64
 	rng     uint64
 	samples []time.Duration
@@ -24,16 +21,12 @@ type Reservoir struct {
 
 // Add ingests one observation.
 func (r *Reservoir) Add(d time.Duration) {
-	cap := r.Cap
-	if cap <= 0 {
-		cap = reservoirDefaultCap
-	}
 	r.n++
-	if len(r.samples) < cap {
+	if len(r.samples) < reservoirCap {
 		r.samples = append(r.samples, d)
 		return
 	}
-	if j := r.next() % r.n; j < uint64(cap) {
+	if j := r.next() % r.n; j < reservoirCap {
 		r.samples[j] = d
 	}
 }
