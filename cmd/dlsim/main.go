@@ -1,15 +1,13 @@
-// Command dlsim runs a single emulated DispersedLedger experiment with
-// configurable parameters — a workbench for exploring the protocol
-// beyond the paper's fixed configurations.
+// Command dlsim runs DispersedLedger's emulated adversarial scenarios:
+// the seeded chaos explorer (partitions, Byzantine nodes, crashes and,
+// with -sync, state-sync outages) and the fixed join demo. The paper's
+// figures are cmd/dlbench's.
 //
 // Examples:
 //
-//	dlsim -mode DL -n 16 -duration 30s            # geo profile throughput
-//	dlsim -mode HB -spatial -duration 20s         # Fig 11a-style run
-//	dlsim -mode DL -temporal -priority 1          # priority ablation
-//	dlsim -mode DL -load 0.5                      # latency at 0.5 MB/s/node
 //	dlsim -chaos -n 7 -seed 42                    # one adversarial run
 //	dlsim -chaos -seeds 100                       # seeded chaos sweep
+//	dlsim -join                                   # a member boots mid-run and state-syncs in
 package main
 
 import (
@@ -20,7 +18,6 @@ import (
 
 	"dledger/internal/chaos"
 	"dledger/internal/core"
-	"dledger/internal/harness"
 	"dledger/internal/trace"
 )
 
@@ -41,15 +38,10 @@ func parseMode(s string) (core.Mode, error) {
 
 func main() {
 	modeStr := flag.String("mode", "DL", "protocol: DL, DL-Coupled, HB, HB-Link")
-	n := flag.Int("n", 0, "cluster size for controlled runs (0 = 16-city geo profile)")
+	n := flag.Int("n", 0, "with -chaos: cluster size (0 = 7)")
 	duration := flag.Duration("duration", 30*time.Second, "simulated duration")
 	seed := flag.Int64("seed", 1, "random seed")
-	spatial := flag.Bool("spatial", false, "controlled run with 10+0.5i MB/s spatial variation")
-	temporal := flag.Bool("temporal", false, "controlled run with Gauss-Markov temporal variation")
-	load := flag.Float64("load", 0, "offered load per node in MB/s (0 = infinite backlog throughput run)")
-	priority := flag.Float64("priority", 0, "dispersal:retrieval priority weight T (0 = paper's 30)")
-	scale := flag.Float64("scale", 0, "bandwidth down-scaling factor (0 = default)")
-	chaosRun := flag.Bool("chaos", false, "run seeded adversarial simulation (partitions, Byzantine nodes, crashes) instead of a performance experiment")
+	chaosRun := flag.Bool("chaos", false, "run seeded adversarial simulation (partitions, Byzantine nodes, crashes)")
 	seeds := flag.Int("seeds", 1, "with -chaos: sweep this many seeds starting at -seed")
 	lossy := flag.Bool("lossy", false, "with -chaos: allow message-destroying faults (safety checks only)")
 	clients := flag.Int("clients", 0, "with -chaos: attach this many gateway clients per node and check the gateway invariants (proof verification, exactly-once commitment)")
@@ -82,32 +74,9 @@ func main() {
 		runChaos(mode, *n, *seed, *seeds, *duration, *lossy, *clients, *sync, *voteCrash)
 		return
 	}
-
-	switch {
-	case *load > 0:
-		r, err := harness.RunLatency(harness.LatencyParams{
-			Mode: mode, Duration: *duration, Seed: *seed,
-			LoadPerNode: *load * trace.MB, Scale: *scale,
-		})
-		fail(err)
-		fmt.Print(harness.FormatLatency([]*harness.LatencyResult{r}))
-	case *n > 0 || *spatial || *temporal:
-		r, err := harness.RunControlled(harness.ControlledParams{
-			N: *n, Mode: mode, Duration: *duration, Seed: *seed,
-			Spatial: *spatial, Temporal: *temporal,
-			PriorityWeight: *priority, Scale: *scale,
-		})
-		fail(err)
-		fmt.Print(harness.FormatControlled(
-			fmt.Sprintf("Controlled run: %s, spatial=%v temporal=%v T=%v",
-				mode, *spatial, *temporal, *priority), []*harness.ControlledResult{r}))
-	default:
-		r, err := harness.RunGeo(harness.GeoParams{
-			Mode: mode, Duration: *duration, Seed: *seed, Scale: *scale,
-		})
-		fail(err)
-		fmt.Print(harness.FormatGeo([]*harness.GeoResult{r}))
-	}
+	fmt.Fprintln(os.Stderr, "dlsim: pass -chaos or -join (the paper's figures are cmd/dlbench's)")
+	flag.Usage()
+	os.Exit(2)
 }
 
 // runChaos sweeps [seed, seed+count) through chaos.Explore and exits

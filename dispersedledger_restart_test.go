@@ -111,14 +111,22 @@ func (h *restartHarness) logCopy(i int) []string {
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()
+	if !waitFor(timeout, cond) {
+		t.Fatal("timeout: " + msg)
+	}
+}
+
+// waitFor polls cond until it holds or timeout passes, and reports
+// whether it held.
+func waitFor(timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if cond() {
-			return
+			return true
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatal("timeout: " + msg)
+	return false
 }
 
 // TestTCPNodeCrashRestart kills a FileStore-backed node mid-run, lets the

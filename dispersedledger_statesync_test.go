@@ -81,6 +81,14 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 		defer mu.Unlock()
 		return len(logs[i])
 	}
+	// wait is waitUntil that, on a timeout, also prints every node's
+	// delivery counters and where the joiner's log leaves the witness's.
+	wait := func(cond func() bool, msg string) {
+		t.Helper()
+		if !waitFor(60*time.Second, cond) {
+			t.Fatalf("timeout: %s\n%s", msg, joinDiagnosis(nodes, logs, &mu, n-1, 1))
+		}
+	}
 	submit := func(peers []int, rounds int) {
 		for k := 0; k < rounds; k++ {
 			for _, i := range peers {
@@ -96,18 +104,18 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 	// the absent member would need are pruned everywhere and sync points
 	// exist (every 16 delivered epochs by default).
 	submit([]int{0, 1, 2}, 40)
-	waitUntil(t, 60*time.Second, func() bool {
+	wait(func() bool {
 		return nodes[1].Stats().EpochsDelivered >= 2*int64(cfg.RetainEpochs)
 	}, "cluster advances past the retention horizon")
 
 	// Phase 2: first boot of node 3, empty datadir, Join set.
 	joinFrontier := nodes[1].Stats().EpochsDelivered
 	start(n-1, true, listeners[n-1])
-	waitUntil(t, 60*time.Second, func() bool {
+	wait(func() bool {
 		return nodes[n-1].Stats().StateSyncs >= 1
 	}, "joiner completes a checkpoint bootstrap")
 	submit([]int{0, 1, 2, 3}, 40)
-	waitUntil(t, 60*time.Second, func() bool {
+	wait(func() bool {
 		return logLen(n-1) >= 12
 	}, "joiner delivers after the bootstrap")
 
@@ -121,7 +129,7 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 	// prefix simply absent). Snapshot the joiner first — the witness log
 	// only grows, so every joiner entry must already be visible there
 	// shortly after.
-	waitUntil(t, 60*time.Second, func() bool {
+	wait(func() bool {
 		mu.Lock()
 		jl := append([]string(nil), logs[n-1]...)
 		wl := append([]string(nil), logs[1]...)
@@ -132,10 +140,14 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 		joined := strings.Join(wl, ",")
 		return strings.Contains(joined, strings.Join(jl, ","))
 	}, "joiner log re-attaches as a window of the witness log")
+	if d := nodes[1].Stats().DroppedDeliveries; d != 0 {
+		t.Errorf("witness dropped %d deliveries, so its log has gaps:\n%s", d,
+			joinDiagnosis(nodes, logs, &mu, n-1, 1))
+	}
 
 	// Full participation: the cluster commits a block the joiner
 	// proposed after joining.
-	waitUntil(t, 60*time.Second, func() bool {
+	wait(func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, e := range logs[1] {
@@ -148,4 +160,52 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 		}
 		return false
 	}, "witness commits a block the joiner proposed")
+}
+
+// joinDiagnosis renders every running node's delivery counters and the
+// first position where the joiner's log leaves the witness's: the
+// joiner's log must appear as one contiguous run inside the witness's.
+func joinDiagnosis(nodes []*Node, logs [][]string, mu *sync.Mutex, joiner, witness int) string {
+	var b strings.Builder
+	for i, node := range nodes {
+		if node == nil {
+			fmt.Fprintf(&b, "node %d: not started\n", i)
+			continue
+		}
+		st := node.Stats()
+		fmt.Fprintf(&b, "node %d: EpochsDelivered=%d StateSyncs=%d DroppedDeliveries=%d\n",
+			i, st.EpochsDelivered, st.StateSyncs, st.DroppedDeliveries)
+	}
+	mu.Lock()
+	jl := append([]string(nil), logs[joiner]...)
+	wl := append([]string(nil), logs[witness]...)
+	mu.Unlock()
+	fmt.Fprintf(&b, "joiner log %d entries, witness log %d entries\n", len(jl), len(wl))
+	if len(jl) == 0 {
+		return b.String()
+	}
+	start := -1
+	for k, e := range wl {
+		if e == jl[0] {
+			start = k
+			break
+		}
+	}
+	if start < 0 {
+		fmt.Fprintf(&b, "joiner's first block %s is not in the witness log\n", jl[0])
+		return b.String()
+	}
+	for i, e := range jl {
+		switch {
+		case start+i >= len(wl):
+			fmt.Fprintf(&b, "witness log ends at joiner position %d (joiner has %s)\n", i, e)
+			return b.String()
+		case wl[start+i] != e:
+			fmt.Fprintf(&b, "joiner log leaves the witness's at joiner position %d (witness position %d): joiner %s, witness %s\n",
+				i, start+i, e, wl[start+i])
+			return b.String()
+		}
+	}
+	fmt.Fprintf(&b, "joiner log is a window of the witness log from witness position %d\n", start)
+	return b.String()
 }

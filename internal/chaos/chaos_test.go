@@ -134,7 +134,7 @@ func TestByzantinePartitionMatrix(t *testing.T) {
 			cfg = cfg.withDefaults()
 			p := &Plan{Seed: int64(tc.n), Byzantine: map[int]Behavior{}}
 			// Full fault budget of one behavior, on the highest ids.
-			for k := 0; k < cfg.F; k++ {
+			for k := 0; k < cfg.f(); k++ {
 				p.Byzantine[cfg.N-1-k] = tc.behavior
 			}
 			// Partition two honest nodes away for 5 emulated seconds.
@@ -205,9 +205,9 @@ func TestGenerateRespectsFaultBudget(t *testing.T) {
 	quiet := cfg.Horizon * 3 / 5
 	for seed := int64(1); seed <= 500; seed++ {
 		p := Generate(seed, cfg)
-		if len(p.Byzantine)+len(p.Crashes) > cfg.F {
+		if len(p.Byzantine)+len(p.Crashes) > cfg.f() {
 			t.Fatalf("seed %d: %d byzantine + %d crashes exceeds F=%d",
-				seed, len(p.Byzantine), len(p.Crashes), cfg.F)
+				seed, len(p.Byzantine), len(p.Crashes), cfg.f())
 		}
 		for _, cr := range p.Crashes {
 			if _, byz := p.Byzantine[cr.Node]; byz {
@@ -456,7 +456,7 @@ func TestVoteCrashSweep(t *testing.T) {
 		if outage := r.Plan.Crashes[0].RestartAt - r.Plan.Crashes[0].At; outage > 2*time.Second {
 			t.Fatalf("seed %d: outage %v too long to land mid-round", seed, outage)
 		}
-		if r.Cfg.F > 1 && len(r.Plan.Byzantine) == 0 {
+		if r.Cfg.f() > 1 && len(r.Plan.Byzantine) == 0 {
 			t.Fatalf("seed %d: no flip-votes peers in the schedule", seed)
 		}
 		for n, b := range r.Plan.Byzantine {

@@ -17,8 +17,9 @@ import (
 // Config bounds what Explore's random plans may do and sizes the
 // emulated cluster. The zero value is a sensible 7-node configuration.
 type Config struct {
-	// N and F size the cluster (defaults 7 and floor((N-1)/3)).
-	N, F int
+	// N sizes the cluster (default 7); it tolerates f() = floor((N-1)/3)
+	// faults.
+	N int
 	// Mode is the protocol variant (default ModeDL).
 	Mode core.Mode
 	// Horizon is the emulated duration (default 25s). All faults are
@@ -28,14 +29,6 @@ type Config struct {
 	// Rate is each node's egress/ingress bandwidth (default 4 MB/s);
 	// LoadPerNode the offered Poisson load (default 60 KB/s).
 	Rate, LoadPerNode float64
-	// MaxByzantine caps the Byzantine assignment count (default F;
-	// capped at F regardless — beyond f the paper promises nothing).
-	MaxByzantine int
-	// MaxCrashes and MaxPartitions cap those event counts (defaults 1
-	// and 2). Crash victims are honest and restart before the quiet tail.
-	MaxCrashes, MaxPartitions int
-	// MaxLinkRules caps random delay/jitter/duplication rules (default 3).
-	MaxLinkRules int
 	// Lossy permits message-destroying faults: lossy partitions and iid
 	// drop rules. The implementation (like the paper's) assumes a
 	// reliable transport, so liveness is NOT checked on lossy runs —
@@ -70,11 +63,22 @@ type Config struct {
 	// verification. The run then also checks the gateway invariants:
 	// every proof verifies, honest nodes never double-commit a client
 	// transaction, and (non-lossy) every accepted transaction of an
-	// honest node's client commits by the horizon.
+	// honest node's client commits by the horizon (each client offers
+	// harness.ClusterOptions' default 20 KB/s).
 	Clients int
-	// ClientRate is each client's offered load (default 20 KB/s).
-	ClientRate float64
 }
+
+// Bounds on what Generate's random plans may do. Byzantine assignments
+// are capped at f() — beyond f the paper promises nothing; crash
+// victims are honest and restart before the quiet tail.
+const (
+	maxCrashes    = 1
+	maxPartitions = 2
+	maxLinkRules  = 3 // random delay/jitter/duplication rules
+)
+
+// f is the cluster's fault budget, floor((N-1)/3).
+func (c Config) f() int { return (c.N - 1) / 3 }
 
 func (c Config) withDefaults() Config {
 	if c.N < 4 {
@@ -83,9 +87,6 @@ func (c Config) withDefaults() Config {
 		// than crash — an adversarial test of a cluster that cannot
 		// tolerate an adversary is meaningless anyway.
 		c.N = 7
-	}
-	if c.F == 0 {
-		c.F = (c.N - 1) / 3
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 25 * time.Second
@@ -101,21 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LoadPerNode == 0 {
 		c.LoadPerNode = 60 << 10
-	}
-	if c.MaxByzantine == 0 || c.MaxByzantine > c.F {
-		c.MaxByzantine = c.F
-	}
-	if c.MaxCrashes == 0 {
-		c.MaxCrashes = 1
-	}
-	if c.MaxPartitions == 0 {
-		c.MaxPartitions = 2
-	}
-	if c.MaxLinkRules == 0 {
-		c.MaxLinkRules = 3
-	}
-	if c.Clients > 0 && c.ClientRate == 0 {
-		c.ClientRate = 20 << 10
 	}
 	return c
 }
@@ -161,7 +147,7 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // for failing seeds.
 func (r *Result) Report() string {
 	s := fmt.Sprintf("chaos seed %d: N=%d F=%d mode=%s fingerprint=%016x\n",
-		r.Seed, r.Cfg.N, r.Cfg.F, r.Cfg.Mode, r.Fingerprint)
+		r.Seed, r.Cfg.N, r.Cfg.f(), r.Cfg.Mode, r.Fingerprint)
 	s += r.Plan.String()
 	s += fmt.Sprintf("  epochs delivered per node: %v\n", r.EpochsDelivered)
 	if r.Cfg.StateSync {
@@ -264,11 +250,11 @@ func Generate(seed int64, cfg Config) *Plan {
 	// not-yet-joined) stays <= F so liveness remains guaranteed once
 	// everything heals.
 	nodes := rng.Perm(cfg.N)
-	byz := rng.Intn(cfg.MaxByzantine + 1)
+	byz := rng.Intn(cfg.f() + 1)
 	for _, i := range nodes[:byz] {
 		p.Byzantine[i] = Behaviors[rng.Intn(len(Behaviors))]
 	}
-	budget := cfg.F - byz
+	budget := cfg.f() - byz
 	next := byz // next unassigned node in the permutation
 
 	// With state sync on, schedule one beyond-horizon event when the
@@ -290,7 +276,7 @@ func Generate(seed int64, cfg Config) *Plan {
 		}
 	}
 
-	crashes := rng.Intn(cfg.MaxCrashes + 1)
+	crashes := rng.Intn(maxCrashes + 1)
 	if crashes > budget {
 		crashes = budget
 	}
@@ -299,7 +285,7 @@ func Generate(seed int64, cfg Config) *Plan {
 		p.Crashes = append(p.Crashes, Crash{Node: nodes[next+k], At: at, RestartAt: until})
 	}
 
-	for k := rng.Intn(cfg.MaxPartitions + 1); k > 0; k-- {
+	for k := rng.Intn(maxPartitions + 1); k > 0; k-- {
 		sideSize := 1 + rng.Intn((cfg.N-1)/2)
 		perm := rng.Perm(cfg.N)
 		at, heal := window()
@@ -310,7 +296,7 @@ func Generate(seed int64, cfg Config) *Plan {
 		})
 	}
 
-	for k := rng.Intn(cfg.MaxLinkRules + 1); k > 0; k-- {
+	for k := rng.Intn(maxLinkRules + 1); k > 0; k-- {
 		from := rng.Intn(cfg.N)
 		to := rng.Intn(cfg.N)
 		if to == from {
@@ -334,10 +320,7 @@ func Generate(seed int64, cfg Config) *Plan {
 func generateVoteCrash(rng *rand.Rand, seed int64, cfg Config) *Plan {
 	p := &Plan{Seed: seed, Byzantine: map[int]Behavior{}}
 	nodes := rng.Perm(cfg.N)
-	byz := cfg.F - 1 // one budget slot stays reserved for the crash victim
-	if byz > cfg.MaxByzantine {
-		byz = cfg.MaxByzantine
-	}
+	byz := cfg.f() - 1 // one budget slot stays reserved for the crash victim
 	if byz < 0 {
 		byz = 0
 	}
@@ -353,7 +336,7 @@ func generateVoteCrash(rng *rand.Rand, seed int64, cfg Config) *Plan {
 	// Delay/jitter rules around the crash window stress message
 	// reordering across the restart boundary (never loss: the liveness
 	// and recovery invariants stay checkable).
-	for k := 1 + rng.Intn(cfg.MaxLinkRules); k > 0; k-- {
+	for k := 1 + rng.Intn(maxLinkRules); k > 0; k-- {
 		from := rng.Intn(cfg.N)
 		to := rng.Intn(cfg.N)
 		if to == from {
@@ -389,7 +372,7 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 		traces[i] = trace.Constant(cfg.Rate)
 	}
 	cc := core.Config{
-		N: cfg.N, F: cfg.F, Mode: cfg.Mode,
+		N: cfg.N, F: cfg.f(), Mode: cfg.Mode,
 		CoinSecret: []byte("chaos exploration coin"),
 	}
 	if cfg.StateSync {
@@ -405,7 +388,6 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 		LoadPerNode: cfg.LoadPerNode,
 		Durable:     true,
 		Clients:     cfg.Clients,
-		ClientRate:  cfg.ClientRate,
 		// Stop client submissions when the fault window closes so the
 		// quiet tail can drain every accepted transaction.
 		ClientStop: cfg.Horizon * 3 / 5,

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -145,8 +146,8 @@ func TestHubOverCapacity(t *testing.T) {
 
 func TestHubOversizeAndInvalid(t *testing.T) {
 	node := newStub(t, replica.Params{ClientDedup: true})
-	hub := NewHub(node, Options{N: 4, F: 1, MaxTxBytes: 128})
-	if rc := hub.Submit(1, 1, bytes.Repeat([]byte{1}, 129)); rc.Status != StatusOversize {
+	hub := NewHub(node, Options{N: 4, F: 1})
+	if rc := hub.Submit(1, 1, bytes.Repeat([]byte{1}, maxTxBytes+1)); rc.Status != StatusOversize {
 		t.Fatalf("oversize: %v", rc.Status)
 	}
 	if rc := hub.Submit(1, 2, nil); rc.Status != StatusInvalid {
@@ -175,17 +176,17 @@ func TestHubSeedRecoversProofs(t *testing.T) {
 
 func TestHubProofEviction(t *testing.T) {
 	node := newStub(t, replica.Params{ClientDedup: true})
-	hub := NewHub(node, Options{N: 4, F: 1, ProofBlocks: 2})
-	txs := [][]byte{[]byte("t0"), []byte("t1"), []byte("t2")}
-	for i, tx := range txs {
-		hub.OnDeliver(delivery(uint64(i+1), 0, tx))
+	hub := NewHub(node, Options{N: 4, F: 1})
+	tx := func(i int) []byte { return []byte(fmt.Sprintf("t%d", i)) }
+	for i := 0; i <= proofBlocks; i++ {
+		hub.OnDeliver(delivery(uint64(i+1), 0, tx(i)))
 	}
 	hub.mu.Lock()
 	held := len(hub.blocks)
-	_, oldest := hub.index[mempool.HashTx(txs[0])]
-	_, newest := hub.index[mempool.HashTx(txs[2])]
+	_, oldest := hub.index[mempool.HashTx(tx(0))]
+	_, newest := hub.index[mempool.HashTx(tx(proofBlocks))]
 	hub.mu.Unlock()
-	if held != 2 || oldest || !newest {
+	if held != proofBlocks || oldest || !newest {
 		t.Fatalf("eviction: held=%d oldest=%v newest=%v", held, oldest, newest)
 	}
 }
@@ -261,8 +262,8 @@ func TestHubRateLimit(t *testing.T) {
 	var now time.Duration
 	hub := NewHub(node, Options{
 		N: 4, F: 1,
-		RatePerClient: 1000, RateBurst: 2000,
-		Now: func() time.Duration { return now },
+		RatePerClient: 500, // a 2000-byte burst
+		Now:           func() time.Duration { return now },
 	})
 
 	tx := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 500) }
@@ -302,7 +303,7 @@ func TestHubRateLimitProtectsBudget(t *testing.T) {
 	// budget before the well-behaved client's submission arrives — the
 	// regression the admission-time limit exists to prevent.
 	node := newStub(t, replica.Params{ClientDedup: true, MempoolBytes: 4000})
-	hub := NewHub(node, Options{N: 4, F: 1, RatePerClient: 500, RateBurst: 1000,
+	hub := NewHub(node, Options{N: 4, F: 1, RatePerClient: 250, // a 1000-byte burst
 		Now: func() time.Duration { return 0 }})
 	flooded, limited := 0, 0
 	for i := 0; i < 20; i++ {
@@ -329,8 +330,8 @@ func TestHubRateLimitAdmitsOversizeTxAsDebt(t *testing.T) {
 	node := newStub(t, replica.Params{ClientDedup: true})
 	var now time.Duration
 	hub := NewHub(node, Options{N: 4, F: 1,
-		RatePerClient: 1000, RateBurst: 2000,
-		Now: func() time.Duration { return now }})
+		RatePerClient: 500, // a 2000-byte burst
+		Now:           func() time.Duration { return now }})
 	big := bytes.Repeat([]byte{1}, 5000) // 2.5x the burst
 	rc := hub.Submit(3, 1, big)
 	if rc.Status != StatusAccepted {
@@ -342,7 +343,7 @@ func TestHubRateLimitAdmitsOversizeTxAsDebt(t *testing.T) {
 	if rc.Status != StatusRateLimited || rc.RetryAfter <= 0 {
 		t.Fatalf("post-debt submission: %v (retry %v), want rate-limited with a hint", rc.Status, rc.RetryAfter)
 	}
-	now += 4 * time.Second // debt (3000) + 100 repaid at 1000 B/s, plus slack
+	now += 8 * time.Second // debt (3000) + 100 repaid at 500 B/s, plus slack
 	if rc := hub.Submit(3, 3, bytes.Repeat([]byte{2}, 100)); rc.Status != StatusAccepted {
 		t.Fatalf("post-repayment submission: %v, want accepted", rc.Status)
 	}
@@ -354,8 +355,8 @@ func TestHubRateLimitDoesNotBlockProofRecovery(t *testing.T) {
 	// admission rate limit.
 	node := newStub(t, replica.Params{ClientDedup: true})
 	hub := NewHub(node, Options{N: 4, F: 1,
-		RatePerClient: 100, RateBurst: 200,
-		Now: func() time.Duration { return 0 }})
+		RatePerClient: 50, // a 200-byte burst
+		Now:           func() time.Duration { return 0 }})
 	tx := bytes.Repeat([]byte{7}, 200)
 	sub := hub.Subscribe(4, 4)
 	if rc := hub.Submit(4, 1, tx); rc.Status != StatusAccepted {

@@ -123,26 +123,16 @@ type Node interface {
 type Options struct {
 	// N and F describe the cluster, echoed to clients at handshake.
 	N, F int
-	// MaxTxBytes caps one transaction (default 1 MB).
-	MaxTxBytes int
 	// RetryAfter is the backpressure hint attached to over-capacity
 	// rejections (default 250 ms, roughly two batching delays).
 	RetryAfter time.Duration
-	// ProofBlocks bounds how many recent blocks keep their commit-proof
-	// trees resident (default 4096). Older commits still reject
-	// duplicates — the mempool's committed memory is the authority — but
-	// can no longer re-stream a proof.
-	ProofBlocks int
 	// RatePerClient, when positive, rate-limits admission per client to
-	// this many bytes/second (token bucket, burst RateBurst): a flooder
-	// is rejected with StatusRateLimited at the hub — before its bytes
-	// ever contend for the shared mempool budget — so admission
-	// fairness matches the mempool's round-robin dequeue fairness. Zero
-	// disables the limit.
+	// this many bytes/second (token bucket holding rateBurstSeconds of
+	// it): a flooder is rejected with StatusRateLimited at the hub —
+	// before its bytes ever contend for the shared mempool budget — so
+	// admission fairness matches the mempool's round-robin dequeue
+	// fairness. Zero disables the limit.
 	RatePerClient float64
-	// RateBurst is the token bucket's capacity in bytes (default 4
-	// seconds of RatePerClient).
-	RateBurst int
 	// Telemetry, when set, exposes the hub's admission counters and
 	// queue-depth gauges in the node's metrics registry.
 	Telemetry *telemetry.Metrics
@@ -151,32 +141,25 @@ type Options struct {
 	Now func() time.Duration
 }
 
-func (o Options) maxTx() int {
-	if o.MaxTxBytes == 0 {
-		return 1 << 20
-	}
-	return o.MaxTxBytes
-}
+// maxTxBytes caps one transaction (1 MiB); clients learn it from the
+// Welcome.
+const maxTxBytes = 1 << 20
+
+// proofBlocks bounds how many recent blocks keep their commit-proof
+// trees resident. Older commits still reject duplicates — the mempool's
+// committed memory is the authority — but can no longer re-stream a
+// proof.
+const proofBlocks = 4096
+
+// rateBurstSeconds sizes the admission token bucket: it holds this many
+// seconds of Options.RatePerClient.
+const rateBurstSeconds = 4
 
 func (o Options) retryAfter() time.Duration {
 	if o.RetryAfter == 0 {
 		return 250 * time.Millisecond
 	}
 	return o.RetryAfter
-}
-
-func (o Options) proofBlocks() int {
-	if o.ProofBlocks == 0 {
-		return 4096
-	}
-	return o.ProofBlocks
-}
-
-func (o Options) rateBurst() float64 {
-	if o.RateBurst > 0 {
-		return float64(o.RateBurst)
-	}
-	return 4 * o.RatePerClient
 }
 
 // blockID names a log slot.
@@ -280,7 +263,7 @@ func NewHub(node Node, opts Options) *Hub {
 // means admitted.
 func (h *Hub) takeTokens(client uint64, n int) time.Duration {
 	now := h.now()
-	burst := h.opts.rateBurst()
+	burst := rateBurstSeconds * h.opts.RatePerClient
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := h.buckets[client]
@@ -335,9 +318,6 @@ func (h *Hub) N() int { return h.opts.N }
 
 // F reports the fault tolerance.
 func (h *Hub) F() int { return h.opts.F }
-
-// MaxTxBytes reports the per-transaction cap.
-func (h *Hub) MaxTxBytes() int { return h.opts.maxTx() }
 
 // Counters snapshots the per-cause statistics.
 func (h *Hub) Counters() Counters {
@@ -422,7 +402,7 @@ func (h *Hub) refundTokens(client uint64, n int) {
 	defer h.mu.Unlock()
 	if b := h.buckets[client]; b != nil {
 		b.tokens += float64(n)
-		if burst := h.opts.rateBurst(); b.tokens > burst {
+		if burst := rateBurstSeconds * h.opts.RatePerClient; b.tokens > burst {
 			b.tokens = burst
 		}
 	}
@@ -440,7 +420,7 @@ func (h *Hub) Submit(client uint64, reqID uint64, tx []byte) Receipt {
 		h.count(rc.Status)
 		return rc
 	}
-	if len(tx) > h.opts.maxTx() {
+	if len(tx) > maxTxBytes {
 		rc.Status = StatusOversize
 		h.count(rc.Status)
 		return rc
@@ -626,7 +606,7 @@ func (h *Hub) ingest(epoch uint64, proposer int, hashes []mempool.Hash) {
 			delete(h.interest, hash)
 		}
 	}
-	for len(h.order) > h.opts.proofBlocks() {
+	for len(h.order) > proofBlocks {
 		old := h.order[0]
 		h.order = h.order[1:]
 		if b := h.blocks[old]; b != nil {

@@ -6,7 +6,12 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
+
+// helloTimeout bounds how long an accepted connection may take to send
+// its Hello; an established session has no read deadline.
+const helloTimeout = 5 * time.Second
 
 // Server is the TCP frontend of a Hub: it accepts client connections,
 // runs the handshake, feeds submissions through the hub and streams
@@ -152,7 +157,10 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	cc := &clientConn{bw: bufio.NewWriterSize(conn, 64<<10), c: conn}
 
-	// Handshake: Hello then Welcome.
+	// Handshake: Hello then Welcome. A connection that sends no Hello
+	// within helloTimeout is dropped rather than holding its goroutine
+	// and buffers until shutdown.
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	body, err := ReadFrame(br)
 	if err != nil {
 		return
@@ -163,10 +171,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	id := ClientID(msg.Hello.Name)
 	if cc.send(EncodeWelcome(Welcome{
-		ClientID: id, N: s.hub.N(), F: s.hub.F(), MaxTxBytes: s.hub.MaxTxBytes(),
+		ClientID: id, N: s.hub.N(), F: s.hub.F(), MaxTxBytes: maxTxBytes,
 	})) != nil {
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 
 	// Commit stream: a subscription pumped by its own goroutine, so a
 	// burst of commits never stalls the submission path (and vice versa).

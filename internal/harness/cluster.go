@@ -25,12 +25,11 @@ type ClusterOptions struct {
 	Core    core.Config
 	Replica replica.Params
 
-	// Egress/Ingress bandwidth traces per node (Ingress nil = same as
-	// egress). Delay nil = flat 100 ms one-way, the paper's controlled
+	// Egress bandwidth traces per node; each node's ingress follows the
+	// same trace. Delay nil = flat 100 ms one-way, the paper's controlled
 	// setting.
-	Egress  []trace.Trace
-	Ingress []trace.Trace
-	Delay   func(from, to int) time.Duration
+	Egress []trace.Trace
+	Delay  func(from, to int) time.Duration
 	// PriorityWeight is the dispersal:retrieval bandwidth ratio T (§5).
 	// Zero = 30.
 	PriorityWeight float64
@@ -65,10 +64,6 @@ type ClusterOptions struct {
 	Clients int
 	// ClientRate is each client's offered load (default 20 KB/s).
 	ClientRate float64
-	// ClientRateLimit, when positive, enables the gateways' per-client
-	// admission token bucket at this many bytes/second (metered on
-	// simulated time).
-	ClientRateLimit float64
 	// ClientStop ends client submissions at this simulated instant so a
 	// run's tail can drain (0 = keep submitting to the horizon).
 	ClientStop time.Duration
@@ -232,7 +227,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		N:              opts.Core.N,
 		Delay:          opts.Delay,
 		Egress:         opts.Egress,
-		Ingress:        opts.Ingress,
 		PriorityWeight: opts.PriorityWeight,
 	})
 	n := opts.Core.N
@@ -260,9 +254,8 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 				// In simulated time a real 250 ms hint would stall the
 				// clients pointlessly; one batch delay is the natural
 				// backoff quantum.
-				RetryAfter:    opts.Replica.BatchDelay,
-				RatePerClient: opts.ClientRateLimit,
-				Now:           sim.Now,
+				RetryAfter: opts.Replica.BatchDelay,
+				Now:        sim.Now,
 			})
 		}
 	}

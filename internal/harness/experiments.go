@@ -185,11 +185,10 @@ func RunProgress(p GeoParams) (*ProgressResult, error) {
 type LatencyParams struct {
 	Cities   []trace.City
 	Mode     core.Mode
-	Scale    float64
 	Duration time.Duration
 	Warmup   time.Duration
 	// LoadPerNode is the offered load per node in paper-equivalent
-	// bytes/second (it is multiplied by Scale internally).
+	// bytes/second (it is multiplied by LatencyScale internally).
 	LoadPerNode float64
 	Seed        int64
 	// Telemetry instruments every node; LatencyResult.Stages then
@@ -244,7 +243,7 @@ const steadyBacklogSlope = 0.1
 // warm-up, so that the percentiles do not depend on the run length.
 func (r *LatencyResult) Steady() bool { return r.BacklogSlope <= steadyBacklogSlope }
 
-// LatencyScale is the default scale for latency experiments. Latency runs
+// LatencyScale is the scale of the latency experiments. Latency runs
 // are load-limited rather than bandwidth-limited, so they can afford a
 // larger scale; a larger scale keeps per-message fixed overheads (headers,
 // proofs — which do not shrink with the scale factor) a small fraction of
@@ -257,9 +256,6 @@ func latencyCluster(p *LatencyParams) (*Cluster, error) {
 	if p.Cities == nil {
 		p.Cities = trace.AWSCities
 	}
-	if p.Scale == 0 {
-		p.Scale = LatencyScale
-	}
 	if p.Duration == 0 {
 		p.Duration = 60 * time.Second
 	}
@@ -268,20 +264,20 @@ func latencyCluster(p *LatencyParams) (*Cluster, error) {
 	}
 	n := len(p.Cities)
 	samples := int(p.Duration/time.Second) + 2
-	rp := ScaledReplicaParams(p.Scale)
+	rp := ScaledReplicaParams(LatencyScale)
 	if p.BatchDelay != 0 {
 		rp.BatchDelay = p.BatchDelay
 	}
 	if p.BatchBytes != 0 {
-		rp.BatchBytes = int(float64(p.BatchBytes) * p.Scale)
+		rp.BatchBytes = int(float64(p.BatchBytes) * LatencyScale)
 	}
 	return NewCluster(ClusterOptions{
 		Core:        core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},
 		Replica:     rp,
-		Egress:      trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
+		Egress:      trace.CityTraces(p.Cities, LatencyScale, samples, time.Second, p.Seed),
 		Delay:       geoDelay(n, p.Seed),
 		TxSize:      256,
-		LoadPerNode: p.LoadPerNode * p.Scale,
+		LoadPerNode: p.LoadPerNode * LatencyScale,
 		Telemetry:   p.Telemetry,
 		Seed:        p.Seed,
 	})
@@ -383,7 +379,6 @@ func phasePanel(c *Cluster) map[string]StageLatency {
 type ControlledParams struct {
 	N        int
 	Mode     core.Mode
-	Scale    float64
 	Duration time.Duration
 	Warmup   time.Duration
 	Seed     int64
@@ -409,9 +404,6 @@ func (p *ControlledParams) defaults() {
 	if p.Bandwidth == 0 {
 		p.Bandwidth = 10
 	}
-	if p.Scale == 0 {
-		p.Scale = Scale
-	}
 	if p.Duration == 0 {
 		p.Duration = 60 * time.Second
 	}
@@ -436,14 +428,14 @@ func RunControlled(p ControlledParams) (*ControlledResult, error) {
 	traces := make([]trace.Trace, p.N)
 	samples := int(p.Duration/time.Second) + 2
 	for i := 0; i < p.N; i++ {
-		mean := p.Bandwidth * trace.MB * p.Scale
+		mean := p.Bandwidth * trace.MB * Scale
 		if p.Spatial {
 			mean *= 1 + 0.05*float64(i)
 		}
 		if p.Temporal {
 			traces[i] = trace.GaussMarkov(trace.GaussMarkovParams{
 				Mean:  mean,
-				Sigma: p.Bandwidth / 2 * trace.MB * p.Scale,
+				Sigma: p.Bandwidth / 2 * trace.MB * Scale,
 				Alpha: 0.98,
 				Tick:  time.Second,
 			}, samples, p.Seed+int64(i)*131)
@@ -453,7 +445,7 @@ func RunControlled(p ControlledParams) (*ControlledResult, error) {
 	}
 	c, err := NewCluster(ClusterOptions{
 		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: p.Mode},
-		Replica:         ScaledReplicaParams(p.Scale),
+		Replica:         ScaledReplicaParams(Scale),
 		Egress:          traces,
 		TxSize:          256,
 		InfiniteBacklog: true,
@@ -468,7 +460,7 @@ func RunControlled(p ControlledParams) (*ControlledResult, error) {
 	res := &ControlledResult{Mode: p.Mode}
 	var w, er stats.Welford
 	for i := 0; i < p.N; i++ {
-		mbps := c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB
+		mbps := c.Throughput(i, p.Warmup, p.Duration) / Scale / trace.MB
 		res.Throughput = append(res.Throughput, mbps)
 		w.Add(mbps)
 		er.Add(float64(c.Replicas[i].Engine().DispersalEpoch()) / p.Duration.Seconds())

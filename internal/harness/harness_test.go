@@ -207,7 +207,7 @@ func TestLatencyLowLoadStaysLow(t *testing.T) {
 	// seconds (the paper sees ~800 ms at full scale; our scaled runs pay
 	// relatively more per-message fixed overhead, so the bar is looser).
 	p := LatencyParams{
-		Cities: smallGeo(), Mode: core.ModeDL, Scale: 1.0 / 8,
+		Cities: smallGeo(), Mode: core.ModeDL,
 		Duration: 20 * time.Second, LoadPerNode: 0.25 * trace.MB, Seed: 4,
 	}
 	r, err := RunLatency(p)
@@ -232,7 +232,7 @@ func TestLatencyDLFlatterThanHBUnderLoad(t *testing.T) {
 	// Fig 10: as load rises toward HB's capacity, HB's median latency
 	// grows much more than DL's.
 	load := 2.0 * trace.MB
-	base := LatencyParams{Cities: smallGeo(), Scale: 1.0 / 8,
+	base := LatencyParams{Cities: smallGeo(),
 		Duration: 25 * time.Second, LoadPerNode: load, Seed: 5}
 
 	base.Mode = core.ModeDL
@@ -257,7 +257,7 @@ func TestSpatialVariationDecoupling(t *testing.T) {
 	// nodes offer at most 7.7 MB/s (installBacklog's refill ceiling over
 	// the epoch time), which the paper's 10 MB/s links all carry; at
 	// b = 5 the links are the bound again.
-	pDL := ControlledParams{N: 10, Mode: core.ModeDL, Scale: 1.0 / 64,
+	pDL := ControlledParams{N: 10, Mode: core.ModeDL,
 		Duration: 25 * time.Second, Spatial: true, Seed: 6, Bandwidth: 5}
 	dl, err := RunControlled(pDL)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestTemporalVariationRobustness(t *testing.T) {
 	// Fig 11b: DL's throughput under Gauss-Markov variation stays close
 	// to its fixed-bandwidth throughput; HB's drops. Links of 5 MB/s keep
 	// ten nodes bandwidth-bound (see TestSpatialVariationDecoupling).
-	base := ControlledParams{N: 10, Scale: 1.0 / 64, Duration: 25 * time.Second, Seed: 7, Bandwidth: 5}
+	base := ControlledParams{N: 10, Duration: 25 * time.Second, Seed: 7, Bandwidth: 5}
 
 	run := func(mode core.Mode, temporal bool) float64 {
 		p := base

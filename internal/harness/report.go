@@ -7,7 +7,7 @@ import (
 )
 
 // This file renders experiment results as the rows/series the paper
-// reports, shared by cmd/dlbench and cmd/dlsim.
+// reports, printed by cmd/dlbench.
 
 // FormatFig2 renders the Fig 2 table: per-node dispersal cost normalized
 // by block size.

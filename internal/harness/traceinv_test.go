@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"dledger/internal/core"
+	"dledger/internal/mempool"
 	"dledger/internal/replica"
 	"dledger/internal/telemetry"
 	"dledger/internal/trace"
@@ -113,24 +115,36 @@ func TestTraceCompletenessDetects(t *testing.T) {
 	}
 }
 
+// sampledTx extends name with a counter until telemetry samples it: the
+// first byte of its content hash is a multiple of 64 (journeys sample
+// one transaction in 64).
+func sampledTx(name string) []byte {
+	for i := 0; ; i++ {
+		tx := fmt.Appendf(nil, "%s/%d", name, i)
+		if h := mempool.HashTx(tx); h[0]%64 == 0 {
+			return tx
+		}
+	}
+}
+
 // TestJourneyViolationsDetect exercises the journey half of the checker
 // with hand-built bad states: a finalized journey in an epoch the log
 // never shows the node proposing, and a live journey stuck in a block
 // the log already delivered.
 func TestJourneyViolationsDetect(t *testing.T) {
-	m := telemetry.New(telemetry.Options{SampleEvery: 1})
+	m := telemetry.New(telemetry.Options{})
 	jour := m.Journeys()
-	tx := []byte("phantom")
+	tx := sampledTx("phantom")
 	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, tx)
 	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 9}, tx)
 	m.Emit(telemetry.Event{Kind: telemetry.BlockDelivered, At: 3 * time.Second, Epoch: 9})
 	m.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: 3 * time.Second, Epoch: 9}) // finalized in epoch 9
 
-	stuck := []byte("stuck")
+	stuck := sampledTx("stuck")
 	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, stuck)
 	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 4}, stuck) // never finalized
 
-	waiting := []byte("waiting")
+	waiting := sampledTx("waiting")
 	m.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: time.Second}, waiting)
 	m.Emit(telemetry.Event{Kind: telemetry.TxProposed, At: 2 * time.Second, Epoch: 3}, waiting) // lost its BA, not linked yet
 

@@ -15,7 +15,7 @@
 //     whose SHA-256 is already queued, in flight in a proposed block, or
 //     recently committed is rejected instead of queued again — client
 //     retries and post-crash resubmissions become idempotent. The
-//     committed-hash memory is bounded (Options.CommittedCap) and is
+//     committed-hash memory is bounded (committedCap hashes) and is
 //     restored from the WAL/checkpoint by the replica on recovery.
 //   - Byte-budget admission. With Options.MaxBytes, a submission that
 //     would push the queued backlog past the budget is rejected with
@@ -63,17 +63,11 @@ type Options struct {
 	MaxBytes int
 	// Dedup enables content-hash deduplication of submissions.
 	Dedup bool
-	// CommittedCap bounds the committed-hash memory (FIFO eviction).
-	// 0 takes the default of 65536 hashes (2 MB).
-	CommittedCap int
 }
 
-func (o Options) committedCap() int {
-	if o.CommittedCap == 0 {
-		return 1 << 16
-	}
-	return o.CommittedCap
-}
+// committedCap bounds the committed-hash memory (FIFO eviction): 65536
+// hashes, 2 MB.
+const committedCap = 1 << 16
 
 // dedupShards is the shard count of the hash index (by hash prefix).
 const dedupShards = 16
@@ -111,7 +105,7 @@ type clientQueue struct {
 type Pool struct {
 	opts Options
 
-	// front holds re-proposal batches (PushFront), served before any
+	// front holds re-proposal batches (PushFrontAt), served before any
 	// client queue to preserve the dropped block's order; frontAt
 	// parallels it with enqueue times.
 	front   [][]byte
@@ -135,10 +129,6 @@ type Pool struct {
 	commitPos int // next eviction slot once commitLog is full
 }
 
-// New returns an empty unbounded pool without deduplication — the seed
-// behaviour, right for tests, benchmarks and trusted in-process use.
-func New() *Pool { return NewWithOptions(Options{}) }
-
 // NewWithOptions returns an empty pool with admission control.
 func NewWithOptions(opts Options) *Pool {
 	p := &Pool{opts: opts, clients: map[uint64]*clientQueue{}}
@@ -148,10 +138,6 @@ func NewWithOptions(opts Options) *Pool {
 	}
 	return p
 }
-
-// Push appends a transaction to LocalClient's queue, ignoring admission
-// errors (the legacy entry point; use PushFrom to observe rejections).
-func (p *Pool) Push(tx []byte) { _ = p.PushFrom(LocalClient, tx) }
 
 // PushFrom queues a transaction for a client, enforcing deduplication
 // and the byte budget. The returned error is one of ErrDuplicatePending,
@@ -194,13 +180,11 @@ func (p *Pool) PushFromAt(client uint64, tx []byte, now time.Duration) error {
 	return nil
 }
 
-// PushFront returns a batch to the head of the queue, preserving its
-// order (used when a proposed block is dropped and must be re-proposed).
-// The batch's hashes are already pending, so no dedup bookkeeping moves.
-func (p *Pool) PushFront(batch [][]byte) { p.PushFrontAt(batch, 0) }
-
-// PushFrontAt is PushFront stamping the batch's (re-)enqueue time with
-// the caller's clock, so OldestAt can report queue age.
+// PushFrontAt returns a batch to the head of the queue, preserving its
+// order (used when a proposed block is dropped and must be re-proposed),
+// stamping its (re-)enqueue time with the caller's clock so OldestAt can
+// report queue age. The batch's hashes are already pending, so no dedup
+// bookkeeping moves.
 func (p *Pool) PushFrontAt(batch [][]byte, now time.Duration) {
 	if len(batch) == 0 {
 		return
@@ -303,20 +287,14 @@ func (p *Pool) Committed(h Hash) {
 	if p.committed.has(h) {
 		return
 	}
-	cap := p.opts.committedCap()
-	if len(p.commitLog) < cap {
+	if len(p.commitLog) < committedCap {
 		p.commitLog = append(p.commitLog, h)
 	} else {
 		p.committed.del(p.commitLog[p.commitPos])
 		p.commitLog[p.commitPos] = h
-		p.commitPos = (p.commitPos + 1) % cap
+		p.commitPos = (p.commitPos + 1) % committedCap
 	}
 	p.committed.add(h)
-}
-
-// IsCommitted reports whether a hash is in the committed memory.
-func (p *Pool) IsCommitted(h Hash) bool {
-	return p.opts.Dedup && p.committed.has(h)
 }
 
 // CommittedSnapshot returns the committed-hash memory oldest-first, for
@@ -337,14 +315,8 @@ func (p *Pool) Len() int { return p.count }
 // PendingBytes returns the total queued transaction bytes.
 func (p *Pool) PendingBytes() int { return p.bytes }
 
-// MaxBytes returns the configured byte budget (0 = unbounded).
-func (p *Pool) MaxBytes() int { return p.opts.MaxBytes }
-
-// Clients returns how many clients currently have queued transactions.
-func (p *Pool) Clients() int { return len(p.ring) }
-
 // FrontLen returns the number of queued re-proposal transactions (the
-// PushFront shard, served before any client queue).
+// PushFrontAt shard, served before any client queue).
 func (p *Pool) FrontLen() int { return len(p.front) }
 
 // OldestAt returns the earliest enqueue time among the transactions at

@@ -8,9 +8,9 @@ import (
 )
 
 func TestPushPopFIFO(t *testing.T) {
-	p := New()
+	p := NewWithOptions(Options{})
 	for i := 0; i < 5; i++ {
-		p.Push([]byte{byte(i)})
+		p.PushFrom(1, []byte{byte(i)})
 	}
 	if p.Len() != 5 || p.PendingBytes() != 5 {
 		t.Fatalf("len=%d bytes=%d", p.Len(), p.PendingBytes())
@@ -27,9 +27,9 @@ func TestPushPopFIFO(t *testing.T) {
 }
 
 func TestPopBatchRespectsMaxBytes(t *testing.T) {
-	p := New()
+	p := NewWithOptions(Options{})
 	for i := 0; i < 10; i++ {
-		p.Push(make([]byte, 100))
+		p.PushFrom(1, make([]byte, 100))
 	}
 	out := p.PopBatch(350)
 	if len(out) != 3 { // 300 <= 350, a fourth would exceed the cap
@@ -48,8 +48,8 @@ func TestPopBatchRespectsMaxBytes(t *testing.T) {
 }
 
 func TestPopBatchOversizedTx(t *testing.T) {
-	p := New()
-	p.Push(make([]byte, 1000))
+	p := NewWithOptions(Options{})
+	p.PushFrom(1, make([]byte, 1000))
 	out := p.PopBatch(10)
 	if len(out) != 1 {
 		t.Fatal("oversized tx must still pop to avoid wedging")
@@ -57,17 +57,17 @@ func TestPopBatchOversizedTx(t *testing.T) {
 }
 
 func TestPopBatchEmpty(t *testing.T) {
-	p := New()
+	p := NewWithOptions(Options{})
 	if out := p.PopBatch(100); out != nil {
 		t.Fatal("empty pool should return nil")
 	}
 }
 
 func TestPushFrontOrder(t *testing.T) {
-	p := New()
-	p.Push([]byte("c"))
-	p.Push([]byte("d"))
-	p.PushFront([][]byte{[]byte("a"), []byte("b")})
+	p := NewWithOptions(Options{})
+	p.PushFrom(1, []byte("c"))
+	p.PushFrom(1, []byte("d"))
+	p.PushFrontAt([][]byte{[]byte("a"), []byte("b")}, 0)
 	if p.PendingBytes() != 4 {
 		t.Fatalf("bytes = %d", p.PendingBytes())
 	}
@@ -83,16 +83,16 @@ func TestPushFrontOrder(t *testing.T) {
 }
 
 func TestPushFrontEmpty(t *testing.T) {
-	p := New()
-	p.Push([]byte("x"))
-	p.PushFront(nil)
+	p := NewWithOptions(Options{})
+	p.PushFrom(1, []byte("x"))
+	p.PushFrontAt(nil, 0)
 	if p.Len() != 1 {
 		t.Fatal("empty PushFront changed the pool")
 	}
 }
 
 func TestFairDequeueRoundRobin(t *testing.T) {
-	p := New()
+	p := NewWithOptions(Options{})
 	// Client 1 floods; clients 2 and 3 each submit one tx afterwards.
 	for i := 0; i < 6; i++ {
 		if err := p.PushFrom(1, []byte(fmt.Sprintf("a%d", i))); err != nil {
@@ -142,11 +142,10 @@ func TestDedupLifecycle(t *testing.T) {
 	}
 	// Committed: rejected as committed, and stays so.
 	p.Committed(HashTx(tx))
-	if err := p.PushFrom(1, bytes.Clone(tx)); err != ErrDuplicateCommitted {
-		t.Fatalf("committed dup: %v", err)
-	}
-	if !p.IsCommitted(HashTx(tx)) {
-		t.Fatal("IsCommitted lost the hash")
+	for i := 0; i < 2; i++ {
+		if err := p.PushFrom(1, bytes.Clone(tx)); err != ErrDuplicateCommitted {
+			t.Fatalf("committed dup %d: %v", i, err)
+		}
 	}
 	// Different content is unaffected.
 	if err := p.PushFrom(1, []byte("another transaction")); err != nil {
@@ -155,22 +154,22 @@ func TestDedupLifecycle(t *testing.T) {
 }
 
 func TestCommittedMemoryEviction(t *testing.T) {
-	p := NewWithOptions(Options{Dedup: true, CommittedCap: 4})
-	var hashes []Hash
-	for i := 0; i < 6; i++ {
-		h := HashTx([]byte(fmt.Sprintf("tx%d", i)))
-		hashes = append(hashes, h)
-		p.Committed(h)
+	p := NewWithOptions(Options{Dedup: true})
+	tx := func(i int) []byte { return []byte(fmt.Sprintf("tx%d", i)) }
+	for i := 0; i <= committedCap; i++ {
+		p.Committed(HashTx(tx(i)))
 	}
-	// FIFO eviction: the two oldest fell out, the four newest remain.
-	for i, h := range hashes {
-		want := i >= 2
-		if p.IsCommitted(h) != want {
-			t.Fatalf("hash %d committed=%v, want %v", i, p.IsCommitted(h), want)
+	// FIFO eviction: the oldest fell out, the newest committedCap remain.
+	if err := p.PushFrom(1, tx(0)); err != nil {
+		t.Fatalf("evicted hash still rejected: %v", err)
+	}
+	for _, i := range []int{1, committedCap / 2, committedCap} {
+		if err := p.PushFrom(1, tx(i)); err != ErrDuplicateCommitted {
+			t.Fatalf("hash %d: %v, want duplicate-committed", i, err)
 		}
 	}
 	snap := p.CommittedSnapshot()
-	if len(snap) != 4 || snap[0] != hashes[2] || snap[3] != hashes[5] {
+	if len(snap) != committedCap || snap[0] != HashTx(tx(1)) || snap[committedCap-1] != HashTx(tx(committedCap)) {
 		t.Fatalf("snapshot order wrong: %d entries", len(snap))
 	}
 }
@@ -212,23 +211,12 @@ func TestMarkPending(t *testing.T) {
 	}
 }
 
-func TestLegacyPushIgnoresBudget(t *testing.T) {
-	// Push (the legacy entry point) drops rejected txs silently; the
-	// pool must stay consistent.
-	p := NewWithOptions(Options{MaxBytes: 10})
-	p.Push(make([]byte, 8))
-	p.Push(make([]byte, 8)) // rejected
-	if p.Len() != 1 || p.PendingBytes() != 8 {
-		t.Fatalf("len=%d bytes=%d", p.Len(), p.PendingBytes())
-	}
-}
-
 func TestPopBatchSliceIsolation(t *testing.T) {
 	// The popped batch must not share backing storage growth with the
 	// pool (appending to it must not clobber remaining txs).
-	p := New()
+	p := NewWithOptions(Options{})
 	for i := 0; i < 4; i++ {
-		p.Push([]byte(fmt.Sprintf("tx%d", i)))
+		p.PushFrom(1, []byte(fmt.Sprintf("tx%d", i)))
 	}
 	batch := p.PopBatch(7) // pops tx0, tx1
 	_ = append(batch, []byte("evil"))
@@ -239,7 +227,7 @@ func TestPopBatchSliceIsolation(t *testing.T) {
 }
 
 func TestOldestAtTracksArrivalStamps(t *testing.T) {
-	p := New()
+	p := NewWithOptions(Options{})
 	if _, ok := p.OldestAt(); ok {
 		t.Fatal("empty pool reported an oldest stamp")
 	}
@@ -264,13 +252,13 @@ func TestOldestAtTracksArrivalStamps(t *testing.T) {
 }
 
 func TestFrontLenAndLegacyPushesUnstamped(t *testing.T) {
-	p := New()
-	p.PushFront([][]byte{[]byte("x"), []byte("y")})
+	p := NewWithOptions(Options{})
+	p.PushFrontAt([][]byte{[]byte("x"), []byte("y")}, 0)
 	p.PushFrom(1, []byte("z"))
 	if p.FrontLen() != 2 {
 		t.Fatalf("FrontLen = %d, want 2", p.FrontLen())
 	}
-	// Legacy (un-timestamped) pushes carry zero stamps, which OldestAt
+	// Un-timestamped pushes carry zero stamps, which OldestAt
 	// skips rather than reporting a bogus age since process start.
 	if _, ok := p.OldestAt(); ok {
 		t.Fatal("zero stamps must not surface from OldestAt")

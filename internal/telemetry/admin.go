@@ -155,11 +155,17 @@ type AdminServer struct {
 	err  error
 }
 
+// adminReadHeaderTimeout bounds how long a client may take to send its
+// request line and headers, so a half-sent request cannot hold a
+// connection forever. There is deliberately no write timeout:
+// /debug/pprof/profile streams for its requested seconds.
+const adminReadHeaderTimeout = 5 * time.Second
+
 // ServeAdmin starts the admin endpoint on l (which the server takes
 // ownership of) and serves until Close.
 func ServeAdmin(l net.Listener, m *Metrics, status StatusFunc) *AdminServer {
 	a := &AdminServer{
-		srv:  &http.Server{Handler: NewAdminMux(m, status)},
+		srv:  &http.Server{Handler: NewAdminMux(m, status), ReadHeaderTimeout: adminReadHeaderTimeout},
 		l:    l,
 		done: make(chan struct{}),
 	}

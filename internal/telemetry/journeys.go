@@ -7,8 +7,8 @@ package telemetry
 // runs replay byte-identically with telemetry on or off.
 //
 // Sampling is deterministic by content hash: a transaction is sampled
-// iff the first byte of its sha256 content hash has its low bits
-// clear (default 1-in-64). Every node — and every replay — therefore
+// iff the first byte of its sha256 content hash has its low six bits
+// clear (sampleMask: 1 in 64). Every node — and every replay — therefore
 // samples the same transactions, which is what lets chaos invariants
 // reconcile journeys against delivery logs.
 //
@@ -115,6 +115,9 @@ const (
 	// maxLiveJourneys bounds in-progress journeys; beyond it the oldest
 	// is evicted.
 	maxLiveJourneys = 4096
+	// sampleMask selects the sampled transactions: those whose content
+	// hash's first byte has these bits clear, 1 in 64.
+	sampleMask = 63
 )
 
 // proposal is this node's proposal for one epoch: its log slot's
@@ -134,8 +137,6 @@ type proposal struct {
 // node. Events arrive from the replica loop and the gateway hub; a
 // mutex serializes them. A nil *Journeys reads empty.
 type Journeys struct {
-	mask byte
-
 	mu      sync.Mutex
 	live    map[mempool.Hash]*Journey
 	order   []mempool.Hash // live insertion order, for eviction
@@ -164,12 +165,8 @@ var phaseBounds = ExpBuckets(int64(time.Millisecond), math.Sqrt2, 35)
 
 // newJourneys builds the journey fold: registered in reg, joined to
 // the epoch tracer, journaling checkpoints to the flight recorder.
-func newJourneys(reg *Registry, trace *Tracer, flight *FlightRecorder, every int) *Journeys {
-	if every < 1 || every > 256 || every&(every-1) != 0 {
-		every = 64
-	}
+func newJourneys(reg *Registry, trace *Tracer, flight *FlightRecorder) *Journeys {
 	j := &Journeys{
-		mask:    byte(every - 1),
 		live:    map[mempool.Hash]*Journey{},
 		byEpoch: map[uint64]*proposal{},
 		done:    ring[Journey]{buf: make([]Journey, journeyRing)},
@@ -192,7 +189,7 @@ func newJourneys(reg *Registry, trace *Tracer, flight *FlightRecorder, every int
 // and mask test per fact — no allocation, no lock.
 func (j *Journeys) sampledHash(tx []byte) (mempool.Hash, bool) {
 	h := mempool.HashTx(tx)
-	return h, h[0]&j.mask == 0
+	return h, h[0]&sampleMask == 0
 }
 
 // checkpoint journals a sampled transaction passing checkpoint kind.
@@ -282,7 +279,7 @@ func (j *Journeys) dropFromEpochLocked(epoch uint64, h mempool.Hash) {
 func (j *Journeys) admitted(hashes [][]byte, wait time.Duration) {
 	for _, hash := range hashes {
 		h := mempool.Hash(hash)
-		if h[0]&j.mask != 0 {
+		if h[0]&sampleMask != 0 {
 			continue
 		}
 		j.mu.Lock()

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,6 +25,17 @@ func mkTx(t *testing.T, sampled bool) []byte {
 	}
 	t.Fatal("no payload found")
 	return nil
+}
+
+// sampledTx extends name with a counter until its content hash is
+// journey-sampled, so each name gives a distinct sampled transaction.
+func sampledTx(name string) []byte {
+	for i := 0; ; i++ {
+		tx := fmt.Appendf(nil, "%s/%d", name, i)
+		if h := mempool.HashTx(tx); h[0]&sampleMask == 0 {
+			return tx
+		}
+	}
 }
 
 // newTestJourneys builds a bundle and returns it with its journeys.
@@ -60,8 +72,8 @@ func epochDelivered(m *Metrics, epoch uint64, now time.Duration) {
 }
 
 func TestJourneyLifecycle(t *testing.T) {
-	m, j := newTestJourneys(t, Options{SampleEvery: 1}) // sample everything
-	tx := []byte("payment 1")
+	m, j := newTestJourneys(t, Options{})
+	tx := sampledTx("payment 1")
 	h := mempool.HashTx(tx)
 
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -125,8 +137,8 @@ func TestJourneyLifecycle(t *testing.T) {
 // a later epoch; the journey must follow the move and the histograms
 // must count the final attempt exactly once.
 func TestReProposal(t *testing.T) {
-	m, j := newTestJourneys(t, Options{SampleEvery: 1})
-	tx := []byte("re-proposed")
+	m, j := newTestJourneys(t, Options{})
+	tx := sampledTx("re-proposed")
 	submitted(m, tx, time.Second)
 	proposed(m, [][]byte{tx}, 3, 2*time.Second)
 	proposed(m, [][]byte{tx}, 5, 4*time.Second)
@@ -155,8 +167,8 @@ func TestReProposal(t *testing.T) {
 // epoch links the block in, and only then do their journeys finalize,
 // with the wait for linking counted.
 func TestLostBAThenLinked(t *testing.T) {
-	m, j := newTestJourneys(t, Options{SampleEvery: 1})
-	tx := []byte("censored")
+	m, j := newTestJourneys(t, Options{})
+	tx := sampledTx("censored")
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	submitted(m, tx, sec(1))
 	proposed(m, [][]byte{tx}, 3, sec(2))
@@ -226,8 +238,8 @@ func TestSamplingIsDeterministicByHash(t *testing.T) {
 func TestUnsetPhasesClampNonNegative(t *testing.T) {
 	// A journey finalized with no timeline and out-of-order clocks must
 	// still produce non-negative phases.
-	m, j := newTestJourneys(t, Options{SampleEvery: 1})
-	tx := []byte("stuck")
+	m, j := newTestJourneys(t, Options{})
+	tx := sampledTx("stuck")
 	submitted(m, tx, 5*time.Second)
 	proposed(m, [][]byte{tx}, 2, 6*time.Second)
 	blockDelivered(m, 2, 3*time.Second) // clock oddity: deliver "before" proposal
@@ -244,9 +256,9 @@ func TestUnsetPhasesClampNonNegative(t *testing.T) {
 }
 
 func TestLiveEvictionBounded(t *testing.T) {
-	m, j := newTestJourneys(t, Options{SampleEvery: 1})
+	m, j := newTestJourneys(t, Options{})
 	for i := 0; i < maxLiveJourneys+6; i++ {
-		submitted(m, []byte{byte(i), byte(i >> 8)}, time.Duration(i)*time.Second)
+		submitted(m, sampledTx(fmt.Sprint(i)), time.Duration(i)*time.Second)
 	}
 	if n := len(j.Live()); n != maxLiveJourneys {
 		t.Fatalf("live = %d, want %d (maxLiveJourneys)", n, maxLiveJourneys)

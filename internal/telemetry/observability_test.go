@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -200,6 +201,35 @@ func TestAdminServerLifecycle(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestAdminDropsHalfSentRequest: a client that never finishes its
+// request line is disconnected once adminReadHeaderTimeout passes,
+// instead of holding the connection forever.
+func TestAdminDropsHalfSentRequest(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeAdmin(l, New(Options{}), nil)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(adminReadHeaderTimeout + 3*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("half-sent request still open %v later (header timeout %v): %v",
+			time.Since(start), adminReadHeaderTimeout, err)
+	}
+	if d := time.Since(start); d < adminReadHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the %v header timeout", d, adminReadHeaderTimeout)
 	}
 }
 

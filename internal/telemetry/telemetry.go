@@ -10,10 +10,6 @@ type Options struct {
 	// FlightRing is the number of protocol events the flight recorder
 	// retains (0 = default 4096).
 	FlightRing int
-	// SampleEvery samples 1 in N transactions into journey tracing, by
-	// content hash; it must be a power of two in [1, 256]. 0 picks the
-	// default of 64.
-	SampleEvery int
 }
 
 // Metrics is one node's telemetry bundle: the metrics registry and the
@@ -43,7 +39,7 @@ func New(opts Options) *Metrics {
 		flight:   newFlightRecorder(opts.FlightRing),
 	}
 	m.trace = newTracer(m.registry, opts.TraceRing)
-	m.journeys = newJourneys(m.registry, m.trace, m.flight, opts.SampleEvery)
+	m.journeys = newJourneys(m.registry, m.trace, m.flight)
 	register(m.registry, &m.folds, nodeSeries)
 	for t, name := range triggerNames {
 		m.proposals[t] = m.registry.Counter("dl_proposals_total", `trigger="`+name+`"`,
