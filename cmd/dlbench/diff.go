@@ -12,6 +12,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -144,28 +145,28 @@ func loadBench(path string) (*benchFile, error) {
 
 // runDiff implements `dlbench -diff old.json new.json`; returns the
 // process exit code (1 on regression).
-func runDiff(oldPath, newPath string, noise float64) int {
+func runDiff(stdout, stderr io.Writer, oldPath, newPath string, noise float64) int {
 	oldF, err := loadBench(oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlbench:", err)
+		fmt.Fprintln(stderr, "dlbench:", err)
 		return 2
 	}
 	newF, err := loadBench(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlbench:", err)
+		fmt.Fprintln(stderr, "dlbench:", err)
 		return 2
 	}
 	lines, missing, added := diffSnapshots(oldF, newF, noise)
-	fmt.Printf("bench diff: %s (%s) -> %s (%s), noise threshold %.0f%%\n",
+	fmt.Fprintf(stdout, "bench diff: %s (%s) -> %s (%s), noise threshold %.0f%%\n",
 		oldPath, oldF.GeneratedAt, newPath, newF.GeneratedAt, noise*100)
 	if missing > 0 || added > 0 {
-		fmt.Printf("  %d baseline points missing from the new snapshot, %d new points\n", missing, added)
+		fmt.Fprintf(stdout, "  %d baseline points missing from the new snapshot, %d new points\n", missing, added)
 	}
 	regressions, absent := 0, 0
 	for _, l := range lines {
 		if l.Missing {
 			absent++
-			fmt.Printf("  %-10s %s %s: %.4g -> absent\n", "MISSING", l.Key, l.Metric, l.Old)
+			fmt.Fprintf(stdout, "  %-10s %s %s: %.4g -> absent\n", "MISSING", l.Key, l.Metric, l.Old)
 			continue
 		}
 		tag := "moved"
@@ -173,16 +174,16 @@ func runDiff(oldPath, newPath string, noise float64) int {
 			tag = "REGRESSION"
 			regressions++
 		}
-		fmt.Printf("  %-10s %s %s: %.4g -> %.4g (%+.1f%%)\n",
+		fmt.Fprintf(stdout, "  %-10s %s %s: %.4g -> %.4g (%+.1f%%)\n",
 			tag, l.Key, l.Metric, l.Old, l.New, l.Change*100)
 	}
 	if regressions > 0 || absent > 0 {
-		fmt.Printf("%d regression(s) beyond the %.0f%% noise threshold, %d baseline metric(s) missing\n",
+		fmt.Fprintf(stdout, "%d regression(s) beyond the %.0f%% noise threshold, %d baseline metric(s) missing\n",
 			regressions, noise*100, absent)
 		return 1
 	}
 	if len(lines) == 0 {
-		fmt.Println("  no metric moved beyond the noise threshold")
+		fmt.Fprintln(stdout, "  no metric moved beyond the noise threshold")
 	}
 	return 0
 }

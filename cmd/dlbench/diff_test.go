@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -112,10 +113,10 @@ func TestDiffFlagsMissingMetric(t *testing.T) {
 		return path
 	}
 	oldPath, newPath := write("old.json", oldF), write("new.json", newF)
-	if code := runDiff(oldPath, newPath, 0.10); code != 1 {
+	if code := runDiff(io.Discard, io.Discard, oldPath, newPath, 0.10); code != 1 {
 		t.Fatalf("runDiff exit %d with a missing metric, want 1", code)
 	}
-	if code := runDiff(oldPath, write("none.json", snap()), 0.10); code != 0 {
+	if code := runDiff(io.Discard, io.Discard, oldPath, write("none.json", snap()), 0.10); code != 0 {
 		t.Fatalf("runDiff exit %d with a whole record missing, want 0", code)
 	}
 }

@@ -16,8 +16,7 @@ func BenchmarkGeoBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := GeoParams{Mode: core.ModeDL, Duration: 50 * time.Second, Seed: 1}
-		p.defaults()
-		c, err := geoCluster(p)
+		c, err := p.cluster()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 // Package harness assembles full DispersedLedger clusters on the network
-// emulator and runs the paper's experiments. Every figure and table of
-// the evaluation (§6 and appendix A) has a runner here; cmd/dlbench
-// prints their outputs in the paper's shape.
+// emulator and runs the paper's experiments. Every emulated figure of the
+// evaluation (§6 and appendix A) is RunGeo on a link profile, a mode and
+// a load, and every run measures all the per-node quantities any figure
+// reads; Fig 2 is RunFig2. cmd/dlbench picks each figure's numbers and
+// prints them in the paper's shape.
 package harness
 
 import (

@@ -18,27 +18,52 @@ import (
 // discusses the fidelity of this substitution.
 const Scale = 1.0 / 64
 
-// GeoParams configures the geo-distributed experiments (Fig 8, 9, 15).
+// GeoParams configures one run of the paper's §6 method, which every
+// emulated figure from Fig 8 to Fig 15 shares: a link profile, a
+// protocol and a load, measured per node after warm-up. A field left at
+// zero takes the default its comment gives.
 type GeoParams struct {
-	Cities   []trace.City
-	Mode     core.Mode
+	// Cities gives each node a city's bandwidth trace, scaled by Scale,
+	// and a 40–140 ms one-way delay per pair (default trace.AWSCities).
+	// Links, when set, gives the egress traces explicitly, already
+	// scaled, with the flat 100 ms delay of the controlled setting
+	// (Fig 11 and 12: trace.Spatial, trace.Temporal, trace.Uniform).
+	Cities []trace.City
+	Links  []trace.Trace
+
+	Mode core.Mode
+	// Scale shrinks bandwidths and byte sizes alike (default Scale).
 	Scale    float64
-	Duration time.Duration
-	Warmup   time.Duration
+	Duration time.Duration // default 60 s
+	Warmup   time.Duration // default Duration/5
 	Seed     int64
-	// Telemetry instruments every node (ClusterOptions.Telemetry), used
-	// to demonstrate the enabled-path overhead stays within noise.
+	// Telemetry instruments every node (ClusterOptions.Telemetry);
+	// GeoResult.Stages and Phases then carry the latency panels.
 	Telemetry bool
 	// MaxEpochLag bounds dispersal pipelining (the §4.5 lag guard,
 	// core.Config.MaxEpochLag). Zero leaves it unbounded — the Fig 8
-	// 16-city default. Large-N geo points need a bound for the same
-	// reason the Fig 12 sweep does: with infinite backlog, unbounded
-	// dispersal would starve retrieval entirely.
+	// 16-city default. Large-N points need a bound: with infinite
+	// backlog, unbounded dispersal would starve retrieval entirely.
 	MaxEpochLag uint64
+
+	// LoadPerNode is the offered Poisson load per node in
+	// paper-equivalent bytes/second (Fig 10, 14); zero keeps every
+	// mempool backlogged instead, the paper's throughput methodology.
+	LoadPerNode float64
+	// BatchDelay and BatchBytes override the Nagle thresholds
+	// (abl-batch); FixedBlockBytes fixes the block size (Fig 12).
+	// Byte sizes are paper-equivalent: they are scaled alongside
+	// bandwidth.
+	BatchDelay      time.Duration
+	BatchBytes      int
+	FixedBlockBytes int
+	// PriorityWeight overrides the dispersal:retrieval weight T
+	// (abl-priority); zero = 30.
+	PriorityWeight float64
 }
 
 func (p *GeoParams) defaults() {
-	if p.Cities == nil {
+	if p.Cities == nil && p.Links == nil {
 		p.Cities = trace.AWSCities
 	}
 	if p.Scale == 0 {
@@ -50,6 +75,38 @@ func (p *GeoParams) defaults() {
 	if p.Warmup == 0 {
 		p.Warmup = p.Duration / 5
 	}
+}
+
+// cluster fills in p's defaults and builds the cluster RunGeo measures,
+// not yet started.
+func (p *GeoParams) cluster() (*Cluster, error) {
+	p.defaults()
+	rp := ScaledReplicaParams(p.Scale)
+	if p.BatchDelay != 0 {
+		rp.BatchDelay = p.BatchDelay
+	}
+	if p.BatchBytes != 0 {
+		rp.BatchBytes = int(float64(p.BatchBytes) * p.Scale)
+	}
+	rp.FixedBlockBytes = int(float64(p.FixedBlockBytes) * p.Scale)
+	opts := ClusterOptions{
+		Replica:         rp,
+		Egress:          p.Links,
+		PriorityWeight:  p.PriorityWeight,
+		TxSize:          256,
+		LoadPerNode:     p.LoadPerNode * p.Scale,
+		InfiniteBacklog: p.LoadPerNode == 0,
+		Telemetry:       p.Telemetry,
+		Seed:            p.Seed,
+	}
+	if p.Links == nil {
+		samples := int(p.Duration/time.Second) + 2
+		opts.Egress = trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed)
+		opts.Delay = geoDelay(len(p.Cities), p.Seed)
+	}
+	n := len(opts.Egress)
+	opts.Core = core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, MaxEpochLag: p.MaxEpochLag}
+	return NewCluster(opts)
 }
 
 // geoDelay derives a deterministic 40–140 ms one-way delay per city pair,
@@ -96,142 +153,60 @@ func ScaledReplicaParams(scale float64) replica.Params {
 	}
 }
 
-// GeoResult is a per-node throughput profile in paper-equivalent MB/s.
+// GeoResult is everything one run measures, per node and in
+// paper-equivalent units, whichever figure reads it.
 type GeoResult struct {
-	Mode       core.Mode
-	Names      []string
+	// GeoParams is the run's configuration, defaults filled in.
+	GeoParams
+	Names []string // the city of each node; empty on explicit Links
+
 	Throughput []float64 // per node, MB/s (already re-scaled)
-	Mean       float64
+	// Mean and Std summarize Throughput. On explicit Links the mean is
+	// accumulated as a running (Welford) mean, as the Fig 11 and 12
+	// baselines were recorded; it differs from the plain average only in
+	// the last bits.
+	Mean, Std float64
 	// RetrieveAmplification is the largest Cluster.RetrieveAmplification
 	// of any node: how many times over the worst-placed node downloaded
 	// what it delivered.
 	RetrieveAmplification float64
-}
+	// DispersalFraction is the mean Cluster.DispersalFraction (Fig 13).
+	DispersalFraction float64
+	// EpochRate is the mean dispersal-pipeline progress in epochs/second
+	// — the quantity the §5 priority scheme protects.
+	EpochRate float64
+	// FinalLag is the mean over nodes of the gap between the dispersal
+	// and the delivered epoch at the horizon, in epochs.
+	FinalLag float64
 
-// geoCluster builds the infinite-backlog cluster RunGeo measures (not yet
-// started); p has its defaults filled in.
-func geoCluster(p GeoParams) (*Cluster, error) {
-	n := len(p.Cities)
-	samples := int(p.Duration/time.Second) + 2
-	return NewCluster(ClusterOptions{
-		Core:            core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode, MaxEpochLag: p.MaxEpochLag},
-		Replica:         ScaledReplicaParams(p.Scale),
-		Egress:          trace.CityTraces(p.Cities, p.Scale, samples, time.Second, p.Seed),
-		Delay:           geoDelay(n, p.Seed),
-		TxSize:          256,
-		InfiniteBacklog: true,
-		Telemetry:       p.Telemetry,
-		Seed:            p.Seed,
-	})
-}
-
-// RunGeo measures per-server throughput on a geo profile under infinite
-// backlog (Fig 8 / Fig 15 methodology).
-func RunGeo(p GeoParams) (*GeoResult, error) {
-	p.defaults()
-	c, err := geoCluster(p)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.Run(p.Duration)
-	res := &GeoResult{Mode: p.Mode, Names: trace.Names(p.Cities)}
-	var sum float64
-	for i := range c.Replicas {
-		mbps := c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB
-		res.Throughput = append(res.Throughput, mbps)
-		sum += mbps
-		res.RetrieveAmplification = max(res.RetrieveAmplification, c.RetrieveAmplification(i))
-	}
-	res.Mean = sum / float64(len(c.Replicas))
-	return res, nil
-}
-
-// ProgressResult is Fig 9: per-node confirmed bytes over time.
-type ProgressResult struct {
-	Mode  core.Mode
-	Names []string
-	// Series is per node; values are cumulative confirmed bytes divided
-	// by scale (paper-equivalent bytes).
-	Series []*stats.TimeSeries
-}
-
-// RunProgress records each node's confirmation progress on the geo
-// profile (Fig 9 plots DL vs HB-Link on the same scale).
-func RunProgress(p GeoParams) (*ProgressResult, error) {
-	p.defaults()
-	c, err := geoCluster(p)
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.progress {
-		c.progress[i].MinGap = 100 * time.Millisecond
-	}
-	c.Start()
-	c.Run(p.Duration)
-	res := &ProgressResult{Mode: p.Mode, Names: trace.Names(p.Cities)}
-	for i := range c.Replicas {
-		ts := &stats.TimeSeries{}
-		src := &c.progress[i]
-		for k := range src.Times {
-			ts.Force(src.Times[k], src.Values[k]/p.Scale)
-		}
-		res.Series = append(res.Series, ts)
-	}
-	return res, nil
-}
-
-// LatencyParams configures the load-sweep latency experiment (Fig 10).
-type LatencyParams struct {
-	Cities   []trace.City
-	Mode     core.Mode
-	Duration time.Duration
-	Warmup   time.Duration
-	// LoadPerNode is the offered load per node in paper-equivalent
-	// bytes/second (it is multiplied by LatencyScale internally).
-	LoadPerNode float64
-	Seed        int64
-	// Telemetry instruments every node; LatencyResult.Stages then
-	// carries the per-segment lifecycle latency panel.
-	Telemetry bool
-
-	// BatchDelay and BatchBytes, when set, override the Nagle thresholds
-	// (the abl-batch sweep). BatchBytes is paper-equivalent: it is scaled
-	// alongside bandwidth.
-	BatchDelay time.Duration
-	BatchBytes int
-}
-
-// StageLatency summarizes one epoch-lifecycle segment's telemetry
-// histogram for a load point: quantiles in milliseconds (mean across
-// nodes) and the total observation count.
-type StageLatency struct {
-	P50Ms, P95Ms float64
-	Count        uint64
-}
-
-// LatencyResult reports per-node latency percentiles for one load point.
-type LatencyResult struct {
-	Mode              core.Mode
-	LoadPerNode       float64 // paper-equivalent bytes/s
-	Names             []string
 	P5, P50, P95, P99 []time.Duration // local-transaction latency per node
 	AllP50, AllP95    []time.Duration // all-transaction latency (Fig 14)
-	DeliveredPayload  []int64
 	// BacklogSlope is how fast the slowest node's backlog of decided but
 	// undelivered epochs grew after warm-up, in epochs per virtual second.
 	// A point whose backlog grows is not in steady state: its percentiles
 	// are censored by the horizon and rise with the run length.
 	BacklogSlope float64
 	// Stages is the lifecycle latency panel (disperse, ba, retrieve,
-	// e2e from dl_epoch_stage_seconds); nil without Params.Telemetry.
+	// e2e from dl_epoch_stage_seconds); nil without Telemetry.
 	Stages map[string]StageLatency
 	// Phases is the sampled transaction-journey decomposition
 	// (dl_tx_phase_seconds): where a transaction's inclusion-to-commit
-	// latency actually goes. Nil without Params.Telemetry. The
-	// admit_wait and proof phases are hub-side and absent in the
-	// emulated cluster (loads are injected below the gateway).
+	// latency actually goes. Nil without Telemetry. The admit_wait and
+	// proof phases are hub-side and absent in the emulated cluster
+	// (loads are injected below the gateway).
 	Phases map[string]StageLatency
+
+	// Progress is each node's cumulative confirmed paper-equivalent
+	// bytes, one point per delivered block (Fig 9; see Confirmed).
+	Progress []stats.TimeSeries
+}
+
+// StageLatency summarizes one epoch-lifecycle segment's telemetry
+// histogram for a run: quantiles in milliseconds (mean across nodes)
+// and the total observation count.
+type StageLatency struct {
+	P50Ms, P95Ms float64
+	Count        uint64
 }
 
 // steadyBacklogSlope is the backlog growth, in epochs per second, above
@@ -241,7 +216,28 @@ const steadyBacklogSlope = 0.1
 
 // Steady reports whether every node kept up with its decisions after
 // warm-up, so that the percentiles do not depend on the run length.
-func (r *LatencyResult) Steady() bool { return r.BacklogSlope <= steadyBacklogSlope }
+func (r *GeoResult) Steady() bool { return r.BacklogSlope <= steadyBacklogSlope }
+
+// progressGap is Fig 9's read-out resolution.
+const progressGap = 100 * time.Millisecond
+
+// Confirmed is node i's confirmed paper-equivalent bytes at t as Fig 9
+// reads them: from its progress series at 100 ms resolution, skipping
+// any point less than 100 ms after the previous point read.
+func (r *GeoResult) Confirmed(i int, t time.Duration) float64 {
+	ts := &r.Progress[i]
+	var v float64
+	var last time.Duration
+	for k, at := range ts.Times {
+		if at > t {
+			break
+		}
+		if k == 0 || at-last >= progressGap {
+			v, last = ts.Values[k], at
+		}
+	}
+	return v
+}
 
 // LatencyScale is the scale of the latency experiments. Latency runs
 // are load-limited rather than bandwidth-limited, so they can afford a
@@ -250,38 +246,12 @@ func (r *LatencyResult) Steady() bool { return r.BacklogSlope <= steadyBacklogSl
 // the scaled bandwidth, as they are at paper scale.
 const LatencyScale = 1.0 / 8
 
-// latencyCluster builds the open-loop cluster RunLatency measures (not
-// yet started), filling in p's defaults.
-func latencyCluster(p *LatencyParams) (*Cluster, error) {
-	if p.Cities == nil {
-		p.Cities = trace.AWSCities
-	}
-	if p.Duration == 0 {
-		p.Duration = 60 * time.Second
-	}
-	if p.Warmup == 0 {
-		p.Warmup = p.Duration / 5
-	}
-	n := len(p.Cities)
-	samples := int(p.Duration/time.Second) + 2
-	rp := ScaledReplicaParams(LatencyScale)
-	if p.BatchDelay != 0 {
-		rp.BatchDelay = p.BatchDelay
-	}
-	if p.BatchBytes != 0 {
-		rp.BatchBytes = int(float64(p.BatchBytes) * LatencyScale)
-	}
-	return NewCluster(ClusterOptions{
-		Core:        core.Config{N: n, F: (n - 1) / 3, Mode: p.Mode},
-		Replica:     rp,
-		Egress:      trace.CityTraces(p.Cities, LatencyScale, samples, time.Second, p.Seed),
-		Delay:       geoDelay(n, p.Seed),
-		TxSize:      256,
-		LoadPerNode: p.LoadPerNode * LatencyScale,
-		Telemetry:   p.Telemetry,
-		Seed:        p.Seed,
-	})
-}
+// ScalabilityScale is the scale of the cluster-size sweeps. Per-message
+// fixed costs (headers, quorum votes) do not shrink with the scale
+// factor, and at N >= 31 they are Θ(N²) per epoch; a deeper down-scaling
+// would let them dominate the scaled bandwidth, which no paper-scale
+// deployment experiences.
+const ScalabilityScale = 1.0 / 8
 
 // retrievalLag is each node's decided-but-undelivered epoch count.
 func (c *Cluster) retrievalLag() []float64 {
@@ -292,9 +262,10 @@ func (c *Cluster) retrievalLag() []float64 {
 	return out
 }
 
-// RunLatency measures confirmation latency at one offered load.
-func RunLatency(p LatencyParams) (*LatencyResult, error) {
-	c, err := latencyCluster(&p)
+// RunGeo runs one configuration of the §6 method and measures every
+// per-node quantity the figures report.
+func RunGeo(p GeoParams) (*GeoResult, error) {
+	c, err := p.cluster()
 	if err != nil {
 		return nil, err
 	}
@@ -302,24 +273,46 @@ func RunLatency(p LatencyParams) (*LatencyResult, error) {
 	var lagAtWarmup []float64
 	c.Sim.At(p.Warmup, func() { lagAtWarmup = c.retrievalLag() })
 	c.Run(p.Duration)
-	res := &LatencyResult{Mode: p.Mode, LoadPerNode: p.LoadPerNode, Names: trace.Names(p.Cities)}
-	if lagAtWarmup != nil {
-		for i, lag := range c.retrievalLag() {
-			if s := (lag - lagAtWarmup[i]) / (p.Duration - p.Warmup).Seconds(); s > res.BacklogSlope {
-				res.BacklogSlope = s
-			}
-		}
-	}
-	for i := range c.Replicas {
-		local := &c.Replicas[i].Stats.LatLocal
-		all := &c.Replicas[i].Stats.LatAll
+	res := &GeoResult{GeoParams: p, Names: trace.Names(p.Cities)}
+	var sum float64
+	var w, frac, er, lag stats.Welford
+	for i, r := range c.Replicas {
+		mbps := c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB
+		res.Throughput = append(res.Throughput, mbps)
+		sum += mbps
+		w.Add(mbps)
+		res.RetrieveAmplification = max(res.RetrieveAmplification, c.RetrieveAmplification(i))
+		frac.Add(c.DispersalFraction(i))
+		eng := r.Engine()
+		er.Add(float64(eng.DispersalEpoch()) / p.Duration.Seconds())
+		lag.Add(float64(eng.DispersalEpoch()) - float64(eng.DeliveredEpoch()))
+
+		local, all := &r.Stats.LatLocal, &r.Stats.LatAll
 		res.P5 = append(res.P5, local.Percentile(5))
 		res.P50 = append(res.P50, local.Percentile(50))
 		res.P95 = append(res.P95, local.Percentile(95))
 		res.P99 = append(res.P99, local.Percentile(99))
 		res.AllP50 = append(res.AllP50, all.Percentile(50))
 		res.AllP95 = append(res.AllP95, all.Percentile(95))
-		res.DeliveredPayload = append(res.DeliveredPayload, c.Replicas[i].Stats.DeliveredPayload)
+
+		var ts stats.TimeSeries
+		src := &c.progress[i]
+		for k := range src.Times {
+			ts.Add(src.Times[k], src.Values[k]/p.Scale)
+		}
+		res.Progress = append(res.Progress, ts)
+	}
+	res.Mean, res.Std = sum/float64(len(c.Replicas)), w.StdDev()
+	if p.Links != nil {
+		res.Mean = w.Mean()
+	}
+	res.DispersalFraction, res.EpochRate, res.FinalLag = frac.Mean(), er.Mean(), lag.Mean()
+	if lagAtWarmup != nil {
+		for i, l := range c.retrievalLag() {
+			if s := (l - lagAtWarmup[i]) / (p.Duration - p.Warmup).Seconds(); s > res.BacklogSlope {
+				res.BacklogSlope = s
+			}
+		}
 	}
 	if p.Telemetry {
 		res.Stages = stagePanel(c)
@@ -372,177 +365,4 @@ func phasePanel(c *Cluster) map[string]StageLatency {
 		phases[p] = telemetry.Phase(p).String()
 	}
 	return latencyPanel(c, telemetry.PhaseMetric, "phase", phases)
-}
-
-// ControlledParams configures the controlled experiments of §6.3
-// (Fig 11a/11b): 16 nodes, flat 100 ms delay, synthetic bandwidth.
-type ControlledParams struct {
-	N        int
-	Mode     core.Mode
-	Duration time.Duration
-	Warmup   time.Duration
-	Seed     int64
-	// Temporal selects Gauss-Markov traces (Fig 11b); otherwise constant
-	// rates are used. Spatial selects the 10+0.5i MB/s profile (Fig 11a);
-	// otherwise all nodes get 10 MB/s.
-	Temporal bool
-	Spatial  bool
-	// PriorityWeight overrides T (for the priority ablation); 0 = 30.
-	PriorityWeight float64
-	// Bandwidth is the base link rate b in paper-equivalent MB/s (default
-	// the paper's 10): links are b, b(1+0.05i) under Spatial, and
-	// Gauss-Markov around b with σ = b/2 under Temporal. A cluster
-	// smaller than the paper's 16 nodes offers less load per epoch and
-	// needs narrower links to stay bandwidth-bound.
-	Bandwidth float64
-}
-
-func (p *ControlledParams) defaults() {
-	if p.N == 0 {
-		p.N = 16
-	}
-	if p.Bandwidth == 0 {
-		p.Bandwidth = 10
-	}
-	if p.Duration == 0 {
-		p.Duration = 60 * time.Second
-	}
-	if p.Warmup == 0 {
-		p.Warmup = p.Duration / 5
-	}
-}
-
-// ControlledResult reports per-node and aggregate throughput.
-type ControlledResult struct {
-	Mode       core.Mode
-	Throughput []float64 // per node, paper-equivalent MB/s
-	Mean, Std  float64
-	// EpochRate is the mean dispersal-pipeline progress in epochs/second
-	// — the quantity the §5 priority scheme protects.
-	EpochRate float64
-}
-
-// RunControlled runs one controlled-setting experiment.
-func RunControlled(p ControlledParams) (*ControlledResult, error) {
-	p.defaults()
-	traces := make([]trace.Trace, p.N)
-	samples := int(p.Duration/time.Second) + 2
-	for i := 0; i < p.N; i++ {
-		mean := p.Bandwidth * trace.MB * Scale
-		if p.Spatial {
-			mean *= 1 + 0.05*float64(i)
-		}
-		if p.Temporal {
-			traces[i] = trace.GaussMarkov(trace.GaussMarkovParams{
-				Mean:  mean,
-				Sigma: p.Bandwidth / 2 * trace.MB * Scale,
-				Alpha: 0.98,
-				Tick:  time.Second,
-			}, samples, p.Seed+int64(i)*131)
-		} else {
-			traces[i] = trace.Constant(mean)
-		}
-	}
-	c, err := NewCluster(ClusterOptions{
-		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: p.Mode},
-		Replica:         ScaledReplicaParams(Scale),
-		Egress:          traces,
-		TxSize:          256,
-		InfiniteBacklog: true,
-		Seed:            p.Seed,
-		PriorityWeight:  p.PriorityWeight,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.Run(p.Duration)
-	res := &ControlledResult{Mode: p.Mode}
-	var w, er stats.Welford
-	for i := 0; i < p.N; i++ {
-		mbps := c.Throughput(i, p.Warmup, p.Duration) / Scale / trace.MB
-		res.Throughput = append(res.Throughput, mbps)
-		w.Add(mbps)
-		er.Add(float64(c.Replicas[i].Engine().DispersalEpoch()) / p.Duration.Seconds())
-	}
-	res.Mean, res.Std = w.Mean(), w.StdDev()
-	res.EpochRate = er.Mean()
-	return res, nil
-}
-
-// ScaleParams configures the scalability experiments (Fig 12, 13).
-type ScaleParams struct {
-	N          int
-	BlockBytes int // paper-equivalent block size (scaled internally)
-	Scale      float64
-	Duration   time.Duration
-	Warmup     time.Duration
-	Seed       int64
-	// MaxEpochLag is the §4.5 lag guard P (core.Config.MaxEpochLag);
-	// zero leaves dispersal pipelining unbounded.
-	MaxEpochLag uint64
-}
-
-// ScaleResult reports Fig 12's throughput and Fig 13's dispersal-traffic
-// fraction for one (N, block size) point.
-type ScaleResult struct {
-	N                 int
-	BlockBytes        int
-	Throughput        float64 // mean per-node, paper-equivalent MB/s
-	ThroughputStd     float64
-	DispersalFraction float64 // mean across nodes
-	// FinalLag is the mean over nodes of the gap between the dispersal
-	// and the delivered epoch at the horizon, in epochs.
-	FinalLag float64
-}
-
-// ScalabilityScale is the default scale of the cluster-size sweeps.
-// Per-message fixed costs (headers, quorum votes) do not shrink with the
-// scale factor, and at N >= 31 they are Θ(N²) per epoch; a deeper
-// down-scaling would let them dominate the scaled bandwidth, which no
-// paper-scale deployment experiences.
-const ScalabilityScale = 1.0 / 8
-
-// RunScalability runs one point of the cluster-size sweep: uniform
-// 10 MB/s caps, 100 ms delays, fixed-size blocks.
-func RunScalability(p ScaleParams) (*ScaleResult, error) {
-	if p.Scale == 0 {
-		p.Scale = ScalabilityScale
-	}
-	if p.Duration == 0 {
-		p.Duration = 60 * time.Second
-	}
-	if p.Warmup == 0 {
-		p.Warmup = p.Duration / 5
-	}
-	traces := make([]trace.Trace, p.N)
-	for i := range traces {
-		traces[i] = trace.Constant(10 * trace.MB * p.Scale)
-	}
-	rp := ScaledReplicaParams(p.Scale)
-	rp.FixedBlockBytes = int(float64(p.BlockBytes) * p.Scale)
-	c, err := NewCluster(ClusterOptions{
-		Core:            core.Config{N: p.N, F: (p.N - 1) / 3, Mode: core.ModeDL, MaxEpochLag: p.MaxEpochLag},
-		Replica:         rp,
-		Egress:          traces,
-		TxSize:          256,
-		InfiniteBacklog: true,
-		Seed:            p.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.Run(p.Duration)
-	res := &ScaleResult{N: p.N, BlockBytes: p.BlockBytes}
-	var w, frac, lag stats.Welford
-	for i := 0; i < p.N; i++ {
-		w.Add(c.Throughput(i, p.Warmup, p.Duration) / p.Scale / trace.MB)
-		frac.Add(c.DispersalFraction(i))
-		eng := c.Replicas[i].Engine()
-		lag.Add(float64(eng.DispersalEpoch()) - float64(eng.DeliveredEpoch()))
-	}
-	res.Throughput, res.ThroughputStd = w.Mean(), w.StdDev()
-	res.DispersalFraction, res.FinalLag = frac.Mean(), lag.Mean()
-	return res, nil
 }

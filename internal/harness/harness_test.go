@@ -179,14 +179,14 @@ func TestGeoHBLinkBetweenHBAndDL(t *testing.T) {
 func TestProgressSeriesShape(t *testing.T) {
 	p := GeoParams{Cities: smallGeo(), Mode: core.ModeDL, Scale: 1.0 / 64,
 		Duration: 15 * time.Second, Seed: 3}
-	r, err := RunProgress(p)
+	r, err := RunGeo(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 7 {
-		t.Fatalf("got %d series", len(r.Series))
+	if len(r.Progress) != 7 {
+		t.Fatalf("got %d series", len(r.Progress))
 	}
-	for i, ts := range r.Series {
+	for i, ts := range r.Progress {
 		if len(ts.Times) < 3 {
 			t.Fatalf("node %d has only %d progress points", i, len(ts.Times))
 		}
@@ -206,11 +206,11 @@ func TestLatencyLowLoadStaysLow(t *testing.T) {
 	// At genuinely low load every node should confirm within a few
 	// seconds (the paper sees ~800 ms at full scale; our scaled runs pay
 	// relatively more per-message fixed overhead, so the bar is looser).
-	p := LatencyParams{
-		Cities: smallGeo(), Mode: core.ModeDL,
+	p := GeoParams{
+		Cities: smallGeo(), Mode: core.ModeDL, Scale: LatencyScale,
 		Duration: 20 * time.Second, LoadPerNode: 0.25 * trace.MB, Seed: 4,
 	}
-	r, err := RunLatency(p)
+	r, err := RunGeo(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +232,16 @@ func TestLatencyDLFlatterThanHBUnderLoad(t *testing.T) {
 	// Fig 10: as load rises toward HB's capacity, HB's median latency
 	// grows much more than DL's.
 	load := 2.0 * trace.MB
-	base := LatencyParams{Cities: smallGeo(),
+	base := GeoParams{Cities: smallGeo(), Scale: LatencyScale,
 		Duration: 25 * time.Second, LoadPerNode: load, Seed: 5}
 
 	base.Mode = core.ModeDL
-	dl, err := RunLatency(base)
+	dl, err := RunGeo(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Mode = core.ModeHB
-	hb, err := RunLatency(base)
+	hb, err := RunGeo(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +257,19 @@ func TestSpatialVariationDecoupling(t *testing.T) {
 	// nodes offer at most 7.7 MB/s (installBacklog's refill ceiling over
 	// the epoch time), which the paper's 10 MB/s links all carry; at
 	// b = 5 the links are the bound again.
-	pDL := ControlledParams{N: 10, Mode: core.ModeDL,
-		Duration: 25 * time.Second, Spatial: true, Seed: 6, Bandwidth: 5}
-	dl, err := RunControlled(pDL)
+	const n = 10
+	pDL := GeoParams{Links: trace.Spatial(n, 5*trace.MB*Scale), Mode: core.ModeDL,
+		Duration: 25 * time.Second, Seed: 6}
+	dl, err := RunGeo(pDL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pHB := pDL
 	pHB.Mode = core.ModeHB
-	hb, err := RunControlled(pHB)
+	hb, err := RunGeo(pHB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := pDL.N
 	// DL: fastest node clearly above slowest.
 	if dl.Throughput[n-1] < dl.Throughput[0]*1.1 {
 		t.Fatalf("DL did not decouple: node0 %.2f vs node%d %.2f",
@@ -286,13 +286,13 @@ func TestTemporalVariationRobustness(t *testing.T) {
 	// Fig 11b: DL's throughput under Gauss-Markov variation stays close
 	// to its fixed-bandwidth throughput; HB's drops. Links of 5 MB/s keep
 	// ten nodes bandwidth-bound (see TestSpatialVariationDecoupling).
-	base := ControlledParams{N: 10, Duration: 25 * time.Second, Seed: 7, Bandwidth: 5}
-
+	const d = 25 * time.Second
 	run := func(mode core.Mode, temporal bool) float64 {
-		p := base
-		p.Mode = mode
-		p.Temporal = temporal
-		r, err := RunControlled(p)
+		p := GeoParams{Links: trace.Uniform(10, 5*trace.MB*Scale), Mode: mode, Duration: d, Seed: 7}
+		if temporal {
+			p.Links = trace.Temporal(10, 5*trace.MB*Scale, d, p.Seed)
+		}
+		r, err := RunGeo(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,12 +315,13 @@ func TestTemporalVariationRobustness(t *testing.T) {
 }
 
 func TestScalabilityRunnerAndDispersalFraction(t *testing.T) {
-	small, err := RunScalability(ScaleParams{N: 7, BlockBytes: 500 << 10,
-		Scale: 1.0 / 64, Duration: 20 * time.Second, Seed: 8})
+	p := GeoParams{Links: trace.Uniform(7, 10*trace.MB*Scale), FixedBlockBytes: 500 << 10,
+		Duration: 20 * time.Second, Seed: 8}
+	small, err := RunGeo(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Throughput <= 0 {
+	if small.Mean <= 0 {
 		t.Fatal("no throughput in scalability run")
 	}
 	if small.DispersalFraction <= 0 || small.DispersalFraction >= 1 {
@@ -328,8 +329,8 @@ func TestScalabilityRunnerAndDispersalFraction(t *testing.T) {
 	}
 	// Fig 13: larger blocks amortize VID/BA overhead, shrinking the
 	// dispersal fraction.
-	big, err := RunScalability(ScaleParams{N: 7, BlockBytes: 2 << 20,
-		Scale: 1.0 / 64, Duration: 20 * time.Second, Seed: 8})
+	p.FixedBlockBytes = 2 << 20
+	big, err := RunGeo(p)
 	if err != nil {
 		t.Fatal(err)
 	}

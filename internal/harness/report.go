@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -27,42 +28,66 @@ func FormatGeo(results []*GeoResult) string {
 	if len(results) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Per-server throughput (paper-equivalent MB/s)\n")
-	fmt.Fprintf(&b, "%-12s", "site")
-	for _, r := range results {
-		fmt.Fprintf(&b, " %10s", r.Mode)
+	return formatThroughput("Per-server throughput (paper-equivalent MB/s)", "site", 12, results[0].Names, results,
+		summaryRow{"MEAN", func(r *GeoResult) float64 { return r.Mean }, false},
+		// Retrieval bytes received per payload byte delivered, at the
+		// node where that is largest; the HoneyBadger modes have no
+		// retrieval class.
+		summaryRow{"MAX DL/PAYLD", func(r *GeoResult) float64 { return r.RetrieveAmplification }, true})
+}
+
+// FormatControlled renders Fig 11a/b-style results, one row per node.
+func FormatControlled(title string, results []*GeoResult) string {
+	var nodes []string
+	if len(results) > 0 {
+		for i := range results[0].Throughput {
+			nodes = append(nodes, strconv.Itoa(i))
+		}
 	}
-	fmt.Fprintln(&b)
-	for i, name := range results[0].Names {
-		fmt.Fprintf(&b, "%-12s", name)
+	return formatThroughput(title, "node", 6, nodes, results,
+		summaryRow{"mean", func(r *GeoResult) float64 { return r.Mean }, false},
+		summaryRow{"std", func(r *GeoResult) float64 { return r.Std }, false})
+}
+
+// summaryRow is one aggregate line under a throughput table. With dash,
+// a zero value (a mode without the quantity) prints as "-".
+type summaryRow struct {
+	label string
+	value func(*GeoResult) float64
+	dash  bool
+}
+
+// formatThroughput renders the per-node × per-mode throughput table: a
+// title, a header of modes, one row per node labelled in a column of
+// width characters, then the summary rows.
+func formatThroughput(title, corner string, width int, labels []string, results []*GeoResult, summary ...summaryRow) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, title)
+	row := func(label string, cell func(*GeoResult) string) {
+		fmt.Fprintf(&b, "%-*s", width, label)
 		for _, r := range results {
-			fmt.Fprintf(&b, " %10.2f", r.Throughput[i])
+			fmt.Fprintf(&b, " %10s", cell(r))
 		}
 		fmt.Fprintln(&b)
 	}
-	fmt.Fprintf(&b, "%-12s", "MEAN")
-	for _, r := range results {
-		fmt.Fprintf(&b, " %10.2f", r.Mean)
+	row(corner, func(r *GeoResult) string { return r.Mode.String() })
+	for i, label := range labels {
+		row(label, func(r *GeoResult) string { return fmt.Sprintf("%.2f", r.Throughput[i]) })
 	}
-	fmt.Fprintln(&b)
-	// Retrieval bytes received per payload byte delivered, at the node
-	// where that is largest; the HoneyBadger modes have no retrieval class.
-	fmt.Fprintf(&b, "%-12s", "MAX DL/PAYLD")
-	for _, r := range results {
-		if r.RetrieveAmplification == 0 {
-			fmt.Fprintf(&b, " %10s", "-")
-			continue
-		}
-		fmt.Fprintf(&b, " %10.2f", r.RetrieveAmplification)
+	for _, s := range summary {
+		row(s.label, func(r *GeoResult) string {
+			if v := s.value(r); v != 0 || !s.dash {
+				return fmt.Sprintf("%.2f", v)
+			}
+			return "-"
+		})
 	}
-	fmt.Fprintln(&b)
 	return b.String()
 }
 
 // FormatProgress renders Fig 9-style progress series, sampled at fixed
 // intervals (bytes confirmed per node over time, paper-equivalent GB).
-func FormatProgress(r *ProgressResult, step time.Duration, horizon time.Duration) string {
+func FormatProgress(r *GeoResult, step time.Duration, horizon time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 9 (%s) — cumulative confirmed bytes (paper-equivalent GB)\n", r.Mode)
 	fmt.Fprintf(&b, "%8s", "t")
@@ -72,8 +97,8 @@ func FormatProgress(r *ProgressResult, step time.Duration, horizon time.Duration
 	fmt.Fprintln(&b)
 	for t := time.Duration(0); t <= horizon; t += step {
 		fmt.Fprintf(&b, "%8s", t)
-		for _, ts := range r.Series {
-			fmt.Fprintf(&b, " %9.3f", ts.At(t)/float64(1<<30))
+		for i := range r.Progress {
+			fmt.Fprintf(&b, " %9.3f", r.Confirmed(i, t)/float64(1<<30))
 		}
 		fmt.Fprintln(&b)
 	}
@@ -81,7 +106,7 @@ func FormatProgress(r *ProgressResult, step time.Duration, horizon time.Duration
 }
 
 // FormatLatency renders one Fig 10 load point.
-func FormatLatency(results []*LatencyResult) string {
+func FormatLatency(results []*GeoResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 10 — confirmation latency of local transactions (median [p5 p95])\n")
 	for _, r := range results {
@@ -97,45 +122,14 @@ func FormatLatency(results []*LatencyResult) string {
 	return b.String()
 }
 
-// FormatControlled renders Fig 11a/b-style results.
-func FormatControlled(title string, results []*ControlledResult) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, title)
-	fmt.Fprintf(&b, "%-6s", "node")
-	for _, r := range results {
-		fmt.Fprintf(&b, " %10s", r.Mode)
-	}
-	fmt.Fprintln(&b)
-	if len(results) > 0 {
-		for i := range results[0].Throughput {
-			fmt.Fprintf(&b, "%-6d", i)
-			for _, r := range results {
-				fmt.Fprintf(&b, " %10.2f", r.Throughput[i])
-			}
-			fmt.Fprintln(&b)
-		}
-	}
-	fmt.Fprintf(&b, "%-6s", "mean")
-	for _, r := range results {
-		fmt.Fprintf(&b, " %10.2f", r.Mean)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "%-6s", "std")
-	for _, r := range results {
-		fmt.Fprintf(&b, " %10.2f", r.Std)
-	}
-	fmt.Fprintln(&b)
-	return b.String()
-}
-
 // FormatScale renders Fig 12 + Fig 13 rows.
-func FormatScale(points []*ScaleResult) string {
+func FormatScale(points []*GeoResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 12/13 — scalability (throughput in paper-equivalent MB/s)\n")
 	fmt.Fprintf(&b, "%6s %10s %12s %8s %18s\n", "N", "block", "throughput", "± std", "dispersal frac")
 	for _, p := range points {
 		fmt.Fprintf(&b, "%6d %10s %12.2f %8.2f %18.4f\n",
-			p.N, byteSize(p.BlockBytes), p.Throughput, p.ThroughputStd, p.DispersalFraction)
+			len(p.Throughput), byteSize(p.FixedBlockBytes), p.Mean, p.Std, p.DispersalFraction)
 	}
 	return b.String()
 }

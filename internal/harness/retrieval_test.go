@@ -11,8 +11,8 @@ import (
 
 // midLoad is fig10's 6 MB/s point on the 16-city profile, the load at
 // which downloading every block N/K times over used to fill the links.
-func midLoad() LatencyParams {
-	return LatencyParams{Mode: core.ModeDL, LoadPerNode: 6e6 / 16, Duration: 50 * time.Second, Seed: 1}
+func midLoad() GeoParams {
+	return GeoParams{Mode: core.ModeDL, Scale: LatencyScale, LoadPerNode: 6e6 / 16, Duration: 50 * time.Second, Seed: 1}
 }
 
 func medianP50(c *Cluster, nodes []int) time.Duration {
@@ -32,7 +32,7 @@ func TestEachBlockDownloadedOnce(t *testing.T) {
 		t.Skip("50 virtual seconds of a 16-node WAN")
 	}
 	p := midLoad()
-	c, err := latencyCluster(&p)
+	c, err := p.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,7 @@ func TestSaturatedNodesDownloadEachBlockOnce(t *testing.T) {
 	}
 	before := []float64{8.79, 9.03, 8.07, 8.79, 7.60, 8.79, 7.12, 2.14, 4.28, 1.90, 1.43, 2.38, 0.71, 1.19, 1.19, 0.95}
 	p := GeoParams{Mode: core.ModeDL, Duration: 50 * time.Second, Seed: 1}
-	p.defaults()
-	c, err := geoCluster(p)
+	c, err := p.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +101,7 @@ func TestSaturatedNodesOutliveCrashedServers(t *testing.T) {
 		t.Skip("50 virtual seconds of a 16-node WAN")
 	}
 	p := GeoParams{Mode: core.ModeDL, Duration: 50 * time.Second, Seed: 1}
-	p.defaults()
-	c, err := geoCluster(p)
+	c, err := p.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +141,8 @@ func TestLimitNeverBindsAtLightLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50 virtual seconds of a 16-node WAN")
 	}
-	p := LatencyParams{Mode: core.ModeDL, LoadPerNode: 2e6 / 16, Duration: 50 * time.Second, Seed: 1}
-	c, err := latencyCluster(&p)
+	p := GeoParams{Mode: core.ModeDL, Scale: LatencyScale, LoadPerNode: 2e6 / 16, Duration: 50 * time.Second, Seed: 1}
+	c, err := p.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +166,7 @@ func TestRetrievalSurvivesCrashedServers(t *testing.T) {
 		t.Skip("50 virtual seconds of a 16-node WAN")
 	}
 	p := midLoad()
-	c, err := latencyCluster(&p)
+	c, err := p.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,26 +73,14 @@ func (w *Welford) StdDev() float64 {
 }
 
 // TimeSeries records a monotone cumulative quantity over time (e.g.
-// confirmed bytes) with bounded memory, for progress plots like Fig 9.
+// confirmed bytes), for progress plots like Fig 9.
 type TimeSeries struct {
 	Times  []time.Duration
 	Values []float64
-	// MinGap suppresses points closer together than this (0 = keep all).
-	MinGap time.Duration
 }
 
-// Add appends a point, subject to MinGap thinning. The final point of a
-// run should be added with Force.
+// Add appends a point.
 func (ts *TimeSeries) Add(t time.Duration, v float64) {
-	if n := len(ts.Times); n > 0 && ts.MinGap > 0 && t-ts.Times[n-1] < ts.MinGap {
-		return
-	}
-	ts.Times = append(ts.Times, t)
-	ts.Values = append(ts.Values, v)
-}
-
-// Force appends a point unconditionally.
-func (ts *TimeSeries) Force(t time.Duration, v float64) {
 	ts.Times = append(ts.Times, t)
 	ts.Values = append(ts.Values, v)
 }

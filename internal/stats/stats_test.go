@@ -88,18 +88,15 @@ func TestWelfordMatchesBatch(t *testing.T) {
 }
 
 func TestTimeSeries(t *testing.T) {
-	ts := &TimeSeries{MinGap: time.Second}
+	ts := &TimeSeries{}
 	ts.Add(0, 10)
-	ts.Add(500*time.Millisecond, 20) // suppressed by MinGap
+	ts.Add(500*time.Millisecond, 20)
 	ts.Add(time.Second, 30)
-	ts.Force(1100*time.Millisecond, 40) // forced through
-	if len(ts.Times) != 3 {
-		t.Fatalf("kept %d points, want 3", len(ts.Times))
-	}
+	ts.Add(1100*time.Millisecond, 40)
 	if got := ts.At(0); got != 10 {
 		t.Fatalf("At(0) = %v", got)
 	}
-	if got := ts.At(999 * time.Millisecond); got != 10 {
+	if got := ts.At(999 * time.Millisecond); got != 20 {
 		t.Fatalf("At(0.999s) = %v", got)
 	}
 	if got := ts.At(time.Second); got != 30 {
@@ -115,8 +112,8 @@ func TestTimeSeries(t *testing.T) {
 
 func TestTimeSeriesRate(t *testing.T) {
 	ts := &TimeSeries{}
-	ts.Force(0, 0)
-	ts.Force(10*time.Second, 1000)
+	ts.Add(0, 0)
+	ts.Add(10*time.Second, 1000)
 	if got := ts.Rate(0, 10*time.Second); got != 100 {
 		t.Fatalf("rate = %v, want 100/s", got)
 	}

@@ -108,12 +108,39 @@ func GaussMarkov(p GaussMarkovParams, n int, seed int64) *Sampled {
 	return &Sampled{Tick: p.Tick, Rates: rates}
 }
 
-// Spatial returns the constant per-node rates of the spatial-variation
-// experiment (§6.3, Fig 11a): node i gets base + step*i bytes/second.
-func Spatial(n int, base, step float64) []Trace {
+// Uniform is n links of rate bytes/second each: Fig 11b's fixed
+// profile and Fig 12's.
+func Uniform(n int, rate float64) []Trace {
 	out := make([]Trace, n)
 	for i := range out {
-		out[i] = Constant(base + step*float64(i))
+		out[i] = Constant(rate)
+	}
+	return out
+}
+
+// Spatial is the spatial-variation profile of §6.3 (Fig 11a): node i's
+// link carries base·(1+0.05i) bytes/second, 10+0.5i MB/s at the
+// paper's base of 10 MB/s.
+func Spatial(n int, base float64) []Trace {
+	out := make([]Trace, n)
+	for i := range out {
+		out[i] = Constant(base * (1 + 0.05*float64(i)))
+	}
+	return out
+}
+
+// Temporal is the temporal-variation profile of §6.3 (Fig 11b): n
+// independent Gauss-Markov links around mean with σ = mean/2 and
+// α = 0.98, sampled every second for a run of duration d.
+func Temporal(n int, mean float64, d time.Duration, seed int64) []Trace {
+	out := make([]Trace, n)
+	for i := range out {
+		out[i] = GaussMarkov(GaussMarkovParams{
+			Mean:  mean,
+			Sigma: mean / 2,
+			Alpha: 0.98,
+			Tick:  time.Second,
+		}, int(d/time.Second)+2, seed+int64(i)*131)
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func TestGaussMarkovDeterministic(t *testing.T) {
 
 func TestSpatial(t *testing.T) {
 	// Fig 11a: node i capped at 10 + 0.5i MB/s.
-	ts := Spatial(16, 10*MB, 0.5*MB)
+	ts := Spatial(16, 10*MB)
 	if len(ts) != 16 {
 		t.Fatalf("got %d traces", len(ts))
 	}
