@@ -400,6 +400,7 @@ func Run(p *Plan, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.Close()
 	lr := harness.NewLogRecorder(c)
 	vr := harness.NewVoteRecorder()
 	st, err := apply(c, cc, lr, vr, p)

@@ -37,6 +37,7 @@ func TestClientTrafficCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	lr := NewLogRecorder(c)
 	c.Start()
 	c.Run(15 * time.Second)
@@ -83,6 +84,7 @@ func TestClientTrafficCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	lr := NewLogRecorder(c)
 	c.Start()
 	var restartErr error
@@ -138,6 +140,7 @@ func TestClientTrafficOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	c.Start()
 	checks := 0
 	var overBudget bool

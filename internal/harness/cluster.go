@@ -7,7 +7,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"dledger/internal/core"
@@ -43,9 +46,10 @@ type ClusterOptions struct {
 	LoadPerNode     float64
 	InfiniteBacklog bool
 
-	// Durable backs every node with an in-memory store so Crash/Restart
-	// work. Off by default: the paper-figure experiments measure the
-	// protocol, not the persistence layer.
+	// Durable backs every node with a FileStore in its own directory
+	// under a fresh temporary directory, so Crash/Restart work; Close
+	// removes it. Off by default: the paper-figure experiments measure
+	// the protocol, not the persistence layer.
 	Durable bool
 
 	// Telemetry gives every node its own telemetry bundle
@@ -73,15 +77,18 @@ type ClusterOptions struct {
 	Seed int64
 }
 
-// Cluster is a running emulated deployment. Each node persists through
-// an in-memory store, so the harness can crash a node (drop it from the
-// network mid-run) and later restart it from its durable state — the
-// emulated analogue of kill -9 plus a reboot from the datadir.
+// Cluster is a running emulated deployment. Under Durable each node
+// persists through a FileStore, so the harness can crash a node (drop it
+// from the network mid-run) and later restart it from its data directory
+// — the emulated analogue of kill -9 plus a reboot from the datadir.
+// Close releases the stores and removes their directories.
 type Cluster struct {
 	Sim      *simnet.Sim
 	Net      *simnet.Network
 	Replicas []*replica.Replica
-	Stores   []*store.MemStore
+	Stores   []*store.FileStore
+	// dir holds node i's data directory node-<i> (Durable only).
+	dir string
 	// Hubs are the per-node client gateways (nil without opts.Clients;
 	// see ClusterOptions.Clients).
 	Hubs []*gateway.Hub
@@ -198,14 +205,33 @@ func (c *Cluster) boot(i int, cfg core.Config, st store.Store, hook func(replica
 	return nil
 }
 
-// freshStore gives node i an empty MemStore under Durable and no store
-// otherwise: a nil interface, never a nil *MemStore inside one.
-func (c *Cluster) freshStore(i int) store.Store {
+// freshStore gives node i an empty FileStore under Durable and no store
+// otherwise: a nil interface, never a nil *FileStore inside one. A store
+// node i already had (a Held slot's first boot) is closed and wiped.
+func (c *Cluster) freshStore(i int) (store.Store, error) {
 	if !c.opts.Durable {
-		return nil
+		return nil, nil
 	}
-	c.Stores[i] = store.NewMem()
-	return c.Stores[i]
+	if c.Stores[i] != nil {
+		c.Stores[i].Close()
+		if err := os.RemoveAll(c.storeDir(i)); err != nil {
+			return nil, err
+		}
+	}
+	return c.openStore(i)
+}
+
+func (c *Cluster) storeDir(i int) string { return filepath.Join(c.dir, fmt.Sprintf("node-%d", i)) }
+
+// openStore opens node i's data directory. NoSync is safe: an emulated
+// crash kills a process, not a host, so the page cache survives it.
+func (c *Cluster) openStore(i int) (store.Store, error) {
+	st, err := store.OpenFile(store.FileOptions{Dir: c.storeDir(i), NoSync: true})
+	if err != nil {
+		return nil, err
+	}
+	c.Stores[i] = st
+	return st, nil
 }
 
 // NewCluster builds the emulated cluster (not yet started).
@@ -235,7 +261,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	c := &Cluster{
 		Sim: sim, Net: net, opts: opts,
 		Replicas: make([]*replica.Replica, n),
-		Stores:   make([]*store.MemStore, n),
+		Stores:   make([]*store.FileStore, n),
 		alive:    make([]*bool, n),
 		userHook: make([]func(replica.Delivery), n),
 		progress: make([]stats.TimeSeries, n),
@@ -243,8 +269,20 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Telemetry {
 		c.Tels = make([]*telemetry.Metrics, n)
 	}
+	if opts.Durable {
+		dir, err := os.MkdirTemp("", tempDirPrefix)
+		if err != nil {
+			return nil, err
+		}
+		c.dir = dir
+	}
 	for i := 0; i < n; i++ {
-		if err := c.boot(i, opts.Core, c.freshStore(i), nil); err != nil {
+		st, err := c.freshStore(i)
+		if err == nil {
+			err = c.boot(i, opts.Core, st, nil)
+		}
+		if err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
@@ -274,28 +312,36 @@ func (c *Cluster) SetDeliverHook(i int, fn func(replica.Delivery)) {
 func (c *Cluster) Alive(i int) bool { return *c.alive[i] }
 
 // Crash kills node i: its traffic is dropped in both directions from the
-// current simulated instant. Its store (the "disk") survives but is
-// fenced immediately, so the dead incarnation's leftover timers cannot
-// persist anything after the crash instant — state the node had not
-// persisted is lost, exactly as in a process kill.
+// current simulated instant. Its data directory (the "disk") survives,
+// but the store handle is closed at once, so the dead incarnation's
+// leftover timers cannot persist anything after the crash instant (their
+// writes fail with store.ErrFenced) — state the node had not persisted
+// is lost, exactly as in a process kill.
 func (c *Cluster) Crash(i int) {
 	*c.alive[i] = false
 	c.Net.SetHandler(i, func(wire.Envelope) {})
 	if c.Stores[i] != nil {
-		c.Stores[i] = c.Stores[i].Reopen()
+		c.Stores[i].Close()
 	}
 }
 
-// Restart boots a fresh node i from its surviving store. Reopening
-// fences the dead incarnation's handle, so its leftover timer callbacks
-// cannot corrupt the state the successor recovered. onDeliver (may be
-// nil) is the new incarnation's delivery observer.
+// Restart boots a fresh node i from its crashed incarnation's data
+// directory, opened anew; the dead incarnation keeps its closed handle.
+// onDeliver (may be nil) is the new incarnation's delivery observer.
 func (c *Cluster) Restart(i int, onDeliver func(replica.Delivery)) error {
 	if c.Stores[i] == nil {
 		return fmt.Errorf("harness: Restart(%d) requires ClusterOptions.Durable", i)
 	}
-	c.Stores[i] = c.Stores[i].Reopen()
-	return c.boot(i, c.opts.Core, c.Stores[i], onDeliver)
+	if c.Alive(i) || c.held[i] {
+		// A second incarnation beside a live one would share its
+		// directory and leave the first sending from its timers.
+		return fmt.Errorf("harness: Restart(%d) requires a prior Crash(%d)", i, i)
+	}
+	st, err := c.openStore(i)
+	if err != nil {
+		return err
+	}
+	return c.boot(i, c.opts.Core, st, onDeliver)
 }
 
 // Hold excludes node i from the initial boot: it neither starts nor
@@ -330,7 +376,27 @@ func (c *Cluster) AddNode(i int, onDeliver func(replica.Delivery)) error {
 	delete(c.held, i)
 	cfg := c.opts.Core
 	cfg.JoinSync = true
-	return c.boot(i, cfg, c.freshStore(i), onDeliver)
+	st, err := c.freshStore(i)
+	if err != nil {
+		return err
+	}
+	return c.boot(i, cfg, st, onDeliver)
+}
+
+// tempDirPrefix names the temporary directory a Durable cluster keeps
+// its nodes' data directories in, until Close removes it.
+const tempDirPrefix = "dledger-harness-"
+
+// Close closes every node's store and removes the cluster's temporary
+// directory. A cluster without Durable has nothing to release.
+func (c *Cluster) Close() error {
+	var errs []error
+	for _, st := range c.Stores {
+		if st != nil {
+			errs = append(errs, st.Close())
+		}
+	}
+	return errors.Join(append(errs, os.RemoveAll(c.dir))...)
 }
 
 // Start boots all replicas and installs the workload.

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"dledger/internal/avid"
 	"dledger/internal/core"
+	"dledger/internal/replica"
 	"dledger/internal/trace"
 )
 
@@ -377,6 +379,7 @@ func TestClusterGuardErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { c.Close() })
 		return c
 	}
 	for _, tc := range []struct {
@@ -397,10 +400,78 @@ func TestClusterGuardErrors(t *testing.T) {
 			c.Crash(2)
 			return c.Restart(2, nil)
 		}, "requires ClusterOptions.Durable"},
+		{"Restart of a live node", func() error {
+			return build(true, false).Restart(2, nil)
+		}, "requires a prior Crash(2)"},
 	} {
 		err := tc.run()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestDurableRestartTwiceThenClose crash-restarts one node of a Durable
+// cluster twice, so its FileStore directory is reopened twice in one
+// process: each incarnation must recover at least the epochs its
+// predecessor delivered and then deliver past them, and Close must
+// remove every data directory.
+func TestDurableRestartTwiceThenClose(t *testing.T) {
+	traces := make([]trace.Trace, 4)
+	for i := range traces {
+		traces[i] = trace.Constant(2 * trace.MB)
+	}
+	c, err := NewCluster(ClusterOptions{
+		Core: core.Config{N: 4, F: 1, Mode: core.ModeDL,
+			CoinSecret: []byte("restart twice")},
+		Replica:     replica.Params{BatchDelay: 100 * time.Millisecond},
+		Egress:      traces,
+		LoadPerNode: 20 << 10,
+		Durable:     true,
+		Seed:        5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	lr := NewLogRecorder(c)
+	c.Start()
+	const victim = 3
+	var crashedAt, recovered []int64
+	for _, at := range []time.Duration{3 * time.Second, 8 * time.Second} {
+		c.Sim.At(at, func() {
+			crashedAt = append(crashedAt, c.Replicas[victim].Stats.EpochsDelivered)
+			c.Crash(victim)
+		})
+		c.Sim.At(at+time.Second, func() {
+			if err := c.Restart(victim, lr.Hook(victim)); err != nil {
+				t.Errorf("restart at %v: %v", c.Sim.Now(), err)
+				return
+			}
+			recovered = append(recovered, c.Replicas[victim].Stats.EpochsDelivered)
+		})
+	}
+	c.Run(13 * time.Second)
+	if len(recovered) != 2 {
+		t.Fatalf("%d of 2 restarts happened", len(recovered))
+	}
+	// Each incarnation is last observed at the next crash or the horizon.
+	reached := []int64{crashedAt[1], c.Replicas[victim].Stats.EpochsDelivered}
+	for k := range recovered {
+		if crashedAt[k] == 0 || recovered[k] < crashedAt[k] || reached[k] <= recovered[k] {
+			t.Errorf("restart %d: delivered %d before the crash, recovered %d, then reached %d; want 0 < before <= recovered < reached",
+				k+1, crashedAt[k], recovered[k], reached[k])
+		}
+	}
+	for _, v := range CheckPrefixAgreement(lr.Logs(), []int{0, 1, 2, 3}) {
+		t.Error(v)
+	}
+
+	dir := c.dir
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left %s behind (stat err = %v)", dir, err)
 	}
 }

@@ -13,21 +13,22 @@ import (
 )
 
 // newDurableDedupCluster builds a fakeNet cluster where every replica
-// persists to a MemStore with content-hash dedup enabled.
-func newDurableDedupCluster(t *testing.T, params Params) (*fakeNet, []*store.MemStore) {
+// persists to a FileStore with content-hash dedup enabled; node i's
+// store is open on dirs[i].
+func newDurableDedupCluster(t *testing.T, params Params) (net *fakeNet, stores []*store.FileStore, dirs []string) {
 	t.Helper()
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	net := &fakeNet{}
-	stores := make([]*store.MemStore, cfg.N)
+	net = &fakeNet{}
 	for i := 0; i < cfg.N; i++ {
-		stores[i] = store.NewMem()
+		dirs = append(dirs, t.TempDir())
+		stores = append(stores, openStore(t, dirs[i]))
 		r, err := New(cfg, i, params, stores[i], &fakeCtx{net: net, self: i})
 		if err != nil {
 			t.Fatal(err)
 		}
 		net.replicas = append(net.replicas, r)
 	}
-	return net, stores
+	return net, stores, dirs
 }
 
 // TestDedupSurvivesRestartViaWAL: a committed transaction's hash is
@@ -37,7 +38,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 	// Checkpointing off: this test pins the WAL replay path (the
 	// checkpoint path has its own test below).
 	params := Params{ClientDedup: true, BatchDelay: 10 * time.Millisecond, CheckpointEvery: -1}
-	net, stores := newDurableDedupCluster(t, params)
+	net, stores, dirs := newDurableDedupCluster(t, params)
 	for _, r := range net.replicas {
 		r.Start()
 	}
@@ -52,7 +53,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 
 	// Restart node 0 from its surviving store.
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	r2, err := New(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, restartStore(t, stores[0], dirs[0]), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDedupSurvivesRestartViaWAL(t *testing.T) {
 // refused — they ride the checkpoint's committed-hash section.
 func TestDedupSurvivesCheckpointCompaction(t *testing.T) {
 	params := Params{ClientDedup: true, BatchDelay: 10 * time.Millisecond, CheckpointEvery: 2}
-	net, stores := newDurableDedupCluster(t, params)
+	net, stores, dirs := newDurableDedupCluster(t, params)
 	for _, r := range net.replicas {
 		r.Start()
 	}
@@ -97,7 +98,7 @@ func TestDedupSurvivesCheckpointCompaction(t *testing.T) {
 	}
 
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	r2, err := New(cfg, 0, params, stores[0].Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, restartStore(t, stores[0], dirs[0]), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,8 @@ func (c *soloCtx) After(d time.Duration, fn func()) { c.net.schedule(c.net.now+d
 func TestInFlightProposalMarkedPending(t *testing.T) {
 	params := Params{ClientDedup: true, BatchDelay: 10 * time.Millisecond}
 	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("dedup test")}
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	net := &fakeNet{}
 	r, err := New(cfg, 0, params, st, &soloCtx{net: net})
 	if err != nil {
@@ -138,7 +140,7 @@ func TestInFlightProposalMarkedPending(t *testing.T) {
 	r.Start()
 	net.run(time.Second)
 
-	r2, err := New(cfg, 0, params, st.Reopen(), &fakeCtx{net: net, self: 0})
+	r2, err := New(cfg, 0, params, restartStore(t, st, dir), &fakeCtx{net: net, self: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

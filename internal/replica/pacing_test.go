@@ -203,11 +203,12 @@ func TestLateSolicitationIsNotHeld(t *testing.T) {
 // it is solicited at 2 s, where the incarnation before it would have held
 // it until epoch 4 opened at 3 s.
 func TestRestartedNodeIsNotHeld(t *testing.T) {
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	net, _ := timerPacedAt1s(t, 1500*time.Millisecond, st)
 	net.run(1500 * time.Millisecond)
 	net.replicas[0].ctx.(*crashCtx).dead = true
-	r, err := New(pacingCfg, 0, pacedParams(0, 1500*time.Millisecond, nil), st.Reopen(),
+	r, err := New(pacingCfg, 0, pacedParams(0, 1500*time.Millisecond, nil), restartStore(t, st, dir),
 		&crashCtx{fakeCtx: fakeCtx{net: net, self: 0}})
 	if err != nil {
 		t.Fatal(err)

@@ -737,9 +737,7 @@ func (r *Replica) storeFail() {
 	r.storeBroken = true
 	r.Stats.StoreErrors++
 	r.tel.Emit(telemetry.Event{Kind: telemetry.StoreError})
-	if m, ok := r.st.(store.UnsafeRestartMarker); ok {
-		_ = m.MarkUnsafeRestart() // best effort, see above
-	}
+	_ = r.st.MarkUnsafeRestart() // best effort, see above
 }
 
 // recordSyncPoint builds the canonical state-sync manifest at a cadence

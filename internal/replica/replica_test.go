@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dledger/internal/core"
+	"dledger/internal/store"
 	"dledger/internal/wire"
 	"dledger/internal/workload"
 )
@@ -74,6 +75,25 @@ func (n *fakeNet) run(until time.Duration) {
 	if n.now < until {
 		n.now = until
 	}
+}
+
+// openStore opens a FileStore on dir, closed when the test ends.
+func openStore(t *testing.T, dir string) *store.FileStore {
+	t.Helper()
+	st, err := store.OpenFile(store.FileOptions{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// restartStore closes st, the store opened on dir, and opens dir again:
+// the new handle recovers what st's incarnation wrote.
+func restartStore(t *testing.T, st *store.FileStore, dir string) *store.FileStore {
+	t.Helper()
+	st.Close()
+	return openStore(t, dir)
 }
 
 func newFakeCluster(t *testing.T, cfg core.Config, params Params) *fakeNet {

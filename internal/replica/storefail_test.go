@@ -10,13 +10,13 @@ import (
 	"dledger/internal/workload"
 )
 
-// failingStore wraps a MemStore and starts failing every write after
+// failingStore wraps a FileStore and starts failing every write after
 // `failAfter` successfully appended records — a disk that fills up mid-run.
 type failingStore struct {
-	*store.MemStore
+	*store.FileStore
 	appends   int
 	failAfter int
-	marked    int // MarkUnsafeRestart calls (store.UnsafeRestartMarker)
+	marked    int // MarkUnsafeRestart calls
 }
 
 var errDiskFull = errors.New("storefail_test: injected write failure")
@@ -24,11 +24,11 @@ var errDiskFull = errors.New("storefail_test: injected write failure")
 func (f *failingStore) AppendBatch(recs []store.Record) (uint64, error) {
 	for i := range recs {
 		if f.appends++; f.appends > f.failAfter {
-			f.MemStore.AppendBatch(recs[:i]) // the records before the failure landed
+			f.FileStore.AppendBatch(recs[:i]) // the records before the failure landed
 			return 0, errDiskFull
 		}
 	}
-	return f.MemStore.AppendBatch(recs)
+	return f.FileStore.AppendBatch(recs)
 }
 
 func (f *failingStore) MarkUnsafeRestart() error {
@@ -40,14 +40,14 @@ func (f *failingStore) PutChunk(c store.ChunkRecord) error {
 	if f.appends > f.failAfter {
 		return errDiskFull
 	}
-	return f.MemStore.PutChunk(c)
+	return f.FileStore.PutChunk(c)
 }
 
 func (f *failingStore) Sync() error {
 	if f.appends > f.failAfter {
 		return errDiskFull
 	}
-	return f.MemStore.Sync()
+	return f.FileStore.Sync()
 }
 
 // TestStoreErrorsCountedAndNodeStaysAvailable drives the documented
@@ -60,9 +60,9 @@ func TestStoreErrorsCountedAndNodeStaysAvailable(t *testing.T) {
 	net := &fakeNet{}
 	var broken *Replica
 	for i := 0; i < cfg.N; i++ {
-		var st store.Store = store.NewMem()
+		var st store.Store = openStore(t, t.TempDir())
 		if i == 0 {
-			st = &failingStore{MemStore: store.NewMem(), failAfter: 10}
+			st = &failingStore{FileStore: st.(*store.FileStore), failAfter: 10}
 		}
 		r, err := New(cfg, i, Params{BatchDelay: 50 * time.Millisecond}, st, &fakeCtx{net: net, self: i})
 		if err != nil {

@@ -143,9 +143,14 @@ func OpenFile(opts FileOptions) (*FileStore, error) {
 // going without persisting. OpenFile refuses a flagged directory.
 const unsafeMarkerName = "UNSAFE_RESTART"
 
-// MarkUnsafeRestart implements UnsafeRestartMarker: it durably creates
-// the UNSAFE_RESTART marker so future opens refuse this directory.
+// MarkUnsafeRestart implements Store: it durably creates the
+// UNSAFE_RESTART marker so future opens refuse this directory. A closed
+// handle is fenced here too: a dead incarnation must not invalidate the
+// directory its successor has reopened.
 func (s *FileStore) MarkUnsafeRestart() error {
+	if s.closed {
+		return ErrFenced
+	}
 	path := filepath.Join(s.opts.Dir, unsafeMarkerName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -507,6 +512,11 @@ func (s *FileStore) Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint,
 		}
 		return fn(lsn, rec)
 	})
+}
+
+type chunkKey struct {
+	epoch    uint64
+	proposer int
 }
 
 // Chunks implements Store. Later records for the same instance supersede

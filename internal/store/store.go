@@ -13,13 +13,13 @@
 //     state plus the WAL position it reflects, which bounds replay time
 //     and enables WAL compaction.
 //
-// Two backends implement the Store interface: MemStore keeps state in
-// process memory (an in-process "restart" hands the same MemStore to a
-// fresh node, which is how the harness crashes and revives emulated
-// nodes), and FileStore persists to a directory of CRC-checked,
-// fsync-batched log segments. A node that wants no durability has no
-// store at all: a nil Store is how every layer above spells "none", and
-// such a node pays no persistence cost.
+// One backend implements the Store interface: FileStore persists to a
+// directory of CRC-checked, fsync-batched log segments. dlnode keeps its
+// datadir in one, and the emulated harness gives each durable node one
+// in a temporary directory: a crash closes it, a restart opens the same
+// directory again. A node that wants no durability has no store at all:
+// a nil Store is how every layer above spells "none", and such a node
+// pays no persistence cost.
 //
 // Recovery model (also see DESIGN.md): the WAL records protocol
 // *outcomes* (decisions, deliveries) and, since vote persistence, every
@@ -125,8 +125,8 @@ type Checkpoint struct {
 // Store is the durability interface a replica writes through; a nil
 // Store means the node persists nothing. All methods are called from the
 // node's single event loop; implementations need no internal ordering
-// guarantees beyond that, but must tolerate a fenced stale handle (see
-// ErrFenced) writing concurrently with a successor.
+// guarantees beyond that, but a closed handle must keep refusing writes
+// (ErrFenced) while a successor writes the same state.
 type Store interface {
 	// AppendBatch appends a step's WAL records as one group and returns
 	// the LSN of the last (LSNs are 1-based and increase by one per
@@ -151,16 +151,23 @@ type Store interface {
 	Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint, error)
 	// Chunks iterates all resident chunk records (any order).
 	Chunks(fn func(ChunkRecord) error) error
-	// Close flushes and releases the store. A MemStore survives Close so
-	// an in-process restart can reopen it.
+	// MarkUnsafeRestart durably flags the store as no valid restart
+	// point, after a durable write failed (see ErrUnsafeRestart).
+	// Best-effort by nature: it runs right after a storage failure, so
+	// it may fail too — the advisory LOCK still guards the live process,
+	// and the marker only closes the operator-restarts-later window.
+	MarkUnsafeRestart() error
+	// Close flushes and releases the store; what it held survives for
+	// the next open of the same directory. Every later write through the
+	// closed handle fails with ErrFenced.
 	Close() error
 }
 
-// ErrFenced is returned to a stale handle after the backing state has
-// been reopened by a successor (the in-process analogue of a process
-// losing its lease on the data directory). The zombie's writes are
-// discarded; the successor's view is unaffected.
-var ErrFenced = errors.New("store: handle fenced by a newer open")
+// ErrFenced is returned by every write through a closed handle. After
+// an in-process crash the dead incarnation's leftover timers still hold
+// the handle; their writes are discarded, so the successor that reopens
+// the directory recovers exactly what was written before the crash.
+var ErrFenced = errors.New("store: write through a closed handle")
 
 // ErrCorrupt reports a WAL or chunk segment damaged somewhere other than
 // its tail (tail damage is expected after a crash and silently dropped).
@@ -176,18 +183,6 @@ var ErrCorrupt = errors.New("store: corrupt segment")
 // budget. Recover from scratch or a peer checkpoint instead, or pass
 // FileOptions.ForceRestart to accept the risk (dlnode -force-restart).
 var ErrUnsafeRestart = errors.New("store: data directory is not a valid restart point")
-
-// UnsafeRestartMarker is the store half of the invalid-restart-point
-// contract: the replica durably flags the data directory when a durable
-// write fails, and OpenFile refuses the directory afterwards. Optional —
-// memory-backed stores have no restart point to invalidate.
-type UnsafeRestartMarker interface {
-	// MarkUnsafeRestart durably writes the marker. Best-effort by
-	// nature: it runs right after a storage failure, so it may fail too
-	// — the advisory LOCK still guards the live process, and the marker
-	// only closes the operator-restarts-later window.
-	MarkUnsafeRestart() error
-}
 
 // ----- Record encoding -----
 //

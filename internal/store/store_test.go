@@ -427,10 +427,14 @@ func TestCheckpointAndCompaction(t *testing.T) {
 	s.Close()
 }
 
-// TestMemStoreFencing checks a reopened MemStore fences the old handle
-// but recovers its durable state.
-func TestMemStoreFencing(t *testing.T) {
-	s := NewMem()
+// TestFileStoreClosedHandleFenced pins the closed-handle contract an
+// in-process crash-restart rests on: every write through the closed
+// handle fails with ErrFenced and changes nothing, and a fresh open of
+// the directory recovers every record appended before Close, synced or
+// not.
+func TestFileStoreClosedHandleFenced(t *testing.T) {
+	dir := t.TempDir()
+	s := openFile(t, dir)
 	for _, r := range testRecords() {
 		if _, err := appendOne(s, r); err != nil {
 			t.Fatal(err)
@@ -439,59 +443,39 @@ func TestMemStoreFencing(t *testing.T) {
 	if err := s.PutChunk(testChunk(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	s2 := s.Reopen()
-	if _, err := appendOne(s, Record{Type: RecProposed, Epoch: 99}); err != ErrFenced {
-		t.Fatalf("stale append err = %v, want ErrFenced", err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.PutChunk(testChunk(99, 0)); err != ErrFenced {
-		t.Fatalf("stale put err = %v, want ErrFenced", err)
+	for name, err := range map[string]error{
+		"AppendBatch": func() error { _, err := appendOne(s, Record{Type: RecProposed, Epoch: 99}); return err }(),
+		"PutChunk":    s.PutChunk(testChunk(99, 0)),
+		"Sync":        s.Sync(),
+		"Checkpoint":  s.Checkpoint(Checkpoint{LSN: 1, State: []byte("x")}, 1),
+		// A dead incarnation must not invalidate its successor's restart point.
+		"MarkUnsafeRestart": s.MarkUnsafeRestart(),
+	} {
+		if err != ErrFenced {
+			t.Errorf("closed %s err = %v, want ErrFenced", name, err)
+		}
 	}
-	_, lsns, recs := replayAll(t, s2)
-	if len(recs) != len(testRecords()) {
-		t.Fatalf("recovered %d records, want %d", len(recs), len(testRecords()))
+
+	s2 := openFile(t, dir)
+	defer s2.Close()
+	cp, lsns, recs := replayAll(t, s2)
+	if cp != nil {
+		t.Fatalf("closed handle's Checkpoint landed: %+v", cp)
 	}
-	if lsns[len(lsns)-1] != uint64(len(recs)) {
-		t.Fatalf("lsns = %v", lsns)
+	if len(recs) != len(testRecords()) || lsns[len(lsns)-1] != uint64(len(recs)) {
+		t.Fatalf("recovered %d records at lsns %v, want %d", len(recs), lsns, len(testRecords()))
 	}
-	if _, err := appendOne(s2, Record{Type: RecProposed, Epoch: 3}); err != nil {
-		t.Fatalf("new handle append: %v", err)
+	if got := allChunks(t, s2); len(got) != 1 || got[0].Epoch != 1 {
+		t.Fatalf("recovered chunks %+v, want epoch 1 only", got)
 	}
 	if lsn, err := s2.AppendBatch(nil); err != nil || lsn != 0 {
 		t.Fatalf("empty AppendBatch = (%d, %v), want (0, nil)", lsn, err)
 	}
-}
-
-// TestMemStoreCompaction mirrors the file-backed compaction contract.
-func TestMemStoreCompaction(t *testing.T) {
-	s := NewMem()
-	for i := 0; i < 10; i++ {
-		if _, err := appendOne(s, Record{Type: RecProposed, Epoch: uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PutChunk(testChunk(uint64(i+1), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(Checkpoint{LSN: 6, State: []byte("x")}, 4); err != nil {
-		t.Fatal(err)
-	}
-	cp, lsns, _ := replayAll(t, s)
-	if cp == nil || cp.LSN != 6 {
-		t.Fatalf("cp = %+v", cp)
-	}
-	if len(lsns) != 4 || lsns[0] != 7 {
-		t.Fatalf("lsns = %v", lsns)
-	}
-	count := 0
-	s.Chunks(func(c ChunkRecord) error {
-		if c.Epoch <= 4 {
-			t.Fatalf("chunk epoch %d survived compaction", c.Epoch)
-		}
-		count++
-		return nil
-	})
-	if count != 6 {
-		t.Fatalf("chunks = %d, want 6", count)
+	if lsn, err := appendOne(s2, Record{Type: RecProposed, Epoch: 3}); err != nil || lsn != uint64(len(recs))+1 {
+		t.Fatalf("new handle append = (%d, %v), want (%d, nil)", lsn, err, len(recs)+1)
 	}
 }
 
@@ -513,18 +497,17 @@ func TestFileLockExcludesSecondOpener(t *testing.T) {
 	s2.Close()
 }
 
-// TestUnsafeRestartMarkerRefusesReopen walks the invalid-restart-point
+// TestMarkUnsafeRestartRefusesReopen walks the invalid-restart-point
 // contract end to end: MarkUnsafeRestart durably flags the datadir,
 // OpenFile then refuses it with ErrUnsafeRestart, ForceRestart opens it
 // anyway and clears the flag, and a subsequent plain open succeeds.
-func TestUnsafeRestartMarkerRefusesReopen(t *testing.T) {
+func TestMarkUnsafeRestartRefusesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openFile(t, dir)
 	if _, err := appendOne(s, Record{Type: RecProposed, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var m UnsafeRestartMarker = s // FileStore must implement the interface
-	if err := m.MarkUnsafeRestart(); err != nil {
+	if err := s.MarkUnsafeRestart(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

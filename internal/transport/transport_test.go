@@ -232,25 +232,46 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	}
 }
 
-// reopen reopens every store over what its previous incarnation wrote.
-func reopen(mems []*store.MemStore) {
-	for i := range mems {
-		mems[i] = mems[i].Reopen()
+// nodeStores is one FileStore per node, each in its own directory.
+type nodeStores struct {
+	dirs []string
+	sts  []*store.FileStore
+}
+
+func newStores(t *testing.T, n int) *nodeStores {
+	s := &nodeStores{dirs: make([]string, n), sts: make([]*store.FileStore, n)}
+	for i := range s.dirs {
+		s.dirs[i] = t.TempDir()
+	}
+	t.Cleanup(s.close)
+	s.reopen(t)
+	return s
+}
+
+// reopen closes every store and opens its directory again: the next
+// incarnation recovers what the previous one wrote.
+func (s *nodeStores) reopen(t *testing.T) {
+	t.Helper()
+	s.close()
+	for i, dir := range s.dirs {
+		st, err := store.OpenFile(store.FileOptions{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.sts[i] = st
 	}
 }
 
-// withStores gives node i the store mems[i].
-func withStores(mems []*store.MemStore) func(int, *TCPOptions) {
-	return func(i int, o *TCPOptions) { o.Store = mems[i] }
+func (s *nodeStores) close() {
+	for _, st := range s.sts {
+		if st != nil {
+			st.Close()
+		}
+	}
 }
 
-func newMems(n int) []*store.MemStore {
-	mems := make([]*store.MemStore, n)
-	for i := range mems {
-		mems[i] = store.NewMem()
-	}
-	return mems
-}
+// each gives node i the store s.sts[i].
+func (s *nodeStores) each(i int, o *TCPOptions) { o.Store = s.sts[i] }
 
 // TestTCPClusterRestartFromStores shuts a whole cluster down and
 // rebuilds it over the same stores (with a small checkpoint interval so
@@ -258,12 +279,12 @@ func newMems(n int) []*store.MemStore {
 // cluster must resume from the recovered log position, not re-deliver,
 // and keep delivering.
 func TestTCPClusterRestartFromStores(t *testing.T) {
-	mems := newMems(4)
+	stores := newStores(t, 4)
 	opts := TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 10 * time.Millisecond, CheckpointEvery: 2},
 	}
-	c := newTCPCluster(t, opts, withStores(mems))
+	c := newTCPCluster(t, opts, stores.each)
 	for i, n := range c {
 		for k := 0; k < 10; k++ {
 			n.Submit(workload.Make(i, uint32(k), 0, 100))
@@ -278,8 +299,8 @@ func TestTCPClusterRestartFromStores(t *testing.T) {
 	c[0].Inspect(func(r *replica.Replica) { txsBefore = r.Stats.DeliveredTxs })
 	c.Close()
 
-	reopen(mems)
-	c2 := newTCPCluster(t, opts, withStores(mems))
+	stores.reopen(t)
+	c2 := newTCPCluster(t, opts, stores.each)
 	var recovered, recoveredTxs int64
 	c2[0].Inspect(func(r *replica.Replica) {
 		recovered = r.Stats.EpochsDelivered
@@ -303,13 +324,13 @@ func TestTCPClusterRestartFromStores(t *testing.T) {
 // EpochsDelivered counter always equals the engine's delivered position
 // — the counter must be replayed, not re-counted or double-counted.
 func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
-	mems := newMems(4)
+	stores := newStores(t, 4)
 	opts := TCPOptions{
 		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
 		Replica: replica.Params{BatchDelay: 5 * time.Millisecond, CheckpointEvery: 2},
 	}
 	for round := 0; round < 3; round++ {
-		c := newTCPCluster(t, opts, withStores(mems))
+		c := newTCPCluster(t, opts, stores.each)
 		for i, n := range c {
 			for k := 0; k < 20; k++ {
 				n.Submit(workload.Make(i, uint32(round*100+k), 0, 100))
@@ -327,6 +348,6 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 			}
 		})
 		c.Close()
-		reopen(mems)
+		stores.reopen(t)
 	}
 }
