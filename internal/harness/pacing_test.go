@@ -58,15 +58,16 @@ func pacingRun(t *testing.T, loaded int, horizon time.Duration) (*Cluster, []int
 	return c, blocks
 }
 
-// TestFullBatchWaitsForTheEpochToOpen: two of sixteen nodes fill a batch
-// well before the idle nodes' one-second timers fire, so every epoch
-// decides only once the idle nodes' empty blocks are dispersed. A loaded
-// node that proposes the moment it is asked (the paper's §5 rule) leaves
-// its block waiting for them inside agreement, and the loaded nodes'
-// local p50 read 1.51 and 1.46 s here. Held until the epoch opens, the
-// same second of transactions goes one message after the idle nodes'
-// blocks, and no block misses agreement for it.
-func TestFullBatchWaitsForTheEpochToOpen(t *testing.T) {
+// TestIdleNodesAnswerAnOpenedEpoch: two of sixteen nodes fill a batch
+// well before the idle nodes' one-second timers fire. Every epoch decides
+// only once the idle nodes' empty blocks are dispersed too, so the
+// loaded node whose batch fills first opens the epoch and every other
+// node answers it at once, with whatever it holds. A loaded node that
+// proposed at once and left its block waiting inside agreement for the
+// idle nodes' timers (the paper's §5 rule) read a local p50 of 1.51 and
+// 1.46 s here; held until the timers opened the epoch, 617 and 535 ms;
+// answered at once, 118 and 128 ms. No block misses agreement for it.
+func TestIdleNodesAnswerAnOpenedEpoch(t *testing.T) {
 	c, _ := pacingRun(t, 2, 20*time.Second)
 	for i, r := range c.Replicas {
 		if r.Stats.LinkedBlocks != 0 {
@@ -77,27 +78,33 @@ func TestFullBatchWaitsForTheEpochToOpen(t *testing.T) {
 		lat := &c.Replicas[i].Stats.LatLocal
 		p50 := lat.Percentile(50)
 		t.Logf("loaded node %d: local p50 %v over %d transactions", i, p50, lat.Count())
-		if p50 >= time.Second {
-			t.Errorf("loaded node %d: local p50 %v, want below the 1 s batch delay", i, p50)
+		if p50 >= 250*time.Millisecond {
+			t.Errorf("loaded node %d: local p50 %v, want below 250 ms, a quarter of the batch delay", i, p50)
 		}
 	}
 }
 
-// TestByteFullClusterNeverHolds: with every node loaded, every block
-// agreement commits carries transactions and each epoch is paced by the
-// batches filling, so no batch is ever held: the epochs and the block
-// sizes, in delivery order, are those of proposing at once (recorded
-// before holding existed).
+// TestByteFullClusterNeverHolds: with every node loaded, each epoch opens
+// when the first batch fills and the other nodes' partial batches go
+// with it, so no batch is ever held: the epochs and the block sizes, in
+// delivery order, are pinned. Under the paper's §5 rule alone, where a
+// node proposes only when its own batch fills or its timer fires, this
+// run delivered 28,606,464 payload bytes in 13 epochs; answering an
+// opened epoch at once must not deliver less.
 func TestByteFullClusterNeverHolds(t *testing.T) {
 	c, blocks := pacingRun(t, 16, 5*time.Second)
 	sizes := fnv.New64a()
 	for _, b := range blocks {
 		binary.Write(sizes, binary.BigEndian, int64(b))
 	}
-	const epochs, count, payload, digest = 13, 203, 28606464, 0x2683b2e04d4b3963
+	const epochs, count, payload, digest = 33, 528, 31981568, 0x907ef5af08861c7a
+	const floor = 28606464
 	r := c.Replicas[0]
 	if r.Stats.EpochsDelivered != epochs || len(blocks) != count || r.Stats.DeliveredPayload != payload || sizes.Sum64() != digest {
 		t.Errorf("node 0 delivered %d epochs, %d blocks, %d payload bytes, block sizes %x; want %d, %d, %d, %x",
 			r.Stats.EpochsDelivered, len(blocks), r.Stats.DeliveredPayload, sizes.Sum64(), epochs, count, payload, uint64(digest))
+	}
+	if r.Stats.DeliveredPayload < floor {
+		t.Errorf("node 0 delivered %d payload bytes, below the %d of the §5 rule", r.Stats.DeliveredPayload, floor)
 	}
 }

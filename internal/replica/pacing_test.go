@@ -12,7 +12,7 @@ import (
 	"dledger/internal/workload"
 )
 
-// pacingCfg is the cluster of the proposal-pacing tests: N−f = 3.
+// pacingCfg is the cluster of the proposal-pacing tests.
 var pacingCfg = core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("replica test")}
 
 // crashCtx is a fakeCtx whose node can be killed: once dead, its leftover
@@ -46,7 +46,8 @@ func pacedParams(i int, delay0 time.Duration, tel *telemetry.Metrics) Params {
 
 // pacedNet starts four replicas with pacedParams, node 0 persisting to st
 // (nil: nothing). The first epoch's blocks are empty and decide at once;
-// from then on an epoch decides when three nodes have proposed.
+// from then on an epoch opens when its first proposal's chunks arrive, and
+// the other nodes answer it at once.
 func pacedNet(t *testing.T, delay0 time.Duration, st store.Store) (*fakeNet, *telemetry.Metrics) {
 	t.Helper()
 	net := &fakeNet{}
@@ -68,14 +69,18 @@ func pacedNet(t *testing.T, delay0 time.Duration, st store.Store) (*fakeNet, *te
 	return net, tel
 }
 
-// burst submits one full batch to node at the given instant.
-func burst(net *fakeNet, node int, at time.Duration) {
+// submit gives node txs transactions of 500 bytes at the given instant:
+// one is half a batch, two fill one.
+func submit(net *fakeNet, node int, at time.Duration, txs int) {
 	net.schedule(at, func() {
-		for k := 0; k < 2; k++ {
+		for k := 0; k < txs; k++ {
 			net.replicas[node].Submit(workload.Make(node, uint32(at/time.Millisecond)*2+uint32(k), at, 500))
 		}
 	})
 }
+
+// burst submits one full batch to node at the given instant.
+func burst(net *fakeNet, node int, at time.Duration) { submit(net, node, at, 2) }
 
 // proposals reads node 0's dl_proposals_total by trigger.
 func proposals(tel *telemetry.Metrics) map[string]uint64 {
@@ -87,172 +92,198 @@ func proposals(tel *telemetry.Metrics) map[string]uint64 {
 	return out
 }
 
-// timerPacedAt1s: node 0's full batch at 100 ms goes at once (nothing has
-// been delivered, so the cluster counts as byte-paced) and is the one
-// transaction-carrying block of epoch 2, which the other nodes' timers
-// complete at 1 s: from its delivery node 0 counts the cluster as
-// timer-paced. It was solicited for epoch 3 at 1 s, before its own timer
-// expired.
-func timerPacedAt1s(t *testing.T, delay0 time.Duration, st store.Store) (*fakeNet, *telemetry.Metrics) {
+// proposedAt checks that node 0 proposed into epoch at instant when and
+// not a moment before.
+func proposedAt(t *testing.T, net *fakeNet, epoch uint64, when time.Duration) {
 	t.Helper()
-	net, tel := pacedNet(t, delay0, st)
-	burst(net, 0, 100*time.Millisecond)
-	net.run(time.Second)
-	if r := net.replicas[0]; !r.timerPaced || r.lastProposal != 100*time.Millisecond {
-		t.Fatalf("setup: node 0 timer-paced %v, last proposal at %v; want true, 100ms", r.timerPaced, r.lastProposal)
+	r := net.replicas[0]
+	net.run(when - time.Millisecond)
+	if got := r.Engine().DispersalEpoch(); got != epoch-1 {
+		t.Fatalf("node 0 at epoch %d just before %v, want %d", got, when, epoch-1)
 	}
-	return net, tel
+	net.run(when)
+	if got := r.Engine().DispersalEpoch(); got != epoch || r.lastProposal != when {
+		t.Fatalf("node 0 at epoch %d, last proposal at %v; want epoch %d at %v", got, r.lastProposal, epoch, when)
+	}
 }
 
-// TestHeldBatchGoesWhenTheEpochOpens: a batch that fills at 1.2 s waits
-// for the other nodes' timers to open epoch 3 at 2 s — before node 0's own
-// 1.5 s timer would release it at 2.5 s — and goes the moment they do.
-func TestHeldBatchGoesWhenTheEpochOpens(t *testing.T) {
-	net, tel := timerPacedAt1s(t, 1500*time.Millisecond, nil)
-	r := net.replicas[0]
-	burst(net, 0, 1200*time.Millisecond)
-	net.run(1999 * time.Millisecond)
-	if got := r.Engine().DispersalEpoch(); got != 2 {
-		t.Fatalf("node 0 proposed into epoch %d before another node opened epoch 3", got)
+// TestOpeningReleasesAPartialBatch: node 0 holds half a batch from 100 ms,
+// and node 1's full batch opens epoch 2 at 200 ms, well before node 0's
+// one-second timer. The half batch goes with it.
+func TestOpeningReleasesAPartialBatch(t *testing.T) {
+	net, tel := pacedNet(t, time.Second, nil)
+	submit(net, 0, 100*time.Millisecond, 1)
+	burst(net, 1, 200*time.Millisecond)
+	proposedAt(t, net, 2, 200*time.Millisecond)
+	if got := net.replicas[0].PendingBytes(); got != 0 {
+		t.Errorf("%d bytes left in node 0's mempool, want 0", got)
 	}
-	net.run(2 * time.Second)
-	if got := r.Engine().DispersalEpoch(); got != 3 || r.lastProposal != 2*time.Second {
-		t.Fatalf("node 0 at epoch %d, last proposal at %v; want epoch 3 at 2s", got, r.lastProposal)
-	}
-	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 1, "opened": 1}; !maps.Equal(got, want) {
+	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 1}; !maps.Equal(got, want) {
 		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
 
-// TestHeldBatchGoesWhenItsTimerFires: with the other nodes' timers slowed
-// to 3 s, nobody opens epoch 3 until 4 s, and node 0's batch, held from
-// 1.05 s, goes BatchDelay after node 0 was solicited at 1 s.
-func TestHeldBatchGoesWhenItsTimerFires(t *testing.T) {
-	net, tel := timerPacedAt1s(t, time.Second, nil)
-	r := net.replicas[0]
-	for _, other := range net.replicas[1:] {
-		other.params.BatchDelay = 3 * time.Second
-	}
-	burst(net, 0, 1050*time.Millisecond)
-	net.run(1999 * time.Millisecond)
-	if got := r.Engine().DispersalEpoch(); got != 2 {
-		t.Fatalf("node 0 proposed into epoch %d before its hold ran out", got)
-	}
-	net.run(2 * time.Second)
-	if got := r.Engine().DispersalEpoch(); got != 3 || r.lastProposal != 2*time.Second {
-		t.Fatalf("node 0 at epoch %d, last proposal at %v; want epoch 3 at 2s", got, r.lastProposal)
-	}
-	if got, want := proposals(tel), map[string]uint64{"timer": 1, "bytes": 1, "opened": 0}; !maps.Equal(got, want) {
+// TestOpeningReleasesAnEmptyBlock: a node with nothing to propose answers
+// an opened epoch at once too, with an empty block, which reports no
+// TxProposed and so counts under no trigger.
+func TestOpeningReleasesAnEmptyBlock(t *testing.T) {
+	net, tel := pacedNet(t, time.Second, nil)
+	burst(net, 1, 200*time.Millisecond)
+	proposedAt(t, net, 2, 200*time.Millisecond)
+	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 0}; !maps.Equal(got, want) {
 		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
 
-// TestByteFullClusterProposesAtOnce: once an epoch commits N−f
-// transaction-carrying blocks the cluster is byte-paced again and a full
-// batch goes at once; epochs with no transactions at all say nothing
-// about pacing and leave that verdict in place.
+// TestByteFullClusterProposesAtOnce: a full batch goes the moment it is
+// pending, whether it fills right after the epoch node 0 last proposed
+// into or after three all-empty epochs the timers paced.
 func TestByteFullClusterProposesAtOnce(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		at   time.Duration
+		name  string
+		epoch uint64
+		at    time.Duration
 	}{
-		{"right after the epoch", 2500 * time.Millisecond},
-		{"after three all-empty epochs", 5500 * time.Millisecond},
+		{"right after the epoch", 2, 100 * time.Millisecond},
+		{"after three all-empty epochs", 5, 3500 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net, tel := timerPacedAt1s(t, time.Second, nil)
-			// Every node fills at 1.05 s and holds its batch until the
-			// holds run out at 2 s: epoch 3 is four transaction-carrying
-			// blocks.
-			for i := range net.replicas {
-				burst(net, i, 1050*time.Millisecond)
-			}
+			net, tel := pacedNet(t, time.Second, nil)
 			burst(net, 0, tc.at)
-			net.run(tc.at)
-			r := net.replicas[0]
-			if r.timerPaced || r.lastProposal != tc.at {
-				t.Fatalf("node 0 timer-paced %v, last proposal at %v; want false, %v", r.timerPaced, r.lastProposal, tc.at)
-			}
-			if got := proposals(tel)["bytes"]; got != 2 {
-				t.Errorf("%d proposals released by bytes, want 2", got)
+			proposedAt(t, net, tc.epoch, tc.at)
+			if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 1, "opened": 0}; !maps.Equal(got, want) {
+				t.Errorf("dl_proposals_total %v, want %v", got, want)
 			}
 		})
 	}
 }
 
-// TestLateSolicitationIsNotHeld: a node asked to propose after its own
-// timer expired is in a cluster whose epochs outlast its batch delay,
-// where every node proposes as soon as it is asked and nothing waits for
-// a timer. Node 0 (500 ms timer, last proposal at 1 s) is asked for
-// epoch 4 at 2 s with a full batch and a timer-paced verdict, and
-// proposes at once.
-func TestLateSolicitationIsNotHeld(t *testing.T) {
-	net, _ := pacedNet(t, 500*time.Millisecond, nil)
-	burst(net, 0, 100*time.Millisecond)
-	burst(net, 0, 1600*time.Millisecond)
-	net.run(2 * time.Second)
-	r := net.replicas[0]
-	if !r.timerPaced || r.Engine().DispersalEpoch() != 4 || r.lastProposal != 2*time.Second {
-		t.Fatalf("node 0: timer-paced %v, epoch %d proposed at %v; want true, epoch 4 at 2s",
-			r.timerPaced, r.Engine().DispersalEpoch(), r.lastProposal)
+// TestPartialBatchWaitsForItsTimer: with nobody opening epoch 2, node 0's
+// half batch from 100 ms waits out its 500 ms batch delay.
+func TestPartialBatchWaitsForItsTimer(t *testing.T) {
+	net, tel := pacedNet(t, 500*time.Millisecond, nil)
+	submit(net, 0, 100*time.Millisecond, 1)
+	proposedAt(t, net, 2, 500*time.Millisecond)
+	if got, want := proposals(tel), map[string]uint64{"timer": 1, "bytes": 0, "opened": 0}; !maps.Equal(got, want) {
+		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
 
-// TestRestartedNodeIsNotHeld: the pacing verdict is soft state. Node 0
-// restarts from its store at 1.5 s; its full batch then goes the moment
-// it is solicited at 2 s, where the incarnation before it would have held
-// it until epoch 4 opened at 3 s.
-func TestRestartedNodeIsNotHeld(t *testing.T) {
+// TestEmptyProposalIsNeverHeld: an empty or gap-fill proposal goes the
+// moment it is asked for, whatever the batch waiting behind it.
+func TestEmptyProposalIsNeverHeld(t *testing.T) {
+	net, _ := pacedNet(t, time.Second, nil)
+	r := net.replicas[0]
+	submit(net, 0, 100*time.Millisecond, 1)
+	net.run(500 * time.Millisecond)
+	if !r.pendingProposal {
+		t.Fatal("setup: node 0's half batch is not waiting for its timer")
+	}
+	r.proposalEmpty = true
+	r.tryPropose()
+	if r.pendingProposal || r.lastProposal != 500*time.Millisecond || r.PendingBytes() != 500 {
+		t.Fatalf("empty proposal pending %v, last proposal at %v, %d bytes left; want sent at 500ms, 500 left",
+			r.pendingProposal, r.lastProposal, r.PendingBytes())
+	}
+}
+
+// TestOpeningReleasesNoCatchingUpProposal: a node still catching up after
+// a restart proposes nothing, however many epochs open around it.
+func TestOpeningReleasesNoCatchingUpProposal(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	net, _ := timerPacedAt1s(t, 1500*time.Millisecond, st)
-	net.run(1500 * time.Millisecond)
+	net, _ := pacedNet(t, time.Second, st)
+	net.run(500 * time.Millisecond)
 	net.replicas[0].ctx.(*crashCtx).dead = true
-	r, err := New(pacingCfg, 0, pacedParams(0, 1500*time.Millisecond, nil), restartStore(t, st, dir),
-		&crashCtx{fakeCtx: fakeCtx{net: net, self: 0}})
+	// The new incarnation's status requests never leave it, so it stays
+	// catching up.
+	r, err := New(pacingCfg, 0, pacedParams(0, time.Second, nil), restartStore(t, st, dir),
+		&crashCtx{fakeCtx: fakeCtx{net: net, self: 0}, dead: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.replicas[0] = r
 	r.Start()
-	burst(net, 0, 1600*time.Millisecond)
+	submit(net, 0, 600*time.Millisecond, 1)
+	burst(net, 1, 700*time.Millisecond)
 	net.run(2 * time.Second)
-	if r.timerPaced || r.lastProposal != 2*time.Second || r.Engine().DispersalEpoch() != 4 {
-		t.Fatalf("restarted node 0: timer-paced %v, epoch %d proposed at %v; want false, epoch 4 at 2s",
-			r.timerPaced, r.Engine().DispersalEpoch(), r.lastProposal)
+	if !r.Engine().CatchingUp() || !r.pendingProposal || r.opened <= r.Engine().DispersalEpoch() {
+		t.Fatalf("setup: node 0 catching up %v, solicited %v, opened epoch %d, proposed into %d; want an opened epoch solicited while catching up",
+			r.Engine().CatchingUp(), r.pendingProposal, r.opened, r.Engine().DispersalEpoch())
 	}
-}
-
-// TestEmptyProposalIsNeverHeld: an empty or gap-fill proposal goes the
-// moment it is asked for, whatever the batch pending behind it.
-func TestEmptyProposalIsNeverHeld(t *testing.T) {
-	net, _ := timerPacedAt1s(t, 1500*time.Millisecond, nil)
-	r := net.replicas[0]
-	burst(net, 0, 1200*time.Millisecond)
-	net.run(1500 * time.Millisecond)
-	if !r.pendingProposal {
-		t.Fatal("setup: node 0's full batch is not held")
-	}
-	r.proposalEmpty = true
-	r.tryPropose()
-	if r.pendingProposal || r.lastProposal != 1500*time.Millisecond || r.PendingBytes() != 1000 {
-		t.Fatalf("empty proposal pending %v, last proposal at %v, %d bytes left; want sent at 1.5s, 1000 left",
-			r.pendingProposal, r.lastProposal, r.PendingBytes())
+	if r.lastProposal >= 500*time.Millisecond {
+		t.Errorf("node 0 proposed at %v while catching up", r.lastProposal)
 	}
 }
 
 // TestFixedBlockProposalIsNeverHeld: in the fixed-block-size mode a block
-// goes as soon as its bytes are pending, timer-paced cluster or not.
+// goes as soon as its bytes are pending, and not before: node 1's full
+// block opens epoch 1 at 200 ms, and node 0's half block stays until it
+// fills at 300 ms.
 func TestFixedBlockProposalIsNeverHeld(t *testing.T) {
 	net := newFakeCluster(t, pacingCfg, Params{BatchDelay: time.Second, FixedBlockBytes: 1000})
 	for _, r := range net.replicas {
 		r.Start()
 	}
 	r := net.replicas[0]
-	r.timerPaced = true
-	burst(net, 0, 100*time.Millisecond)
-	net.run(100 * time.Millisecond)
-	if got := r.Engine().DispersalEpoch(); got != 1 || r.lastProposal != 100*time.Millisecond {
-		t.Fatalf("node 0 at epoch %d, last proposal at %v; want epoch 1 at 100ms", got, r.lastProposal)
+	submit(net, 0, 100*time.Millisecond, 1)
+	burst(net, 1, 200*time.Millisecond)
+	submit(net, 0, 300*time.Millisecond, 1)
+	net.run(299 * time.Millisecond)
+	if r.opened != 1 || r.Engine().DispersalEpoch() != 0 {
+		t.Fatalf("node 0 saw epoch %d open and proposed into epoch %d by 299ms; want 1 and none", r.opened, r.Engine().DispersalEpoch())
+	}
+	net.run(300 * time.Millisecond)
+	if got := r.Engine().DispersalEpoch(); got != 1 || r.lastProposal != 300*time.Millisecond {
+		t.Fatalf("node 0 at epoch %d, last proposal at %v; want epoch 1 at 300ms", got, r.lastProposal)
+	}
+}
+
+// TestEagerOpenerSetsThePace: node 0 runs a one-millisecond batch delay,
+// so it opens every epoch a millisecond after the last one decided, and
+// the other nodes answer each opening at once. The cluster runs at node
+// 0's pace and stays live; no node proposes twice into one epoch, and
+// every transaction is delivered once.
+func TestEagerOpenerSetsThePace(t *testing.T) {
+	net, _ := pacedNet(t, time.Millisecond, nil)
+	type slot struct {
+		epoch    uint64
+		proposer int
+	}
+	blocks := map[slot]int{}
+	txs := map[string]int{}
+	net.replicas[1].OnDeliver = func(d Delivery) {
+		blocks[slot{d.Epoch, d.Proposer}]++
+		for _, tx := range d.Txs {
+			txs[string(tx)]++
+		}
+	}
+	submitted := 0
+	for at := 10 * time.Millisecond; at < 4*time.Second; at += 100 * time.Millisecond {
+		for node := range net.replicas {
+			submit(net, node, at, 1)
+			submitted++
+		}
+	}
+	net.run(5 * time.Second)
+	for s, n := range blocks {
+		if n != 1 {
+			t.Errorf("node %d's block of epoch %d delivered %d times", s.proposer, s.epoch, n)
+		}
+	}
+	if len(txs) != submitted {
+		t.Errorf("%d of %d transactions delivered", len(txs), submitted)
+	}
+	for tx, n := range txs {
+		if n != 1 {
+			t.Errorf("transaction %x delivered %d times", tx[:6], n)
+		}
+	}
+	// Epoch 1 at 0 s, then one a millisecond: one per agreement round.
+	const epochs = 5001
+	for i, r := range net.replicas {
+		if r.Stats.EpochsDelivered != epochs {
+			t.Errorf("node %d delivered %d epochs in 5 s, want %d", i, r.Stats.EpochsDelivered, epochs)
+		}
 	}
 }

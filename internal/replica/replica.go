@@ -4,16 +4,13 @@
 // The replica owns the paper's rate control for block proposals (§5): a
 // node proposes its next block once (i) BatchDelay has passed since its
 // last proposal, or (ii) BatchBytes of transactions have accumulated —
-// Nagle's algorithm applied to batching. One departure: when the last
-// delivered epoch that carried transactions had them in fewer than N−f
-// of the blocks agreement committed, the cluster is timer-paced (an
-// epoch decides only once timer-driven proposals are dispersed), and a
-// full batch the node was asked for before its own timer expired is
-// held until another proposer's dispersal opens the epoch, for at most
-// BatchDelay. That verdict is soft state: a restarted node starts
-// byte-paced. It also implements the fixed-block-size mode used by the
-// scalability experiments (Fig 12/13), which never holds, and records
-// the per-node statistics every figure of the evaluation is built from.
+// Nagle's algorithm applied to batching — or (iii) another proposer's
+// dispersal has opened the epoch, in which case the block carries
+// whatever the node holds: the cluster's first trigger paces every
+// epoch and the other nodes join it. It also implements the
+// fixed-block-size mode used by the scalability experiments (Fig 12/13),
+// which ignores openings, and records the per-node statistics every
+// figure of the evaluation is built from.
 //
 // A Replica is single-threaded: all methods must be called from one
 // goroutine (the emulator event loop, or a transport's reader loop).
@@ -187,19 +184,11 @@ type Replica struct {
 	pendingProposal bool
 	proposalEmpty   bool
 	lastProposal    time.Duration
-	solicitedAt     time.Duration
 	timerArmed      bool
 	started         bool
 
-	// Proposal pacing (see tryPropose), soft state a restart resets:
-	// epochTxBlocks counts the transaction-carrying blocks agreement
-	// committed in the epoch being delivered; timerPaced is set when the
-	// last delivered epoch that had any had fewer than quorum (N−f);
 	// opened is the highest epoch another proposer's dispersal opened.
-	quorum        int
-	epochTxBlocks int
-	timerPaced    bool
-	opened        uint64
+	opened uint64
 
 	// OnDeliver, when set, observes every delivered block.
 	OnDeliver func(Delivery)
@@ -296,7 +285,6 @@ func New(cfg core.Config, self int, params Params, st store.Store, ctx Context) 
 		params: params,
 		st:     st,
 		tel:    newRepMetrics(params.Telemetry),
-		quorum: cfg.N - cfg.F,
 	}
 	if st != nil {
 		if err := r.restore(); err != nil {
@@ -566,7 +554,6 @@ func (r *Replica) apply(actions []core.Action) {
 		case core.ProposalNeededAction:
 			r.pendingProposal = true
 			r.proposalEmpty = act.Empty
-			r.solicitedAt = r.ctx.Now()
 			r.tryPropose()
 		case core.ResubmitAction:
 			r.pool.PushFrontAt(act.Txs, r.ctx.Now())
@@ -586,10 +573,6 @@ func (r *Replica) apply(actions []core.Action) {
 		case core.EpochDeliveredAction:
 			r.Stats.EpochsDelivered++
 			r.sinceCkpt++
-			if r.epochTxBlocks > 0 {
-				r.timerPaced = r.epochTxBlocks < r.quorum
-				r.epochTxBlocks = 0
-			}
 			r.tel.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: r.ctx.Now(), Epoch: act.Epoch})
 		case core.EpochOpenedAction:
 			r.opened = act.Epoch
@@ -813,9 +796,6 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 		kind = telemetry.BlockDeliveredLinked
 	} else {
 		r.Stats.BADeliveries++
-		if len(act.Txs) > 0 {
-			r.epochTxBlocks++
-		}
 	}
 	r.tel.Emit(telemetry.Event{Kind: kind, At: now, Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: int64(act.Payload)}, act.Txs...)
 	for _, tx := range act.Txs {
@@ -870,27 +850,17 @@ func (r *Replica) tryPropose() {
 	}
 	now := r.ctx.Now()
 	due := r.lastProposal + r.params.batchDelay()
-	if r.pool.PendingBytes() >= r.params.batchBytes() {
-		switch {
-		case !r.timerPaced || r.solicitedAt > due:
-			r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
-			return
-		case r.opened > r.engine.DispersalEpoch():
-			r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
-			return
-		}
-		// Timer-paced, and asked before its own timer expired: the epoch
-		// decides only once other nodes' timer-driven proposals are
-		// dispersed, so a full batch that went now would wait for them in
-		// agreement. Held, it keeps filling until the epoch opens, for at
-		// most BatchDelay from the solicitation: a node that proposed at
-		// its last solicitation is asked again just as its own timer
-		// fires, and a hold that timer ended would never begin. A node
-		// asked after its timer expired is in a cluster whose epochs
-		// outlast BatchDelay, where nobody waits for a timer.
-		due = r.solicitedAt + r.params.batchDelay()
-	}
-	if now >= due {
+	switch {
+	case r.pool.PendingBytes() >= r.params.batchBytes():
+		r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
+		return
+	case r.opened > r.engine.DispersalEpoch():
+		// Another proposer has opened the epoch: it decides on that
+		// proposer's schedule whether or not this node's batch is full,
+		// so the batch goes with it, whatever its size.
+		r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
+		return
+	case now >= due:
 		r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
 		return
 	}

@@ -152,12 +152,12 @@ const (
 // dl_proposals_total.
 const (
 	// TriggerTimer: the batch delay had passed since the node's previous
-	// proposal, or a held batch had waited it out.
+	// proposal.
 	TriggerTimer int64 = iota
 	// TriggerBytes: a full batch was pending and went at once.
 	TriggerBytes
-	// TriggerOpened: a full batch went because another proposer's
-	// dispersal had opened the epoch.
+	// TriggerOpened: another node opened the epoch and this batch,
+	// whatever its size, went with it.
 	TriggerOpened
 )
 
