@@ -13,7 +13,7 @@
 // figure of the evaluation is built from.
 //
 // A Replica is single-threaded: all methods must be called from one
-// goroutine (the emulator event loop, or a transport's reader loop).
+// goroutine (the emulator's event loop, or a TCP node's event loop).
 package replica
 
 import (
@@ -500,9 +500,21 @@ func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
 	return nil
 }
 
-// OnEnvelope feeds one network message into the engine.
-func (r *Replica) OnEnvelope(env wire.Envelope) {
-	r.apply(r.engine.Handle(env))
+// OnEnvelope feeds network messages into the engine as one step: their
+// actions are applied together, so one group commit covers all their
+// records before any of their effects is externalized. The emulator
+// passes one envelope per step; the TCP node every envelope of a loop
+// turn.
+func (r *Replica) OnEnvelope(envs ...wire.Envelope) {
+	var actions []core.Action
+	for _, env := range envs {
+		if a := r.engine.Handle(env); actions == nil {
+			actions = a
+		} else {
+			actions = append(actions, a...)
+		}
+	}
+	r.apply(actions)
 }
 
 // PendingBytes returns the mempool backlog.
@@ -511,10 +523,12 @@ func (r *Replica) PendingBytes() int { return r.pool.PendingBytes() }
 // mempoolChanged publishes the backlog after a push or a pop.
 func (r *Replica) mempoolChanged() { r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes())) }
 
-// apply interprets one engine step's actions. Durable records are
-// written (and group-committed with a single Sync) before any effect of
-// the step is externalized, so nothing the application or a peer
-// observes can be lost to a crash the WAL does not remember.
+// apply interprets one step's actions. Durable records are written (and
+// group-committed with a single Sync) before any effect of the step is
+// externalized, so nothing the application or a peer observes can be
+// lost to a crash the WAL does not remember. A step is one engine call
+// on the emulator; on TCP, the envelopes of one loop turn are one step
+// (OnEnvelope), and the turn's sends leave only when it ends.
 func (r *Replica) apply(actions []core.Action) {
 	// Under ClientDedup every delivered transaction's content hash is
 	// needed twice — in the WAL record and in the dedup/commit path —

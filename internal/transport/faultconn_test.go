@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -88,18 +89,34 @@ func TestTCPClusterSurvivesFaultyConnections(t *testing.T) {
 		t.Fatal("no connection was ever killed — the test exercised nothing")
 	}
 	t.Logf("delivered %d txs per node across %d injected connection deaths", n*txPerNode, cuts)
+
+	// A node forgets the connections it dropped: once each side has seen
+	// its dead links die, it holds at most two per class and peer (one
+	// dialed, one accepted), however often it reconnected.
+	const limit = 4 * (n - 1)
+	c.waitFor(t, 10*time.Second, func() bool {
+		for _, node := range c {
+			if node.trackedConns() > limit {
+				return false
+			}
+		}
+		return true
+	}, fmt.Sprintf("every node tracks at most %d connections after %d reconnects", limit, cuts))
 }
 
-// TestWriterResendsTailWhenIdleConnectionDies: frames flushed to a
-// connection that dies before the receiver processed them must be
-// re-sent even if the node never sends that peer another frame. Some
-// protocol messages go out once (a returned chunk, to a node that will
-// not ask again), so waiting for the next write to fail on the dead
-// connection can wait forever.
-func TestWriterResendsTailWhenIdleConnectionDies(t *testing.T) {
-	// Peer 1 is a hand-driven receiver; peers 2 and 3 never come up. A
-	// lone node disperses its first block (one Chunk and one GotChunk to
-	// each peer) and then has nothing more to say.
+// trackedConns reports how many connections n holds for closing.
+func (n *TCPNode) trackedConns() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.conns)
+}
+
+// handDrivenNode starts node 0 of a four-node mesh whose peer 1 is the
+// returned listener, driven by hand, and whose peers 2 and 3 never come
+// up. A lone node disperses its first block (one Chunk and one GotChunk
+// to each peer) and then has nothing more to say.
+func handDrivenNode(t *testing.T, secret string, wrap func(net.Conn) net.Conn) (*TCPNode, net.Listener) {
+	t.Helper()
 	const n = 4
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -114,76 +131,91 @@ func TestWriterResendsTailWhenIdleConnectionDies(t *testing.T) {
 	listeners[2].Close()
 	listeners[3].Close()
 	peer := listeners[1]
-	defer peer.Close()
-
-	// accept takes the next dispersal-class connection from node 0 through
-	// the handshake, reporting `processed` frames as already seen, and
-	// returns it with the stream position of the first frame offered.
-	accept := func(processed uint64) (net.Conn, uint64) {
-		for {
-			peer.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
-			c, err := peer.Accept()
-			if err != nil {
-				t.Fatalf("node 0 did not connect: %v", err)
-			}
-			c.SetDeadline(time.Now().Add(10 * time.Second))
-			var hs [7 + 16]byte
-			if _, err := io.ReadFull(c, hs[:]); err != nil {
-				t.Fatal(err)
-			}
-			if hs[6] != classHigh {
-				c.Close() // the retrieval-class link carries nothing here
-				continue
-			}
-			var ack [8]byte
-			binary.BigEndian.PutUint64(ack[:], processed)
-			if _, err := c.Write(ack[:]); err != nil {
-				t.Fatal(err)
-			}
-			return c, binary.BigEndian.Uint64(hs[15:23])
-		}
-	}
-	readFrame := func(c net.Conn) []byte {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
-			t.Fatalf("reading a frame: %v", err)
-		}
-		frame := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-		if _, err := io.ReadFull(c, frame); err != nil {
-			t.Fatalf("reading a frame: %v", err)
-		}
-		return frame
-	}
-
+	t.Cleanup(func() { peer.Close() })
 	node, err := NewTCPNode(TCPOptions{
-		Core:     core.Config{N: n, F: 1, CoinSecret: []byte("idle tail secret")},
+		Core:     core.Config{N: n, F: 1, CoinSecret: []byte(secret)},
 		Replica:  replica.Params{BatchDelay: 10 * time.Millisecond},
 		Self:     0,
 		Addrs:    addrs,
 		Listener: listeners[0],
+		Wrap:     wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	t.Cleanup(node.Close)
+	return node, peer
+}
+
+// acceptDispersal takes the next dispersal-class connection from node 0
+// through the handshake, reporting `processed` frames as already seen,
+// and returns it with the stream position of the first frame offered.
+func acceptDispersal(t *testing.T, peer net.Listener, processed uint64) (net.Conn, uint64) {
+	t.Helper()
+	for {
+		peer.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+		c, err := peer.Accept()
+		if err != nil {
+			t.Fatalf("node 0 did not connect: %v", err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		var hs [7 + 16]byte
+		if _, err := io.ReadFull(c, hs[:]); err != nil {
+			t.Fatal(err)
+		}
+		if hs[6] != classHigh {
+			c.Close() // the retrieval-class link carries nothing here
+			continue
+		}
+		var ack [8]byte
+		binary.BigEndian.PutUint64(ack[:], processed)
+		if _, err := c.Write(ack[:]); err != nil {
+			t.Fatal(err)
+		}
+		return c, binary.BigEndian.Uint64(hs[15:23])
+	}
+}
+
+// readFrame reads one length-prefixed frame off c.
+func readFrame(t *testing.T, c net.Conn) []byte {
+	t.Helper()
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+		t.Fatalf("reading a frame: %v", err)
+	}
+	frame := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
+	if _, err := io.ReadFull(c, frame); err != nil {
+		t.Fatalf("reading a frame: %v", err)
+	}
+	return frame
+}
+
+// TestWriterResendsTailWhenIdleConnectionDies: frames flushed to a
+// connection that dies before the receiver processed them must be
+// re-sent even if the node never sends that peer another frame. Some
+// protocol messages go out once (a returned chunk, to a node that will
+// not ask again), so waiting for the next write to fail on the dead
+// connection can wait forever.
+func TestWriterResendsTailWhenIdleConnectionDies(t *testing.T) {
+	_, peer := handDrivenNode(t, "idle tail secret", nil)
 
 	// First connection: both frames arrive, and the receiver dies before
 	// acking either.
-	c1, first := accept(0)
+	c1, first := acceptDispersal(t, peer, 0)
 	if first != 1 {
 		t.Fatalf("first connection offers position %d, want 1", first)
 	}
-	sent := [][]byte{readFrame(c1), readFrame(c1)}
+	sent := [][]byte{readFrame(t, c1), readFrame(t, c1)}
 	c1.Close()
 
 	// The writer must come back by itself and offer the same frames again.
-	c2, again := accept(0)
+	c2, again := acceptDispersal(t, peer, 0)
 	defer c2.Close()
 	if again != 1 {
 		t.Fatalf("second connection offers position %d, want 1 (nothing was acked)", again)
 	}
 	for i, want := range sent {
-		if got := readFrame(c2); !bytes.Equal(got, want) {
+		if got := readFrame(t, c2); !bytes.Equal(got, want) {
 			t.Fatalf("replayed frame %d differs from the one first sent", i)
 		}
 	}

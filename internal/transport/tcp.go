@@ -37,6 +37,9 @@ const (
 	// ackEvery frames. ackInitTimeout bounds the handshake reply wait.
 	ackEvery       = 32
 	ackInitTimeout = 5 * time.Second
+	// maxReadBatch caps the envelopes a reader hands the loop as one
+	// item.
+	maxReadBatch = 64
 )
 
 // TCPOptions configures one TCP node.
@@ -83,7 +86,7 @@ type TCPNode struct {
 	peers []*tcpPeer
 
 	mu     sync.Mutex
-	conns  []net.Conn
+	conns  map[net.Conn]struct{} // every live peer connection
 	closed bool
 	wg     sync.WaitGroup
 
@@ -164,10 +167,15 @@ type tcpPeer struct {
 	id   int
 	addr string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	// staged holds the frames the loop's current turn sent, per class;
+	// only the loop touches it. endTurn publishes it to the queues below.
+	staged [2][]outFrame
+
+	mu sync.Mutex
+	// cond wakes each class's writer (on mu) only when its class has news.
+	cond   [2]*sync.Cond
 	high   []*bufpool.Buf
-	low    map[uint64][]lowFrame
+	low    map[uint64][]outFrame
 	lowN   int
 	closed bool
 	// conn is each class's current connection and lost whether it died
@@ -176,10 +184,11 @@ type tcpPeer struct {
 	lost [2]bool
 }
 
-// lowFrame carries retrieval-class frames with enough metadata to purge
-// them on stream cancellation.
-type lowFrame struct {
+// outFrame is one outbound frame with the metadata the retrieval class
+// queues it by (stream) and purges it by on stream cancellation.
+type outFrame struct {
 	data     *bufpool.Buf
+	stream   uint64
 	epoch    uint64
 	proposer int
 	isReturn bool
@@ -205,11 +214,12 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 		}
 	}
 	n := &TCPNode{
-		loop: newEventLoop(),
 		self: opts.Self, keys: opts.Keys, wrap: opts.Wrap,
-		recv: map[[2]int]*recvState{},
-		tel:  newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
+		conns: map[net.Conn]struct{}{},
+		recv:  map[[2]int]*recvState{},
+		tel:   newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
 	}
+	n.loop = newEventLoop(func(envs []wire.Envelope) { n.rep.OnEnvelope(envs...) }, n.endTurn)
 	rep, err := replica.New(opts.Core, opts.Self, opts.Replica, opts.Store, (*tcpCtx)(n))
 	if err != nil {
 		n.loop.close()
@@ -236,8 +246,8 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 			n.peers = append(n.peers, nil)
 			continue
 		}
-		p := &tcpPeer{node: n, id: i, addr: addr, low: map[uint64][]lowFrame{}}
-		p.cond = sync.NewCond(&p.mu)
+		p := &tcpPeer{node: n, id: i, addr: addr, low: map[uint64][]outFrame{}}
+		p.cond = [2]*sync.Cond{sync.NewCond(&p.mu), sync.NewCond(&p.mu)}
 		n.peers = append(n.peers, p)
 		n.wg.Add(2)
 		go p.writer(classHigh)
@@ -299,7 +309,10 @@ func (n *TCPNode) Close() {
 		return
 	}
 	n.closed = true
-	conns := n.conns
+	conns := make([]net.Conn, 0, len(n.conns))
+	for c := range n.conns {
+		conns = append(conns, c)
+	}
 	n.mu.Unlock()
 
 	n.ln.Close()
@@ -327,8 +340,17 @@ func (n *TCPNode) trackConn(c net.Conn) bool {
 	if n.closed {
 		return false
 	}
-	n.conns = append(n.conns, c)
+	n.conns[c] = struct{}{}
 	return true
+}
+
+// dropConn closes a tracked connection and forgets it, so a node that
+// reconnects for its whole life does not hold every dead connection.
+func (n *TCPNode) dropConn(c net.Conn) {
+	n.mu.Lock()
+	delete(n.conns, c)
+	n.mu.Unlock()
+	c.Close()
 }
 
 // acceptLoop receives inbound connections: each starts with a handshake
@@ -359,9 +381,19 @@ func writeAck(conn net.Conn, count uint64) error {
 	return err
 }
 
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.wg.Done()
-	defer conn.Close()
+	defer n.dropConn(conn)
 
 	var from int
 	var class byte
@@ -411,10 +443,25 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		return
 	}
 
+	// The loop gets decoded envelopes in batches: every envelope decoded
+	// before the next read would block, up to maxReadBatch, goes as one
+	// item. A batch past its first frame holds only bytes one refill of
+	// br brought in. Whatever is decoded when the connection ends still
+	// goes, since the frames' positions may already be acked.
+	var batch []wire.Envelope
+	defer func() {
+		if len(batch) > 0 {
+			n.loop.postEnvelopes(batch)
+		}
+	}()
 	br := bufio.NewReaderSize(conn, 256<<10)
 	var lenBuf [4]byte
 	var got uint64 // frames consumed on THIS connection
 	for {
+		if len(batch) >= maxReadBatch || len(batch) > 0 && !frameBuffered(br) {
+			n.loop.postEnvelopes(batch)
+			batch = nil
+		}
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
@@ -462,14 +509,15 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		// each other within the mesh. (Production deployments would add
 		// TLS or signatures on top; see README.)
 		env.From = from
-		n.loop.post(func() { n.rep.OnEnvelope(env) })
+		batch = append(batch, env)
 	}
 }
 
-// enqueue adds one framed message to the peer's queues. The frame lives
-// in a pooled buffer whose single reference travels with it: queue →
-// writer pending list → released when the receiver's ack covers it (or
-// on purge/shutdown).
+// enqueue stages one framed message for the peer until the loop's turn
+// ends (endTurn). The frame lives in a pooled buffer whose single
+// reference travels with it: staging → queue → writer pending list →
+// released when the receiver's ack covers it (or on purge/shutdown).
+// Called on the loop only.
 func (p *tcpPeer) enqueue(env wire.Envelope, prio wire.Priority, stream uint64) {
 	ws := env.WireSize()
 	frame := bufpool.Get(4 + ws)
@@ -484,24 +532,48 @@ func (p *tcpPeer) enqueue(env wire.Envelope, prio wire.Priority, stream uint64) 
 	p.node.tel.sentFrames[class].Inc()
 	p.node.tel.sentBytes[class].Add(uint64(frame.Len()))
 
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		frame.Release()
-		return
+	_, isReturn := env.Payload.(wire.ReturnChunk)
+	p.staged[class] = append(p.staged[class], outFrame{
+		data: frame, stream: stream, epoch: env.Epoch, proposer: env.Proposer, isReturn: isReturn,
+	})
+}
+
+// endTurn hands every frame the loop's turn staged to its peer's queues
+// and wakes each writer that got some once, so a turn's burst to a peer
+// goes out in one flush.
+func (n *TCPNode) endTurn() {
+	for _, p := range n.peers {
+		if p != nil && len(p.staged[classHigh])+len(p.staged[classLow]) > 0 {
+			p.publish()
+		}
 	}
-	if prio == wire.PrioDispersal {
-		p.high = append(p.high, frame)
-	} else {
-		_, isReturn := env.Payload.(wire.ReturnChunk)
-		p.low[stream] = append(p.low[stream], lowFrame{
-			data: frame, epoch: env.Epoch, proposer: env.Proposer, isReturn: isReturn,
-		})
-		p.lowN++
+}
+
+// publish moves the staged frames into the queues under one lock.
+func (p *tcpPeer) publish() {
+	p.mu.Lock()
+	for class, staged := range p.staged {
+		for _, f := range staged {
+			switch {
+			case p.closed:
+				f.data.Release()
+			case class == classHigh:
+				p.high = append(p.high, f.data)
+			default:
+				p.low[f.stream] = append(p.low[f.stream], f)
+				p.lowN++
+			}
+		}
 	}
 	p.noteDepthLocked()
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	for class, staged := range p.staged {
+		if len(staged) > 0 {
+			p.cond[class].Signal()
+		}
+		clear(staged)
+		p.staged[class] = staged[:0]
+	}
 }
 
 // noteDepthLocked mirrors the link's outbound backlog into its
@@ -513,18 +585,14 @@ func (p *tcpPeer) noteDepthLocked() {
 // purge drops queued ReturnChunk frames of one VID instance (stream
 // cancellation).
 func (p *tcpPeer) purge(epoch uint64, proposer int) {
+	// Frames staged by this turn purge without the lock: only the loop,
+	// which calls purge, touches them.
+	p.staged[classLow] = purgeFrames(p.staged[classLow], epoch, proposer)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for s, q := range p.low {
-		kept := q[:0]
-		for _, f := range q {
-			if f.isReturn && f.epoch == epoch && f.proposer == proposer {
-				f.data.Release()
-				p.lowN--
-			} else {
-				kept = append(kept, f)
-			}
-		}
+		kept := purgeFrames(q, epoch, proposer)
+		p.lowN -= len(q) - len(kept)
 		if len(kept) == 0 {
 			delete(p.low, s)
 		} else {
@@ -532,6 +600,21 @@ func (p *tcpPeer) purge(epoch uint64, proposer int) {
 		}
 	}
 	p.noteDepthLocked()
+}
+
+// purgeFrames releases q's ReturnChunk frames of one VID instance and
+// returns the rest, in order, in q's array.
+func purgeFrames(q []outFrame, epoch uint64, proposer int) []outFrame {
+	kept := q[:0]
+	for _, f := range q {
+		if f.isReturn && f.epoch == epoch && f.proposer == proposer {
+			f.data.Release()
+		} else {
+			kept = append(kept, f)
+		}
+	}
+	clear(q[len(kept):])
+	return kept
 }
 
 // connLost wakes the class's writer when its connection c dies under it.
@@ -546,16 +629,17 @@ func (p *tcpPeer) connLost(class int, c net.Conn) {
 		p.lost[class] = true
 	}
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	p.cond[class].Signal()
 }
 
 // nextFrames drains up to max queued frames of the given class into
 // `into` under one lock acquisition, blocking until at least one frame
 // is available, the class's connection is lost (it then returns no
-// frames) or the peer closes. Batching here is what turns the
-// per-step burst of n-1 small sends into one buffered write + flush on
-// the socket: the writer picks up the whole burst in a single pop
-// instead of paying a lock round-trip and a write call per frame.
+// frames) or the peer closes. Batching here is what turns a loop
+// turn's burst of sends to the peer, published at once by endTurn, into
+// one buffered write + flush on the socket: the writer picks up the
+// whole burst in a single pop instead of paying a lock round-trip and a
+// write call per frame.
 // Frame order is identical to repeated single pops — FIFO for the high
 // class, lowest-stream-first for the low class.
 func (p *tcpPeer) nextFrames(class int, into []*bufpool.Buf, max int) ([]*bufpool.Buf, bool) {
@@ -614,7 +698,7 @@ func (p *tcpPeer) nextFrames(class int, into []*bufpool.Buf, max int) ([]*bufpoo
 			p.lost[class] = false
 			return into, true
 		}
-		p.cond.Wait()
+		p.cond[class].Wait()
 	}
 }
 
@@ -632,7 +716,8 @@ func (p *tcpPeer) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	p.cond[classHigh].Broadcast()
+	p.cond[classLow].Broadcast()
 }
 
 // incarnationNonce tags one writer incarnation's stream-position space
@@ -791,7 +876,7 @@ func (p *tcpPeer) writer(class int) {
 			}
 			if p.node.keys != nil {
 				if err := authDial(c, p.node.keys, byte(class)); err != nil {
-					c.Close()
+					p.node.dropConn(c)
 					time.Sleep(backoff)
 					continue
 				}
@@ -801,7 +886,8 @@ func (p *tcpPeer) writer(class int) {
 				binary.BigEndian.PutUint16(hs[4:6], uint16(p.node.self))
 				hs[6] = byte(class)
 				if _, err := c.Write(hs[:]); err != nil {
-					c.Close()
+					p.node.dropConn(c)
+					time.Sleep(backoff)
 					continue
 				}
 			}
@@ -812,14 +898,14 @@ func (p *tcpPeer) writer(class int) {
 			binary.BigEndian.PutUint64(ab[0:8], nonce)
 			binary.BigEndian.PutUint64(ab[8:16], baseSeq+1)
 			if _, err := c.Write(ab[:]); err != nil {
-				c.Close()
+				p.node.dropConn(c)
 				time.Sleep(backoff)
 				continue
 			}
 			c.SetReadDeadline(time.Now().Add(ackInitTimeout))
 			var rb [8]byte
 			if _, err := io.ReadFull(c, rb[:]); err != nil {
-				c.Close()
+				p.node.dropConn(c)
 				time.Sleep(backoff)
 				continue
 			}
@@ -859,7 +945,7 @@ func (p *tcpPeer) writer(class int) {
 				if bw != nil {
 					bw.Flush()
 				}
-				conn.Close()
+				p.node.dropConn(conn)
 			}
 			releasePending()
 			return
@@ -868,7 +954,7 @@ func (p *tcpPeer) writer(class int) {
 			// The connection died while the queue was empty: what it left
 			// unacked is re-sent on a new one (connLost).
 			if conn != nil {
-				conn.Close()
+				p.node.dropConn(conn)
 				conn = nil
 			}
 			if len(pending) == 0 {
@@ -911,7 +997,7 @@ func (p *tcpPeer) writer(class int) {
 			if ok {
 				break
 			}
-			conn.Close()
+			p.node.dropConn(conn)
 			conn = nil
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"dledger/internal/core"
 	"dledger/internal/replica"
 	"dledger/internal/store"
+	"dledger/internal/wire"
 	"dledger/internal/workload"
 )
 
@@ -349,5 +351,87 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 		})
 		c.Close()
 		stores.reopen(t)
+	}
+}
+
+// writeLog records every Write a dispersal-class link's writer hands
+// the socket after its handshake: the seven-byte hello and the
+// sixteen-byte ack handshake.
+type writeLog struct {
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+type loggedConn struct {
+	net.Conn
+	log  *writeLog
+	n    int // Writes so far: only the link's writer goroutine writes
+	high bool
+}
+
+func (c *loggedConn) Write(p []byte) (int, error) {
+	if c.n++; c.n == 1 {
+		c.high = len(p) == 7 && p[6] == classHigh
+	}
+	if c.high && c.n > 2 {
+		c.log.mu.Lock()
+		c.log.writes = append(c.log.writes, append([]byte(nil), p...))
+		c.log.mu.Unlock()
+	}
+	return c.Conn.Write(p)
+}
+
+// TestTurnFlushesInOneWrite: the frames one loop turn sends a peer
+// reach the writer together, at the turn's end, so they go out in one
+// write, not in as many pieces as the writer happened to wake for.
+func TestTurnFlushesInOneWrite(t *testing.T) {
+	log := &writeLog{}
+	node, peer := handDrivenNode(t, "one turn secret", func(c net.Conn) net.Conn {
+		return &loggedConn{Conn: c, log: log}
+	})
+	c, _ := acceptDispersal(t, peer, 0)
+	defer c.Close()
+
+	const frames, marker = 50, 1 << 40
+	isMarked := func(frame []byte) bool {
+		env, err := wire.Decode(frame)
+		return err == nil && env.Epoch >= marker
+	}
+	// The sends are spaced out the way a turn's engine steps space them,
+	// so a writer woken per frame would find the burst in pieces.
+	node.loop.post(func() {
+		for i := 0; i < frames; i++ {
+			env := wire.Envelope{Epoch: marker + uint64(i), Payload: wire.GotChunk{}}
+			(*tcpCtx)(node).Send(1, env, wire.PrioDispersal, 0)
+			time.Sleep(20 * time.Microsecond)
+		}
+	})
+	for got := 0; got < frames; {
+		if isMarked(readFrame(t, c)) {
+			got++
+		}
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var perWrite []int // marked frames in each write that carried any
+	for _, w := range log.writes {
+		marked := 0
+		for len(w) > 0 {
+			if len(w) < 4 || len(w) < 4+int(binary.BigEndian.Uint32(w)) {
+				t.Fatalf("a write ends mid-frame")
+			}
+			size := 4 + int(binary.BigEndian.Uint32(w))
+			if isMarked(w[4:size]) {
+				marked++
+			}
+			w = w[size:]
+		}
+		if marked > 0 {
+			perWrite = append(perWrite, marked)
+		}
+	}
+	if len(perWrite) != 1 {
+		t.Fatalf("the turn's %d frames went out in %d writes %v, want one", frames, len(perWrite), perWrite)
 	}
 }
