@@ -1,10 +1,11 @@
 // Command dlnode runs one DispersedLedger node of a real TCP deployment.
 //
-// Every node of a cluster runs the same binary with the same -peers list
-// and -secret, differing only in -id:
+// Every node of a cluster runs the same binary with the same -peers list,
+// -secret and -keydir, differing only in -id:
 //
-//	dlnode -id 0 -peers host0:7000,host1:7000,host2:7000,host3:7000 -secret s3cret
-//	dlnode -id 1 -peers ... -secret s3cret
+//	dlnode -genkeys 4 -keydir ./keys    # once, then distribute
+//	dlnode -id 0 -peers host0:7000,host1:7000,host2:7000,host3:7000 -secret s3cret -keydir ./keys
+//	dlnode -id 1 -peers ... -secret s3cret -keydir ./keys
 //	...
 //
 // With -gen R the node also generates a synthetic transaction load of R
@@ -13,7 +14,7 @@
 // Client gateway: with -client the node serves the client-facing
 // submission protocol on the given address — the production front door:
 //
-//	dlnode -id 0 -peers ... -secret s3cret -client :9000 -mempool 64
+//	dlnode -id 0 -peers ... -secret s3cret -keydir ./keys -client :9000 -mempool 64
 //
 // External clients (package dlclient, or the cmd/dlload load generator)
 // connect there to submit transactions and receive an immediate
@@ -25,10 +26,11 @@
 // queued backlog in MB: past the budget, submissions are rejected with a
 // retry-after hint instead of queued unboundedly.
 //
-// Peer authentication: run `dlnode -genkeys 4 -keydir ./keys` once to
-// create an identity keyring for a 4-node cluster, distribute the key
-// files, and start every node with `-keydir ./keys`. Without -keydir the
-// mesh trusts self-declared peer ids (fine on closed networks only).
+// Peer authentication: every peer connection opens with an ed25519
+// challenge-response handshake, so every node needs -keydir. Run
+// `dlnode -genkeys 4 -keydir ./keys` once to create an identity keyring
+// for a 4-node cluster and give each node public.keys and its own
+// node<i>.key.
 //
 // Durability: with -datadir the node persists a write-ahead log (its
 // protocol outcomes AND every binary-agreement vote it sends — so a
@@ -38,7 +40,7 @@
 // the same -datadir recovers its log position, serves retrievals for
 // pre-crash epochs, and rejoins the cluster where it left off:
 //
-//	dlnode -id 0 -peers ... -secret s3cret -datadir /var/lib/dlnode0
+//	dlnode -id 0 -peers ... -secret s3cret -keydir ./keys -datadir /var/lib/dlnode0
 //
 // fsync policy: writes are batched — one fsync covers every record of a
 // protocol step — so a host crash loses at most the newest step, which
@@ -55,7 +57,7 @@
 // from a verified peer checkpoint automatically instead of wedging in
 // catch-up, and a brand-new member joins a long-running cluster with
 //
-//	dlnode -id 3 -peers ... -secret s3cret -datadir /var/lib/dlnode3 -join
+//	dlnode -id 3 -peers ... -secret s3cret -keydir ./keys -datadir /var/lib/dlnode3 -join
 //
 // (the membership slot must already exist in every node's -peers list;
 // membership itself is static). The checkpoint is trusted only on f+1
@@ -89,7 +91,7 @@ func main() {
 	gen := flag.Float64("gen", 0, "generate synthetic load at this many MB/s")
 	txSize := flag.Int("txsize", 256, "synthetic transaction size in bytes")
 	statsEvery := flag.Duration("stats", time.Second, "statistics print interval")
-	keydir := flag.String("keydir", "", "directory with identity keys (see -genkeys)")
+	keydir := flag.String("keydir", "", "directory with the cluster's identity keys (required; see -genkeys)")
 	genkeys := flag.Int("genkeys", 0, "generate identity keys for this many nodes into -keydir, then exit")
 	retain := flag.Uint64("retain", 0, "garbage-collect epochs this far behind delivery (0 = keep all); with -datadir this also bounds the on-disk chunk store")
 	datadir := flag.String("datadir", "", "directory for the write-ahead log, chunk store and checkpoints; restarting with the same directory recovers the node (empty = memory only)")
@@ -120,19 +122,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dlnode: -secret is required and must match across the cluster")
 		os.Exit(2)
 	}
+	if *keydir == "" {
+		fmt.Fprintln(os.Stderr, "dlnode: -keydir is required (create the keys once with -genkeys N -keydir DIR)")
+		os.Exit(2)
+	}
 	n := len(addrs)
 	faults := *f
 	if faults == 0 {
 		faults = (n - 1) / 3
 	}
-	var keys *dl.Keyring
-	if *keydir != "" {
-		var err error
-		keys, err = readKeys(*keydir, *id, n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlnode:", err)
-			os.Exit(1)
-		}
+	keys, err := readKeys(*keydir, *id, n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dlnode:", err)
+		os.Exit(1)
 	}
 
 	node, err := dl.NewTCPNode(dl.NodeOptions{

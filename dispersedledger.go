@@ -47,11 +47,11 @@ type Config struct {
 	// default.
 	CoinSecret []byte
 	// BatchDelay is the proposal batching delay (default: the paper's
-	// 100 ms). A proposal goes out once 150 KB are pending, too, unless
-	// fewer than N−F of the last epoch's committed blocks carried
-	// transactions: then epochs wait for other nodes' delay timers
-	// anyway, and a full batch waits until another node's proposal has
-	// started the epoch, for at most BatchDelay.
+	// 100 ms). Asked for a block, a node proposes at once if 150 KB are
+	// pending, if another node's dispersal has already opened the epoch
+	// (then with whatever it holds, possibly nothing), or if BatchDelay
+	// has passed since its last proposal; otherwise it proposes when
+	// that delay runs out. See DESIGN.md "Proposal rate control".
 	BatchDelay time.Duration
 	// RetainEpochs, when positive, garbage-collects protocol state for
 	// epochs more than this far behind delivery. See the engine
@@ -371,9 +371,9 @@ type NodeOptions struct {
 	// The node takes it over: it is closed with the node, or at once if
 	// NewTCPNode fails.
 	Listener net.Listener
-	// Keys enables ed25519 authentication of every connection. Without
-	// keys, peers are identified by their self-declared handshake id —
-	// acceptable only on trusted networks.
+	// Keys is this node's entry of the cluster's keyring (required): every
+	// peer connection opens with an ed25519 challenge-response handshake
+	// that binds it to a node id.
 	Keys *Keyring
 	// ClientAddr, when set, serves the client gateway on this address
 	// (port 0 picks a free port; see ClientAddr()): external clients
@@ -398,7 +398,8 @@ type NodeOptions struct {
 }
 
 // NewTCPNode starts one node of a TCP cluster. Config.CoinSecret must be
-// set (all nodes must share it). With Config.DataDir set, the node is
+// set (all nodes must share it), and Keys must be the node's own entry
+// of one keyring for all N nodes. With Config.DataDir set, the node is
 // durable: restarting it over the same directory recovers its chunk
 // store and log position and rejoins the cluster where it left off.
 func NewTCPNode(opts NodeOptions) (*Node, error) { return newNode(opts) }

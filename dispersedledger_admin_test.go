@@ -72,6 +72,7 @@ func TestAdminEndpoints(t *testing.T) {
 		CoinSecret: []byte("admin e2e secret"),
 		BatchDelay: 20 * time.Millisecond,
 	}
+	keys := testKeyring(t, n)
 	nodes := make([]*Node, n)
 	var mu sync.Mutex
 	delivered := 0
@@ -81,6 +82,7 @@ func TestAdminEndpoints(t *testing.T) {
 			Self:      i,
 			Addrs:     addrs,
 			Listener:  listeners[i],
+			Keys:      keys[i],
 			AdminAddr: "127.0.0.1:0", // every node scrapeable, for dlctl
 		}
 		node, err := NewTCPNode(opts)

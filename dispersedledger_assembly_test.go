@@ -92,11 +92,12 @@ func openTCPNodes(t *testing.T, dir string) deployment {
 		}
 		listeners[i], addrs[i] = ln, ln.Addr().String()
 	}
+	keys := testKeyring(t, n)
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		cfg := assemblyConfig(filepath.Join(dir, fmt.Sprintf("node-%d", i)))
 		node, err := NewTCPNode(NodeOptions{
-			Config: cfg, Self: i, Addrs: addrs, Listener: listeners[i],
+			Config: cfg, Self: i, Addrs: addrs, Listener: listeners[i], Keys: keys[i],
 			ClientAddr: "127.0.0.1:0",
 		})
 		if err != nil {

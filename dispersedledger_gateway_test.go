@@ -27,6 +27,7 @@ func startGatewayCluster(t *testing.T, cfg Config) ([]*Node, []string) {
 		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
+	keys := testKeyring(t, n)
 	nodes := make([]*Node, n)
 	clientAddrs := make([]string, n)
 	for i := range nodes {
@@ -35,6 +36,7 @@ func startGatewayCluster(t *testing.T, cfg Config) ([]*Node, []string) {
 			Self:       i,
 			Addrs:      addrs,
 			Listener:   listeners[i],
+			Keys:       keys[i],
 			ClientAddr: "127.0.0.1:0",
 		})
 		if err != nil {
@@ -251,12 +253,13 @@ func TestGatewayCrashRestartDedup(t *testing.T) {
 			MempoolBytes: 1 << 20,
 		}
 	}
+	keys := testKeyring(t, n)
 	nodes := make([]*Node, n)
 	var witnessMu sync.Mutex
 	witnessSeen := map[string]int{} // tx content -> delivery count at node 1
 	start := func(i int, ln net.Listener) {
 		node, err := NewTCPNode(NodeOptions{
-			Config: cfg(i), Self: i, Addrs: addrs, Listener: ln,
+			Config: cfg(i), Self: i, Addrs: addrs, Listener: ln, Keys: keys[i],
 			ClientAddr: "127.0.0.1:0",
 		})
 		if err != nil {

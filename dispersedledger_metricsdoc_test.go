@@ -35,6 +35,7 @@ func TestMetricsDocumented(t *testing.T) {
 		Config:     Config{N: 4, F: 1, CoinSecret: []byte("metrics doc"), StateSync: true},
 		Addrs:      addrs,
 		Listener:   self,
+		Keys:       testKeyring(t, 4)[0],
 		ClientAddr: "127.0.0.1:0",
 		AdminAddr:  "127.0.0.1:0",
 	})

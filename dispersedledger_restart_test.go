@@ -17,6 +17,7 @@ type restartHarness struct {
 	t     *testing.T
 	dir   string
 	addrs []string
+	keys  []*Keyring // one keyring for every incarnation
 	nodes []*Node
 
 	mu   sync.Mutex
@@ -42,6 +43,7 @@ func (h *restartHarness) startNode(i int, ln net.Listener) {
 		Self:     i,
 		Addrs:    h.addrs,
 		Listener: ln,
+		Keys:     h.keys[i],
 	})
 	if err != nil {
 		h.t.Fatalf("start node %d: %v", i, err)
@@ -142,6 +144,7 @@ func TestTCPNodeCrashRestart(t *testing.T) {
 	h := &restartHarness{
 		t: t, dir: t.TempDir(),
 		addrs: make([]string, 4),
+		keys:  testKeyring(t, 4),
 		nodes: make([]*Node, 4),
 		logs:  make([][]string, 4),
 		stop:  make([]chan struct{}, 4),

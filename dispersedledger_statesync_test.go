@@ -46,12 +46,13 @@ func TestTCPNodeJoinsViaStateSync(t *testing.T) {
 
 	var mu sync.Mutex
 	logs := make([][]string, n)
+	keys := testKeyring(t, n)
 	nodes := make([]*Node, n)
 	start := func(i int, join bool, ln net.Listener) {
 		c := cfg
 		c.DataDir = filepath.Join(dir, fmt.Sprintf("node-%d", i))
 		node, err := NewTCPNode(NodeOptions{
-			Config: c, Self: i, Addrs: addrs, Listener: ln, Join: join,
+			Config: c, Self: i, Addrs: addrs, Listener: ln, Keys: keys[i], Join: join,
 		})
 		if err != nil {
 			t.Fatalf("start node %d: %v", i, err)

@@ -68,9 +68,20 @@ func listeningSockets(t *testing.T) map[string]bool {
 	return out
 }
 
+// testKeyring is one keyring for an n-node test cluster.
+func testKeyring(t *testing.T, n int) []*Keyring {
+	t.Helper()
+	keys, err := GenerateKeyring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 // TestFailedConstructionClosesListeners: a node owns the listener it is
 // handed from the call on, so a refused NewTCPNode closes it, and a
-// refused NewCluster leaves nothing bound.
+// refused NewCluster leaves nothing bound. Each node holds a valid
+// keyring, so it is refused for the reason named.
 func TestFailedConstructionClosesListeners(t *testing.T) {
 	notAFile := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(notAFile, nil, 0o644); err != nil {
@@ -86,7 +97,8 @@ func TestFailedConstructionClosesListeners(t *testing.T) {
 		}
 		addrs := make([]string, cfg.N)
 		addrs[0] = ln.Addr().String()
-		if _, err := NewTCPNode(NodeOptions{Config: cfg, Addrs: addrs, Listener: ln}); err == nil {
+		opts := NodeOptions{Config: cfg, Addrs: addrs, Listener: ln, Keys: testKeyring(t, cfg.N)[0]}
+		if _, err := NewTCPNode(opts); err == nil {
 			t.Fatalf("NewTCPNode(%+v) accepted", cfg)
 		}
 		if conn, err := net.Dial("tcp", addrs[0]); err == nil {
@@ -107,9 +119,9 @@ func TestFailedConstructionClosesListeners(t *testing.T) {
 }
 
 // TestClusterRejectsUnauthenticatedPeer: an in-process cluster's links
-// are authenticated, so a connection that opens with the plain
-// handshake of an unkeyed node (magic, id 1, dispersal class, its
-// stream announcement and a first frame) is dropped, and the cluster
+// are authenticated, so a connection whose hello carries no valid
+// signature (magic, id 1, dispersal class, a stream announcement, then
+// a frame where the signature belongs) is dropped, and the cluster
 // keeps delivering.
 func TestClusterRejectsUnauthenticatedPeer(t *testing.T) {
 	c, err := NewCluster(Config{N: 4, F: 1, BatchDelay: 20 * time.Millisecond})

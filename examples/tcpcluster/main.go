@@ -1,7 +1,8 @@
 // TCPCluster: a real 4-node DispersedLedger deployment over TCP on
 // localhost, using the public API. Each node is a full replica with its
-// own listener, mesh connections, mempool and state; the example submits
-// transactions through every node and verifies all four logs agree.
+// own listener, identity key, mesh connections, mempool and state; the
+// example submits transactions through every node and verifies all four
+// logs agree.
 //
 //	go run ./examples/tcpcluster
 package main
@@ -28,6 +29,12 @@ func main() {
 		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
+	// One ed25519 keyring for the cluster: every peer link authenticates
+	// with it, and each node gets its own entry.
+	keys, err := dl.GenerateKeyring(n)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	nodes := make([]*dl.Node, n)
 	for i := range nodes {
@@ -40,6 +47,7 @@ func main() {
 			Self:     i,
 			Addrs:    addrs,
 			Listener: listeners[i],
+			Keys:     keys[i],
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -111,11 +111,18 @@ func (n *TCPNode) trackedConns() int {
 	return len(n.conns)
 }
 
-// handDrivenNode starts node 0 of a four-node mesh whose peer 1 is the
-// returned listener, driven by hand, and whose peers 2 and 3 never come
-// up. A lone node disperses its first block (one Chunk and one GotChunk
-// to each peer) and then has nothing more to say.
-func handDrivenNode(t *testing.T, secret string, wrap func(net.Conn) net.Conn) (*TCPNode, net.Listener) {
+// handPeer is peer 1 of a hand-driven node's mesh: a listener the test
+// accepts node 0's connections on, and peer 1's keyring.
+type handPeer struct {
+	ln   net.Listener
+	keys *Keyring
+}
+
+// handDrivenNode starts node 0 of a four-node mesh whose peer 1 is
+// driven by hand and whose peers 2 and 3 never come up. A lone node
+// disperses its first block (one Chunk and one GotChunk to each peer)
+// and then has nothing more to say.
+func handDrivenNode(t *testing.T, secret string, wrap func(net.Conn) net.Conn) (*TCPNode, *handPeer) {
 	t.Helper()
 	const n = 4
 	listeners := make([]net.Listener, n)
@@ -130,14 +137,16 @@ func handDrivenNode(t *testing.T, secret string, wrap func(net.Conn) net.Conn) (
 	}
 	listeners[2].Close()
 	listeners[3].Close()
-	peer := listeners[1]
-	t.Cleanup(func() { peer.Close() })
+	keys := testKeys(t, n, 1)
+	peer := &handPeer{ln: listeners[1], keys: keys[1]}
+	t.Cleanup(func() { peer.ln.Close() })
 	node, err := NewTCPNode(TCPOptions{
 		Core:     core.Config{N: n, F: 1, CoinSecret: []byte(secret)},
 		Replica:  replica.Params{BatchDelay: 10 * time.Millisecond},
 		Self:     0,
 		Addrs:    addrs,
 		Listener: listeners[0],
+		Keys:     keys[0],
 		Wrap:     wrap,
 	})
 	if err != nil {
@@ -147,32 +156,34 @@ func handDrivenNode(t *testing.T, secret string, wrap func(net.Conn) net.Conn) (
 	return node, peer
 }
 
+// accept takes node 0's next connection to the peer.
+func (p *handPeer) accept(t *testing.T) net.Conn {
+	t.Helper()
+	p.ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	c, err := p.ln.Accept()
+	if err != nil {
+		t.Fatalf("node 0 did not connect: %v", err)
+	}
+	return c
+}
+
 // acceptDispersal takes the next dispersal-class connection from node 0
 // through the handshake, reporting `processed` frames as already seen,
 // and returns it with the stream position of the first frame offered.
-func acceptDispersal(t *testing.T, peer net.Listener, processed uint64) (net.Conn, uint64) {
+func acceptDispersal(t *testing.T, peer *handPeer, processed uint64) (net.Conn, uint64) {
 	t.Helper()
 	for {
-		peer.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
-		c, err := peer.Accept()
+		c := peer.accept(t)
+		h, _, err := acceptHandshake(c, peer.keys, func(hello) uint64 { return processed })
 		if err != nil {
-			t.Fatalf("node 0 did not connect: %v", err)
-		}
-		c.SetDeadline(time.Now().Add(10 * time.Second))
-		var hs [7 + 16]byte
-		if _, err := io.ReadFull(c, hs[:]); err != nil {
 			t.Fatal(err)
 		}
-		if hs[6] != classHigh {
+		if h.class != classHigh {
 			c.Close() // the retrieval-class link carries nothing here
 			continue
 		}
-		var ack [8]byte
-		binary.BigEndian.PutUint64(ack[:], processed)
-		if _, err := c.Write(ack[:]); err != nil {
-			t.Fatal(err)
-		}
-		return c, binary.BigEndian.Uint64(hs[15:23])
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		return c, h.start
 	}
 }
 

@@ -2,10 +2,12 @@
 // the operating system's TCP stack, with one high-priority and one
 // low-priority connection per ordered node pair, sender-side strict
 // prioritization of dispersal over retrieval traffic, and per-epoch
-// ordering of retrieval traffic. A TCPNode takes options in and runs a
-// replica on its own event loop, reached through Submit, Inspect and
-// Close; the public API's NewCluster runs N of them in one process over
-// loopback.
+// ordering of retrieval traffic. Every connection opens with one signed
+// handshake (auth.go) that names the sender and carries its writer's
+// replay position, so a node needs the cluster's keyring. A TCPNode
+// takes options in and runs a replica on its own event loop, reached
+// through Submit, Inspect and Close; the public API's NewCluster runs N
+// of them in one process over loopback.
 //
 // Fidelity note (DESIGN.md): the paper achieves its 30:1 bandwidth split
 // by tuning QUIC's congestion controller (MulTcp). Kernel TCP offers no

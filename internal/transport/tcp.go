@@ -22,21 +22,19 @@ import (
 
 // Wire constants of the TCP backend.
 const (
-	handshakeMagic = 0x444C4544 // "DLED"
-	classHigh      = 0
-	classLow       = 1
+	classHigh = 0
+	classLow  = 1
 	// maxFrame caps inbound frame sizes so a malicious peer cannot force
 	// unbounded allocations.
 	maxFrame = 64 << 20
 	// dialRetryMax bounds the dial backoff.
 	dialRetryMax = 2 * time.Second
-	// Frame-ack replay protocol (see the writer comment): after the
-	// handshake the writer announces (incarnation nonce, start seq) and
-	// the receiver replies with its high-water stream position under
+	// Frame-ack replay protocol (see the writer comment): the signed
+	// hello carries the writer's (incarnation nonce, start position) and
+	// the handshake reply the receiver's high-water stream position under
 	// that nonce; thereafter the receiver re-reports its position every
-	// ackEvery frames. ackInitTimeout bounds the handshake reply wait.
-	ackEvery       = 32
-	ackInitTimeout = 5 * time.Second
+	// ackEvery frames.
+	ackEvery = 32
 	// maxReadBatch caps the envelopes a reader hands the loop as one
 	// item.
 	maxReadBatch = 64
@@ -55,10 +53,9 @@ type TCPOptions struct {
 	// before any node starts dialing. NewTCPNode takes it over: it is
 	// closed with the node, or at once if NewTCPNode fails.
 	Listener net.Listener
-	// Keys, when set, enables ed25519 challenge-response authentication
-	// of every connection (see auth.go). Without keys, peers are
-	// identified only by their self-declared handshake id — acceptable
-	// on trusted networks, not on open ones.
+	// Keys is the node's identity keyring; it must match Self and N.
+	// Every connection is set up by an ed25519 challenge-response
+	// handshake under it (see auth.go).
 	Keys *Keyring
 	// Store, when set, is the node's durable store: state it holds is
 	// recovered before the node joins the mesh (the crash-restart path),
@@ -79,7 +76,6 @@ type TCPOptions struct {
 type TCPNode struct {
 	loop  *eventLoop
 	rep   *replica.Replica
-	self  int
 	ln    net.Listener
 	keys  *Keyring
 	wrap  func(net.Conn) net.Conn
@@ -88,6 +84,7 @@ type TCPNode struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // every live peer connection
 	closed bool
+	done   chan struct{} // closed by Close
 	wg     sync.WaitGroup
 
 	// recv tracks, per (peer, class), the highest stream position
@@ -208,14 +205,13 @@ func NewTCPNode(opts TCPOptions) (*TCPNode, error) {
 	if opts.Core.CoinSecret == nil {
 		return fail(errors.New("transport: TCP clusters must set an explicit CoinSecret"))
 	}
-	if opts.Keys != nil {
-		if opts.Keys.Self != opts.Self || len(opts.Keys.Publics) != opts.Core.N {
-			return fail(errors.New("transport: keyring does not match Self/N"))
-		}
+	if opts.Keys == nil || opts.Keys.Self != opts.Self || len(opts.Keys.Publics) != opts.Core.N {
+		return fail(errors.New("transport: keyring missing or not matching Self/N"))
 	}
 	n := &TCPNode{
-		self: opts.Self, keys: opts.Keys, wrap: opts.Wrap,
+		keys: opts.Keys, wrap: opts.Wrap,
 		conns: map[net.Conn]struct{}{},
+		done:  make(chan struct{}),
 		recv:  map[[2]int]*recvState{},
 		tel:   newTCPMetrics(opts.Replica.Telemetry, opts.Core.N, opts.Self),
 	}
@@ -309,6 +305,7 @@ func (n *TCPNode) Close() {
 		return
 	}
 	n.closed = true
+	close(n.done)
 	conns := make([]net.Conn, 0, len(n.conns))
 	for c := range n.conns {
 		conns = append(conns, c)
@@ -326,12 +323,6 @@ func (n *TCPNode) Close() {
 	}
 	n.wg.Wait()
 	n.loop.close()
-}
-
-func (n *TCPNode) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
 }
 
 func (n *TCPNode) trackConn(c net.Conn) bool {
@@ -353,8 +344,8 @@ func (n *TCPNode) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// acceptLoop receives inbound connections: each starts with a handshake
-// naming the sender, then carries length-prefixed envelopes.
+// acceptLoop receives inbound connections: each starts with the signed
+// handshake naming the sender, then carries length-prefixed envelopes.
 func (n *TCPNode) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -395,51 +386,12 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.dropConn(conn)
 
-	var from int
-	var class byte
-	if n.keys != nil {
-		var err error
-		from, class, err = authAccept(conn, n.keys)
-		if err != nil {
-			return
-		}
-	} else {
-		var hs [7]byte
-		if _, err := io.ReadFull(conn, hs[:]); err != nil {
-			return
-		}
-		if binary.BigEndian.Uint32(hs[0:4]) != handshakeMagic {
-			return
-		}
-		from = int(binary.BigEndian.Uint16(hs[4:6]))
-		class = hs[6]
-	}
-	if from < 0 || from >= len(n.peers) || from == n.self || class > classLow {
-		return
-	}
-	// Ack handshake: the writer announces its incarnation nonce and the
-	// stream position of the first frame this connection will offer; we
-	// answer with the highest position already processed under that
-	// nonce (so the writer prunes its replay tail), which is also where
-	// this connection's frame positions start counting from.
-	var ab [16]byte
-	if _, err := io.ReadFull(conn, ab[:]); err != nil {
-		return
-	}
-	nonce := binary.BigEndian.Uint64(ab[0:8])
-	startSeq := binary.BigEndian.Uint64(ab[8:16])
-	key := [2]int{from, int(class)}
-	n.recvMu.Lock()
-	st := n.recv[key]
-	if st == nil || st.nonce != nonce {
-		st = &recvState{nonce: nonce, maxSeq: startSeq - 1}
-		n.recv[key] = st
-	} else if startSeq-1 > st.maxSeq {
-		st.maxSeq = startSeq - 1
-	}
-	connBase := st.maxSeq
-	n.recvMu.Unlock()
-	if writeAck(conn, connBase) != nil {
+	var st *recvState
+	h, connBase, err := acceptHandshake(conn, n.keys, func(h hello) (base uint64) {
+		st, base = n.replayBase(h)
+		return base
+	})
+	if err != nil {
 		return
 	}
 
@@ -484,11 +436,11 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		// older connection races this one: positions name the same
 		// frames under the same nonce.
 		got++
-		n.tel.recvFrames[class].Inc()
-		n.tel.recvBytes[class].Add(uint64(4 + size))
+		n.tel.recvFrames[h.class].Inc()
+		n.tel.recvBytes[h.class].Add(uint64(4 + size))
 		pos := connBase + got
 		n.recvMu.Lock()
-		if st.nonce == nonce && pos > st.maxSeq {
+		if st.nonce == h.nonce && pos > st.maxSeq {
 			st.maxSeq = pos
 		}
 		ack := st.maxSeq
@@ -504,13 +456,29 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		if err != nil {
 			continue // skip undecodable frames from this peer
 		}
-		// Authenticate the sender: the connection's handshake identity
-		// overrides whatever the frame claims, so peers cannot spoof
-		// each other within the mesh. (Production deployments would add
-		// TLS or signatures on top; see README.)
-		env.From = from
+		// The id the signed hello proved overrides whatever the frame
+		// claims, so peers cannot spoof each other within the mesh.
+		env.From = h.from
 		batch = append(batch, env)
 	}
+}
+
+// replayBase records a verified hello's writer incarnation and start
+// position, and returns the highest position already processed under
+// that nonce: the handshake reports it back so the writer prunes its
+// replay tail, and the connection's frame positions count from it.
+func (n *TCPNode) replayBase(h hello) (*recvState, uint64) {
+	key := [2]int{h.from, int(h.class)}
+	n.recvMu.Lock()
+	defer n.recvMu.Unlock()
+	st := n.recv[key]
+	if st == nil || st.nonce != h.nonce {
+		st = &recvState{nonce: h.nonce, maxSeq: h.start - 1}
+		n.recv[key] = st
+	} else if h.start-1 > st.maxSeq {
+		st.maxSeq = h.start - 1
+	}
+	return st, st.maxSeq
 }
 
 // enqueue stages one framed message for the peer until the loop's turn
@@ -720,6 +688,29 @@ func (p *tcpPeer) close() {
 	p.cond[classLow].Broadcast()
 }
 
+// dial opens one class's connection to the peer and runs the dialer's
+// handshake on it, announcing the writer's nonce and the position of
+// the first frame it will offer. It returns the receiver's replay base.
+func (p *tcpPeer) dial(class int, nonce, start uint64) (net.Conn, uint64, error) {
+	c, err := net.DialTimeout("tcp", p.addr, time.Second)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p.node.wrap != nil {
+		c = p.node.wrap(c)
+	}
+	if !p.node.trackConn(c) {
+		c.Close()
+		return nil, 0, net.ErrClosed
+	}
+	base, err := dialHandshake(c, p.node.keys, byte(class), nonce, start)
+	if err != nil {
+		p.node.dropConn(c)
+		return nil, 0, err
+	}
+	return c, base, nil
+}
+
 // incarnationNonce tags one writer incarnation's stream-position space
 // so receivers can tell a restarted writer from a reconnecting one.
 func incarnationNonce() uint64 {
@@ -780,15 +771,15 @@ func ackReader(c net.Conn, ctr *atomic.Uint64, acks, peerAcks *telemetry.Counter
 // been processed. The writer therefore numbers its frames with
 // monotone stream positions (1-based, per writer incarnation) and
 // retains every frame until the receiver's reported position covers
-// it. Each connection opens with (incarnation nonce, position of the
-// first frame it will offer); the receiver replies with the highest
-// position it has already processed under that nonce — the writer
-// prunes to it and resends the rest — and re-reports its position
-// every ackEvery frames. The nonce makes writer restarts
-// self-describing (a fresh incarnation restarts the position space and
-// the receiver's high-water mark with it), the handshake reply makes
-// progress survive connections too short-lived to carry an in-stream
-// ack, and positions — unlike raw frame counts — are immune to
+// it. Each connection's signed hello carries (incarnation nonce,
+// position of the first frame it will offer); the receiver's handshake
+// reply is the highest position it has already processed under that
+// nonce — the writer prunes to it and resends the rest — and it
+// re-reports its position every ackEvery frames. The nonce makes writer
+// restarts self-describing (a fresh incarnation restarts the position
+// space and the receiver's high-water mark with it), the handshake reply
+// makes progress survive connections too short-lived to carry an
+// in-stream ack, and positions — unlike raw frame counts — are immune to
 // double-counting replayed duplicates. The receiver may still process
 // up to ~ackEvery duplicate frames after a replay; every protocol
 // message is deduplicated at its automaton.
@@ -847,70 +838,25 @@ func (p *tcpPeer) writer(class int) {
 		pending = nil
 	}
 
+	// connect dials until a connection completes the handshake, waiting
+	// out a growing back-off after each failure; it returns false once
+	// the node closes.
 	connect := func() bool {
 		for {
-			if p.node.isClosed() {
-				return false
-			}
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return false
-			}
-			c, err := net.DialTimeout("tcp", p.addr, time.Second)
+			c, base, err := p.dial(class, nonce, baseSeq+1)
 			if err != nil {
-				time.Sleep(backoff)
-				if backoff < dialRetryMax {
-					backoff *= 2
+				t := time.NewTimer(backoff)
+				select {
+				case <-p.node.done:
+					t.Stop()
+					return false
+				case <-t.C:
 				}
+				backoff = min(2*backoff, dialRetryMax)
 				continue
 			}
 			backoff = 50 * time.Millisecond
-			if p.node.wrap != nil {
-				c = p.node.wrap(c)
-			}
-			if !p.node.trackConn(c) {
-				c.Close()
-				return false
-			}
-			if p.node.keys != nil {
-				if err := authDial(c, p.node.keys, byte(class)); err != nil {
-					p.node.dropConn(c)
-					time.Sleep(backoff)
-					continue
-				}
-			} else {
-				var hs [7]byte
-				binary.BigEndian.PutUint32(hs[0:4], handshakeMagic)
-				binary.BigEndian.PutUint16(hs[4:6], uint16(p.node.self))
-				hs[6] = byte(class)
-				if _, err := c.Write(hs[:]); err != nil {
-					p.node.dropConn(c)
-					time.Sleep(backoff)
-					continue
-				}
-			}
-			// Ack handshake: announce (nonce, first offered position),
-			// learn how far the receiver already got, prune and replay
-			// the rest on this connection.
-			var ab [16]byte
-			binary.BigEndian.PutUint64(ab[0:8], nonce)
-			binary.BigEndian.PutUint64(ab[8:16], baseSeq+1)
-			if _, err := c.Write(ab[:]); err != nil {
-				p.node.dropConn(c)
-				time.Sleep(backoff)
-				continue
-			}
-			c.SetReadDeadline(time.Now().Add(ackInitTimeout))
-			var rb [8]byte
-			if _, err := io.ReadFull(c, rb[:]); err != nil {
-				p.node.dropConn(c)
-				time.Sleep(backoff)
-				continue
-			}
-			c.SetReadDeadline(time.Time{})
-			prune(binary.BigEndian.Uint64(rb[:]))
+			prune(base)
 			ctr := &atomic.Uint64{}
 			p.mu.Lock()
 			p.conn[class], p.lost[class] = c, false

@@ -21,9 +21,10 @@ type tcpCluster []*TCPNode
 
 // newTCPCluster builds all tmpl.Core.N nodes from one option template on
 // pre-bound loopback listeners, so every real port is known before any
-// node dials. A template without a CoinSecret gets one. each, when set,
-// adjusts node i's options: its store, OnDeliver, keys or connection
-// wrapper. The cluster is closed when the test ends.
+// node dials. A template without a CoinSecret gets one, and every node
+// its keyring. each, when set, adjusts node i's options: its store,
+// OnDeliver, keys or connection wrapper. The cluster is closed when the
+// test ends.
 func newTCPCluster(t *testing.T, tmpl TCPOptions, each func(i int, o *TCPOptions)) tcpCluster {
 	t.Helper()
 	if tmpl.Core.CoinSecret == nil {
@@ -38,11 +39,12 @@ func newTCPCluster(t *testing.T, tmpl TCPOptions, each func(i int, o *TCPOptions
 		}
 		listeners[i], tmpl.Addrs[i] = ln, ln.Addr().String()
 	}
+	keys := testKeys(t, tmpl.Core.N, 1)
 	var c tcpCluster
 	t.Cleanup(func() { c.Close() })
 	for i, ln := range listeners {
 		opts := tmpl
-		opts.Self, opts.Listener = i, ln
+		opts.Self, opts.Listener, opts.Keys = i, ln, keys[i]
 		if each != nil {
 			each(i, &opts)
 		}
@@ -187,12 +189,15 @@ func TestTCPClusterInspect(t *testing.T) {
 }
 
 // TestTCPNodeValidation: bad options are refused, and a refused node
-// closes the listener it was handed.
+// closes the listener it was handed. Each node holds a valid keyring, so
+// it is refused for the reason named.
 func TestTCPNodeValidation(t *testing.T) {
+	keys := testKeys(t, 4, 1)
 	if _, err := NewTCPNode(TCPOptions{
 		Core:  core.Config{N: 4, F: 1, CoinSecret: []byte("s")},
 		Self:  9,
 		Addrs: []string{"a", "b", "c", "d"},
+		Keys:  keys[0],
 	}); err == nil {
 		t.Fatal("bad Self accepted")
 	}
@@ -200,6 +205,7 @@ func TestTCPNodeValidation(t *testing.T) {
 		Core:  core.Config{N: 4, F: 1},
 		Self:  0,
 		Addrs: []string{"127.0.0.1:0", "x", "y", "z"},
+		Keys:  keys[0],
 	}); err == nil {
 		t.Fatal("missing coin secret accepted")
 	}
@@ -213,7 +219,8 @@ func TestTCPNodeValidation(t *testing.T) {
 		}
 		addrs := make([]string, cfg.N)
 		addrs[0] = ln.Addr().String()
-		if _, err := NewTCPNode(TCPOptions{Core: cfg, Addrs: addrs, Listener: ln}); err == nil {
+		opts := TCPOptions{Core: cfg, Addrs: addrs, Listener: ln, Keys: testKeys(t, cfg.N, 1)[0]}
+		if _, err := NewTCPNode(opts); err == nil {
 			t.Fatalf("%+v accepted", cfg)
 		}
 		if conn, err := net.Dial("tcp", addrs[0]); err == nil {
@@ -231,6 +238,30 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	for _, n := range c {
 		n.Close()
 		n.Close() // second close must not panic or deadlock
+	}
+}
+
+// TestCloseDoesNotWaitOutRedialBackoff: a node whose peers are gone
+// redials them with a growing back-off, and Close ends those waits at
+// once instead of sleeping them out.
+func TestCloseDoesNotWaitOutRedialBackoff(t *testing.T) {
+	t.Parallel()
+	c := newTCPCluster(t, TCPOptions{
+		Core:    core.Config{N: 4, F: 1, Mode: core.ModeDL},
+		Replica: replica.Params{BatchDelay: 20 * time.Millisecond},
+	}, nil)
+	for i, n := range c {
+		n.Submit(workload.Make(i, 1, 0, 100))
+	}
+	c.waitDelivered(t, 30*time.Second, 4, "the cluster delivers before its peers go")
+	for _, n := range c[1:] {
+		n.Close()
+	}
+	time.Sleep(5 * time.Second) // long enough for the back-off to reach dialRetryMax
+	start := time.Now()
+	c[0].Close()
+	if took := time.Since(start); took >= 200*time.Millisecond {
+		t.Fatalf("Close took %v with every peer gone, want under 200ms", took)
 	}
 }
 
@@ -355,8 +386,7 @@ func TestEpochCounterConsistentAcrossRestarts(t *testing.T) {
 }
 
 // writeLog records every Write a dispersal-class link's writer hands
-// the socket after its handshake: the seven-byte hello and the
-// sixteen-byte ack handshake.
+// the socket after its handshake, whose one write is the signed hello.
 type writeLog struct {
 	mu     sync.Mutex
 	writes [][]byte
@@ -371,9 +401,9 @@ type loggedConn struct {
 
 func (c *loggedConn) Write(p []byte) (int, error) {
 	if c.n++; c.n == 1 {
-		c.high = len(p) == 7 && p[6] == classHigh
+		c.high = len(p) == helloSize && p[6] == classHigh
 	}
-	if c.high && c.n > 2 {
+	if c.high && c.n > 1 {
 		c.log.mu.Lock()
 		c.log.writes = append(c.log.writes, append([]byte(nil), p...))
 		c.log.mu.Unlock()
