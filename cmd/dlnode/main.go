@@ -20,10 +20,11 @@
 // connect there to submit transactions and receive an immediate
 // accept/reject receipt plus, on delivery, a commit proof — the block
 // slot and a Merkle inclusion path verifiable against the block's
-// transaction root. Submissions are deduplicated by content hash (client
-// retries and post-crash resubmissions are idempotent; with -datadir the
-// dedup index survives restarts via the WAL), and -mempool caps the
-// queued backlog in MB: past the budget, submissions are rejected with a
+// transaction root. Every node deduplicates submissions by content hash
+// and indexes commit proofs, with or without -client, so client retries
+// and post-crash resubmissions are idempotent (with -datadir the dedup
+// index survives restarts via the WAL), and -mempool caps the queued
+// backlog in MB: past the budget, submissions are rejected with a
 // retry-after hint instead of queued unboundedly.
 //
 // Peer authentication: every peer connection opens with an ed25519
@@ -51,11 +52,10 @@
 // ledger, while e.g. -retain 1000 bounds it. Without -datadir the node
 // is memory-only and a restart rejoins as a fresh, empty node.
 //
-// State sync (on by default; -statesync=false disables): nodes record
-// attestable checkpoints as they deliver and serve them to peers. A
-// node whose outage outlasts every peer's -retain horizon bootstraps
-// from a verified peer checkpoint automatically instead of wedging in
-// catch-up, and a brand-new member joins a long-running cluster with
+// State sync (always on): nodes record attestable checkpoints as they
+// deliver and serve them to peers. A node whose outage outlasts every
+// peer's -retain horizon bootstraps from a verified peer checkpoint
+// instead of wedging in catch-up, and a brand-new member joins with
 //
 //	dlnode -id 3 -peers ... -secret s3cret -keydir ./keys -datadir /var/lib/dlnode3 -join
 //
@@ -99,8 +99,7 @@ func main() {
 	adminAddr := flag.String("admin", "", "serve the operator admin endpoint on this address: /metrics (Prometheus), /statusz (JSON), /healthz, /debug/pprof (empty = no admin port; implies telemetry)")
 	mempoolMB := flag.Float64("mempool", 0, "mempool byte budget in MB; submissions beyond it are rejected with a retry-after hint (0 = unbounded)")
 	clientRate := flag.Float64("clientrate", 0, "per-client admission rate limit in KB/s; a flooder is rejected with a retry-after hint before it can consume the shared mempool budget (0 = unlimited)")
-	stateSync := flag.Bool("statesync", true, "enable the state-sync subsystem: serve checkpoints to joining peers and bootstrap from one if an outage outlasts every peer's -retain horizon")
-	join := flag.Bool("join", false, "join a running cluster as a brand-new member: bootstrap from a peer checkpoint instead of replaying history (requires an empty -datadir and peers running with state sync; implies -statesync)")
+	join := flag.Bool("join", false, "join a running cluster as a brand-new member: bootstrap from a peer checkpoint instead of replaying history (requires an empty -datadir; every dlnode runs state sync)")
 	forceRestart := flag.Bool("force-restart", false, "open a -datadir flagged UNSAFE_RESTART (a durable write failed during the previous run) anyway, clearing the flag; the node recovers to a stale position and may spend the cluster's fault budget — see docs/OPERATIONS.md")
 	flag.Parse()
 
@@ -145,7 +144,7 @@ func main() {
 			DataDir:         *datadir,
 			MempoolBytes:    int(*mempoolMB * trace.MB),
 			ClientRateLimit: *clientRate * 1024,
-			StateSync:       *stateSync || *join,
+			StateSync:       true,
 			ForceRestart:    *forceRestart,
 		},
 		Self:       *id,

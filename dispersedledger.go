@@ -94,13 +94,6 @@ type Config struct {
 	// instead of growing the mempool unboundedly. Zero keeps the
 	// unbounded legacy behaviour.
 	MempoolBytes int
-	// ClientGateway enables the client-gateway machinery: content-hash
-	// deduplication of submissions (idempotent client retries, including
-	// across a node crash-restart — the hashes ride the WAL), commit
-	// proofs for delivered transactions, and the Cluster.ServeClients /
-	// NodeOptions.ClientAddr TCP front door. Setting ClientAddr on a
-	// node implies it. Costs one SHA-256 per delivered transaction.
-	ClientGateway bool
 	// ClientRateLimit, when positive, rate-limits each gateway client's
 	// admission to this many bytes/second (token bucket, 4-second
 	// burst): a single flooder is rejected with a retry-after hint
@@ -189,7 +182,8 @@ type Stats struct {
 	// StateSyncChunks counts Merkle-verified chunk records this node
 	// imported from donors' retained inventories during syncs.
 	StateSyncChunks int64
-	// Gateway holds the client-gateway counters (zero without one).
+	// Gateway holds the client-gateway counters; they count commits
+	// even on a node that serves no client port.
 	Gateway GatewayStats
 }
 
@@ -263,9 +257,10 @@ func (c *Cluster) node(i int) (*Node, error) {
 }
 
 // ServeClients starts the client-gateway TCP listener for node i on
-// addr (port 0 picks a free port) and returns the bound address. It
-// requires Config.ClientGateway; connect with package dlclient. The
-// listener is closed with the cluster.
+// addr (port 0 picks a free port) and returns the bound address; connect
+// with package dlclient. Every node already deduplicates and proves
+// (see Node), so this only opens the port. The listener is closed with
+// the cluster.
 func (c *Cluster) ServeClients(i int, addr string) (string, error) {
 	n, err := c.node(i)
 	if err != nil {
@@ -274,7 +269,8 @@ func (c *Cluster) ServeClients(i int, addr string) (string, error) {
 	return n.serveClients(addr)
 }
 
-// Submit hands a transaction to node i.
+// Submit hands a transaction to node i; a duplicate of a pending or
+// committed one is dropped and counted in Stats.RejectedSubmissions.
 func (c *Cluster) Submit(i int, tx []byte) error {
 	n, err := c.node(i)
 	if err != nil {
@@ -328,12 +324,17 @@ func (c *Cluster) Close() {
 
 // Node is one DispersedLedger node: a member of a distributed TCP
 // deployment (NewTCPNode) or of an in-process Cluster.
+//
+// Every node deduplicates submissions by content hash and indexes each
+// delivered transaction for commit proofs, client port or not; the
+// hashes ride its WAL, checkpoints and state-sync manifests, so a retry
+// is recognised across restarts (memory bounds: docs/OPERATIONS.md).
 type Node struct {
 	self    int
 	cc      core.Config // resolved core config, for /statusz reporting
 	rt      *transport.TCPNode
 	st      store.Store            // nil without Config.DataDir
-	hub     *gateway.Hub           // nil without a client gateway
+	hub     *gateway.Hub           // dedup front door and proof index
 	tel     *telemetry.Metrics     // nil without Config.Telemetry
 	admin   *telemetry.AdminServer // nil without NodeOptions.AdminAddr
 	sub     chan Delivery
@@ -378,7 +379,8 @@ type NodeOptions struct {
 	// ClientAddr, when set, serves the client gateway on this address
 	// (port 0 picks a free port; see ClientAddr()): external clients
 	// connect with package dlclient to submit transactions and receive
-	// commit proofs. Implies Config.ClientGateway.
+	// commit proofs. It only opens the port: dedup and proofs run on
+	// every node.
 	ClientAddr string
 	// AdminAddr, when set, serves the operator admin endpoint on this
 	// address (port 0 picks a free port; see AdminAddr()): /metrics
@@ -409,7 +411,6 @@ func NewTCPNode(opts NodeOptions) (*Node, error) { return newNode(opts) }
 // that let the outside in.
 func newNode(opts NodeOptions) (*Node, error) {
 	cfg := opts.Config
-	cfg.ClientGateway = cfg.ClientGateway || opts.ClientAddr != ""
 	cfg.Telemetry = cfg.Telemetry || opts.AdminAddr != ""
 	cc := cfg.coreConfig()
 	if opts.Join {
@@ -420,12 +421,10 @@ func newNode(opts NodeOptions) (*Node, error) {
 	if cfg.Telemetry {
 		n.tel = telemetry.New(telemetry.Options{})
 	}
-	if cfg.ClientGateway {
-		n.hub = gateway.NewHub(nodeExec{n}, gateway.Options{
-			N: cc.N, F: cc.F, RatePerClient: cfg.ClientRateLimit,
-			Telemetry: n.tel,
-		})
-	}
+	n.hub = gateway.NewHub(nodeExec{n}, gateway.Options{
+		N: cc.N, F: cc.F, RatePerClient: cfg.ClientRateLimit,
+		Telemetry: n.tel,
+	})
 	if cfg.DataDir != "" {
 		st, err := store.OpenFile(store.FileOptions{Dir: cfg.DataDir, ForceRestart: cfg.ForceRestart})
 		if err != nil {
@@ -439,7 +438,7 @@ func newNode(opts NodeOptions) (*Node, error) {
 	params := replica.Params{
 		BatchDelay:   cfg.BatchDelay,
 		MempoolBytes: cfg.MempoolBytes,
-		ClientDedup:  cfg.ClientGateway,
+		ClientDedup:  true,
 		Telemetry:    n.tel,
 	}
 	rt, err := transport.NewTCPNode(transport.TCPOptions{
@@ -452,13 +451,9 @@ func newNode(opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	n.rt = rt
-	if n.hub != nil {
-		// Re-seed gateway proofs from the recovered log so pre-restart
-		// commitments stay provable to resubmitting clients.
-		var recovered []replica.RecoveredBlock
-		n.rt.Inspect(func(r *replica.Replica) { recovered = r.RecoveredBlocks() })
-		n.hub.Seed(recovered)
-	}
+	// Re-seed gateway proofs from the recovered log so pre-restart
+	// commitments stay provable to resubmitting clients.
+	n.rt.Inspect(func(r *replica.Replica) { n.hub.Seed(r.RecoveredBlocks()) })
 	if opts.ClientAddr != "" {
 		if _, err := n.serveClients(opts.ClientAddr); err != nil {
 			n.Close()
@@ -479,9 +474,7 @@ func newNode(opts NodeOptions) (*Node, error) {
 // onDeliver runs on the consensus loop for every delivered block: the
 // gateway hub indexes it, then it goes to the delivery channel.
 func (n *Node) onDeliver(d replica.Delivery) {
-	if n.hub != nil {
-		n.hub.OnDeliver(d)
-	}
+	n.hub.OnDeliver(d)
 	select {
 	case n.sub <- Delivery{
 		Time: d.At, Epoch: d.Epoch, Proposer: d.Proposer,
@@ -495,9 +488,6 @@ func (n *Node) onDeliver(d replica.Delivery) {
 }
 
 func (n *Node) serveClients(addr string) (string, error) {
-	if n.hub == nil {
-		return "", errors.New("dispersedledger: ServeClients requires Config.ClientGateway")
-	}
 	gw, err := gateway.Serve(n.hub, addr)
 	if err != nil {
 		return "", err
@@ -549,9 +539,7 @@ func (n *Node) adminStatus() map[string]any {
 		out["sync"] = sync
 		out["store"] = map[string]any{"errors": r.Stats.StoreErrors}
 	})
-	if n.hub != nil {
-		out["gateway"] = n.hub.Counters()
-	}
+	out["gateway"] = n.hub.Counters()
 	return out
 }
 
@@ -568,7 +556,8 @@ func (n *Node) AdminAddr() string {
 	return n.admin.Addr().String()
 }
 
-// Submit hands a transaction to this node.
+// Submit hands a transaction to this node; a duplicate of a pending or
+// committed one is dropped and counted in Stats.RejectedSubmissions.
 func (n *Node) Submit(tx []byte) { n.rt.Submit(tx) }
 
 // Deliveries returns this node's delivery channel.
@@ -609,9 +598,7 @@ func (n *Node) Stats() Stats {
 			StateSyncChunks:     ss.ChunksImported,
 		}
 	})
-	if n.hub != nil {
-		out.Gateway = n.hub.Counters()
-	}
+	out.Gateway = n.hub.Counters()
 	return out
 }
 

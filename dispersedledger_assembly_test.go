@@ -29,11 +29,10 @@ type deployment struct {
 func assemblyConfig(dir string) Config {
 	return Config{
 		N: 4, F: 1,
-		CoinSecret:    []byte("one assembly secret"),
-		BatchDelay:    20 * time.Millisecond,
-		DataDir:       dir,
-		ClientGateway: true,
-		Telemetry:     true,
+		CoinSecret: []byte("one assembly secret"),
+		BatchDelay: 20 * time.Millisecond,
+		DataDir:    dir,
+		Telemetry:  true,
 	}
 }
 

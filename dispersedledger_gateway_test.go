@@ -158,8 +158,7 @@ func TestGatewayOverload(t *testing.T) {
 	const budget = 4 << 10
 	c, err := NewCluster(Config{
 		N: 4, F: 1,
-		ClientGateway: true,
-		MempoolBytes:  budget,
+		MempoolBytes: budget,
 		// A long batch delay keeps the backlog from draining mid-flood,
 		// forcing the admission path to do the bounding.
 		BatchDelay: 300 * time.Millisecond,
@@ -340,5 +339,128 @@ func TestGatewayCrashRestartDedup(t *testing.T) {
 	witnessMu.Unlock()
 	if count != 1 {
 		t.Fatalf("witness delivered the tx %d times, want exactly 1", count)
+	}
+}
+
+// TestEveryNodeDeduplicatesAndProves: a zero-Config cluster that serves
+// no client port still drops and counts in-process duplicates and
+// indexes its commits for proofs, and ServeClients opens a port on it
+// whose client gets the committed transaction's proof.
+func TestEveryNodeDeduplicatesAndProves(t *testing.T) {
+	c, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stats := func(i int) Stats {
+		s, err := c.Stats(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	tx := []byte("one node shape")
+	if err := c.Submit(1, tx); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 30*time.Second, func() bool { return stats(1).Gateway.Commits >= 1 },
+		"node 1's hub indexed no commit without a client port")
+	if err := c.Submit(1, tx); err != nil {
+		t.Fatal(err)
+	}
+	if s := stats(1); s.RejectedSubmissions != 1 || s.Submitted != 1 {
+		t.Fatalf("after a committed duplicate: submitted %d, rejected %d; want 1, 1", s.Submitted, s.RejectedSubmissions)
+	}
+
+	addr, err := c.ServeClients(1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dlclient.Dial(addr, dlclient.Options{Name: "late client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cm, err := cl.SubmitAndWait(tx, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cm.Verify(tx) {
+		t.Fatal("proof of an in-process commit failed verification")
+	}
+	if g := stats(1).Gateway; g.RejectedDuplicate != 1 || g.Accepted != 0 {
+		t.Fatalf("gateway counters %+v: want the one duplicate and nothing accepted", g)
+	}
+}
+
+// TestClientPortAfterRestartKeepsExactlyOnce: a durable cluster commits
+// two transactions while it serves no client port, then restarts over
+// the same DataDir and serves node 0's port. Resubmitting either one
+// there, whether it first went through node 0 or through node 1, reads
+// duplicate-committed with a proof, because the first incarnation
+// already wrote its transaction hashes to the WAL.
+func TestClientPortAfterRestartKeepsExactlyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart test needs a few seconds of wall clock")
+	}
+	cfg := Config{BatchDelay: 20 * time.Millisecond, DataDir: t.TempDir()}
+	viaPeer, viaSelf := []byte("first submitted through node 1"), []byte("first submitted through node 0")
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(1, viaPeer); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(0, viaSelf); err != nil {
+		t.Fatal(err)
+	}
+	deliveries, err := c.Deliveries(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seen, timeout := 0, time.After(30*time.Second); seen < 2; {
+		select {
+		case d := <-deliveries:
+			for _, tx := range d.Txs {
+				if bytes.Equal(tx, viaPeer) || bytes.Equal(tx, viaSelf) {
+					seen++
+				}
+			}
+		case <-timeout:
+			c.Close()
+			t.Fatalf("node 0 delivered %d of 2 transactions", seen)
+		}
+	}
+	c.Close()
+
+	if c, err = NewCluster(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr, err := c.ServeClients(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dlclient.Dial(addr, dlclient.Options{Name: "resubmitter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, tx := range [][]byte{viaPeer, viaSelf} {
+		rc, err := cl.Submit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Status != dlclient.StatusDuplicateCommitted {
+			t.Fatalf("resubmitted %q after the restart: %v, want duplicate-committed", tx, rc.Status)
+		}
+		cm, err := cl.SubmitAndWait(tx, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cm.Verify(tx) {
+			t.Fatalf("proof of %q failed verification", tx)
+		}
 	}
 }

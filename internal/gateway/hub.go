@@ -113,6 +113,8 @@ func (c Counters) Rejected() int64 {
 
 // Node is the consensus node a hub fronts: Exec runs a function on the
 // node's event loop (where the replica may be touched) and waits for it.
+// The replica must run with replica.Params.ClientDedup: the hub's
+// admission and proofs use its content hashes.
 // A live node adapts transport.TCPNode.Inspect to it; the emulated
 // harness runs single-threaded and execs inline.
 type Node interface {
@@ -552,23 +554,14 @@ func (h *Hub) dropInterest(hash mempool.Hash, client uint64) {
 // subscription receives the Commit. Called from the consensus loop; it
 // never blocks (subscription pushes drop on full buffers).
 func (h *Hub) OnDeliver(d replica.Delivery) {
-	hashes := d.TxHashes
-	if len(hashes) == 0 {
-		if len(d.Txs) == 0 {
-			return
-		}
-		// Dedup-less replica (harness misconfiguration tolerance): hash
-		// here so proofs still work.
-		hashes = make([]mempool.Hash, len(d.Txs))
-		for i, tx := range d.Txs {
-			hashes[i] = mempool.HashTx(tx)
-		}
+	if len(d.TxHashes) == 0 {
+		return
 	}
 	// Proof-stream ingest duration for the block's sampled journeys;
 	// lands before the epoch finalizes them (the replica calls OnDeliver
 	// before its EpochDeliveredAction).
 	t0 := h.now()
-	h.ingest(d.Epoch, d.Proposer, hashes)
+	h.ingest(d.Epoch, d.Proposer, d.TxHashes)
 	d.Telemetry.Emit(telemetry.Event{Kind: telemetry.TxProofIngested, Epoch: d.Epoch, Peer: int32(d.Proposer), Arg: int64(h.now() - t0)})
 }
 

@@ -131,6 +131,11 @@ func WriteFrame(bw *bufio.Writer, body []byte) error {
 	return bw.Flush()
 }
 
+// frameChunk is the most ReadFrame allocates before a frame's bytes
+// arrive; a longer frame's buffer doubles as it fills, so a peer must
+// send half of the memory it makes the reader hold.
+const frameChunk = 64 << 10
+
 // ReadFrame reads one length-prefixed frame body from r, enforcing the
 // frame cap. Shared with package dlclient.
 func ReadFrame(br *bufio.Reader) ([]byte, error) {
@@ -138,15 +143,24 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(lenBuf[:])
+	size := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if size == 0 || size > MaxFrame {
 		return nil, ErrFrameTooBig
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(size, frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(br, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(buf) == size {
+			return buf, nil
+		}
+		off = len(buf)
+		buf = append(buf, make([]byte, min(size-off, off))...)
 	}
-	return buf, nil
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -155,11 +169,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	cc := &clientConn{bw: bufio.NewWriterSize(conn, 64<<10), c: conn}
 
 	// Handshake: Hello then Welcome. A connection that sends no Hello
 	// within helloTimeout is dropped rather than holding its goroutine
-	// and buffers until shutdown.
+	// and buffers until shutdown; it gets a write buffer only after.
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	body, err := ReadFrame(br)
 	if err != nil {
@@ -169,6 +182,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil || msg.Type != MTHello {
 		return
 	}
+	cc := &clientConn{bw: bufio.NewWriterSize(conn, 64<<10), c: conn}
 	id := ClientID(msg.Hello.Name)
 	if cc.send(EncodeWelcome(Welcome{
 		ClientID: id, N: s.hub.N(), F: s.hub.F(), MaxTxBytes: maxTxBytes,

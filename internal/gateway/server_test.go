@@ -2,8 +2,11 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,5 +92,72 @@ func TestServerSessionOutlivesHelloTimeout(t *testing.T) {
 	}
 	if m, err := DecodeMessage(body); err != nil || m.Type != MTPong || m.Ping.Nonce != 7 {
 		t.Fatalf("ping answer %+v, %v; want Pong 7", m, err)
+	}
+}
+
+// TestReadFrameGrowsWithArrivingBytes: frames on both sides of
+// frameChunk round-trip whole, and a frame cut short mid-body is an
+// unexpected EOF, not a short frame.
+func TestReadFrameGrowsWithArrivingBytes(t *testing.T) {
+	for _, size := range []int{1, frameChunk, frameChunk + 1, 3*frameChunk + 7, MaxFrame} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var wire bytes.Buffer
+		if err := WriteFrame(bufio.NewWriter(&wire), body); err != nil {
+			t.Fatal(err)
+		}
+		raw := wire.Bytes()
+		got, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("size %d: read %d bytes, %v; want the frame back", size, len(got), err)
+		}
+		for _, cut := range []int{4 + size/2, len(raw) - 1} {
+			if cut <= 4 {
+				continue
+			}
+			if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw[:cut]))); err != io.ErrUnexpectedEOF {
+				t.Fatalf("size %d cut at %d: %v, want unexpected EOF", size, cut, err)
+			}
+		}
+	}
+}
+
+// TestServerBoundsHeaderOnlyFrames: connections that send only a frame
+// header claiming MaxFrame and then stall cost the server its read
+// buffer and one frameChunk each, not MaxFrame each.
+func TestServerBoundsHeaderOnlyFrames(t *testing.T) {
+	const conns = 100
+	s := serveStub(t)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.tracked() < conns; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server tracks %d of %d connections", s.tracked(), conns)
+		}
+	}
+	time.Sleep(300 * time.Millisecond) // every handler reads its header
+	grew := int64(heap()) - int64(before)
+	t.Logf("%d header-only connections: heap %.1f MB -> +%.1f MB", conns, float64(before)/(1<<20), float64(grew)/(1<<20))
+	if grew >= 16<<20 {
+		t.Fatalf("%d header-only connections grew the heap by %.1f MB, want < 16 MB", conns, float64(grew)/(1<<20))
 	}
 }

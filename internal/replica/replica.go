@@ -77,6 +77,8 @@ type Params struct {
 	// transaction hashes ride its WAL record (and the committed-hash
 	// memory rides checkpoints), and recovery rebuilds both — so client
 	// resubmission after a retry or a crash-restart is idempotent.
+	// Every public node sets it; the emulator only where simulated
+	// clients need it, as hashing costs emulated runs time and memory.
 	ClientDedup bool
 }
 

@@ -60,8 +60,8 @@ const (
 	RecDecided
 	// RecBlock marks the delivery of one block, in delivery order. V is
 	// the block's observed V array (kept for later linking computations);
-	// TxCount/Payload replay the statistics counters. TxHashes, when the
-	// node records them (gateway-enabled nodes), are the block's
+	// TxCount/Payload replay the statistics counters. TxHashes (written
+	// by every deployed node: replica.Params.ClientDedup) are the block's
 	// transaction content hashes in block order: recovery rebuilds the
 	// dedup index and the commit-proof trees from them, so a client
 	// resubmitting after a crash-restart is still recognized. The field
