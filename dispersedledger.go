@@ -49,9 +49,13 @@ type Config struct {
 	// BatchDelay is the proposal batching delay (default: the paper's
 	// 100 ms). Asked for a block, a node proposes at once if 150 KB are
 	// pending, if another node's dispersal has already opened the epoch
-	// (then with whatever it holds, possibly nothing), or if BatchDelay
-	// has passed since its last proposal; otherwise it proposes when
-	// that delay runs out. See DESIGN.md "Proposal rate control".
+	// (then with whatever it holds, possibly nothing), if BatchDelay has
+	// passed since its last proposal, or if it is idle: BatchDelay,
+	// counted from its last transaction-carrying proposal, had run out
+	// before its oldest pending transaction arrived. An idle node's next
+	// two transaction-carrying proposals go at once. Otherwise it
+	// proposes when the delay runs out; an empty mempool ticks every
+	// BatchDelay. See DESIGN.md "Proposal rate control".
 	BatchDelay time.Duration
 	// RetainEpochs, when positive, garbage-collects protocol state for
 	// epochs more than this far behind delivery. See the engine

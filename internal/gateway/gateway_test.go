@@ -174,20 +174,68 @@ func TestHubSeedRecoversProofs(t *testing.T) {
 	}
 }
 
+// TestHubProofEviction: one-transaction blocks each count as one
+// against proofTxs, so the index keeps the newest proofTxs of them.
 func TestHubProofEviction(t *testing.T) {
 	node := newStub(t, replica.Params{ClientDedup: true})
 	hub := NewHub(node, Options{N: 4, F: 1})
 	tx := func(i int) []byte { return []byte(fmt.Sprintf("t%d", i)) }
-	for i := 0; i <= proofBlocks; i++ {
+	for i := 0; i <= proofTxs; i++ {
 		hub.OnDeliver(delivery(uint64(i+1), 0, tx(i)))
 	}
 	hub.mu.Lock()
 	held := len(hub.blocks)
 	_, oldest := hub.index[mempool.HashTx(tx(0))]
-	_, newest := hub.index[mempool.HashTx(tx(proofBlocks))]
+	_, newest := hub.index[mempool.HashTx(tx(proofTxs))]
 	hub.mu.Unlock()
-	if held != proofBlocks || oldest || !newest {
+	if held != proofTxs || oldest || !newest {
 		t.Fatalf("eviction: held=%d oldest=%v newest=%v", held, oldest, newest)
+	}
+}
+
+// TestHubProofIndexBoundsTransactions: 400 blocks of 1,000 transactions
+// overflow proofTxs. Whole blocks go, oldest first, until the index
+// holds at most the bound: a transaction of the newest block still
+// re-streams its proof, one of the oldest does not.
+func TestHubProofIndexBoundsTransactions(t *testing.T) {
+	const blocks, perBlock = 400, 1000
+	node := newStub(t, replica.Params{ClientDedup: true})
+	hub := NewHub(node, Options{N: 4, F: 1})
+	tx := func(b, i int) []byte { return []byte(fmt.Sprintf("b%d-t%d", b, i)) }
+	for b := 0; b < blocks; b++ {
+		d := replica.Delivery{Epoch: uint64(b + 1), Proposer: 2}
+		for i := 0; i < perBlock; i++ {
+			d.TxHashes = append(d.TxHashes, mempool.HashTx(tx(b, i)))
+		}
+		hub.OnDeliver(d)
+	}
+	hub.mu.Lock()
+	indexed, held := len(hub.index), len(hub.blocks)
+	hub.mu.Unlock()
+	if want := proofTxs / perBlock; indexed > proofTxs || held != want || indexed != want*perBlock {
+		t.Fatalf("index holds %d transactions in %d blocks; want %d blocks, at most %d transactions",
+			indexed, held, want, proofTxs)
+	}
+	sub := hub.Subscribe(5, 4)
+	newest := tx(blocks-1, 7)
+	if rc := hub.Submit(5, 1, newest); rc.Status != StatusDuplicateCommitted {
+		t.Fatalf("newest block's transaction: status %v, want duplicate-committed", rc.Status)
+	}
+	select {
+	case c := <-sub.C:
+		if c.Epoch != blocks || c.Index != 7 || c.Count != perBlock || !c.Verify(newest) {
+			t.Fatalf("newest block's commit = %+v", c)
+		}
+	default:
+		t.Fatal("newest block's proof did not stream")
+	}
+	if rc := hub.Submit(5, 2, tx(0, 7)); rc.Status == StatusDuplicateCommitted {
+		t.Fatal("oldest block's transaction still reads duplicate-committed")
+	}
+	select {
+	case c := <-sub.C:
+		t.Fatalf("oldest block's proof streamed: %+v", c)
+	default:
 	}
 }
 

@@ -147,11 +147,12 @@ type Options struct {
 // Welcome.
 const maxTxBytes = 1 << 20
 
-// proofBlocks bounds how many recent blocks keep their commit-proof
-// trees resident. Older commits still reject duplicates — the mempool's
-// committed memory is the authority — but can no longer re-stream a
-// proof.
-const proofBlocks = 4096
+// proofTxs bounds the commit-proof index by indexed transactions, each
+// block counting as at least one, so its memory does not grow with
+// transactions per block: past it whole blocks are evicted, oldest
+// first. Older commits still reject duplicates — the mempool's committed
+// memory is the authority — but can no longer re-stream a proof.
+const proofTxs = 1 << 18
 
 // rateBurstSeconds sizes the admission token bucket: it holds this many
 // seconds of Options.RatePerClient.
@@ -189,6 +190,7 @@ type Hub struct {
 	mu       sync.Mutex
 	blocks   map[blockID]*proofBlock
 	order    []blockID // FIFO eviction of proof trees
+	held     int       // the blocks' charge against proofTxs
 	index    map[mempool.Hash]txRef
 	interest map[mempool.Hash][]uint64
 	subs     map[uint64][]*Sub
@@ -586,6 +588,7 @@ func (h *Hub) ingest(epoch uint64, proposer int, hashes []mempool.Hash) {
 	}
 	h.blocks[id] = &proofBlock{hashes: hashes}
 	h.order = append(h.order, id)
+	h.held += len(hashes)
 	h.note(telemetry.GatewayCommits, len(hashes))
 	for i, hash := range hashes {
 		h.index[hash] = txRef{id: id, index: i}
@@ -599,14 +602,14 @@ func (h *Hub) ingest(epoch uint64, proposer int, hashes []mempool.Hash) {
 			delete(h.interest, hash)
 		}
 	}
-	for len(h.order) > proofBlocks {
+	for h.held > proofTxs {
 		old := h.order[0]
 		h.order = h.order[1:]
-		if b := h.blocks[old]; b != nil {
-			for _, hash := range b.hashes {
-				if h.index[hash].id == old {
-					delete(h.index, hash)
-				}
+		b := h.blocks[old]
+		h.held -= len(b.hashes)
+		for _, hash := range b.hashes {
+			if h.index[hash].id == old {
+				delete(h.index, hash)
 			}
 		}
 		delete(h.blocks, old)

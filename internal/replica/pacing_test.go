@@ -2,6 +2,7 @@ package replica
 
 import (
 	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,14 +80,24 @@ func submit(net *fakeNet, node int, at time.Duration, txs int) {
 	})
 }
 
-// burst submits one full batch to node at the given instant.
-func burst(net *fakeNet, node int, at time.Duration) { submit(net, node, at, 2) }
+// burst submits one full batch to node at the given instant, as one
+// 1000-byte transaction: it goes at once on bytes, idle node or not.
+func burst(net *fakeNet, node int, at time.Duration) {
+	net.schedule(at, func() {
+		net.replicas[node].Submit(workload.Make(node, uint32(at/time.Millisecond)*2, at, 1000))
+	})
+}
+
+// busy makes node 0 busy at 10 ms: two half batches reach it idle and go
+// as its two early proposals, into epochs 2 and 3, so its batching clock
+// runs from 10 ms again.
+func busy(net *fakeNet) { submit(net, 0, 10*time.Millisecond, 2) }
 
 // proposals reads node 0's dl_proposals_total by trigger.
 func proposals(tel *telemetry.Metrics) map[string]uint64 {
 	snap := tel.Registry().Snapshot()
 	out := map[string]uint64{}
-	for _, trigger := range []string{"timer", "bytes", "opened"} {
+	for _, trigger := range []string{"timer", "bytes", "opened", "idle"} {
 		out[trigger] = snap[`dl_proposals_total{trigger="`+trigger+`"}`].(uint64)
 	}
 	return out
@@ -107,18 +118,19 @@ func proposedAt(t *testing.T, net *fakeNet, epoch uint64, when time.Duration) {
 	}
 }
 
-// TestOpeningReleasesAPartialBatch: node 0 holds half a batch from 100 ms,
-// and node 1's full batch opens epoch 2 at 200 ms, well before node 0's
-// one-second timer. The half batch goes with it.
+// TestOpeningReleasesAPartialBatch: busy node 0 holds half a batch from
+// 100 ms, and node 1's full batch opens epoch 4 at 200 ms, well before
+// node 0's one-second timer. The half batch goes with it.
 func TestOpeningReleasesAPartialBatch(t *testing.T) {
 	net, tel := pacedNet(t, time.Second, nil)
+	busy(net)
 	submit(net, 0, 100*time.Millisecond, 1)
 	burst(net, 1, 200*time.Millisecond)
-	proposedAt(t, net, 2, 200*time.Millisecond)
+	proposedAt(t, net, 4, 200*time.Millisecond)
 	if got := net.replicas[0].PendingBytes(); got != 0 {
 		t.Errorf("%d bytes left in node 0's mempool, want 0", got)
 	}
-	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 1}; !maps.Equal(got, want) {
+	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 1, "idle": 2}; !maps.Equal(got, want) {
 		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
@@ -130,7 +142,7 @@ func TestOpeningReleasesAnEmptyBlock(t *testing.T) {
 	net, tel := pacedNet(t, time.Second, nil)
 	burst(net, 1, 200*time.Millisecond)
 	proposedAt(t, net, 2, 200*time.Millisecond)
-	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 0}; !maps.Equal(got, want) {
+	if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 0, "idle": 0}; !maps.Equal(got, want) {
 		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
@@ -151,20 +163,22 @@ func TestByteFullClusterProposesAtOnce(t *testing.T) {
 			net, tel := pacedNet(t, time.Second, nil)
 			burst(net, 0, tc.at)
 			proposedAt(t, net, tc.epoch, tc.at)
-			if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 1, "opened": 0}; !maps.Equal(got, want) {
+			if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 1, "opened": 0, "idle": 0}; !maps.Equal(got, want) {
 				t.Errorf("dl_proposals_total %v, want %v", got, want)
 			}
 		})
 	}
 }
 
-// TestPartialBatchWaitsForItsTimer: with nobody opening epoch 2, node 0's
-// half batch from 100 ms waits out its 500 ms batch delay.
+// TestPartialBatchWaitsForItsTimer: with nobody opening epoch 4, busy
+// node 0's half batch from 100 ms waits out its 500 ms batch delay,
+// which runs from its proposal at 10 ms.
 func TestPartialBatchWaitsForItsTimer(t *testing.T) {
 	net, tel := pacedNet(t, 500*time.Millisecond, nil)
+	busy(net)
 	submit(net, 0, 100*time.Millisecond, 1)
-	proposedAt(t, net, 2, 500*time.Millisecond)
-	if got, want := proposals(tel), map[string]uint64{"timer": 1, "bytes": 0, "opened": 0}; !maps.Equal(got, want) {
+	proposedAt(t, net, 4, 510*time.Millisecond)
+	if got, want := proposals(tel), map[string]uint64{"timer": 1, "bytes": 0, "opened": 0, "idle": 2}; !maps.Equal(got, want) {
 		t.Errorf("dl_proposals_total %v, want %v", got, want)
 	}
 }
@@ -174,6 +188,7 @@ func TestPartialBatchWaitsForItsTimer(t *testing.T) {
 func TestEmptyProposalIsNeverHeld(t *testing.T) {
 	net, _ := pacedNet(t, time.Second, nil)
 	r := net.replicas[0]
+	busy(net)
 	submit(net, 0, 100*time.Millisecond, 1)
 	net.run(500 * time.Millisecond)
 	if !r.pendingProposal {
@@ -185,6 +200,114 @@ func TestEmptyProposalIsNeverHeld(t *testing.T) {
 		t.Fatalf("empty proposal pending %v, last proposal at %v, %d bytes left; want sent at 500ms, 500 left",
 			r.pendingProposal, r.lastProposal, r.PendingBytes())
 	}
+}
+
+// TestIdleNodeProposesAtOnce: a half batch at an idle node goes at once,
+// as an idle proposal, into the epoch node 0 is solicited for. Node 0 is
+// idle when its one-second batch delay, counted from its last
+// transaction-carrying proposal, had run out before the batch arrived:
+// on a fresh node, and on a busy one left quiet for longer than that.
+func TestIdleNodeProposesAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		busy  bool
+		epoch uint64
+		at    time.Duration
+	}{
+		{"fresh", false, 2, 300 * time.Millisecond},
+		// Epoch 4 is node 0's empty tick at 1.01 s.
+		{"quiet after busy", true, 5, 1500 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, tel := pacedNet(t, time.Second, nil)
+			idle := uint64(1)
+			if tc.busy {
+				busy(net)
+				idle = 3
+			}
+			submit(net, 0, tc.at, 1)
+			proposedAt(t, net, tc.epoch, tc.at)
+			if got, want := proposals(tel), map[string]uint64{"timer": 0, "bytes": 0, "opened": 0, "idle": idle}; !maps.Equal(got, want) {
+				t.Errorf("dl_proposals_total %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestIdleBurstGoesAsTwoProposals: eight small transactions reach idle
+// node 0 back to back. The first goes at once; the other seven queue
+// behind its dispersal and go whole at the next solicitation, in the
+// same instant on this zero-latency net. The idle spell is then spent: a
+// ninth transaction at 400 ms waits for the batch delay, counted from
+// the second proposal.
+func TestIdleBurstGoesAsTwoProposals(t *testing.T) {
+	net, tel := pacedNet(t, time.Second, nil)
+	type block struct {
+		epoch uint64
+		txs   int
+		at    time.Duration
+	}
+	var got []block
+	net.replicas[1].OnDeliver = func(d Delivery) {
+		if d.Proposer == 0 && len(d.Txs) > 0 {
+			got = append(got, block{d.Epoch, len(d.Txs), d.At})
+		}
+	}
+	for k, at := range []time.Duration{300, 300, 300, 300, 300, 300, 300, 300, 400} {
+		at := at * time.Millisecond
+		net.schedule(at, func() { net.replicas[0].Submit(workload.Make(0, uint32(k), at, 100)) })
+	}
+	net.run(1299 * time.Millisecond)
+	want := []block{{2, 1, 300 * time.Millisecond}, {3, 7, 300 * time.Millisecond}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("node 0's blocks by 1.299 s %v, want %v", got, want)
+	}
+	net.run(1300 * time.Millisecond)
+	if want = append(want, block{4, 1, 1300 * time.Millisecond}); !slices.Equal(got, want) {
+		t.Fatalf("node 0's blocks by 1.3 s %v, want %v", got, want)
+	}
+	if got, want := proposals(tel), map[string]uint64{"timer": 1, "bytes": 0, "opened": 0, "idle": 2}; !maps.Equal(got, want) {
+		t.Errorf("dl_proposals_total %v, want %v", got, want)
+	}
+}
+
+// TestBusyNodeKeepsItsCadence: node 0 gets an 80-byte transaction every
+// 50 ms, so a batch delay's worth never fills a batch. The first two go
+// at once, as it starts idle; from then on its batch goes every 500 ms
+// batch delay, and nobody else opens an epoch.
+func TestBusyNodeKeepsItsCadence(t *testing.T) {
+	net, tel := pacedNet(t, 500*time.Millisecond, nil)
+	var got []time.Duration
+	net.replicas[1].OnDeliver = func(d Delivery) {
+		if d.Proposer == 0 && len(d.Txs) > 0 {
+			got = append(got, d.At)
+		}
+	}
+	for at := 10 * time.Millisecond; at < 3*time.Second; at += 50 * time.Millisecond {
+		net.schedule(at, func() { net.replicas[0].Submit(workload.Make(0, uint32(at/time.Millisecond), at, 80)) })
+	}
+	net.run(3 * time.Second)
+	var want []time.Duration
+	for _, ms := range []int{10, 60, 560, 1060, 1560, 2060, 2560} {
+		want = append(want, time.Duration(ms)*time.Millisecond)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("node 0's batches at %v, want %v", got, want)
+	}
+	if got, want := proposals(tel), map[string]uint64{"timer": 5, "bytes": 0, "opened": 0, "idle": 2}; !maps.Equal(got, want) {
+		t.Errorf("dl_proposals_total %v, want %v", got, want)
+	}
+}
+
+// TestEmptyPoolTicksAtBatchDelay: an empty mempool still proposes every
+// batch delay from the last proposal of any kind, the idle one included.
+func TestEmptyPoolTicksAtBatchDelay(t *testing.T) {
+	net, _ := pacedNet(t, 500*time.Millisecond, nil)
+	proposedAt(t, net, 2, 500*time.Millisecond)
+	submit(net, 0, 700*time.Millisecond, 1)
+	proposedAt(t, net, 3, 700*time.Millisecond)
+	proposedAt(t, net, 4, 1200*time.Millisecond)
+	proposedAt(t, net, 5, 1700*time.Millisecond)
 }
 
 // TestOpeningReleasesNoCatchingUpProposal: a node still catching up after

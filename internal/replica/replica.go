@@ -7,10 +7,16 @@
 // Nagle's algorithm applied to batching — or (iii) another proposer's
 // dispersal has opened the epoch, in which case the block carries
 // whatever the node holds: the cluster's first trigger paces every
-// epoch and the other nodes join it. It also implements the
-// fixed-block-size mode used by the scalability experiments (Fig 12/13),
-// which ignores openings, and records the per-node statistics every
-// figure of the evaluation is built from.
+// epoch and the other nodes join it, or (iv) the node was idle: the
+// delay had already run out, counted from its last transaction-carrying
+// proposal, before its oldest pending transaction arrived. An idle node
+// sends its next two transaction-carrying proposals at once (the second
+// takes the rest of a burst one agreement round later) and then batches
+// as before; its empty blocks still tick at BatchDelay. It also
+// implements the fixed-block-size mode used by the scalability
+// experiments (Fig 12/13), which ignores openings and idleness, and
+// records the per-node statistics every figure of the evaluation is
+// built from.
 //
 // A Replica is single-threaded: all methods must be called from one
 // goroutine (the emulator's event loop, or a TCP node's event loop).
@@ -186,8 +192,16 @@ type Replica struct {
 	pendingProposal bool
 	proposalEmpty   bool
 	lastProposal    time.Duration
-	timerArmed      bool
-	started         bool
+	// lastTxProposal is when the node last proposed transactions: the
+	// idle test runs the batching clock from it.
+	lastTxProposal time.Duration
+	// idleShots counts the transaction-carrying proposals an idle spell
+	// still releases at once; idleRead says the idle test has read the
+	// mempool since the last proposal (one read per proposal).
+	idleShots  int
+	idleRead   bool
+	timerArmed bool
+	started    bool
 
 	// opened is the highest epoch another proposer's dispersal opened.
 	opened uint64
@@ -471,8 +485,9 @@ func (r *Replica) Start() {
 		return
 	}
 	r.started = true
-	// Allow an immediate first proposal.
+	// Allow an immediate first proposal; the node starts idle.
 	r.lastProposal = r.ctx.Now() - r.params.batchDelay()
+	r.lastTxProposal = r.lastProposal
 	r.apply(r.engine.Start())
 }
 
@@ -876,6 +891,9 @@ func (r *Replica) tryPropose() {
 		// so the batch goes with it, whatever its size.
 		r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
 		return
+	case r.idle():
+		r.propose(r.pool.PopBatch(0), telemetry.TriggerIdle)
+		return
 	case now >= due:
 		r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
 		return
@@ -890,12 +908,37 @@ func (r *Replica) tryPropose() {
 	}
 }
 
+// idle reports whether the pending transactions go at once because the
+// node was idle. An idle spell starts when the batching clock, run from
+// the last transaction-carrying proposal, had already run out before the
+// oldest pending transaction arrived; it releases the node's next two
+// transaction-carrying proposals, whatever triggers them.
+func (r *Replica) idle() bool {
+	if r.pool.Len() == 0 {
+		return false
+	}
+	if r.idleShots == 0 && !r.idleRead {
+		r.idleRead = true
+		if at, ok := r.pool.OldestAt(); ok && at >= r.lastTxProposal+r.params.batchDelay() {
+			r.idleShots = 2
+		}
+	}
+	return r.idleShots > 0
+}
+
 // propose answers the engine's solicitation with txs; trigger, one of
 // telemetry's Trigger* values, says what released them.
 func (r *Replica) propose(txs [][]byte, trigger int64) {
 	r.pendingProposal = false
 	r.proposalEmpty = false
 	r.lastProposal = r.ctx.Now()
+	r.idleRead = false
+	if len(txs) > 0 {
+		r.lastTxProposal = r.lastProposal
+		if r.idleShots > 0 {
+			r.idleShots--
+		}
+	}
 	r.mempoolChanged()
 	// apply persists (and syncs) the resulting ProposalMadeAction before
 	// any chunk reaches the wire: a node that crashes mid-dispersal

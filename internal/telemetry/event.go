@@ -159,10 +159,15 @@ const (
 	// TriggerOpened: another node opened the epoch and this batch,
 	// whatever its size, went with it.
 	TriggerOpened
+	// TriggerIdle: the node was idle — the batch delay, counted from its
+	// last transaction-carrying proposal, had run out before its oldest
+	// pending transaction arrived — and this batch went at once, as one
+	// of the at most two such proposals an idle spell releases.
+	TriggerIdle
 )
 
 // triggerNames are the trigger labels, indexed by Trigger* value.
-var triggerNames = [...]string{"timer", "bytes", "opened"}
+var triggerNames = [...]string{"timer", "bytes", "opened", "idle"}
 
 // NumStages is the number of epoch-lifecycle boundaries (the length of
 // Timeline.T).
