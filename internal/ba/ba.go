@@ -1,6 +1,6 @@
 // Package ba implements asynchronous binary Byzantine agreement.
 //
-// The protocol is the signature-free construction of Mostéfaoui, Hamouma
+// The protocol is the signature-free construction of Mostéfaoui, Moumen
 // and Raynal (PODC 2014), the same one the DispersedLedger paper cites as
 // [32]: each round runs a binary-value broadcast (BVAL messages with an
 // f+1 echo rule and a 2f+1 admission rule into bin_values), then an AUX
@@ -60,9 +60,9 @@ const (
 	// VoteHalt records reaching the halt condition (2f+1 Terms for one
 	// value; Value is the decision). Journal-only, like VoteRound. It
 	// exists so a WAL-only replay — no snapshot taken since the halt —
-	// restores a halted instance as halted: without it, the restore saw
-	// only the Term and came back decided-but-live, re-sending Term once
-	// on restart (the former DESIGN.md caveat i).
+	// restores a halted instance as halted: without it, the restore came
+	// back decided-but-live and answered round traffic it had no further
+	// need to take part in.
 	VoteHalt
 )
 
@@ -144,7 +144,7 @@ func New(n, f int, c coin.Func) *BA {
 // (none, in normal use) are not replayed.
 func (b *BA) SetJournal(fn func(Vote)) { b.journal = fn }
 
-// Votes returns a copy of the vote journal (nil after halt).
+// Votes returns a copy of the vote journal (only the Term after halt).
 func (b *BA) Votes() []Vote { return append([]Vote(nil), b.votes...) }
 
 // record appends one journal entry and notifies the observer.
@@ -163,7 +163,7 @@ func (b *BA) record(v Vote) {
 // (bvalFrom, bin_values, aux counts) is NOT restored — it is rebuilt
 // from live traffic and from every node's own re-sent votes; losing it
 // affects only this node's progress, never safety. A halted instance
-// restores as halted: it ignores all input and sends nothing.
+// restores as halted: it ignores all input, and its journal is its Term.
 func Restore(n, f int, c coin.Func, halted bool, votes []Vote) *BA {
 	b := New(n, f, c)
 	// A journaled VoteHalt is the WAL's carrier of the halt condition:
@@ -179,9 +179,10 @@ func Restore(n, f int, c coin.Func, halted bool, votes []Vote) *BA {
 	}
 	if halted {
 		// Only the decision matters for a halted instance (it ignores
-		// all input and sends nothing), but it matters a lot: the
-		// engine's restore propagates it into the epoch's outcome
-		// bookkeeping, without which the slot could wedge the epoch.
+		// all input, and its Term is all it re-sends), but it matters a
+		// lot: the engine's restore propagates it into the epoch's
+		// outcome bookkeeping, without which the slot could wedge the
+		// epoch.
 		b.halted = true
 		b.rounds = nil
 		for _, v := range votes {
@@ -229,13 +230,11 @@ func Restore(n, f int, c coin.Func, halted bool, votes []Vote) *BA {
 // necessary for two reasons: a vote recorded just before the crash may
 // never have reached the wire, and after a whole-cluster restart every
 // node's received-state is gone, so the union of all journals is the
-// only surviving copy of the in-flight rounds.
+// only surviving copy of the in-flight rounds. A halted instance's
+// journal is its Term alone: the 2f+1 Terms that halted it may have
+// reached only a peer's dead incarnation, and the halted nodes' re-sent
+// Terms are what lets that peer decide and halt in turn.
 func (b *BA) ResendVotes() []Send {
-	if b.halted {
-		// 2f+1 Terms are out — enough for every peer to decide AND halt
-		// without this instance's help; a halted instance stays silent.
-		return nil
-	}
 	var outs []Send
 	for _, v := range b.votes {
 		switch v.Kind {

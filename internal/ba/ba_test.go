@@ -367,7 +367,6 @@ func TestJournalMatchesWire(t *testing.T) {
 		h := newHarness(t, 4, 1, seed, 0)
 		journals := make([][]Vote, 4)
 		for i, n := range h.nodes {
-			i := i
 			n.SetJournal(func(v Vote) { journals[i] = append(journals[i], v) })
 		}
 		capture := func(i int, sends []Send) []Send {
@@ -495,8 +494,8 @@ func TestRestoreNeverContradicts(t *testing.T) {
 	}
 }
 
-// TestRestoreHalted checks a halted instance restores as halted: silent
-// and input-proof.
+// TestRestoreHalted checks a halted instance restores as halted and
+// input-proof; with an empty journal it has nothing to re-send.
 func TestRestoreHalted(t *testing.T) {
 	scheme := coin.NewScheme([]byte("test secret"))
 	r := Restore(4, 1, scheme.ForInstance(1, 1), true, nil)
@@ -510,7 +509,16 @@ func TestRestoreHalted(t *testing.T) {
 		t.Fatalf("halted instance accepted input: %v", outs)
 	}
 	if outs := r.ResendVotes(); outs != nil {
-		t.Fatalf("halted instance re-sent votes: %v", outs)
+		t.Fatalf("halted instance with no journal re-sent votes: %v", outs)
+	}
+}
+
+// requireTermResend fails unless sends is exactly one broadcast Term
+// carrying want: what a restored halted instance re-sends.
+func requireTermResend(t *testing.T, sends []Send, want bool) {
+	t.Helper()
+	if len(sends) != 1 || sends[0].To != wire.Broadcast || sends[0].Msg != (wire.Term{Value: want}) {
+		t.Fatalf("restored halted instance re-sent %v, want one broadcast Term(%v)", sends, want)
 	}
 }
 
@@ -518,9 +526,8 @@ func TestRestoreHalted(t *testing.T) {
 // condition (2f+1 Terms) and restores it from its journal alone, the way
 // a WAL-only replay does — no snapshot, so the caller passes
 // halted=false. The journaled VoteHalt must bring the instance back
-// halted: silent, decided, and with nothing to re-send. Before the halt
-// was journaled this restore came back decided-but-live and re-sent its
-// Term on restart (DESIGN.md's former caveat i).
+// halted: decided, deaf to round traffic, and re-sending exactly its
+// Term.
 func TestHaltSurvivesWALOnlyRestore(t *testing.T) {
 	scheme := coin.NewScheme([]byte("test secret"))
 	b := New(4, 1, scheme.ForInstance(1, 1))
@@ -558,29 +565,71 @@ func TestHaltSurvivesWALOnlyRestore(t *testing.T) {
 	if d, v := r.Decided(); !d || !v {
 		t.Fatalf("restored halted instance lost the decision: %v %v", d, v)
 	}
-	if outs := r.ResendVotes(); outs != nil {
-		t.Fatalf("restored halted instance re-sent votes: %v", outs)
-	}
+	requireTermResend(t, r.ResendVotes(), true)
 	if outs := r.Handle(1, wire.BVal{Round: 0, Value: false}); outs != nil {
 		t.Fatalf("restored halted instance replied: %v", outs)
 	}
 }
 
-// TestRestoreHaltedKeepsDecision checks the halted restore path carries
-// the decision (the engine propagates it into epoch bookkeeping) while
-// staying silent.
+// TestRestoreHaltedKeepsDecision checks the snapshot's halted restore
+// path carries the decision (the engine propagates it into epoch
+// bookkeeping) and re-sends exactly its Term.
 func TestRestoreHaltedKeepsDecision(t *testing.T) {
 	scheme := coin.NewScheme([]byte("test secret"))
 	r := Restore(4, 1, scheme.ForInstance(1, 1), true, []Vote{{Kind: VoteTerm, Value: true}})
 	if d, v := r.Decided(); !d || !v {
 		t.Fatalf("halted restore lost the decision: %v %v", d, v)
 	}
-	if !r.Halted() || r.ResendVotes() != nil {
-		t.Fatal("halted restore is not silent")
+	if !r.Halted() {
+		t.Fatal("halted restore came back live")
 	}
+	requireTermResend(t, r.ResendVotes(), true)
 	// The Term survives the journal for the NEXT snapshot too.
 	votes := r.Votes()
 	if len(votes) != 1 || votes[0].Kind != VoteTerm || !votes[0].Value {
 		t.Fatalf("halted journal = %+v, want the Term only", votes)
+	}
+}
+
+// TestWholeClusterRestartAfterHalt: nodes 1–3 decide and halt while
+// every message to node 0 is lost, then all four restart from their
+// journals (the WAL's observer stream) and exchange their re-sends. The
+// Terms that halted nodes 1–3 reached only node 0's dead incarnation, so
+// unless a halted instance re-sends its Term, nothing the restarted
+// cluster says can move node 0.
+func TestWholeClusterRestartAfterHalt(t *testing.T) {
+	scheme := coin.NewScheme([]byte("test secret"))
+	for seed := int64(0); seed < 10; seed++ {
+		h := newHarness(t, 4, 1, seed, 0)
+		journals := make([][]Vote, len(h.nodes))
+		for i, n := range h.nodes {
+			n.SetJournal(func(v Vote) { journals[i] = append(journals[i], v) })
+			h.enqueue(i, n.Input(true))
+		}
+		h.nodes[0] = nil // every message to node 0 is lost
+		h.run(t)
+		for i := 1; i < len(h.nodes); i++ {
+			if !h.nodes[i].Halted() {
+				t.Fatalf("seed %d: node %d did not halt before the restart", seed, i)
+			}
+		}
+		for i := range h.nodes {
+			h.nodes[i] = Restore(4, 1, scheme.ForInstance(1, 1), false, journals[i])
+		}
+		if d, _ := h.nodes[0].Decided(); d {
+			t.Fatalf("seed %d: node 0 decided before the restart", seed)
+		}
+		for i, n := range h.nodes {
+			h.enqueue(i, n.ResendVotes())
+		}
+		if !h.run(t) {
+			t.Fatalf("seed %d: node 0 never decided after the whole-cluster restart", seed)
+		}
+		if !h.checkAgreement(t) {
+			t.Fatalf("seed %d: validity violated: all input 1 but decided 0", seed)
+		}
+		if !h.nodes[0].Halted() {
+			t.Fatalf("seed %d: node 0 decided but did not halt on 2f+1 re-sent Terms", seed)
+		}
 	}
 }

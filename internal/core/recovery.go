@@ -11,8 +11,9 @@ package core
 //     alone cannot express: retrievals for decided-but-undelivered
 //     epochs, re-votes for restored dispersals, and the status catch-up.
 //   - The status protocol re-learns decisions the node slept through.
-//     Halted agreement instances are silent forever, so a restarted node
-//     asks its peers and adopts an epoch's outcome only on f+1 identical
+//     Peers do not repeat what they said meanwhile, and decided epochs'
+//     instances are gone from every journal, so a restarted node asks
+//     its peers and adopts an epoch's outcome only on f+1 identical
 //     replies — the usual quorum argument: at most f are Byzantine, so
 //     one honest witness vouches for the outcome, and agreement says all
 //     honest witnesses report the same set.
@@ -23,13 +24,13 @@ package core
 // BA votes are persisted too (store.RecVote, written before each vote
 // reaches the wire and group-committed with its step): Restore rebuilds
 // the round state of every undecided instance from the journal, Start
-// re-broadcasts exactly the recorded votes, and the restored guards make
-// a contradictory vote impossible — so a restart no longer consumes
-// fault budget, and a whole-cluster simultaneous restart of in-flight
-// epochs is correct by construction (the union of all journals is a
-// faithful copy of everything any node had said). Only datadirs written
-// before vote persistence retain the old Byzantine-absorption caveat for
-// their first restart.
+// re-broadcasts exactly the recorded votes (a halted instance's: its
+// Term), and the restored guards make a contradictory vote impossible —
+// so a restart no longer consumes fault budget, and a whole-cluster
+// simultaneous restart of in-flight epochs is correct by construction
+// (the union of all journals is a faithful copy of what anyone said).
+// Only datadirs written before vote persistence retain the old
+// Byzantine-absorption caveat for their first restart.
 
 import (
 	"bytes"
@@ -90,9 +91,9 @@ type SnapMyBlock struct {
 }
 
 // SnapVotes is one in-flight BA instance's vote journal in a Snapshot.
-// Halted instances carry no votes (a halted instance never sends again)
-// but are still recorded, so a restore does not grow a fresh votable
-// instance where the previous incarnation had already voted and halted.
+// A halted instance's journal is its Term alone; Halted brings it back
+// halted, so a restore does not grow a votable instance where the
+// previous incarnation had released its round journal.
 type SnapVotes struct {
 	Epoch    uint64
 	Proposer int

@@ -88,14 +88,17 @@ func votelessRecords(recs []store.Record) []store.Record {
 // for several instances), restores it from its collected WAL, and checks
 // the restart's BA traffic for every still-undecided instance is exactly
 // the pre-crash traffic: same messages, same order, same bytes — and
-// nothing else.
+// nothing else. A halted instance re-sends exactly its pre-crash Term,
+// whether its halt comes back from the WAL's VoteHalt or from a
+// snapshot's halted flag.
 func TestRestartReVotesByteIdentical(t *testing.T) {
-	compared := 0
+	compared, haltedCompared := 0, 0
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := Config{N: 4, F: 1, Mode: ModeDL, CoinSecret: []byte("core test secret")}
 		c := newTestCluster(t, cfg, seed, 3)
 		wal := newWALCollector()
 		preSends := map[blockKey][][]byte{}
+		preTerm := map[blockKey][]byte{}
 		c.onAction = func(node int, a Action) {
 			if node != 0 {
 				return
@@ -104,6 +107,9 @@ func TestRestartReVotesByteIdentical(t *testing.T) {
 			if s, ok := a.(SendAction); ok && s.To == 1 && isBAMsg(s.Env.Payload) {
 				key := blockKey{s.Env.Epoch, s.Env.Proposer}
 				preSends[key] = append(preSends[key], s.Env.Encode())
+				if _, ok := s.Env.Payload.(wire.Term); ok {
+					preTerm[key] = s.Env.Encode()
+				}
 			}
 		}
 		c.start()
@@ -111,62 +117,76 @@ func TestRestartReVotesByteIdentical(t *testing.T) {
 		// progress, their votes on the wire but their outcomes open.
 		c.runSteps(300)
 		c.crashed[0] = true
-
-		eng, err := NewEngine(cfg, 0)
+		snap, err := DecodeSnapshot(c.engines[0].Snapshot().Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Restore(nil, wal.recs, wal.chunkList()); err != nil {
-			t.Fatal(err)
-		}
-		resent := map[blockKey][][]byte{}
-		for _, a := range Unicast(eng.Start(), cfg.N, 0) {
-			if s, ok := a.(SendAction); ok && s.To == 1 && isBAMsg(s.Env.Payload) {
-				key := blockKey{s.Env.Epoch, s.Env.Proposer}
-				resent[key] = append(resent[key], s.Env.Encode())
-			}
-		}
-		// Instances whose WAL carries a VoteHalt restored as halted: they
-		// saw 2f+1 Terms pre-crash, so the whole cluster already holds
-		// their outcome and the restart stays silent for them.
+
+		// Instances whose WAL carries a VoteHalt saw 2f+1 Terms pre-crash
+		// and restore as halted.
 		haltedKeys := map[blockKey]bool{}
 		for _, r := range wal.recs {
 			if r.Type == store.RecVote && r.VoteKind == uint8(ba.VoteHalt) {
 				haltedKeys[blockKey{r.Epoch, r.Proposer}] = true
 			}
 		}
-		for key, want := range preSends {
-			if eng.isDecided(key.epoch) || haltedKeys[key] {
-				// Decided epochs and halted instances re-send nothing:
-				// their outcome is installed (and for halted instances
-				// provably cluster-wide), and the engine refuses fresh
-				// instances.
-				if got := resent[key]; got != nil {
-					t.Fatalf("seed %d: decided/halted instance (%d,%d) re-sent %d votes", seed, key.epoch, key.proposer, len(got))
-				}
-				continue
+		for _, path := range []struct {
+			name string
+			snap *Snapshot
+			recs []store.Record
+		}{{"wal", nil, wal.recs}, {"snapshot", snap, nil}} {
+			eng, err := NewEngine(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := resent[key]
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: instance (%d,%d) re-sent %d votes, pre-crash sent %d",
-					seed, key.epoch, key.proposer, len(got), len(want))
+			if err := eng.Restore(path.snap, path.recs, wal.chunkList()); err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("seed %d: instance (%d,%d) vote %d differs:\npre-crash %x\nre-sent   %x",
-						seed, key.epoch, key.proposer, i, want[i], got[i])
+			resent := map[blockKey][][]byte{}
+			for _, a := range Unicast(eng.Start(), cfg.N, 0) {
+				if s, ok := a.(SendAction); ok && s.To == 1 && isBAMsg(s.Env.Payload) {
+					key := blockKey{s.Env.Epoch, s.Env.Proposer}
+					resent[key] = append(resent[key], s.Env.Encode())
 				}
 			}
-			compared += len(want)
-		}
-		for key := range resent {
-			if preSends[key] == nil {
-				t.Fatalf("seed %d: restart invented votes for (%d,%d) it never sent", seed, key.epoch, key.proposer)
+			for key, want := range preSends {
+				got := resent[key]
+				switch {
+				case eng.isDecided(key.epoch):
+					// Decided epochs re-send nothing: their outcome is
+					// installed, and the engine refuses fresh instances.
+					if got != nil {
+						t.Fatalf("seed %d %s: decided instance (%d,%d) re-sent %d votes", seed, path.name, key.epoch, key.proposer, len(got))
+					}
+					continue
+				case haltedKeys[key]:
+					if rb := eng.epochs[key.epoch].bas[key.proposer]; rb == nil || !rb.Halted() {
+						t.Fatalf("seed %d %s: instance (%d,%d) not restored halted", seed, path.name, key.epoch, key.proposer)
+					}
+					want = [][]byte{preTerm[key]}
+					haltedCompared++
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s: instance (%d,%d) re-sent %d votes, want %d",
+						seed, path.name, key.epoch, key.proposer, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("seed %d %s: instance (%d,%d) vote %d differs:\npre-crash %x\nre-sent   %x",
+							seed, path.name, key.epoch, key.proposer, i, want[i], got[i])
+					}
+				}
+				compared += len(want)
+			}
+			for key := range resent {
+				if preSends[key] == nil {
+					t.Fatalf("seed %d %s: restart invented votes for (%d,%d) it never sent", seed, path.name, key.epoch, key.proposer)
+				}
 			}
 		}
 	}
-	if compared == 0 {
-		t.Fatal("no in-flight instance was compared; crash point needs tuning")
+	if compared == 0 || haltedCompared == 0 {
+		t.Fatalf("compared %d re-sent votes, %d of halted instances; crash point needs tuning", compared, haltedCompared)
 	}
 }
 
@@ -588,7 +608,7 @@ func TestHaltedInstanceDecisionSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("halted instance's decision lost across the snapshot (baOut=%v)",
 			eng2.epochs[1].baOut)
 	}
-	// The restored instance must still be halted and silent.
+	// The restored instance must still be halted.
 	if rb := eng2.epochs[1].bas[1]; rb == nil || !rb.Halted() {
 		t.Fatal("instance not restored as halted")
 	}
@@ -609,12 +629,12 @@ func TestHaltedInstanceDecisionSurvivesSnapshot(t *testing.T) {
 	}
 }
 
-// TestWALOnlyReplayRestoresHaltedInstance is the regression test for
-// DESIGN.md's former caveat (i): a WAL-only replay — no snapshot taken
-// since the halt — used to restore a halted instance as decided-but-live
-// and re-send its Term on restart. The halt is now journaled (RecVote
-// with ba.VoteHalt), so the same replay restores the instance halted and
-// silent, while its decision still reaches the epoch bookkeeping.
+// TestWALOnlyReplayRestoresHaltedInstance checks a WAL-only replay — no
+// snapshot taken since the halt — restores a halted instance halted: the
+// halt is journaled (RecVote with ba.VoteHalt), so the replay brings the
+// instance back deaf to round traffic, with its decision in the epoch
+// bookkeeping and exactly its Term to re-send, the same as a restore
+// from a snapshot taken after the halt.
 func TestWALOnlyReplayRestoresHaltedInstance(t *testing.T) {
 	cfg := Config{N: 4, F: 1, Mode: ModeDL, CoinSecret: []byte("s")}
 	eng, err := NewEngine(cfg, 0)
@@ -646,31 +666,44 @@ func TestWALOnlyReplayRestoresHaltedInstance(t *testing.T) {
 	if halts != 1 {
 		t.Fatalf("WAL has %d VoteHalt records, want 1", halts)
 	}
+	snap, err := DecodeSnapshot(eng.Snapshot().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	restart := func(recs []store.Record) (*Engine, int) {
+	restart := func(snap *Snapshot, recs []store.Record) (*Engine, []wire.Msg) {
 		t.Helper()
 		e, err := NewEngine(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Restore(nil, recs, nil); err != nil {
+		if err := e.Restore(snap, recs, nil); err != nil {
 			t.Fatal(err)
 		}
-		terms := 0
+		var sent []wire.Msg
 		for _, a := range e.Start() {
-			if s, ok := a.(SendAction); ok && s.Env.Epoch == 1 && s.Env.Proposer == 1 {
-				if _, isTerm := s.Env.Payload.(wire.Term); isTerm {
-					terms++
+			if s, ok := a.(SendAction); ok && s.Env.Epoch == 1 && s.Env.Proposer == 1 && isBAMsg(s.Env.Payload) {
+				sent = append(sent, s.Env.Payload)
+			}
+		}
+		return e, sent
+	}
+	// answers feeds f+1 BVals, enough for a live instance to echo.
+	answers := func(e *Engine) bool {
+		for _, from := range []int{2, 3} {
+			for _, a := range e.Handle(wire.Envelope{From: from, Epoch: 1, Proposer: 1,
+				Payload: wire.BVal{Round: 0, Value: false}}) {
+				if s, ok := a.(SendAction); ok && isBAMsg(s.Env.Payload) {
+					return true
 				}
 			}
 		}
-		return e, terms
+		return false
 	}
 
-	// Sanity: strip the halt record and the caveat reproduces — the
-	// instance comes back live and re-broadcasts its Term. This pins the
-	// test's sensitivity; if it ever fails, the scenario no longer
-	// exercises the halt path.
+	// Sanity: strip the halt record and the instance comes back live,
+	// answering round traffic. This pins the test's sensitivity; if it
+	// ever fails, the scenario no longer exercises the halt path.
 	var stripped []store.Record
 	for _, r := range wal.recs {
 		if r.Type == store.RecVote && r.VoteKind == uint8(ba.VoteHalt) {
@@ -678,27 +711,125 @@ func TestWALOnlyReplayRestoresHaltedInstance(t *testing.T) {
 		}
 		stripped = append(stripped, r)
 	}
-	if _, terms := restart(stripped); terms == 0 {
-		t.Fatal("sanity: halt-free WAL replay did not re-send the Term")
+	if live, _ := restart(nil, stripped); live.epochs[1].bas[1].Halted() || !answers(live) {
+		t.Fatal("sanity: halt-free WAL replay restored a silent halted instance")
 	}
 
-	// The fix: the full WAL restores the instance halted — no Term
-	// re-send, silent under traffic, decision propagated.
-	eng2, terms := restart(wal.recs)
-	if terms != 0 {
-		t.Fatalf("WAL-only replay of a halted instance re-sent %d Term(s)", terms)
-	}
-	rb := eng2.epochs[1].bas[1]
-	if rb == nil || !rb.Halted() {
-		t.Fatal("instance not restored as halted from the WAL alone")
-	}
-	if eng2.epochs[1].baOut[1] != 1 {
-		t.Fatalf("halted instance's decision not propagated (baOut=%v)", eng2.epochs[1].baOut)
-	}
-	for _, a := range eng2.Handle(wire.Envelope{From: 2, Epoch: 1, Proposer: 1,
-		Payload: wire.BVal{Round: 0, Value: false}}) {
-		if s, ok := a.(SendAction); ok && isBAMsg(s.Env.Payload) {
-			t.Fatalf("restored halted instance answered traffic with %T", s.Env.Payload)
+	for _, path := range []struct {
+		name string
+		snap *Snapshot
+		recs []store.Record
+	}{{"wal", nil, wal.recs}, {"snapshot", snap, nil}} {
+		eng2, sent := restart(path.snap, path.recs)
+		if len(sent) != 1 || sent[0] != (wire.Term{Value: true}) {
+			t.Fatalf("%s: restored halted instance re-sent %v, want one Term(true)", path.name, sent)
 		}
+		rb := eng2.epochs[1].bas[1]
+		if rb == nil || !rb.Halted() {
+			t.Fatalf("%s: instance not restored as halted", path.name)
+		}
+		if eng2.epochs[1].baOut[1] != 1 {
+			t.Fatalf("%s: halted instance's decision not propagated (baOut=%v)", path.name, eng2.epochs[1].baOut)
+		}
+		if answers(eng2) {
+			t.Fatalf("%s: restored halted instance answered round traffic", path.name)
+		}
+	}
+}
+
+// TestWholeClusterRestartHaltedPeersResendTerms is the engine-level
+// whole-cluster restart stall: peers 1 and 2 halted instance (1,1) on
+// 2f+1 Terms, node 0 voted in it but every Term addressed to it died
+// with its previous incarnation, and then all three restart (node 3
+// stays down). Node 0 is in epoch 1, not behind it, so the status
+// catch-up has nothing to tell it; only the halted peers' re-sent Terms
+// can decide its instance. Peer 1 restores its halt from the WAL's
+// VoteHalt, peer 2 from a snapshot taken after the halt.
+func TestWholeClusterRestartHaltedPeersResendTerms(t *testing.T) {
+	cfg := Config{N: 4, F: 1, Mode: ModeDL, CoinSecret: []byte("s")}
+	restore := func(id int, snap *Snapshot, recs []store.Record) *Engine {
+		t.Helper()
+		e, err := NewEngine(cfg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Restore(snap, recs, nil); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	nodes := make([]*Engine, 3)
+	for _, id := range []int{1, 2} {
+		eng, err := NewEngine(cfg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal := newWALCollector()
+		collect := func(actions []Action) {
+			for _, a := range actions {
+				wal.observe(a)
+			}
+		}
+		collect(eng.Start())
+		for _, from := range []int{1, 2, 3} {
+			collect(eng.Handle(wire.Envelope{From: from, Epoch: 1, Proposer: 1,
+				Payload: wire.Term{Value: true}}))
+		}
+		if !eng.epochs[1].bas[1].Halted() {
+			t.Fatalf("peer %d did not halt on 2f+1 Terms", id)
+		}
+		if id == 1 {
+			nodes[id] = restore(id, nil, wal.recs)
+			continue
+		}
+		snap, err := DecodeSnapshot(eng.Snapshot().Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = restore(id, snap, nil)
+	}
+
+	eng0, err := NewEngine(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal0 := newWALCollector()
+	collect0 := func(actions []Action) {
+		for _, a := range actions {
+			wal0.observe(a)
+		}
+	}
+	collect0(eng0.Start())
+	completeVID(t, eng0, collect0)
+	if d, _ := eng0.epochs[1].bas[1].Decided(); d {
+		t.Fatal("node 0 decided before the restart")
+	}
+	nodes[0] = restore(0, nil, wal0.recs)
+
+	var queue []routed
+	push := func(from int, actions []Action) {
+		for _, a := range Unicast(actions, cfg.N, from) {
+			if s, ok := a.(SendAction); ok && s.To < len(nodes) {
+				queue = append(queue, routed{s.To, s.Env})
+			}
+		}
+	}
+	for id, e := range nodes {
+		push(id, e.Start())
+	}
+	for steps := 0; len(queue) > 0; steps++ {
+		if steps > 100_000 {
+			t.Fatal("restarted nodes did not go quiet")
+		}
+		m := queue[0]
+		queue = queue[1:]
+		push(m.to, nodes[m.to].Handle(m.env))
+	}
+	b := nodes[0].epochs[1].bas[1]
+	if d, v := b.Decided(); !d || !v {
+		t.Fatalf("node 0's instance (1,1) is still open after the whole-cluster restart (decided=%v value=%v)", d, v)
+	}
+	if got := nodes[0].epochs[1].baOut[1]; got != 1 {
+		t.Fatalf("node 0's epoch bookkeeping missed the decision (baOut=%v)", nodes[0].epochs[1].baOut)
 	}
 }

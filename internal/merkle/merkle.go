@@ -7,7 +7,9 @@
 // distinct domain-separation prefixes, which prevents an attacker from
 // presenting an interior node as a leaf or vice versa, and the tree over n
 // leaves splits at the largest power of two strictly less than n, so any
-// leaf count is supported without padding.
+// leaf count is supported without padding. The tree is built bottom up,
+// one level at a time: adjacent nodes are hashed in pairs and an odd last
+// node is promoted unhashed, which yields exactly RFC 6962's splits.
 package merkle
 
 import (
@@ -58,14 +60,11 @@ func hashInterior(left, right Root) Root {
 // Tree is an in-memory Merkle tree. Build once, then read the Root and
 // generate Proofs; a Tree is safe for concurrent reads.
 type Tree struct {
-	leaves int
-	root   Root
-	// nodes caches every subtree hash, keyed by (start, size) range of
-	// leaves, to make proof generation O(log n) after an O(n) build.
-	nodes map[span]Root
+	// levels[0] holds the leaf hashes, each further level the level
+	// below hashed in pairs (see hashLevel), and the last level the root
+	// alone, so a proof is one sibling per level.
+	levels [][]Root
 }
-
-type span struct{ start, size int }
 
 // NewTree builds a Merkle tree over the given chunks. It panics if chunks
 // is empty: AVID-M always has N >= 1 chunks.
@@ -73,63 +72,50 @@ func NewTree(chunks [][]byte) *Tree {
 	if len(chunks) == 0 {
 		panic("merkle: empty leaf list")
 	}
-	t := &Tree{leaves: len(chunks), nodes: make(map[span]Root, 2*len(chunks))}
-	t.root = t.build(chunks, 0)
+	level := make([]Root, len(chunks))
+	for i, c := range chunks {
+		level[i] = HashLeaf(c)
+	}
+	t := &Tree{levels: [][]Root{level}}
+	for len(level) > 1 {
+		level = hashLevel(make([]Root, (len(level)+1)/2), level)
+		t.levels = append(t.levels, level)
+	}
 	return t
 }
 
-func (t *Tree) build(chunks [][]byte, start int) Root {
-	var r Root
-	if len(chunks) == 1 {
-		r = HashLeaf(chunks[0])
-	} else {
-		k := splitPoint(len(chunks))
-		left := t.build(chunks[:k], start)
-		right := t.build(chunks[k:], start+k)
-		r = hashInterior(left, right)
+// hashLevel writes the level above level into dst, which may be level
+// itself, and returns it: each pair of nodes hashed into their parent,
+// an odd last node promoted unhashed.
+func hashLevel(dst, level []Root) []Root {
+	dst = dst[:(len(level)+1)/2]
+	for i := range dst {
+		if 2*i+1 < len(level) {
+			dst[i] = hashInterior(level[2*i], level[2*i+1])
+		} else {
+			dst[i] = level[2*i]
+		}
 	}
-	t.nodes[span{start, len(chunks)}] = r
-	return r
-}
-
-// splitPoint returns the largest power of two strictly less than n (n >= 2),
-// per RFC 6962.
-func splitPoint(n int) int {
-	k := 1
-	for k*2 < n {
-		k *= 2
-	}
-	return k
+	return dst
 }
 
 // Root returns the tree root.
-func (t *Tree) Root() Root { return t.root }
+func (t *Tree) Root() Root { return t.levels[len(t.levels)-1][0] }
 
 // Leaves returns the number of leaves.
-func (t *Tree) Leaves() int { return t.leaves }
+func (t *Tree) Leaves() int { return len(t.levels[0]) }
 
 // Prove returns the inclusion proof for leaf i.
 func (t *Tree) Prove(i int) (Proof, error) {
-	if i < 0 || i >= t.leaves {
+	if i < 0 || i >= t.Leaves() {
 		return Proof{}, ErrBadProof
 	}
-	p := Proof{Index: i, Leaves: t.leaves}
-	start, size := 0, t.leaves
-	// Walk down from the root to the leaf, recording the sibling at each
-	// step; then reverse so Path runs leaf -> root.
-	var down []Root
-	for size > 1 {
-		k := splitPoint(size)
-		if i < start+k {
-			down = append(down, t.nodes[span{start + k, size - k}])
-			size = k
-		} else {
-			down = append(down, t.nodes[span{start, k}])
-			start, size = start+k, size-k
+	p := Proof{Index: i, Leaves: t.Leaves()}
+	for _, level := range t.levels[:len(t.levels)-1] {
+		if sib := i ^ 1; sib < len(level) {
+			p.Path = append(p.Path, level[sib])
 		}
-	}
-	for j := len(down) - 1; j >= 0; j-- {
-		p.Path = append(p.Path, down[j])
+		i >>= 1
 	}
 	return p, nil
 }
@@ -144,35 +130,28 @@ func Verify(root Root, chunk []byte, proof Proof) bool {
 // already has, or wants to keep: AVID-M retrieval rebuilds the root from
 // the leaf hashes of the chunks it accepted.
 func VerifyLeaf(root, leaf Root, proof Proof) bool {
-	if proof.Index < 0 || proof.Leaves <= 0 || proof.Index >= proof.Leaves {
+	i, n := proof.Index, proof.Leaves
+	if i < 0 || n <= 0 || i >= n {
 		return false
 	}
-	// Walk the RFC 6962 splits from the root down to the leaf, noting at
-	// each level whether the path goes right; then hash bottom-up. A tree
-	// of int-many leaves is less than 64 levels deep.
-	var right uint64
-	depth := 0
-	for start, size := 0, proof.Leaves; size > 1; depth++ {
-		k := splitPoint(size)
-		if proof.Index < start+k {
-			size = k
-		} else {
-			right |= 1 << depth
-			start, size = start+k, size-k
+	// Climb the levels Prove walked, consuming one sibling wherever the
+	// node has one; a promoted node has none.
+	h, path := leaf, proof.Path
+	for ; n > 1; i, n = i>>1, (n+1)/2 {
+		if i^1 >= n {
+			continue
 		}
-	}
-	if len(proof.Path) != depth {
-		return false
-	}
-	h := leaf
-	for i, sib := range proof.Path {
-		if right&(1<<(depth-1-i)) != 0 { // current node is a right child
-			h = hashInterior(sib, h)
-		} else {
-			h = hashInterior(h, sib)
+		if len(path) == 0 {
+			return false
 		}
+		if i&1 == 1 {
+			h = hashInterior(path[0], h)
+		} else {
+			h = hashInterior(h, path[0])
+		}
+		path = path[1:]
 	}
-	return h == root
+	return len(path) == 0 && h == root
 }
 
 // RootOfLeaves returns the root of the tree whose leaves hash to leaves,
@@ -182,6 +161,9 @@ func RootOfLeaves(leaves []Root) Root {
 	if len(leaves) == 1 {
 		return leaves[0]
 	}
-	k := splitPoint(len(leaves))
-	return hashInterior(RootOfLeaves(leaves[:k]), RootOfLeaves(leaves[k:]))
+	level := hashLevel(make([]Root, (len(leaves)+1)/2), leaves)
+	for len(level) > 1 {
+		level = hashLevel(level, level)
+	}
+	return level[0]
 }

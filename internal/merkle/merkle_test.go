@@ -169,6 +169,126 @@ func TestProofPropertyQuick(t *testing.T) {
 	}
 }
 
+// refTree is the recursive RFC 6962 construction: the tree over n leaves
+// splits at splitPoint(n), and every subtree hash is cached by its span
+// of leaves. Tree's level-by-level build must match it byte for byte.
+type refTree struct {
+	leaves int
+	nodes  map[span]Root
+}
+
+type span struct{ start, size int }
+
+func newRefTree(leaves []Root) *refTree {
+	t := &refTree{leaves: len(leaves), nodes: map[span]Root{}}
+	t.build(leaves, 0)
+	return t
+}
+
+func (t *refTree) build(leaves []Root, start int) Root {
+	r := leaves[0]
+	if len(leaves) > 1 {
+		k := splitPoint(len(leaves))
+		r = hashInterior(t.build(leaves[:k], start), t.build(leaves[k:], start+k))
+	}
+	t.nodes[span{start, len(leaves)}] = r
+	return r
+}
+
+func (t *refTree) root() Root { return t.nodes[span{0, t.leaves}] }
+
+// prove walks from the root down to leaf i, taking the other half at
+// each split, and returns the siblings leaf first.
+func (t *refTree) prove(i int) []Root {
+	var down []Root
+	for start, size := 0, t.leaves; size > 1; {
+		k := splitPoint(size)
+		if i < start+k {
+			down = append(down, t.nodes[span{start + k, size - k}])
+			size = k
+		} else {
+			down = append(down, t.nodes[span{start, k}])
+			start, size = start+k, size-k
+		}
+	}
+	var path []Root
+	for j := len(down) - 1; j >= 0; j-- {
+		path = append(path, down[j])
+	}
+	return path
+}
+
+// splitPoint returns the largest power of two strictly less than n (n >= 2),
+// per RFC 6962.
+func splitPoint(n int) int {
+	k := 1
+	for k*2 < n {
+		k *= 2
+	}
+	return k
+}
+
+func TestMatchesRFC6962Reference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 300; n++ {
+		chunks := randChunks(rng, n, 8)
+		leaves := make([]Root, n)
+		for i, c := range chunks {
+			leaves[i] = HashLeaf(c)
+		}
+		ref := newRefTree(leaves)
+		tree := NewTree(chunks)
+		if tree.Root() != ref.root() || RootOfLeaves(leaves) != ref.root() {
+			t.Fatalf("n=%d: root differs from the RFC 6962 reference", n)
+		}
+		for i := 0; i < n; i++ {
+			proof, err := tree.Prove(i)
+			if err != nil {
+				t.Fatalf("n=%d Prove(%d): %v", n, i, err)
+			}
+			want := ref.prove(i)
+			if proof.Index != i || proof.Leaves != n || len(proof.Path) != len(want) {
+				t.Fatalf("n=%d leaf %d: proof %+v, reference path of %d", n, i, proof, len(want))
+			}
+			for k := range want {
+				if proof.Path[k] != want[k] {
+					t.Fatalf("n=%d leaf %d: path[%d] differs from the reference", n, i, k)
+				}
+			}
+			if !VerifyLeaf(ref.root(), leaves[i], Proof{Index: i, Leaves: n, Path: want}) {
+				t.Fatalf("n=%d: reference proof for leaf %d rejected", n, i)
+			}
+		}
+	}
+}
+
+func TestVerifyRejectsExtendedPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	chunks := randChunks(rng, 9, 32)
+	tree := NewTree(chunks)
+	for _, i := range []int{0, 8} { // 8 is promoted at every level but the last
+		proof, _ := tree.Prove(i)
+		proof.Path = append(proof.Path, tree.Root())
+		if Verify(tree.Root(), chunks[i], proof) {
+			t.Fatalf("proof for leaf %d with an extra sibling accepted", i)
+		}
+	}
+}
+
+func TestVerifyRejectsWrongLeafCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	chunks := randChunks(rng, 9, 32)
+	tree := NewTree(chunks)
+	proof, _ := tree.Prove(8)
+	for _, n := range []int{0, 8, 10, 16} {
+		bad := proof
+		bad.Leaves = n
+		if Verify(tree.Root(), chunks[8], bad) {
+			t.Fatalf("proof for leaf 8 of 9 accepted as one of %d leaves", n)
+		}
+	}
+}
+
 func TestSplitPoint(t *testing.T) {
 	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 8, 16: 8, 17: 16}
 	for n, want := range cases {
