@@ -159,8 +159,11 @@ type CatchupDoneAction struct{}
 // ChunkStoredAction reports that a VID instance Completed locally (or
 // that its chunk arrived after completion): the replica persists Rec —
 // the agreed root and, when HasChunk, the chunk and its proof — so a
-// restarted node keeps its availability promise: it can still serve
-// retrieval requests for every dispersal it acknowledged.
+// restarted node can still serve retrieval requests for every dispersal
+// that completed here before the crash. A dispersal it acknowledged but
+// had not completed is forgotten: GotChunk and Ready leave before this
+// record is written (ROADMAP, "a server acknowledges a chunk before it
+// is durable").
 type ChunkStoredAction struct {
 	Rec store.ChunkRecord
 }

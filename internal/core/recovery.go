@@ -468,7 +468,6 @@ func (e *Engine) restoreBA(key blockKey, halted bool, vs []ba.Vote) {
 // durably-recorded completions count, so the restored watermark never
 // overstates what this node can back.
 func (e *Engine) restoreChunks(chunks []store.ChunkRecord) {
-	perNode := make([][]uint64, e.cfg.N)
 	for _, c := range chunks {
 		if c.Epoch == 0 || c.Epoch <= e.prunedThrough || c.Proposer < 0 || c.Proposer >= e.cfg.N {
 			continue
@@ -477,18 +476,7 @@ func (e *Engine) restoreChunks(chunks []store.ChunkRecord) {
 		if es.vids[c.Proposer] == nil {
 			es.vids[c.Proposer] = avid.RestoreServer(e.params, e.self, c.Root, c.HasChunk, c.Data, c.Proof)
 		}
-		perNode[c.Proposer] = append(perNode[c.Proposer], c.Epoch)
-	}
-	for j := 0; j < e.cfg.N; j++ {
-		for _, epoch := range perNode[j] {
-			if epoch > e.watermark[j] {
-				e.vidDone[j][epoch] = true
-			}
-		}
-		for e.vidDone[j][e.watermark[j]+1] {
-			delete(e.vidDone[j], e.watermark[j]+1)
-			e.watermark[j]++
-		}
+		e.advanceWatermark(c.Proposer, c.Epoch)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"dledger/internal/wire"
 )
 
-// TestStepActionsOutliveLaterSteps runs a 4-node cluster the way the
-// replica does — each ProposalNeededAction is answered with Propose from
-// inside the loop over the step's actions — and checks that no step's
-// returned slice changes afterwards: the engine must not reuse an action
-// array its caller still holds.
+// TestStepActionsOutliveLaterSteps runs a 4-node cluster whose caller
+// holds each step's slice across later engine calls — it answers every
+// ProposalNeededAction with Propose from inside the loop over the step's
+// actions, as a TCP turn holds its first Handle's slice while the next
+// envelopes are handled — and checks that no step's returned slice
+// changes afterwards: the engine must not reuse an action array its
+// caller still holds.
 func TestStepActionsOutliveLaterSteps(t *testing.T) {
 	const n, epochs = 4, 3
 	cfg := Config{N: n, F: 1, Mode: ModeDL, CoinSecret: []byte("core test secret")}

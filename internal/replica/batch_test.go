@@ -2,11 +2,13 @@ package replica
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dledger/internal/avid"
 	"dledger/internal/core"
+	"dledger/internal/mempool"
 	"dledger/internal/store"
 	"dledger/internal/wire"
 	"dledger/internal/workload"
@@ -145,4 +147,119 @@ func withoutSyncs(events orderLog) (out []string) {
 		}
 	}
 	return out
+}
+
+// TestCheckpointCoversTheWholeTurn builds a TCP turn whose checkpoint
+// falls due before its last delivery: two epochs deliver, the next
+// epoch's decision asks for a proposal that is due at once, and a third
+// epoch delivers. With CheckpointEvery 2 the turn checkpoints, and the
+// snapshot must hold the effects of every record its WAL position
+// covers: after a restart the epoch and transaction counters match the
+// engine and the live node, and the third epoch's transactions are
+// refused as committed.
+func TestCheckpointCoversTheWholeTurn(t *testing.T) {
+	cfg := core.Config{N: 4, F: 1, Mode: core.ModeDL, CoinSecret: []byte("turn checkpoint")}
+	params := Params{ClientDedup: true, CheckpointEvery: 2}
+	avidParams, err := avid.NewParams(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs 1 and 2 commit the blocks of nodes 1-3, epoch 3 those of
+	// nodes 1 and 2; node 0's own blocks never commit. Node 0 holds its
+	// chunk of every committed block, and the chunk its retrieval still
+	// needs arrives in the turn.
+	commits := map[uint64][]int{1: {1, 2, 3}, 2: {1, 2, 3}, 3: {1, 2}}
+	var prefix, delivered12, decide3, deliver3 []wire.Envelope
+	var epoch3Txs [][]byte
+	for epoch := uint64(1); epoch <= 3; epoch++ {
+		env := func(from, proposer int, m wire.Msg) wire.Envelope {
+			return wire.Envelope{From: from, Epoch: epoch, Proposer: proposer, Payload: m}
+		}
+		for _, j := range commits[epoch] {
+			txs := [][]byte{workload.Make(j, uint32(epoch), 0, 64), workload.Make(j, uint32(epoch)+100, 0, 64)}
+			blk := &wire.Block{Proposer: j, Epoch: epoch, V: []uint64{0, 0, 0, 0}, Txs: txs}
+			chunks, root, err := avid.Disperse(avidParams, blk.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix = append(prefix, env(j, j, chunks[0]))
+			for from := 1; from <= 3; from++ {
+				prefix = append(prefix, env(from, j, wire.Ready{Root: root}))
+			}
+			c := chunks[j%3+1]
+			ret := env(j%3+1, j, wire.ReturnChunk{Root: c.Root, Data: c.Data, Proof: c.Proof})
+			if epoch < 3 {
+				delivered12 = append(delivered12, ret)
+			} else {
+				deliver3, epoch3Txs = append(deliver3, ret), append(epoch3Txs, txs...)
+			}
+		}
+		// Two Terms decide an instance; epoch 3's last one waits for the turn.
+		for j := 0; j < 4; j++ {
+			commit := slices.Contains(commits[epoch], j)
+			prefix = append(prefix, env(1, j, wire.Term{Value: commit}))
+			if last := env(2, j, wire.Term{Value: commit}); epoch == 3 && j == 3 {
+				decide3 = append(decide3, last)
+			} else {
+				prefix = append(prefix, last)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	net := &fakeNet{}
+	r, err := New(cfg, 0, params, st, &soloCtx{net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	for _, e := range prefix {
+		r.OnEnvelope(e)
+	}
+	if r.Stats.EpochsDelivered != 0 || r.Engine().DispersalEpoch() != 3 {
+		t.Fatalf("setup: %d epochs delivered, node 0 proposed through %d; want 0 and 3",
+			r.Stats.EpochsDelivered, r.Engine().DispersalEpoch())
+	}
+
+	// The proposal epoch 3's decision asks for is due: the batch delay
+	// has passed since node 0's last one.
+	net.now = time.Second
+	var turn []string
+	r.Engine().SetActionTap(func(actions []core.Action) []core.Action {
+		for _, a := range actions {
+			switch a.(type) {
+			case core.DeliverAction, core.EpochDeliveredAction, core.ProposalNeededAction:
+				turn = append(turn, reflect.TypeOf(a).Name())
+			}
+		}
+		return actions
+	})
+	r.OnEnvelope(slices.Concat(delivered12, decide3, deliver3)...)
+	want := []string{"DeliverAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction",
+		"DeliverAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction",
+		"ProposalNeededAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction"}
+	if !reflect.DeepEqual(turn, want) {
+		t.Fatalf("turn actions %v, want %v", turn, want)
+	}
+	if r.Engine().DispersalEpoch() != 4 || r.Stats.EpochsDelivered != 3 {
+		t.Fatalf("after the turn: proposed through %d, %d epochs delivered; want 4 and 3",
+			r.Engine().DispersalEpoch(), r.Stats.EpochsDelivered)
+	}
+
+	r2, err := New(cfg, 0, params, restartStore(t, st, dir), &soloCtx{net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, eng := r2.Stats.EpochsDelivered, r2.Engine().DeliveredEpoch(); got != int64(eng) || got != r.Stats.EpochsDelivered {
+		t.Fatalf("recovered EpochsDelivered=%d, engine at %d, live node %d", got, eng, r.Stats.EpochsDelivered)
+	}
+	if r2.Stats.DeliveredTxs != r.Stats.DeliveredTxs {
+		t.Fatalf("recovered DeliveredTxs=%d, live node %d", r2.Stats.DeliveredTxs, r.Stats.DeliveredTxs)
+	}
+	for _, tx := range epoch3Txs {
+		if err := r2.SubmitFrom(7, tx); err != mempool.ErrDuplicateCommitted {
+			t.Fatalf("resubmitting a transaction of epoch 3: %v, want ErrDuplicateCommitted", err)
+		}
+	}
 }

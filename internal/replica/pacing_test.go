@@ -195,7 +195,7 @@ func TestEmptyProposalIsNeverHeld(t *testing.T) {
 		t.Fatal("setup: node 0's half batch is not waiting for its timer")
 	}
 	r.proposalEmpty = true
-	r.tryPropose()
+	r.apply(r.tryPropose())
 	if r.pendingProposal || r.lastProposal != 500*time.Millisecond || r.PendingBytes() != 500 {
 		t.Fatalf("empty proposal pending %v, last proposal at %v, %d bytes left; want sent at 500ms, 500 left",
 			r.pendingProposal, r.lastProposal, r.PendingBytes())

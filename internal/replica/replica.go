@@ -178,6 +178,7 @@ type Replica struct {
 	lastLSN     uint64
 	storeBroken bool
 	sinceCkpt   int
+	syncCkpt    bool // a state-sync install wants the turn's checkpoint
 	// recBatch is the reusable record buffer persistStep batches each
 	// step's WAL appends through.
 	recBatch []store.Record
@@ -513,7 +514,7 @@ func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
 	r.Stats.SubmittedBytes += int64(len(tx))
 	r.tel.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: now}, tx)
 	r.mempoolChanged()
-	r.tryPropose()
+	r.apply(r.tryPropose())
 	return nil
 }
 
@@ -540,13 +541,37 @@ func (r *Replica) PendingBytes() int { return r.pool.PendingBytes() }
 // mempoolChanged publishes the backlog after a push or a pop.
 func (r *Replica) mempoolChanged() { r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes())) }
 
-// apply interprets one step's actions. Durable records are written (and
-// group-committed with a single Sync) before any effect of the step is
-// externalized, so nothing the application or a peer observes can be
-// lost to a crash the WAL does not remember. A step is one engine call
-// on the emulator; on TCP, the envelopes of one loop turn are one step
-// (OnEnvelope), and the turn's sends leave only when it ends.
+// apply runs one turn: actions is its first step, and a proposal the turn
+// releases runs as the next. The checkpoint is taken at most once, after
+// the last step, so it holds the effects of every record its LSN covers.
 func (r *Replica) apply(actions []core.Action) {
+	for ; len(actions) > 0; actions = r.tryPropose() {
+		r.step(actions)
+	}
+	if n := r.params.checkpointEvery(); r.st != nil && (r.syncCkpt || n > 0 && r.sinceCkpt >= n) {
+		r.checkpoint()
+	}
+	// Mirror the engine-owned state-sync transfer counters (read only
+	// on this loop) into scrape-safe gauges; pages served since the last
+	// turn are an event, which also feeds the served-pages gauge.
+	if r.tracker != nil {
+		s := r.engine.SyncStats()
+		r.tel.syncBytes.Set(s.BytesFetched)
+		r.tel.syncChunks.Set(s.ChunksImported)
+		r.tel.syncLastEpoch.Set(int64(s.LastSyncEpoch))
+		if s.PagesServed > r.lastSyncPages {
+			r.tel.Emit(telemetry.Event{Kind: telemetry.SyncPages, At: r.ctx.Now(), Arg: s.PagesServed - r.lastSyncPages})
+			r.lastSyncPages = s.PagesServed
+		}
+	}
+}
+
+// step interprets one step's actions: their durable records are written
+// and group-committed with one Sync before any of their effects is
+// externalized, so nothing the application or a peer observes can be lost
+// to a crash the WAL does not remember. A step is one engine call, or on
+// TCP the envelopes of one loop turn (OnEnvelope).
+func (r *Replica) step(actions []core.Action) {
 	// Under ClientDedup every delivered transaction's content hash is
 	// needed twice — in the WAL record and in the dedup/commit path —
 	// so hash each DeliverAction once, keyed by action index.
@@ -585,7 +610,6 @@ func (r *Replica) apply(actions []core.Action) {
 		case core.ProposalNeededAction:
 			r.pendingProposal = true
 			r.proposalEmpty = act.Empty
-			r.tryPropose()
 		case core.ResubmitAction:
 			r.pool.PushFrontAt(act.Txs, r.ctx.Now())
 			r.mempoolChanged()
@@ -607,7 +631,6 @@ func (r *Replica) apply(actions []core.Action) {
 			r.tel.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: r.ctx.Now(), Epoch: act.Epoch})
 		case core.EpochOpenedAction:
 			r.opened = act.Epoch
-			r.tryPropose()
 		case core.StageAction:
 			// The engine's stage values are the telemetry kinds' (pinned
 			// by TestStageKindsMatch); only per-peer stages use Peer.
@@ -620,28 +643,10 @@ func (r *Replica) apply(actions []core.Action) {
 				arg |= 1
 			}
 			r.tel.Emit(telemetry.Event{Kind: telemetry.VoteCast, At: r.ctx.Now(), Epoch: act.Epoch, Peer: int32(act.Proposer), Arg: arg})
-		case core.CatchupDoneAction:
-			r.tryPropose()
 		case core.SyncPointAction:
 			r.recordSyncPoint(act)
 		case core.SyncInstallAction:
 			r.installSync(act)
-		}
-	}
-	if n := r.params.checkpointEvery(); r.st != nil && n > 0 && r.sinceCkpt >= n {
-		r.checkpoint()
-	}
-	// Mirror the engine-owned state-sync transfer counters (read only
-	// on this loop) into scrape-safe gauges; pages served since the last
-	// step are an event, which also feeds the served-pages gauge.
-	if r.tracker != nil {
-		s := r.engine.SyncStats()
-		r.tel.syncBytes.Set(s.BytesFetched)
-		r.tel.syncChunks.Set(s.ChunksImported)
-		r.tel.syncLastEpoch.Set(int64(s.LastSyncEpoch))
-		if s.PagesServed > r.lastSyncPages {
-			r.tel.Emit(telemetry.Event{Kind: telemetry.SyncPages, At: r.ctx.Now(), Arg: s.PagesServed - r.lastSyncPages})
-			r.lastSyncPages = s.PagesServed
 		}
 	}
 }
@@ -686,9 +691,10 @@ func (r *Replica) persistStep(actions []core.Action, hashes map[int][]mempool.Ha
 				VoteKind: uint8(act.Vote.Kind), Round: act.Vote.Round, Value: act.Vote.Value,
 			})
 		case core.ChunkStoredAction:
-			// Chunk records sync with the step too: the same step's Ready
-			// broadcast tells peers this node stores the chunk, and the
-			// availability count of the decided block depends on it.
+			// Chunk records sync with the step too, but that step is the
+			// server's completion: its GotChunk and Ready went out before,
+			// and a crash in between forgets a chunk peers count on
+			// (ROADMAP, "a server acknowledges a chunk before it is durable").
 			wrote = r.persist(func() error { return r.st.PutChunk(act.Rec) }) || wrote
 		}
 	}
@@ -782,8 +788,8 @@ func (r *Replica) recordSyncPoint(act core.SyncPointAction) {
 // installSync applies the replica-level half of a state-sync bootstrap:
 // the committed-hash memory is seeded (so a client resubmitting a
 // transaction committed during the synced-over gap is still recognized)
-// and, on durable nodes, a fresh checkpoint pins the synced position so
-// a crash after this point recovers from it instead of re-syncing.
+// and, on durable nodes, the turn's checkpoint pins the synced position
+// so a crash after it recovers from there instead of re-syncing.
 func (r *Replica) installSync(act core.SyncInstallAction) {
 	r.Stats.StateSyncs++
 	r.tel.Emit(telemetry.Event{Kind: telemetry.SyncInstalled, Epoch: act.Epoch})
@@ -798,16 +804,14 @@ func (r *Replica) installSync(act core.SyncInstallAction) {
 		// catch-up — one spurious empty block is proposed.
 		r.proposalEmpty = true
 	}
-	if r.st != nil {
-		r.checkpoint()
-	}
+	r.syncCkpt = true
 }
 
 // checkpoint snapshots the engine at the current WAL position; the store
 // then compacts the WAL the snapshot subsumes and the chunks the
 // engine's retention horizon has garbage-collected.
 func (r *Replica) checkpoint() {
-	r.sinceCkpt = 0
+	r.sinceCkpt, r.syncCkpt = 0, false
 	r.persist(func() error {
 		blob := r.encodeCheckpoint(r.engine.Snapshot())
 		return r.st.Checkpoint(store.Checkpoint{LSN: r.lastLSN, State: blob}, r.engine.PrunedThrough())
@@ -855,57 +859,53 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 }
 
 // tryPropose applies the rate-control rules and, when they allow, answers
-// the engine's pending proposal solicitation.
-func (r *Replica) tryPropose() {
+// the engine's pending proposal solicitation, returning the actions.
+func (r *Replica) tryPropose() []core.Action {
 	if !r.pendingProposal {
-		return
+		return nil
 	}
 	if r.engine.CatchingUp() {
 		// Hold proposals while the recovery status protocol runs: the
 		// cluster has decided past our recovered epochs, so a block
 		// proposed now could never commit and its transactions would be
-		// lost. CatchupDoneAction re-triggers this.
-		return
+		// lost. The step carrying CatchupDoneAction re-runs this.
+		return nil
 	}
 	if r.proposalEmpty {
 		// DL-Coupled lag rule or gap fill: the node must propose an empty
 		// block (which reports no trigger).
-		r.propose(nil, 0)
-		return
+		return r.propose(nil, 0)
 	}
 	if r.params.FixedBlockBytes > 0 {
 		if r.pool.PendingBytes() >= r.params.FixedBlockBytes {
-			r.propose(r.pool.PopBatch(r.params.FixedBlockBytes), telemetry.TriggerBytes)
+			return r.propose(r.pool.PopBatch(r.params.FixedBlockBytes), telemetry.TriggerBytes)
 		}
-		return
+		return nil
 	}
 	now := r.ctx.Now()
 	due := r.lastProposal + r.params.batchDelay()
 	switch {
 	case r.pool.PendingBytes() >= r.params.batchBytes():
-		r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
-		return
+		return r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
 	case r.opened > r.engine.DispersalEpoch():
 		// Another proposer has opened the epoch: it decides on that
 		// proposer's schedule whether or not this node's batch is full,
 		// so the batch goes with it, whatever its size.
-		r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
-		return
+		return r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
 	case r.idle():
-		r.propose(r.pool.PopBatch(0), telemetry.TriggerIdle)
-		return
+		return r.propose(r.pool.PopBatch(0), telemetry.TriggerIdle)
 	case now >= due:
-		r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
-		return
+		return r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
 	}
 	// Not due yet: arm the delay timer once.
 	if !r.timerArmed {
 		r.timerArmed = true
 		r.ctx.After(due-now, func() {
 			r.timerArmed = false
-			r.tryPropose()
+			r.apply(r.tryPropose())
 		})
 	}
+	return nil
 }
 
 // idle reports whether the pending transactions go at once because the
@@ -926,9 +926,9 @@ func (r *Replica) idle() bool {
 	return r.idleShots > 0
 }
 
-// propose answers the engine's solicitation with txs; trigger, one of
-// telemetry's Trigger* values, says what released them.
-func (r *Replica) propose(txs [][]byte, trigger int64) {
+// propose answers the solicitation with txs — trigger, one of telemetry's
+// Trigger* values, says what released them — and returns the actions.
+func (r *Replica) propose(txs [][]byte, trigger int64) []core.Action {
 	r.pendingProposal = false
 	r.proposalEmpty = false
 	r.lastProposal = r.ctx.Now()
@@ -940,7 +940,7 @@ func (r *Replica) propose(txs [][]byte, trigger int64) {
 		}
 	}
 	r.mempoolChanged()
-	// apply persists (and syncs) the resulting ProposalMadeAction before
+	// apply persists (and syncs) the returned ProposalMadeAction before
 	// any chunk reaches the wire: a node that crashes mid-dispersal
 	// re-disperses the identical block instead of equivocating.
 	actions, err := r.engine.Propose(txs)
@@ -958,7 +958,7 @@ func (r *Replica) propose(txs [][]byte, trigger int64) {
 		}
 	}
 	r.updateQueueGauges(txs)
-	r.apply(actions)
+	return actions
 }
 
 // updateQueueGauges refreshes the dl_queue_* backlog family. Proposal

@@ -19,8 +19,9 @@
 // single-threaded state machine, executes entirely on that loop. One
 // loop turn is the unit of durability and of socket I/O: the envelopes
 // a turn drains reach the replica as one step, so one group commit
-// covers them, and the frames the turn sends reach each peer's writers
-// at the turn's end, so they go out in one flush.
+// covers them (a proposal the turn releases runs as a second step, with
+// its own group commit), and the frames the turn sends reach each
+// peer's writers at the turn's end, so they go out in one flush.
 package transport
 
 import (

@@ -323,13 +323,13 @@ func TestTCPClusterRestartFromStores(t *testing.T) {
 			n.Submit(workload.Make(i, uint32(k), 0, 100))
 		}
 	}
-	var before int64
+	// Node 0 delivers all 40 transactions before the counters are read:
+	// nothing it delivers afterwards can change the transaction count.
+	var before, txsBefore int64
 	c.waitFor(t, 20*time.Second, func() bool {
-		before = c.epochsDelivered(0)
-		return before >= 4
-	}, "first incarnation delivers epochs")
-	var txsBefore int64
-	c[0].Inspect(func(r *replica.Replica) { txsBefore = r.Stats.DeliveredTxs })
+		c[0].Inspect(func(r *replica.Replica) { before, txsBefore = r.Stats.EpochsDelivered, r.Stats.DeliveredTxs })
+		return before >= 4 && txsBefore >= 40
+	}, "first incarnation delivers every transaction")
 	c.Close()
 
 	stores.reopen(t)
