@@ -395,6 +395,27 @@ func TestExploreStateSyncWithClients(t *testing.T) {
 	}
 }
 
+// TestStateSyncClientsCommitEveryAcceptedTx replays the nightly
+// `dlsim -chaos -sync -clients 2` sweep on seeds 25 and 500, at dlsim's
+// 30 s horizon. In both, a restarted node's status catch-up adopts the
+// epochs it missed one at a time: a proposal into the slot after its
+// last one was once judged at the first adoption, as a slot still open,
+// and then went out with transactions once the catch-up reached the
+// frontier. That slot was decided, so the block never committed, and
+// neither did the accepted transactions it carried.
+func TestStateSyncClientsCommitEveryAcceptedTx(t *testing.T) {
+	cfg := Config{StateSync: true, Clients: 2, Horizon: 30 * time.Second}
+	for _, seed := range []int64{25, 500} {
+		r, err := Explore(seed, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if r.Failed() {
+			t.Errorf("seed %d:\n%s", seed, r.Report())
+		}
+	}
+}
+
 // TestJoinRequiresStateSync: a plan with a Join under a non-sync config
 // must be rejected, not silently run a node that can never catch up.
 func TestJoinRequiresStateSync(t *testing.T) {

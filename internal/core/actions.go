@@ -9,9 +9,12 @@ import (
 )
 
 // Action is the engine's output type. The engine is a pure state machine:
-// every input (Start, Handle, Propose) returns the list of effects the
-// caller must apply — messages to send, blocks to deliver, proposals to
-// solicit. The replica (or a test harness) interprets them.
+// every input (Start, Handle, HandleTimer, Propose) returns the list of
+// effects the caller must apply — messages to send, records to persist,
+// blocks to deliver. The replica (or a test harness) interprets them.
+// Whether and what to propose is not an action but a read: the caller
+// asks ProposalDue after each step, and EpochOpened for its rate
+// control.
 type Action interface{ isAction() }
 
 // SendAction transmits an envelope to a peer. The engine never emits
@@ -74,15 +77,6 @@ type DeliverAction struct {
 	V []uint64
 }
 
-// ProposalNeededAction asks the replica to produce the next block. The
-// replica answers by calling Engine.Propose (after its batching delay).
-// Empty is set in DL-Coupled mode when the node is lagging on retrieval
-// and must propose an empty block (§4.5, spam mitigation).
-type ProposalNeededAction struct {
-	Epoch uint64
-	Empty bool
-}
-
 // ProposalMadeAction reports that the engine built and dispersed a block
 // into Epoch, carrying the encoded block. It precedes the dispersal's
 // SendActions in the action list; the replica persists (and syncs) it
@@ -137,24 +131,6 @@ type EpochDeliveredAction struct {
 	Epoch uint64
 	Floor []uint64
 }
-
-// EpochOpenedAction reports that another proposer's dispersal traffic
-// arrived for Epoch, above the highest epoch this node proposed into:
-// the epoch is under way without this node. Emitted at most once per
-// epoch. It is a signal for the replica's rate control only: the engine
-// neither journals nor sends anything because of it, and a Byzantine
-// peer that opens epochs early can only make the replica propose as
-// soon as it would without the signal.
-type EpochOpenedAction struct {
-	Epoch uint64
-}
-
-// CatchupDoneAction reports that the recovery status protocol finished:
-// the node has adopted every decision it slept through and participates
-// normally again. The replica holds proposals back while catching up
-// (a block proposed into an already-decided epoch can never commit, so
-// its transactions would be lost) and resumes them on this action.
-type CatchupDoneAction struct{}
 
 // ChunkStoredAction reports that a VID instance Completed locally (or
 // that its chunk arrived after completion): the replica persists Rec —
@@ -270,7 +246,6 @@ type StageAction struct {
 
 func (SendAction) isAction()           {}
 func (DeliverAction) isAction()        {}
-func (ProposalNeededAction) isAction() {}
 func (ProposalMadeAction) isAction()   {}
 func (ResubmitAction) isAction()       {}
 func (TimerAction) isAction()          {}
@@ -278,8 +253,6 @@ func (UnsendAction) isAction()         {}
 func (EpochDecidedAction) isAction()   {}
 func (EpochDeliveredAction) isAction() {}
 func (ChunkStoredAction) isAction()    {}
-func (EpochOpenedAction) isAction()    {}
-func (CatchupDoneAction) isAction()    {}
 func (VoteCastAction) isAction()       {}
 func (SyncPointAction) isAction()      {}
 func (SyncInstallAction) isAction()    {}

@@ -8,7 +8,7 @@ import (
 
 // TestDLCoupledProposesEmptyWhenLagging exercises §4.5's spam filter:
 // when retrieval lags more than lagLimit (1) epochs behind dispersal, a
-// DL-Coupled node's ProposalNeededAction carries Empty=true, and the
+// DL-Coupled node's next proposal must be empty (ProposalDue), and the
 // node recovers (proposes transactions again) once retrieval catches up.
 func TestDLCoupledProposesEmptyWhenLagging(t *testing.T) {
 	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDLCoupled}, 1, 6)
@@ -42,7 +42,7 @@ func TestDLCoupledProposesEmptyWhenLagging(t *testing.T) {
 }
 
 // TestDLUnaffectedBySameLag shows the contrast: pure DL under the same
-// retrieval delay keeps proposing full blocks (no Empty solicitations).
+// retrieval delay keeps proposing full blocks (no proposal required empty).
 func TestDLUnaffectedBySameLag(t *testing.T) {
 	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeDL}, 1, 4)
 	released := false

@@ -243,11 +243,10 @@ type Engine struct {
 	coins  *coin.Scheme
 
 	epochs map[uint64]*epochState
-	// lastProposed is the highest epoch we proposed into; awaitingProposal
-	// marks a pending ProposalNeededAction that Propose will answer.
-	lastProposed     uint64
-	awaitingProposal bool
-	// opened is the highest epoch an EpochOpenedAction announced.
+	// lastProposed is the highest epoch we proposed into.
+	lastProposed uint64
+	// opened is the highest epoch another proposer's dispersal traffic
+	// showed (see EpochOpened).
 	opened uint64
 	// decidedThrough: epochs 1..decidedThrough all have every BA output.
 	decidedThrough uint64
@@ -374,12 +373,11 @@ func (e *Engine) DispersalEpoch() uint64 { return e.lastProposed }
 // all decided at this node.
 func (e *Engine) DecidedThrough() uint64 { return e.decidedThrough }
 
-// Start initializes the engine and solicits the first proposal. On an
-// engine restored via Restore it also re-arms the recovery machinery:
-// retrievals for decided-but-undelivered epochs, re-votes for restored
-// dispersals, and the status catch-up protocol. A fresh engine with
-// Config.JoinSync instead bootstraps from a peer checkpoint before
-// participating.
+// Start initializes the engine. On an engine restored via Restore it
+// also re-arms the recovery machinery: retrievals for
+// decided-but-undelivered epochs, re-votes for restored dispersals, and
+// the status catch-up protocol. A fresh engine with Config.JoinSync
+// instead bootstraps from a peer checkpoint before participating.
 func (e *Engine) Start() []Action {
 	e.actions = nil
 	if e.recovered {
@@ -387,20 +385,66 @@ func (e *Engine) Start() []Action {
 	} else if e.cfg.StateSync && e.cfg.JoinSync {
 		e.startStateSync()
 	}
-	e.maybeSolicitProposal()
 	e.drain()
 	return e.takeActions()
 }
 
-// Propose answers a ProposalNeededAction with a transaction batch. It
-// builds the block for the next epoch (stamping our V array), disperses
-// it via AVID-M, and records it for HB re-proposal and local retrieval.
+// ProposalDue reports whether the node may propose its next block now,
+// and whether that block must be empty. It only reads engine state: the
+// replica asks when it is about to propose, so the answer is never older
+// than the step before.
+//
+// The next block is due once the previous epoch's dispersal phase is
+// done — in coupled (HoneyBadger) modes once it is also delivered, and
+// under the §4.5 lag guard once delivery is close enough — and never
+// while the status catch-up or a state-sync bootstrap runs: the slots
+// the cluster decided in the node's absence are known only once they
+// end. It must be empty under DL-Coupled's lag rule (§4.5), or when the
+// cluster already decided its slot: a block there can commit only
+// through inter-node linking, so it must risk no transactions. Filling
+// the slot is still necessary, as peers' completion watermark for this
+// node advances only through consecutive dispersals, and every later
+// block that loses the BA race needs that chain intact to be linked in.
+func (e *Engine) ProposalDue() (due, empty bool) {
+	if e.CatchingUp() {
+		return false, false
+	}
+	next := e.lastProposed + 1
+	if next > 1 && !e.isDecided(next-1) {
+		return false, false
+	}
+	if e.cfg.Mode.coupled() && next > 1 && e.deliveredEpoch < next-1 {
+		return false, false
+	}
+	if e.cfg.MaxEpochLag > 0 && next > e.cfg.MaxEpochLag && e.deliveredEpoch < next-1-e.cfg.MaxEpochLag {
+		return false, false
+	}
+	lagging := e.cfg.Mode == ModeDLCoupled && next-1 > e.deliveredEpoch+lagLimit
+	return true, lagging || e.isDecided(next)
+}
+
+// EpochOpened reports whether another proposer's dispersal traffic has
+// arrived for an epoch above the highest one this node proposed into:
+// the next epoch is under way without this node. It is a signal for the
+// replica's rate control only, and a Byzantine peer that opens epochs
+// early can only make the replica propose as soon as it would without
+// it.
+func (e *Engine) EpochOpened() bool { return e.opened > e.lastProposed }
+
+// Propose disperses the node's next block, carrying txs, when
+// ProposalDue allows it: it builds the block for the next epoch
+// (stamping our V array), disperses it via AVID-M, and records it for
+// HB re-proposal and local retrieval. It fails when no proposal is due,
+// and when transactions are offered for a block that must be empty.
 func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
-	if !e.awaitingProposal {
-		return nil, fmt.Errorf("core: Propose called without a pending ProposalNeededAction")
+	due, empty := e.ProposalDue()
+	if !due {
+		return nil, fmt.Errorf("core: Propose called with no proposal due")
+	}
+	if empty && len(txs) > 0 {
+		return nil, fmt.Errorf("core: Propose called with transactions for epoch %d, which must be empty", e.lastProposed+1)
 	}
 	e.actions = nil
-	e.awaitingProposal = false
 	epoch := e.lastProposed + 1
 	e.lastProposed = epoch
 
@@ -411,13 +455,6 @@ func (e *Engine) Propose(txs [][]byte) ([]Action, error) {
 		Txs:      txs,
 	}
 	e.myBlocks[epoch] = blk
-	if e.cfg.Mode.resubmits() && len(txs) > 0 && e.isDecided(epoch) {
-		// The epoch decided while the batch was being gathered: we had
-		// dispersed nothing, so our BA output 0 and onEpochDecided found no
-		// block to resubmit. Without linking this block can never commit;
-		// its transactions go back to the mempool now.
-		e.actions = append(e.actions, ResubmitAction{Txs: txs})
-	}
 	enc := blk.Encode()
 	chunks, _, err := avid.Disperse(e.params, enc)
 	if err != nil {
@@ -637,14 +674,12 @@ func (e *Engine) notePeerEcho(epoch uint64, from int) {
 	}
 }
 
-// noteOpened emits EpochOpenedAction the first time another proposer's
-// dispersal traffic shows an epoch above this node's last proposal.
+// noteOpened records the highest epoch another proposer's dispersal
+// traffic showed.
 func (e *Engine) noteOpened(env wire.Envelope) {
-	if env.Proposer == e.self || env.Epoch <= e.lastProposed || env.Epoch <= e.opened {
-		return
+	if env.Proposer != e.self && env.Epoch > e.opened {
+		e.opened = env.Epoch
 	}
-	e.opened = env.Epoch
-	e.actions = append(e.actions, EpochOpenedAction{Epoch: env.Epoch})
 }
 
 func (e *Engine) toVID(env wire.Envelope, msg wire.Msg) {
@@ -806,11 +841,7 @@ func (e *Engine) onBADecided(epoch uint64, proposer int, val bool) {
 }
 
 func (e *Engine) onEpochDecided(es *epochState) {
-	e.decidedSet[es.epoch] = true
-	for e.decidedSet[e.decidedThrough+1] {
-		delete(e.decidedSet, e.decidedThrough+1)
-		e.decidedThrough++
-	}
+	e.noteDecided(es.epoch)
 	e.actions = append(e.actions, EpochDecidedAction{Epoch: es.epoch, S: append([]int(nil), es.S...)})
 
 	// Queue the delivery pipeline for this epoch; its committed blocks are
@@ -831,53 +862,19 @@ func (e *Engine) onEpochDecided(es *epochState) {
 	}
 
 	e.tryDeliver()
-	e.maybeSolicitProposal()
 }
 
-// maybeSolicitProposal emits a ProposalNeededAction when the node may
-// start its next dispersal: the previous epoch's dispersal phase is done,
-// and — in coupled (HoneyBadger) modes — also fully delivered.
-func (e *Engine) maybeSolicitProposal() {
-	if e.awaitingProposal {
+// noteDecided records that epoch has every BA output and advances
+// decidedThrough over the decided run that follows it.
+func (e *Engine) noteDecided(epoch uint64) {
+	if epoch <= e.decidedThrough {
 		return
 	}
-	if e.syncBootstrapping() {
-		// A block proposed before the bootstrap lands would target an
-		// epoch the cluster decided long ago; the post-sync catch-up
-		// re-solicits.
-		return
+	e.decidedSet[epoch] = true
+	for e.decidedSet[e.decidedThrough+1] {
+		delete(e.decidedSet, e.decidedThrough+1)
+		e.decidedThrough++
 	}
-	next := e.lastProposed + 1
-	if next > 1 && !e.isDecided(next-1) {
-		return
-	}
-	if e.cfg.Mode.coupled() && next > 1 && e.deliveredEpoch < next-1 {
-		return
-	}
-	if e.cfg.MaxEpochLag > 0 && next > e.cfg.MaxEpochLag && e.deliveredEpoch < next-1-e.cfg.MaxEpochLag {
-		// §4.5 lag guard: wait for retrieval to catch up. Delivery
-		// progress re-triggers this via tryDeliver.
-		return
-	}
-	empty := false
-	if e.cfg.Mode == ModeDLCoupled && next-1 > e.deliveredEpoch+lagLimit {
-		empty = true
-	}
-	if next <= e.decidedThrough {
-		// Gap fill: the cluster decided this epoch while the node was
-		// away (crash or state sync), so a block here can only commit
-		// through the linking backstop — and filling the slot is still
-		// necessary: peers' completion watermark for this node advances
-		// only through CONSECUTIVE dispersals, and every later block
-		// that loses the BA race needs that chain intact to be linked
-		// in. Propose the gap empty (empty proposals dispatch
-		// immediately, with no batching delay, and risk no
-		// transactions), so the first transaction-carrying block lands
-		// at the frontier with its linking safety net restored.
-		empty = true
-	}
-	e.awaitingProposal = true
-	e.actions = append(e.actions, ProposalNeededAction{Epoch: next, Empty: empty})
 }
 
 func (e *Engine) isDecided(epoch uint64) bool {
@@ -984,10 +981,8 @@ func (e *Engine) tryDeliver() {
 		if e.recovered && e.catchup == nil && e.deliveredEpoch >= e.recoveredUntil {
 			e.recovered = false
 		}
-		// Delivery progress moves the head of the retrieval order and can
-		// unblock coupled-mode proposals.
+		// Delivery progress moves the head of the retrieval order.
 		e.pumpRetrievals()
-		e.maybeSolicitProposal()
 		e.maybePrune()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dledger/internal/avid"
@@ -19,12 +20,13 @@ type testCluster struct {
 	rng     *rand.Rand
 
 	queue   []routed
-	propose []int // node ids with a pending ProposalNeededAction
+	propose []int // node ids whose engine said a proposal is due
 	timers  []pendingTimer
 
 	maxEpochs int
 	proposed  []int // blocks proposed so far per node
-	emptyReq  []int // how many ProposalNeeded came with Empty=true
+	txBlocks  []int // transaction-carrying blocks proposed so far per node
+	emptyReq  []int // how many proposals the engine required empty
 
 	delivered [][]DeliverAction
 	decided   []map[uint64][]int
@@ -37,7 +39,8 @@ type testCluster struct {
 	deferFn     func(env wire.Envelope, to int) bool
 	releaseWhen func(c *testCluster) bool
 	deferred    []routed
-	// txFor generates the batch for a node's k-th proposal.
+	// txFor generates the batch for a node's k-th transaction-carrying
+	// proposal.
 	txFor func(node, seq int) [][]byte
 	// onAction, when set, observes every action each engine emits (the
 	// vote-persistence tests use it as a stand-in for the replica's WAL).
@@ -66,6 +69,7 @@ func newTestCluster(t *testing.T, cfg Config, seed int64, maxEpochs int) *testCl
 		t: t, cfg: cfg, rng: rand.New(rand.NewSource(seed)),
 		maxEpochs: maxEpochs,
 		proposed:  make([]int, cfg.N),
+		txBlocks:  make([]int, cfg.N),
 		emptyReq:  make([]int, cfg.N),
 		delivered: make([][]DeliverAction, cfg.N),
 		decided:   make([]map[uint64][]int, cfg.N),
@@ -105,11 +109,6 @@ func (c *testCluster) apply(node int, actions []Action) {
 			c.queue = append(c.queue, routed{to: act.To, env: act.Env})
 		case DeliverAction:
 			c.delivered[node] = append(c.delivered[node], act)
-		case ProposalNeededAction:
-			if act.Empty {
-				c.emptyReq[node]++
-			}
-			c.propose = append(c.propose, node)
 		case ResubmitAction:
 			c.resubmits[node] = append(c.resubmits[node], act.Txs)
 		case TimerAction:
@@ -119,6 +118,48 @@ func (c *testCluster) apply(node int, actions []Action) {
 		case EpochDeliveredAction:
 		}
 	}
+	c.schedulePropose(node)
+}
+
+// schedulePropose queues node's next proposal once its engine says one
+// is due, as a replica asks after every step. A node that has proposed
+// maxEpochs blocks stops; the cluster winds down.
+func (c *testCluster) schedulePropose(node int) {
+	if c.proposed[node] >= c.maxEpochs || slices.Contains(c.propose, node) {
+		return
+	}
+	if due, _ := c.engines[node].ProposalDue(); due {
+		c.propose = append(c.propose, node)
+	}
+}
+
+// proposeNext answers the scheduled proposal at the head of the queue:
+// txFor's next batch, or an empty block where the engine requires one.
+// The engine is asked again, as the proposal may have stopped being due
+// (a crash, a state-sync bootstrap) since it was scheduled.
+func (c *testCluster) proposeNext() {
+	node := c.propose[0]
+	c.propose = c.propose[1:]
+	if c.crashed[node] || c.proposed[node] >= c.maxEpochs {
+		return
+	}
+	due, empty := c.engines[node].ProposalDue()
+	if !due {
+		return
+	}
+	c.proposed[node]++
+	var txs [][]byte
+	if empty {
+		c.emptyReq[node]++
+	} else {
+		c.txBlocks[node]++
+		txs = c.txFor(node, c.txBlocks[node])
+	}
+	acts, err := c.engines[node].Propose(txs)
+	if err != nil {
+		c.t.Fatalf("node %d propose: %v", node, err)
+	}
+	c.apply(node, acts)
 }
 
 // run processes queued work in random order until quiescent. Timers fire
@@ -162,20 +203,7 @@ func (c *testCluster) stepOnce() {
 	}
 	// Mix proposals and deliveries randomly.
 	if len(c.propose) > 0 && (len(c.queue) == 0 || c.rng.Intn(4) == 0) {
-		node := c.propose[0]
-		c.propose = c.propose[1:]
-		if c.crashed[node] {
-			return
-		}
-		if c.proposed[node] >= c.maxEpochs {
-			return // node stops proposing; cluster winds down
-		}
-		c.proposed[node]++
-		acts, err := c.engines[node].Propose(c.txFor(node, c.proposed[node]))
-		if err != nil {
-			c.t.Fatalf("node %d propose: %v", node, err)
-		}
-		c.apply(node, acts)
+		c.proposeNext()
 		return
 	}
 	i := c.rng.Intn(len(c.queue))
@@ -408,28 +436,33 @@ func TestHBResubmitsDroppedBlocks(t *testing.T) {
 	}
 }
 
-// TestHBResubmitsProposalIntoDecidedEpoch pins the late-proposal case:
-// the epoch decides (self ∉ S, our BA at 0) while the replica is still
-// batching, so the answer to the pending solicitation targets a dead
-// slot. HB has no linking, so the transactions must come straight back.
-func TestHBResubmitsProposalIntoDecidedEpoch(t *testing.T) {
+// TestHBLateProposalIntoDecidedEpochIsEmpty pins the late-proposal
+// case: the epoch decides (self ∉ S, our BA at 0) before node 3 proposes
+// into it. HB has no linking, so a block there can never commit: the
+// engine requires it empty and refuses transactions for it, which stay
+// with the caller instead of riding a dead slot.
+func TestHBLateProposalIntoDecidedEpochIsEmpty(t *testing.T) {
 	c := newTestCluster(t, Config{N: 4, F: 1, Mode: ModeHB}, 1, 1)
+	c.proposed[3] = c.maxEpochs // node 3 holds back its proposal
 	c.start()
-	c.propose = []int{0, 1, 2} // node 3 sits on its solicitation
 	c.run()
 	S, ok := c.decided[3][1]
 	if !ok || len(S) != 3 {
 		t.Fatalf("node 3: epoch 1 decided=%v S=%v, want S={0,1,2}", ok, S)
 	}
-	txs := [][]byte{[]byte("late-a"), []byte("late-b")}
-	acts, err := c.engines[3].Propose(txs)
+	if due, empty := c.engines[3].ProposalDue(); !due || !empty {
+		t.Fatalf("node 3: proposal due %v, empty %v; want an empty one due", due, empty)
+	}
+	if _, err := c.engines[3].Propose([][]byte{[]byte("late")}); err == nil {
+		t.Fatal("Propose accepted transactions for a decided HB epoch")
+	}
+	acts, err := c.engines[3].Propose(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.apply(3, acts)
-	if len(c.resubmits[3]) != 1 || len(c.resubmits[3][0]) != 2 ||
-		!bytes.Equal(c.resubmits[3][0][0], txs[0]) || !bytes.Equal(c.resubmits[3][0][1], txs[1]) {
-		t.Fatalf("transactions proposed into a decided HB epoch were not resubmitted: %q", c.resubmits[3])
+	if c.engines[3].DispersalEpoch() != 1 || len(c.resubmits[3]) != 0 {
+		t.Fatalf("node 3 proposed through %d, resubmitted %q; want epoch 1, nothing", c.engines[3].DispersalEpoch(), c.resubmits[3])
 	}
 }
 
@@ -581,13 +614,24 @@ func TestByzantineLyingVArray(t *testing.T) {
 	}
 }
 
-func TestProposeWithoutSolicitationFails(t *testing.T) {
+// TestProposeFailsWhenNotDue: a fresh engine may propose epoch 1 at
+// once, but not epoch 2 before epoch 1 decides.
+func TestProposeFailsWhenNotDue(t *testing.T) {
 	eng, err := NewEngine(Config{N: 4, F: 1, CoinSecret: []byte("s")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if due, empty := eng.ProposalDue(); !due || empty {
+		t.Fatalf("fresh engine: proposal due %v, empty %v; want due, not empty", due, empty)
+	}
+	if _, err := eng.Propose([][]byte{[]byte("tx")}); err != nil {
+		t.Fatal(err)
+	}
+	if due, _ := eng.ProposalDue(); due {
+		t.Fatal("epoch 2 is due before epoch 1 decided")
+	}
 	if _, err := eng.Propose(nil); err == nil {
-		t.Fatal("Propose before ProposalNeededAction should fail")
+		t.Fatal("Propose into epoch 2 before epoch 1 decided should fail")
 	}
 }
 

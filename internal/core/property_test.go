@@ -30,17 +30,7 @@ func runChaos(t *testing.T, cfg Config, seed int64, epochs int, dupProb float64)
 			continue
 		}
 		if len(c.propose) > 0 && (len(c.queue) == 0 || rng.Intn(4) == 0) {
-			node := c.propose[0]
-			c.propose = c.propose[1:]
-			if c.crashed[node] || c.proposed[node] >= c.maxEpochs {
-				continue
-			}
-			c.proposed[node]++
-			acts, err := c.engines[node].Propose(c.txFor(node, c.proposed[node]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.apply(node, acts)
+			c.proposeNext()
 			continue
 		}
 		i := rng.Intn(len(c.queue))
@@ -112,17 +102,7 @@ func TestChaosWithCrashAndDuplication(t *testing.T) {
 				continue
 			}
 			if len(c.propose) > 0 && (len(c.queue) == 0 || rng.Intn(4) == 0) {
-				node := c.propose[0]
-				c.propose = c.propose[1:]
-				if c.crashed[node] || c.proposed[node] >= c.maxEpochs {
-					continue
-				}
-				c.proposed[node]++
-				acts, err := c.engines[node].Propose(c.txFor(node, c.proposed[node]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.apply(node, acts)
+				c.proposeNext()
 				continue
 			}
 			i := rng.Intn(len(c.queue))
@@ -180,17 +160,7 @@ func TestDeliveryPrefixesUnderPartialRun(t *testing.T) {
 		for (len(c.queue) > 0 || len(c.propose) > 0) && steps < budget {
 			steps++
 			if len(c.propose) > 0 && (len(c.queue) == 0 || rng.Intn(4) == 0) {
-				node := c.propose[0]
-				c.propose = c.propose[1:]
-				if c.proposed[node] >= c.maxEpochs {
-					continue
-				}
-				c.proposed[node]++
-				acts, err := c.engines[node].Propose(c.txFor(node, c.proposed[node]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.apply(node, acts)
+				c.proposeNext()
 				continue
 			}
 			i := rng.Intn(len(c.queue))

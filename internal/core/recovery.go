@@ -360,13 +360,7 @@ func (e *Engine) markDecided(epoch uint64, S []int) {
 		}
 	}
 	sort.Ints(es.S)
-	if epoch > e.decidedThrough {
-		e.decidedSet[epoch] = true
-		for e.decidedSet[e.decidedThrough+1] {
-			delete(e.decidedSet, e.decidedThrough+1)
-			e.decidedThrough++
-		}
-	}
+	e.noteDecided(epoch)
 }
 
 func (e *Engine) restoreBlock(epoch uint64, proposer int, bad bool, v []uint64) {
@@ -615,9 +609,6 @@ func (e *Engine) requestStatus() {
 }
 
 func (e *Engine) finishCatchup() {
-	if e.catchup != nil {
-		e.actions = append(e.actions, CatchupDoneAction{})
-	}
 	e.catchup = nil
 	e.catchupToken = 0
 	// Recovery mode persists until delivery drains to the frontier the
@@ -744,8 +735,8 @@ func (e *Engine) catchupTarget() uint64 {
 }
 
 // adoptDecided installs an epoch outcome learned through the status
-// protocol and runs the normal decision tail (delivery pipeline,
-// retrievals, proposal solicitation).
+// protocol and runs the normal decision tail (delivery pipeline and
+// retrievals).
 func (e *Engine) adoptDecided(epoch uint64, S []int) {
 	es := e.epochState(epoch)
 	if es.decided {
@@ -759,10 +750,9 @@ func (e *Engine) adoptDecided(epoch uint64, S []int) {
 	e.queueDelivery(epoch, append([]int(nil), es.S...))
 	e.pumpRetrievals()
 	e.tryDeliver()
-	e.maybeSolicitProposal()
 }
 
 // CatchingUp reports whether the recovery status protocol (or a
-// state-sync bootstrap, which precedes it) is running. The replica holds
-// proposals while it is true.
+// state-sync bootstrap, which precedes it) is running. No proposal is
+// due while it is true (ProposalDue).
 func (e *Engine) CatchingUp() bool { return e.catchup != nil || e.syncBootstrapping() }

@@ -240,19 +240,74 @@ func TestStatusCatchupAdoption(t *testing.T) {
 	bm3 := wire.SetBitmap([]int{1, 3}, 4)
 	eng.Handle(wire.Envelope{From: 1, Epoch: 3, Proposer: 0,
 		Payload: wire.StatusReply{Decided: true, Through: 3, S: bm3}})
-	acts = eng.Handle(wire.Envelope{From: 2, Epoch: 3, Proposer: 0,
+	eng.Handle(wire.Envelope{From: 2, Epoch: 3, Proposer: 0,
 		Payload: wire.StatusReply{Decided: true, Through: 3, S: bm3}})
 	if eng.CatchingUp() {
 		t.Fatal("catch-up still running after reaching the claimed frontier")
 	}
-	done := false
-	for _, a := range acts {
-		if _, ok := a.(CatchupDoneAction); ok {
-			done = true
+	if due, _ := eng.ProposalDue(); !due {
+		t.Fatal("no proposal due after the catch-up ended")
+	}
+}
+
+// TestCatchupGapSlotsAreProposedEmpty restores node 0 after it proposed
+// epoch 1, then lets the status catch-up adopt epochs 1 to 4 one status
+// reply at a time. No proposal may be due while the catch-up runs, and
+// the slots the cluster decided in the node's absence, epochs 2 to 4,
+// must then be proposed empty: a block there can commit only through
+// inter-node linking, so transactions in it may never commit. Epoch 5,
+// the frontier, takes transactions again.
+func TestCatchupGapSlotsAreProposedEmpty(t *testing.T) {
+	eng, err := NewEngine(Config{N: 4, F: 1, CoinSecret: []byte("s")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(nil, []store.Record{{Type: store.RecProposed, Epoch: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	const frontier = 4
+	bm := wire.SetBitmap([]int{1, 2, 3}, 4)
+	for epoch := uint64(1); epoch <= frontier; epoch++ {
+		for _, from := range []int{1, 2} {
+			eng.Handle(wire.Envelope{From: from, Epoch: epoch, Proposer: 0,
+				Payload: wire.StatusReply{Decided: true, Through: frontier, S: bm}})
+			if due, _ := eng.ProposalDue(); due && eng.CatchingUp() {
+				t.Fatalf("a proposal is due while catching up, after %d's reply on epoch %d", from, epoch)
+			}
 		}
 	}
-	if !done {
-		t.Fatal("no CatchupDoneAction")
+	if eng.CatchingUp() || eng.DecidedThrough() != frontier {
+		t.Fatalf("catching up %v, decided through %d; want done at %d", eng.CatchingUp(), eng.DecidedThrough(), frontier)
+	}
+	txs := [][]byte{[]byte("tx")}
+	for epoch := uint64(2); epoch <= frontier+1; epoch++ {
+		due, empty := eng.ProposalDue()
+		if gap := epoch <= frontier; !due || empty != gap {
+			t.Fatalf("epoch %d: due %v, empty %v; want due, empty %v", epoch, due, empty, gap)
+		}
+		if empty {
+			if _, err := eng.Propose(txs); err == nil {
+				t.Fatalf("Propose put transactions into epoch %d, which the cluster decided", epoch)
+			}
+			txs = nil
+		}
+		acts, err := eng.Propose(txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var made *wire.Block
+		for _, a := range acts {
+			if m, ok := a.(ProposalMadeAction); ok {
+				if made, err = wire.DecodeBlock(m.Block); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if made == nil || made.Epoch != epoch || len(made.Txs) != len(txs) {
+			t.Fatalf("epoch %d: proposed %+v, want %d transactions", epoch, made, len(txs))
+		}
+		txs = [][]byte{[]byte("tx")}
 	}
 }
 

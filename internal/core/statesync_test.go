@@ -135,10 +135,8 @@ func TestJoinBootstrapInstallsManifest(t *testing.T) {
 	if hellos != 3 {
 		t.Fatalf("join start sent %d hellos, want 3", hellos)
 	}
-	for _, a := range acts {
-		if _, ok := a.(ProposalNeededAction); ok {
-			t.Fatal("proposal solicited before the bootstrap finished")
-		}
+	if due, _ := eng.ProposalDue(); due {
+		t.Fatal("a proposal is due before the bootstrap finished")
 	}
 	if !eng.CatchingUp() {
 		t.Fatal("joining engine does not report CatchingUp")

@@ -8,12 +8,11 @@ import (
 )
 
 // TestStepActionsOutliveLaterSteps runs a 4-node cluster whose caller
-// holds each step's slice across later engine calls — it answers every
-// ProposalNeededAction with Propose from inside the loop over the step's
-// actions, as a TCP turn holds its first Handle's slice while the next
-// envelopes are handled — and checks that no step's returned slice
-// changes afterwards: the engine must not reuse an action array its
-// caller still holds.
+// holds each step's slice across later engine calls — it answers a due
+// proposal with Propose from inside the loop over the step's actions, as
+// a TCP turn holds its first Handle's slice while the next envelopes are
+// handled — and checks that no step's returned slice changes afterwards:
+// the engine must not reuse an action array its caller still holds.
 func TestStepActionsOutliveLaterSteps(t *testing.T) {
 	const n, epochs = 4, 3
 	cfg := Config{N: n, F: 1, Mode: ModeDL, CoinSecret: []byte("core test secret")}
@@ -33,27 +32,29 @@ func TestStepActionsOutliveLaterSteps(t *testing.T) {
 	var inFlight []routed
 	proposed := make([]int, n)
 	var apply func(node int, acts []Action)
+	propose := func(node int) {
+		if due, _ := engines[node].ProposalDue(); !due || proposed[node] == epochs {
+			return
+		}
+		proposed[node]++
+		out, err := engines[node].Propose([][]byte{[]byte(fmt.Sprintf("tx-%d-%d", node, proposed[node]))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(node, out)
+	}
 	apply = func(node int, acts []Action) {
 		steps = append(steps, held{acts, fmt.Sprintf("%#v", acts)})
 		for _, a := range acts {
-			switch act := a.(type) {
-			case SendAction:
+			if act, ok := a.(SendAction); ok {
 				for _, u := range Unicast([]Action{act}, n, node) {
 					s := u.(SendAction)
 					inFlight = append(inFlight, routed{to: s.To, env: s.Env})
 				}
-			case ProposalNeededAction:
-				if proposed[node] == epochs {
-					continue
-				}
-				proposed[node]++
-				out, err := engines[node].Propose([][]byte{[]byte(fmt.Sprintf("tx-%d-%d", node, proposed[node]))})
-				if err != nil {
-					t.Fatal(err)
-				}
-				apply(node, out)
 			}
+			propose(node)
 		}
+		propose(node)
 	}
 	for i, eng := range engines {
 		apply(i, eng.Start())

@@ -151,8 +151,9 @@ func withoutSyncs(events orderLog) (out []string) {
 
 // TestCheckpointCoversTheWholeTurn builds a TCP turn whose checkpoint
 // falls due before its last delivery: two epochs deliver, the next
-// epoch's decision asks for a proposal that is due at once, and a third
-// epoch delivers. With CheckpointEvery 2 the turn checkpoints, and the
+// epoch's decision makes a proposal due at once, and a third epoch
+// delivers before that proposal runs as the turn's next step. With
+// CheckpointEvery 2 the turn checkpoints, and the
 // snapshot must hold the effects of every record its WAL position
 // covers: after a restart the epoch and transaction counters match the
 // engine and the live node, and the third epoch's transactions are
@@ -222,14 +223,14 @@ func TestCheckpointCoversTheWholeTurn(t *testing.T) {
 			r.Stats.EpochsDelivered, r.Engine().DispersalEpoch())
 	}
 
-	// The proposal epoch 3's decision asks for is due: the batch delay
-	// has passed since node 0's last one.
+	// The proposal epoch 3's decision makes due goes at once: the batch
+	// delay has passed since node 0's last one.
 	net.now = time.Second
 	var turn []string
 	r.Engine().SetActionTap(func(actions []core.Action) []core.Action {
 		for _, a := range actions {
 			switch a.(type) {
-			case core.DeliverAction, core.EpochDeliveredAction, core.ProposalNeededAction:
+			case core.DeliverAction, core.EpochDeliveredAction, core.ProposalMadeAction:
 				turn = append(turn, reflect.TypeOf(a).Name())
 			}
 		}
@@ -238,7 +239,7 @@ func TestCheckpointCoversTheWholeTurn(t *testing.T) {
 	r.OnEnvelope(slices.Concat(delivered12, decide3, deliver3)...)
 	want := []string{"DeliverAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction",
 		"DeliverAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction",
-		"ProposalNeededAction", "DeliverAction", "DeliverAction", "EpochDeliveredAction"}
+		"DeliverAction", "DeliverAction", "EpochDeliveredAction", "ProposalMadeAction"}
 	if !reflect.DeepEqual(turn, want) {
 		t.Fatalf("turn actions %v, want %v", turn, want)
 	}

@@ -183,27 +183,70 @@ func TestPartialBatchWaitsForItsTimer(t *testing.T) {
 	}
 }
 
-// TestEmptyProposalIsNeverHeld: an empty or gap-fill proposal goes the
-// moment it is asked for, whatever the batch waiting behind it.
+// TestEmptyProposalIsNeverHeld: node 0 proposes into epochs 2 and 3,
+// goes down at 500 ms while nodes 1-3 decide epochs 4 to 6 on their
+// empty ticks, and restarts at 3.5 s, when a transaction reaches it
+// during its status catch-up. Once the catch-up ends, the slots decided
+// in its absence go at once and empty, and the transaction waits for the
+// first slot at the frontier, epoch 7: a block in a decided slot commits
+// only through linking, so it must risk no transactions.
 func TestEmptyProposalIsNeverHeld(t *testing.T) {
-	net, _ := pacedNet(t, time.Second, nil)
-	r := net.replicas[0]
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	net, _ := pacedNet(t, time.Second, st)
 	busy(net)
-	submit(net, 0, 100*time.Millisecond, 1)
 	net.run(500 * time.Millisecond)
-	if !r.pendingProposal {
-		t.Fatal("setup: node 0's half batch is not waiting for its timer")
+	// The down node receives into a throwaway engine and sends nothing.
+	sink, err := New(pacingCfg, 0, pacedParams(0, time.Second, nil), nil,
+		&crashCtx{fakeCtx: fakeCtx{net: net, self: 0}, dead: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.proposalEmpty = true
-	r.apply(r.tryPropose())
-	if r.pendingProposal || r.lastProposal != 500*time.Millisecond || r.PendingBytes() != 500 {
-		t.Fatalf("empty proposal pending %v, last proposal at %v, %d bytes left; want sent at 500ms, 500 left",
-			r.pendingProposal, r.lastProposal, r.PendingBytes())
+	net.replicas[0].ctx.(*crashCtx).dead = true
+	net.replicas[0] = sink
+	net.run(3500 * time.Millisecond)
+	if got := net.replicas[1].Engine().DecidedThrough(); got != 6 {
+		t.Fatalf("setup: nodes 1-3 decided through epoch %d by 3.5 s, want 6", got)
+	}
+	r, err := New(pacingCfg, 0, pacedParams(0, time.Second, nil), restartStore(t, st, dir),
+		&crashCtx{fakeCtx: fakeCtx{net: net, self: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type block struct {
+		epoch uint64
+		txs   int
+		at    time.Duration
+	}
+	var got []block
+	r.Engine().SetActionTap(func(actions []core.Action) []core.Action {
+		for _, a := range actions {
+			if m, ok := a.(core.ProposalMadeAction); ok {
+				blk, err := wire.DecodeBlock(m.Block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, block{m.Epoch, len(blk.Txs), net.now})
+			}
+		}
+		return actions
+	})
+	if got := r.Engine().DispersalEpoch(); got != 3 {
+		t.Fatalf("setup: node 0 recovered proposals through epoch %d, want 3", got)
+	}
+	net.replicas[0] = r
+	r.Start()
+	submit(net, 0, 3500*time.Millisecond, 1)
+	net.run(3500 * time.Millisecond)
+	at := 3500 * time.Millisecond
+	want := []block{{4, 0, at}, {5, 0, at}, {6, 0, at}, {7, 1, at}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("node 0's proposals after the restart %v, want %v", got, want)
 	}
 }
 
 // TestIdleNodeProposesAtOnce: a half batch at an idle node goes at once,
-// as an idle proposal, into the epoch node 0 is solicited for. Node 0 is
+// as an idle proposal, into the epoch node 0 has due. Node 0 is
 // idle when its one-second batch delay, counted from its last
 // transaction-carrying proposal, had run out before the batch arrived:
 // on a fresh node, and on a busy one left quiet for longer than that.
@@ -236,8 +279,8 @@ func TestIdleNodeProposesAtOnce(t *testing.T) {
 
 // TestIdleBurstGoesAsTwoProposals: eight small transactions reach idle
 // node 0 back to back. The first goes at once; the other seven queue
-// behind its dispersal and go whole at the next solicitation, in the
-// same instant on this zero-latency net. The idle spell is then spent: a
+// behind its dispersal and go whole as soon as the next block is due,
+// in the same instant on this zero-latency net. The idle spell is then spent: a
 // ninth transaction at 400 ms waits for the batch delay, counted from
 // the second proposal.
 func TestIdleBurstGoesAsTwoProposals(t *testing.T) {
@@ -330,9 +373,9 @@ func TestOpeningReleasesNoCatchingUpProposal(t *testing.T) {
 	submit(net, 0, 600*time.Millisecond, 1)
 	burst(net, 1, 700*time.Millisecond)
 	net.run(2 * time.Second)
-	if !r.Engine().CatchingUp() || !r.pendingProposal || r.opened <= r.Engine().DispersalEpoch() {
-		t.Fatalf("setup: node 0 catching up %v, solicited %v, opened epoch %d, proposed into %d; want an opened epoch solicited while catching up",
-			r.Engine().CatchingUp(), r.pendingProposal, r.opened, r.Engine().DispersalEpoch())
+	if !r.Engine().CatchingUp() || !r.Engine().EpochOpened() {
+		t.Fatalf("setup: node 0 catching up %v, epoch opened %v; want an epoch opened while catching up",
+			r.Engine().CatchingUp(), r.Engine().EpochOpened())
 	}
 	if r.lastProposal >= 500*time.Millisecond {
 		t.Errorf("node 0 proposed at %v while catching up", r.lastProposal)
@@ -353,8 +396,8 @@ func TestFixedBlockProposalIsNeverHeld(t *testing.T) {
 	burst(net, 1, 200*time.Millisecond)
 	submit(net, 0, 300*time.Millisecond, 1)
 	net.run(299 * time.Millisecond)
-	if r.opened != 1 || r.Engine().DispersalEpoch() != 0 {
-		t.Fatalf("node 0 saw epoch %d open and proposed into epoch %d by 299ms; want 1 and none", r.opened, r.Engine().DispersalEpoch())
+	if !r.Engine().EpochOpened() || r.Engine().DispersalEpoch() != 0 {
+		t.Fatalf("node 0 saw an epoch open %v and proposed into epoch %d by 299ms; want epoch 1 open and none", r.Engine().EpochOpened(), r.Engine().DispersalEpoch())
 	}
 	net.run(300 * time.Millisecond)
 	if got := r.Engine().DispersalEpoch(); got != 1 || r.lastProposal != 300*time.Millisecond {

@@ -1,8 +1,11 @@
 // Package replica wires a consensus engine to a transport, a mempool and
 // timers, forming a complete DispersedLedger node.
 //
-// The replica owns the paper's rate control for block proposals (§5): a
-// node proposes its next block once (i) BatchDelay has passed since its
+// The replica owns the paper's rate control for block proposals (§5).
+// The engine answers whether the next block is due and whether it must
+// be empty (core.Engine.ProposalDue), and the replica asks after every
+// step; an empty block goes at once. A due block with room for
+// transactions goes once (i) BatchDelay has passed since its
 // last proposal, or (ii) BatchBytes of transactions have accumulated —
 // Nagle's algorithm applied to batching — or (iii) another proposer's
 // dispersal has opened the epoch, in which case the block carries
@@ -190,9 +193,7 @@ type Replica struct {
 	// the flight recorder (the engine counter is cumulative).
 	lastSyncPages int64
 
-	pendingProposal bool
-	proposalEmpty   bool
-	lastProposal    time.Duration
+	lastProposal time.Duration
 	// lastTxProposal is when the node last proposed transactions: the
 	// idle test runs the batching clock from it.
 	lastTxProposal time.Duration
@@ -203,9 +204,6 @@ type Replica struct {
 	idleRead   bool
 	timerArmed bool
 	started    bool
-
-	// opened is the highest epoch another proposer's dispersal opened.
-	opened uint64
 
 	// OnDeliver, when set, observes every delivered block.
 	OnDeliver func(Delivery)
@@ -514,7 +512,7 @@ func (r *Replica) SubmitFrom(client uint64, tx []byte) error {
 	r.Stats.SubmittedBytes += int64(len(tx))
 	r.tel.Emit(telemetry.Event{Kind: telemetry.TxEnqueued, At: now}, tx)
 	r.mempoolChanged()
-	r.apply(r.tryPropose())
+	r.apply(nil)
 	return nil
 }
 
@@ -541,12 +539,17 @@ func (r *Replica) PendingBytes() int { return r.pool.PendingBytes() }
 // mempoolChanged publishes the backlog after a push or a pop.
 func (r *Replica) mempoolChanged() { r.tel.mempoolBytes.Set(int64(r.pool.PendingBytes())) }
 
-// apply runs one turn: actions is its first step, and a proposal the turn
-// releases runs as the next. The checkpoint is taken at most once, after
-// the last step, so it holds the effects of every record its LSN covers.
+// apply runs one turn: actions is its first step (possibly empty), and a
+// proposal the turn releases runs as the next. The rate control is asked
+// after every step, an empty one included, since any engine call can make
+// a proposal due. The checkpoint is taken at most once, after the last
+// step, so it holds the effects of every record its LSN covers.
 func (r *Replica) apply(actions []core.Action) {
-	for ; len(actions) > 0; actions = r.tryPropose() {
+	for {
 		r.step(actions)
+		if actions = r.tryPropose(); len(actions) == 0 {
+			break
+		}
 	}
 	if n := r.params.checkpointEvery(); r.st != nil && (r.syncCkpt || n > 0 && r.sinceCkpt >= n) {
 		r.checkpoint()
@@ -607,9 +610,6 @@ func (r *Replica) step(actions []core.Action) {
 			}
 		case core.DeliverAction:
 			r.onDeliver(act, hashes[idx])
-		case core.ProposalNeededAction:
-			r.pendingProposal = true
-			r.proposalEmpty = act.Empty
 		case core.ResubmitAction:
 			r.pool.PushFrontAt(act.Txs, r.ctx.Now())
 			r.mempoolChanged()
@@ -629,8 +629,6 @@ func (r *Replica) step(actions []core.Action) {
 			r.Stats.EpochsDelivered++
 			r.sinceCkpt++
 			r.tel.Emit(telemetry.Event{Kind: telemetry.StageDeliver, At: r.ctx.Now(), Epoch: act.Epoch})
-		case core.EpochOpenedAction:
-			r.opened = act.Epoch
 		case core.StageAction:
 			// The engine's stage values are the telemetry kinds' (pinned
 			// by TestStageKindsMatch); only per-peer stages use Peer.
@@ -790,19 +788,14 @@ func (r *Replica) recordSyncPoint(act core.SyncPointAction) {
 // transaction committed during the synced-over gap is still recognized)
 // and, on durable nodes, the turn's checkpoint pins the synced position
 // so a crash after it recovers from there instead of re-syncing.
+// Proposals need nothing here: the engine has none due until the
+// post-install catch-up ends, and then requires the slots it found
+// decided to be empty.
 func (r *Replica) installSync(act core.SyncInstallAction) {
 	r.Stats.StateSyncs++
 	r.tel.Emit(telemetry.Event{Kind: telemetry.SyncInstalled, Epoch: act.Epoch})
 	for _, h := range act.Committed {
 		r.pool.Committed(mempool.Hash(h))
-	}
-	if r.pendingProposal {
-		// A solicitation from before the install now targets a slot the
-		// cluster decided long ago (the engine recomputes the epoch at
-		// Propose time, but not the emptiness): answer it empty so no
-		// transactions ride a gap block. At worst — no gap after the
-		// catch-up — one spurious empty block is proposed.
-		r.proposalEmpty = true
 	}
 	r.syncCkpt = true
 }
@@ -858,22 +851,16 @@ func (r *Replica) onDeliver(act core.DeliverAction, hashes []mempool.Hash) {
 	}
 }
 
-// tryPropose applies the rate-control rules and, when they allow, answers
-// the engine's pending proposal solicitation, returning the actions.
+// tryPropose asks the engine whether a proposal is due and, when it is
+// and the rate-control rules allow, proposes, returning the actions.
 func (r *Replica) tryPropose() []core.Action {
-	if !r.pendingProposal {
+	due, empty := r.engine.ProposalDue()
+	if !due {
 		return nil
 	}
-	if r.engine.CatchingUp() {
-		// Hold proposals while the recovery status protocol runs: the
-		// cluster has decided past our recovered epochs, so a block
-		// proposed now could never commit and its transactions would be
-		// lost. The step carrying CatchupDoneAction re-runs this.
-		return nil
-	}
-	if r.proposalEmpty {
-		// DL-Coupled lag rule or gap fill: the node must propose an empty
-		// block (which reports no trigger).
+	if empty {
+		// DL-Coupled lag rule or a slot the cluster already decided: the
+		// block goes at once and empty (and reports no trigger).
 		return r.propose(nil, 0)
 	}
 	if r.params.FixedBlockBytes > 0 {
@@ -883,26 +870,26 @@ func (r *Replica) tryPropose() []core.Action {
 		return nil
 	}
 	now := r.ctx.Now()
-	due := r.lastProposal + r.params.batchDelay()
+	at := r.lastProposal + r.params.batchDelay()
 	switch {
 	case r.pool.PendingBytes() >= r.params.batchBytes():
 		return r.propose(r.pool.PopBatch(0), telemetry.TriggerBytes)
-	case r.opened > r.engine.DispersalEpoch():
+	case r.engine.EpochOpened():
 		// Another proposer has opened the epoch: it decides on that
 		// proposer's schedule whether or not this node's batch is full,
 		// so the batch goes with it, whatever its size.
 		return r.propose(r.pool.PopBatch(0), telemetry.TriggerOpened)
 	case r.idle():
 		return r.propose(r.pool.PopBatch(0), telemetry.TriggerIdle)
-	case now >= due:
+	case now >= at:
 		return r.propose(r.pool.PopBatch(0), telemetry.TriggerTimer)
 	}
 	// Not due yet: arm the delay timer once.
 	if !r.timerArmed {
 		r.timerArmed = true
-		r.ctx.After(due-now, func() {
+		r.ctx.After(at-now, func() {
 			r.timerArmed = false
-			r.apply(r.tryPropose())
+			r.apply(nil)
 		})
 	}
 	return nil
@@ -926,11 +913,9 @@ func (r *Replica) idle() bool {
 	return r.idleShots > 0
 }
 
-// propose answers the solicitation with txs — trigger, one of telemetry's
+// propose disperses the due block with txs — trigger, one of telemetry's
 // Trigger* values, says what released them — and returns the actions.
 func (r *Replica) propose(txs [][]byte, trigger int64) []core.Action {
-	r.pendingProposal = false
-	r.proposalEmpty = false
 	r.lastProposal = r.ctx.Now()
 	r.idleRead = false
 	if len(txs) > 0 {
@@ -945,7 +930,7 @@ func (r *Replica) propose(txs [][]byte, trigger int64) []core.Action {
 	// re-disperses the identical block instead of equivocating.
 	actions, err := r.engine.Propose(txs)
 	if err != nil {
-		// Propose is only called in response to a solicitation, so this
+		// Propose is only called when ProposalDue allows it, so this
 		// indicates a bug; surface it loudly in tests via panic.
 		panic("replica: " + err.Error())
 	}

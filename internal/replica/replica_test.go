@@ -306,7 +306,7 @@ func TestBroadcastFansOutToPeersInOrder(t *testing.T) {
 func TestDoubleStartIsNoop(t *testing.T) {
 	net := newFakeCluster(t, core.Config{N: 4, F: 1, Mode: core.ModeDL}, Params{})
 	net.replicas[0].Start()
-	net.replicas[0].Start() // must not double-solicit or panic
+	net.replicas[0].Start() // must not propose twice or panic
 	for _, r := range net.replicas[1:] {
 		r.Start()
 	}
