@@ -31,6 +31,10 @@
 //
 // All automata are deterministic and single-threaded, driven by Handle
 // calls from the replica event loop.
+//
+// A Server journals what it says, as a ba.BA journals its votes (see
+// SetJournal); Restore replays the journal and Resend re-sends what it
+// said after a restart.
 package avid
 
 import (
@@ -39,6 +43,7 @@ import (
 
 	"dledger/internal/erasure"
 	"dledger/internal/merkle"
+	"dledger/internal/store"
 	"dledger/internal/wire"
 )
 
@@ -140,8 +145,11 @@ type Server struct {
 
 	gotChunkFrom map[merkle.Root]peerSet
 	readyFrom    map[merkle.Root]peerSet
-	sentGot      bool
 	sentReady    bool
+	// said is what the server put on the wire, for Resend; journal,
+	// when set, observes each record as it is made.
+	said    []Send
+	journal func(store.ChunkRecord)
 
 	completed bool
 	chunkRoot merkle.Root
@@ -173,25 +181,70 @@ func NewServer(p Params, self int) *Server {
 	}
 }
 
-// RestoreServer rebuilds a server automaton whose dispersal had already
-// Completed when the node crashed, from the durable chunk record: the
-// agreed root and, when hasChunk is set, the stored chunk and its proof.
-// The restored server answers retrieval requests but re-broadcasts no
-// quorum messages (it already sent them in its previous life, and
-// completion is stable).
-func RestoreServer(p Params, self int, root merkle.Root, hasChunk bool, data []byte, proof merkle.Proof) *Server {
+// SetJournal installs an observer for the server's journal, as chunk
+// records without epoch and proposer: the chunk it accepts before its
+// GotChunk, each Ready before it is sent, and its completion. A caller
+// that persists them and syncs before transmitting gets
+// record-before-wire, so a restarted server holds the chunk it
+// acknowledged and never says GotChunk or Ready for a second root.
+func (s *Server) SetJournal(fn func(store.ChunkRecord)) { s.journal = fn }
+
+// Restore rebuilds a server by replaying its journal in append order
+// through the transitions that made it. Received quorum state is not
+// restored; Resend and the peers' re-sends rebuild it.
+func Restore(p Params, self int, journal []store.ChunkRecord) *Server {
 	s := NewServer(p, self)
-	s.completed = true
-	s.chunkRoot = root
-	s.sentGot = true
-	s.sentReady = true
-	if hasChunk {
-		s.haveMy = true
-		s.myChunk = data
-		s.myProof = proof
-		s.myRoot = root
+	for _, c := range journal {
+		switch c.Kind {
+		case store.ChunkGot:
+			s.accept(c.Root, c.Data, c.Proof)
+		case store.ChunkReady:
+			s.ready(c.Root)
+		default:
+			s.complete(c.Root, c.Data, c.Proof)
+		}
 	}
 	return s
+}
+
+// Resend returns the GotChunk and Ready this server said, for broadcast
+// after a restart, which leaves no other copy of an unfinished quorum.
+func (s *Server) Resend() []Send { return s.said }
+
+func (s *Server) record(c store.ChunkRecord) {
+	if s.journal != nil {
+		s.journal(c)
+	}
+}
+
+// accept stores the server's chunk and says GotChunk for it.
+func (s *Server) accept(root merkle.Root, data []byte, proof merkle.Proof) Send {
+	s.record(store.ChunkRecord{Kind: store.ChunkGot, Root: root, Data: data, Proof: proof})
+	s.haveMy, s.myChunk, s.myProof, s.myRoot = true, data, proof, root
+	s.said = append(s.said, Send{To: wire.Broadcast, Msg: wire.GotChunk{Root: root}})
+	return s.said[len(s.said)-1]
+}
+
+func (s *Server) ready(root merkle.Root) Send {
+	s.record(store.ChunkRecord{Kind: store.ChunkReady, Root: root})
+	s.sentReady = true
+	s.said = append(s.said, Send{To: wire.Broadcast, Msg: wire.Ready{Root: root}})
+	return s.said[len(s.said)-1]
+}
+
+// complete installs completion under root. A completion with data is
+// adopted (see AdoptComplete): data replaces a chunk that does not
+// match root, and no Ready is owed.
+func (s *Server) complete(root merkle.Root, data []byte, proof merkle.Proof) {
+	if s.haveMy && s.myRoot == root {
+		data = nil
+	}
+	s.record(store.ChunkRecord{Root: root, HasChunk: len(data) > 0, Data: data, Proof: proof})
+	s.completed, s.chunkRoot = true, root
+	if len(data) > 0 {
+		s.haveMy, s.myChunk, s.myProof, s.myRoot = true, data, proof, root
+		s.sentReady = true
+	}
 }
 
 // Completed reports whether dispersal has Completed at this server, and
@@ -201,31 +254,24 @@ func (s *Server) Completed() (bool, merkle.Root) { return s.completed, s.chunkRo
 // AdoptComplete installs a completion learned outside the quorum path:
 // the caller retrieved (and re-encoding-verified) the instance's full
 // block, so the dispersal provably completed cluster-wide, and root,
-// data, proof are this server's own recomputed leaf. Like a restored
-// server it re-broadcasts no quorum messages — completion is stable and
-// the instance's epoch is already decided or linked. Pending retrieval
+// data, proof are this server's own recomputed leaf. The adopted
+// server sends no quorum messages — completion is stable and the
+// instance's epoch is already decided or linked. Pending retrieval
 // requests are answered now that a chunk is in hand. A server already
-// completed under a different root ignores the call.
+// completed under a different root, or already holding its chunk under
+// root, ignores the call.
 func (s *Server) AdoptComplete(root merkle.Root, data []byte, proof merkle.Proof) []Send {
-	if s.completed && s.chunkRoot != root {
+	if s.completed && (s.chunkRoot != root || s.HasChunk()) {
 		return nil
 	}
-	s.completed = true
-	s.chunkRoot = root
-	s.sentGot = true
+	s.complete(root, data, proof)
 	s.sentReady = true
-	if !s.haveMy || s.myRoot != root {
-		s.haveMy = true
-		s.myChunk = data
-		s.myProof = proof
-		s.myRoot = root
-	}
 	return s.flushPending()
 }
 
-// StoredChunk exposes the server's durable state for persistence: the
-// agreed root and, when the server holds a chunk matching it, the chunk
-// and proof. ok mirrors HasChunk. Only meaningful after completion.
+// StoredChunk exposes the server's chunk for state sync: the agreed
+// root and, when the server holds a chunk matching it, the chunk and
+// proof. ok mirrors HasChunk. Only meaningful after completion.
 func (s *Server) StoredChunk() (root merkle.Root, data []byte, proof merkle.Proof, ok bool) {
 	return s.chunkRoot, s.myChunk, s.myProof, s.HasChunk()
 }
@@ -269,22 +315,12 @@ func (s *Server) Handle(from int, msg wire.Msg) (outs []Send, completed bool) {
 }
 
 func (s *Server) onChunk(m wire.Chunk) []Send {
-	// Verify that the chunk is the self-th leaf under the claimed root.
-	if m.Proof.Index != s.self || !merkle.Verify(m.Root, m.Data, m.Proof) {
+	// Verify that the chunk is the self-th leaf under the claimed root;
+	// only the first valid one is kept and answered.
+	if s.haveMy || m.Proof.Index != s.self || !merkle.Verify(m.Root, m.Data, m.Proof) {
 		return nil
 	}
-	if !s.haveMy {
-		s.haveMy = true
-		s.myChunk = m.Data
-		s.myProof = m.Proof
-		s.myRoot = m.Root
-	}
-	var outs []Send
-	if !s.sentGot {
-		s.sentGot = true
-		outs = append(outs, Send{To: wire.Broadcast, Msg: wire.GotChunk{Root: m.Root}})
-	}
-	return append(outs, s.flushPending()...)
+	return append([]Send{s.accept(m.Root, m.Data, m.Proof)}, s.flushPending()...)
 }
 
 // vote adds from to root's set in votes and returns the set's size, or
@@ -304,8 +340,7 @@ func (s *Server) vote(votes map[merkle.Root]peerSet, root merkle.Root, from int)
 
 func (s *Server) onGotChunk(from int, m wire.GotChunk) []Send {
 	if s.vote(s.gotChunkFrom, m.Root, from) >= s.p.N-s.p.F && !s.sentReady {
-		s.sentReady = true
-		return []Send{{To: wire.Broadcast, Msg: wire.Ready{Root: m.Root}}}
+		return []Send{s.ready(m.Root)}
 	}
 	return nil
 }
@@ -316,12 +351,10 @@ func (s *Server) onReady(from int, m wire.Ready) (outs []Send, completed bool) {
 		return nil, false
 	}
 	if n >= s.p.F+1 && !s.sentReady {
-		s.sentReady = true
-		outs = append(outs, Send{To: wire.Broadcast, Msg: wire.Ready{Root: m.Root}})
+		outs = append(outs, s.ready(m.Root))
 	}
 	if n >= 2*s.p.F+1 && !s.completed {
-		s.completed = true
-		s.chunkRoot = m.Root
+		s.complete(m.Root, nil, merkle.Proof{})
 		completed = true
 		outs = append(outs, s.flushPending()...)
 	}

@@ -3,9 +3,11 @@ package avid
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dledger/internal/merkle"
+	"dledger/internal/store"
 	"dledger/internal/wire"
 )
 
@@ -478,6 +480,96 @@ func BenchmarkDisperse16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Disperse(p, block); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreReplaysJournal crashes a server at every point of a
+// dispersal it takes part in — chunk accepted, Ready said, completed,
+// chunk arriving after completion — and restores it from its journal:
+// the restored server re-sends exactly what the live one said, holds the
+// same chunk and completion, and says nothing for a second root.
+func TestRestoreReplaysJournal(t *testing.T) {
+	p, err := NewParams(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := Disperse(p, []byte("block A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Disperse(p, []byte("block B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string][]func(s *Server) []Send{
+		"accepted": {
+			func(s *Server) []Send { out, _ := s.Handle(1, a[0]); return out },
+		},
+		"ready": {
+			func(s *Server) []Send { out, _ := s.Handle(1, a[0]); return out },
+			func(s *Server) []Send { out, _ := s.Handle(1, wire.GotChunk{Root: a[0].Root}); return out },
+			func(s *Server) []Send { out, _ := s.Handle(2, wire.GotChunk{Root: a[0].Root}); return out },
+			func(s *Server) []Send { out, _ := s.Handle(3, wire.GotChunk{Root: a[0].Root}); return out },
+		},
+		"late chunk": {
+			func(s *Server) []Send { out, _ := s.Handle(1, wire.Ready{Root: a[0].Root}); return out },
+			func(s *Server) []Send { out, _ := s.Handle(2, wire.Ready{Root: a[0].Root}); return out },
+			func(s *Server) []Send { out, _ := s.Handle(3, wire.Ready{Root: a[0].Root}); return out },
+			func(s *Server) []Send { out, _ := s.Handle(1, a[0]); return out },
+		},
+		"adopted": {
+			func(s *Server) []Send { out, _ := s.Handle(1, b[0]); return out },
+			func(s *Server) []Send { return s.AdoptComplete(a[0].Root, a[0].Data, a[0].Proof) },
+		},
+	}
+	for name, run := range steps {
+		live := NewServer(p, 0)
+		var journal []store.ChunkRecord
+		live.SetJournal(func(c store.ChunkRecord) { journal = append(journal, c) })
+		var said []wire.Msg
+		for _, step := range run {
+			for _, out := range step(live) {
+				switch out.Msg.(type) {
+				case wire.GotChunk, wire.Ready:
+					said = append(said, out.Msg)
+				}
+			}
+		}
+		r := Restore(p, 0, journal)
+		var resent []wire.Msg
+		for _, out := range r.Resend() {
+			resent = append(resent, out.Msg)
+		}
+		if !reflect.DeepEqual(resent, said) {
+			t.Errorf("%s: restored server re-sends %v, the live one said %v", name, resent, said)
+		}
+		ld, lroot := live.Completed()
+		rd, rroot := r.Completed()
+		if ld != rd || lroot != rroot || live.HasChunk() != r.HasChunk() {
+			t.Errorf("%s: restored completion (%v, %x, chunk %v), live (%v, %x, chunk %v)",
+				name, rd, rroot[:4], r.HasChunk(), ld, lroot[:4], live.HasChunk())
+		}
+		var after []Send
+		out, _ := r.Handle(1, b[0])
+		after = append(after, out...)
+		for from := 1; from < 4; from++ {
+			out, _ := r.Handle(from, wire.GotChunk{Root: b[0].Root})
+			after = append(after, out...)
+		}
+		for _, out := range after {
+			switch m := out.Msg.(type) {
+			case wire.GotChunk:
+				if len(said) > 0 {
+					t.Errorf("%s: restored server said GotChunk(%x) after its journal", name, m.Root[:4])
+				}
+			case wire.Ready:
+				for _, prev := range said {
+					if r, ok := prev.(wire.Ready); ok && r.Root != m.Root {
+						t.Errorf("%s: restored server said Ready(%x) after Ready(%x)", name, m.Root[:4], r.Root[:4])
+					}
+				}
+			}
 		}
 	}
 }

@@ -132,14 +132,12 @@ type EpochDeliveredAction struct {
 	Floor []uint64
 }
 
-// ChunkStoredAction reports that a VID instance Completed locally (or
-// that its chunk arrived after completion): the replica persists Rec —
-// the agreed root and, when HasChunk, the chunk and its proof — so a
-// restarted node can still serve retrieval requests for every dispersal
-// that completed here before the crash. A dispersal it acknowledged but
-// had not completed is forgotten: GotChunk and Ready leave before this
-// record is written (ROADMAP, "a server acknowledges a chunk before it
-// is durable").
+// ChunkStoredAction reports that a VID server journaled a statement
+// (avid.Server.SetJournal): an accepted chunk, a Ready, or a completion.
+// Like VoteCastAction it precedes the sends it covers in the same
+// batch, and the replica appends Rec to the chunk log and syncs it with
+// the step, so a restarted node holds every chunk it acknowledged and
+// re-sends exactly its pre-crash GotChunk and Ready (see avid.Restore).
 type ChunkStoredAction struct {
 	Rec store.ChunkRecord
 }

@@ -631,7 +631,9 @@ func (e *Engine) epochState(epoch uint64) *epochState {
 func (e *Engine) vid(epoch uint64, proposer int) *avid.Server {
 	es := e.epochState(epoch)
 	if es.vids[proposer] == nil {
-		es.vids[proposer] = avid.NewServer(e.params, e.self)
+		v := avid.NewServer(e.params, e.self)
+		v.SetJournal(e.chunkJournal(epoch, proposer))
+		es.vids[proposer] = v
 	}
 	return es.vids[proposer]
 }
@@ -654,6 +656,16 @@ func (e *Engine) ba(epoch uint64, proposer int) *ba.BA {
 func (e *Engine) voteJournal(epoch uint64, proposer int) func(ba.Vote) {
 	return func(v ba.Vote) {
 		e.actions = append(e.actions, VoteCastAction{Epoch: epoch, Proposer: proposer, Vote: v})
+	}
+}
+
+// chunkJournal is voteJournal's twin for the instance's VID server:
+// every record the server journals becomes a ChunkStoredAction, durable
+// before the GotChunk or Ready it precedes leaves the node.
+func (e *Engine) chunkJournal(epoch uint64, proposer int) func(store.ChunkRecord) {
+	return func(c store.ChunkRecord) {
+		c.Epoch, c.Proposer = epoch, proposer
+		e.actions = append(e.actions, ChunkStoredAction{Rec: c})
 	}
 }
 
@@ -688,9 +700,7 @@ func (e *Engine) toVID(env wire.Envelope, msg wire.Msg) {
 			e.notePeerEcho(env.Epoch, env.From)
 		}
 	}
-	v := e.vid(env.Epoch, env.Proposer)
-	hadChunk := v.HasChunk()
-	outs, completed := v.Handle(env.From, msg)
+	outs, completed := e.vid(env.Epoch, env.Proposer).Handle(env.From, msg)
 	stream := env.Epoch
 	for _, o := range outs {
 		out := wire.Envelope{From: e.self, Epoch: env.Epoch, Proposer: env.Proposer, Payload: o.Msg}
@@ -698,26 +708,7 @@ func (e *Engine) toVID(env wire.Envelope, msg wire.Msg) {
 	}
 	if completed {
 		e.onVIDComplete(env.Epoch, env.Proposer)
-	} else if !hadChunk && v.HasChunk() {
-		// The chunk arrived after completion (slow or restarted
-		// proposer): refresh the durable record, which was written with
-		// HasChunk=false at completion time, or a future restart would
-		// forget a chunk this node is known to serve.
-		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(env.Epoch, env.Proposer, v)})
 	}
-}
-
-// storedChunk is the durable record of a completed VID instance: the
-// agreed root and, when the server holds a chunk matching it, the chunk
-// and its proof. It is what the store persists, what a restart restores
-// from, and what state sync ships to a joiner.
-func storedChunk(epoch uint64, proposer int, v *avid.Server) store.ChunkRecord {
-	root, data, proof, ok := v.StoredChunk()
-	rec := store.ChunkRecord{Epoch: epoch, Proposer: proposer, Root: root, HasChunk: ok}
-	if ok {
-		rec.Data, rec.Proof = data, proof
-	}
-	return rec
 }
 
 func (e *Engine) toBA(env wire.Envelope, msg wire.Msg) {
@@ -786,12 +777,6 @@ func (e *Engine) inputBA(epoch uint64, proposer int, val bool) {
 
 // onVIDComplete fires when VID[epoch][proposer] Completes locally.
 func (e *Engine) onVIDComplete(epoch uint64, proposer int) {
-	// Hand the completed instance's durable state (agreed root, stored
-	// chunk) to the replica for persistence.
-	if v := e.epochs[epoch].vids[proposer]; v != nil {
-		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(epoch, proposer, v)})
-	}
-
 	// Track the completion watermark that feeds our V arrays.
 	e.advanceWatermark(proposer, epoch)
 

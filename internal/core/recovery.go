@@ -1,15 +1,15 @@
 package core
 
 // Crash recovery. A node's durable footprint has three parts (package
-// store): the WAL of protocol outcomes, the chunk store of AVID
-// fragments, and periodic engine snapshots. This file turns those back
+// store): the WAL of protocol outcomes, the chunk log of its AVID
+// servers' journals, and periodic engine snapshots. This file turns those back
 // into a running engine:
 //
 //   - Restore rebuilds engine state from snapshot + WAL replay + chunk
 //     records. It runs on a fresh engine, before Start.
 //   - Start (seeing e.recovered) re-arms the runtime machinery the state
 //     alone cannot express: retrievals for decided-but-undelivered
-//     epochs, re-votes for restored dispersals, and the status catch-up.
+//     epochs, the restored automata's re-sends, and the status catch-up.
 //   - The status protocol re-learns decisions the node slept through.
 //     Peers do not repeat what they said meanwhile, and decided epochs'
 //     instances are gone from every journal, so a restarted node asks
@@ -18,19 +18,20 @@ package core
 //     one honest witness vouches for the outcome, and agreement says all
 //     honest witnesses report the same set.
 //
-// Recovery model: outcomes (decisions, deliveries, completed dispersals)
-// are durable and never contradicted — replay is deterministic and the
-// post-restart delivery sequence is a consistent continuation. In-flight
-// BA votes are persisted too (store.RecVote, written before each vote
-// reaches the wire and group-committed with its step): Restore rebuilds
-// the round state of every undecided instance from the journal, Start
-// re-broadcasts exactly the recorded votes (a halted instance's: its
-// Term), and the restored guards make a contradictory vote impossible —
-// so a restart no longer consumes fault budget, and a whole-cluster
-// simultaneous restart of in-flight epochs is correct by construction
-// (the union of all journals is a faithful copy of what anyone said).
-// Only datadirs written before vote persistence retain the old
-// Byzantine-absorption caveat for their first restart.
+// Recovery model: outcomes (decisions, deliveries) and what each VID
+// server said (avid.Restore) are durable and never contradicted — replay
+// is deterministic and the post-restart delivery sequence is a
+// consistent continuation. In-flight BA votes are persisted too
+// (store.RecVote, written before each vote reaches the wire and
+// group-committed with its step): Restore rebuilds the round state of
+// every undecided instance from the journal, Start re-broadcasts exactly
+// the recorded votes (a halted instance's: its Term), and the restored
+// guards make a contradictory vote impossible — so a restart no longer
+// consumes fault budget, and a whole-cluster simultaneous restart of
+// in-flight epochs is correct by construction (the union of all journals
+// is a faithful copy of what anyone said). Only datadirs written before
+// vote persistence retain the old Byzantine-absorption caveat for their
+// first restart.
 
 import (
 	"bytes"
@@ -457,20 +458,26 @@ func (e *Engine) restoreBA(key blockKey, halted bool, vs []ba.Vote) {
 	es.bas[key.proposer] = b
 }
 
-// restoreChunks rebuilds the VID servers whose dispersals had completed
-// and recomputes the completion watermark that feeds our V arrays. Only
-// durably-recorded completions count, so the restored watermark never
-// overstates what this node can back.
+// restoreChunks rebuilds each VID server from its journal (see
+// avid.Restore) and recomputes the completion watermark that feeds our
+// V arrays. Only durably-recorded completions count, so the restored
+// watermark never overstates what this node can back.
 func (e *Engine) restoreChunks(chunks []store.ChunkRecord) {
+	journals := map[blockKey][]store.ChunkRecord{}
 	for _, c := range chunks {
 		if c.Epoch == 0 || c.Epoch <= e.prunedThrough || c.Proposer < 0 || c.Proposer >= e.cfg.N {
 			continue
 		}
-		es := e.epochState(c.Epoch)
-		if es.vids[c.Proposer] == nil {
-			es.vids[c.Proposer] = avid.RestoreServer(e.params, e.self, c.Root, c.HasChunk, c.Data, c.Proof)
+		key := blockKey{c.Epoch, c.Proposer}
+		journals[key] = append(journals[key], c)
+	}
+	for key, journal := range journals {
+		v := avid.Restore(e.params, e.self, journal)
+		v.SetJournal(e.chunkJournal(key.epoch, key.proposer))
+		e.epochState(key.epoch).vids[key.proposer] = v
+		if done, _ := v.Completed(); done {
+			e.advanceWatermark(key.proposer, key.epoch)
 		}
-		e.advanceWatermark(c.Proposer, c.Epoch)
 	}
 }
 
@@ -519,16 +526,25 @@ func (e *Engine) resumeRecovered() {
 		}
 	}
 	e.pumpRetrievals()
-	// Re-send the recorded votes of every in-flight agreement instance.
-	// The journal is exactly what the previous incarnation put on the
-	// wire (plus any votes synced but never transmitted); receivers
-	// dedup, so re-sending is idempotent. After a whole-cluster
-	// simultaneous restart these re-sends are the only surviving copy of
-	// the in-flight rounds — every node's received-state died with it —
-	// so agreement resumes from the union of the journals by
-	// construction instead of relying on benign scheduling.
+	// Re-send what every restored automaton said: VID servers of epochs
+	// not yet delivered (a committed block must become retrievable
+	// again), agreement instances of undecided ones. Receivers dedup.
+	// After a whole-cluster restart these re-sends are the only
+	// surviving copy of the in-flight quorums.
 	for _, epoch := range epochOrder {
 		es := e.epochs[epoch]
+		if epoch <= e.deliveredEpoch {
+			continue
+		}
+		for j, v := range es.vids {
+			if v == nil {
+				continue
+			}
+			for _, s := range v.Resend() {
+				out := wire.Envelope{From: e.self, Epoch: epoch, Proposer: j, Payload: s.Msg}
+				e.emit(s.To, out, e.priorityFor(s.Msg), epoch)
+			}
+		}
 		if es.decided {
 			continue
 		}

@@ -11,9 +11,10 @@ import (
 )
 
 // TestRestoredEngineServesRetrievals completes a VID instance at one
-// engine, carries its ChunkStoredAction across a simulated crash into a
-// fresh engine, and checks the restored engine answers a retrieval
-// request for the pre-crash epoch with the original chunk.
+// engine, carries its journal (the ChunkStoredActions) across a
+// simulated crash into a fresh engine, and checks the restored engine
+// answers a retrieval request for the pre-crash epoch with the original
+// chunk.
 func TestRestoredEngineServesRetrievals(t *testing.T) {
 	cfg := Config{N: 4, F: 1, CoinSecret: []byte("s")}
 	eng, err := NewEngine(cfg, 1)
@@ -29,11 +30,11 @@ func TestRestoredEngineServesRetrievals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stored *ChunkStoredAction
+	var stored []store.ChunkRecord
 	collect := func(actions []Action) {
 		for _, a := range actions {
 			if act, ok := a.(ChunkStoredAction); ok {
-				stored = &act
+				stored = append(stored, act.Rec)
 			}
 		}
 	}
@@ -42,11 +43,15 @@ func TestRestoredEngineServesRetrievals(t *testing.T) {
 		collect(eng.Handle(wire.Envelope{From: from, Epoch: 1, Proposer: 0,
 			Payload: wire.Ready{Root: chunks[1].Root}}))
 	}
-	if stored == nil {
-		t.Fatal("no ChunkStoredAction after VID completion")
+	kinds := make([]store.ChunkKind, len(stored))
+	for i, c := range stored {
+		kinds[i] = c.Kind
 	}
-	if !stored.Rec.HasChunk || !bytes.Equal(stored.Rec.Data, chunks[1].Data) {
-		t.Fatalf("stored chunk mismatch: %+v", stored)
+	if want := []store.ChunkKind{store.ChunkGot, store.ChunkReady, store.ChunkDone}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("journal kinds %v, want %v", kinds, want)
+	}
+	if !bytes.Equal(stored[0].Data, chunks[1].Data) || stored[0].Root != chunks[1].Root {
+		t.Fatalf("journaled chunk mismatch: %+v", stored[0])
 	}
 
 	// "Crash": a fresh engine restored from the durable chunk record.
@@ -54,7 +59,7 @@ func TestRestoredEngineServesRetrievals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(nil, nil, []store.ChunkRecord{stored.Rec}); err != nil {
+	if err := eng2.Restore(nil, nil, stored); err != nil {
 		t.Fatal(err)
 	}
 	eng2.Start()

@@ -195,7 +195,8 @@ func (e *Engine) chunkInventoryPage(target uint64, page uint32) (data []byte, la
 			if v == nil || !v.HasChunk() { // HasChunk implies completion
 				continue
 			}
-			rec := storedChunk(epoch, j, v)
+			root, data, proof, _ := v.StoredChunk()
+			rec := store.ChunkRecord{Epoch: epoch, Proposer: j, Root: root, HasChunk: true, Data: data, Proof: proof}
 			if off >= end {
 				return buf, false // records beyond this page remain
 			}
@@ -456,7 +457,6 @@ func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
 	}
 	v := e.vid(key.epoch, key.proposer)
 	wasDone, _ := v.Completed()
-	hadChunk := v.HasChunk()
 	outs := v.AdoptComplete(root, data, proof)
 	for _, o := range outs {
 		out := wire.Envelope{From: e.self, Epoch: key.epoch, Proposer: key.proposer, Payload: o.Msg}
@@ -464,9 +464,6 @@ func (e *Engine) backfillOwnChunk(key blockKey, raw []byte) {
 	}
 	if done, _ := v.Completed(); !done {
 		return
-	}
-	if !hadChunk && v.HasChunk() {
-		e.actions = append(e.actions, ChunkStoredAction{Rec: storedChunk(key.epoch, key.proposer, v)})
 	}
 	if !wasDone {
 		e.advanceWatermark(key.proposer, key.epoch)

@@ -30,16 +30,14 @@ func isBAMsg(m wire.Msg) bool {
 }
 
 // walCollector mimics the replica's persistStep for one node: every
-// durable action becomes its WAL record (in action order, like the real
-// group commit), chunk records are superseded per instance.
+// durable action becomes its WAL or chunk record, in action order, like
+// the real group commit.
 type walCollector struct {
 	recs   []store.Record
-	chunks map[blockKey]store.ChunkRecord
+	chunks []store.ChunkRecord
 }
 
-func newWALCollector() *walCollector {
-	return &walCollector{chunks: map[blockKey]store.ChunkRecord{}}
-}
+func newWALCollector() *walCollector { return &walCollector{} }
 
 func (w *walCollector) observe(a Action) {
 	switch act := a.(type) {
@@ -60,16 +58,8 @@ func (w *walCollector) observe(a Action) {
 	case EpochDeliveredAction:
 		w.recs = append(w.recs, store.Record{Type: store.RecEpochDone, Epoch: act.Epoch, Floor: act.Floor})
 	case ChunkStoredAction:
-		w.chunks[blockKey{act.Rec.Epoch, act.Rec.Proposer}] = act.Rec
+		w.chunks = append(w.chunks, act.Rec)
 	}
-}
-
-func (w *walCollector) chunkList() []store.ChunkRecord {
-	var out []store.ChunkRecord
-	for _, c := range w.chunks {
-		out = append(out, c)
-	}
-	return out
 }
 
 // votelessRecords strips RecVote records: the seed WAL format, which new
@@ -139,7 +129,7 @@ func TestRestartReVotesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Restore(path.snap, path.recs, wal.chunkList()); err != nil {
+			if err := eng.Restore(path.snap, path.recs, wal.chunks); err != nil {
 				t.Fatal(err)
 			}
 			resent := map[blockKey][][]byte{}
@@ -284,7 +274,7 @@ func TestSeedReVoteInconsistencyEliminated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seedEng.Restore(nil, votelessRecords(wal.recs), wal.chunkList()); err != nil {
+	if err := seedEng.Restore(nil, votelessRecords(wal.recs), wal.chunks); err != nil {
 		t.Fatal(err)
 	}
 	seedEng.Start()
@@ -299,7 +289,7 @@ func TestSeedReVoteInconsistencyEliminated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := newEng.Restore(nil, wal.recs, wal.chunkList()); err != nil {
+	if err := newEng.Restore(nil, wal.recs, wal.chunks); err != nil {
 		t.Fatal(err)
 	}
 	startAux := auxSends(newEng.Start())
@@ -364,7 +354,7 @@ func TestSnapshotCarriesVotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(dec, nil, wal.chunkList()); err != nil {
+	if err := eng2.Restore(dec, nil, wal.chunks); err != nil {
 		t.Fatal(err)
 	}
 	resent := auxSends(eng2.Start())
@@ -442,7 +432,7 @@ func TestRestoredVoteJournalSurvivesSecondCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(nil, wal.recs, wal.chunkList()); err != nil {
+	if err := eng2.Restore(nil, wal.recs, wal.chunks); err != nil {
 		t.Fatal(err)
 	}
 	eng2.Start()
@@ -453,7 +443,7 @@ func TestRestoredVoteJournalSurvivesSecondCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng3.Restore(snap, nil, wal.chunkList()); err != nil {
+	if err := eng3.Restore(snap, nil, wal.chunks); err != nil {
 		t.Fatal(err)
 	}
 	resent := auxSends(eng3.Start())

@@ -689,10 +689,8 @@ func (r *Replica) persistStep(actions []core.Action, hashes map[int][]mempool.Ha
 				VoteKind: uint8(act.Vote.Kind), Round: act.Vote.Round, Value: act.Vote.Value,
 			})
 		case core.ChunkStoredAction:
-			// Chunk records sync with the step too, but that step is the
-			// server's completion: its GotChunk and Ready went out before,
-			// and a crash in between forgets a chunk peers count on
-			// (ROADMAP, "a server acknowledges a chunk before it is durable").
+			// Chunk records sync with the step too, before the GotChunk
+			// or Ready they journal leaves.
 			wrote = r.persist(func() error { return r.st.PutChunk(act.Rec) }) || wrote
 		}
 	}

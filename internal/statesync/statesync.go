@@ -180,12 +180,13 @@ func Page(blob []byte, page uint32) (data []byte, last, ok bool) {
 }
 
 // VerifyChunkRecord checks one streamed chunk-inventory entry: it must
-// carry a chunk, sit at the donor's own leaf index (server i stores and
-// serves chunk i — a donor cannot speak for another node's leaf, which
-// is what keeps any f-bounded group from assembling a forged block),
-// and verify against its Merkle root.
+// be a completion carrying its chunk (no other entry of the donor's
+// chunk journal), sit at the donor's own leaf index (server i stores
+// and serves chunk i — a donor cannot speak for another node's leaf,
+// which is what keeps any f-bounded group from assembling a forged
+// block), and verify against its Merkle root.
 func VerifyChunkRecord(donor int, c store.ChunkRecord) bool {
-	return c.HasChunk &&
+	return c.Kind == store.ChunkDone && c.HasChunk &&
 		c.Proof.Index == donor &&
 		merkle.Verify(c.Root, c.Data, c.Proof)
 }

@@ -205,6 +205,23 @@ func TestVerifyChunkRecord(t *testing.T) {
 	if VerifyChunkRecord(2, none) {
 		t.Fatal("chunkless record accepted")
 	}
+	// Only a completion with its chunk is importable: a donor cannot pass
+	// another journal entry off as one, whether it arrives as a record or
+	// as the bytes of a page.
+	for _, kind := range []store.ChunkKind{store.ChunkGot, store.ChunkReady} {
+		other := rec
+		other.Kind = kind
+		if VerifyChunkRecord(2, other) {
+			t.Fatalf("record of kind %d accepted", kind)
+		}
+		dec, err := store.DecodeChunkRecord(store.EncodeChunkRecord(other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if VerifyChunkRecord(2, dec) {
+			t.Fatalf("decoded record of kind %d accepted", kind)
+		}
+	}
 }
 
 func TestSyncerRotatesDonorOnEvictedReply(t *testing.T) {

@@ -514,32 +514,15 @@ func (s *FileStore) Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint,
 	})
 }
 
-type chunkKey struct {
-	epoch    uint64
-	proposer int
-}
-
-// Chunks implements Store. Later records for the same instance supersede
-// earlier ones (duplicates only arise from pre-compaction overlap).
+// Chunks implements Store.
 func (s *FileStore) Chunks(fn func(ChunkRecord) error) error {
-	seen := map[chunkKey]ChunkRecord{}
-	err := s.chunks.scan(0, func(payload []byte) error {
+	return s.chunks.scan(0, func(payload []byte) error {
 		c, err := DecodeChunkRecord(payload)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		seen[chunkKey{c.Epoch, c.Proposer}] = c
-		return nil
+		return fn(c)
 	})
-	if err != nil {
-		return err
-	}
-	for _, c := range seen {
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close implements Store.

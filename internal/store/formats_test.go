@@ -149,14 +149,37 @@ func TestGoldenRecords(t *testing.T) {
 	}
 }
 
+// goldenChunks is one canonical chunk record of each kind: the
+// completion with its chunk ("chunk", unchanged since before the kinds),
+// an accepted chunk, and a Ready.
+func goldenChunks() map[string]ChunkRecord {
+	got := testChunk(9, 3)
+	got.Kind, got.HasChunk = ChunkGot, false
+	ready := ChunkRecord{Epoch: 9, Proposer: 3, Kind: ChunkReady, Root: got.Root}
+	return map[string]ChunkRecord{"chunk": testChunk(9, 3), "chunk-got": got, "chunk-ready": ready}
+}
+
 func TestGoldenChunkRecord(t *testing.T) {
-	c := testChunk(9, 3)
-	got, err := DecodeChunkRecord(golden(t, "chunk", EncodeChunkRecord(c)))
-	if err != nil {
-		t.Fatal(err)
+	for name, c := range goldenChunks() {
+		got, err := DecodeChunkRecord(golden(t, name, EncodeChunkRecord(c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c) {
+			t.Fatalf("%s: fixture decodes to %+v, want %+v", name, got, c)
+		}
 	}
-	if !reflect.DeepEqual(got, c) {
-		t.Fatalf("fixture decodes to %+v, want %+v", got, c)
+}
+
+// TestChunkRecordRejectsUnknownKind: the kind byte takes four values; a
+// record with any other is corrupt, not a completion.
+func TestChunkRecordRejectsUnknownKind(t *testing.T) {
+	enc := EncodeChunkRecord(testChunk(9, 3))
+	for _, kind := range []byte{4, 0x80, 0xFF} {
+		enc[8+2] = kind
+		if _, err := DecodeChunkRecord(enc); err == nil {
+			t.Errorf("kind byte %#x decoded without error", kind)
+		}
 	}
 }
 
@@ -192,12 +215,15 @@ func TestRecordHostileLengths(t *testing.T) {
 
 func TestChunkRecordHostileLengths(t *testing.T) {
 	decode := func(b []byte) error { _, err := DecodeChunkRecord(b); return err }
-	c := testChunk(9, 3)
 	const dataLen = 8 + 2 + 1 + merkle.RootSize
-	rejectHostileLengths(t, EncodeChunkRecord(c), decode, []lenField{
-		{"data length", dataLen, 4, 1},
-		{"proof path count", dataLen + 4 + len(c.Data) + 4, 1, merkle.RootSize},
-	})
+	for name, c := range goldenChunks() {
+		t.Run(name, func(t *testing.T) {
+			rejectHostileLengths(t, EncodeChunkRecord(c), decode, []lenField{
+				{"data length", dataLen, 4, 1},
+				{"proof path count", dataLen + 4 + len(c.Data) + 4, 1, merkle.RootSize},
+			})
+		})
+	}
 }
 
 // TestManifestHostileLengths forges the three section lengths and the
@@ -260,7 +286,9 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 func FuzzDecodeChunkRecord(f *testing.F) {
-	f.Add(golden(f, "chunk", nil))
+	for _, seed := range goldenSeeds(f, "chunk") {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeChunkRecord(data)
 		if err != nil {

@@ -156,7 +156,6 @@ func allChunks(t *testing.T, s Store) []ChunkRecord {
 	if err := s.Chunks(func(c ChunkRecord) error { cs = append(cs, c); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Epoch < cs[j].Epoch })
 	return cs
 }
 

@@ -101,18 +101,28 @@ type Record struct {
 	Value    bool       // RecVote
 }
 
-// ChunkRecord persists one VID instance's completion at this node: the
-// agreed root and, when the proposer's chunk arrived and matched it, the
-// chunk and its inclusion proof. Completion without a chunk still counts
-// toward the node's VID watermark, so it is recorded with HasChunk false.
+// ChunkRecord is one entry of a VID server's journal: an accepted
+// chunk, a Ready, or a completion, which carries the agreed root and,
+// when HasChunk, the chunk and its inclusion proof.
 type ChunkRecord struct {
 	Epoch    uint64
 	Proposer int
+	Kind     ChunkKind
 	Root     merkle.Root
 	HasChunk bool
 	Data     []byte
 	Proof    merkle.Proof
 }
+
+// ChunkKind is what a chunk record journals. On disk it shares one byte
+// with HasChunk: 0 and 1 are a completion without and with its chunk.
+type ChunkKind uint8
+
+const (
+	ChunkDone  ChunkKind = 0 // completion under Root
+	ChunkGot   ChunkKind = 2 // accepted chunk: Root, Data, Proof
+	ChunkReady ChunkKind = 3 // Ready(Root) said
+)
 
 // Checkpoint pairs an opaque engine snapshot with the WAL position it
 // reflects: records with LSN <= LSN are subsumed by State and may be
@@ -132,8 +142,7 @@ type Store interface {
 	// the LSN of the last (LSNs are 1-based and increase by one per
 	// record; 0 when recs is empty). Durability is deferred until Sync.
 	AppendBatch(recs []Record) (uint64, error)
-	// PutChunk persists one chunk record; a later record for the same
-	// instance supersedes an earlier one. Durable at the next Sync.
+	// PutChunk appends one chunk record. Durable at the next Sync.
 	PutChunk(c ChunkRecord) error
 	// Sync makes all prior AppendBatches and PutChunks durable (group
 	// commit).
@@ -149,7 +158,7 @@ type Store interface {
 	// Recover returns the latest checkpoint (nil if none) and replays
 	// every WAL record with LSN > checkpoint.LSN, in LSN order.
 	Recover(fn func(lsn uint64, rec Record) error) (*Checkpoint, error)
-	// Chunks iterates all resident chunk records (any order).
+	// Chunks iterates all resident chunk records in append order.
 	Chunks(fn func(ChunkRecord) error) error
 	// MarkUnsafeRestart durably flags the store as no valid restart
 	// point, after a durable write failed (see ErrUnsafeRestart).
@@ -274,7 +283,11 @@ func EncodeChunkRecord(c ChunkRecord) []byte {
 func AppendChunkRecord(buf []byte, c ChunkRecord) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.Epoch)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Proposer))
-	buf = wire.AppendBool(buf, c.HasChunk)
+	if c.Kind == ChunkDone && c.HasChunk {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, byte(c.Kind))
+	}
 	buf = append(buf, c.Root[:]...)
 	buf = wire.AppendBytes(buf, c.Data)
 	return wire.AppendProof(buf, c.Proof)
@@ -283,10 +296,15 @@ func AppendChunkRecord(buf []byte, c ChunkRecord) []byte {
 // DecodeChunkRecord parses EncodeChunkRecord output.
 func DecodeChunkRecord(data []byte) (ChunkRecord, error) {
 	r := wire.NewReader(data)
-	c := ChunkRecord{Epoch: r.U64(), Proposer: int(r.U16()), HasChunk: r.Bool(),
+	c := ChunkRecord{Epoch: r.U64(), Proposer: int(r.U16()), Kind: ChunkKind(r.U8()),
 		Root: r.Hash(), Data: r.Bytes32(), Proof: r.Proof()}
 	if err := r.Done(); err != nil {
 		return ChunkRecord{}, fmt.Errorf("store: bad chunk record: %w", err)
+	}
+	if c.Kind == 1 {
+		c.Kind, c.HasChunk = ChunkDone, true
+	} else if c.Kind > ChunkReady {
+		return ChunkRecord{}, fmt.Errorf("store: unknown chunk record kind %d", c.Kind)
 	}
 	return c, nil
 }

@@ -339,6 +339,72 @@ func TestFileTornWrite(t *testing.T) {
 	s.Close()
 }
 
+// TestChunksAppendOrder: the chunk log is a journal, read back in
+// append order across segment rollovers with several instances'
+// records interleaved, and a torn tail drops only the torn
+// suffix.
+func TestChunksAppendOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(FileOptions{Dir: dir, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ChunkRecord
+	put := func(epoch uint64, proposer int, kind ChunkKind) {
+		t.Helper()
+		c := testChunk(epoch, proposer)
+		switch kind {
+		case ChunkGot:
+			c.Kind, c.HasChunk = ChunkGot, false
+		case ChunkReady:
+			c = ChunkRecord{Epoch: epoch, Proposer: proposer, Kind: ChunkReady, Root: c.Root}
+		}
+		if err := s.PutChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, c)
+	}
+	for epoch := uint64(1); epoch <= 4; epoch++ {
+		put(epoch, 0, ChunkGot)
+		put(epoch, 1, ChunkGot)
+		put(epoch, 0, ChunkReady)
+		put(epoch+1, 0, ChunkGot) // the next epoch's dispersal overlaps
+		put(epoch, 1, ChunkReady)
+		put(epoch, 0, ChunkDone)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	put(5, 1, ChunkReady)
+	put(5, 0, ChunkReady) // the record the truncation below tears
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "chunks", "*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("want several chunk segments, got %d", len(segs))
+	}
+
+	s = openFile(t, dir)
+	if got := allChunks(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunk records out of append order:\n got %+v\nwant %+v", got, want)
+	}
+	s.Close()
+	last := segs[len(segs)-1]
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	s = openFile(t, dir)
+	if got := allChunks(t, s); !reflect.DeepEqual(got, want[:len(want)-1]) {
+		t.Fatalf("torn tail: got %d records, want the %d before it in order", len(got), len(want)-1)
+	}
+	s.Close()
+}
+
 // TestFileCRCRejection flips a byte in the middle of a non-final segment
 // and checks recovery refuses the log instead of replaying garbage.
 func TestFileCRCRejection(t *testing.T) {
